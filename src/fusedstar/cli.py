@@ -17,7 +17,6 @@ import sys
 from .certificate import build_dual_certificate, verify_certificate
 from .optimizer import (
     DegenerateSineError,
-    NoRootsError,
     OptimalSolution,
     SelfCheckError,
     optimal_weights,
@@ -57,7 +56,7 @@ def _scheme_weights(
     params: TfsParams, scheme: str, args: argparse.Namespace
 ) -> tuple[OrbitWeights, OptimalSolution | None]:
     if scheme == "optimal":
-        solution = optimal_weights(params, grid_points=args.grid, tol=args.tol)
+        solution = optimal_weights(params)
         return solution.weights, solution
     graph = build_topology(params)
     if scheme == "max-degree":
@@ -120,7 +119,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     params = _params_from(args)
-    solution = optimal_weights(params, grid_points=args.grid, tol=args.tol)
+    solution = optimal_weights(params)
     certificate = build_dual_certificate(solution)
     weights = solution.weights
     if args.perturb:
@@ -154,7 +153,7 @@ def _fig2_rows(args: argparse.Namespace) -> list[list[str]]:
         raise InvalidParameterError(f"empty mean-length range [{lo}, {hi}]")
     rows: list[list[str]] = []
     for m_bar in range(lo, hi + 1):
-        star = solve_symmetric_star(m_bar, n1 + n2, tol=args.tol)
+        star = solve_symmetric_star(m_bar, n1 + n2)
         rows.append(
             [str(m_bar), "star", str(m_bar), str(m_bar), f"{star.s:.10g}"]
         )
@@ -164,57 +163,32 @@ def _fig2_rows(args: argparse.Namespace) -> list[list[str]]:
             if remainder <= 0 or remainder % n2:
                 continue
             m2 = remainder // n2
-            solution = optimal_weights(
-                TfsParams(m1, n1, m2, n2), grid_points=args.grid, tol=args.tol
-            )
+            solution = optimal_weights(TfsParams(m1, n1, m2, n2))
             rows.append(
                 [str(m_bar), "tfs", str(m1), str(m2), f"{solution.s:.10g}"]
             )
     return rows
 
 
+_SWEEP_COLUMNS = {
+    "slem": lambda solution: solution.s,
+    "w_minus_1": lambda solution: solution.weights[-1],
+    "theta_star": lambda solution: solution.theta_star,
+}
+
+
 def _grid_rows(
-    args: argparse.Namespace, n1: int, n2: int, value: str
+    args: argparse.Namespace, n1: int, n2: int, columns: tuple[str, ...]
 ) -> list[list[str]]:
     if args.m1_max < 1 or args.m2_max < 1:
         raise InvalidParameterError("branch-length ranges must start at 1")
     rows = []
     for m1 in range(1, args.m1_max + 1):
         for m2 in range(1, args.m2_max + 1):
-            solution = optimal_weights(
-                TfsParams(m1, n1, m2, n2), grid_points=args.grid, tol=args.tol
-            )
-            if value == "slem":
-                cell = solution.s
-            elif value == "w_minus_1":
-                cell = solution.weights[-1]
-            else:
-                raise InvalidParameterError(f"unknown sweep value {value!r}")
-            rows.append([str(m1), str(m2), f"{cell:.10g}"])
-    return rows
-
-
-def _custom_rows(args: argparse.Namespace) -> list[list[str]]:
-    if args.n1 is None or args.n2 is None:
-        raise InvalidParameterError("custom sweeps require --n1 and --n2")
-    if args.m1_max < 1 or args.m2_max < 1:
-        raise InvalidParameterError("branch-length ranges must start at 1")
-    rows = []
-    for m1 in range(1, args.m1_max + 1):
-        for m2 in range(1, args.m2_max + 1):
-            solution = optimal_weights(
-                TfsParams(m1, args.n1, m2, args.n2),
-                grid_points=args.grid,
-                tol=args.tol,
-            )
+            solution = optimal_weights(TfsParams(m1, n1, m2, n2))
             rows.append(
-                [
-                    str(m1),
-                    str(m2),
-                    f"{solution.s:.10g}",
-                    f"{solution.weights[-1]:.10g}",
-                    f"{solution.theta_star:.10g}",
-                ]
+                [str(m1), str(m2)]
+                + [f"{_SWEEP_COLUMNS[name](solution):.10g}" for name in columns]
             )
     return rows
 
@@ -224,15 +198,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.kind == "fig2":
         writer.writerow(["m_bar", "network", "m1", "m2", "slem"])
         writer.writerows(_fig2_rows(args))
-    elif args.kind == "fig3":
-        writer.writerow(["m1", "m2", "slem"])
-        writer.writerows(_grid_rows(args, 2, 22, "slem"))
-    elif args.kind == "fig4":
-        writer.writerow(["m1", "m2", "w_minus_1"])
-        writer.writerows(_grid_rows(args, 2, 22, "w_minus_1"))
+        return 0
+    if args.kind == "custom":
+        if args.n1 is None or args.n2 is None:
+            raise InvalidParameterError("custom sweeps require --n1 and --n2")
+        n1, n2, columns = args.n1, args.n2, ("slem", "w_minus_1", "theta_star")
     else:
-        writer.writerow(["m1", "m2", "slem", "w_minus_1", "theta_star"])
-        writer.writerows(_custom_rows(args))
+        n1, n2 = 2, 22
+        columns = ("slem",) if args.kind == "fig3" else ("w_minus_1",)
+    writer.writerow(["m1", "m2", *columns])
+    writer.writerows(_grid_rows(args, n1, n2, columns))
     return 0
 
 
@@ -264,12 +239,6 @@ def _add_params(parser: argparse.ArgumentParser) -> None:
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--tol", type=float, default=1e-12, help="root bisection tolerance in theta"
-    )
-    common.add_argument(
-        "--grid", type=int, default=None, help="root-scan grid resolution override"
-    )
     common.add_argument(
         "--max-degree-convention",
         choices=sorted(_CONVENTIONS),
@@ -339,7 +308,7 @@ def main(argv: list[str] | None = None) -> int:
     except InvalidParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (NoRootsError, SelfCheckError, DegenerateSineError) as exc:
+    except (SelfCheckError, DegenerateSineError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

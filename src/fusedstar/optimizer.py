@@ -5,10 +5,11 @@ The optimum is characterized by a scalar transcendental relation: writing
 contribute a response factor ``(2/n) * cot(m*theta) * cot(theta/2) - 1`` and
 optimality requires their product to equal one.  All interior orbit weights
 are 1/2 at the optimum and the two center-adjacent weights follow in closed
-form from the smallest root.  ``cos`` of the smallest root is the optimal
-spectral radius.  ``OptimalSolution.lambda_min`` holds ``cos`` of the
-*largest* root; despite its name that is not an eigenvalue of the optimal
-matrix, whose smallest eigenvalue is ``-s`` (read it from the block spectrum).
+form from the smallest root theta*, and ``cos(theta*)`` is the optimal
+spectral radius.  On ``(0, pi / (2 max(m1, m2))]`` both response factors are
+at least -1 and strictly decreasing, so the relation is positive exactly
+below theta* there and bisection on that bracket finds it.  The all-roots
+scan ``solve_theta_roots`` is an independent reference route.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .spectral import block_spectrum, build_blocks
+from .spectral import _tridiagonal_eigenvalues, block_spectrum, build_blocks
 from .topology import InvalidParameterError, TfsParams
 from .weighting import OrbitWeights
 
@@ -67,22 +68,16 @@ class ThetaRoots:
 
 @dataclass(frozen=True)
 class OptimalSolution:
-    """Optimal orbit weights and the spectral data of the optimum.
-
-    ``lambda_min`` is ``cos`` of the largest characteristic root, not an
-    eigenvalue of the optimal matrix; that matrix's smallest eigenvalue is
-    ``-s``.
-    """
+    """Optimal orbit weights, the smallest root and ``s = cos(theta_star)``."""
 
     params: TfsParams
     theta_star: float
     s: float
     weights: OrbitWeights
-    lambda_min: float
 
 
-def _char_values(params: TfsParams, theta: np.ndarray) -> np.ndarray:
-    theta = np.asarray(theta, dtype=float)
+def _char_values(params: TfsParams, theta: np.ndarray | float) -> np.ndarray:
+    # a float stays a numpy scalar throughout, which the bisection needs fast
     cot_half = np.cos(0.5 * theta) / np.sin(0.5 * theta)
     arm1 = (
         2.0
@@ -130,7 +125,7 @@ def char_residual(params: TfsParams, theta: float) -> float:
         raise PoleProximityError(
             f"theta = {theta} is within {_EXCLUSION} of a singularity"
         )
-    return float(_char_values(params, np.asarray(theta)))
+    return float(_char_values(params, theta))
 
 
 def _grid_roots(
@@ -208,6 +203,16 @@ def _boundary_weight(m: int, theta: float) -> float:
     return num / den
 
 
+def _require_two_branches(params: TfsParams) -> None:
+    # with a single branch a star has no repeated arm block and the
+    # analytic construction does not apply
+    if params.n1 < 2 or params.n2 < 2:
+        raise InvalidParameterError(
+            "the analytic optimum requires n1 >= 2 and n2 >= 2, got "
+            f"n1={params.n1}, n2={params.n2}"
+        )
+
+
 def _weights_at(params: TfsParams, theta: float) -> OrbitWeights:
     """Optimal orbit weights as a function of the characteristic root."""
     w = {label: 0.5 for label in params.orbit_labels}
@@ -223,7 +228,7 @@ def _cross_check_root_count(params: TfsParams, roots: np.ndarray) -> None:
         ow = _weights_at(params, float(roots[0]))
     except DegenerateSineError:
         return
-    eigs = np.linalg.eigvalsh(build_blocks(params, ow).block_center)
+    eigs = _tridiagonal_eigenvalues(build_blocks(params, ow).block_center)
     below = int(np.sum(eigs < 1.0 - 1e-9))
     if below != roots.size:
         warnings.warn(
@@ -244,14 +249,10 @@ def solve_theta_roots(
     Scans a uniform grid (default max(10^4, 200 * (m1 + m2)) points) with
     pole exclusion, bisects each sign change and cross-checks the root
     count against the central-block spectrum (mismatch is a warning).
-    Requires n1, n2 >= 2: with a single branch a star has no repeated arm
-    block and the analytic construction does not apply.
+    Requires n1, n2 >= 2.  This is the reference route; the optimum comes
+    from ``optimal_weights``, which never calls it.
     """
-    if params.n1 < 2 or params.n2 < 2:
-        raise InvalidParameterError(
-            "the analytic optimum requires n1 >= 2 and n2 >= 2, got "
-            f"n1={params.n1}, n2={params.n2}"
-        )
+    _require_two_branches(params)
     if grid_points is None:
         grid_points = max(10_000, 200 * (params.m1 + params.m2))
     if grid_points < 1000:
@@ -270,23 +271,27 @@ def solve_theta_roots(
     return ThetaRoots(roots=roots, residuals=residuals)
 
 
-def optimal_weights(
-    params: TfsParams,
-    grid_points: int | None = None,
-    tol: float = 1e-12,
-) -> OptimalSolution:
-    """Provably optimal orbit weights for fastest consensus averaging.
+def _first_sign_change(f: Callable[[float], float], hi: float) -> float:
+    """Where ``f`` stops being positive on ``(0, hi]``, to adjacent floats.
 
-    Interior orbits get weight 1/2; the two center-adjacent orbits follow
-    from the smallest characteristic root theta*.  The result is
-    self-checked: the assembled block spectrum must reproduce
-    ``s = cos(theta*)`` as its spectral radius below 1 within 1e-9.
+    ``f`` must be positive exactly on an initial segment of the interval;
+    bisection on the predicate ``f(mid) > 0`` then never loses the point.
     """
-    roots = solve_theta_roots(params, grid_points=grid_points, tol=tol)
-    theta_star = float(roots.roots[0])
+    lo = 0.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return mid
+        if f(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+
+
+def _self_checked(
+    params: TfsParams, theta_star: float, ow: OrbitWeights
+) -> OptimalSolution:
     s = math.cos(theta_star)
-    ow = _weights_at(params, theta_star)
-    lambda_min = math.cos(float(roots.roots[-1]))
     report = block_spectrum(build_blocks(params, ow))
     if abs(report.slem - s) > 1e-9:
         raise SelfCheckError(
@@ -294,68 +299,50 @@ def optimal_weights(
             f"smallest root promises {s!r}"
         )
     return OptimalSolution(
-        params=params,
-        theta_star=theta_star,
-        s=s,
-        weights=ow,
-        lambda_min=lambda_min,
+        params=params, theta_star=theta_star, s=s, weights=ow
     )
 
 
-def solve_symmetric_star(
-    m: int,
-    n: int,
-    grid_points: int | None = None,
-    tol: float = 1e-12,
-) -> OptimalSolution:
+def optimal_weights(params: TfsParams) -> OptimalSolution:
+    """Provably optimal orbit weights for fastest consensus averaging.
+
+    Interior orbits get weight 1/2; the two center-adjacent orbits follow
+    from the smallest characteristic root theta*, found by bisection on
+    ``(0, pi / (2 max(m1, m2))]``.  The result is self-checked: the
+    assembled block spectrum must reproduce ``s = cos(theta*)`` as its
+    spectral radius below 1 within 1e-9.  Requires n1, n2 >= 2.
+    """
+    _require_two_branches(params)
+    theta_star = _first_sign_change(
+        lambda theta: float(_char_values(params, theta)),
+        math.pi / (2 * max(params.m1, params.m2)),
+    )
+    return _self_checked(params, theta_star, _weights_at(params, theta_star))
+
+
+def solve_symmetric_star(m: int, n: int) -> OptimalSolution:
     """Optimal weights for a single symmetric star: n branches of length m.
 
     The characteristic relation collapses to
-    ``(n + 2) cos((m + 1/2) theta) = (n - 2) cos((m - 1/2) theta)``,
-    which has no poles.  The returned solution carries an equivalent TFS
-    parameterization with the n branches split into two stars of equal
-    branch length (any split yields the same network).
+    ``g(theta) = (n + 2) cos((m + 1/2) theta) - (n - 2) cos((m - 1/2) theta)
+    = 0``; ``g`` falls strictly from 4 at 0 to at most 0 at
+    ``pi / (2m + 1)``, so bisection there finds the smallest root.  The
+    returned solution carries an equivalent TFS parameterization with the n
+    branches split into two stars of equal branch length (any split yields
+    the same network).
     """
     if int(m) != m or m < 1:
         raise InvalidParameterError(f"m must be an integer >= 1, got {m!r}")
     if int(n) != n or n < 2:
         raise InvalidParameterError(f"n must be an integer >= 2, got {n!r}")
     m, n = int(m), int(n)
-
-    def g(theta: np.ndarray) -> np.ndarray:
-        theta = np.asarray(theta, dtype=float)
-        return (n + 2.0) * np.cos((m + 0.5) * theta) - (n - 2.0) * np.cos(
-            (m - 0.5) * theta
-        )
-
-    if grid_points is None:
-        grid_points = max(10_000, 400 * m)
-    if not 0.0 < tol < 1.0:
-        raise ValueError(f"tol must lie in (0, 1), got {tol}")
-    roots, _ = _grid_roots(g, grid_points, tol, np.array([]))
-    if roots.size == 0:
-        raise NoRootsError(f"no star characteristic roots for m={m}, n={n}")
-    theta_star = float(roots[0])
-    s = math.cos(theta_star)
-    params = TfsParams(m, n // 2, m, n - n // 2)
-    boundary = _boundary_weight(m, theta_star)
-    w = {label: 0.5 for label in params.orbit_labels}
-    w[-1] = boundary
-    w[1] = boundary
-    ow = OrbitWeights(w)
-    report = block_spectrum(build_blocks(params, ow))
-    if abs(report.slem - s) > 1e-9:
-        raise SelfCheckError(
-            f"star spectrum gives slem = {report.slem!r} but the smallest "
-            f"root promises {s!r}"
-        )
-    return OptimalSolution(
-        params=params,
-        theta_star=theta_star,
-        s=s,
-        weights=ow,
-        lambda_min=math.cos(float(roots[-1])),
+    theta_star = _first_sign_change(
+        lambda theta: (n + 2.0) * math.cos((m + 0.5) * theta)
+        - (n - 2.0) * math.cos((m - 0.5) * theta),
+        math.pi / (2 * m + 1),
     )
+    params = TfsParams(m, n // 2, m, n - n // 2)
+    return _self_checked(params, theta_star, _weights_at(params, theta_star))
 
 
 def equivalent_star(params: TfsParams) -> tuple[int, Fraction]:

@@ -4,8 +4,9 @@ The branch-permuting symmetry lets a per-stratum discrete Fourier transform
 block-diagonalize any orbit-weight matrix into three small blocks: an
 ``m1 x m1`` tridiagonal block repeated ``n1 - 1`` times, one central block of
 size ``m1 + m2 + 1`` and an ``m2 x m2`` tridiagonal block repeated ``n2 - 1``
-times.  All spectral quantities of the full matrix follow from these blocks,
-so even very large networks cost only small eigensolves.
+times.  All three blocks are tridiagonal in stratum order (they are
+weighted paths), so every spectral quantity of the full matrix follows from
+small tridiagonal eigensolves, even for very large networks.
 """
 from __future__ import annotations
 
@@ -204,6 +205,7 @@ def build_blocks(params: TfsParams, ow: OrbitWeights) -> StratifiedBlocks:
 
 
 def _tridiagonal_eigenvalues(block: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a symmetric tridiagonal block."""
     if block.shape[0] == 1:
         return np.array([block[0, 0]])
     return eigh_tridiagonal(
@@ -214,8 +216,8 @@ def _tridiagonal_eigenvalues(block: np.ndarray) -> np.ndarray:
 def block_spectrum(blocks: StratifiedBlocks) -> SpectralReport:
     """Spectrum of the full matrix from the blocks, multiplicities symbolic.
 
-    Arm blocks use the symmetric-tridiagonal eigensolver; the central block
-    a general symmetric one.  Eigenvalues are never replicated in memory.
+    Every block goes through the symmetric-tridiagonal eigensolver.
+    Eigenvalues are never replicated in memory.
     """
     mult_minus, _, mult_plus = blocks.multiplicities
     pairs: list[tuple[float, int]] = []
@@ -224,7 +226,9 @@ def block_spectrum(blocks: StratifiedBlocks) -> SpectralReport:
             (float(v), mult_minus)
             for v in _tridiagonal_eigenvalues(blocks.block_minus)
         ]
-    pairs += [(float(v), 1) for v in np.linalg.eigvalsh(blocks.block_center)]
+    pairs += [
+        (float(v), 1) for v in _tridiagonal_eigenvalues(blocks.block_center)
+    ]
     if mult_plus > 0:
         pairs += [
             (float(v), mult_plus)
@@ -268,7 +272,7 @@ def interlacing_check(blocks: StratifiedBlocks) -> float:
             ]
         )
     )
-    cen = np.sort(np.linalg.eigvalsh(blocks.block_center))
+    cen = _tridiagonal_eigenvalues(blocks.block_center)
     lower = float(np.max(cen[:-1] - arm))
     upper = float(np.max(arm - cen[1:]))
     return max(0.0, lower, upper)

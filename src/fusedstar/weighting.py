@@ -232,28 +232,22 @@ def metropolis_weights(
     )
 
 
-def _laplacian(graph: TfsGraph) -> np.ndarray:
-    params = graph.params
-    n = params.n_nodes
-    lap = np.zeros((n, n))
-    for u, v in graph.edges:
-        a, b = node_index(params, u), node_index(params, v)
-        lap[a, b] -= 1.0
-        lap[b, a] -= 1.0
-        lap[a, a] += 1.0
-        lap[b, b] += 1.0
-    return lap
-
-
 def best_constant_orbit_weights(graph: TfsGraph) -> OrbitWeights:
     """Best constant edge weight, 2 / (lambda_max(L) + lambda_second_min(L)).
 
     L is the graph Laplacian; the second smallest eigenvalue is the
-    algebraic connectivity.
+    algebraic connectivity.  The unit-weight averaging matrix is ``I - L``,
+    so both come from its block spectrum: the weight is
+    ``2 / (2 - lambda_min - lambda2)`` of that matrix.
     """
-    eigs = np.linalg.eigvalsh(_laplacian(graph))
-    alpha = 2.0 / (eigs[-1] + eigs[1])
-    return OrbitWeights.constant(graph.params, alpha)
+    # deferred: spectral imports this module
+    from .spectral import block_spectrum, build_blocks
+
+    params = graph.params
+    unit = OrbitWeights.constant(params, 1.0)
+    report = block_spectrum(build_blocks(params, unit))
+    alpha = 2.0 / (2.0 - report.lambda_min - report.lambda2)
+    return OrbitWeights.constant(params, alpha)
 
 
 def best_constant_weights(graph: TfsGraph) -> WeightMatrix:

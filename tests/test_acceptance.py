@@ -56,12 +56,6 @@ def report(num: int, label: str, ok: bool, detail: str = "") -> None:
     print(line)
 
 
-def quiet_optimal(params: TfsParams):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RootCountMismatchWarning)
-        return optimal_weights(params)
-
-
 def slem_of(params: TfsParams, weights: OrbitWeights) -> float:
     return block_spectrum(build_blocks(params, weights)).slem
 
@@ -129,7 +123,7 @@ def test_criterion_1_spectrum_endpoints():
         measured = {
             "cos_theta_star": math.cos(float(roots.roots[0])),
             "lambda_min": block_spectrum(
-                build_blocks(p, quiet_optimal(p).weights)
+                build_blocks(p, optimal_weights(p).weights)
             ).lambda_min,
         }
         published = {"cos_theta_star": published_cos, "lambda_min": published_min}
@@ -169,7 +163,7 @@ def test_criterion_2_scheme_benchmarks():
         p = TfsParams(*params)
         g = build_topology(p)
         measured = {
-            "optimal": quiet_optimal(p).s,
+            "optimal": optimal_weights(p).s,
             "metropolis": full_spectrum(metropolis_weights(g)).slem,
             "best-constant": full_spectrum(best_constant_weights(g)).slem,
             "max-degree": full_spectrum(
@@ -203,18 +197,14 @@ def test_criterion_3_route_consistency():
     # analytic cos(theta*) vs assembled-matrix SLEM over the full grid
     worst = 0.0
     count = 0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RootCountMismatchWarning)
-        for n1 in (2, 3, 4, 6, 12, 20, 22):
-            for n2 in (2, 3, 4, 6, 12, 20, 22):
-                for m1 in range(1, 11):
-                    for m2 in range(1, 11):
-                        sol = optimal_weights(TfsParams(m1, n1, m2, n2))
-                        gap = abs(
-                            sol.s - slem_of(sol.params, sol.weights)
-                        )
-                        worst = max(worst, gap)
-                        count += 1
+    for n1 in (2, 3, 4, 6, 12, 20, 22):
+        for n2 in (2, 3, 4, 6, 12, 20, 22):
+            for m1 in range(1, 11):
+                for m2 in range(1, 11):
+                    sol = optimal_weights(TfsParams(m1, n1, m2, n2))
+                    gap = abs(sol.s - slem_of(sol.params, sol.weights))
+                    worst = max(worst, gap)
+                    count += 1
     ok = worst <= 1e-9
     report(3, "analytic vs spectral routes", ok,
            f"{count} instances, worst gap {worst:.3g}")
@@ -224,7 +214,7 @@ def test_criterion_3_route_consistency():
 def test_criterion_4_certificate_suite():
     failures = []
     for params in [(2, 2, 2, 2), (3, 4, 4, 3), (10, 20, 20, 10)]:
-        sol = quiet_optimal(TfsParams(*params))
+        sol = optimal_weights(TfsParams(*params))
         cert = build_dual_certificate(sol)
         res = verify_certificate(cert, sol.weights)
         checks = [
@@ -321,7 +311,7 @@ def test_criterion_6_symmetric_star_agreement():
     for m in (1, 2, 3, 5):
         for n1, n2 in ((2, 2), (4, 3), (6, 12)):
             star = solve_symmetric_star(m, n1 + n2)
-            tfs = quiet_optimal(TfsParams(m, n1, m, n2))
+            tfs = optimal_weights(TfsParams(m, n1, m, n2))
             worst = max(worst, abs(star.s - tfs.s))
     ok = worst <= 1e-10
     report(6, "two solver routes for equal-length branches", ok,
@@ -331,7 +321,7 @@ def test_criterion_6_symmetric_star_agreement():
 
 def test_criterion_7_simulation_suite():
     p = TfsParams(3, 4, 4, 3)
-    sol = quiet_optimal(p)
+    sol = optimal_weights(p)
     x0 = random_initial_state(p.n_nodes, seed=0)
     matrix_route = iterate(assemble_weight_matrix(p, sol.weights), x0, 500)
     gather_route = distributed_iterate(build_topology(p), sol.weights, x0, 500)
@@ -355,34 +345,32 @@ def test_criterion_7_simulation_suite():
 
 def test_criterion_8_sweep_properties():
     failures = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RootCountMismatchWarning)
 
-        # equal-average-length family: the single star is never slower
-        n1, n2 = 6, 12
-        for m_bar in range(1, 9):
-            star = solve_symmetric_star(m_bar, n1 + n2)
-            total = m_bar * (n1 + n2)
-            for m1 in range(1, total // n1 + 1):
-                rest = total - m1 * n1
-                if rest <= 0 or rest % n2:
-                    continue
-                tfs = optimal_weights(TfsParams(m1, n1, rest // n2, n2))
-                if star.s > tfs.s + 1e-12:
-                    failures.append(
-                        f"m_bar={m_bar}: star {star.s:.9f} > "
-                        f"({m1},{rest // n2}) {tfs.s:.9f}"
-                    )
+    # equal-average-length family: the single star is never slower
+    n1, n2 = 6, 12
+    for m_bar in range(1, 9):
+        star = solve_symmetric_star(m_bar, n1 + n2)
+        total = m_bar * (n1 + n2)
+        for m1 in range(1, total // n1 + 1):
+            rest = total - m1 * n1
+            if rest <= 0 or rest % n2:
+                continue
+            tfs = optimal_weights(TfsParams(m1, n1, rest // n2, n2))
+            if star.s > tfs.s + 1e-12:
+                failures.append(
+                    f"m_bar={m_bar}: star {star.s:.9f} > "
+                    f"({m1},{rest // n2}) {tfs.s:.9f}"
+                )
 
-        # asymmetric-branch grids
-        n1, n2 = 2, 22
-        slem = {}
-        w_minus = {}
-        for m1 in range(1, 11):
-            for m2 in range(1, 11):
-                sol = optimal_weights(TfsParams(m1, n1, m2, n2))
-                slem[(m1, m2)] = sol.s
-                w_minus[(m1, m2)] = sol.weights[-1]
+    # asymmetric-branch grids
+    n1, n2 = 2, 22
+    slem = {}
+    w_minus = {}
+    for m1 in range(1, 11):
+        for m2 in range(1, 11):
+            sol = optimal_weights(TfsParams(m1, n1, m2, n2))
+            slem[(m1, m2)] = sol.s
+            w_minus[(m1, m2)] = sol.weights[-1]
     for (m1, m2), value in slem.items():
         if (m1 + 1, m2) in slem and slem[(m1 + 1, m2)] <= value:
             failures.append(f"slem not increasing in m1 at {(m1, m2)}")

@@ -170,9 +170,6 @@ def test_sweep_fig2_shape(capsys):
         assert all(stars[0] <= v + 1e-12 for v in others)
 
 
-@pytest.mark.filterwarnings(
-    "ignore::fusedstar.optimizer.RootCountMismatchWarning"
-)
 def test_sweep_fig3_monotone(capsys):
     code, out, _ = run_cli(
         capsys, "sweep", "fig3", "--m1-max", "3", "--m2-max", "3"
@@ -189,9 +186,6 @@ def test_sweep_fig3_monotone(capsys):
             assert grid[(m1, m2 + 1)] > v
 
 
-@pytest.mark.filterwarnings(
-    "ignore::fusedstar.optimizer.RootCountMismatchWarning"
-)
 def test_sweep_fig4_boundary_weight_grid(capsys):
     code, out, _ = run_cli(
         capsys, "sweep", "fig4", "--m1-max", "3", "--m2-max", "3"

@@ -1,6 +1,7 @@
 """Characteristic-relation root finding and the analytic optimum."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -156,10 +157,41 @@ def test_mirror_symmetric_network():
     assert sol.weights[-1] == pytest.approx(sol.weights[1], rel=1e-13)
 
 
-def test_lambda_min_field_tracks_largest_root():
-    sol = optimal_weights(P343)
-    roots = solve_theta_roots(P343)
-    assert sol.lambda_min == pytest.approx(math.cos(roots.roots[-1]), abs=1e-11)
+@pytest.mark.parametrize(
+    "params",
+    [
+        (1, 2, 1, 2),
+        (2, 2, 2, 2),
+        (3, 4, 4, 3),
+        (5, 3, 5, 7),
+        (1, 3, 10, 2),
+        (10, 22, 1, 2),
+        (7, 2, 3, 20),
+        (10, 20, 20, 10),
+        (30, 5, 2, 9),
+    ],
+)
+def test_bisection_matches_smallest_scanned_root(params):
+    p = TfsParams(*params)
+    with warnings.catch_warnings():
+        # the reference scan may miss roots near poles; its smallest root
+        # sits below the first pole and is unaffected
+        warnings.simplefilter("ignore", RootCountMismatchWarning)
+        reference = solve_theta_roots(p).roots[0]
+    assert abs(optimal_weights(p).theta_star - reference) <= 1e-11
+
+
+# shapes whose smallest root the grid scan used to drop (steep relation)
+# or misplace, so the self-check failed
+@pytest.mark.parametrize(
+    "params",
+    [(1, 2, 1000, 2), (2000, 2, 1, 2), (1, 10**6, 1, 3), (50, 10**7, 60, 10**7)],
+)
+def test_extreme_shapes_return_self_checked_optimum(params):
+    p = TfsParams(*params)
+    sol = optimal_weights(p)
+    assert 0 < sol.theta_star < math.pi / (2 * max(p.m1, p.m2))
+    assert abs(block_spectrum(build_blocks(p, sol.weights)).slem - sol.s) <= 1e-9
 
 
 @pytest.mark.parametrize(

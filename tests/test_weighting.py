@@ -145,6 +145,30 @@ def test_best_constant_path():
     assert ow[1] == pytest.approx(0.5, abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "params",
+    [(1, 1, 1, 1), (1, 2, 1, 2), (2, 3, 5, 1), (3, 4, 4, 3), (1, 7, 6, 2),
+     (10, 20, 20, 10), (4, 1, 2, 9)],
+)
+def test_best_constant_matches_dense_laplacian(params):
+    # oracle: the dense graph Laplacian straight from the edge list
+    from fusedstar.topology import node_index
+
+    p = TfsParams(*params)
+    g = build_topology(p)
+    lap = np.zeros((p.n_nodes, p.n_nodes))
+    for u, v in g.edges:
+        a, b = node_index(p, u), node_index(p, v)
+        lap[a, b] = lap[b, a] = -1.0
+        lap[a, a] += 1.0
+        lap[b, b] += 1.0
+    eigs = np.linalg.eigvalsh(lap)
+    expected = 2.0 / (eigs[-1] + eigs[1])
+    ow = best_constant_orbit_weights(g)
+    for label in p.orbit_labels:
+        assert ow[label] == pytest.approx(expected, rel=1e-12)
+
+
 # Published benchmark rows at 5e-4, plus a frozen regression value for the
 # middle network, whose published Metropolis cell 0.97195 repeats the first
 # row's and is corrected to 0.97018 in the acceptance suite's ERRATA.
