@@ -23,7 +23,7 @@ import numpy as np
 from .optimizer import DegenerateSineError, OptimalSolution
 from .spectral import build_blocks, perron_vector
 from .topology import TfsParams
-from .weighting import OrbitWeights, check_orbit_weights
+from .weighting import OrbitWeights
 
 
 def alpha_vectors(
@@ -185,7 +185,8 @@ def build_dual_certificate(solution: OptimalSolution) -> DualCertificate:
     z1 = sum(a[i] * alpha[i] for i in params.orbit_labels)
     z2 = sum(a_prime[i] * alpha_prime[i] for i in params.orbit_labels)
 
-    t1 = math.sqrt((1.0 - s) / 2.0) / float(np.linalg.norm(z1))
+    # sqrt((1 - s) / 2) = sin(theta / 2), which does not cancel at small theta
+    t1 = math.sin(0.5 * theta) / float(np.linalg.norm(z1))
     t2 = math.sqrt((1.0 + s) / 2.0) / float(np.linalg.norm(z2))
     for coeffs, t in ((a, t1), (hat, t1), (a_prime, t2), (hat_prime, t2)):
         for i in coeffs:
@@ -303,14 +304,16 @@ def _recurrence_residual(
 
 
 def _proportionality_residual(
-    s: float,
+    theta: float,
     hat: Mapping[int, float],
     hat_prime: Mapping[int, float],
 ) -> float:
+    plus = 1.0 + math.cos(theta)
+    minus = 2.0 * math.sin(0.5 * theta) ** 2  # 1 - cos(theta), no cancellation
     worst = 0.0
     for i in hat:
-        lhs = (1.0 + s) ** 2 * hat[i] ** 2
-        rhs = (1.0 - s) ** 2 * hat_prime[i] ** 2
+        lhs = plus**2 * hat[i] ** 2
+        rhs = minus**2 * hat_prime[i] ** 2
         scale = max(abs(lhs), abs(rhs))
         if scale > 0.0:
             worst = max(worst, abs(lhs - rhs) / scale)
@@ -328,7 +331,6 @@ def verify_certificate(
     perturbation shows up in the slackness and recurrence residuals.
     """
     params = certificate.params
-    check_orbit_weights(params, weights)
     blocks = build_blocks(params, weights)
     m1, m2 = params.m1, params.m2
     center = blocks.block_center
@@ -379,7 +381,7 @@ def verify_certificate(
             params, weights, certificate.coeffs_hat_prime, s, primed=True
         ),
         proportionality_rel=_proportionality_residual(
-            s, certificate.coeffs_hat, certificate.coeffs_hat_prime
+            certificate.theta, certificate.coeffs_hat, certificate.coeffs_hat_prime
         ),
         duality_gap=s + norm1 - perron_dot**2 - norm2,
     )

@@ -58,14 +58,13 @@ def _scheme_weights(
     if scheme == "optimal":
         solution = optimal_weights(params)
         return solution.weights, solution
-    graph = build_topology(params)
     if scheme == "max-degree":
         convention = _CONVENTIONS[args.max_degree_convention]
-        return max_degree_orbit_weights(graph, convention), None
+        return max_degree_orbit_weights(params, convention), None
     if scheme == "metropolis":
-        return metropolis_orbit_weights(graph), None
+        return metropolis_orbit_weights(params), None
     if scheme == "best-constant":
-        return best_constant_orbit_weights(graph), None
+        return best_constant_orbit_weights(params), None
     raise InvalidParameterError(f"unknown scheme {scheme!r}")
 
 

@@ -193,8 +193,8 @@ def _grid_roots(
 
 def _boundary_weight(m: int, theta: float) -> float:
     """Center-adjacent orbit weight of an arm of length ``m`` at a root."""
-    s = math.cos(theta)
-    num = (1.0 - s) * math.sin(m * theta)
+    # 1 - cos(theta), free of cancellation at small theta
+    num = 2.0 * math.sin(0.5 * theta) ** 2 * math.sin(m * theta)
     den = math.sin(m * theta) - math.sin((m - 1) * theta)
     if abs(den) < 1e-13 * max(1.0, abs(num)):
         raise DegenerateSineError(

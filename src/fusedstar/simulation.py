@@ -15,8 +15,8 @@ from typing import IO
 
 import numpy as np
 
-from .topology import TfsGraph, edge_orbit, node_index
-from .weighting import OrbitWeights, WeightMatrix, check_orbit_weights
+from .topology import TfsGraph, edge_table
+from .weighting import OrbitWeights, WeightMatrix
 
 
 class InsufficientSignalError(RuntimeError):
@@ -99,7 +99,7 @@ def distributed_iterate(
     No weight matrix is formed; the update is accumulated edge by edge.
     """
     params = graph.params
-    check_orbit_weights(params, weights)
+    w = weights.as_array(params)
     x = np.asarray(x0, dtype=float)
     if x.ndim != 1 or x.size != params.n_nodes:
         raise ValueError(
@@ -108,13 +108,8 @@ def distributed_iterate(
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
 
-    ends_a = np.empty(len(graph.edges), dtype=np.intp)
-    ends_b = np.empty(len(graph.edges), dtype=np.intp)
-    edge_w = np.empty(len(graph.edges))
-    for k, (u, v) in enumerate(graph.edges):
-        ends_a[k] = node_index(params, u)
-        ends_b[k] = node_index(params, v)
-        edge_w[k] = weights[edge_orbit(params, (u, v))]
+    ends_a, ends_b, orbit = edge_table(params)
+    edge_w = w[orbit]
     incident = np.zeros(params.n_nodes)
     np.add.at(incident, ends_a, edge_w)
     np.add.at(incident, ends_b, edge_w)

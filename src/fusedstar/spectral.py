@@ -17,7 +17,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .topology import InvalidParameterError, TfsParams
-from .weighting import OrbitWeights, WeightMatrix, check_orbit_weights
+from .weighting import OrbitWeights, WeightMatrix
 
 
 class SpectrumSizeError(ValueError):
@@ -159,21 +159,16 @@ def stratification_basis(params: TfsParams) -> np.ndarray:
 
 
 def _arm_tridiagonals(
-    params: TfsParams, ow: OrbitWeights
+    params: TfsParams, w: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Diagonals and off-diagonals of the two arm blocks."""
-    m1, m2 = params.m1, params.m2
-    d1 = np.empty(m1)
-    d1[0] = 1.0 - ow[-m1]
-    for k in range(1, m1):
-        d1[k] = 1.0 - ow[-m1 + k - 1] - ow[-m1 + k]
-    e1 = np.array([ow[-m1 + k] for k in range(m1 - 1)])
-    d2 = np.empty(m2)
-    for k in range(m2 - 1):
-        d2[k] = 1.0 - ow[k + 1] - ow[k + 2]
-    d2[m2 - 1] = 1.0 - ow[m2]
-    e2 = np.array([ow[k + 2] for k in range(m2 - 1)])
-    return d1, e1, d2, e2
+    """Diagonals and off-diagonals of the two arm blocks.
+
+    ``w`` holds the orbit weights in ``params.orbit_labels`` order.
+    """
+    w1, w2 = w[: params.m1], w[params.m1 :]
+    d1 = np.concatenate([[1.0 - w1[0]], 1.0 - w1[:-1] - w1[1:]])
+    d2 = np.concatenate([1.0 - w2[:-1] - w2[1:], [1.0 - w2[-1]]])
+    return d1, w1[:-1], d2, w2[1:]
 
 
 def build_blocks(params: TfsParams, ow: OrbitWeights) -> StratifiedBlocks:
@@ -183,9 +178,9 @@ def build_blocks(params: TfsParams, ow: OrbitWeights) -> StratifiedBlocks:
     one branch; the central block contains both arm blocks coupled to the
     center through ``sqrt(n1) * w_{-1}`` and ``sqrt(n2) * w_1``.
     """
-    check_orbit_weights(params, ow)
+    w = ow.as_array(params)
     m1, n1, m2, n2 = params.m1, params.n1, params.m2, params.n2
-    d1, e1, d2, e2 = _arm_tridiagonals(params, ow)
+    d1, e1, d2, e2 = _arm_tridiagonals(params, w)
     minus = np.diag(d1)
     if m1 > 1:
         minus += np.diag(e1, 1) + np.diag(e1, -1)
@@ -196,9 +191,10 @@ def build_blocks(params: TfsParams, ow: OrbitWeights) -> StratifiedBlocks:
     cen = np.zeros((size, size))
     cen[:m1, :m1] = minus
     cen[m1 + 1 :, m1 + 1 :] = plus
-    cen[m1, m1] = 1.0 - n1 * ow[-1] - n2 * ow[1]
-    cen[m1 - 1, m1] = cen[m1, m1 - 1] = math.sqrt(n1) * ow[-1]
-    cen[m1 + 1, m1] = cen[m1, m1 + 1] = math.sqrt(n2) * ow[1]
+    w_minus, w_plus = w[m1 - 1], w[m1]
+    cen[m1, m1] = 1.0 - n1 * w_minus - n2 * w_plus
+    cen[m1 - 1, m1] = cen[m1, m1 - 1] = math.sqrt(n1) * w_minus
+    cen[m1 + 1, m1] = cen[m1, m1 + 1] = math.sqrt(n2) * w_plus
     return StratifiedBlocks(
         params=params, block_minus=minus, block_center=cen, block_plus=plus
     )

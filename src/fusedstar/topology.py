@@ -17,6 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
+import numpy as np
+
 
 class InvalidParameterError(ValueError):
     """Network parameters outside their valid range."""
@@ -182,6 +184,24 @@ def build_topology(params: TfsParams) -> TfsGraph:
     }
     strata[0] = (center,)
     return TfsGraph(params=params, nodes=nodes, edges=tuple(edges), strata=strata)
+
+
+def edge_table(params: TfsParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Edges as index arrays ``(a, b, k)`` in ``build_topology`` order.
+
+    ``a`` and ``b`` are the canonical indices of the lower- and
+    higher-stratum endpoints, ``k`` the position of the edge's orbit in
+    ``params.orbit_labels``.  Each non-central node owns the edge towards
+    the center: node ``f`` of the first star leads one stratum up, node
+    ``g`` of the second one stratum down.
+    """
+    n1, n2, center = params.n1, params.n2, params.m1 * params.n1
+    f = np.arange(center)
+    g = np.arange(center + 1, params.n_nodes)
+    a = np.concatenate([f, np.maximum(g - n2, center)])
+    b = np.concatenate([np.minimum(f + n1, center), g])
+    k = np.concatenate([f // n1, params.m1 + (g - center - 1) // n2])
+    return a, b, k
 
 
 def degrees(graph: TfsGraph) -> dict[NodeId, int]:

@@ -14,14 +14,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .topology import (
-    TfsGraph,
-    TfsParams,
-    build_topology,
-    degrees,
-    edge_orbit,
-    node_index,
-)
+from .topology import TfsParams, edge_table
 
 
 class MissingOrbitWeightError(ValueError):
@@ -48,7 +41,13 @@ class OrbitWeights:
 
     @classmethod
     def constant(cls, params: TfsParams, value: float) -> "OrbitWeights":
-        return cls({label: value for label in params.orbit_labels})
+        return cls(dict.fromkeys(params.orbit_labels, value))
+
+    def as_array(self, params: TfsParams) -> np.ndarray:
+        """The weights in ``params.orbit_labels`` order, after checking
+        that there is exactly one per edge orbit."""
+        check_orbit_weights(params, self)
+        return np.array([self._w[label] for label in params.orbit_labels])
 
     @property
     def w(self) -> Mapping[int, float]:
@@ -104,35 +103,17 @@ class WeightMatrix:
 def assemble_weight_matrix(params: TfsParams, ow: OrbitWeights) -> WeightMatrix:
     """Assemble the symmetric row-stochastic matrix for the given orbit weights.
 
-    Off-diagonals carry the orbit weight of their edge; diagonals are
-    1 - (incident weight sum): ``1 - w_{-m1}`` at first-star leaves,
-    ``1 - w_{i-1} - w_i`` at interior strata, ``1 - n1*w_{-1} - n2*w_1``
-    at the center, and mirrored on the second star.
+    Off-diagonals carry the orbit weight of their edge; each diagonal entry
+    is 1 minus the rest of its row.  This dense matrix is the oracle the
+    block route is checked against, so it is built from the edge table
+    alone.
     """
-    check_orbit_weights(params, ow)
-    m1, n1, m2, n2 = params.m1, params.n1, params.m2, params.n2
+    w = ow.as_array(params)
+    a, b, k = edge_table(params)
     n = params.n_nodes
     mat = np.zeros((n, n))
-    graph = build_topology(params)
-    for u, v in graph.edges:
-        weight = ow[edge_orbit(params, (u, v))]
-        a, b = node_index(params, u), node_index(params, v)
-        mat[a, b] = weight
-        mat[b, a] = weight
-    for node in graph.nodes:
-        idx = node_index(params, node)
-        i = node.i
-        if i == -m1:
-            diag = 1.0 - ow[-m1]
-        elif i < 0:
-            diag = 1.0 - ow[i - 1] - ow[i]
-        elif i == 0:
-            diag = 1.0 - n1 * ow[-1] - n2 * ow[1]
-        elif i < m2:
-            diag = 1.0 - ow[i] - ow[i + 1]
-        else:
-            diag = 1.0 - ow[m2]
-        mat[idx, idx] = diag
+    mat[a, b] = mat[b, a] = w[k]
+    np.fill_diagonal(mat, 1.0 - mat.sum(axis=1))
     return WeightMatrix(entries=mat, params=params)
 
 
@@ -155,12 +136,9 @@ def validate_stochastic(matrix: WeightMatrix) -> StochasticityReport:
     params = matrix.params
     row_dev = float(np.max(np.abs(entries.sum(axis=1) - 1.0)))
     asym = float(np.max(np.abs(entries - entries.T)))
-    allowed = np.zeros(entries.shape, dtype=bool)
-    graph = build_topology(params)
-    for u, v in graph.edges:
-        a, b = node_index(params, u), node_index(params, v)
-        allowed[a, b] = allowed[b, a] = True
-    np.fill_diagonal(allowed, True)
+    a, b, _ = edge_table(params)
+    allowed = np.eye(params.n_nodes, dtype=bool)
+    allowed[a, b] = allowed[b, a] = True
     bad = np.argwhere((entries != 0.0) & ~allowed)
     violations = tuple((int(a), int(b)) for a, b in bad if a < b)
     return StochasticityReport(
@@ -171,13 +149,13 @@ def validate_stochastic(matrix: WeightMatrix) -> StochasticityReport:
 
 
 def max_degree_orbit_weights(
-    graph: TfsGraph, convention: str = "inv_dmax"
+    params: TfsParams, convention: str = "inv_dmax"
 ) -> OrbitWeights:
-    """Constant edge weight from the maximum degree.
+    """Constant edge weight from the maximum degree, the center's n1 + n2.
 
     ``inv_dmax`` uses 1/d_max, ``inv_dmax_plus_1`` uses 1/(d_max + 1).
     """
-    dmax = max(degrees(graph).values())
+    dmax = params.n1 + params.n2
     if convention == "inv_dmax":
         alpha = 1.0 / dmax
     elif convention == "inv_dmax_plus_1":
@@ -187,25 +165,18 @@ def max_degree_orbit_weights(
             "convention must be 'inv_dmax' or 'inv_dmax_plus_1', "
             f"got {convention!r}"
         )
-    return OrbitWeights.constant(graph.params, alpha)
-
-
-def max_degree_weights(
-    graph: TfsGraph, convention: str = "inv_dmax"
-) -> WeightMatrix:
-    return assemble_weight_matrix(
-        graph.params, max_degree_orbit_weights(graph, convention)
-    )
+    return OrbitWeights.constant(params, alpha)
 
 
 def metropolis_orbit_weights(
-    graph: TfsGraph, convention: str = "inv_max"
+    params: TfsParams, convention: str = "inv_max"
 ) -> OrbitWeights:
     """Metropolis weights per edge orbit.
 
     ``inv_max`` uses 1/max(deg_a, deg_b), ``inv_max_plus_1`` uses
-    1/(1 + max(deg_a, deg_b)).  Endpoint degrees are constant within an
-    orbit, so the rule is orbit-wise well defined.
+    1/(1 + max(deg_a, deg_b)).  The larger endpoint degree is the center's
+    n1 + n2 on the two center-adjacent orbits and 2 on every other orbit,
+    whose edges all touch a branch interior.
     """
     if convention == "inv_max":
         shift = 0.0
@@ -216,23 +187,12 @@ def metropolis_orbit_weights(
             "convention must be 'inv_max' or 'inv_max_plus_1', "
             f"got {convention!r}"
         )
-    degs = degrees(graph)
-    w: dict[int, float] = {}
-    for u, v in graph.edges:
-        label = edge_orbit(graph.params, (u, v))
-        w.setdefault(label, 1.0 / (shift + max(degs[u], degs[v])))
+    w = dict.fromkeys(params.orbit_labels, 1.0 / (shift + 2))
+    w[-1] = w[1] = 1.0 / (shift + params.n1 + params.n2)
     return OrbitWeights(w)
 
 
-def metropolis_weights(
-    graph: TfsGraph, convention: str = "inv_max"
-) -> WeightMatrix:
-    return assemble_weight_matrix(
-        graph.params, metropolis_orbit_weights(graph, convention)
-    )
-
-
-def best_constant_orbit_weights(graph: TfsGraph) -> OrbitWeights:
+def best_constant_orbit_weights(params: TfsParams) -> OrbitWeights:
     """Best constant edge weight, 2 / (lambda_max(L) + lambda_second_min(L)).
 
     L is the graph Laplacian; the second smallest eigenvalue is the
@@ -243,12 +203,7 @@ def best_constant_orbit_weights(graph: TfsGraph) -> OrbitWeights:
     # deferred: spectral imports this module
     from .spectral import block_spectrum, build_blocks
 
-    params = graph.params
     unit = OrbitWeights.constant(params, 1.0)
     report = block_spectrum(build_blocks(params, unit))
     alpha = 2.0 / (2.0 - report.lambda_min - report.lambda2)
     return OrbitWeights.constant(params, alpha)
-
-
-def best_constant_weights(graph: TfsGraph) -> WeightMatrix:
-    return assemble_weight_matrix(graph.params, best_constant_orbit_weights(graph))

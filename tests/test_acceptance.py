@@ -42,9 +42,9 @@ from fusedstar.topology import TfsParams, build_topology
 from fusedstar.weighting import (
     OrbitWeights,
     assemble_weight_matrix,
-    best_constant_weights,
-    max_degree_weights,
-    metropolis_weights,
+    best_constant_orbit_weights,
+    max_degree_orbit_weights,
+    metropolis_orbit_weights,
 )
 
 
@@ -161,13 +161,18 @@ def test_criterion_2_scheme_benchmarks():
     corrected = []
     for idx, params in enumerate(networks):
         p = TfsParams(*params)
-        g = build_topology(p)
         measured = {
             "optimal": optimal_weights(p).s,
-            "metropolis": full_spectrum(metropolis_weights(g)).slem,
-            "best-constant": full_spectrum(best_constant_weights(g)).slem,
+            "metropolis": full_spectrum(
+                assemble_weight_matrix(p, metropolis_orbit_weights(p))
+            ).slem,
+            "best-constant": full_spectrum(
+                assemble_weight_matrix(p, best_constant_orbit_weights(p))
+            ).slem,
             "max-degree": full_spectrum(
-                max_degree_weights(g, convention="inv_dmax")
+                assemble_weight_matrix(
+                    p, max_degree_orbit_weights(p, convention="inv_dmax")
+                )
             ).slem,
         }
         for scheme, (values, tol) in expected.items():

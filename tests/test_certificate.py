@@ -92,8 +92,11 @@ def test_alpha_norms():
         assert np.linalg.norm(alpha_prime[label]) == pytest.approx(1.0, abs=1e-14)
 
 
+# (50, 10^7, 60, 10^7): s = cos(theta*) is within 2e-9 of 1, where 1 - s
+# formed by subtraction put proportionality_rel at 2.3e-8
 @pytest.mark.parametrize(
-    "params", [(2, 2, 2, 2), (3, 4, 4, 3), (10, 20, 20, 10)]
+    "params",
+    [(2, 2, 2, 2), (3, 4, 4, 3), (10, 20, 20, 10), (50, 10**7, 60, 10**7)],
 )
 def test_certificate_residuals_at_optimum(params):
     sol = optimal_weights(TfsParams(*params))

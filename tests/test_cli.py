@@ -3,11 +3,14 @@
 import csv
 import io
 import json
+import os
+import pathlib
 import subprocess
 import sys
 
 import pytest
 
+import fusedstar
 from fusedstar.cli import main
 
 
@@ -273,6 +276,12 @@ def test_simulate_deterministic(capsys):
 
 
 def test_console_entry_point():
+    # the child imports the same fusedstar package as this process
+    package_root = str(pathlib.Path(fusedstar.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [package_root, *filter(None, [env.get("PYTHONPATH")])]
+    )
     result = subprocess.run(
         [
             sys.executable, "-m", "fusedstar.cli",
@@ -280,6 +289,7 @@ def test_console_entry_point():
         ],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["params"]["n_nodes"] == 5

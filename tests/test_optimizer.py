@@ -191,7 +191,9 @@ def test_extreme_shapes_return_self_checked_optimum(params):
     p = TfsParams(*params)
     sol = optimal_weights(p)
     assert 0 < sol.theta_star < math.pi / (2 * max(p.m1, p.m2))
-    assert abs(block_spectrum(build_blocks(p, sol.weights)).slem - sol.s) <= 1e-9
+    report = block_spectrum(build_blocks(p, sol.weights))
+    assert abs(report.slem - sol.s) <= 1e-9
+    assert abs(report.lambda_min + sol.s) <= 1e-11
 
 
 @pytest.mark.parametrize(

@@ -19,7 +19,7 @@ from fusedstar.topology import TfsParams, build_topology
 from fusedstar.weighting import (
     OrbitWeights,
     assemble_weight_matrix,
-    max_degree_weights,
+    max_degree_orbit_weights,
 )
 
 
@@ -70,10 +70,10 @@ def test_trajectory_bookkeeping():
 
 
 def test_sum_conservation():
-    from fusedstar.weighting import metropolis_weights
+    from fusedstar.weighting import metropolis_orbit_weights
 
     p = TfsParams(3, 2, 2, 4)
-    wm = metropolis_weights(build_topology(p))
+    wm = assemble_weight_matrix(p, metropolis_orbit_weights(p))
     x0 = random_initial_state(p.n_nodes, seed=9)
     traj = iterate(wm, x0, 200)
     budget = 1e-9 * np.abs(x0).sum()
@@ -103,10 +103,13 @@ def test_convergence_factor_at_optimum():
 
 def test_convergence_factor_orders_schemes():
     p = TfsParams(3, 4, 4, 3)
-    g = build_topology(p)
     x0 = random_initial_state(p.n_nodes, seed=5)
     opt = iterate(assemble_weight_matrix(p, optimal_weights(p).weights), x0, 400)
-    slow = iterate(max_degree_weights(g, convention="inv_dmax"), x0, 400)
+    slow = iterate(
+        assemble_weight_matrix(p, max_degree_orbit_weights(p, convention="inv_dmax")),
+        x0,
+        400,
+    )
     assert convergence_factor_estimate(slow, tail=50) > convergence_factor_estimate(
         opt, tail=50
     )

@@ -17,11 +17,11 @@ from fusedstar.spectral import (
     perron_vector,
     stratification_basis,
 )
-from fusedstar.topology import InvalidParameterError, TfsParams, build_topology
+from fusedstar.topology import InvalidParameterError, TfsParams
 from fusedstar.weighting import (
     OrbitWeights,
     assemble_weight_matrix,
-    metropolis_weights,
+    metropolis_orbit_weights,
 )
 
 # frozen optimum for (3,4,4,3); interior weights sit at 1/2
@@ -191,8 +191,8 @@ def test_full_spectrum_identity():
 
 
 def test_full_spectrum_metropolis_benchmark():
-    g = build_topology(TfsParams(3, 4, 4, 3))
-    report = full_spectrum(metropolis_weights(g))
+    p = TfsParams(3, 4, 4, 3)
+    report = full_spectrum(assemble_weight_matrix(p, metropolis_orbit_weights(p)))
     assert report.slem == pytest.approx(0.97194, abs=5e-4)
 
 

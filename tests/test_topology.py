@@ -12,6 +12,7 @@ from fusedstar.topology import (
     canonical_nodes,
     degrees,
     edge_orbit,
+    edge_table,
     node_index,
 )
 
@@ -145,3 +146,17 @@ def test_node_count_formula(params):
     p = TfsParams(*params)
     assert p.n_nodes == p.m1 * p.n1 + p.m2 * p.n2 + 1
     assert len(list(canonical_nodes(p))) == p.n_nodes
+
+
+@pytest.mark.parametrize("m1", [1, 2, 4])
+@pytest.mark.parametrize("n1", [1, 2, 5])
+@pytest.mark.parametrize("m2", [1, 3])
+@pytest.mark.parametrize("n2", [1, 3])
+def test_edge_table_matches_node_view(m1, n1, m2, n2):
+    p = TfsParams(m1, n1, m2, n2)
+    expected = [
+        (node_index(p, u), node_index(p, v), p.orbit_labels.index(edge_orbit(p, (u, v))))
+        for u, v in build_topology(p).edges
+    ]
+    a, b, k = edge_table(p)
+    assert list(zip(a.tolist(), b.tolist(), k.tolist())) == expected

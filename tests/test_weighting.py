@@ -3,16 +3,14 @@
 import numpy as np
 import pytest
 
-from fusedstar.topology import TfsParams, build_topology
+from fusedstar.topology import TfsParams, build_topology, degrees, edge_orbit
 from fusedstar.weighting import (
     MissingOrbitWeightError,
     OrbitWeights,
     assemble_weight_matrix,
     best_constant_orbit_weights,
-    best_constant_weights,
-    max_degree_weights,
+    max_degree_orbit_weights,
     metropolis_orbit_weights,
-    metropolis_weights,
     validate_stochastic,
 )
 
@@ -87,6 +85,8 @@ def test_validate_stochastic_flags_perturbation():
     report = validate_stochastic(WeightMatrix(perturbed, p))
     assert report.max_asymmetry > 0
     assert report.max_row_sum_deviation > 0
+    # nodes 0 and 1 are two leaves of the first star: no edge joins them
+    assert (0, 1) in report.sparsity_violations
 
 
 def test_validate_stochastic_identity():
@@ -99,48 +99,50 @@ def test_validate_stochastic_identity():
 
 def test_max_degree_path():
     # 3-node path, d_max = 2: constant weight 1/2 gives SLEM 1/2
-    g = build_topology(TfsParams(1, 1, 1, 1))
-    W = max_degree_weights(g, convention="inv_dmax").entries
+    p = TfsParams(1, 1, 1, 1)
+    ow = max_degree_orbit_weights(p, convention="inv_dmax")
+    W = assemble_weight_matrix(p, ow).entries
     assert W[0, 1] == pytest.approx(0.5)
     assert slem(W) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_max_degree_star_rows():
     # two fused 3-branch stars of depth 1: d_max = 6
-    g = build_topology(TfsParams(1, 3, 1, 3))
-    W = max_degree_weights(g, convention="inv_dmax").entries
+    p = TfsParams(1, 3, 1, 3)
+    ow = max_degree_orbit_weights(p, convention="inv_dmax")
+    W = assemble_weight_matrix(p, ow).entries
     for row in (0, 1, 2):  # leaf rows
         assert W[row, row] == pytest.approx(1 - 1 / 6)
         assert W[row, 3] == pytest.approx(1 / 6)
 
 
 def test_max_degree_plus_one_convention():
-    g = build_topology(TfsParams(1, 1, 1, 1))
-    W = max_degree_weights(g, convention="inv_dmax_plus_1").entries
+    p = TfsParams(1, 1, 1, 1)
+    W = assemble_weight_matrix(
+        p, max_degree_orbit_weights(p, convention="inv_dmax_plus_1")
+    ).entries
     assert W[0, 1] == pytest.approx(1 / 3)
     with pytest.raises(ValueError):
-        max_degree_weights(g, convention="bogus")
+        max_degree_orbit_weights(p, convention="bogus")
 
 
 def test_metropolis_conventions():
     # interior edge joins two degree-2 nodes
     p = TfsParams(2, 2, 2, 2)
-    g = build_topology(p)
-    plus1 = metropolis_orbit_weights(g, convention="inv_max_plus_1")
+    plus1 = metropolis_orbit_weights(p, convention="inv_max_plus_1")
     assert plus1[-2] == pytest.approx(1 / 3)
-    plain = metropolis_orbit_weights(g)
+    plain = metropolis_orbit_weights(p)
     assert plain[-2] == pytest.approx(1 / 2)
     # center edges see the center degree n1+n2 = 4
     assert plain[-1] == pytest.approx(1 / 4)
     assert plus1[-1] == pytest.approx(1 / 5)
     with pytest.raises(ValueError):
-        metropolis_orbit_weights(g, convention="bogus")
+        metropolis_orbit_weights(p, convention="bogus")
 
 
 def test_best_constant_path():
     # 3-node path Laplacian spectrum {0, 1, 3} -> alpha = 2/(3+1)
-    g = build_topology(TfsParams(1, 1, 1, 1))
-    ow = best_constant_orbit_weights(g)
+    ow = best_constant_orbit_weights(TfsParams(1, 1, 1, 1))
     assert ow[-1] == pytest.approx(0.5, abs=1e-12)
     assert ow[1] == pytest.approx(0.5, abs=1e-12)
 
@@ -164,7 +166,7 @@ def test_best_constant_matches_dense_laplacian(params):
         lap[b, b] += 1.0
     eigs = np.linalg.eigvalsh(lap)
     expected = 2.0 / (eigs[-1] + eigs[1])
-    ow = best_constant_orbit_weights(g)
+    ow = best_constant_orbit_weights(p)
     for label in p.orbit_labels:
         assert ow[label] == pytest.approx(expected, rel=1e-12)
 
@@ -181,8 +183,8 @@ def test_best_constant_matches_dense_laplacian(params):
     ],
 )
 def test_metropolis_slem_values(params, expected, tol):
-    g = build_topology(TfsParams(*params))
-    W = metropolis_weights(g).entries
+    p = TfsParams(*params)
+    W = assemble_weight_matrix(p, metropolis_orbit_weights(p)).entries
     assert slem(W) == pytest.approx(expected, abs=tol)
 
 
@@ -191,27 +193,29 @@ def test_metropolis_slem_values(params, expected, tol):
     [((3, 4, 4, 3), 0.97089), ((10, 20, 20, 10), 0.99962)],
 )
 def test_best_constant_slem_values(params, expected):
-    g = build_topology(TfsParams(*params))
-    W = best_constant_weights(g).entries
+    p = TfsParams(*params)
+    W = assemble_weight_matrix(p, best_constant_orbit_weights(p)).entries
     assert slem(W) == pytest.approx(expected, abs=5e-4)
 
 
 def test_max_degree_slem_value():
-    g = build_topology(TfsParams(3, 4, 4, 3))
-    W = max_degree_weights(g, convention="inv_dmax").entries
+    p = TfsParams(3, 4, 4, 3)
+    ow = max_degree_orbit_weights(p, convention="inv_dmax")
+    W = assemble_weight_matrix(p, ow).entries
     assert slem(W) == pytest.approx(0.98277, abs=5e-4)
 
 
 @pytest.mark.parametrize("params", [(2, 2, 3, 4), (1, 3, 2, 2), (3, 4, 4, 3)])
 def test_schemes_are_stochastic_with_bounded_spectra(params):
-    g = build_topology(TfsParams(*params))
-    for wm in (
-        max_degree_weights(g, convention="inv_dmax"),
-        max_degree_weights(g, convention="inv_dmax_plus_1"),
-        metropolis_weights(g),
-        metropolis_weights(g, convention="inv_max_plus_1"),
-        best_constant_weights(g),
+    p = TfsParams(*params)
+    for ow in (
+        max_degree_orbit_weights(p, convention="inv_dmax"),
+        max_degree_orbit_weights(p, convention="inv_dmax_plus_1"),
+        metropolis_orbit_weights(p),
+        metropolis_orbit_weights(p, convention="inv_max_plus_1"),
+        best_constant_orbit_weights(p),
     ):
+        wm = assemble_weight_matrix(p, ow)
         report = validate_stochastic(wm)
         assert report.max_row_sum_deviation <= 1e-12
         assert report.max_asymmetry <= 1e-12
@@ -224,11 +228,38 @@ def test_schemes_are_stochastic_with_bounded_spectra(params):
 def test_star_swap_spectra_match():
     p = TfsParams(2, 3, 4, 5)
     q = p.swap()
-    for build in (
-        lambda g: max_degree_weights(g, convention="inv_dmax"),
-        metropolis_weights,
-        best_constant_weights,
+    for scheme in (
+        lambda params: max_degree_orbit_weights(params, convention="inv_dmax"),
+        metropolis_orbit_weights,
+        best_constant_orbit_weights,
     ):
-        a = np.sort(np.linalg.eigvalsh(build(build_topology(p)).entries))
-        b = np.sort(np.linalg.eigvalsh(build(build_topology(q)).entries))
+        a = np.sort(np.linalg.eigvalsh(assemble_weight_matrix(p, scheme(p)).entries))
+        b = np.sort(np.linalg.eigvalsh(assemble_weight_matrix(q, scheme(q)).entries))
         assert np.allclose(a, b, atol=1e-11)
+
+
+SCHEME_SHAPES = [
+    (1, 1, 1, 1), (1, 2, 1, 2), (1, 1, 3, 1), (2, 1, 1, 5), (2, 3, 4, 5),
+    (3, 4, 4, 3), (5, 2, 1, 7), (1, 9, 6, 1),
+]
+
+
+@pytest.mark.parametrize("params", SCHEME_SHAPES)
+@pytest.mark.parametrize("convention,shift", [("inv_dmax", 0), ("inv_dmax_plus_1", 1)])
+def test_max_degree_closed_form_matches_degrees(params, convention, shift):
+    p = TfsParams(*params)
+    dmax = max(degrees(build_topology(p)).values())
+    ow = max_degree_orbit_weights(p, convention=convention)
+    for label in p.orbit_labels:
+        assert ow[label] == 1.0 / (shift + dmax)
+
+
+@pytest.mark.parametrize("params", SCHEME_SHAPES)
+@pytest.mark.parametrize("convention,shift", [("inv_max", 0), ("inv_max_plus_1", 1)])
+def test_metropolis_closed_form_matches_degrees(params, convention, shift):
+    p = TfsParams(*params)
+    g = build_topology(p)
+    deg = degrees(g)
+    ow = metropolis_orbit_weights(p, convention=convention)
+    for u, v in g.edges:
+        assert ow[edge_orbit(p, (u, v))] == 1.0 / (shift + max(deg[u], deg[v]))
