@@ -101,6 +101,51 @@ def stencil_gram_matrices(params: TfsParams) -> tuple[np.ndarray, np.ndarray]:
     return gram, gram_prime
 
 
+# one stencil family as index arrays: (pos, lo, hi)
+_Stencils = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _stencil_arrays(params: TfsParams) -> tuple[_Stencils, _Stencils]:
+    """The stencils of ``alpha_vectors`` as index arrays, central block
+    first, then the arm blocks.
+
+    Each family is ``(pos, lo, hi)`` in ``params.orbit_labels`` order:
+    stencil ``j`` holds ``lo[j]`` at ``pos[j]`` and ``hi[j]`` at
+    ``pos[j] + 1`` and is zero elsewhere.  In the arm space the two
+    center-adjacent stencils are unit vectors, written with a zero entry.
+    """
+    m1, k = params.m1, params.m1 + params.m2
+    inv = 1.0 / math.sqrt(2.0)
+    pos = np.arange(k)
+    lo, hi = np.full(k, -inv), np.full(k, inv)
+    scale1 = 1.0 / math.sqrt(params.n1 + 1.0)
+    scale2 = 1.0 / math.sqrt(params.n2 + 1.0)
+    lo[m1 - 1], hi[m1 - 1] = -scale1, math.sqrt(params.n1) * scale1
+    lo[m1], hi[m1] = -math.sqrt(params.n2) * scale2, scale2
+    # the second arm's stencils sit one place lower: the arm space has no
+    # center
+    pos_prime = np.where(pos < m1, pos, pos - 1)
+    lo_prime, hi_prime = np.full(k, -inv), np.full(k, inv)
+    lo_prime[m1 - 1], hi_prime[m1 - 1] = 1.0, 0.0
+    lo_prime[m1], hi_prime[m1] = 0.0, 1.0
+    return (pos, lo, hi), (pos_prime, lo_prime, hi_prime)
+
+
+def _expand(stencils: _Stencils, coeffs: np.ndarray, size: int) -> np.ndarray:
+    """The combination ``sum_j coeffs[j] * stencil_j``."""
+    pos, lo, hi = stencils
+    z = np.zeros(size)
+    np.add.at(z, pos, coeffs * lo)
+    np.add.at(z, pos + 1, coeffs * hi)
+    return z
+
+
+def _project(stencils: _Stencils, z: np.ndarray) -> np.ndarray:
+    """The inner products ``stencil_j . z`` for every ``j``."""
+    pos, lo, hi = stencils
+    return lo * z[pos] + hi * z[pos + 1]
+
+
 def _chain_ratio(params: TfsParams, s: float, psi: float) -> float:
     # ratio of the second-arm chain to the first-arm chain, fixed by the
     # coupled center equation of the +s system
@@ -181,9 +226,12 @@ def build_dual_certificate(solution: OptimalSolution) -> DualCertificate:
     a_prime[-1] = -hat_prime[-1] / math.sqrt(2.0)
     a_prime[1] = hat_prime[1] / math.sqrt(2.0)
 
-    alpha, alpha_prime = alpha_vectors(params)
-    z1 = sum(a[i] * alpha[i] for i in params.orbit_labels)
-    z2 = sum(a_prime[i] * alpha_prime[i] for i in params.orbit_labels)
+    labels = params.orbit_labels
+    stencils, stencils_prime = _stencil_arrays(params)
+    z1 = _expand(stencils, np.array([a[i] for i in labels]), len(labels) + 1)
+    z2 = _expand(
+        stencils_prime, np.array([a_prime[i] for i in labels]), len(labels)
+    )
 
     # sqrt((1 - s) / 2) = sin(theta / 2), which does not cancel at small theta
     t1 = math.sin(0.5 * theta) / float(np.linalg.norm(z1))
@@ -269,38 +317,32 @@ class CertificateResiduals:
 
 def _recurrence_residual(
     params: TfsParams,
-    weights: OrbitWeights,
+    w: np.ndarray,
     chain: Mapping[int, float],
     s: float,
     primed: bool,
 ) -> float:
     """Worst violation of the three-term chain relations.
 
-    The +s system couples the two arms through the center with strength
+    ``w`` holds the orbit weights in ``params.orbit_labels`` order.  The
+    +s system couples the two arms through the center with strength
     sqrt(n1 n2); the -s system is decoupled there.  Center-adjacent
     diagonal terms carry (n + 1) w in the coupled system and w in the
     decoupled one.
     """
-    labels = params.orbit_labels
+    m1 = params.m1
+    c = np.array([chain[i] for i in params.orbit_labels])
     base = (1.0 - s) if primed else (1.0 + s)
-    cross = 0.0 if primed else math.sqrt(params.n1 * params.n2)
-    worst = 0.0
-    for k, i in enumerate(labels):
-        w = weights[i]
-        if i == -1:
-            diag = base - (1.0 if primed else params.n1 + 1.0) * w
-        elif i == 1:
-            diag = base - (1.0 if primed else params.n2 + 1.0) * w
-        else:
-            diag = base - 2.0 * w
-        acc = diag * chain[i]
-        for j in (labels[k - 1] if k else None, labels[k + 1] if k < len(labels) - 1 else None):
-            if j is None:
-                continue
-            coupling = cross if {i, j} == {-1, 1} else 1.0
-            acc += coupling * w * chain[j]
-        worst = max(worst, abs(acc))
-    return worst
+    diag = base - 2.0 * w
+    diag[m1 - 1] = base - (1.0 if primed else params.n1 + 1.0) * w[m1 - 1]
+    diag[m1] = base - (1.0 if primed else params.n2 + 1.0) * w[m1]
+    # coupling between neighbouring labels j and j + 1
+    coupling = np.ones(c.size - 1)
+    coupling[m1 - 1] = 0.0 if primed else math.sqrt(params.n1 * params.n2)
+    acc = diag * c
+    acc[1:] += coupling * w[1:] * c[:-1]
+    acc[:-1] += coupling * w[:-1] * c[1:]
+    return float(np.max(np.abs(acc)))
 
 
 def _proportionality_residual(
@@ -310,14 +352,15 @@ def _proportionality_residual(
 ) -> float:
     plus = 1.0 + math.cos(theta)
     minus = 2.0 * math.sin(0.5 * theta) ** 2  # 1 - cos(theta), no cancellation
-    worst = 0.0
-    for i in hat:
-        lhs = plus**2 * hat[i] ** 2
-        rhs = minus**2 * hat_prime[i] ** 2
-        scale = max(abs(lhs), abs(rhs))
-        if scale > 0.0:
-            worst = max(worst, abs(lhs - rhs) / scale)
-    return worst
+    h = np.array(list(hat.values()))
+    h_prime = np.array([hat_prime[i] for i in hat])
+    lhs = plus**2 * h**2
+    rhs = minus**2 * h_prime**2
+    scale = np.maximum(np.abs(lhs), np.abs(rhs))
+    nonzero = scale > 0.0
+    return float(
+        np.max(np.abs(lhs - rhs)[nonzero] / scale[nonzero], initial=0.0)
+    )
 
 
 def verify_certificate(
@@ -327,58 +370,57 @@ def verify_certificate(
     """Evaluate every certificate condition against the given weights.
 
     At the optimal weights all residuals sit at rounding level and the
-    two feasibility matrices are positive semidefinite.  Any weight
-    perturbation shows up in the slackness and recurrence residuals.
+    two feasibility matrices ``s I + C - v v^T`` (C the central block, v
+    its Perron vector) and ``s I - arms`` are positive semidefinite.  Any
+    weight perturbation shows up in the slackness and recurrence
+    residuals.  Every condition costs O(m1 + m2): both slackness products
+    are tridiagonal, and both smallest feasibility eigenvalues follow
+    from extreme eigenvalues of the blocks.
     """
     params = certificate.params
+    w = weights.as_array(params)
     blocks = build_blocks(params, weights)
-    m1, m2 = params.m1, params.m2
-    center = blocks.block_center
-    arms = np.zeros((m1 + m2, m1 + m2))
-    arms[:m1, :m1] = blocks.block_minus
-    arms[m1:, m1:] = blocks.block_plus
+    m1 = params.m1
     v = perron_vector(params)
     s, z1, z2 = certificate.s, certificate.z1, certificate.z2
-
-    eye = np.eye(m1 + m2 + 1)
-    feas_center = s * eye + center - np.outer(v, v)
-    feas_arms = s * np.eye(m1 + m2) - arms
 
     norm1 = float(z1 @ z1)
     norm2 = float(z2 @ z2)
     perron_dot = float(v @ z1)
+    arms_z2 = np.concatenate(
+        [blocks.minus.matvec(z2[:m1]), blocks.plus.matvec(z2[m1:])]
+    )
 
-    alpha, alpha_prime = alpha_vectors(params)
-    trace_mismatch = 0.0
-    for i in params.orbit_labels:
-        if i == -1:
-            factor = params.n1 + 1.0
-        elif i == 1:
-            factor = params.n2 + 1.0
-        else:
-            factor = 1.0
-        lhs = factor * float(alpha[i] @ z1) ** 2
-        rhs = float(alpha_prime[i] @ z2) ** 2
-        trace_mismatch = max(trace_mismatch, abs(lhs - rhs))
+    # C v = v for every orbit weighting, so s I + C - v v^T has the
+    # spectrum of C with one eigenvalue 1 replaced by 0
+    center_min = float(blocks.center.eigenvalues(0, 0)[0])
+    arms_top = max(
+        float(blocks.minus.eigenvalues(m1 - 1, m1 - 1)[0]),
+        float(blocks.plus.eigenvalues(params.m2 - 1, params.m2 - 1)[0]),
+    )
+
+    stencils, stencils_prime = _stencil_arrays(params)
+    factor = np.ones(w.size)
+    factor[m1 - 1] = params.n1 + 1.0
+    factor[m1] = params.n2 + 1.0
+    lhs = factor * _project(stencils, z1) ** 2
+    rhs = _project(stencils_prime, z2) ** 2
 
     return CertificateResiduals(
-        slackness_center=float(np.linalg.norm(feas_center @ z1)),
-        slackness_arms=float(np.linalg.norm(s * z2 - arms @ z2)),
+        slackness_center=float(
+            np.linalg.norm(s * z1 + blocks.center.matvec(z1) - perron_dot * v)
+        ),
+        slackness_arms=float(np.linalg.norm(s * z2 - arms_z2)),
         perron_orthogonality=abs(perron_dot),
         norm_sum_error=abs(norm1 + norm2 - 1.0),
         norm_split_error=abs(norm2 - norm1 - s),
-        trace_mismatch=trace_mismatch,
-        feasibility_min_eig=float(
-            min(
-                np.linalg.eigvalsh(feas_center)[0],
-                np.linalg.eigvalsh(feas_arms)[0],
-            )
-        ),
+        trace_mismatch=float(np.max(np.abs(lhs - rhs))),
+        feasibility_min_eig=min(s + min(0.0, center_min), s - arms_top),
         recurrence=_recurrence_residual(
-            params, weights, certificate.coeffs_hat, s, primed=False
+            params, w, certificate.coeffs_hat, s, primed=False
         ),
         recurrence_prime=_recurrence_residual(
-            params, weights, certificate.coeffs_hat_prime, s, primed=True
+            params, w, certificate.coeffs_hat_prime, s, primed=True
         ),
         proportionality_rel=_proportionality_residual(
             certificate.theta, certificate.coeffs_hat, certificate.coeffs_hat_prime

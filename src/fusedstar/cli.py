@@ -29,7 +29,7 @@ from .simulation import (
     random_initial_state,
     write_trajectory_csv,
 )
-from .spectral import SpectralReport, block_spectrum, build_blocks
+from .spectral import SpectralReport, block_extremes, build_blocks
 from .topology import InvalidParameterError, TfsParams, build_topology
 from .weighting import (
     OrbitWeights,
@@ -69,7 +69,7 @@ def _scheme_weights(
 
 
 def _spectral_report(params: TfsParams, weights: OrbitWeights) -> SpectralReport:
-    return block_spectrum(build_blocks(params, weights))
+    return block_extremes(build_blocks(params, weights))
 
 
 def _solve_payload(params: TfsParams, args: argparse.Namespace) -> dict:

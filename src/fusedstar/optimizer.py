@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .spectral import _tridiagonal_eigenvalues, block_spectrum, build_blocks
+from .spectral import block_extremes, build_blocks
 from .topology import InvalidParameterError, TfsParams
 from .weighting import OrbitWeights
 
@@ -47,8 +47,10 @@ class RootCountMismatchWarning(RuntimeWarning):
 
 
 _EXCLUSION = 1e-9  # half-width of the pole exclusion zone, in theta
-_RESIDUAL_SPURIOUS = 1e-8  # brackets whose midpoint residual stays above
-# this are pole artifacts, not roots
+# a bracket is a root when its midpoint lies within this distance (theta)
+# of a zero by the Newton step |f| / slope, the slope taken across the
+# bracket; an absolute residual bound would drop roots where f is steep
+_STEP_SPURIOUS = 1e-9
 _RESIDUAL_POLISH = 1e-11  # keep bisecting below tol until this is met
 
 
@@ -140,7 +142,7 @@ def _grid_roots(
     brackets that straddle a pole are rejected outright: a pole flips the
     sign without a root.  Bisection continues past ``tol`` while the
     midpoint residual is still improvable, then spurious brackets are
-    dropped by their residual.
+    dropped by their residual relative to the slope across them.
     """
     theta = np.linspace(0.0, math.pi, n_grid + 2)[1:-1]
     if poles.size:
@@ -181,10 +183,13 @@ def _grid_roots(
             break
     roots = np.concatenate([0.5 * (lo + hi), exact])
     residuals = np.abs(f(roots))
+    slopes = np.concatenate(
+        [np.abs(f(hi) - flo) / (hi - lo), np.full(exact.size, np.inf)]
+    )
+    genuine = residuals <= _STEP_SPURIOUS * slopes
+    roots, residuals = roots[genuine], residuals[genuine]
     order = np.argsort(roots)
     roots, residuals = roots[order], residuals[order]
-    genuine = residuals <= _RESIDUAL_SPURIOUS
-    roots, residuals = roots[genuine], residuals[genuine]
     if roots.size > 1:
         distinct = np.concatenate([[True], np.diff(roots) > 1e-10])
         roots, residuals = roots[distinct], residuals[distinct]
@@ -228,8 +233,7 @@ def _cross_check_root_count(params: TfsParams, roots: np.ndarray) -> None:
         ow = _weights_at(params, float(roots[0]))
     except DegenerateSineError:
         return
-    eigs = _tridiagonal_eigenvalues(build_blocks(params, ow).block_center)
-    below = int(np.sum(eigs < 1.0 - 1e-9))
+    below = build_blocks(params, ow).center.count_below(1.0 - 1e-9)
     if below != roots.size:
         warnings.warn(
             f"found {roots.size} characteristic roots for {params} but the "
@@ -292,7 +296,7 @@ def _self_checked(
     params: TfsParams, theta_star: float, ow: OrbitWeights
 ) -> OptimalSolution:
     s = math.cos(theta_star)
-    report = block_spectrum(build_blocks(params, ow))
+    report = block_extremes(build_blocks(params, ow))
     if abs(report.slem - s) > 1e-9:
         raise SelfCheckError(
             f"assembled spectrum gives slem = {report.slem!r} but the "
@@ -309,8 +313,9 @@ def optimal_weights(params: TfsParams) -> OptimalSolution:
     Interior orbits get weight 1/2; the two center-adjacent orbits follow
     from the smallest characteristic root theta*, found by bisection on
     ``(0, pi / (2 max(m1, m2))]``.  The result is self-checked: the
-    assembled block spectrum must reproduce ``s = cos(theta*)`` as its
-    spectral radius below 1 within 1e-9.  Requires n1, n2 >= 2.
+    extreme eigenvalues of the assembled blocks must reproduce
+    ``s = cos(theta*)`` as the spectral radius below 1 within 1e-9.
+    Requires n1, n2 >= 2.
     """
     _require_two_branches(params)
     theta_star = _first_sign_change(

@@ -43,6 +43,21 @@ class Trajectory:
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
+    @classmethod
+    def _adopt(cls, states: np.ndarray, seed: int | None) -> "Trajectory":
+        """A trajectory that keeps ``states``, a fresh float array no
+        caller holds, read-only instead of copying it."""
+        x_bar = np.full(states.shape[1], states[0].mean())
+        errors = np.linalg.norm(states - x_bar, axis=1)
+        self = object.__new__(cls)
+        for name, arr in (
+            ("states", states), ("error_norms", errors), ("x_bar", x_bar)
+        ):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "seed", seed)
+        return self
+
     @property
     def n_steps(self) -> int:
         return self.states.shape[0] - 1
@@ -55,13 +70,6 @@ class Trajectory:
         """|1'x(t) - 1'x(0)| per step."""
         sums = self.states.sum(axis=1)
         return np.abs(sums - sums[0])
-
-
-def _as_trajectory(states: list[np.ndarray], seed: int | None) -> Trajectory:
-    stacked = np.vstack(states)
-    x_bar = np.full(stacked.shape[1], stacked[0].mean())
-    errors = np.linalg.norm(stacked - x_bar, axis=1)
-    return Trajectory(states=stacked, error_norms=errors, x_bar=x_bar, seed=seed)
 
 
 def iterate(
@@ -79,11 +87,11 @@ def iterate(
         )
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
-    states = [x]
-    for _ in range(steps):
-        x = entries @ x
-        states.append(x)
-    return _as_trajectory(states, seed)
+    states = np.empty((steps + 1, x.size))
+    states[0] = x
+    for t in range(steps):
+        states[t + 1] = entries @ states[t]
+    return Trajectory._adopt(states, seed)
 
 
 def distributed_iterate(
@@ -114,14 +122,15 @@ def distributed_iterate(
     np.add.at(incident, ends_a, edge_w)
     np.add.at(incident, ends_b, edge_w)
 
-    states = [x]
-    for _ in range(steps):
-        nxt = (1.0 - incident) * x
+    keep = 1.0 - incident
+    states = np.empty((steps + 1, x.size))
+    states[0] = x
+    for t in range(steps):
+        x, nxt = states[t], states[t + 1]
+        np.multiply(keep, x, out=nxt)
         np.add.at(nxt, ends_a, edge_w * x[ends_b])
         np.add.at(nxt, ends_b, edge_w * x[ends_a])
-        x = nxt
-        states.append(x)
-    return _as_trajectory(states, seed)
+    return Trajectory._adopt(states, seed)
 
 
 def random_initial_state(n: int, seed: int) -> np.ndarray:

@@ -5,19 +5,27 @@ block-diagonalize any orbit-weight matrix into three small blocks: an
 ``m1 x m1`` tridiagonal block repeated ``n1 - 1`` times, one central block of
 size ``m1 + m2 + 1`` and an ``m2 x m2`` tridiagonal block repeated ``n2 - 1``
 times.  All three blocks are tridiagonal in stratum order (they are
-weighted paths), so every spectral quantity of the full matrix follows from
-small tridiagonal eigensolves, even for very large networks.
+weighted paths) and are stored as their two diagonals, so every spectral
+quantity of the full matrix follows from small tridiagonal eigensolves, even
+for very large networks.  Where only ``lambda2``, ``lambda_min`` and the
+SLEM are needed, ``block_extremes`` finds just the extreme eigenvalues by
+Sturm-sequence bisection.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import eigh_tridiagonal, lapack
 
 from .topology import InvalidParameterError, TfsParams
 from .weighting import OrbitWeights, WeightMatrix
+
+# LAPACK's setting for the most accurate eigenvalues from dstebz
+_ABSTOL = 2.0 * np.finfo(float).tiny
+_BY_VALUE, _BY_INDEX = 1, 2  # dstebz RANGE 'V' and 'I'
 
 
 class SpectrumSizeError(ValueError):
@@ -25,29 +33,130 @@ class SpectrumSizeError(ValueError):
 
 
 @dataclass(frozen=True)
-class StratifiedBlocks:
-    """The three invariant blocks of an orbit-weight matrix.
+class Tridiagonal:
+    """Symmetric tridiagonal matrix: its diagonal and first off-diagonal."""
 
-    ``block_minus`` acts on each nonzero branch frequency of the first star
-    (multiplicity ``n1 - 1``), ``block_plus`` mirrors it on the second star
-    (multiplicity ``n2 - 1``) and ``block_center`` couples the two
-    frequency-0 arm profiles through the central node (multiplicity 1).
-    """
-
-    params: TfsParams
-    block_minus: np.ndarray
-    block_center: np.ndarray
-    block_plus: np.ndarray
+    diagonal: np.ndarray
+    off_diagonal: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("block_minus", "block_center", "block_plus"):
+        for name in ("diagonal", "off_diagonal"):
             arr = np.asarray(getattr(self, name), dtype=float).copy()
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
+        if self.diagonal.ndim != 1 or self.off_diagonal.shape != (
+            self.diagonal.size - 1,
+        ):
+            raise ValueError(
+                f"a diagonal of shape {self.diagonal.shape} needs an "
+                f"off-diagonal one shorter, got {self.off_diagonal.shape}"
+            )
+
+    @property
+    def size(self) -> int:
+        return self.diagonal.size
+
+    def dense(self) -> np.ndarray:
+        """The matrix as a dense array (oracle route, O(size^2) memory)."""
+        mat = np.diag(self.diagonal)
+        if self.size > 1:
+            off = self.off_diagonal
+            mat += np.diag(off, 1) + np.diag(off, -1)
+        return mat
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """Matrix-vector product in O(size)."""
+        y = self.diagonal * x
+        y[:-1] += self.off_diagonal * x[1:]
+        y[1:] += self.off_diagonal * x[:-1]
+        return y
+
+    def spectrum(self) -> np.ndarray:
+        """All eigenvalues, ascending (the full-spectrum reference route)."""
+        if self.size == 1:
+            return self.diagonal.copy()
+        return eigh_tridiagonal(
+            self.diagonal, self.off_diagonal, eigvals_only=True
+        )
+
+    def _stebz(
+        self, kind: int, vl: float, vu: float, il: int, iu: int
+    ) -> np.ndarray:
+        # the wrapper rejects an empty off-diagonal; LAPACK reads none at
+        # size 1
+        off = self.off_diagonal if self.size > 1 else np.zeros(1)
+        m, w, _, _, info = lapack.dstebz(
+            self.diagonal, off, kind, vl, vu, il, iu, _ABSTOL, "E"
+        )
+        if info != 0:
+            raise np.linalg.LinAlgError(f"dstebz returned info = {info}")
+        return w[:m]
+
+    def eigenvalues(self, first: int, last: int) -> np.ndarray:
+        """Ascending eigenvalues ``first..last`` (0-based, inclusive), by
+        Sturm-sequence bisection (LAPACK ``dstebz``), O(size) per step."""
+        return self._stebz(_BY_INDEX, 0.0, 0.0, first + 1, last + 1)
+
+    def extremes(self) -> np.ndarray:
+        """The lowest and the top two eigenvalues, ascending (all of them
+        when there are at most three)."""
+        n = self.size
+        if n <= 3:
+            return self.eigenvalues(0, n - 1)
+        return np.concatenate(
+            [self.eigenvalues(0, 0), self.eigenvalues(n - 2, n - 1)]
+        )
+
+    def count_below(self, x: float) -> int:
+        """Number of eigenvalues strictly below ``x``.
+
+        Bisects only the eigenvalues at or above ``x``; the Gershgorin
+        bound caps them from above.
+        """
+        bound = float(
+            np.max(np.abs(self.diagonal))
+            + 2.0 * np.max(np.abs(self.off_diagonal), initial=0.0)
+        )
+        if x > bound:
+            return self.size
+        above = self._stebz(
+            _BY_VALUE, float(np.nextafter(x, -np.inf)), bound, 0, 0
+        )
+        return self.size - above.size
+
+
+@dataclass(frozen=True)
+class StratifiedBlocks:
+    """The three invariant blocks of an orbit-weight matrix, as tridiagonals.
+
+    ``minus`` acts on each nonzero branch frequency of the first star
+    (multiplicity ``n1 - 1``), ``plus`` mirrors it on the second star
+    (multiplicity ``n2 - 1``) and ``center`` couples the two frequency-0
+    arm profiles through the central node (multiplicity 1), in stratum
+    order ``-m1..0..m2``.  The ``block_*`` properties build dense copies
+    for tests that compare against a dense oracle.
+    """
+
+    params: TfsParams
+    minus: Tridiagonal
+    center: Tridiagonal
+    plus: Tridiagonal
 
     @property
     def multiplicities(self) -> tuple[int, int, int]:
         return (self.params.n1 - 1, 1, self.params.n2 - 1)
+
+    @property
+    def block_minus(self) -> np.ndarray:
+        return self.minus.dense()
+
+    @property
+    def block_center(self) -> np.ndarray:
+        return self.center.dense()
+
+    @property
+    def block_plus(self) -> np.ndarray:
+        return self.plus.dense()
 
 
 @dataclass(frozen=True)
@@ -176,61 +285,60 @@ def build_blocks(params: TfsParams, ow: OrbitWeights) -> StratifiedBlocks:
 
     The arm blocks are the tridiagonal restrictions of the weight matrix to
     one branch; the central block contains both arm blocks coupled to the
-    center through ``sqrt(n1) * w_{-1}`` and ``sqrt(n2) * w_1``.
+    center through ``sqrt(n1) * w_{-1}`` and ``sqrt(n2) * w_1``.  Time and
+    memory are O(m1 + m2).
     """
     w = ow.as_array(params)
-    m1, n1, m2, n2 = params.m1, params.n1, params.m2, params.n2
+    m1, n1, n2 = params.m1, params.n1, params.n2
     d1, e1, d2, e2 = _arm_tridiagonals(params, w)
-    minus = np.diag(d1)
-    if m1 > 1:
-        minus += np.diag(e1, 1) + np.diag(e1, -1)
-    plus = np.diag(d2)
-    if m2 > 1:
-        plus += np.diag(e2, 1) + np.diag(e2, -1)
-    size = m1 + m2 + 1
-    cen = np.zeros((size, size))
-    cen[:m1, :m1] = minus
-    cen[m1 + 1 :, m1 + 1 :] = plus
     w_minus, w_plus = w[m1 - 1], w[m1]
-    cen[m1, m1] = 1.0 - n1 * w_minus - n2 * w_plus
-    cen[m1 - 1, m1] = cen[m1, m1 - 1] = math.sqrt(n1) * w_minus
-    cen[m1 + 1, m1] = cen[m1, m1 + 1] = math.sqrt(n2) * w_plus
+    center = Tridiagonal(
+        np.concatenate([d1, [1.0 - n1 * w_minus - n2 * w_plus], d2]),
+        np.concatenate(
+            [e1, [math.sqrt(n1) * w_minus, math.sqrt(n2) * w_plus], e2]
+        ),
+    )
     return StratifiedBlocks(
-        params=params, block_minus=minus, block_center=cen, block_plus=plus
+        params=params,
+        minus=Tridiagonal(d1, e1),
+        center=center,
+        plus=Tridiagonal(d2, e2),
     )
 
 
-def _tridiagonal_eigenvalues(block: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of a symmetric tridiagonal block."""
-    if block.shape[0] == 1:
-        return np.array([block[0, 0]])
-    return eigh_tridiagonal(
-        np.diag(block).copy(), np.diag(block, 1).copy(), eigvals_only=True
-    )
+def _report(
+    blocks: StratifiedBlocks, eigenvalues: Callable[[Tridiagonal], np.ndarray]
+) -> SpectralReport:
+    pairs: list[tuple[float, int]] = []
+    for block, mult in zip(
+        (blocks.minus, blocks.center, blocks.plus), blocks.multiplicities
+    ):
+        if mult > 0:
+            pairs += [(float(v), mult) for v in eigenvalues(block)]
+    return SpectralReport.from_pairs(pairs)
 
 
 def block_spectrum(blocks: StratifiedBlocks) -> SpectralReport:
     """Spectrum of the full matrix from the blocks, multiplicities symbolic.
 
     Every block goes through the symmetric-tridiagonal eigensolver.
-    Eigenvalues are never replicated in memory.
+    Eigenvalues are never replicated in memory.  This is the full-spectrum
+    reference route; ``block_extremes`` gives the same ``lambda2``,
+    ``lambda_min`` and ``slem`` from a few eigenvalues.
     """
-    mult_minus, _, mult_plus = blocks.multiplicities
-    pairs: list[tuple[float, int]] = []
-    if mult_minus > 0:
-        pairs += [
-            (float(v), mult_minus)
-            for v in _tridiagonal_eigenvalues(blocks.block_minus)
-        ]
-    pairs += [
-        (float(v), 1) for v in _tridiagonal_eigenvalues(blocks.block_center)
-    ]
-    if mult_plus > 0:
-        pairs += [
-            (float(v), mult_plus)
-            for v in _tridiagonal_eigenvalues(blocks.block_plus)
-        ]
-    return SpectralReport.from_pairs(pairs)
+    return _report(blocks, Tridiagonal.spectrum)
+
+
+def block_extremes(blocks: StratifiedBlocks) -> SpectralReport:
+    """``lambda2``, ``lambda_min`` and ``slem`` of the full matrix from the
+    extreme eigenvalues of its blocks.
+
+    The two largest and the smallest eigenvalue of the full matrix are
+    among the lowest and the top two eigenvalues of the blocks, so only
+    those are computed, by bisection; the report's ``eigenvalues`` lists
+    just them.
+    """
+    return _report(blocks, Tridiagonal.extremes)
 
 
 def full_spectrum(matrix: WeightMatrix, max_size: int = 5000) -> SpectralReport:
@@ -261,14 +369,9 @@ def interlacing_check(blocks: StratifiedBlocks) -> float:
             "interlacing is only defined for n1, n2 >= 2"
         )
     arm = np.sort(
-        np.concatenate(
-            [
-                _tridiagonal_eigenvalues(blocks.block_minus),
-                _tridiagonal_eigenvalues(blocks.block_plus),
-            ]
-        )
+        np.concatenate([blocks.minus.spectrum(), blocks.plus.spectrum()])
     )
-    cen = _tridiagonal_eigenvalues(blocks.block_center)
+    cen = blocks.center.spectrum()
     lower = float(np.max(cen[:-1] - arm))
     upper = float(np.max(arm - cen[1:]))
     return max(0.0, lower, upper)

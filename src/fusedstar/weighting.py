@@ -197,13 +197,13 @@ def best_constant_orbit_weights(params: TfsParams) -> OrbitWeights:
 
     L is the graph Laplacian; the second smallest eigenvalue is the
     algebraic connectivity.  The unit-weight averaging matrix is ``I - L``,
-    so both come from its block spectrum: the weight is
+    so both come from the extreme eigenvalues of its blocks: the weight is
     ``2 / (2 - lambda_min - lambda2)`` of that matrix.
     """
     # deferred: spectral imports this module
-    from .spectral import block_spectrum, build_blocks
+    from .spectral import block_extremes, build_blocks
 
     unit = OrbitWeights.constant(params, 1.0)
-    report = block_spectrum(build_blocks(params, unit))
+    report = block_extremes(build_blocks(params, unit))
     alpha = 2.0 / (2.0 - report.lambda_min - report.lambda2)
     return OrbitWeights.constant(params, alpha)

@@ -1,6 +1,8 @@
 """Dual certificate construction and residual verification."""
 
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,9 +14,10 @@ from fusedstar.certificate import (
     stencil_gram_matrices,
     verify_certificate,
     _chain_ratio,
+    _recurrence_residual,
 )
 from fusedstar.optimizer import optimal_weights
-from fusedstar.spectral import build_blocks
+from fusedstar.spectral import build_blocks, perron_vector
 from fusedstar.topology import TfsParams
 from fusedstar.weighting import OrbitWeights
 
@@ -125,15 +128,17 @@ def test_certificate_norm_split():
 
 
 def test_certificate_z_expansion():
-    # z1 and z2 are exactly the stencil expansions of their coefficients
-    p = TfsParams(2, 3, 3, 2)
-    sol = optimal_weights(p)
-    cert = build_dual_certificate(sol)
-    alpha, alpha_prime = alpha_vectors(p)
-    z1 = sum(cert.coeffs[i] * alpha[i] for i in p.orbit_labels)
-    z2 = sum(cert.coeffs_prime[i] * alpha_prime[i] for i in p.orbit_labels)
-    assert np.max(np.abs(z1 - cert.z1)) <= 1e-12
-    assert np.max(np.abs(z2 - cert.z2)) <= 1e-12
+    # z1 and z2 are exactly the stencil expansions of their coefficients,
+    # also with single-stratum arms
+    for params in [(2, 3, 3, 2), (1, 3, 3, 2), (2, 3, 1, 2), (1, 2, 1, 2)]:
+        p = TfsParams(*params)
+        sol = optimal_weights(p)
+        cert = build_dual_certificate(sol)
+        alpha, alpha_prime = alpha_vectors(p)
+        z1 = sum(cert.coeffs[i] * alpha[i] for i in p.orbit_labels)
+        z2 = sum(cert.coeffs_prime[i] * alpha_prime[i] for i in p.orbit_labels)
+        assert np.max(np.abs(z1 - cert.z1)) <= 1e-12, params
+        assert np.max(np.abs(z2 - cert.z2)) <= 1e-12, params
 
 
 def test_chain_ratios_are_reciprocal_at_optimum():
@@ -197,3 +202,137 @@ def test_certificate_immutability():
         cert.coeffs[-1] = 0.0
     with pytest.raises(ValueError):
         cert.z1[0] = 0.0
+
+
+# shapes for the dense-oracle checks, with single-stratum arms among them
+ORACLE_SHAPES = [
+    (2, 2, 2, 2),
+    (3, 4, 4, 3),
+    (1, 2, 1, 2),
+    (1, 3, 4, 2),
+    (5, 2, 1, 3),
+    (1, 10**6, 1, 3),
+    (7, 2, 3, 20),
+    (1, 2, 30, 5),
+    (30, 5, 2, 9),
+    (10, 20, 20, 10),
+]
+
+
+def oracle_weightings(sol, seed):
+    shifted = []
+    for delta in (1e-3, -1e-3):
+        w = dict(sol.weights.w)
+        w[-1] += delta
+        shifted.append(OrbitWeights(w))
+    return [sol.weights, *shifted, random_weights(sol.params, seed)]
+
+
+def dense_feasibility_residuals(cert, weights):
+    """Slackness and feasibility from the dense matrices s I + C - v v^T
+    and s I - arms."""
+    p, s = cert.params, cert.s
+    blocks = build_blocks(p, weights)
+    v = perron_vector(p)
+    feas_center = s * np.eye(p.m1 + p.m2 + 1) + blocks.block_center
+    feas_center -= np.outer(v, v)
+    arms = np.zeros((p.m1 + p.m2, p.m1 + p.m2))
+    arms[: p.m1, : p.m1] = blocks.block_minus
+    arms[p.m1 :, p.m1 :] = blocks.block_plus
+    feas_arms = s * np.eye(p.m1 + p.m2) - arms
+    return {
+        "slackness_center": float(np.linalg.norm(feas_center @ cert.z1)),
+        "slackness_arms": float(np.linalg.norm(feas_arms @ cert.z2)),
+        "feasibility_min_eig": float(
+            min(
+                np.linalg.eigvalsh(feas_center)[0],
+                np.linalg.eigvalsh(feas_arms)[0],
+            )
+        ),
+    }
+
+
+@pytest.mark.parametrize("params", ORACLE_SHAPES)
+def test_feasibility_and_slackness_match_dense_matrices(params):
+    sol = optimal_weights(TfsParams(*params))
+    cert = build_dual_certificate(sol)
+    for index, weights in enumerate(oracle_weightings(sol, sum(params))):
+        res = verify_certificate(cert, weights)
+        dense = dense_feasibility_residuals(cert, weights)
+        assert abs(res.feasibility_min_eig - dense["feasibility_min_eig"]) <= (
+            1e-12
+        ), index
+        for name in ("slackness_center", "slackness_arms"):
+            assert getattr(res, name) == pytest.approx(
+                dense[name], rel=1e-12, abs=1e-14
+            ), (index, name)
+        assert dataclasses.replace(res, **dense).passes() == res.passes()
+
+
+def loop_recurrence_residual(params, weights, chain, s, primed):
+    # label-by-label form of the three-term chain relations
+    labels = params.orbit_labels
+    base = (1.0 - s) if primed else (1.0 + s)
+    cross = 0.0 if primed else math.sqrt(params.n1 * params.n2)
+    worst = 0.0
+    for k, i in enumerate(labels):
+        w = weights[i]
+        if i == -1:
+            diag = base - (1.0 if primed else params.n1 + 1.0) * w
+        elif i == 1:
+            diag = base - (1.0 if primed else params.n2 + 1.0) * w
+        else:
+            diag = base - 2.0 * w
+        acc = diag * chain[i]
+        for j in (labels[k - 1] if k else None,
+                  labels[k + 1] if k < len(labels) - 1 else None):
+            if j is None:
+                continue
+            coupling = cross if {i, j} == {-1, 1} else 1.0
+            acc += coupling * w * chain[j]
+        worst = max(worst, abs(acc))
+    return worst
+
+
+def loop_trace_mismatch(cert):
+    p = cert.params
+    alpha, alpha_prime = alpha_vectors(p)
+    worst = 0.0
+    for i in p.orbit_labels:
+        factor = {-1: p.n1 + 1.0, 1: p.n2 + 1.0}.get(i, 1.0)
+        lhs = factor * float(alpha[i] @ cert.z1) ** 2
+        rhs = float(alpha_prime[i] @ cert.z2) ** 2
+        worst = max(worst, abs(lhs - rhs))
+    return worst
+
+
+@pytest.mark.parametrize("params", ORACLE_SHAPES)
+def test_recurrence_and_trace_match_stencil_loops(params):
+    p = TfsParams(*params)
+    sol = optimal_weights(p)
+    cert = build_dual_certificate(sol)
+    assert verify_certificate(cert, sol.weights).trace_mismatch == (
+        pytest.approx(loop_trace_mismatch(cert), rel=1e-12, abs=1e-16)
+    )
+    for weights in oracle_weightings(sol, sum(params)):
+        w = weights.as_array(p)
+        for chain, primed in (
+            (cert.coeffs_hat, False), (cert.coeffs_hat_prime, True)
+        ):
+            assert _recurrence_residual(
+                p, w, chain, cert.s, primed
+            ) == loop_recurrence_residual(p, weights, chain, cert.s, primed)
+
+
+def test_certificate_at_long_arms_runs_in_small_memory():
+    # the dense feasibility matrices alone would take 2 * 8 * 6001^2 bytes,
+    # about 576 MB
+    tracemalloc.start()
+    try:
+        sol = optimal_weights(TfsParams(3000, 5, 3000, 7))
+        res = verify_certificate(build_dual_certificate(sol), sol.weights)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.passes()
+    assert peak <= 16 * 10**6

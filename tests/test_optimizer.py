@@ -169,6 +169,11 @@ def test_mirror_symmetric_network():
         (7, 2, 3, 20),
         (10, 20, 20, 10),
         (30, 5, 2, 9),
+        # steep relation: an absolute residual bound dropped the smallest
+        # root of these
+        (1, 2, 1000, 2),
+        (2000, 2, 1, 2),
+        (1, 10**6, 1, 3),
     ],
 )
 def test_bisection_matches_smallest_scanned_root(params):

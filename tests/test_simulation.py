@@ -69,6 +69,36 @@ def test_trajectory_bookkeeping():
     assert np.allclose(traj.x_bar, x0.mean())
 
 
+def test_trajectory_copies_caller_arrays():
+    states = np.arange(12.0).reshape(3, 4)
+    errors = np.ones(3)
+    x_bar = np.full(4, 1.5)
+    traj = Trajectory(states=states, error_norms=errors, x_bar=x_bar)
+    for mine, held in (
+        (states, traj.states), (errors, traj.error_norms), (x_bar, traj.x_bar)
+    ):
+        assert not np.shares_memory(mine, held)
+        assert not held.flags.writeable
+    states[0, 0] = errors[0] = x_bar[0] = -7.0
+    assert traj.states[0, 0] == 0.0
+    assert traj.error_norms[0] == 1.0
+    assert traj.x_bar[0] == 1.5
+
+
+def test_iterated_trajectories_are_read_only_and_detached():
+    p = TfsParams(2, 3, 2, 2)
+    ow = random_weights(p, 5)
+    x0 = random_initial_state(p.n_nodes, seed=5)
+    for traj in (
+        iterate(assemble_weight_matrix(p, ow), x0, 6),
+        distributed_iterate(build_topology(p), ow, x0, 6),
+    ):
+        assert not np.shares_memory(traj.states, x0)
+        assert np.array_equal(traj.states[0], x0)
+        for arr in (traj.states, traj.error_norms, traj.x_bar):
+            assert not arr.flags.writeable
+
+
 def test_sum_conservation():
     from fusedstar.weighting import metropolis_orbit_weights
 

@@ -9,6 +9,8 @@ from fusedstar.spectral import (
     SpectralReport,
     SpectrumSizeError,
     StratifiedBlocks,
+    Tridiagonal,
+    block_extremes,
     block_spectrum,
     block_structure,
     build_blocks,
@@ -154,6 +156,80 @@ def test_block_spectrum_matches_dense(params):
     )
     assert via_blocks.shape == dense.shape
     assert np.max(np.abs(via_blocks - dense)) <= 1e-10
+
+
+def random_shapes(count, seed):
+    # branch counts of 1 leave an arm block out of the spectrum (compare
+    # reports such networks)
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        yield TfsParams(
+            int(rng.integers(1, 25)),
+            int(rng.choice([1, 2, 3, 7, 40])),
+            int(rng.integers(1, 25)),
+            int(rng.choice([1, 2, 5, 11, 1000])),
+        )
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_block_extremes_match_block_spectrum(seed):
+    for index, p in enumerate(random_shapes(50, seed)):
+        weightings = [
+            random_weights(p, 100 * seed + index),
+            OrbitWeights.constant(p, 0.0),
+            OrbitWeights.constant(p, 1.0),
+        ]
+        if p.m1 > 1:
+            # a zero leaf weight splits the first arm block and the
+            # central block: eigenvalue 1 three times
+            w = dict(weightings[0].w)
+            w[-p.m1] = 0.0
+            weightings.append(OrbitWeights(w))
+        for ow in weightings:
+            blocks = build_blocks(p, ow)
+            full, extremes = block_spectrum(blocks), block_extremes(blocks)
+            for name in ("lambda2", "lambda_min", "slem"):
+                # unit weights reach |lambda| ~ n1 + n2, where 1e-13 is
+                # below one ulp
+                value = getattr(full, name)
+                gap = abs(getattr(extremes, name) - value)
+                assert gap <= 1e-13 * max(1.0, abs(value)), (p, name)
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 4, 9, 60])
+def test_tridiagonal_matches_dense(size):
+    rng = np.random.default_rng(size)
+    tri = Tridiagonal(
+        rng.uniform(-1, 1, size), rng.uniform(-0.5, 0.5, size - 1)
+    )
+    dense = tri.dense()
+    assert np.array_equal(dense, dense.T)
+    eigs = np.linalg.eigvalsh(dense)
+    x = rng.uniform(-1, 1, size)
+    assert np.max(np.abs(tri.matvec(x) - dense @ x)) <= 1e-15
+    assert np.max(np.abs(tri.spectrum() - eigs)) <= 1e-13
+    assert np.max(np.abs(tri.eigenvalues(0, size - 1) - eigs)) <= 1e-13
+    last = size - 1
+    assert tri.eigenvalues(last, last)[0] == pytest.approx(eigs[-1], abs=1e-13)
+    expected = eigs if size <= 3 else eigs[[0, last - 1, last]]
+    assert np.max(np.abs(tri.extremes() - expected)) <= 1e-13
+    # thresholds halfway between eigenvalues, and beyond both ends
+    thresholds = np.concatenate(
+        [[eigs[0] - 1.0], 0.5 * (eigs[:-1] + eigs[1:]), [eigs[-1] + 1.0]]
+    )
+    for count, threshold in enumerate(thresholds):
+        assert tri.count_below(threshold) == count
+
+
+def test_tridiagonal_is_read_only_and_checked():
+    diag = np.array([1.0, 2.0])
+    tri = Tridiagonal(diag, np.array([0.5]))
+    diag[0] = 9.0
+    assert tri.diagonal[0] == 1.0
+    with pytest.raises(ValueError):
+        tri.diagonal[0] = 3.0
+    with pytest.raises(ValueError):
+        Tridiagonal(np.ones(3), np.ones(3))
 
 
 def test_block_spectrum_zero_weights():
