@@ -4,8 +4,9 @@ The optimum returned by the solver is certified through a dual witness
 pair (z1, z2) built from closed-form sine chains.  z1 lives in the
 coupled central block, z2 in the direct sum of the two arm blocks; at
 the optimum z1 is an eigenvector of the central block for -s and z2 an
-eigenvector of the arm blocks for +s.  Every optimality condition
-(slackness, normalization, trace matching, feasibility, chain
+eigenvector of the arm blocks for +s.  Both chains are read from one
+table ``sin(k theta*)`` with no cancelling difference.  Every optimality
+condition (slackness, normalization, trace matching, feasibility, chain
 recurrences and the squared-coordinate proportionality between the two
 chains) is evaluated numerically by ``verify_certificate``; all of them
 vanish only at the optimal weights, so perturbing any weight breaks the
@@ -15,12 +16,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from types import MappingProxyType
-from typing import Mapping
 
 import numpy as np
 
-from .optimizer import DegenerateSineError, OptimalSolution
+from .optimizer import OptimalSolution
 from .spectral import build_blocks, perron_vector
 from .topology import TfsParams
 from .weighting import OrbitWeights
@@ -146,37 +145,25 @@ def _project(stencils: _Stencils, z: np.ndarray) -> np.ndarray:
     return lo * z[pos] + hi * z[pos + 1]
 
 
-def _chain_ratio(params: TfsParams, s: float, psi: float) -> float:
+def _chain_ratio(params: TfsParams, theta: float) -> float:
     # ratio of the second-arm chain to the first-arm chain, fixed by the
-    # coupled center equation of the +s system
-    n1, n2 = float(params.n1), float(params.n2)
-    num = (2.0 * s + n1 * (s - 1.0)) * math.sin(params.m1 * psi)
-    num += 2.0 * math.sin((params.m1 - 1) * psi)
-    den = (s - 1.0) * math.sqrt(n1 * n2) * math.sin(params.m2 * psi)
-    if abs(den) < 1e-12 * max(1.0, abs(num)):
-        raise DegenerateSineError(
-            f"chain ratio denominator vanished at psi = {psi}"
-        )
-    return num / den
-
-
-def _sine_chain(params: TfsParams, angle: float, rho: float) -> dict[int, float]:
-    """Hatted chain coordinates; the first-arm leaf is pinned to one."""
-    sa = math.sin(angle)
-    if abs(sa) < 1e-12:
-        raise DegenerateSineError(f"sin({angle}) too small for a sine chain")
-    chain: dict[int, float] = {}
-    for j in range(-params.m1, 0):
-        chain[j] = math.sin((j + 1 + params.m1) * angle) / sa
-    for j in range(1, params.m2 + 1):
-        chain[j] = rho * math.sin((params.m2 - j + 1) * angle) / sa
-    return chain
+    # coupled center equation of the +s system; a1 a2 = 1 at the root, and
+    # the larger response factor is the one formed without cancellation
+    cot_half = 1.0 / math.tan(0.5 * theta)
+    a1 = 2.0 / params.n1 / math.tan(params.m1 * theta) * cot_half - 1.0
+    a2 = 2.0 / params.n2 / math.tan(params.m2 * theta) * cot_half - 1.0
+    if abs(a2) > abs(a1):
+        a1 = 1.0 / a2
+    sign = (-1) ** (params.m1 + params.m2 + 1)
+    ratio = math.sqrt(params.n1 / params.n2) * math.sin(params.m1 * theta)
+    return sign * a1 * ratio / math.sin(params.m2 * theta)
 
 
 @dataclass(frozen=True)
 class DualCertificate:
     """Dual witness pair with its chain coordinates.
 
+    Every chain is a read-only array in ``params.orbit_labels`` order.
     ``coeffs``/``coeffs_prime`` expand z1 and z2 over the stencils;
     ``coeffs_hat``/``coeffs_hat_prime`` are the same chains in hatted
     form (rescaled at the two center-adjacent labels) in which the
@@ -186,19 +173,17 @@ class DualCertificate:
     params: TfsParams
     theta: float
     s: float
-    coeffs: Mapping[int, float]
-    coeffs_prime: Mapping[int, float]
-    coeffs_hat: Mapping[int, float]
-    coeffs_hat_prime: Mapping[int, float]
+    coeffs: np.ndarray
+    coeffs_prime: np.ndarray
+    coeffs_hat: np.ndarray
+    coeffs_hat_prime: np.ndarray
     z1: np.ndarray
     z2: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("coeffs", "coeffs_prime", "coeffs_hat", "coeffs_hat_prime"):
-            object.__setattr__(
-                self, name, MappingProxyType(dict(getattr(self, name)))
-            )
-        for name in ("z1", "z2"):
+        for name in (
+            "coeffs", "coeffs_prime", "coeffs_hat", "coeffs_hat_prime", "z1", "z2"
+        ):
             arr = np.asarray(getattr(self, name), dtype=float).copy()
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
@@ -207,46 +192,45 @@ class DualCertificate:
 def build_dual_certificate(solution: OptimalSolution) -> DualCertificate:
     """Closed-form dual witness for an optimal solution.
 
-    The +s chain is evaluated at pi - theta*, the -s chain at theta*
-    with the same arm ratio.  The pair is normalized so that
+    Both chains come from one table ``sin(k theta*)`` in orbit order
+    (``k = 1..m1`` on the first arm, ``k = m2..1`` on the second), times
+    the arm ratio on the second arm.  The -s chain is that table; the +s
+    chain, a sine chain at ``pi - theta*``, is the same table times
+    ``(-1)^(k+1)``.  The pair is normalized so that
     ||z1||^2 = (1 - s)/2 and ||z2||^2 = (1 + s)/2, which fixes both the
     unit total norm and the duality value.
     """
     params = solution.params
     theta, s = solution.theta_star, solution.s
-    psi = math.pi - theta
-    rho = _chain_ratio(params, s, psi)
-    hat = _sine_chain(params, psi, rho)
-    hat_prime = _sine_chain(params, theta, rho)
+    m1, m2 = params.m1, params.m2
+    k = np.concatenate([np.arange(1, m1 + 1), np.arange(m2, 0, -1)])
+    hat_prime = np.sin(k * theta)
+    hat_prime[m1:] *= _chain_ratio(params, theta)
+    # sin(k (pi - theta)) = (-1)^(k+1) sin(k theta)
+    hat = np.where(k % 2 == 1, hat_prime, -hat_prime)
 
-    a = dict(hat)
-    a[-1] = hat[-1] * math.sqrt((params.n1 + 1.0) / 2.0)
-    a[1] = hat[1] * math.sqrt((params.n2 + 1.0) / 2.0)
-    a_prime = dict(hat_prime)
-    a_prime[-1] = -hat_prime[-1] / math.sqrt(2.0)
-    a_prime[1] = hat_prime[1] / math.sqrt(2.0)
+    a = hat.copy()
+    a[m1 - 1] *= math.sqrt((params.n1 + 1.0) / 2.0)
+    a[m1] *= math.sqrt((params.n2 + 1.0) / 2.0)
+    a_prime = hat_prime.copy()
+    a_prime[m1 - 1] /= -math.sqrt(2.0)
+    a_prime[m1] /= math.sqrt(2.0)
 
-    labels = params.orbit_labels
     stencils, stencils_prime = _stencil_arrays(params)
-    z1 = _expand(stencils, np.array([a[i] for i in labels]), len(labels) + 1)
-    z2 = _expand(
-        stencils_prime, np.array([a_prime[i] for i in labels]), len(labels)
-    )
+    z1 = _expand(stencils, a, k.size + 1)
+    z2 = _expand(stencils_prime, a_prime, k.size)
 
     # sqrt((1 - s) / 2) = sin(theta / 2), which does not cancel at small theta
     t1 = math.sin(0.5 * theta) / float(np.linalg.norm(z1))
     t2 = math.sqrt((1.0 + s) / 2.0) / float(np.linalg.norm(z2))
-    for coeffs, t in ((a, t1), (hat, t1), (a_prime, t2), (hat_prime, t2)):
-        for i in coeffs:
-            coeffs[i] *= t
     return DualCertificate(
         params=params,
         theta=theta,
         s=s,
-        coeffs=a,
-        coeffs_prime=a_prime,
-        coeffs_hat=hat,
-        coeffs_hat_prime=hat_prime,
+        coeffs=a * t1,
+        coeffs_prime=a_prime * t2,
+        coeffs_hat=hat * t1,
+        coeffs_hat_prime=hat_prime * t2,
         z1=z1 * t1,
         z2=z2 * t2,
     )
@@ -318,20 +302,19 @@ class CertificateResiduals:
 def _recurrence_residual(
     params: TfsParams,
     w: np.ndarray,
-    chain: Mapping[int, float],
+    c: np.ndarray,
     s: float,
     primed: bool,
 ) -> float:
     """Worst violation of the three-term chain relations.
 
-    ``w`` holds the orbit weights in ``params.orbit_labels`` order.  The
+    ``w`` and the chain ``c`` are in ``params.orbit_labels`` order.  The
     +s system couples the two arms through the center with strength
     sqrt(n1 n2); the -s system is decoupled there.  Center-adjacent
     diagonal terms carry (n + 1) w in the coupled system and w in the
     decoupled one.
     """
     m1 = params.m1
-    c = np.array([chain[i] for i in params.orbit_labels])
     base = (1.0 - s) if primed else (1.0 + s)
     diag = base - 2.0 * w
     diag[m1 - 1] = base - (1.0 if primed else params.n1 + 1.0) * w[m1 - 1]
@@ -346,16 +329,12 @@ def _recurrence_residual(
 
 
 def _proportionality_residual(
-    theta: float,
-    hat: Mapping[int, float],
-    hat_prime: Mapping[int, float],
+    theta: float, hat: np.ndarray, hat_prime: np.ndarray
 ) -> float:
     plus = 1.0 + math.cos(theta)
     minus = 2.0 * math.sin(0.5 * theta) ** 2  # 1 - cos(theta), no cancellation
-    h = np.array(list(hat.values()))
-    h_prime = np.array([hat_prime[i] for i in hat])
-    lhs = plus**2 * h**2
-    rhs = minus**2 * h_prime**2
+    lhs = plus**2 * hat**2
+    rhs = minus**2 * hat_prime**2
     scale = np.maximum(np.abs(lhs), np.abs(rhs))
     nonzero = scale > 0.0
     return float(

@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .spectral import block_extremes, build_blocks
+from .spectral import SpectralReport, block_extremes, build_blocks
 from .topology import InvalidParameterError, TfsParams
 from .weighting import OrbitWeights
 
@@ -70,12 +70,14 @@ class ThetaRoots:
 
 @dataclass(frozen=True)
 class OptimalSolution:
-    """Optimal orbit weights, the smallest root and ``s = cos(theta_star)``."""
+    """Optimal orbit weights, the smallest root, ``s = cos(theta_star)``
+    and the block extremes at the weights that the self-check compared."""
 
     params: TfsParams
     theta_star: float
     s: float
     weights: OrbitWeights
+    spectrum: SpectralReport
 
 
 def _char_values(params: TfsParams, theta: np.ndarray | float) -> np.ndarray:
@@ -198,9 +200,10 @@ def _grid_roots(
 
 def _boundary_weight(m: int, theta: float) -> float:
     """Center-adjacent orbit weight of an arm of length ``m`` at a root."""
-    # 1 - cos(theta), free of cancellation at small theta
-    num = 2.0 * math.sin(0.5 * theta) ** 2 * math.sin(m * theta)
-    den = math.sin(m * theta) - math.sin((m - 1) * theta)
+    # (1 - cos theta) sin(m theta) / (sin(m theta) - sin((m - 1) theta)),
+    # as a product free of cancellation at small theta
+    num = math.sin(0.5 * theta) * math.sin(m * theta)
+    den = math.cos((m - 0.5) * theta)
     if abs(den) < 1e-13 * max(1.0, abs(num)):
         raise DegenerateSineError(
             f"boundary-weight denominator vanished at theta = {theta}"
@@ -303,7 +306,7 @@ def _self_checked(
             f"smallest root promises {s!r}"
         )
     return OptimalSolution(
-        params=params, theta_star=theta_star, s=s, weights=ow
+        params=params, theta_star=theta_star, s=s, weights=ow, spectrum=report
     )
 
 

@@ -135,8 +135,10 @@ def test_certificate_z_expansion():
         sol = optimal_weights(p)
         cert = build_dual_certificate(sol)
         alpha, alpha_prime = alpha_vectors(p)
-        z1 = sum(cert.coeffs[i] * alpha[i] for i in p.orbit_labels)
-        z2 = sum(cert.coeffs_prime[i] * alpha_prime[i] for i in p.orbit_labels)
+        z1 = sum(c * alpha[i] for c, i in zip(cert.coeffs, p.orbit_labels))
+        z2 = sum(
+            c * alpha_prime[i] for c, i in zip(cert.coeffs_prime, p.orbit_labels)
+        )
         assert np.max(np.abs(z1 - cert.z1)) <= 1e-12, params
         assert np.max(np.abs(z2 - cert.z2)) <= 1e-12, params
 
@@ -146,16 +148,15 @@ def test_chain_ratios_are_reciprocal_at_optimum():
     # boundary-ratio formulas are mutually consistent
     p = TfsParams(3, 4, 4, 3)
     sol = optimal_weights(p)
-    psi = math.pi - sol.theta_star
-    forward = _chain_ratio(p, sol.s, psi)
-    backward = _chain_ratio(p.swap(), sol.s, psi)
+    forward = _chain_ratio(p, sol.theta_star)
+    backward = _chain_ratio(p.swap(), sol.theta_star)
     assert forward * backward == pytest.approx(1.0, abs=1e-9)
 
 
 def test_mirror_symmetric_chain():
     sol = optimal_weights(TfsParams(3, 4, 3, 4))
     cert = build_dual_certificate(sol)
-    assert abs(cert.coeffs[3]) == pytest.approx(abs(cert.coeffs[-3]), rel=1e-9)
+    assert abs(cert.coeffs[-1]) == pytest.approx(abs(cert.coeffs[0]), rel=1e-9)
 
 
 def test_perturbed_weights_fail_verification():
@@ -198,7 +199,7 @@ def test_residual_report_dict():
 def test_certificate_immutability():
     sol = optimal_weights(TfsParams(2, 2, 2, 2))
     cert = build_dual_certificate(sol)
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError):
         cert.coeffs[-1] = 0.0
     with pytest.raises(ValueError):
         cert.z1[0] = 0.0
@@ -283,13 +284,13 @@ def loop_recurrence_residual(params, weights, chain, s, primed):
             diag = base - (1.0 if primed else params.n2 + 1.0) * w
         else:
             diag = base - 2.0 * w
-        acc = diag * chain[i]
-        for j in (labels[k - 1] if k else None,
-                  labels[k + 1] if k < len(labels) - 1 else None):
-            if j is None:
+        acc = diag * chain[k]
+        for nbr in (k - 1 if k else None,
+                    k + 1 if k < len(labels) - 1 else None):
+            if nbr is None:
                 continue
-            coupling = cross if {i, j} == {-1, 1} else 1.0
-            acc += coupling * w * chain[j]
+            coupling = cross if {i, labels[nbr]} == {-1, 1} else 1.0
+            acc += coupling * w * chain[nbr]
         worst = max(worst, abs(acc))
     return worst
 

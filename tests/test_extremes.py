@@ -1,0 +1,157 @@
+"""Extreme network shapes: optimum, certificate and a high-precision oracle.
+
+Every valid shape must return a self-checked optimum whose certificate
+passes, or raise a typed error.  The oracle finds theta* and both
+boundary weights in mpmath, outside numpy and LAPACK.
+"""
+
+import math
+
+import mpmath
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from fusedstar.certificate import build_dual_certificate, verify_certificate
+from fusedstar.optimizer import (
+    DegenerateSineError,
+    SelfCheckError,
+    optimal_weights,
+)
+from fusedstar.topology import TfsParams
+
+
+def log_uniform(low, high):
+    return st.floats(math.log(low), math.log(high)).map(
+        lambda x: max(low, min(high, round(math.exp(x))))
+    )
+
+
+def certified(params):
+    sol = optimal_weights(params)
+    res = verify_certificate(build_dual_certificate(sol), sol.weights)
+    return sol, res
+
+
+@settings(
+    derandomize=True,
+    database=None,
+    deadline=None,
+    max_examples=40,
+)
+@given(
+    m1=log_uniform(1, 10**5),
+    n1=log_uniform(2, 10**15),
+    m2=log_uniform(1, 10**5),
+    n2=log_uniform(2, 10**15),
+)
+def test_random_shapes_certify_or_raise_typed_error(m1, n1, m2, n2):
+    params = TfsParams(m1, n1, m2, n2)
+    try:
+        sol, res = certified(params)
+    except (SelfCheckError, DegenerateSineError):
+        return
+    assert 0 < sol.theta_star < math.pi / (2 * max(m1, m2))
+    assert res.passes(), (params, res.as_dict())
+
+
+# shapes whose certificate cancelled at small theta*, and one whose
+# boundary weight did
+@pytest.mark.parametrize(
+    "params",
+    [
+        (1, 10**12, 1, 2),
+        (10**5, 2, 1, 2),
+        (1, 10**18, 2, 10**18),
+        (2646, 257245, 1, 964),
+        (199, 2196315, 1, 9),
+        (2, 10**300, 2, 2),
+    ],
+)
+def test_named_extreme_shapes_certify(params):
+    _, res = certified(TfsParams(*params))
+    assert res.passes(), res.as_dict()
+
+
+def mp_response(m, n, theta):
+    return 2 / mpmath.mpf(n) * mpmath.cot(m * theta) * mpmath.cot(theta / 2) - 1
+
+
+def mp_char(params, theta):
+    return (
+        mp_response(params.m1, params.n1, theta)
+        * mp_response(params.m2, params.n2, theta)
+        - 1
+    )
+
+
+def mp_theta_star(params):
+    """Smallest root by bisection on (0, pi / (2 max(m1, m2))]."""
+    hi = mpmath.pi / (2 * max(params.m1, params.m2))
+    lo = hi / 2
+    while mp_char(params, lo) <= 0:
+        lo, hi = lo / 2, lo
+    while hi - lo > lo * mpmath.mpf(10) ** (-40):
+        mid = (lo + hi) / 2
+        if mp_char(params, mid) > 0:
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2
+
+
+def mp_boundary_weight(m, theta):
+    # the difference form loses about twice the digits of theta; work with
+    # that many more
+    extra = 2 * max(0, -int(mpmath.floor(mpmath.log10(theta))))
+    with mpmath.workdps(mpmath.mp.dps + extra):
+        return (
+            (1 - mpmath.cos(theta))
+            * mpmath.sin(m * theta)
+            / (mpmath.sin(m * theta) - mpmath.sin((m - 1) * theta))
+        )
+
+
+def weight_tolerance(m, theta):
+    """Relative error bound of the boundary weight at a float angle.
+
+    The arguments m theta and (m - 1/2) theta carry rounding errors of
+    about one ulp; near m theta = pi/2 the denominator cos((m - 1/2) theta)
+    is small and magnifies them.
+    """
+    x = m * theta
+    kappa = 1.0 + x * (abs(math.tan(x - 0.5 * theta)) + 1.0 / abs(math.tan(x)))
+    return 8.0 * 2.0**-52 * kappa
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        (3, 4, 4, 3),
+        (1, 2, 1, 2),
+        (2000, 2, 1, 2),
+        (1, 10**12, 1, 2),
+        (1, 10**18, 2, 10**18),
+        (2646, 257245, 1, 964),
+        (199, 2196315, 1, 9),
+        (50, 10**7, 60, 10**7),
+        (2, 10**300, 2, 2),
+        (7, 3, 900, 10**9),
+    ],
+)
+def test_mpmath_oracle(params):
+    # theta* against the 50-digit root; the weights against 50-digit values
+    # at the same float theta*, so that only their own rounding is measured
+    p = TfsParams(*params)
+    sol = optimal_weights(p)
+    theta = sol.theta_star
+    with mpmath.workdps(50):
+        root = mp_theta_star(p)
+        w_minus = mp_boundary_weight(p.m1, mpmath.mpf(theta))
+        w_plus = mp_boundary_weight(p.m2, mpmath.mpf(theta))
+    assert theta == pytest.approx(float(root), rel=1e-15, abs=0)
+    assert sol.weights[-1] == pytest.approx(
+        float(w_minus), rel=weight_tolerance(p.m1, theta), abs=0
+    )
+    assert sol.weights[1] == pytest.approx(
+        float(w_plus), rel=weight_tolerance(p.m2, theta), abs=0
+    )

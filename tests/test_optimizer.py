@@ -187,10 +187,17 @@ def test_bisection_matches_smallest_scanned_root(params):
 
 
 # shapes whose smallest root the grid scan used to drop (steep relation)
-# or misplace, so the self-check failed
+# or misplace, so the self-check failed; and one whose boundary weight
+# cancelled to a vanishing denominator
 @pytest.mark.parametrize(
     "params",
-    [(1, 2, 1000, 2), (2000, 2, 1, 2), (1, 10**6, 1, 3), (50, 10**7, 60, 10**7)],
+    [
+        (1, 2, 1000, 2),
+        (2000, 2, 1, 2),
+        (1, 10**6, 1, 3),
+        (50, 10**7, 60, 10**7),
+        (2, 10**300, 2, 2),
+    ],
 )
 def test_extreme_shapes_return_self_checked_optimum(params):
     p = TfsParams(*params)
