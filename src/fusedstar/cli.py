@@ -14,12 +14,15 @@ import csv
 import json
 import sys
 
+import numpy as np
+
 from .certificate import build_dual_certificate, verify_certificate
 from .optimizer import (
     DegenerateSineError,
     OptimalSolution,
     SelfCheckError,
     optimal_weights,
+    optimal_weights_batch,
     solve_symmetric_star,
 )
 from .simulation import (
@@ -156,29 +159,37 @@ def _fig2_rows(args: argparse.Namespace) -> list[list[str]]:
     lo, hi = args.mbar_min, args.mbar_max
     if lo < 1 or hi < lo:
         raise InvalidParameterError(f"empty mean-length range [{lo}, {hi}]")
-    rows: list[list[str]] = []
+    cells: dict[int, list[tuple[int, int]]] = {}
     for m_bar in range(lo, hi + 1):
+        total = m_bar * (n1 + n2)
+        cells[m_bar] = [
+            (m1, (total - m1 * n1) // n2)
+            for m1 in range(1, total // n1 + 1)
+            if total - m1 * n1 > 0 and (total - m1 * n1) % n2 == 0
+        ]
+    shapes = np.array(
+        [cell for row in cells.values() for cell in row], dtype=int
+    ).reshape(-1, 2)
+    batch = optimal_weights_batch(shapes[:, 0], n1, shapes[:, 1], n2)
+    slem = iter(batch.s.tolist())
+    rows: list[list[str]] = []
+    for m_bar, tfs in cells.items():
         star = solve_symmetric_star(m_bar, n1 + n2)
         rows.append(
             [str(m_bar), "star", str(m_bar), str(m_bar), f"{star.s:.10g}"]
         )
-        total = m_bar * (n1 + n2)
-        for m1 in range(1, total // n1 + 1):
-            remainder = total - m1 * n1
-            if remainder <= 0 or remainder % n2:
-                continue
-            m2 = remainder // n2
-            solution = optimal_weights(TfsParams(m1, n1, m2, n2))
-            rows.append(
-                [str(m_bar), "tfs", str(m1), str(m2), f"{solution.s:.10g}"]
-            )
+        rows += [
+            [str(m_bar), "tfs", str(m1), str(m2), f"{next(slem):.10g}"]
+            for m1, m2 in tfs
+        ]
     return rows
 
 
+# sweep column -> BatchSolution field
 _SWEEP_COLUMNS = {
-    "slem": lambda solution: solution.s,
-    "w_minus_1": lambda solution: solution.weights[-1],
-    "theta_star": lambda solution: solution.theta_star,
+    "slem": "s",
+    "w_minus_1": "w_minus_1",
+    "theta_star": "theta_star",
 }
 
 
@@ -187,15 +198,14 @@ def _grid_rows(
 ) -> list[list[str]]:
     if args.m1_max < 1 or args.m2_max < 1:
         raise InvalidParameterError("branch-length ranges must start at 1")
-    rows = []
-    for m1 in range(1, args.m1_max + 1):
-        for m2 in range(1, args.m2_max + 1):
-            solution = optimal_weights(TfsParams(m1, n1, m2, n2))
-            rows.append(
-                [str(m1), str(m2)]
-                + [f"{_SWEEP_COLUMNS[name](solution):.10g}" for name in columns]
-            )
-    return rows
+    m1, m2 = np.divmod(np.arange(args.m1_max * args.m2_max), args.m2_max)
+    m1, m2 = m1 + 1, m2 + 1
+    batch = optimal_weights_batch(m1, n1, m2, n2)
+    values = [getattr(batch, _SWEEP_COLUMNS[name]).tolist() for name in columns]
+    return [
+        [str(a), str(b)] + [f"{value:.10g}" for value in row]
+        for a, b, *row in zip(m1.tolist(), m2.tolist(), *values)
+    ]
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -278,7 +288,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--perturb",
         type=float,
         default=0.0,
-        help="shift the first center-adjacent weight before checking",
+        help="shift the first center-adjacent weight before checking; "
+        "write a negative shift as --perturb=-1e-3",
     )
     p_verify.set_defaults(func=cmd_verify)
 

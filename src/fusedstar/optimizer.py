@@ -17,7 +17,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -52,6 +52,18 @@ _EXCLUSION = 1e-9  # half-width of the pole exclusion zone, in theta
 # bracket; an absolute residual bound would drop roots where f is steep
 _STEP_SPURIOUS = 1e-9
 _RESIDUAL_POLISH = 1e-11  # keep bisecting below tol until this is met
+_SELF_CHECK = 1e-9  # largest |slem - s| the self-checks accept
+# a boundary weight is degenerate when its denominator is below this times
+# max(1, |numerator|)
+_DEGENERATE = 1e-13
+# padded block entries (instances x rows) that the batch solves at once;
+# bounds its memory whatever the grid
+_BATCH_ELEMENTS = 1 << 19
+# diagonal of the decoupled rows that pad a block: above every shift
+_PAD = 2.0
+# eigenvalues at 1 (the Perron eigenvalue) per count lane: the central
+# block has one, the two arm blocks none
+_PERRON = np.array([[1], [0]])
 
 
 @dataclass(frozen=True)
@@ -81,22 +93,13 @@ class OptimalSolution:
 
 
 def _char_values(params: TfsParams, theta: np.ndarray | float) -> np.ndarray:
-    # a float stays a numpy scalar throughout, which the bisection needs fast
-    cot_half = np.cos(0.5 * theta) / np.sin(0.5 * theta)
-    arm1 = (
-        2.0
-        / params.n1
-        * (np.cos(params.m1 * theta) / np.sin(params.m1 * theta))
-        * cot_half
-        - 1.0
-    )
-    arm2 = (
-        2.0
-        / params.n2
-        * (np.cos(params.m2 * theta) / np.sin(params.m2 * theta))
-        * cot_half
-        - 1.0
-    )
+    # a float stays a numpy scalar throughout, which the bisection needs
+    # fast; array-valued params evaluate a batch lane by lane
+    half = 0.5 * theta
+    cot_half = np.cos(half) / np.sin(half)
+    angle1, angle2 = params.m1 * theta, params.m2 * theta
+    arm1 = 2.0 / params.n1 * (np.cos(angle1) / np.sin(angle1)) * cot_half - 1.0
+    arm2 = 2.0 / params.n2 * (np.cos(angle2) / np.sin(angle2)) * cot_half - 1.0
     return arm1 * arm2 - 1.0
 
 
@@ -198,17 +201,28 @@ def _grid_roots(
     return roots, residuals
 
 
-def _boundary_weight(m: int, theta: float) -> float:
-    """Center-adjacent orbit weight of an arm of length ``m`` at a root."""
+def _boundary_weights(
+    m: np.ndarray, theta: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Center-adjacent orbit weights of arms of lengths ``m`` at roots
+    ``theta``, and where their denominator vanished."""
     # (1 - cos theta) sin(m theta) / (sin(m theta) - sin((m - 1) theta)),
     # as a product free of cancellation at small theta
-    num = math.sin(0.5 * theta) * math.sin(m * theta)
-    den = math.cos((m - 0.5) * theta)
-    if abs(den) < 1e-13 * max(1.0, abs(num)):
+    num = np.sin(0.5 * theta) * np.sin(m * theta)
+    den = np.cos((m - 0.5) * theta)
+    degenerate = np.abs(den) < _DEGENERATE * np.maximum(1.0, np.abs(num))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return num / den, degenerate
+
+
+def _boundary_weight(m: int, theta: float) -> float:
+    """Center-adjacent orbit weight of an arm of length ``m`` at a root."""
+    weight, degenerate = _boundary_weights(np.float64(m), np.float64(theta))
+    if degenerate:
         raise DegenerateSineError(
             f"boundary-weight denominator vanished at theta = {theta}"
         )
-    return num / den
+    return float(weight)
 
 
 def _require_two_branches(params: TfsParams) -> None:
@@ -298,9 +312,9 @@ def _first_sign_change(f: Callable[[float], float], hi: float) -> float:
 def _self_checked(
     params: TfsParams, theta_star: float, ow: OrbitWeights
 ) -> OptimalSolution:
-    s = math.cos(theta_star)
+    s = float(np.cos(theta_star))
     report = block_extremes(build_blocks(params, ow))
-    if abs(report.slem - s) > 1e-9:
+    if abs(report.slem - s) > _SELF_CHECK:
         raise SelfCheckError(
             f"assembled spectrum gives slem = {report.slem!r} but the "
             f"smallest root promises {s!r}"
@@ -326,6 +340,253 @@ def optimal_weights(params: TfsParams) -> OptimalSolution:
         math.pi / (2 * max(params.m1, params.m2)),
     )
     return _self_checked(params, theta_star, _weights_at(params, theta_star))
+
+
+@dataclass(frozen=True)
+class BatchSolution:
+    """Smallest roots theta*, ``s = cos(theta*)`` and the two boundary
+    weights ``w_{-1}``, ``w_1`` of a batch of shapes, as read-only arrays
+    in the shape of the broadcast inputs."""
+
+    theta_star: np.ndarray
+    s: np.ndarray
+    w_minus_1: np.ndarray
+    w_plus_1: np.ndarray
+
+    def __post_init__(self) -> None:
+        for name in ("theta_star", "s", "w_minus_1", "w_plus_1"):
+            arr = np.asarray(getattr(self, name), dtype=float).copy()
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+
+
+class _Shapes(NamedTuple):
+    """Branch lengths and counts of a batch as float arrays; ``_char_values``
+    reads them as it reads a ``TfsParams``."""
+
+    m1: np.ndarray
+    n1: np.ndarray
+    m2: np.ndarray
+    n2: np.ndarray
+
+    def take(self, index: np.ndarray) -> "_Shapes":
+        return _Shapes(*(field[index] for field in self))
+
+
+def _cell(cells: list[np.ndarray], index: int) -> tuple:
+    return tuple(cell[index : index + 1].tolist()[0] for cell in cells)
+
+
+def _batch_shapes(cells: list[np.ndarray]) -> _Shapes:
+    """The cells as floats, once every cell is a valid two-branch shape.
+
+    Otherwise the first invalid cell, in input order, raises the error
+    that ``TfsParams`` or ``optimal_weights`` raise for it.
+    """
+    try:
+        shapes = _Shapes(*(np.asarray(cell, dtype=float) for cell in cells))
+    except (OverflowError, TypeError, ValueError):
+        suspects = range(cells[0].size)
+    else:
+        m1, n1, m2, n2 = shapes
+        valid = (m1 >= 1) & (m2 >= 1) & (n1 >= 2) & (n2 >= 2)
+        for field in shapes:
+            valid &= np.isfinite(field) & (field == np.floor(field))
+        if valid.all():
+            return shapes
+        suspects = np.flatnonzero(~valid).tolist()
+    for index in suspects:
+        _require_two_branches(TfsParams(*_cell(cells, index)))
+    raise InvalidParameterError("branch lengths and counts must be integers")
+
+
+def _first_sign_changes(
+    f: Callable[[np.ndarray], np.ndarray], hi: np.ndarray
+) -> np.ndarray:
+    """``_first_sign_change`` on every lane of ``hi`` at once.
+
+    Each lane bisects on ``f(mid) > 0`` until its midpoint is no longer
+    strictly inside its bracket, as the scalar loop does.  A finished
+    lane's midpoint equals one end of its bracket, so moving either end
+    to it leaves the midpoint where it stopped while the others go on.
+    """
+    lo = np.zeros_like(hi)
+    mid = 0.5 * (lo + hi)
+    while ((lo < mid) & (mid < hi)).any():
+        positive = f(mid) > 0.0
+        lo = np.where(positive, mid, lo)
+        hi = np.where(positive, hi, mid)
+        mid = 0.5 * (lo + hi)
+    return mid
+
+
+def _block_tridiagonals(
+    shapes: _Shapes, w_minus: np.ndarray, w_plus: np.ndarray, rows: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The blocks of a batch as ``(rows, 2, instances)`` arrays.
+
+    Lane 0 of axis 1 is the central block.  Lane 1 is the two arm blocks
+    as one matrix: the central block with its center row (row ``m1``)
+    decoupled into padding, since the arm blocks are its leading ``m1``
+    and trailing ``m2`` rows.  Returns the diagonals and the squared
+    off-diagonals (entry ``j`` couples rows ``j`` and ``j + 1``, so there
+    are ``rows - 1``).  Rows past ``m1 + m2`` are decoupled padding with
+    diagonal ``_PAD``.  The entries are those of ``spectral.build_blocks``
+    at interior weight 1/2, rounded the same way, placed by index
+    arithmetic in O(rows).
+    """
+    m1, n1, m2, n2 = shapes
+    top = (m1 + m2).astype(np.int64)  # the last row of the central block
+    first = m1.astype(np.int64) - 1  # the first arm's center-adjacent row
+    lane = np.arange(m1.size)
+    padding = np.arange(rows)[:, None, None] > top
+    diagonals = np.where(padding, _PAD, 0.0).repeat(2, axis=1)
+    couplings = np.where(padding[1:], 0.0, 0.25).repeat(2, axis=1)
+    # leaf rows first: with an arm of length 1 its center-adjacent row,
+    # written next, takes the place
+    diagonals[0, :, lane] = 0.5
+    diagonals[top, :, lane] = 0.5
+    adjacent_minus = np.where(m1 == 1, 1.0 - w_minus, 0.5 - w_minus)
+    adjacent_plus = np.where(m2 == 1, 1.0 - w_plus, 1.0 - w_plus - 0.5)
+    diagonals[first, :, lane] = adjacent_minus[:, None]
+    diagonals[first + 2, :, lane] = adjacent_plus[:, None]
+    diagonals[first + 1, 0, lane] = 1.0 - n1 * w_minus - n2 * w_plus
+    diagonals[first + 1, 1, lane] = _PAD
+    couplings[first, 0, lane] = (np.sqrt(n1) * w_minus) ** 2
+    couplings[first + 1, 0, lane] = (np.sqrt(n2) * w_plus) ** 2
+    couplings[first, 1, lane] = 0.0
+    couplings[first + 1, 1, lane] = 0.0
+    return diagonals, couplings
+
+
+def _count_below(
+    diagonals: np.ndarray, couplings: np.ndarray, shifts: np.ndarray
+) -> np.ndarray:
+    """Eigenvalues below each shift of each tridiagonal in a stack.
+
+    ``diagonals`` has one row per matrix row; ``couplings`` (one row
+    fewer) holds the squared off-diagonals and ``shifts`` broadcasts
+    against a row.  By Sylvester's law of inertia the count is the number
+    of negative pivots of ``T - xI = LDL^T``, which Kahan's recurrence
+    ``d_j = (a_j - x) - b_{j-1}^2 / d_{j-1}`` gives in one pass.  A pivot
+    smaller than LAPACK's floor ``pivmin`` is replaced by ``-pivmin``, so
+    a zero pivot counts as negative and never divides.
+    """
+    floor = max(1.0, float(np.max(couplings, initial=0.0)))
+    pivmin = np.finfo(float).tiny * floor
+    shape = np.broadcast_shapes(diagonals.shape[1:], shifts.shape)
+    below = np.zeros(shape, dtype=np.int64)
+    # the loop writes into these buffers and allocates nothing
+    pivot, previous, scratch = (np.empty(shape) for _ in range(3))
+    negative = np.empty(shape, dtype=bool)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for j, diagonal in enumerate(diagonals):
+            np.subtract(diagonal, shifts, out=pivot)
+            if j:
+                pivot -= np.divide(couplings[j - 1], previous, out=scratch)
+            np.less(np.abs(pivot, out=scratch), pivmin, out=negative)
+            np.copyto(pivot, -pivmin, where=negative)
+            below += np.less(pivot, 0.0, out=negative)
+            pivot, previous = previous, pivot
+    return below
+
+
+def _inertia_self_check(
+    shapes: _Shapes, s: np.ndarray, w_minus: np.ndarray, w_plus: np.ndarray
+) -> np.ndarray:
+    """Where eigenvalue counts prove ``|slem - s| <= _SELF_CHECK``.
+
+    With ``d = _SELF_CHECK`` the counts at ``-s - d``, ``-s + d``,
+    ``s - d`` and ``s + d`` (``_count_below``) must show that no
+    eigenvalue of a block lies below ``-s - d``, that none but the central
+    block's top one (its Perron eigenvalue 1) lies at or above ``s + d``,
+    and that one more lies in ``[s - d, 1]`` or below ``-s + d``.  Then
+    ``slem``, the largest modulus after the Perron eigenvalue, is within
+    ``d`` of ``s``, which is what the scalar self-check asserts from
+    computed eigenvalues.
+
+    The arm blocks are the leading ``m1`` and trailing ``m2`` rows of the
+    central one.  Every condition on them reads the sum of their counts,
+    so they are counted as one matrix: the central block with its center
+    row decoupled into padding.  Every block is padded to the batch's
+    widest with decoupled rows above every shift, so each lane steps
+    through the same rows.
+    """
+    rows = int(np.max(shapes.m1 + shapes.m2)) + 1
+    diagonals, couplings = _block_tridiagonals(shapes, w_minus, w_plus, rows)
+    shifts = np.stack([-s - _SELF_CHECK, -s + _SELF_CHECK,
+                       s - _SELF_CHECK, s + _SELF_CHECK])[:, None, :]
+    below = _count_below(diagonals, couplings, shifts)
+    sizes = np.stack([shapes.m1 + shapes.m2 + 1, shapes.m1 + shapes.m2])
+    at_or_above = sizes - below
+    bounded = (below[0] == 0).all(axis=0) & (
+        at_or_above[3] <= _PERRON
+    ).all(axis=0)
+    attained = (below[1] > 0).any(axis=0) | (at_or_above[2] > _PERRON).any(
+        axis=0
+    )
+    return bounded & attained
+
+
+def _solve_chunk(shapes: _Shapes) -> tuple[np.ndarray, ...]:
+    """theta*, ``s``, both boundary weights and where the checks failed."""
+    theta = _first_sign_changes(
+        lambda mid: _char_values(shapes, mid),
+        np.pi / (2.0 * np.maximum(shapes.m1, shapes.m2)),
+    )
+    s = np.cos(theta)
+    w_minus, bad_minus = _boundary_weights(shapes.m1, theta)
+    w_plus, bad_plus = _boundary_weights(shapes.m2, theta)
+    failed = bad_minus | bad_plus
+    failed |= ~_inertia_self_check(shapes, s, w_minus, w_plus)
+    return theta, s, w_minus, w_plus, failed
+
+
+def optimal_weights_batch(m1, n1, m2, n2) -> BatchSolution:
+    """``optimal_weights`` for many shapes at once, as arrays.
+
+    ``m1, n1, m2, n2`` are integer arrays (or integers) that broadcast
+    together.  All instances are bisected together with the scalar route's
+    predicate, bracket and stop rule, so theta*, ``s`` and both boundary
+    weights equal the scalar route's bit for bit.  The self-check counts
+    eigenvalues below four shifts (``_inertia_self_check``) instead of
+    computing them.  Instances go in chunks of at most ``_BATCH_ELEMENTS``
+    padded block rows, in order of ``m1 + m2``, so memory stays bounded.
+    An invalid shape, or one that the scalar route would not return,
+    raises that route's error for the first such instance in input order:
+    ``InvalidParameterError`` before any solving, then
+    ``DegenerateSineError`` or ``SelfCheckError``.
+    """
+    arrays = [np.asarray(v) for v in (m1, n1, m2, n2)]
+    cells = [cell.ravel() for cell in np.broadcast_arrays(*arrays)]
+    shapes = _batch_shapes(cells)
+    order = np.argsort(shapes.m1 + shapes.m2, kind="stable")
+    widths = (shapes.m1 + shapes.m2 + 1)[order]
+    results = [np.empty(order.size) for _ in range(4)]
+    failed = np.zeros(order.size, dtype=bool)
+    start = 0
+    while start < order.size:
+        # widths ascend, so a chunk is as wide as its last instance
+        most = max(1, _BATCH_ELEMENTS // int(widths[start]))
+        room = widths[start : start + most]
+        fits = np.arange(1, room.size + 1) * room <= _BATCH_ELEMENTS
+        stop = start + max(1, int(np.count_nonzero(fits)))
+        chunk = order[start:stop]
+        *values, chunk_failed = _solve_chunk(shapes.take(chunk))
+        for result, value in zip(results, values):
+            result[chunk] = value
+        failed[chunk] = chunk_failed
+        start = stop
+    if failed.any():
+        # the scalar route raises its own error for this instance
+        params = TfsParams(*_cell(cells, int(np.argmax(failed))))
+        solution = optimal_weights(params)
+        raise SelfCheckError(
+            f"eigenvalue counts at {params} do not prove |slem - s| <= "
+            f"{_SELF_CHECK} for s = {solution.s!r}"
+        )
+    shape = np.broadcast_shapes(*(v.shape for v in arrays))
+    return BatchSolution(*(result.reshape(shape) for result in results))
 
 
 def solve_symmetric_star(m: int, n: int) -> OptimalSolution:

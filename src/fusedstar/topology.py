@@ -56,6 +56,12 @@ class TfsParams:
                 raise InvalidParameterError(
                     f"{name} must be an integer >= 1, got {value!r}"
                 )
+            try:
+                float(value)
+            except OverflowError:
+                raise InvalidParameterError(
+                    f"{name} is too large for floating-point arithmetic"
+                ) from None
             object.__setattr__(self, name, int(value))
 
     @property

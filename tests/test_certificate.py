@@ -13,10 +13,9 @@ from fusedstar.certificate import (
     build_dual_certificate,
     stencil_gram_matrices,
     verify_certificate,
-    _chain_ratio,
     _recurrence_residual,
 )
-from fusedstar.optimizer import optimal_weights
+from fusedstar.optimizer import _char_values, optimal_weights
 from fusedstar.spectral import build_blocks, perron_vector
 from fusedstar.topology import TfsParams
 from fusedstar.weighting import OrbitWeights
@@ -144,13 +143,18 @@ def test_certificate_z_expansion():
 
 
 def test_chain_ratios_are_reciprocal_at_optimum():
-    # the characteristic relation is exactly the statement that the two
-    # boundary-ratio formulas are mutually consistent
-    p = TfsParams(3, 4, 4, 3)
-    sol = optimal_weights(p)
-    forward = _chain_ratio(p, sol.theta_star)
-    backward = _chain_ratio(p.swap(), sol.theta_star)
-    assert forward * backward == pytest.approx(1.0, abs=1e-9)
+    # the arm ratio takes a1 = 1/a2, which holds exactly where
+    # a1 a2 - 1 = 0, the characteristic relation: at theta* it must vanish
+    # to within a few ulps of theta* times its slope, and a thousandth away
+    # it must not
+    for params in ((3, 4, 4, 3), (2, 3, 4, 5), (10, 20, 20, 10)):
+        p = TfsParams(*params)
+        theta = optimal_weights(p).theta_star
+        h = 1e-6
+        slope = abs(_char_values(p, theta + h) - _char_values(p, theta - h)) / (2 * h)
+        assert abs(_char_values(p, theta)) <= 4 * math.ulp(theta) * slope
+        for off in (-1e-3, 1e-3):
+            assert abs(_char_values(p, theta + off)) >= 0.5 * slope * 1e-3
 
 
 def test_mirror_symmetric_chain():

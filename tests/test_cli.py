@@ -154,6 +154,51 @@ def test_verify_perturbation_fails(capsys):
     assert json.loads(out)["passes"] is False
 
 
+def test_verify_negative_perturbation_fails(capsys):
+    # a negative value must be attached with '=': argparse reads a
+    # separate "-1e-3" as an option
+    code, out, _ = run_cli(
+        capsys,
+        "verify",
+        "--m1", "3", "--n1", "4", "--m2", "4", "--n2", "3",
+        "--perturb=-1e-3",
+    )
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["perturbation"] == -1e-3
+    assert payload["passes"] is False
+
+
+def test_verify_help_shows_the_negative_perturbation_form(capsys):
+    with pytest.raises(SystemExit):
+        main(["verify", "--help"])
+    assert "--perturb=-1e-3" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--m1", "2", "--n1", str(10**400), "--m2", "2", "--n2", "2"],
+        ["verify", "--m1", "2", "--n1", "2", "--m2", "2", "--n2", str(10**400)],
+        ["sweep", "custom", "--n1", str(10**400), "--n2", "3", "--m1-max", "2"],
+    ],
+    ids=["solve", "verify", "sweep"],
+)
+def test_branch_count_beyond_float_range_is_invalid_input(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert len(out.splitlines()) <= 1  # a sweep prints its header first
+    assert "too large for floating-point arithmetic" in err
+
+
+def test_huge_branch_count_within_float_range_certifies(capsys):
+    code, out, _ = run_cli(
+        capsys, "solve", "--m1", "2", "--n1", str(10**300), "--m2", "2", "--n2", "2"
+    )
+    assert code == 0
+    assert json.loads(out)["certificate"]["passes"] is True
+
+
 def test_sweep_fig2_shape(capsys):
     code, out, _ = run_cli(
         capsys, "sweep", "fig2", "--mbar-min", "1", "--mbar-max", "2"

@@ -1,23 +1,36 @@
 """Characteristic-relation root finding and the analytic optimum."""
 
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from fusedstar import optimizer
 from fusedstar.optimizer import (
+    DegenerateSineError,
     NoRootsError,
     PoleProximityError,
     RootCountMismatchWarning,
+    SelfCheckError,
+    _batch_shapes,
+    _count_below,
+    _inertia_self_check,
     char_residual,
     equivalent_star,
     optimal_weights,
+    optimal_weights_batch,
     solve_symmetric_star,
     solve_theta_roots,
 )
-from fusedstar.spectral import block_spectrum, build_blocks, full_spectrum
+from fusedstar.spectral import (
+    block_extremes,
+    block_spectrum,
+    build_blocks,
+    full_spectrum,
+)
 from fusedstar.topology import InvalidParameterError, TfsParams
 from fusedstar.weighting import OrbitWeights, assemble_weight_matrix
 
@@ -277,3 +290,216 @@ def test_equivalent_star_examples():
     n, m_bar = equivalent_star(TfsParams(4, 3, 4, 9))
     assert n == 12
     assert m_bar == Fraction(4)
+
+
+BRANCH_COUNTS = (2, 3, 4, 6, 12, 20, 22)
+# the acceptance suite's criterion-3 grid, in its order
+CRITERION_3_GRID = [
+    (m1, n1, m2, n2)
+    for n1 in BRANCH_COUNTS
+    for n2 in BRANCH_COUNTS
+    for m1 in range(1, 11)
+    for m2 in range(1, 11)
+]
+# the TFS rows of the default ``sweep fig2`` (n1 = 6, n2 = 12)
+FIG2_TFS = [
+    (m1, 6, (18 * m_bar - 6 * m1) // 12, 12)
+    for m_bar in range(1, 9)
+    for m1 in range(1, 3 * m_bar)
+    if (18 * m_bar - 6 * m1) % 12 == 0
+]
+EXTREME_SHAPES = [
+    (1, 2, 1000, 2),
+    (2000, 2, 1, 2),
+    (1, 10**6, 1, 3),
+    (50, 10**7, 60, 10**7),
+    (2, 10**300, 2, 2),
+]
+
+
+def solve_batch(shapes):
+    # object arrays keep branch counts beyond int64 exact
+    return optimal_weights_batch(*np.array(shapes, dtype=object).T)
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+def test_batch_is_bitwise_equal_to_the_scalar_route():
+    shapes = CRITERION_3_GRID + FIG2_TFS + EXTREME_SHAPES
+    batch = solve_batch(shapes)
+    scalar = [optimal_weights(TfsParams(*shape)) for shape in shapes]
+    for field, value in (
+        ("theta_star", lambda sol: sol.theta_star),
+        ("s", lambda sol: sol.s),
+        ("w_minus_1", lambda sol: sol.weights[-1]),
+        ("w_plus_1", lambda sol: sol.weights[1]),
+    ):
+        expected = bits([value(sol) for sol in scalar])
+        assert np.array_equal(bits(getattr(batch, field)), expected), field
+
+
+def test_batch_broadcasts_and_is_read_only():
+    batch = optimal_weights_batch(np.arange(1, 4)[:, None], 4, np.arange(1, 3), 3)
+    assert batch.theta_star.shape == (3, 2)
+    assert batch.s[2, 1] == optimal_weights(TfsParams(3, 4, 2, 3)).s
+    single = optimal_weights_batch(3, 4, 4, 3)
+    assert single.s.shape == ()
+    assert float(single.w_minus_1) == optimal_weights(P343).weights[-1]
+    with pytest.raises(ValueError):
+        batch.s[0, 0] = 0.0
+    assert optimal_weights_batch([], 2, [], 2).s.shape == (0,)
+
+
+@pytest.mark.parametrize("shift", [0.0, 1e-12, -1e-12, 1e-6, -1e-6, 1e-3, -1e-3])
+def test_inertia_check_agrees_with_computed_extremes(shift):
+    # the counts accept exactly where block_extremes puts the SLEM within
+    # 1e-9 of s, at the optimum and with w_-1 moved off it
+    shapes = [
+        (m1, n1, m2, n2)
+        for n1 in (2, 3, 22)
+        for n2 in (2, 4, 20)
+        for m1 in (1, 2, 5, 10)
+        for m2 in (1, 2, 5, 10)
+    ] + EXTREME_SHAPES
+    batch = solve_batch(shapes)
+    w_minus = batch.w_minus_1 + shift
+    cells = list(np.array(shapes, dtype=object).T)
+    accepted = _inertia_self_check(
+        _batch_shapes(cells), batch.s, w_minus, batch.w_plus_1
+    )
+    expected = []
+    for shape, wm, wp, s in zip(shapes, w_minus, batch.w_plus_1, batch.s):
+        p = TfsParams(*shape)
+        w = {label: 0.5 for label in p.orbit_labels}
+        w[-1], w[1] = wm, wp
+        report = block_extremes(build_blocks(p, OrbitWeights(w)))
+        expected.append(abs(report.slem - s) <= 1e-9)
+    assert accepted.tolist() == expected
+    if shift in (0.0, -1e-12):
+        assert all(expected)
+    if abs(shift) >= 1e-6:
+        assert sum(expected) <= 1
+
+
+def test_count_below_matches_dense_eigenvalues():
+    rng = np.random.default_rng(7)
+    size, stack = 9, 40
+    diagonals = rng.uniform(-1.0, 1.0, (size, stack))
+    off = rng.uniform(-0.6, 0.6, (size - 1, stack))
+    off[rng.random(off.shape) < 0.2] = 0.0  # some decoupled rows
+    shifts = rng.uniform(-1.5, 1.5, (3, stack))
+    counts = _count_below(diagonals, off**2, shifts)
+    for k in range(stack):
+        dense = np.diag(diagonals[:, k])
+        dense += np.diag(off[:, k], 1) + np.diag(off[:, k], -1)
+        eigenvalues = np.linalg.eigvalsh(dense)
+        for i in range(3):
+            assert counts[i, k] == np.count_nonzero(eigenvalues < shifts[i, k])
+
+
+def test_count_below_survives_a_zero_pivot():
+    # a shift equal to a decoupled diagonal entry makes a pivot exactly
+    # zero; it counts as negative and must not turn the next pivot into
+    # 0/0
+    diagonals = np.array([[0.5], [0.3], [0.9]])
+    couplings = np.array([[0.0], [0.01]])
+    assert _count_below(diagonals, couplings, np.array([0.5])).tolist() == [2]
+
+
+def test_inertia_check_locates_the_slem_of_any_weights():
+    # with arbitrary boundary weights the SLEM comes from the top of an arm
+    # block or the bottom of the spectrum (the central block's second
+    # eigenvalue interlaces below the arms' top); the counts must accept s
+    # at the computed SLEM and reject it 2e-9 to either side
+    rng = np.random.default_rng(3)
+    shapes = [
+        (int(rng.integers(1, 8)), int(rng.integers(2, 30)),
+         int(rng.integers(1, 8)), int(rng.integers(2, 30)))
+        for _ in range(150)
+    ]
+    w_minus, w_plus = rng.uniform(0.01, 0.3, (2, len(shapes)))
+    slem, sources = [], set()
+    for shape, wm, wp in zip(shapes, w_minus, w_plus):
+        p = TfsParams(*shape)
+        w = {label: 0.5 for label in p.orbit_labels}
+        w[-1], w[1] = wm, wp
+        report = block_extremes(build_blocks(p, OrbitWeights(w)))
+        slem.append(report.slem)
+        sources.add("lowest" if report.slem == -report.lambda_min else "top")
+    assert sources == {"lowest", "top"}
+    cells = list(np.array(shapes).T)
+    for offset, accept in ((0.0, True), (2e-9, False), (-2e-9, False)):
+        s = np.array(slem) + offset
+        checked = _inertia_self_check(_batch_shapes(cells), s, w_minus, w_plus)
+        assert checked.tolist() == [accept] * len(shapes), offset
+
+
+def scalar_loop_error(shapes):
+    with pytest.raises(Exception) as info:
+        for shape in shapes:
+            optimal_weights(TfsParams(*shape))
+    return info.value
+
+
+def grid(n1, n2, m_max=10):
+    lengths = range(1, m_max + 1)
+    return [(m1, n1, m2, n2) for m1 in lengths for m2 in lengths]
+
+
+@pytest.mark.parametrize(
+    "shapes",
+    [
+        grid(1, 3),
+        grid(3, 1),
+        grid(0, 3),
+        [(1, 2, 1, 2), (2, 2, 2, 2), (2, 1, 2, 2), (3, 0, 3, 2)],
+        [(1, 2, 1, 2), (2, 2, 2, 10**400)],
+    ],
+)
+def test_batch_rejects_the_first_invalid_shape_like_the_scalar_loop(shapes):
+    expected = scalar_loop_error(shapes)
+    assert isinstance(expected, InvalidParameterError)
+    with pytest.raises(InvalidParameterError) as info:
+        solve_batch(shapes)
+    assert str(info.value) == str(expected)
+
+
+def test_batch_raises_the_scalar_degenerate_sine_error(monkeypatch):
+    # no shape of this grid comes near a vanishing denominator, so raise
+    # the threshold until the longer arms count as degenerate
+    monkeypatch.setattr(optimizer, "_DEGENERATE", 0.2)
+    shapes = grid(2, 22)
+    expected = scalar_loop_error(shapes)
+    assert isinstance(expected, DegenerateSineError)
+    with pytest.raises(DegenerateSineError) as info:
+        solve_batch(shapes)
+    assert str(info.value) == str(expected)
+
+
+def test_batch_reports_the_first_failing_shape_in_input_order(monkeypatch):
+    # chunks go in order of m1 + m2; the error must still name the first
+    # failing shape of the grid, here (5, 10)
+    def reject_long(shapes, s, w_minus, w_plus):
+        return shapes.m1 + shapes.m2 < 15
+
+    monkeypatch.setattr(optimizer, "_inertia_self_check", reject_long)
+    with pytest.raises(SelfCheckError, match=r"m1=5, n1=3, m2=10, n2=4"):
+        solve_batch(grid(3, 4))
+
+
+def test_batch_memory_is_bounded_on_a_large_grid():
+    # padded whole, this grid's blocks would take 90000 x 601 rows x 32
+    # bytes, about 1.7 GB; in chunks the batch stays far below
+    m1, m2 = np.divmod(np.arange(300 * 300), 300)
+    tracemalloc.start()
+    try:
+        batch = optimal_weights_batch(m1 + 1, 3, m2 + 1, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 * 2**20
+    for index in (0, 299, 90000 - 1):
+        sol = optimal_weights(TfsParams(int(m1[index]) + 1, 3, int(m2[index]) + 1, 4))
+        assert batch.theta_star[index] == sol.theta_star

@@ -33,6 +33,15 @@ def test_params_validation():
         TfsParams(3, 2.5, 2, 3)
 
 
+def test_params_reject_counts_beyond_the_float_range():
+    # every solver computes with float(n); 10**400 overflows it
+    with pytest.raises(InvalidParameterError, match="n1 is too large"):
+        TfsParams(2, 10**400, 2, 2)
+    with pytest.raises(InvalidParameterError, match="n2 is too large"):
+        TfsParams(2, 2, 2, 10**400)
+    assert TfsParams(2, 10**300, 2, 2).n1 == 10**300
+
+
 def test_orbit_labels():
     p = TfsParams(3, 2, 2, 3)
     assert p.orbit_labels == (-3, -2, -1, 1, 2)
