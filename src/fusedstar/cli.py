@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 
@@ -27,6 +28,7 @@ from .optimizer import (
 )
 from .simulation import (
     InsufficientSignalError,
+    TrajectoryMemoryError,
     convergence_factor_estimate,
     distributed_iterate,
     random_initial_state,
@@ -228,6 +230,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     params = _params_from(args)
+    if args.steps < 0:
+        raise InvalidParameterError(f"--steps must be >= 0, got {args.steps}")
+    if not 2 <= args.tail <= args.steps:
+        raise InvalidParameterError(
+            f"--tail must be between 2 and --steps ({args.steps}), got {args.tail}"
+        )
     weights, _ = _scheme_weights(params, args.scheme, args)
     graph = build_topology(params)
     x0 = random_initial_state(params.n_nodes, args.seed)
@@ -252,6 +260,7 @@ def _add_params(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--n2", type=int, required=True, help="second-star branch count")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
@@ -272,13 +281,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     _add_params(p_solve)
     p_solve.add_argument("--scheme", choices=SCHEMES, default="optimal")
-    p_solve.set_defaults(func=cmd_solve)
 
     p_compare = sub.add_parser(
         "compare", parents=[common], help="SLEM of every weighting scheme, CSV"
     )
     _add_params(p_compare)
-    p_compare.set_defaults(func=cmd_compare)
 
     p_verify = sub.add_parser(
         "verify", parents=[common], help="check the optimality certificate"
@@ -291,7 +298,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="shift the first center-adjacent weight before checking; "
         "write a negative shift as --perturb=-1e-3",
     )
-    p_verify.set_defaults(func=cmd_verify)
 
     p_sweep = sub.add_parser(
         "sweep", parents=[common], help="SLEM or boundary-weight grids, CSV"
@@ -303,7 +309,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--m2-max", type=int, default=10)
     p_sweep.add_argument("--n1", type=int, default=None, help="custom sweeps only")
     p_sweep.add_argument("--n2", type=int, default=None, help="custom sweeps only")
-    p_sweep.set_defaults(func=cmd_sweep)
 
     p_sim = sub.add_parser(
         "simulate", parents=[common], help="run consensus rounds, trajectory CSV"
@@ -313,18 +318,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--steps", type=int, default=500)
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--tail", type=int, default=50)
-    p_sim.set_defaults(func=cmd_simulate)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    # the parser is built once per process, so the command is looked up
+    # here: a ``cmd_*`` rebound since then (say, by a tracing wrapper) runs
+    command = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return command(args)
     except InvalidParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (SelfCheckError, DegenerateSineError) as exc:
+    except (SelfCheckError, DegenerateSineError, TrajectoryMemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

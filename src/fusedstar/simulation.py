@@ -10,17 +10,30 @@ the weight matrix is symmetric stochastic.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
-from typing import IO
+from functools import cached_property
+from typing import IO, Callable
 
 import numpy as np
 
-from .topology import TfsGraph, edge_table
+from .topology import TfsGraph
 from .weighting import OrbitWeights, WeightMatrix
 
 
 class InsufficientSignalError(RuntimeError):
     """Error norms fell to rounding level before the estimation window."""
+
+
+class TrajectoryMemoryError(MemoryError):
+    """The states of a run do not fit in the memory the process may use."""
+
+
+def _no_room(shape: tuple[int, ...]) -> TrajectoryMemoryError:
+    gib = 8 * math.prod(shape) / 2**30
+    return TrajectoryMemoryError(
+        f"cannot allocate the float64 states of shape {shape} ({gib:.3g} GiB)"
+    )
 
 
 @dataclass(frozen=True)
@@ -44,19 +57,33 @@ class Trajectory:
             object.__setattr__(self, name, arr)
 
     @classmethod
-    def _adopt(cls, states: np.ndarray, seed: int | None) -> "Trajectory":
-        """A trajectory that keeps ``states``, a fresh float array no
-        caller holds, read-only instead of copying it."""
-        x_bar = np.full(states.shape[1], states[0].mean())
-        errors = np.linalg.norm(states - x_bar, axis=1)
+    def _adopt(
+        cls,
+        states: np.ndarray,
+        error_norms: np.ndarray,
+        x_bar: np.ndarray,
+        row_sums: np.ndarray,
+        seed: int | None,
+    ) -> "Trajectory":
+        """A trajectory that keeps ``states`` and its per-row statistics,
+        fresh float arrays no caller holds, read-only instead of copying
+        them."""
         self = object.__new__(cls)
         for name, arr in (
-            ("states", states), ("error_norms", errors), ("x_bar", x_bar)
+            ("states", states),
+            ("error_norms", error_norms),
+            ("x_bar", x_bar),
+            ("_row_sums", row_sums),
         ):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "seed", seed)
         return self
+
+    @cached_property
+    def _row_sums(self) -> np.ndarray:
+        """1'x(t) per step; ``_adopt`` receives it from the iteration."""
+        return self.states.sum(axis=1)
 
     @property
     def n_steps(self) -> int:
@@ -68,8 +95,44 @@ class Trajectory:
 
     def sum_deviations(self) -> np.ndarray:
         """|1'x(t) - 1'x(0)| per step."""
-        sums = self.states.sum(axis=1)
+        sums = self._row_sums
         return np.abs(sums - sums[0])
+
+
+def _run(
+    x0: np.ndarray,
+    steps: int,
+    seed: int | None,
+    advance: Callable[[np.ndarray, np.ndarray], None],
+) -> Trajectory:
+    """States x(0..steps), with ``advance(x(t), x(t+1))`` writing each
+    round into the preallocated array.
+
+    Each state's error norm and sum are taken right after it is written,
+    while it is in cache, with the reductions that
+    ``np.linalg.norm(..., axis=1)`` and ``sum(axis=1)`` apply per row, so
+    they equal those bitwise.
+    """
+    if steps < 0:
+        raise ValueError(f"steps must be >= 0, got {steps}")
+    shape = (steps + 1, x0.size)
+    try:
+        states = np.empty(shape)
+    except MemoryError:
+        raise _no_room(shape) from None
+    states[0] = x0
+    x_bar = np.full(x0.size, states[0].mean())
+    error_norms = np.empty(steps + 1)
+    row_sums = np.empty(steps + 1)
+    deviation = np.empty(x0.size)
+    for t, row in enumerate(states):
+        if t:
+            advance(states[t - 1], row)
+        np.subtract(row, x_bar, out=deviation)
+        np.multiply(deviation, deviation, out=deviation)
+        error_norms[t] = np.sqrt(np.add.reduce(deviation))
+        row_sums[t] = np.add.reduce(row)
+    return Trajectory._adopt(states, error_norms, x_bar, row_sums, seed)
 
 
 def iterate(
@@ -85,13 +148,11 @@ def iterate(
         raise ValueError(
             f"state of length {x.size} does not match matrix shape {entries.shape}"
         )
-    if steps < 0:
-        raise ValueError(f"steps must be >= 0, got {steps}")
-    states = np.empty((steps + 1, x.size))
-    states[0] = x
-    for t in range(steps):
-        states[t + 1] = entries @ states[t]
-    return Trajectory._adopt(states, seed)
+
+    def advance(now: np.ndarray, out: np.ndarray) -> None:
+        out[...] = entries @ now
+
+    return _run(x, steps, seed, advance)
 
 
 def distributed_iterate(
@@ -104,38 +165,70 @@ def distributed_iterate(
     """Run the same rounds as local updates: each node combines its own
     value with its neighbors' values, weighted per edge orbit.
 
-    No weight matrix is formed; the update is accumulated edge by edge.
+    No weight matrix and no edge list is formed.  In canonical order
+    every stratum is a contiguous run of nodes: arm 1 is ``x[:c]``, ``n1``
+    nodes per stratum, arm 2 is ``x[c+1:]``, ``n2`` per stratum, and the
+    center ``c = m1 * n1`` sits between them.  A node's neighbors in the
+    adjacent strata are then ``n1`` or ``n2`` places away, and a round is
+    a few shifted-slice products per arm.
+
+    Each node adds its terms in the order of the per-edge gather (two
+    ``np.add.at`` passes over ``edge_table``): its own share, then the
+    neighbor in the stratum above (label ``i + 1``), then the one below.
+    The center adds its ``n2 + n1`` terms one after another, arm 2
+    first, as the gather does, so the states equal the gather's bitwise.
     """
     params = graph.params
-    w = weights.as_array(params)
     x = np.asarray(x0, dtype=float)
     if x.ndim != 1 or x.size != params.n_nodes:
         raise ValueError(
             f"state of length {x.size} does not match {params.n_nodes} nodes"
         )
-    if steps < 0:
-        raise ValueError(f"steps must be >= 0, got {steps}")
-
-    ends_a, ends_b, orbit = edge_table(params)
-    edge_w = w[orbit]
-    incident = np.zeros(params.n_nodes)
-    np.add.at(incident, ends_a, edge_w)
-    np.add.at(incident, ends_b, edge_w)
-
+    m1, n1, m2, n2 = params.m1, params.n1, params.m2, params.n2
+    c = m1 * n1
+    w = weights.as_array(params)
+    # each node's weight to its neighbor one stratum nearer the center
+    near1 = np.repeat(w[:m1], n1)
+    near2 = np.repeat(w[m1:], n2)
+    w_in1, w_in2 = w[m1 - 1], w[m1]  # the center's two orbits
+    incident = np.empty(x.size)
+    incident[:c] = near1
+    incident[n1:c] += near1[:-n1]
+    incident[c + 1 :] = near2
+    incident[c + 1 : -n2] += near2[n2:]
+    # the center's terms, summed in gather order: its own share, arm 2, arm 1
+    hub = np.empty(1 + n2 + n1)
+    hub[0] = 0.0
+    hub[1 : 1 + n2] = w_in2
+    hub[1 + n2 :] = w_in1
+    incident[c] = np.add.accumulate(hub)[-1]
     keep = 1.0 - incident
-    states = np.empty((steps + 1, x.size))
-    states[0] = x
-    for t in range(steps):
-        x, nxt = states[t], states[t + 1]
-        np.multiply(keep, x, out=nxt)
-        np.add.at(nxt, ends_a, edge_w * x[ends_b])
-        np.add.at(nxt, ends_b, edge_w * x[ends_a])
-    return Trajectory._adopt(states, seed)
+
+    def advance(now: np.ndarray, out: np.ndarray) -> None:
+        x1, y1 = now[:c], out[:c]
+        x2, y2 = now[c + 1 :], out[c + 1 :]
+        xc = now[c]
+        np.multiply(keep, now, out=out)
+        y1[:-n1] += near1[:-n1] * x1[n1:]
+        y1[-n1:] += w_in1 * xc
+        y1[n1:] += near1[:-n1] * x1[:-n1]
+        y2[:-n2] += near2[n2:] * x2[n2:]
+        y2[:n2] += w_in2 * xc
+        y2[n2:] += near2[n2:] * x2[:-n2]
+        hub[0] = out[c]
+        np.multiply(w_in2, x2[:n2], out=hub[1 : 1 + n2])
+        np.multiply(w_in1, x1[-n1:], out=hub[1 + n2 :])
+        out[c] = np.add.accumulate(hub, out=hub)[-1]
+
+    return _run(x, steps, seed, advance)
 
 
 def random_initial_state(n: int, seed: int) -> np.ndarray:
     """Seeded uniform node readings on [0, 100)."""
-    return np.random.default_rng(seed).uniform(0.0, 100.0, size=n)
+    try:
+        return np.random.default_rng(seed).uniform(0.0, 100.0, size=n)
+    except MemoryError:
+        raise _no_room((n,)) from None
 
 
 def convergence_factor_estimate(trajectory: Trajectory, tail: int = 50) -> float:

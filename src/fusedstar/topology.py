@@ -15,6 +15,7 @@ holds the edges between strata ``i`` and ``i + 1`` of the first star, orbit
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Mapping
 
 import numpy as np
@@ -87,16 +88,6 @@ class TfsParams:
         return TfsParams(self.m2, self.n2, self.m1, self.n1)
 
 
-@dataclass(frozen=True)
-class TfsGraph:
-    """A TFS network: parameters, canonical node/edge lists and strata."""
-
-    params: TfsParams
-    nodes: tuple[NodeId, ...]
-    edges: tuple[tuple[NodeId, NodeId], ...]
-    strata: Mapping[int, tuple[NodeId, ...]]
-
-
 def _branch_count(params: TfsParams, i: int) -> int:
     return params.n1 if i < 0 else params.n2
 
@@ -159,41 +150,67 @@ def edge_orbit(params: TfsParams, edge: tuple[NodeId, NodeId]) -> int:
     return v.i  # center -- (1, mu), or within the second star
 
 
-def build_topology(params: TfsParams) -> TfsGraph:
-    """Construct the TFS network with canonically ordered nodes and edges.
+@dataclass(frozen=True)
+class TfsGraph:
+    """A TFS network: parameters, canonical node/edge lists and strata.
 
-    Edges are listed orbit by orbit (orbit -m1 first, ascending label) and
-    branch by branch within each orbit; endpoints are ordered by stratum.
+    Only ``params`` is stored, so two graphs are equal when their
+    parameters are.  The node, edge and stratum lists are built the
+    first time they are read: the numerical routes work from ``params``
+    and the index arithmetic of ``edge_table``.
     """
-    nodes = tuple(canonical_nodes(params))
-    center = NodeId(0, 0)
-    edges: list[tuple[NodeId, NodeId]] = []
-    for label in params.orbit_labels:
-        if label < -1:
-            for mu in range(1, params.n1 + 1):
-                edges.append((NodeId(label, mu), NodeId(label + 1, mu)))
-        elif label == -1:
-            for mu in range(1, params.n1 + 1):
-                edges.append((NodeId(-1, mu), center))
-        elif label == 1:
-            for mu in range(1, params.n2 + 1):
-                edges.append((center, NodeId(1, mu)))
-        else:
-            for mu in range(1, params.n2 + 1):
-                edges.append((NodeId(label - 1, mu), NodeId(label, mu)))
-    strata = {
-        i: tuple(
-            NodeId(i, mu) for mu in range(1, _branch_count(params, i) + 1)
-        )
-        for i in params.stratum_labels
-        if i != 0
-    }
-    strata[0] = (center,)
-    return TfsGraph(params=params, nodes=nodes, edges=tuple(edges), strata=strata)
+
+    params: TfsParams
+
+    @cached_property
+    def nodes(self) -> tuple[NodeId, ...]:
+        """Nodes in canonical order (see ``canonical_nodes``)."""
+        return tuple(canonical_nodes(self.params))
+
+    @cached_property
+    def edges(self) -> tuple[tuple[NodeId, NodeId], ...]:
+        """Edges orbit by orbit (orbit -m1 first, ascending label) and
+        branch by branch within each orbit; endpoints ordered by stratum."""
+        params = self.params
+        center = NodeId(0, 0)
+        edges: list[tuple[NodeId, NodeId]] = []
+        for label in params.orbit_labels:
+            if label < -1:
+                for mu in range(1, params.n1 + 1):
+                    edges.append((NodeId(label, mu), NodeId(label + 1, mu)))
+            elif label == -1:
+                for mu in range(1, params.n1 + 1):
+                    edges.append((NodeId(-1, mu), center))
+            elif label == 1:
+                for mu in range(1, params.n2 + 1):
+                    edges.append((center, NodeId(1, mu)))
+            else:
+                for mu in range(1, params.n2 + 1):
+                    edges.append((NodeId(label - 1, mu), NodeId(label, mu)))
+        return tuple(edges)
+
+    @cached_property
+    def strata(self) -> Mapping[int, tuple[NodeId, ...]]:
+        """Nodes of each stratum, keyed by stratum label."""
+        params = self.params
+        strata = {
+            i: tuple(
+                NodeId(i, mu) for mu in range(1, _branch_count(params, i) + 1)
+            )
+            for i in params.stratum_labels
+            if i != 0
+        }
+        strata[0] = (NodeId(0, 0),)
+        return strata
+
+
+def build_topology(params: TfsParams) -> TfsGraph:
+    """The TFS network of ``params``; O(1), node and edge lists on demand."""
+    return TfsGraph(params)
 
 
 def edge_table(params: TfsParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Edges as index arrays ``(a, b, k)`` in ``build_topology`` order.
+    """Edges as index arrays ``(a, b, k)`` in ``TfsGraph.edges`` order.
 
     ``a`` and ``b`` are the canonical indices of the lower- and
     higher-stratum endpoints, ``k`` the position of the edge's orbit in

@@ -20,6 +20,29 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def cli_env():
+    # the child imports the same fusedstar package as this process
+    package_root = str(pathlib.Path(fusedstar.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [package_root, *filter(None, [env.get("PYTHONPATH")])]
+    )
+    env["OPENBLAS_NUM_THREADS"] = "1"
+    return env
+
+
+def run_cli_process(argv, preexec_fn=None):
+    # bytes, decoded without newline translation: CSV rows end in \r\n
+    result = subprocess.run(
+        [sys.executable, "-m", "fusedstar.cli", *argv],
+        capture_output=True,
+        env=cli_env(),
+        preexec_fn=preexec_fn,
+        timeout=120,
+    )
+    return result.returncode, result.stdout.decode(), result.stderr.decode()
+
+
 def parse_csv(text):
     rows = list(csv.reader(io.StringIO(text)))
     return rows[0], rows[1:]
@@ -321,20 +344,64 @@ def test_simulate_deterministic(capsys):
 
 
 def test_console_entry_point():
-    # the child imports the same fusedstar package as this process
-    package_root = str(pathlib.Path(fusedstar.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [package_root, *filter(None, [env.get("PYTHONPATH")])]
+    code, out, _ = run_cli_process(["solve", "--m1", "1", "--n1", "2", "--m2", "1", "--n2", "2"])
+    assert code == 0
+    assert json.loads(out)["params"]["n_nodes"] == 5
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--steps", "-1"], "--steps must be >= 0"),
+        (["--tail", "1"], "--tail must be between 2 and --steps"),
+        (["--steps", "10"], "--tail must be between 2 and --steps (10), got 50"),
+    ],
+    ids=["negative-steps", "tail-below-2", "tail-beyond-steps"],
+)
+def test_simulate_rejects_bad_run_lengths(capsys, extra, message):
+    code, out, err = run_cli(
+        capsys, "simulate", "--m1", "2", "--n1", "2", "--m2", "2", "--n2", "2", *extra
     )
-    result = subprocess.run(
-        [
-            sys.executable, "-m", "fusedstar.cli",
-            "solve", "--m1", "1", "--n1", "2", "--m2", "1", "--n2", "2",
-        ],
-        capture_output=True,
-        text=True,
-        env=env,
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+
+
+def _cap_address_space():
+    import resource
+
+    cap = 2**30  # far above the interpreter's own ~0.2 GiB
+    resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+
+@pytest.mark.parametrize(
+    "n1, shape",
+    [(10**12, "(1000000000003,)"), (10**7, "(501, 10000003)")],
+    ids=["initial-state", "states"],
+)
+def test_simulate_reports_unallocatable_trajectory(n1, shape):
+    # a capped address space makes the failure independent of the host's
+    # overcommit policy
+    code, out, err = run_cli_process(
+        ["simulate", "--m1", "1", "--n1", str(n1), "--m2", "1", "--n2", "2"],
+        preexec_fn=_cap_address_space,
     )
-    assert result.returncode == 0
-    assert json.loads(result.stdout)["params"]["n_nodes"] == 5
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: cannot allocate") and shape in err
+    assert "Traceback" not in err
+
+
+def test_main_is_reentrant(capsys):
+    commands = [
+        ["solve", "--m1", "3", "--n1", "4", "--m2", "4", "--n2", "3"],
+        ["sweep", "custom", "--n1", "3", "--n2", "5", "--m1-max", "3", "--m2-max", "2"],
+        ["simulate", "--m1", "2", "--n1", "3", "--m2", "2", "--n2", "2", "--steps", "60"],
+        ["sweep", "fig2", "--mbar-min", "3", "--mbar-max", "2"],
+    ]
+    alone = [run_cli_process(argv)[:2] for argv in commands]
+    assert [code for code, _ in alone] == [0, 0, 0, 2]
+    for order in (commands, commands[::-1]):
+        for argv in order:
+            code, out, _ = run_cli(capsys, *argv)
+            assert (code, out) == alone[commands.index(argv)]

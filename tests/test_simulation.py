@@ -1,6 +1,7 @@
 """Consensus iteration, distributed-gather equivalence, rate estimation."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from fusedstar.simulation import (
     random_initial_state,
     write_trajectory_csv,
 )
-from fusedstar.topology import TfsParams, build_topology
+from fusedstar.topology import TfsParams, build_topology, edge_table
 from fusedstar.weighting import (
     OrbitWeights,
     assemble_weight_matrix,
@@ -28,6 +29,86 @@ def random_weights(params, seed):
     return OrbitWeights(
         {label: rng.uniform(0.05, 0.5) for label in params.orbit_labels}
     )
+
+
+def gather_reference(params, weights, x0, steps):
+    """The protocol edge by edge: every node adds w_e * x(neighbor) over
+    its edges with two ``np.add.at`` passes over the edge table."""
+    ends_a, ends_b, orbit = edge_table(params)
+    edge_w = weights.as_array(params)[orbit]
+    incident = np.zeros(params.n_nodes)
+    np.add.at(incident, ends_a, edge_w)
+    np.add.at(incident, ends_b, edge_w)
+    keep = 1.0 - incident
+    states = np.empty((steps + 1, params.n_nodes))
+    states[0] = x0
+    for t in range(steps):
+        x, nxt = states[t], states[t + 1]
+        np.multiply(keep, x, out=nxt)
+        np.add.at(nxt, ends_a, edge_w * x[ends_b])
+        np.add.at(nxt, ends_b, edge_w * x[ends_a])
+    return states
+
+
+def bounded_random_weights(params, seed):
+    """Random orbit weights whose rows stay a convex combination, so a
+    long run neither overflows nor leaves [0, 100)."""
+    rng = np.random.default_rng(seed)
+    w = {label: rng.uniform(0.05, 0.5) for label in params.orbit_labels}
+    hub = params.n1 + params.n2
+    w[-1] = rng.uniform(0.05, 1.0) / hub
+    w[1] = rng.uniform(0.05, 1.0) / hub
+    return OrbitWeights(w)
+
+
+STENCIL_SHAPES = [
+    (1, 1, 1, 1), (1, 5, 7, 3), (2, 3, 3, 2), (3, 4, 4, 3),
+    (3, 500, 2, 700), (10, 200, 1, 1),
+]
+STENCIL_CASES = [
+    (shape, scheme)
+    for shape in STENCIL_SHAPES
+    for scheme in ("random", "max-degree", "optimal")
+    # the optimum is defined for two or more branches per star
+    if scheme != "optimal" or min(shape[1], shape[3]) >= 2
+]
+
+
+@pytest.mark.parametrize("shape, scheme", STENCIL_CASES)
+def test_distributed_iterate_equals_per_edge_gather(shape, scheme):
+    p = TfsParams(*shape)
+    ow = {
+        "random": lambda: bounded_random_weights(p, sum(shape)),
+        "max-degree": lambda: max_degree_orbit_weights(p, convention="inv_dmax"),
+        "optimal": lambda: optimal_weights(p).weights,
+    }[scheme]()
+    x0 = random_initial_state(p.n_nodes, seed=sum(shape))
+    steps = 60
+    traj = distributed_iterate(build_topology(p), ow, x0, steps)
+    reference = gather_reference(p, ow, x0, steps)
+    assert np.array_equal(traj.states, reference)
+    # the per-row statistics are the whole-array reductions, bitwise
+    x_bar = np.full(p.n_nodes, x0.mean())
+    assert np.array_equal(
+        traj.error_norms, np.linalg.norm(reference - x_bar, axis=1)
+    )
+    sums = reference.sum(axis=1)
+    assert np.array_equal(traj.sum_deviations(), np.abs(sums - sums[0]))
+
+
+def test_distributed_iterate_memory_is_the_states_array():
+    p = TfsParams(6, 1200, 6, 1100)
+    ow = max_degree_orbit_weights(p, convention="inv_dmax")
+    x0 = random_initial_state(p.n_nodes, seed=1)
+    graph = build_topology(p)
+    steps = 200
+    tracemalloc.start()
+    try:
+        distributed_iterate(graph, ow, x0, steps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2 * (steps + 1) * p.n_nodes * 8
 
 
 def test_constant_state_is_fixed():
@@ -79,6 +160,7 @@ def test_trajectory_copies_caller_arrays():
     ):
         assert not np.shares_memory(mine, held)
         assert not held.flags.writeable
+    assert np.array_equal(traj.sum_deviations(), [0.0, 16.0, 32.0])
     states[0, 0] = errors[0] = x_bar[0] = -7.0
     assert traj.states[0, 0] == 0.0
     assert traj.error_norms[0] == 1.0

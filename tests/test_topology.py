@@ -1,5 +1,7 @@
 """Topology construction: node identity, orbit labelling, degrees."""
 
+import time
+
 import pytest
 
 from fusedstar.topology import (
@@ -109,6 +111,23 @@ def test_build_topology_edge_order():
     # orbit sizes: n1 per negative label, n2 per positive label
     assert labels.count(-2) == p.n1
     assert labels.count(2) == p.n2
+
+
+def test_build_topology_is_constant_time():
+    p = TfsParams(2, 10**12, 2, 2)
+    elapsed = []
+    for _ in range(3):
+        start = time.perf_counter()
+        g = build_topology(p)
+        elapsed.append(time.perf_counter() - start)
+    assert min(elapsed) < 5e-3
+    assert g.params == p
+    # node and edge lists are built on first read; equality is by params
+    assert {"nodes", "edges", "strata"}.isdisjoint(vars(g))
+    small = build_topology(TfsParams(1, 2, 1, 2))
+    assert len(small.nodes) == 5 and "nodes" in vars(small)
+    assert small == build_topology(TfsParams(1, 2, 1, 2))
+    assert hash(small) == hash(build_topology(TfsParams(1, 2, 1, 2)))
 
 
 def test_strata_partition():
