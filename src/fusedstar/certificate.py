@@ -24,6 +24,12 @@ from .spectral import build_blocks, perron_vector
 from .topology import TfsParams
 from .weighting import OrbitWeights
 
+# the bounds that ``CertificateResiduals.passes`` applies
+_RESIDUAL_TOL = 1e-8
+_FEASIBILITY_TOL = 1e-10
+_RECURRENCE_TOL = 1e-10
+_PROPORTIONALITY_TOL = 1e-9
+
 
 def alpha_vectors(
     params: TfsParams,
@@ -256,15 +262,9 @@ class CertificateResiduals:
     proportionality_rel: float
     duality_gap: float
 
-    def passes(
-        self,
-        tol: float = 1e-8,
-        feasibility_tol: float = 1e-10,
-        recurrence_tol: float = 1e-10,
-        proportionality_tol: float = 1e-9,
-    ) -> bool:
+    def passes(self) -> bool:
         residuals_ok = all(
-            value <= tol
+            value <= _RESIDUAL_TOL
             for value in (
                 self.slackness_center,
                 self.slackness_arms,
@@ -277,10 +277,10 @@ class CertificateResiduals:
         )
         return (
             residuals_ok
-            and self.feasibility_min_eig >= -feasibility_tol
-            and self.recurrence <= recurrence_tol
-            and self.recurrence_prime <= recurrence_tol
-            and self.proportionality_rel <= proportionality_tol
+            and self.feasibility_min_eig >= -_FEASIBILITY_TOL
+            and self.recurrence <= _RECURRENCE_TOL
+            and self.recurrence_prime <= _RECURRENCE_TOL
+            and self.proportionality_rel <= _PROPORTIONALITY_TOL
         )
 
     def as_dict(self) -> dict[str, float]:

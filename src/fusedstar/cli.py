@@ -13,6 +13,7 @@ import argparse
 import csv
 import functools
 import json
+import math
 import sys
 
 import numpy as np
@@ -129,6 +130,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     params = _params_from(args)
+    if not math.isfinite(args.perturb):
+        raise InvalidParameterError(
+            f"--perturb must be finite, got {args.perturb}"
+        )
     solution = optimal_weights(params)
     certificate = build_dual_certificate(solution)
     weights = solution.weights
@@ -331,7 +336,8 @@ def main(argv: list[str] | None = None) -> int:
     except InvalidParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (SelfCheckError, DegenerateSineError, TrajectoryMemoryError) as exc:
+    except (SelfCheckError, DegenerateSineError, TrajectoryMemoryError,
+            np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

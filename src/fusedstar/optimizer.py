@@ -8,8 +8,11 @@ are 1/2 at the optimum and the two center-adjacent weights follow in closed
 form from the smallest root theta*, and ``cos(theta*)`` is the optimal
 spectral radius.  On ``(0, pi / (2 max(m1, m2))]`` both response factors are
 at least -1 and strictly decreasing, so the relation is positive exactly
-below theta* there and bisection on that bracket finds it.  The all-roots
-scan ``solve_theta_roots`` is an independent reference route.
+below theta* there and bisection on that bracket finds it.
+``optimal_weights_batch`` bisects a grid of shapes at once and self-checks
+by eigenvalue counts; the block entries and the count both come from
+``spectral``.  The all-roots scan ``solve_theta_roots`` is an independent
+reference route.
 """
 from __future__ import annotations
 
@@ -21,7 +24,13 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .spectral import SpectralReport, block_extremes, build_blocks
+from .spectral import (
+    SpectralReport,
+    block_extremes,
+    build_blocks,
+    central_tridiagonal,
+    count_eigenvalues_below,
+)
 from .topology import InvalidParameterError, TfsParams
 from .weighting import OrbitWeights
 
@@ -420,105 +429,45 @@ def _first_sign_changes(
     return mid
 
 
-def _block_tridiagonals(
-    shapes: _Shapes, w_minus: np.ndarray, w_plus: np.ndarray, rows: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The blocks of a batch as ``(rows, 2, instances)`` arrays.
-
-    Lane 0 of axis 1 is the central block.  Lane 1 is the two arm blocks
-    as one matrix: the central block with its center row (row ``m1``)
-    decoupled into padding, since the arm blocks are its leading ``m1``
-    and trailing ``m2`` rows.  Returns the diagonals and the squared
-    off-diagonals (entry ``j`` couples rows ``j`` and ``j + 1``, so there
-    are ``rows - 1``).  Rows past ``m1 + m2`` are decoupled padding with
-    diagonal ``_PAD``.  The entries are those of ``spectral.build_blocks``
-    at interior weight 1/2, rounded the same way, placed by index
-    arithmetic in O(rows).
-    """
-    m1, n1, m2, n2 = shapes
-    top = (m1 + m2).astype(np.int64)  # the last row of the central block
-    first = m1.astype(np.int64) - 1  # the first arm's center-adjacent row
-    lane = np.arange(m1.size)
-    padding = np.arange(rows)[:, None, None] > top
-    diagonals = np.where(padding, _PAD, 0.0).repeat(2, axis=1)
-    couplings = np.where(padding[1:], 0.0, 0.25).repeat(2, axis=1)
-    # leaf rows first: with an arm of length 1 its center-adjacent row,
-    # written next, takes the place
-    diagonals[0, :, lane] = 0.5
-    diagonals[top, :, lane] = 0.5
-    adjacent_minus = np.where(m1 == 1, 1.0 - w_minus, 0.5 - w_minus)
-    adjacent_plus = np.where(m2 == 1, 1.0 - w_plus, 1.0 - w_plus - 0.5)
-    diagonals[first, :, lane] = adjacent_minus[:, None]
-    diagonals[first + 2, :, lane] = adjacent_plus[:, None]
-    diagonals[first + 1, 0, lane] = 1.0 - n1 * w_minus - n2 * w_plus
-    diagonals[first + 1, 1, lane] = _PAD
-    couplings[first, 0, lane] = (np.sqrt(n1) * w_minus) ** 2
-    couplings[first + 1, 0, lane] = (np.sqrt(n2) * w_plus) ** 2
-    couplings[first, 1, lane] = 0.0
-    couplings[first + 1, 1, lane] = 0.0
-    return diagonals, couplings
-
-
-def _count_below(
-    diagonals: np.ndarray, couplings: np.ndarray, shifts: np.ndarray
-) -> np.ndarray:
-    """Eigenvalues below each shift of each tridiagonal in a stack.
-
-    ``diagonals`` has one row per matrix row; ``couplings`` (one row
-    fewer) holds the squared off-diagonals and ``shifts`` broadcasts
-    against a row.  By Sylvester's law of inertia the count is the number
-    of negative pivots of ``T - xI = LDL^T``, which Kahan's recurrence
-    ``d_j = (a_j - x) - b_{j-1}^2 / d_{j-1}`` gives in one pass.  A pivot
-    smaller than LAPACK's floor ``pivmin`` is replaced by ``-pivmin``, so
-    a zero pivot counts as negative and never divides.
-    """
-    floor = max(1.0, float(np.max(couplings, initial=0.0)))
-    pivmin = np.finfo(float).tiny * floor
-    shape = np.broadcast_shapes(diagonals.shape[1:], shifts.shape)
-    below = np.zeros(shape, dtype=np.int64)
-    # the loop writes into these buffers and allocates nothing
-    pivot, previous, scratch = (np.empty(shape) for _ in range(3))
-    negative = np.empty(shape, dtype=bool)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for j, diagonal in enumerate(diagonals):
-            np.subtract(diagonal, shifts, out=pivot)
-            if j:
-                pivot -= np.divide(couplings[j - 1], previous, out=scratch)
-            np.less(np.abs(pivot, out=scratch), pivmin, out=negative)
-            np.copyto(pivot, -pivmin, where=negative)
-            below += np.less(pivot, 0.0, out=negative)
-            pivot, previous = previous, pivot
-    return below
-
-
 def _inertia_self_check(
     shapes: _Shapes, s: np.ndarray, w_minus: np.ndarray, w_plus: np.ndarray
 ) -> np.ndarray:
     """Where eigenvalue counts prove ``|slem - s| <= _SELF_CHECK``.
 
     With ``d = _SELF_CHECK`` the counts at ``-s - d``, ``-s + d``,
-    ``s - d`` and ``s + d`` (``_count_below``) must show that no
-    eigenvalue of a block lies below ``-s - d``, that none but the central
-    block's top one (its Perron eigenvalue 1) lies at or above ``s + d``,
-    and that one more lies in ``[s - d, 1]`` or below ``-s + d``.  Then
-    ``slem``, the largest modulus after the Perron eigenvalue, is within
-    ``d`` of ``s``, which is what the scalar self-check asserts from
-    computed eigenvalues.
+    ``s - d`` and ``s + d`` (``count_eigenvalues_below``) must show that
+    no eigenvalue of a block lies below ``-s - d``, that none but the
+    central block's top one (its Perron eigenvalue 1) lies at or above
+    ``s + d``, and that one more lies in ``[s - d, 1]`` or below
+    ``-s + d``.  Then ``slem``, the largest modulus after the Perron
+    eigenvalue, is within ``d`` of ``s``, which is what the scalar
+    self-check asserts from computed eigenvalues.
 
-    The arm blocks are the leading ``m1`` and trailing ``m2`` rows of the
-    central one.  Every condition on them reads the sum of their counts,
-    so they are counted as one matrix: the central block with its center
-    row decoupled into padding.  Every block is padded to the batch's
-    widest with decoupled rows above every shift, so each lane steps
-    through the same rows.
+    The blocks are a ``(rows, 2, instances)`` stack.  Lane 0 is the
+    central block from ``central_tridiagonal``.  Every condition on the
+    arm blocks, its leading ``m1`` and trailing ``m2`` rows, reads the
+    sum of their counts, so lane 1 is the central block with its center
+    row decoupled.  Decoupled rows of diagonal ``_PAD``, above every
+    shift, pad each block to the batch's widest.
     """
-    rows = int(np.max(shapes.m1 + shapes.m2)) + 1
-    diagonals, couplings = _block_tridiagonals(shapes, w_minus, w_plus, rows)
+    m1 = shapes.m1.astype(np.int64)
+    top = (shapes.m1 + shapes.m2).astype(np.int64)  # the last central row
+    lane = np.arange(m1.size)
+    padding = np.arange(int(np.max(top)) + 1)[:, None] > top
+    w = np.where(padding[1:], 0.0, 0.5)
+    w[m1 - 1, lane] = w_minus
+    w[m1, lane] = w_plus
+    diagonal, off = central_tridiagonal(shapes, w)
+    diagonal[padding] = _PAD
+    diagonals = np.stack([diagonal, diagonal], axis=1)
+    couplings = np.stack([off, off], axis=1) ** 2
+    diagonals[m1, 1, lane] = _PAD
+    couplings[m1 - 1, 1, lane] = 0.0
+    couplings[m1, 1, lane] = 0.0
     shifts = np.stack([-s - _SELF_CHECK, -s + _SELF_CHECK,
                        s - _SELF_CHECK, s + _SELF_CHECK])[:, None, :]
-    below = _count_below(diagonals, couplings, shifts)
-    sizes = np.stack([shapes.m1 + shapes.m2 + 1, shapes.m1 + shapes.m2])
-    at_or_above = sizes - below
+    below = count_eigenvalues_below(diagonals, couplings, shifts)
+    at_or_above = np.stack([top + 1, top]) - below
     bounded = (below[0] == 0).all(axis=0) & (
         at_or_above[3] <= _PERRON
     ).all(axis=0)

@@ -7,9 +7,13 @@ size ``m1 + m2 + 1`` and an ``m2 x m2`` tridiagonal block repeated ``n2 - 1``
 times.  All three blocks are tridiagonal in stratum order (they are
 weighted paths) and are stored as their two diagonals, so every spectral
 quantity of the full matrix follows from small tridiagonal eigensolves, even
-for very large networks.  Where only ``lambda2``, ``lambda_min`` and the
-SLEM are needed, ``block_extremes`` finds just the extreme eigenvalues by
-Sturm-sequence bisection.
+for very large networks.  ``central_tridiagonal`` is the one formula for
+the entries: it writes the central block from orbit weights, for one shape
+or a padded stack of shapes, and the arm blocks are its leading ``m1`` and
+trailing ``m2`` rows.  Where only ``lambda2``, ``lambda_min`` and the SLEM
+are needed, ``block_extremes`` finds just the extreme eigenvalues by
+Sturm-sequence bisection; ``count_eigenvalues_below`` counts eigenvalues
+below shifts by LDL^T inertia over a stack of tridiagonals.
 """
 from __future__ import annotations
 
@@ -25,7 +29,7 @@ from .weighting import OrbitWeights, WeightMatrix
 
 # LAPACK's setting for the most accurate eigenvalues from dstebz
 _ABSTOL = 2.0 * np.finfo(float).tiny
-_BY_VALUE, _BY_INDEX = 1, 2  # dstebz RANGE 'V' and 'I'
+_BY_INDEX = 2  # dstebz RANGE 'I'
 
 
 class SpectrumSizeError(ValueError):
@@ -79,23 +83,19 @@ class Tridiagonal:
             self.diagonal, self.off_diagonal, eigvals_only=True
         )
 
-    def _stebz(
-        self, kind: int, vl: float, vu: float, il: int, iu: int
-    ) -> np.ndarray:
+    def eigenvalues(self, first: int, last: int) -> np.ndarray:
+        """Ascending eigenvalues ``first..last`` (0-based, inclusive), by
+        Sturm-sequence bisection (LAPACK ``dstebz``), O(size) per step."""
         # the wrapper rejects an empty off-diagonal; LAPACK reads none at
         # size 1
         off = self.off_diagonal if self.size > 1 else np.zeros(1)
         m, w, _, _, info = lapack.dstebz(
-            self.diagonal, off, kind, vl, vu, il, iu, _ABSTOL, "E"
+            self.diagonal, off, _BY_INDEX, 0.0, 0.0, first + 1, last + 1,
+            _ABSTOL, "E",
         )
         if info != 0:
             raise np.linalg.LinAlgError(f"dstebz returned info = {info}")
         return w[:m]
-
-    def eigenvalues(self, first: int, last: int) -> np.ndarray:
-        """Ascending eigenvalues ``first..last`` (0-based, inclusive), by
-        Sturm-sequence bisection (LAPACK ``dstebz``), O(size) per step."""
-        return self._stebz(_BY_INDEX, 0.0, 0.0, first + 1, last + 1)
 
     def extremes(self) -> np.ndarray:
         """The lowest and the top two eigenvalues, ascending (all of them
@@ -108,21 +108,15 @@ class Tridiagonal:
         )
 
     def count_below(self, x: float) -> int:
-        """Number of eigenvalues strictly below ``x``.
-
-        Bisects only the eigenvalues at or above ``x``; the Gershgorin
-        bound caps them from above.
-        """
-        bound = float(
-            np.max(np.abs(self.diagonal))
-            + 2.0 * np.max(np.abs(self.off_diagonal), initial=0.0)
+        """Number of eigenvalues below ``x``: ``count_eigenvalues_below`` on
+        a stack of one, with its tie rule (an eigenvalue that meets ``x``
+        exactly, as a zero pivot, counts as below)."""
+        counts = count_eigenvalues_below(
+            self.diagonal[:, None],
+            self.off_diagonal[:, None] ** 2,
+            np.asarray(x, dtype=float),
         )
-        if x > bound:
-            return self.size
-        above = self._stebz(
-            _BY_VALUE, float(np.nextafter(x, -np.inf)), bound, 0, 0
-        )
-        return self.size - above.size
+        return int(counts[0])
 
 
 @dataclass(frozen=True)
@@ -133,8 +127,8 @@ class StratifiedBlocks:
     (multiplicity ``n1 - 1``), ``plus`` mirrors it on the second star
     (multiplicity ``n2 - 1``) and ``center`` couples the two frequency-0
     arm profiles through the central node (multiplicity 1), in stratum
-    order ``-m1..0..m2``.  The ``block_*`` properties build dense copies
-    for tests that compare against a dense oracle.
+    order ``-m1..0..m2``.  ``minus`` and ``plus`` are the leading ``m1``
+    and trailing ``m2`` rows of ``center``.
     """
 
     params: TfsParams
@@ -145,18 +139,6 @@ class StratifiedBlocks:
     @property
     def multiplicities(self) -> tuple[int, int, int]:
         return (self.params.n1 - 1, 1, self.params.n2 - 1)
-
-    @property
-    def block_minus(self) -> np.ndarray:
-        return self.minus.dense()
-
-    @property
-    def block_center(self) -> np.ndarray:
-        return self.center.dense()
-
-    @property
-    def block_plus(self) -> np.ndarray:
-        return self.plus.dense()
 
 
 @dataclass(frozen=True)
@@ -267,43 +249,94 @@ def stratification_basis(params: TfsParams) -> np.ndarray:
     return phi
 
 
-def _arm_tridiagonals(
+def central_tridiagonal(
     params: TfsParams, w: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Diagonals and off-diagonals of the two arm blocks.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal and off-diagonal of the central block from orbit weights.
 
-    ``w`` holds the orbit weights in ``params.orbit_labels`` order.
+    ``w`` holds the orbit weights in ``params.orbit_labels`` order along
+    its first axis: weight ``k`` joins rows (strata) ``k`` and ``k + 1``,
+    and the center is row ``m1``.  Each diagonal entry is 1 minus the
+    weights of its stratum's two orbits (one at a leaf); the center's is
+    ``1 - n1 w_{-1} - n2 w_1``.  The two couplings at the center are
+    ``sqrt(n1) w_{-1}`` and ``sqrt(n2) w_1``, and every other off-diagonal
+    entry is its orbit's weight.  The arm blocks are the leading ``m1``
+    and trailing ``m2`` rows.
+
+    For a stack of shapes, ``w`` has one column per shape and the fields
+    of ``params`` are arrays over the columns (``m1`` integral); zero
+    weights past a shape's last orbit make decoupled padding rows with
+    diagonal 1.  Time and memory are O(rows) per shape.
     """
-    w1, w2 = w[: params.m1], w[params.m1 :]
-    d1 = np.concatenate([[1.0 - w1[0]], 1.0 - w1[:-1] - w1[1:]])
-    d2 = np.concatenate([1.0 - w2[:-1] - w2[1:], [1.0 - w2[-1]]])
-    return d1, w1[:-1], d2, w2[1:]
+    w = np.asarray(w, dtype=float)
+    lanes = w.reshape(w.shape[0], -1)
+    ends = np.zeros((1, lanes.shape[1]))
+    sides = np.concatenate([ends, lanes, ends])
+    diagonal = 1.0 - sides[:-1] - sides[1:]
+    off = lanes.copy()
+    lane = np.arange(lanes.shape[1])
+    m1 = np.asarray(params.m1).astype(np.int64)
+    n1, n2 = (np.asarray(n, dtype=float) for n in (params.n1, params.n2))
+    w_minus, w_plus = lanes[m1 - 1, lane], lanes[m1, lane]
+    diagonal[m1, lane] = 1.0 - n1 * w_minus - n2 * w_plus
+    off[m1 - 1, lane] = np.sqrt(n1) * w_minus
+    off[m1, lane] = np.sqrt(n2) * w_plus
+    return diagonal.reshape((-1,) + w.shape[1:]), off.reshape(w.shape)
 
 
 def build_blocks(params: TfsParams, ow: OrbitWeights) -> StratifiedBlocks:
     """Construct the three stratified blocks directly from orbit weights.
 
-    The arm blocks are the tridiagonal restrictions of the weight matrix to
-    one branch; the central block contains both arm blocks coupled to the
-    center through ``sqrt(n1) * w_{-1}`` and ``sqrt(n2) * w_1``.  Time and
-    memory are O(m1 + m2).
+    The central block comes from ``central_tridiagonal``; the arm blocks
+    are its leading ``m1`` and trailing ``m2`` rows, the tridiagonal
+    restrictions of the weight matrix to one branch.  Time and memory are
+    O(m1 + m2).
     """
-    w = ow.as_array(params)
-    m1, n1, n2 = params.m1, params.n1, params.n2
-    d1, e1, d2, e2 = _arm_tridiagonals(params, w)
-    w_minus, w_plus = w[m1 - 1], w[m1]
-    center = Tridiagonal(
-        np.concatenate([d1, [1.0 - n1 * w_minus - n2 * w_plus], d2]),
-        np.concatenate(
-            [e1, [math.sqrt(n1) * w_minus, math.sqrt(n2) * w_plus], e2]
-        ),
-    )
+    diagonal, off = central_tridiagonal(params, ow.as_array(params))
+    m1 = params.m1
     return StratifiedBlocks(
         params=params,
-        minus=Tridiagonal(d1, e1),
-        center=center,
-        plus=Tridiagonal(d2, e2),
+        minus=Tridiagonal(diagonal[:m1], off[: m1 - 1]),
+        center=Tridiagonal(diagonal, off),
+        plus=Tridiagonal(diagonal[m1 + 1 :], off[m1 + 1 :]),
     )
+
+
+def count_eigenvalues_below(
+    diagonals: np.ndarray, couplings: np.ndarray, shifts: np.ndarray
+) -> np.ndarray:
+    """Eigenvalues below each shift of each tridiagonal in a stack.
+
+    ``diagonals`` has one row per matrix row; ``couplings`` (one row
+    fewer) holds the squared off-diagonals and ``shifts`` broadcasts
+    against a row.  By Sylvester's law of inertia the count is the number
+    of negative pivots of ``T - xI = LDL^T``, which Kahan's recurrence
+    ``d_j = (a_j - x) - b_{j-1}^2 / d_{j-1}`` gives in one pass.
+
+    Tie rule, LAPACK's (``dstebz``): a pivot smaller in magnitude than
+    ``pivmin = tiny * max(1, max b^2)``, an exact zero included, is
+    replaced by ``-pivmin``.  It counts as negative and never divides.
+    Each pivot falls as the shift rises, so this is the count just above
+    the shift: an eigenvalue that meets a shift exactly, as a zero pivot,
+    counts as below it.
+    """
+    floor = max(1.0, float(np.max(couplings, initial=0.0)))
+    pivmin = np.finfo(float).tiny * floor
+    shape = np.broadcast_shapes(diagonals.shape[1:], shifts.shape)
+    below = np.zeros(shape, dtype=np.int64)
+    # the loop writes into these buffers and allocates nothing
+    pivot, previous, scratch = (np.empty(shape) for _ in range(3))
+    negative = np.empty(shape, dtype=bool)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for j, diagonal in enumerate(diagonals):
+            np.subtract(diagonal, shifts, out=pivot)
+            if j:
+                pivot -= np.divide(couplings[j - 1], previous, out=scratch)
+            np.less(np.abs(pivot, out=scratch), pivmin, out=negative)
+            np.copyto(pivot, -pivmin, where=negative)
+            below += np.less(pivot, 0.0, out=negative)
+            pivot, previous = previous, pivot
+    return below
 
 
 def _report(

@@ -61,11 +61,11 @@ def test_rank_one_reconstruction(params):
     blocks = build_blocks(p, ow)
 
     center = reconstruct_center_block(p, ow, alpha)
-    assert np.max(np.abs(center - blocks.block_center)) <= 1e-12
+    assert np.max(np.abs(center - blocks.center.dense())) <= 1e-12
 
     arms = np.zeros((p.m1 + p.m2, p.m1 + p.m2))
-    arms[: p.m1, : p.m1] = blocks.block_minus
-    arms[p.m1 :, p.m1 :] = blocks.block_plus
+    arms[: p.m1, : p.m1] = blocks.minus.dense()
+    arms[p.m1 :, p.m1 :] = blocks.plus.dense()
     rebuilt = reconstruct_arm_block(p, ow, alpha_prime)
     assert np.max(np.abs(rebuilt - arms)) <= 1e-12
 
@@ -239,11 +239,11 @@ def dense_feasibility_residuals(cert, weights):
     p, s = cert.params, cert.s
     blocks = build_blocks(p, weights)
     v = perron_vector(p)
-    feas_center = s * np.eye(p.m1 + p.m2 + 1) + blocks.block_center
+    feas_center = s * np.eye(p.m1 + p.m2 + 1) + blocks.center.dense()
     feas_center -= np.outer(v, v)
     arms = np.zeros((p.m1 + p.m2, p.m1 + p.m2))
-    arms[: p.m1, : p.m1] = blocks.block_minus
-    arms[p.m1 :, p.m1 :] = blocks.block_plus
+    arms[: p.m1, : p.m1] = blocks.minus.dense()
+    arms[p.m1 :, p.m1 :] = blocks.plus.dense()
     feas_arms = s * np.eye(p.m1 + p.m2) - arms
     return {
         "slackness_center": float(np.linalg.norm(feas_center @ cert.z1)),

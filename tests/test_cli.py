@@ -192,6 +192,32 @@ def test_verify_negative_perturbation_fails(capsys):
     assert payload["passes"] is False
 
 
+@pytest.mark.parametrize("perturb", ["nan", "inf", "-inf"])
+def test_verify_rejects_a_non_finite_perturbation(capsys, perturb):
+    code, out, err = run_cli(
+        capsys,
+        "verify",
+        "--m1", "1", "--n1", "2", "--m2", "1", "--n2", "2",
+        f"--perturb={perturb}",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --perturb must be finite")
+
+
+def test_verify_reports_a_failed_eigensolve(capsys):
+    # a weight of 1e160 squares beyond the float range, and dstebz fails
+    code, out, err = run_cli(
+        capsys,
+        "verify",
+        "--m1", "1", "--n1", "2", "--m2", "1", "--n2", "2",
+        "--perturb", "1e160",
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: dstebz returned info")
+
+
 def test_verify_help_shows_the_negative_perturbation_form(capsys):
     with pytest.raises(SystemExit):
         main(["verify", "--help"])

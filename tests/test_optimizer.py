@@ -16,7 +16,6 @@ from fusedstar.optimizer import (
     RootCountMismatchWarning,
     SelfCheckError,
     _batch_shapes,
-    _count_below,
     _inertia_self_check,
     char_residual,
     equivalent_star,
@@ -29,6 +28,7 @@ from fusedstar.spectral import (
     block_extremes,
     block_spectrum,
     build_blocks,
+    count_eigenvalues_below,
     full_spectrum,
 )
 from fusedstar.topology import InvalidParameterError, TfsParams
@@ -390,7 +390,7 @@ def test_count_below_matches_dense_eigenvalues():
     off = rng.uniform(-0.6, 0.6, (size - 1, stack))
     off[rng.random(off.shape) < 0.2] = 0.0  # some decoupled rows
     shifts = rng.uniform(-1.5, 1.5, (3, stack))
-    counts = _count_below(diagonals, off**2, shifts)
+    counts = count_eigenvalues_below(diagonals, off**2, shifts)
     for k in range(stack):
         dense = np.diag(diagonals[:, k])
         dense += np.diag(off[:, k], 1) + np.diag(off[:, k], -1)
@@ -405,7 +405,7 @@ def test_count_below_survives_a_zero_pivot():
     # 0/0
     diagonals = np.array([[0.5], [0.3], [0.9]])
     couplings = np.array([[0.0], [0.01]])
-    assert _count_below(diagonals, couplings, np.array([0.5])).tolist() == [2]
+    assert count_eigenvalues_below(diagonals, couplings, np.array([0.5])).tolist() == [2]
 
 
 def test_inertia_check_locates_the_slem_of_any_weights():

@@ -1,6 +1,7 @@
 """Stratified block decomposition, spectra, SLEM and interlacing."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from fusedstar.spectral import (
     block_spectrum,
     block_structure,
     build_blocks,
+    central_tridiagonal,
+    count_eigenvalues_below,
     full_spectrum,
     interlacing_check,
     perron_vector,
@@ -53,21 +56,21 @@ def test_center_block_small_example():
     blocks = build_blocks(p, OrbitWeights({-1: 0.25, 1: 0.25}))
     r = math.sqrt(2) / 4
     expected = np.array([[0.75, r, 0.0], [r, 0.0, r], [0.0, r, 0.75]])
-    assert np.allclose(blocks.block_center, expected, atol=1e-15)
+    assert np.allclose(blocks.center.dense(), expected, atol=1e-15)
 
 
 def test_arm_block_entries():
     p = TfsParams(3, 2, 2, 3)
     ow = OrbitWeights({-3: 0.1, -2: 0.2, -1: 0.3, 1: 0.4, 2: 0.45})
     blocks = build_blocks(p, ow)
-    minus = blocks.block_minus
+    minus = blocks.minus.dense()
     assert np.allclose(np.diag(minus), [1 - 0.1, 1 - 0.1 - 0.2, 1 - 0.2 - 0.3])
     assert np.allclose(np.diag(minus, 1), [0.1, 0.2])
-    plus = blocks.block_plus
+    plus = blocks.plus.dense()
     assert np.allclose(np.diag(plus), [1 - 0.4 - 0.45, 1 - 0.45])
     assert np.allclose(np.diag(plus, 1), [0.45])
     # coupling rows of the center block carry sqrt(n) factors
-    center = blocks.block_center
+    center = blocks.center.dense()
     m1 = p.m1
     assert center[m1, m1 - 1] == pytest.approx(math.sqrt(p.n1) * 0.3)
     assert center[m1, m1 + 1] == pytest.approx(math.sqrt(p.n2) * 0.4)
@@ -77,9 +80,9 @@ def test_arm_block_entries():
 def test_center_block_embeds_arm_blocks():
     p = TfsParams(2, 3, 3, 4)
     blocks = build_blocks(p, random_weights(p, 7))
-    c = blocks.block_center
-    assert np.allclose(c[:2, :2], blocks.block_minus)
-    assert np.allclose(c[-3:, -3:], blocks.block_plus)
+    c = blocks.center.dense()
+    assert np.allclose(c[:2, :2], blocks.minus.dense())
+    assert np.allclose(c[-3:, -3:], blocks.plus.dense())
 
 
 def test_multiplicities_and_structure():
@@ -95,7 +98,7 @@ def test_perron_pair():
     p = TfsParams(3, 2, 2, 3)
     blocks = build_blocks(p, random_weights(p, 3))
     v = perron_vector(p)
-    assert np.linalg.norm(blocks.block_center @ v - v, np.inf) <= 1e-12
+    assert np.linalg.norm(blocks.center.dense() @ v - v, np.inf) <= 1e-12
     assert np.linalg.norm(v) == pytest.approx(1.0)
 
 
@@ -135,9 +138,9 @@ def test_basis_transport_is_block_diagonal():
 
     # diagonal blocks reproduce build_blocks entrywise
     blocks = build_blocks(p, ow)
-    expected = [blocks.block_minus] * (p.n1 - 1)
-    expected.append(blocks.block_center)
-    expected.extend([blocks.block_plus] * (p.n2 - 1))
+    expected = [blocks.minus.dense()] * (p.n1 - 1)
+    expected.append(blocks.center.dense())
+    expected.extend([blocks.plus.dense()] * (p.n2 - 1))
     start = 0
     for size, ref in zip(sizes, expected):
         sub = transported[start : start + size, start : start + size].real
@@ -221,6 +224,57 @@ def test_tridiagonal_matches_dense(size):
         assert tri.count_below(threshold) == count
 
 
+def test_central_tridiagonal_of_a_stack_is_that_of_each_shape():
+    rng = np.random.default_rng(11)
+    shapes = [TfsParams(1, 2, 1, 3), TfsParams(4, 7, 1, 2),
+              TfsParams(1, 5, 6, 2), TfsParams(3, 10**12, 5, 9)]
+    rows = max(p.m1 + p.m2 for p in shapes) + 1
+    w = np.zeros((rows - 1, len(shapes)))
+    for k, p in enumerate(shapes):
+        w[: p.m1 + p.m2, k] = rng.uniform(-1.0, 1.0, p.m1 + p.m2)
+    # a stack's fields are arrays over its columns
+    stack = SimpleNamespace(**{
+        field: np.array([getattr(p, field) for p in shapes], dtype=float)
+        for field in ("m1", "n1", "m2", "n2")
+    })
+    diagonal, off = central_tridiagonal(stack, w)
+    for k, p in enumerate(shapes):
+        size = p.m1 + p.m2 + 1
+        one_d, one_off = central_tridiagonal(p, w[: size - 1, k])
+        assert np.array_equal(diagonal[:size, k], one_d)
+        assert np.array_equal(off[: size - 1, k], one_off)
+        # zero weights past the last orbit: decoupled rows of diagonal 1
+        assert np.all(diagonal[size:, k] == 1.0)
+        assert np.all(off[size - 1 :, k] == 0.0)
+
+
+# (diagonal, off-diagonal, shift, count): each shift meets an eigenvalue
+# exactly, as a zero pivot, and the tie counts as below
+EXACT_TIES = [
+    ([0.5, 0.3, 0.9], [0.0, 0.1], 0.5, 2),  # eigenvalues 0.28, 0.5, 0.92
+    ([1.0, 1.0], [0.0], 1.0, 2),  # 1, 1
+    ([2.0, 0.0, 2.0], [0.0, 0.0], 2.0, 3),  # 0, 2, 2
+    ([0.5, 0.5], [0.5], 0.0, 1),  # 0, 1
+]
+
+
+def test_count_below_counts_an_exact_tie_in_one_lane_and_a_stack():
+    rows = max(len(diagonal) for diagonal, *_ in EXACT_TIES)
+    # each matrix padded to a stack column by decoupled rows above its shift
+    diagonals = np.array(
+        [d + [x + 1.0] * (rows - len(d)) for d, _, x, _ in EXACT_TIES]
+    ).T
+    couplings = np.array(
+        [e + [0.0] * (rows - 1 - len(e)) for _, e, _, _ in EXACT_TIES]
+    ).T ** 2
+    shifts = np.array([x for *_, x, _ in EXACT_TIES])
+    expected = [count for *_, count in EXACT_TIES]
+    stacked = count_eigenvalues_below(diagonals, couplings, shifts)
+    assert stacked.tolist() == expected
+    for diagonal, off, x, count in EXACT_TIES:
+        assert Tridiagonal(diagonal, off).count_below(x) == count
+
+
 def test_tridiagonal_is_read_only_and_checked():
     diag = np.array([1.0, 2.0])
     tri = Tridiagonal(diag, np.array([0.5]))
@@ -298,8 +352,8 @@ def test_interlacing_at_optimum_ties_lambda2():
     assert interlacing_check(blocks) <= 1e-10
     # at the optimum lambda2 is shared with the arm-only matrix W'
     arm_top = max(
-        np.linalg.eigvalsh(blocks.block_minus).max(),
-        np.linalg.eigvalsh(blocks.block_plus).max(),
+        np.linalg.eigvalsh(blocks.minus.dense()).max(),
+        np.linalg.eigvalsh(blocks.plus.dense()).max(),
     )
     assert arm_top == pytest.approx(S_343, abs=1e-9)
 
