@@ -119,12 +119,12 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     params = _params_from(args)
-    writer = _csv_writer()
-    writer.writerow(["scheme", "slem"])
+    rows = []
     for scheme in SCHEMES:
         weights, solution = _scheme_weights(params, scheme, args)
         report = _spectral_report(params, weights, solution)
-        writer.writerow([scheme, f"{report.slem:.10g}"])
+        rows.append([scheme, f"{report.slem:.10g}"])
+    _write_csv(["scheme", "slem"], rows)
     return 0
 
 
@@ -216,10 +216,8 @@ def _grid_rows(
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    writer = _csv_writer()
     if args.kind == "fig2":
-        writer.writerow(["m_bar", "network", "m1", "m2", "slem"])
-        writer.writerows(_fig2_rows(args))
+        _write_csv(["m_bar", "network", "m1", "m2", "slem"], _fig2_rows(args))
         return 0
     if args.kind == "custom":
         if args.n1 is None or args.n2 is None:
@@ -228,8 +226,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     else:
         n1, n2 = 2, 22
         columns = ("slem",) if args.kind == "fig3" else ("w_minus_1",)
-    writer.writerow(["m1", "m2", *columns])
-    writer.writerows(_grid_rows(args, n1, n2, columns))
+    _write_csv(["m1", "m2", *columns], _grid_rows(args, n1, n2, columns))
     return 0
 
 
@@ -242,9 +239,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             f"--tail must be between 2 and --steps ({args.steps}), got {args.tail}"
         )
     weights, _ = _scheme_weights(params, args.scheme, args)
-    graph = build_topology(params)
     x0 = random_initial_state(params.n_nodes, args.seed)
-    trajectory = distributed_iterate(graph, weights, x0, args.steps, seed=args.seed)
+    trajectory = distributed_iterate(build_topology(params), weights, x0, args.steps)
     write_trajectory_csv(trajectory, sys.stdout)
     try:
         estimate = f"{convergence_factor_estimate(trajectory, args.tail):.10g}"
@@ -254,8 +250,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _csv_writer():
-    return csv.writer(sys.stdout)
+def _write_csv(header: list[str], rows: list[list[str]]) -> None:
+    # rows are computed before anything is written, so an input error
+    # leaves stdout empty
+    writer = csv.writer(sys.stdout)
+    writer.writerow(header)
+    writer.writerows(rows)
 
 
 def _add_params(parser: argparse.ArgumentParser) -> None:

@@ -60,7 +60,8 @@ _EXCLUSION = 1e-9  # half-width of the pole exclusion zone, in theta
 # of a zero by the Newton step |f| / slope, the slope taken across the
 # bracket; an absolute residual bound would drop roots where f is steep
 _STEP_SPURIOUS = 1e-9
-_RESIDUAL_POLISH = 1e-11  # keep bisecting below tol until this is met
+_ROOT_TOL = 1e-12  # bracket width at which a root's bisection may stop
+_RESIDUAL_POLISH = 1e-11  # keep bisecting below _ROOT_TOL until this is met
 _SELF_CHECK = 1e-9  # largest |slem - s| the self-checks accept
 # a boundary weight is degenerate when its denominator is below this times
 # max(1, |numerator|)
@@ -147,14 +148,13 @@ def char_residual(params: TfsParams, theta: float) -> float:
 def _grid_roots(
     f: Callable[[np.ndarray], np.ndarray],
     n_grid: int,
-    tol: float,
     poles: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Bracket sign changes of ``f`` on a uniform grid over (0, pi), bisect.
 
     Grid points within the exclusion zone of a pole are discarded and
     brackets that straddle a pole are rejected outright: a pole flips the
-    sign without a root.  Bisection continues past ``tol`` while the
+    sign without a root.  Bisection continues past ``_ROOT_TOL`` while the
     midpoint residual is still improvable, then spurious brackets are
     dropped by their residual relative to the slope across them.
     """
@@ -191,7 +191,7 @@ def _grid_roots(
         hi = np.where(go_left, hi, mid)
         width = hi - lo
         floor = 4.0 * np.finfo(float).eps * np.maximum(np.abs(hi), 1.0)
-        done = width <= np.maximum(tol, floor)
+        done = width <= np.maximum(_ROOT_TOL, floor)
         settled = (np.abs(fmid) <= _RESIDUAL_POLISH) | (width <= floor)
         if np.all(done & settled):
             break
@@ -269,30 +269,19 @@ def _cross_check_root_count(params: TfsParams, roots: np.ndarray) -> None:
         )
 
 
-def solve_theta_roots(
-    params: TfsParams,
-    grid_points: int | None = None,
-    tol: float = 1e-12,
-) -> ThetaRoots:
+def solve_theta_roots(params: TfsParams) -> ThetaRoots:
     """All roots of the characteristic relation on (0, pi).
 
-    Scans a uniform grid (default max(10^4, 200 * (m1 + m2)) points) with
+    Scans a uniform grid of max(10^4, 200 * (m1 + m2)) points with
     pole exclusion, bisects each sign change and cross-checks the root
     count against the central-block spectrum (mismatch is a warning).
     Requires n1, n2 >= 2.  This is the reference route; the optimum comes
     from ``optimal_weights``, which never calls it.
     """
     _require_two_branches(params)
-    if grid_points is None:
-        grid_points = max(10_000, 200 * (params.m1 + params.m2))
-    if grid_points < 1000:
-        raise ValueError(f"grid_points must be >= 1000, got {grid_points}")
-    if not 0.0 < tol < 1.0:
-        raise ValueError(f"tol must lie in (0, 1), got {tol}")
     roots, residuals = _grid_roots(
         lambda th: _char_values(params, th),
-        grid_points,
-        tol,
+        max(10_000, 200 * (params.m1 + params.m2)),
         _pole_positions(params),
     )
     if roots.size == 0:

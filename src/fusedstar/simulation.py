@@ -1,19 +1,23 @@
-"""Synchronous consensus iteration, two ways.
+"""Synchronous consensus iteration, two ways, as streams of rounds.
 
-``iterate`` runs the plain matrix recurrence x(t+1) = W x(t).
-``distributed_iterate`` runs the same rounds as per-node neighbor
-gathers with no global matrix, which is how the protocol executes on an
-actual network.  Both produce a Trajectory; they must agree to
-reassociation-level tolerance, and the entry sum is conserved because
-the weight matrix is symmetric stochastic.
+``matrix_rounds`` yields the states x(1), x(2), ... of the plain matrix
+recurrence x(t+1) = W x(t).  ``distributed_rounds`` yields the same
+rounds as per-node neighbor gathers with no global matrix, which is how
+the protocol executes on an actual network.  The two must agree to
+reassociation-level tolerance.
+
+A run is judged by its distance to consensus ||x(t) - x_bar|| per step,
+so ``iterate`` and ``distributed_iterate`` keep only that and the entry
+sum 1'x(t), which is conserved because the weight matrix is symmetric
+stochastic.  A Trajectory is this summary; no run stores its states, and
+one holds a few state vectors however many steps it takes.
 """
 from __future__ import annotations
 
 import csv
-import math
+import itertools
 from dataclasses import dataclass
-from functools import cached_property
-from typing import IO, Callable
+from typing import IO, Callable, Iterator
 
 import numpy as np
 
@@ -26,144 +30,117 @@ class InsufficientSignalError(RuntimeError):
 
 
 class TrajectoryMemoryError(MemoryError):
-    """The states of a run do not fit in the memory the process may use."""
+    """An array that setting up or advancing a run needs (a state
+    vector, a per-node weight vector, the per-step records) does not fit
+    in the memory the process may use."""
 
 
-def _no_room(shape: tuple[int, ...]) -> TrajectoryMemoryError:
-    gib = 8 * math.prod(shape) / 2**30
-    return TrajectoryMemoryError(
-        f"cannot allocate the float64 states of shape {shape} ({gib:.3g} GiB)"
-    )
+def _no_room(exc: MemoryError) -> TrajectoryMemoryError:
+    # a stream's error passes through the summary that pulls from it
+    if isinstance(exc, TrajectoryMemoryError):
+        return exc
+    reason = str(exc) or "out of memory"
+    return TrajectoryMemoryError(f"cannot allocate the run: {reason}")
 
 
 @dataclass(frozen=True)
 class Trajectory:
-    """States x(0..T), per-step distances to consensus, and the target.
+    """Per-step distances to consensus and entry sums of a run x(0..T).
 
-    ``x_bar`` is the exact average vector of the initial state; the
-    error norm at step t is the euclidean distance of x(t) from it.
-    ``seed`` records how a random initial state was drawn, if it was.
+    ``error_norms[t]`` is the euclidean distance of x(t) from the
+    consensus vector, whose entries all equal ``average``, the mean of
+    x(0); ``sums[t]`` is 1'x(t).
     """
 
-    states: np.ndarray
     error_norms: np.ndarray
-    x_bar: np.ndarray
-    seed: int | None = None
+    sums: np.ndarray
+    average: float
 
     def __post_init__(self) -> None:
-        for name in ("states", "error_norms", "x_bar"):
-            arr = np.asarray(getattr(self, name), dtype=float).copy()
+        for name in ("error_norms", "sums"):
+            arr = np.array(getattr(self, name), dtype=float)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-
-    @classmethod
-    def _adopt(
-        cls,
-        states: np.ndarray,
-        error_norms: np.ndarray,
-        x_bar: np.ndarray,
-        row_sums: np.ndarray,
-        seed: int | None,
-    ) -> "Trajectory":
-        """A trajectory that keeps ``states`` and its per-row statistics,
-        fresh float arrays no caller holds, read-only instead of copying
-        them."""
-        self = object.__new__(cls)
-        for name, arr in (
-            ("states", states),
-            ("error_norms", error_norms),
-            ("x_bar", x_bar),
-            ("_row_sums", row_sums),
-        ):
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-        object.__setattr__(self, "seed", seed)
-        return self
-
-    @cached_property
-    def _row_sums(self) -> np.ndarray:
-        """1'x(t) per step; ``_adopt`` receives it from the iteration."""
-        return self.states.sum(axis=1)
+        if self.sums.ndim != 1 or self.sums.shape != self.error_norms.shape:
+            raise ValueError(
+                f"error norms of shape {self.error_norms.shape} and sums of "
+                f"shape {self.sums.shape} are not one record per step"
+            )
+        object.__setattr__(self, "average", float(self.average))
 
     @property
     def n_steps(self) -> int:
-        return self.states.shape[0] - 1
-
-    @property
-    def average(self) -> float:
-        return float(self.x_bar[0])
+        return self.error_norms.size - 1
 
     def sum_deviations(self) -> np.ndarray:
         """|1'x(t) - 1'x(0)| per step."""
-        sums = self._row_sums
-        return np.abs(sums - sums[0])
+        return np.abs(self.sums - self.sums[0])
 
 
-def _run(
-    x0: np.ndarray,
-    steps: int,
-    seed: int | None,
-    advance: Callable[[np.ndarray, np.ndarray], None],
+def _rounds(
+    x: np.ndarray, advance: Callable[[np.ndarray], np.ndarray]
+) -> Iterator[np.ndarray]:
+    """x(1), x(2), ... with x(t+1) = advance(x(t)), each a fresh
+    read-only array."""
+    while True:
+        try:
+            x = advance(x)
+        except MemoryError as exc:
+            raise _no_room(exc) from None
+        x.flags.writeable = False
+        yield x
+
+
+def _summarise(
+    x0: np.ndarray, rounds: Iterator[np.ndarray], steps: int
 ) -> Trajectory:
-    """States x(0..steps), with ``advance(x(t), x(t+1))`` writing each
-    round into the preallocated array.
+    """The error norm and sum of x(0) and the first ``steps`` states of
+    ``rounds``, each taken as the state arrives.
 
-    Each state's error norm and sum are taken right after it is written,
-    while it is in cache, with the reductions that
-    ``np.linalg.norm(..., axis=1)`` and ``sum(axis=1)`` apply per row, so
-    they equal those bitwise.
+    The reductions are those that ``np.linalg.norm(..., axis=1)`` and
+    ``sum(axis=1)`` apply per row of a state array, so they equal those
+    bitwise.
     """
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
-    shape = (steps + 1, x0.size)
     try:
-        states = np.empty(shape)
-    except MemoryError:
-        raise _no_room(shape) from None
-    states[0] = x0
-    x_bar = np.full(x0.size, states[0].mean())
-    error_norms = np.empty(steps + 1)
-    row_sums = np.empty(steps + 1)
-    deviation = np.empty(x0.size)
-    for t, row in enumerate(states):
-        if t:
-            advance(states[t - 1], row)
-        np.subtract(row, x_bar, out=deviation)
-        np.multiply(deviation, deviation, out=deviation)
-        error_norms[t] = np.sqrt(np.add.reduce(deviation))
-        row_sums[t] = np.add.reduce(row)
-    return Trajectory._adopt(states, error_norms, x_bar, row_sums, seed)
+        error_norms = np.empty(steps + 1)
+        sums = np.empty(steps + 1)
+        deviation = np.empty(x0.size)
+        average = x0.mean()
+        states = itertools.chain([x0], itertools.islice(rounds, steps))
+        for t, state in enumerate(states):
+            np.subtract(state, average, out=deviation)
+            np.multiply(deviation, deviation, out=deviation)
+            error_norms[t] = np.sqrt(np.add.reduce(deviation))
+            sums[t] = np.add.reduce(state)
+        return Trajectory(error_norms, sums, average)
+    except MemoryError as exc:
+        raise _no_room(exc) from None
 
 
-def iterate(
-    matrix: WeightMatrix | np.ndarray,
-    x0: np.ndarray,
-    steps: int,
-    seed: int | None = None,
-) -> Trajectory:
-    """Run the matrix recurrence for ``steps`` rounds."""
-    entries = matrix.entries if isinstance(matrix, WeightMatrix) else np.asarray(matrix)
+def matrix_rounds(matrix: WeightMatrix, x0: np.ndarray) -> Iterator[np.ndarray]:
+    """The states x(1), x(2), ... of the matrix recurrence, without end."""
+    entries = matrix.entries
     x = np.asarray(x0, dtype=float)
     if x.ndim != 1 or entries.shape != (x.size, x.size):
         raise ValueError(
             f"state of length {x.size} does not match matrix shape {entries.shape}"
         )
-
-    def advance(now: np.ndarray, out: np.ndarray) -> None:
-        out[...] = entries @ now
-
-    return _run(x, steps, seed, advance)
+    return _rounds(x, lambda now: entries @ now)
 
 
-def distributed_iterate(
-    graph: TfsGraph,
-    weights: OrbitWeights,
-    x0: np.ndarray,
-    steps: int,
-    seed: int | None = None,
-) -> Trajectory:
-    """Run the same rounds as local updates: each node combines its own
-    value with its neighbors' values, weighted per edge orbit.
+def iterate(matrix: WeightMatrix, x0: np.ndarray, steps: int) -> Trajectory:
+    """Run the matrix recurrence for ``steps`` rounds."""
+    x = np.asarray(x0, dtype=float)
+    return _summarise(x, matrix_rounds(matrix, x), steps)
+
+
+def distributed_rounds(
+    graph: TfsGraph, weights: OrbitWeights, x0: np.ndarray
+) -> Iterator[np.ndarray]:
+    """The same rounds as local updates, without end: each node combines
+    its own value with its neighbors' values, weighted per edge orbit.
 
     No weight matrix and no edge list is formed.  In canonical order
     every stratum is a contiguous run of nodes: arm 1 is ``x[:c]``, ``n1``
@@ -187,28 +164,31 @@ def distributed_iterate(
     m1, n1, m2, n2 = params.m1, params.n1, params.m2, params.n2
     c = m1 * n1
     w = weights.as_array(params)
-    # each node's weight to its neighbor one stratum nearer the center
-    near1 = np.repeat(w[:m1], n1)
-    near2 = np.repeat(w[m1:], n2)
     w_in1, w_in2 = w[m1 - 1], w[m1]  # the center's two orbits
-    incident = np.empty(x.size)
-    incident[:c] = near1
-    incident[n1:c] += near1[:-n1]
-    incident[c + 1 :] = near2
-    incident[c + 1 : -n2] += near2[n2:]
-    # the center's terms, summed in gather order: its own share, arm 2, arm 1
-    hub = np.empty(1 + n2 + n1)
-    hub[0] = 0.0
-    hub[1 : 1 + n2] = w_in2
-    hub[1 + n2 :] = w_in1
-    incident[c] = np.add.accumulate(hub)[-1]
-    keep = 1.0 - incident
+    try:
+        # each node's weight to its neighbor one stratum nearer the center
+        near1 = np.repeat(w[:m1], n1)
+        near2 = np.repeat(w[m1:], n2)
+        keep = np.empty(x.size)  # the incident weights, then 1 minus them
+        keep[:c] = near1
+        keep[n1:c] += near1[:-n1]
+        keep[c + 1 :] = near2
+        keep[c + 1 : -n2] += near2[n2:]
+        # the center's terms, summed in gather order: its own share, arm 2, arm 1
+        hub = np.empty(1 + n2 + n1)
+        hub[0] = 0.0
+        hub[1 : 1 + n2] = w_in2
+        hub[1 + n2 :] = w_in1
+        keep[c] = np.add.accumulate(hub)[-1]
+    except MemoryError as exc:
+        raise _no_room(exc) from None
+    np.subtract(1.0, keep, out=keep)
 
-    def advance(now: np.ndarray, out: np.ndarray) -> None:
+    def advance(now: np.ndarray) -> np.ndarray:
+        out = np.multiply(keep, now)
         x1, y1 = now[:c], out[:c]
         x2, y2 = now[c + 1 :], out[c + 1 :]
         xc = now[c]
-        np.multiply(keep, now, out=out)
         y1[:-n1] += near1[:-n1] * x1[n1:]
         y1[-n1:] += w_in1 * xc
         y1[n1:] += near1[:-n1] * x1[:-n1]
@@ -219,16 +199,25 @@ def distributed_iterate(
         np.multiply(w_in2, x2[:n2], out=hub[1 : 1 + n2])
         np.multiply(w_in1, x1[-n1:], out=hub[1 + n2 :])
         out[c] = np.add.accumulate(hub, out=hub)[-1]
+        return out
 
-    return _run(x, steps, seed, advance)
+    return _rounds(x, advance)
+
+
+def distributed_iterate(
+    graph: TfsGraph, weights: OrbitWeights, x0: np.ndarray, steps: int
+) -> Trajectory:
+    """Run ``steps`` rounds of ``distributed_rounds``."""
+    x = np.asarray(x0, dtype=float)
+    return _summarise(x, distributed_rounds(graph, weights, x), steps)
 
 
 def random_initial_state(n: int, seed: int) -> np.ndarray:
     """Seeded uniform node readings on [0, 100)."""
     try:
         return np.random.default_rng(seed).uniform(0.0, 100.0, size=n)
-    except MemoryError:
-        raise _no_room((n,)) from None
+    except MemoryError as exc:
+        raise _no_room(exc) from None
 
 
 def convergence_factor_estimate(trajectory: Trajectory, tail: int = 50) -> float:
@@ -256,8 +245,7 @@ def write_trajectory_csv(trajectory: Trajectory, stream: IO[str]) -> None:
     """Columns t, error_norm, sum_deviation; 10 significant digits."""
     writer = csv.writer(stream)
     writer.writerow(["t", "error_norm", "sum_deviation"])
-    deviations = trajectory.sum_deviations()
-    for t in range(trajectory.states.shape[0]):
-        writer.writerow(
-            [t, f"{trajectory.error_norms[t]:.10g}", f"{deviations[t]:.10g}"]
-        )
+    for t, (norm, deviation) in enumerate(
+        zip(trajectory.error_norms, trajectory.sum_deviations())
+    ):
+        writer.writerow([t, f"{norm:.10g}", f"{deviation:.10g}"])

@@ -9,6 +9,7 @@ the corrected value and the evidence, and the criterion lines print both
 beside the measured value.
 """
 
+import itertools
 import math
 import time
 import warnings
@@ -26,8 +27,9 @@ from fusedstar.optimizer import (
 )
 from fusedstar.simulation import (
     convergence_factor_estimate,
-    distributed_iterate,
+    distributed_rounds,
     iterate,
+    matrix_rounds,
     random_initial_state,
 )
 from fusedstar.spectral import (
@@ -328,12 +330,15 @@ def test_criterion_7_simulation_suite():
     p = TfsParams(3, 4, 4, 3)
     sol = optimal_weights(p)
     x0 = random_initial_state(p.n_nodes, seed=0)
-    matrix_route = iterate(assemble_weight_matrix(p, sol.weights), x0, 500)
-    gather_route = distributed_iterate(build_topology(p), sol.weights, x0, 500)
-    route_gap = max(
-        float(np.max(np.abs(a - b)))
-        for a, b in zip(matrix_route.states, gather_route.states)
+    wm = assemble_weight_matrix(p, sol.weights)
+    routes = zip(
+        matrix_rounds(wm, x0),
+        distributed_rounds(build_topology(p), sol.weights, x0),
     )
+    route_gap = max(
+        float(np.max(np.abs(a - b))) for a, b in itertools.islice(routes, 500)
+    )
+    matrix_route = iterate(wm, x0, 500)
     sum_drift = max(abs(d) for d in matrix_route.sum_deviations())
     budget = 1e-9 * float(np.abs(x0).sum())
     estimate = convergence_factor_estimate(matrix_route, tail=50)

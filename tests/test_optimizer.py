@@ -121,10 +121,6 @@ def test_theta_roots_medium_network():
 def test_theta_roots_validation():
     with pytest.raises(InvalidParameterError):
         solve_theta_roots(TfsParams(2, 1, 2, 2))
-    with pytest.raises(ValueError):
-        solve_theta_roots(P343, grid_points=100)
-    with pytest.raises(ValueError):
-        solve_theta_roots(P343, tol=2.0)
 
 
 def test_root_count_mismatch_warns():

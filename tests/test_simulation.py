@@ -1,5 +1,6 @@
 """Consensus iteration, distributed-gather equivalence, rate estimation."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -12,7 +13,9 @@ from fusedstar.simulation import (
     Trajectory,
     convergence_factor_estimate,
     distributed_iterate,
+    distributed_rounds,
     iterate,
+    matrix_rounds,
     random_initial_state,
     write_trajectory_csv,
 )
@@ -29,6 +32,11 @@ def random_weights(params, seed):
     return OrbitWeights(
         {label: rng.uniform(0.05, 0.5) for label in params.orbit_labels}
     )
+
+
+def first(rounds, steps):
+    """The states x(1..steps) of a stream."""
+    return list(itertools.islice(rounds, steps))
 
 
 def gather_reference(params, weights, x0, steps):
@@ -84,50 +92,52 @@ def test_distributed_iterate_equals_per_edge_gather(shape, scheme):
     }[scheme]()
     x0 = random_initial_state(p.n_nodes, seed=sum(shape))
     steps = 60
-    traj = distributed_iterate(build_topology(p), ow, x0, steps)
+    graph = build_topology(p)
     reference = gather_reference(p, ow, x0, steps)
-    assert np.array_equal(traj.states, reference)
-    # the per-row statistics are the whole-array reductions, bitwise
-    x_bar = np.full(p.n_nodes, x0.mean())
+    for state, expected in zip(
+        first(distributed_rounds(graph, ow, x0), steps), reference[1:], strict=True
+    ):
+        assert np.array_equal(state, expected)
+    # the per-step statistics are the whole-array reductions, bitwise
+    traj = distributed_iterate(graph, ow, x0, steps)
     assert np.array_equal(
-        traj.error_norms, np.linalg.norm(reference - x_bar, axis=1)
+        traj.error_norms, np.linalg.norm(reference - x0.mean(), axis=1)
     )
     sums = reference.sum(axis=1)
     assert np.array_equal(traj.sum_deviations(), np.abs(sums - sums[0]))
 
 
-def test_distributed_iterate_memory_is_the_states_array():
+def test_distributed_iterate_memory_does_not_grow_with_steps():
     p = TfsParams(6, 1200, 6, 1100)
     ow = max_degree_orbit_weights(p, convention="inv_dmax")
     x0 = random_initial_state(p.n_nodes, seed=1)
     graph = build_topology(p)
-    steps = 200
-    tracemalloc.start()
-    try:
-        distributed_iterate(graph, ow, x0, steps)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.2 * (steps + 1) * p.n_nodes * 8
+    for steps in (200, 2000):
+        tracemalloc.start()
+        try:
+            distributed_iterate(graph, ow, x0, steps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * p.n_nodes * 8
 
 
 def test_constant_state_is_fixed():
     p = TfsParams(2, 2, 3, 2)
     wm = assemble_weight_matrix(p, OrbitWeights.constant(p, 0.3))
     ones = np.ones(p.n_nodes)
-    traj = iterate(wm, ones, 20)
-    assert len(traj.states) == 21
-    for state in traj.states:
+    for state in first(matrix_rounds(wm, ones), 20):
         assert np.allclose(state, 1.0, atol=1e-13)
-    assert np.allclose(traj.x_bar, 1.0)
+    traj = iterate(wm, ones, 20)
+    assert traj.n_steps == 20
+    assert traj.average == 1.0
 
 
 def test_identity_matrix_freezes_state():
     p = TfsParams(1, 2, 1, 2)
     wm = assemble_weight_matrix(p, OrbitWeights.constant(p, 0.0))
     x0 = random_initial_state(p.n_nodes, seed=1)
-    traj = iterate(wm, x0, 10)
-    for state in traj.states:
+    for state in first(matrix_rounds(wm, x0), 10):
         assert np.array_equal(state, x0)
 
 
@@ -136,48 +146,57 @@ def test_dimension_mismatch():
     wm = assemble_weight_matrix(p, OrbitWeights.constant(p, 0.2))
     with pytest.raises(ValueError):
         iterate(wm, np.ones(p.n_nodes + 1), 5)
+    with pytest.raises(ValueError):
+        distributed_rounds(build_topology(p), OrbitWeights.constant(p, 0.2), np.ones(3))
 
 
 def test_trajectory_bookkeeping():
     p = TfsParams(2, 2, 2, 2)
     wm = assemble_weight_matrix(p, OrbitWeights.constant(p, 0.25))
     x0 = random_initial_state(p.n_nodes, seed=3)
-    traj = iterate(wm, x0, 40, seed=3)
+    traj = iterate(wm, x0, 40)
     assert traj.n_steps == 40
-    assert traj.seed == 3
-    assert traj.average == pytest.approx(x0.mean())
+    assert traj.sums.size == 41
+    assert traj.average == x0.mean()
+    assert traj.sums[0] == np.add.reduce(x0)
     assert np.all(np.asarray(traj.error_norms) >= 0)
-    assert np.allclose(traj.x_bar, x0.mean())
 
 
 def test_trajectory_copies_caller_arrays():
-    states = np.arange(12.0).reshape(3, 4)
     errors = np.ones(3)
-    x_bar = np.full(4, 1.5)
-    traj = Trajectory(states=states, error_norms=errors, x_bar=x_bar)
-    for mine, held in (
-        (states, traj.states), (errors, traj.error_norms), (x_bar, traj.x_bar)
-    ):
+    sums = np.array([6.0, 22.0, 38.0])
+    traj = Trajectory(error_norms=errors, sums=sums, average=np.float64(1.5))
+    for mine, held in ((errors, traj.error_norms), (sums, traj.sums)):
         assert not np.shares_memory(mine, held)
         assert not held.flags.writeable
+    assert type(traj.average) is float and traj.average == 1.5
     assert np.array_equal(traj.sum_deviations(), [0.0, 16.0, 32.0])
-    states[0, 0] = errors[0] = x_bar[0] = -7.0
-    assert traj.states[0, 0] == 0.0
+    errors[0] = sums[0] = -7.0
     assert traj.error_norms[0] == 1.0
-    assert traj.x_bar[0] == 1.5
+    assert traj.sums[0] == 6.0
+    with pytest.raises(ValueError):
+        Trajectory(error_norms=errors, sums=sums[:2], average=1.5)
 
 
 def test_iterated_trajectories_are_read_only_and_detached():
     p = TfsParams(2, 3, 2, 2)
     ow = random_weights(p, 5)
     x0 = random_initial_state(p.n_nodes, seed=5)
+    for rounds in (
+        matrix_rounds(assemble_weight_matrix(p, ow), x0),
+        distributed_rounds(build_topology(p), ow, x0),
+    ):
+        states = first(rounds, 6)
+        for t, state in enumerate(states):
+            assert state.shape == x0.shape
+            assert not state.flags.writeable
+            assert not np.shares_memory(state, x0)
+            assert not any(np.shares_memory(state, s) for s in states[:t])
     for traj in (
         iterate(assemble_weight_matrix(p, ow), x0, 6),
         distributed_iterate(build_topology(p), ow, x0, 6),
     ):
-        assert not np.shares_memory(traj.states, x0)
-        assert np.array_equal(traj.states[0], x0)
-        for arr in (traj.states, traj.error_norms, traj.x_bar):
+        for arr in (traj.error_norms, traj.sums):
             assert not arr.flags.writeable
 
 
@@ -197,9 +216,9 @@ def test_distributed_matches_matrix_route():
     g = build_topology(p)
     ow = random_weights(p, 17)
     x0 = random_initial_state(p.n_nodes, seed=17)
-    a = iterate(assemble_weight_matrix(p, ow), x0, 100)
-    b = distributed_iterate(g, ow, x0, 100)
-    for sa, sb in zip(a.states, b.states):
+    a = first(matrix_rounds(assemble_weight_matrix(p, ow), x0), 100)
+    b = first(distributed_rounds(g, ow, x0), 100)
+    for sa, sb in zip(a, b, strict=True):
         assert np.max(np.abs(sa - sb)) <= 1e-12
 
 
