@@ -205,17 +205,30 @@ def test_verify_rejects_a_non_finite_perturbation(capsys, perturb):
     assert err.startswith("error: --perturb must be finite")
 
 
-def test_verify_reports_a_failed_eigensolve(capsys):
-    # a weight of 1e160 squares beyond the float range, and dstebz fails
+@pytest.mark.parametrize(
+    "shape, perturb",
+    [
+        ((3, 4, 4, 3), "1e154"),
+        ((1, 2, 1, 2), "1e160"),
+        # blocks long enough for bisection, scaled before counting
+        ((300, 3, 300, 4), "1e154"),
+    ],
+    ids=["3-4-4-3", "1-2-1-2", "300-3-300-4"],
+)
+def test_verify_reports_an_overflowing_weight(capsys, shape, perturb):
+    # the weight's square overflows, yet the report is whole and fails
+    m1, n1, m2, n2 = map(str, shape)
     code, out, err = run_cli(
         capsys,
         "verify",
-        "--m1", "1", "--n1", "2", "--m2", "1", "--n2", "2",
-        "--perturb", "1e160",
+        "--m1", m1, "--n1", n1, "--m2", m2, "--n2", n2,
+        "--perturb", perturb,
     )
     assert code == 1
-    assert out == ""
-    assert err.startswith("error: dstebz returned info")
+    report = json.loads(out)
+    assert report["passes"] is False
+    assert report["perturbation"] == float(perturb)
+    assert report["residuals"]["feasibility_min_eig"] < -float(perturb)
 
 
 def test_verify_help_shows_the_negative_perturbation_form(capsys):
@@ -456,3 +469,42 @@ def test_main_is_reentrant(capsys):
         for argv in order:
             code, out, _ = run_cli(capsys, *argv)
             assert (code, out) == alone[commands.index(argv)]
+
+
+def test_no_cli_path_imports_scipy():
+    # every subcommand, at a small shape and at (800, 5, 790, 7), in one
+    # fresh interpreter: scipy serves only the reference routes
+    commands = []
+    for m1, n1, m2, n2 in [("3", "4", "4", "3"), ("800", "5", "790", "7")]:
+        shape = ["--m1", m1, "--n1", n1, "--m2", m2, "--n2", n2]
+        commands += [
+            ["solve", *shape],
+            ["solve", *shape, "--scheme", "best-constant"],
+            ["verify", *shape],
+            ["verify", *shape, "--perturb", "1e-3"],
+            ["compare", *shape],
+            ["simulate", *shape, "--steps", "20", "--tail", "10"],
+        ]
+        commands.append(
+            ["sweep", "custom", "--n1", n1, "--n2", n2,
+             "--m1-max", "3", "--m2-max", "3"]
+        )
+    commands.append(["sweep", "fig2", "--mbar-max", "3"])
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from fusedstar.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+        "print(json.dumps([codes, loaded]))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(commands)],
+        capture_output=True,
+        env=cli_env(),
+        check=True,
+    )
+    codes, loaded = json.loads(result.stdout)
+    # only the perturbed certificates fail
+    assert codes == [1 if "--perturb" in argv else 0 for argv in commands]
+    assert loaded == []

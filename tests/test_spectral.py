@@ -6,6 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from fusedstar.optimizer import optimal_weights
 from fusedstar.spectral import (
     SpectralReport,
     SpectrumSizeError,
@@ -199,7 +200,8 @@ def test_block_extremes_match_block_spectrum(seed):
                 assert gap <= 1e-13 * max(1.0, abs(value)), (p, name)
 
 
-@pytest.mark.parametrize("size", [1, 2, 3, 4, 9, 60])
+# 64 rows and fewer take the dense route, 65 and more bisection
+@pytest.mark.parametrize("size", [1, 2, 3, 4, 9, 60, 64, 65, 150])
 def test_tridiagonal_matches_dense(size):
     rng = np.random.default_rng(size)
     tri = Tridiagonal(
@@ -273,6 +275,21 @@ def test_count_below_counts_an_exact_tie_in_one_lane_and_a_stack():
     assert stacked.tolist() == expected
     for diagonal, off, x, count in EXACT_TIES:
         assert Tridiagonal(diagonal, off).count_below(x) == count
+
+
+def test_count_below_of_a_long_central_block_equals_kahan_count():
+    # 1591 rows, two runs in closed form, at the root-count and the
+    # self-check shifts
+    p = TfsParams(800, 5, 790, 7)
+    sol = optimal_weights(p)
+    center = build_blocks(p, sol.weights).center
+    s = sol.s
+    shifts = np.array([1 - 1e-9, s - 1e-9, s + 1e-9, -s - 1e-9, -s + 1e-9])
+    expected = count_eigenvalues_below(
+        center.diagonal[:, None], center.off_diagonal[:, None] ** 2, shifts
+    )
+    assert center.count_below(shifts).tolist() == expected.tolist()
+    assert [center.count_below(x) for x in shifts] == expected.tolist()
 
 
 def test_tridiagonal_is_read_only_and_checked():
