@@ -342,6 +342,13 @@ def _proportionality_residual(
     )
 
 
+def _norm(x: np.ndarray) -> float:
+    # taken at a power-of-two scale, which is exact: the same bits as
+    # np.linalg.norm, but no square overflows
+    _, exponent = np.frexp(np.max(np.abs(x), initial=0.0))
+    return float(np.ldexp(np.linalg.norm(np.ldexp(x, -exponent)), exponent))
+
+
 def verify_certificate(
     certificate: DualCertificate,
     weights: OrbitWeights,
@@ -357,7 +364,7 @@ def verify_certificate(
     from extreme eigenvalues of the blocks.
     """
     params = certificate.params
-    w = weights.as_array(params)
+    w = weights.values_for(params)
     blocks = build_blocks(params, weights)
     m1 = params.m1
     v = perron_vector(params)
@@ -386,10 +393,8 @@ def verify_certificate(
     rhs = _project(stencils_prime, z2) ** 2
 
     return CertificateResiduals(
-        slackness_center=float(
-            np.linalg.norm(s * z1 + blocks.center.matvec(z1) - perron_dot * v)
-        ),
-        slackness_arms=float(np.linalg.norm(s * z2 - arms_z2)),
+        slackness_center=_norm(s * z1 + blocks.center.matvec(z1) - perron_dot * v),
+        slackness_arms=_norm(s * z2 - arms_z2),
         perron_orthogonality=abs(perron_dot),
         norm_sum_error=abs(norm1 + norm2 - 1.0),
         norm_split_error=abs(norm2 - norm1 - s),

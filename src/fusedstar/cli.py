@@ -29,7 +29,6 @@ from .optimizer import (
 )
 from .simulation import (
     InsufficientSignalError,
-    TrajectoryMemoryError,
     convergence_factor_estimate,
     distributed_iterate,
     random_initial_state,
@@ -99,7 +98,9 @@ def _solve_payload(params: TfsParams, args: argparse.Namespace) -> dict:
         "lambda2": _sig10(report.lambda2),
         "lambda_min": _sig10(report.lambda_min),
         "theta_star": _sig10(solution.theta_star) if solution else None,
-        "weights": {str(label): _sig10(weights[label]) for label in params.orbit_labels},
+        "weights": dict(
+            zip(map(str, params.orbit_labels), map(_sig10, weights.values.tolist()))
+        ),
     }
     if solution is not None:
         certificate = build_dual_certificate(solution)
@@ -138,9 +139,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     certificate = build_dual_certificate(solution)
     weights = solution.weights
     if args.perturb:
-        shifted = dict(weights.w)
-        shifted[-1] += args.perturb
-        weights = OrbitWeights(shifted)
+        shifted = weights.values.copy()
+        shifted[params.m1 - 1] += args.perturb
+        weights = OrbitWeights(params, shifted)
     residuals = verify_certificate(certificate, weights)
     payload = {
         "params": {
@@ -336,7 +337,7 @@ def main(argv: list[str] | None = None) -> int:
     except InvalidParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (SelfCheckError, DegenerateSineError, TrajectoryMemoryError,
+    except (SelfCheckError, DegenerateSineError, MemoryError,
             np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -246,10 +246,10 @@ def _require_two_branches(params: TfsParams) -> None:
 
 def _weights_at(params: TfsParams, theta: float) -> OrbitWeights:
     """Optimal orbit weights as a function of the characteristic root."""
-    w = {label: 0.5 for label in params.orbit_labels}
-    w[-1] = _boundary_weight(params.m1, theta)
-    w[1] = _boundary_weight(params.m2, theta)
-    return OrbitWeights(w)
+    w = np.full(params.m1 + params.m2, 0.5)
+    w[params.m1 - 1] = _boundary_weight(params.m1, theta)
+    w[params.m1] = _boundary_weight(params.m2, theta)
+    return OrbitWeights(params, w)
 
 
 def _cross_check_root_count(params: TfsParams, roots: np.ndarray) -> None:

@@ -163,7 +163,7 @@ def distributed_rounds(
         )
     m1, n1, m2, n2 = params.m1, params.n1, params.m2, params.n2
     c = m1 * n1
-    w = weights.as_array(params)
+    w = weights.values_for(params)
     w_in1, w_in2 = w[m1 - 1], w[m1]  # the center's two orbits
     try:
         # each node's weight to its neighbor one stratum nearer the center

@@ -564,7 +564,7 @@ def build_blocks(params: TfsParams, ow: OrbitWeights) -> StratifiedBlocks:
     restrictions of the weight matrix to one branch.  Time and memory are
     O(m1 + m2).
     """
-    diagonal, off = central_tridiagonal(params, ow.as_array(params))
+    diagonal, off = central_tridiagonal(params, ow.values_for(params))
     m1 = params.m1
     return StratifiedBlocks(
         params=params,

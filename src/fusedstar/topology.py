@@ -53,16 +53,17 @@ class TfsParams:
     def __post_init__(self) -> None:
         for name in ("m1", "n1", "m2", "n2"):
             value = getattr(self, name)
-            if int(value) != value or int(value) < 1:
-                raise InvalidParameterError(
-                    f"{name} must be an integer >= 1, got {value!r}"
-                )
             try:
-                float(value)
+                real = float(value)
             except OverflowError:
                 raise InvalidParameterError(
                     f"{name} is too large for floating-point arithmetic"
                 ) from None
+            # inf and nan fail the first test, before int() could raise
+            if not np.isfinite(real) or int(value) != value or value < 1:
+                raise InvalidParameterError(
+                    f"{name} must be an integer >= 1, got {value!r}"
+                )
             object.__setattr__(self, name, int(value))
 
     @property

@@ -1,16 +1,14 @@
 """Weight-matrix assembly from edge-orbit weights, plus standard schemes.
 
 Every symmetric averaging matrix that respects the branch-permuting symmetry
-of a TFS network is determined by one weight per edge orbit.  The assembled
-matrix is symmetric and row-stochastic by construction: off-diagonal entries
-carry the orbit weight of their edge, diagonals absorb the complement.
+of a TFS network is determined by one weight per edge orbit, which
+``OrbitWeights`` stores as one read-only vector.  The assembled matrix is
+symmetric and row-stochastic by construction: off-diagonal entries carry
+the orbit weight of their edge, diagonals absorb the complement.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from types import MappingProxyType
-from typing import Mapping
 
 import numpy as np
 
@@ -21,64 +19,60 @@ class MissingOrbitWeightError(ValueError):
     """Orbit weight set does not match the network's edge orbits."""
 
 
+@dataclass(frozen=True, eq=False)
 class OrbitWeights:
-    """One weight per edge orbit, keyed by orbit label.
+    """One weight per edge orbit of one network, as a read-only vector.
 
-    Labels follow the orbit convention: negative for the first star,
-    positive for the second; 0 is never a valid label.
+    ``values[k]`` is the weight of orbit ``params.orbit_labels[k]``:
+    ``-m1..-1`` on the first star, then ``1..m2`` on the second.
     """
 
-    def __init__(self, weights: Mapping[int, float]):
-        items: dict[int, float] = {}
-        for label, value in dict(weights).items():
-            if int(label) != label or label == 0:
-                raise ValueError(f"invalid orbit label {label!r}")
-            value = float(value)
-            if not math.isfinite(value):
-                raise ValueError(f"weight for orbit {label} is not finite")
-            items[int(label)] = value
-        self._w = MappingProxyType(items)
+    params: TfsParams
+    values: np.ndarray
+
+    def __post_init__(self) -> None:
+        values = np.array(self.values, dtype=float)
+        if values.shape != (self.params.m1 + self.params.m2,):
+            raise MissingOrbitWeightError(
+                f"orbit weights of shape {values.shape} do not fit {self.params}"
+            )
+        if not np.isfinite(values).all():
+            label = self.params.orbit_labels[int(np.argmin(np.isfinite(values)))]
+            raise ValueError(f"weight for orbit {label} is not finite")
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
+
+    @classmethod
+    def from_labels(cls, params: TfsParams, weights: dict[int, float]) -> "OrbitWeights":
+        """Weights keyed by orbit label, exactly one per orbit of ``params``;
+        any other key, 0 included, is an unexpected label."""
+        missing = sorted(set(params.orbit_labels) - set(weights))
+        if missing:
+            raise MissingOrbitWeightError(f"missing weights for orbits {missing}")
+        extra = sorted(set(weights) - set(params.orbit_labels))
+        if extra:
+            raise MissingOrbitWeightError(f"unexpected orbit labels {extra}")
+        return cls(params, [weights[label] for label in params.orbit_labels])
 
     @classmethod
     def constant(cls, params: TfsParams, value: float) -> "OrbitWeights":
-        return cls(dict.fromkeys(params.orbit_labels, value))
+        return cls(params, np.full(params.m1 + params.m2, float(value)))
 
-    def as_array(self, params: TfsParams) -> np.ndarray:
-        """The weights in ``params.orbit_labels`` order, after checking
-        that there is exactly one per edge orbit."""
-        check_orbit_weights(params, self)
-        return np.array([self._w[label] for label in params.orbit_labels])
-
-    @property
-    def w(self) -> Mapping[int, float]:
-        return self._w
+    def values_for(self, params: TfsParams) -> np.ndarray:
+        """The stored vector, after checking that it belongs to ``params``."""
+        if params != self.params:
+            raise MissingOrbitWeightError(f"weights for {self.params} do not fit {params}")
+        return self.values
 
     def __getitem__(self, label: int) -> float:
-        return self._w[label]
-
-    def __contains__(self, label: int) -> bool:
-        return label in self._w
+        if label == 0 or not -self.params.m1 <= label <= self.params.m2:
+            raise KeyError(label)
+        return float(self.values[self.params.m1 + label - (label > 0)])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, OrbitWeights):
             return NotImplemented
-        return dict(self._w) == dict(other._w)
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{k}: {v!r}" for k, v in sorted(self._w.items()))
-        return f"OrbitWeights({{{inner}}})"
-
-
-def check_orbit_weights(params: TfsParams, ow: OrbitWeights) -> None:
-    """Require exactly one weight per edge orbit of ``params``."""
-    expected = set(params.orbit_labels)
-    got = set(ow.w)
-    missing = sorted(expected - got)
-    if missing:
-        raise MissingOrbitWeightError(f"missing weights for orbits {missing}")
-    extra = sorted(got - expected)
-    if extra:
-        raise MissingOrbitWeightError(f"unexpected orbit labels {extra}")
+        return self.params == other.params and np.array_equal(self.values, other.values)
 
 
 @dataclass(frozen=True)
@@ -108,7 +102,7 @@ def assemble_weight_matrix(params: TfsParams, ow: OrbitWeights) -> WeightMatrix:
     block route is checked against, so it is built from the edge table
     alone.
     """
-    w = ow.as_array(params)
+    w = ow.values_for(params)
     a, b, k = edge_table(params)
     n = params.n_nodes
     mat = np.zeros((n, n))
@@ -187,9 +181,9 @@ def metropolis_orbit_weights(
             "convention must be 'inv_max' or 'inv_max_plus_1', "
             f"got {convention!r}"
         )
-    w = dict.fromkeys(params.orbit_labels, 1.0 / (shift + 2))
-    w[-1] = w[1] = 1.0 / (shift + params.n1 + params.n2)
-    return OrbitWeights(w)
+    w = np.full(params.m1 + params.m2, 1.0 / (shift + 2))
+    w[params.m1 - 1] = w[params.m1] = 1.0 / (shift + params.n1 + params.n2)
+    return OrbitWeights(params, w)
 
 
 def best_constant_orbit_weights(params: TfsParams) -> OrbitWeights:

@@ -243,9 +243,11 @@ def test_criterion_4_certificate_suite():
             f"{params} {name} = {value:.3g}" for good, name, value in checks if not good
         )
         # suboptimality detection
-        shifted = dict(sol.weights.w)
+        shifted = {label: sol.weights[label] for label in sol.params.orbit_labels}
         shifted[-1] += 0.01
-        perturbed = verify_certificate(cert, OrbitWeights(shifted))
+        perturbed = verify_certificate(
+            cert, OrbitWeights.from_labels(sol.params, shifted)
+        )
         worst = max(
             perturbed.slackness_center,
             perturbed.slackness_arms,
@@ -274,8 +276,8 @@ def test_criterion_5_stratification_suite():
         if p.n_nodes > 200:
             continue
         checked += 1
-        ow = OrbitWeights(
-            {label: float(rng.uniform(0.05, 0.5)) for label in p.orbit_labels}
+        ow = OrbitWeights.from_labels(
+            p, {label: float(rng.uniform(0.05, 0.5)) for label in p.orbit_labels}
         )
         blocks = build_blocks(p, ow)
         reported = block_spectrum(blocks)

@@ -23,8 +23,8 @@ from fusedstar.weighting import OrbitWeights
 
 def random_weights(params, seed):
     rng = np.random.default_rng(seed)
-    return OrbitWeights(
-        {label: rng.uniform(0.05, 0.5) for label in params.orbit_labels}
+    return OrbitWeights.from_labels(
+        params, {label: rng.uniform(0.05, 0.5) for label in params.orbit_labels}
     )
 
 
@@ -166,9 +166,9 @@ def test_mirror_symmetric_chain():
 def test_perturbed_weights_fail_verification():
     sol = optimal_weights(TfsParams(3, 4, 4, 3))
     cert = build_dual_certificate(sol)
-    shifted = dict(sol.weights.w)
+    shifted = {label: sol.weights[label] for label in sol.params.orbit_labels}
     shifted[-1] += 0.01
-    res = verify_certificate(cert, OrbitWeights(shifted))
+    res = verify_certificate(cert, OrbitWeights.from_labels(sol.params, shifted))
     worst = max(
         res.slackness_center,
         res.slackness_arms,
@@ -227,9 +227,9 @@ ORACLE_SHAPES = [
 def oracle_weightings(sol, seed):
     shifted = []
     for delta in (1e-3, -1e-3):
-        w = dict(sol.weights.w)
+        w = {label: sol.weights[label] for label in sol.params.orbit_labels}
         w[-1] += delta
-        shifted.append(OrbitWeights(w))
+        shifted.append(OrbitWeights.from_labels(sol.params, w))
     return [sol.weights, *shifted, random_weights(sol.params, seed)]
 
 
@@ -320,7 +320,7 @@ def test_recurrence_and_trace_match_stencil_loops(params):
         pytest.approx(loop_trace_mismatch(cert), rel=1e-12, abs=1e-16)
     )
     for weights in oracle_weightings(sol, sum(params)):
-        w = weights.as_array(p)
+        w = weights.values_for(p)
         for chain, primed in (
             (cert.coeffs_hat, False), (cert.coeffs_hat_prime, True)
         ):

@@ -3,10 +3,12 @@
 import csv
 import io
 import json
+import math
 import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -218,17 +220,21 @@ def test_verify_rejects_a_non_finite_perturbation(capsys, perturb):
 def test_verify_reports_an_overflowing_weight(capsys, shape, perturb):
     # the weight's square overflows, yet the report is whole and fails
     m1, n1, m2, n2 = map(str, shape)
-    code, out, err = run_cli(
-        capsys,
-        "verify",
-        "--m1", m1, "--n1", n1, "--m2", m2, "--n2", n2,
-        "--perturb", perturb,
-    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(
+            capsys,
+            "verify",
+            "--m1", m1, "--n1", n1, "--m2", m2, "--n2", n2,
+            "--perturb", perturb,
+        )
     assert code == 1
+    assert err == ""
     report = json.loads(out)
     assert report["passes"] is False
     assert report["perturbation"] == float(perturb)
     assert report["residuals"]["feasibility_min_eig"] < -float(perturb)
+    assert all(math.isfinite(value) for value in report["residuals"].values())
 
 
 def test_verify_help_shows_the_negative_perturbation_form(capsys):
@@ -453,6 +459,25 @@ def test_simulate_reports_unallocatable_trajectory(n1):
     assert out == ""
     assert err.startswith("error: cannot allocate the run: ")
     assert f"shape ({n1 + 3},)" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [command, "--m1", str(10**9), "--n1", "2", "--m2", "2", "--n2", "2"]
+        for command in ("solve", "compare", "verify")
+    ]
+    # a 10**10-cell grid: 74.5 GiB of branch lengths
+    + [["sweep", "custom", "--n1", "2", "--n2", "3",
+        "--m1-max", "100000", "--m2-max", "100000"]],
+    ids=["solve", "compare", "verify", "sweep"],
+)
+def test_unallocatable_requests_report_a_typed_error(argv):
+    code, out, err = run_cli_process(argv, preexec_fn=_cap_address_space)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: Unable to allocate ")
     assert "Traceback" not in err
 
 

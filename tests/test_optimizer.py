@@ -240,13 +240,13 @@ def test_optimality_probe():
     # over the two boundary weights
     sol = optimal_weights(TfsParams(2, 2, 3, 4))
     p = sol.params
-    base = dict(sol.weights.w)
+    base = {label: sol.weights[label] for label in p.orbit_labels}
     rng = np.random.default_rng(42)
     for _ in range(100):
         trial = dict(base)
         trial[-1] = base[-1] + rng.uniform(-0.05, 0.05)
         trial[1] = base[1] + rng.uniform(-0.05, 0.05)
-        report = block_spectrum(build_blocks(p, OrbitWeights(trial)))
+        report = block_spectrum(build_blocks(p, OrbitWeights.from_labels(p, trial)))
         assert report.slem >= sol.s - 1e-10
 
 
@@ -370,7 +370,7 @@ def test_inertia_check_agrees_with_computed_extremes(shift):
         p = TfsParams(*shape)
         w = {label: 0.5 for label in p.orbit_labels}
         w[-1], w[1] = wm, wp
-        report = block_extremes(build_blocks(p, OrbitWeights(w)))
+        report = block_extremes(build_blocks(p, OrbitWeights.from_labels(p, w)))
         expected.append(abs(report.slem - s) <= 1e-9)
     assert accepted.tolist() == expected
     if shift in (0.0, -1e-12):
@@ -421,7 +421,7 @@ def test_inertia_check_locates_the_slem_of_any_weights():
         p = TfsParams(*shape)
         w = {label: 0.5 for label in p.orbit_labels}
         w[-1], w[1] = wm, wp
-        report = block_extremes(build_blocks(p, OrbitWeights(w)))
+        report = block_extremes(build_blocks(p, OrbitWeights.from_labels(p, w)))
         slem.append(report.slem)
         sources.add("lowest" if report.slem == -report.lambda_min else "top")
     assert sources == {"lowest", "top"}

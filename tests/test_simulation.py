@@ -29,8 +29,8 @@ from fusedstar.weighting import (
 
 def random_weights(params, seed):
     rng = np.random.default_rng(seed)
-    return OrbitWeights(
-        {label: rng.uniform(0.05, 0.5) for label in params.orbit_labels}
+    return OrbitWeights.from_labels(
+        params, {label: rng.uniform(0.05, 0.5) for label in params.orbit_labels}
     )
 
 
@@ -43,7 +43,7 @@ def gather_reference(params, weights, x0, steps):
     """The protocol edge by edge: every node adds w_e * x(neighbor) over
     its edges with two ``np.add.at`` passes over the edge table."""
     ends_a, ends_b, orbit = edge_table(params)
-    edge_w = weights.as_array(params)[orbit]
+    edge_w = weights.values_for(params)[orbit]
     incident = np.zeros(params.n_nodes)
     np.add.at(incident, ends_a, edge_w)
     np.add.at(incident, ends_b, edge_w)
@@ -66,7 +66,7 @@ def bounded_random_weights(params, seed):
     hub = params.n1 + params.n2
     w[-1] = rng.uniform(0.05, 1.0) / hub
     w[1] = rng.uniform(0.05, 1.0) / hub
-    return OrbitWeights(w)
+    return OrbitWeights.from_labels(params, w)
 
 
 STENCIL_SHAPES = [

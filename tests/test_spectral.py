@@ -31,7 +31,8 @@ from fusedstar.weighting import (
 )
 
 # frozen optimum for (3,4,4,3); interior weights sit at 1/2
-OPT_343 = OrbitWeights(
+OPT_343 = OrbitWeights.from_labels(
+    TfsParams(3, 4, 4, 3),
     {-3: 0.5, -2: 0.5, -1: 0.16361147830979006,
      1: 0.2886837942392352, 2: 0.5, 3: 0.5, 4: 0.5}
 )
@@ -40,8 +41,8 @@ S_343 = 0.9545044654072468
 
 def random_weights(params, seed):
     rng = np.random.default_rng(seed)
-    return OrbitWeights(
-        {label: rng.uniform(0.05, 0.5) for label in params.orbit_labels}
+    return OrbitWeights.from_labels(
+        params, {label: rng.uniform(0.05, 0.5) for label in params.orbit_labels}
     )
 
 
@@ -54,7 +55,7 @@ def weighted_multiset(report: SpectralReport) -> np.ndarray:
 
 def test_center_block_small_example():
     p = TfsParams(1, 2, 1, 2)
-    blocks = build_blocks(p, OrbitWeights({-1: 0.25, 1: 0.25}))
+    blocks = build_blocks(p, OrbitWeights.from_labels(p, {-1: 0.25, 1: 0.25}))
     r = math.sqrt(2) / 4
     expected = np.array([[0.75, r, 0.0], [r, 0.0, r], [0.0, r, 0.75]])
     assert np.allclose(blocks.center.dense(), expected, atol=1e-15)
@@ -62,7 +63,7 @@ def test_center_block_small_example():
 
 def test_arm_block_entries():
     p = TfsParams(3, 2, 2, 3)
-    ow = OrbitWeights({-3: 0.1, -2: 0.2, -1: 0.3, 1: 0.4, 2: 0.45})
+    ow = OrbitWeights.from_labels(p, {-3: 0.1, -2: 0.2, -1: 0.3, 1: 0.4, 2: 0.45})
     blocks = build_blocks(p, ow)
     minus = blocks.minus.dense()
     assert np.allclose(np.diag(minus), [1 - 0.1, 1 - 0.1 - 0.2, 1 - 0.2 - 0.3])
@@ -186,9 +187,9 @@ def test_block_extremes_match_block_spectrum(seed):
         if p.m1 > 1:
             # a zero leaf weight splits the first arm block and the
             # central block: eigenvalue 1 three times
-            w = dict(weightings[0].w)
+            w = {label: weightings[0][label] for label in p.orbit_labels}
             w[-p.m1] = 0.0
-            weightings.append(OrbitWeights(w))
+            weightings.append(OrbitWeights.from_labels(p, w))
         for ow in weightings:
             blocks = build_blocks(p, ow)
             full, extremes = block_spectrum(blocks), block_extremes(blocks)

@@ -33,6 +33,10 @@ def test_params_validation():
         TfsParams(3, 2, -1, 3)
     with pytest.raises(InvalidParameterError):
         TfsParams(3, 2.5, 2, 3)
+    with pytest.raises(InvalidParameterError):
+        TfsParams(float("inf"), 2, 2, 2)
+    with pytest.raises(InvalidParameterError):
+        TfsParams(2, 2, float("nan"), 2)
 
 
 def test_params_reject_counts_beyond_the_float_range():

@@ -1,8 +1,12 @@
 """Weight matrix assembly and the three comparison weighting schemes."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from fusedstar.spectral import build_blocks
 from fusedstar.topology import TfsParams, build_topology, degrees, edge_orbit
 from fusedstar.weighting import (
     MissingOrbitWeightError,
@@ -22,7 +26,7 @@ def slem(matrix: np.ndarray) -> float:
 
 def test_center_diagonal_case():
     p = TfsParams(1, 2, 1, 2)
-    ow = OrbitWeights({-1: 0.25, 1: 0.25})
+    ow = OrbitWeights.from_labels(p, {-1: 0.25, 1: 0.25})
     W = assemble_weight_matrix(p, ow).entries
     center = p.m1 * p.n1
     assert W[center, center] == pytest.approx(0.0, abs=1e-15)
@@ -36,7 +40,7 @@ def test_zero_weights_give_identity():
 
 def test_diagonal_case_formula():
     p = TfsParams(3, 2, 2, 3)
-    ow = OrbitWeights({-3: 0.1, -2: 0.2, -1: 0.3, 1: 0.4, 2: 0.5})
+    ow = OrbitWeights.from_labels(p, {-3: 0.1, -2: 0.2, -1: 0.3, 1: 0.4, 2: 0.5})
     W = assemble_weight_matrix(p, ow).entries
     # leaf, interior, center, interior, leaf diagonals
     assert W[0, 0] == pytest.approx(1 - 0.1)
@@ -50,12 +54,12 @@ def test_diagonal_case_formula():
 def test_missing_orbit_weight():
     p = TfsParams(2, 2, 2, 2)
     with pytest.raises(MissingOrbitWeightError):
-        assemble_weight_matrix(p, OrbitWeights({-2: 0.5, -1: 0.5, 1: 0.5}))
+        assemble_weight_matrix(p, OrbitWeights.from_labels(p, {-2: 0.5, -1: 0.5, 1: 0.5}))
 
 
 def test_orbit_weights_round_trip():
     p = TfsParams(2, 3, 3, 2)
-    ow = OrbitWeights({-2: 0.11, -1: 0.22, 1: 0.33, 2: 0.44, 3: 0.55})
+    ow = OrbitWeights.from_labels(p, {-2: 0.11, -1: 0.22, 1: 0.33, 2: 0.44, 3: 0.55})
     g = build_topology(p)
     W = assemble_weight_matrix(p, ow).entries
     from fusedstar.topology import edge_orbit, node_index
@@ -63,7 +67,49 @@ def test_orbit_weights_round_trip():
     recovered = {}
     for u, v in g.edges:
         recovered[edge_orbit(p, (u, v))] = W[node_index(p, u), node_index(p, v)]
-    assert OrbitWeights(recovered) == ow
+    assert OrbitWeights.from_labels(p, recovered) == ow
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(
+    st.builds(
+        TfsParams,
+        m1=st.integers(1, 40),
+        n1=st.integers(1, 4),
+        m2=st.integers(1, 40),
+        n2=st.integers(1, 4),
+    ),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["m1", "n1", "m2", "n2"]),
+)
+def test_orbit_weights_store_one_vector_in_label_order(p, seed, field):
+    values = np.random.default_rng(seed).uniform(0.05, 0.5, p.m1 + p.m2)
+    ow = OrbitWeights(p, values)
+    for k, label in enumerate(p.orbit_labels):
+        assert ow[label] == values[k]
+    by_label = {label: ow[label] for label in p.orbit_labels}
+    assert OrbitWeights.from_labels(p, by_label) == ow
+    assert not ow.values.flags.writeable
+    with pytest.raises(ValueError):
+        ow.values[0] = 1.0
+    # another network, even one with the same orbit labels
+    other = dataclasses.replace(p, **{field: getattr(p, field) + 1})
+    with pytest.raises(MissingOrbitWeightError):
+        build_blocks(other, ow)
+    with pytest.raises(MissingOrbitWeightError):
+        assemble_weight_matrix(other, ow)
+
+
+def test_from_labels_rejects_bad_input():
+    p = TfsParams(1, 2, 2, 2)
+    with pytest.raises(MissingOrbitWeightError, match="missing weights for orbits \\[2\\]"):
+        OrbitWeights.from_labels(p, {-1: 0.5, 1: 0.5})
+    with pytest.raises(MissingOrbitWeightError, match="unexpected orbit labels \\[-2\\]"):
+        OrbitWeights.from_labels(p, {-2: 0.5, -1: 0.5, 1: 0.5, 2: 0.5})
+    with pytest.raises(MissingOrbitWeightError, match="unexpected orbit labels \\[0\\]"):
+        OrbitWeights.from_labels(p, {-1: 0.5, 0: 0.5, 1: 0.5, 2: 0.5})
+    with pytest.raises(ValueError, match="weight for orbit 2 is not finite"):
+        OrbitWeights.from_labels(p, {-1: 0.5, 1: 0.5, 2: float("nan")})
 
 
 def test_validate_stochastic_clean():
