@@ -34,7 +34,7 @@ from .simulation import (
     random_initial_state,
     write_trajectory_csv,
 )
-from .spectral import SpectralReport, block_extremes, build_blocks
+from .spectral import block_extremes, build_blocks
 from .topology import InvalidParameterError, TfsParams, build_topology
 from .weighting import (
     OrbitWeights,
@@ -73,18 +73,9 @@ def _scheme_weights(
     raise InvalidParameterError(f"unknown scheme {scheme!r}")
 
 
-def _spectral_report(
-    params: TfsParams, weights: OrbitWeights, solution: OptimalSolution | None
-) -> SpectralReport:
-    # the optimum's self-check already computed these extremes
-    if solution is not None:
-        return solution.spectrum
-    return block_extremes(build_blocks(params, weights))
-
-
 def _solve_payload(params: TfsParams, args: argparse.Namespace) -> dict:
     weights, solution = _scheme_weights(params, args.scheme, args)
-    report = _spectral_report(params, weights, solution)
+    report = block_extremes(build_blocks(params, weights))
     payload = {
         "params": {
             "m1": params.m1,
@@ -122,8 +113,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     params = _params_from(args)
     rows = []
     for scheme in SCHEMES:
-        weights, solution = _scheme_weights(params, scheme, args)
-        report = _spectral_report(params, weights, solution)
+        weights, _ = _scheme_weights(params, scheme, args)
+        report = block_extremes(build_blocks(params, weights))
         rows.append([scheme, f"{report.slem:.10g}"])
     _write_csv(["scheme", "slem"], rows)
     return 0
@@ -165,7 +156,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def _fig2_rows(args: argparse.Namespace) -> list[list[str]]:
     n1, n2 = 6, 12
     lo, hi = args.mbar_min, args.mbar_max
-    if lo < 1 or hi < lo:
+    if lo < 1:
+        raise InvalidParameterError(f"mean-length range [{lo}, {hi}] must start at 1")
+    if hi < lo:
         raise InvalidParameterError(f"empty mean-length range [{lo}, {hi}]")
     cells: dict[int, list[tuple[int, int]]] = {}
     for m_bar in range(lo, hi + 1):
@@ -239,6 +232,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         raise InvalidParameterError(
             f"--tail must be between 2 and --steps ({args.steps}), got {args.tail}"
         )
+    if args.seed < 0:
+        raise InvalidParameterError(f"--seed must be >= 0, got {args.seed}")
     weights, _ = _scheme_weights(params, args.scheme, args)
     x0 = random_initial_state(params.n_nodes, args.seed)
     trajectory = distributed_iterate(build_topology(params), weights, x0, args.steps)

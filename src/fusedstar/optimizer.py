@@ -9,8 +9,9 @@ form from the smallest root theta*, and ``cos(theta*)`` is the optimal
 spectral radius.  On ``(0, pi / (2 max(m1, m2))]`` both response factors are
 at least -1 and strictly decreasing, so the relation is positive exactly
 below theta* there and bisection on that bracket finds it.
-``optimal_weights_batch`` bisects a grid of shapes at once and self-checks
-by eigenvalue counts; the block entries and the count both come from
+``optimal_weights_batch`` bisects a grid of shapes at once.  Every optimum
+is self-checked by eigenvalue counts of its blocks (``_counts_prove_slem``),
+never by computed eigenvalues; the block entries and the counts come from
 ``spectral``.  The all-roots scan ``solve_theta_roots`` is an independent
 reference route.
 """
@@ -25,8 +26,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .spectral import (
-    SpectralReport,
-    block_extremes,
+    StratifiedBlocks,
     build_blocks,
     central_tridiagonal,
     count_eigenvalues_below,
@@ -44,7 +44,7 @@ class NoRootsError(RuntimeError):
 
 
 class SelfCheckError(RuntimeError):
-    """Analytic optimum disagrees with the assembled spectrum."""
+    """Eigenvalue counts do not prove the analytic optimum's SLEM."""
 
 
 class DegenerateSineError(ArithmeticError):
@@ -71,9 +71,6 @@ _DEGENERATE = 1e-13
 _BATCH_ELEMENTS = 1 << 19
 # diagonal of the decoupled rows that pad a block: above every shift
 _PAD = 2.0
-# eigenvalues at 1 (the Perron eigenvalue) per count lane: the central
-# block has one, the two arm blocks none
-_PERRON = np.array([[1], [0]])
 
 
 @dataclass(frozen=True)
@@ -92,14 +89,13 @@ class ThetaRoots:
 
 @dataclass(frozen=True)
 class OptimalSolution:
-    """Optimal orbit weights, the smallest root, ``s = cos(theta_star)``
-    and the block extremes at the weights that the self-check compared."""
+    """Optimal orbit weights, the smallest root and ``s = cos(theta_star)``,
+    the SLEM that eigenvalue counts proved within ``_SELF_CHECK``."""
 
     params: TfsParams
     theta_star: float
     s: float
     weights: OrbitWeights
-    spectrum: SpectralReport
 
 
 def _char_values(params: TfsParams, theta: np.ndarray | float) -> np.ndarray:
@@ -307,19 +303,48 @@ def _first_sign_change(f: Callable[[float], float], hi: float) -> float:
             hi = mid
 
 
+def _self_check_shifts(s):
+    d = _SELF_CHECK
+    return np.stack([-s - d, -s + d, s - d, s + d])
+
+
+def _counts_prove_slem(below: np.ndarray, top) -> np.ndarray:
+    """Where eigenvalue counts prove ``|slem - s| <= d = _SELF_CHECK``.
+
+    ``below`` counts the eigenvalues below the ``_self_check_shifts``
+    ``-s - d``, ``-s + d``, ``s - d``, ``s + d`` (first axis) of the
+    central block and of both arm blocks together (second axis).  Each
+    has ``top = m1 + m2`` eigenvalues besides the Perron eigenvalue 1, and
+    none may lie below ``-s - d`` or at or above ``s + d``, while one lies
+    below ``-s + d`` or at or above ``s - d``: then ``slem``, the largest
+    modulus after the Perron eigenvalue, is within ``d`` of ``s``.
+    """
+    bounded = (below[0] == 0).all(axis=0) & (below[3] >= top).all(axis=0)
+    attained = (below[1] > 0).any(axis=0) | (below[2] < top).any(axis=0)
+    return bounded & attained
+
+
+def _self_check_error(params: TfsParams, s: float) -> SelfCheckError:
+    claim = f"|slem - s| <= {_SELF_CHECK} for s = {s!r}"
+    return SelfCheckError(f"eigenvalue counts at {params} do not prove {claim}")
+
+
+def _blocks_prove_slem(blocks: StratifiedBlocks, s: float) -> bool:
+    """``_counts_prove_slem`` on the run-compressed counts of one shape's
+    blocks (``Tridiagonal.count_below``, O(1) in the branch length)."""
+    x = _self_check_shifts(s)
+    arms = blocks.minus.count_below(x) + blocks.plus.count_below(x)
+    below = np.stack([blocks.center.count_below(x), arms], axis=1)
+    return bool(_counts_prove_slem(below, blocks.center.size - 1))
+
+
 def _self_checked(
     params: TfsParams, theta_star: float, ow: OrbitWeights
 ) -> OptimalSolution:
     s = float(np.cos(theta_star))
-    report = block_extremes(build_blocks(params, ow))
-    if abs(report.slem - s) > _SELF_CHECK:
-        raise SelfCheckError(
-            f"assembled spectrum gives slem = {report.slem!r} but the "
-            f"smallest root promises {s!r}"
-        )
-    return OptimalSolution(
-        params=params, theta_star=theta_star, s=s, weights=ow, spectrum=report
-    )
+    if not _blocks_prove_slem(build_blocks(params, ow), s):
+        raise _self_check_error(params, s)
+    return OptimalSolution(params=params, theta_star=theta_star, s=s, weights=ow)
 
 
 def optimal_weights(params: TfsParams) -> OptimalSolution:
@@ -327,9 +352,9 @@ def optimal_weights(params: TfsParams) -> OptimalSolution:
 
     Interior orbits get weight 1/2; the two center-adjacent orbits follow
     from the smallest characteristic root theta*, found by bisection on
-    ``(0, pi / (2 max(m1, m2))]``.  The result is self-checked: the
-    extreme eigenvalues of the assembled blocks must reproduce
-    ``s = cos(theta*)`` as the spectral radius below 1 within 1e-9.
+    ``(0, pi / (2 max(m1, m2))]``.  The result is self-checked: eigenvalue
+    counts of the assembled blocks must prove ``s = cos(theta*)`` the
+    spectral radius below 1 within 1e-9 (``_counts_prove_slem``).
     Requires n1, n2 >= 2.
     """
     _require_two_branches(params)
@@ -421,23 +446,14 @@ def _first_sign_changes(
 def _inertia_self_check(
     shapes: _Shapes, s: np.ndarray, w_minus: np.ndarray, w_plus: np.ndarray
 ) -> np.ndarray:
-    """Where eigenvalue counts prove ``|slem - s| <= _SELF_CHECK``.
+    """``_counts_prove_slem`` on ``count_eigenvalues_below`` over a
+    ``(rows, 2, instances)`` stack of blocks.
 
-    With ``d = _SELF_CHECK`` the counts at ``-s - d``, ``-s + d``,
-    ``s - d`` and ``s + d`` (``count_eigenvalues_below``) must show that
-    no eigenvalue of a block lies below ``-s - d``, that none but the
-    central block's top one (its Perron eigenvalue 1) lies at or above
-    ``s + d``, and that one more lies in ``[s - d, 1]`` or below
-    ``-s + d``.  Then ``slem``, the largest modulus after the Perron
-    eigenvalue, is within ``d`` of ``s``, which is what the scalar
-    self-check asserts from computed eigenvalues.
-
-    The blocks are a ``(rows, 2, instances)`` stack.  Lane 0 is the
-    central block from ``central_tridiagonal``.  Every condition on the
-    arm blocks, its leading ``m1`` and trailing ``m2`` rows, reads the
-    sum of their counts, so lane 1 is the central block with its center
-    row decoupled.  Decoupled rows of diagonal ``_PAD``, above every
-    shift, pad each block to the batch's widest.
+    Lane 0 is the central block from ``central_tridiagonal``.  The arm
+    blocks are its leading ``m1`` and trailing ``m2`` rows, so lane 1, the
+    central block with its center row decoupled, counts both together.
+    Decoupled rows of diagonal ``_PAD``, above every shift, pad each block
+    to the batch's widest.
     """
     m1 = shapes.m1.astype(np.int64)
     top = (shapes.m1 + shapes.m2).astype(np.int64)  # the last central row
@@ -453,17 +469,9 @@ def _inertia_self_check(
     diagonals[m1, 1, lane] = _PAD
     couplings[m1 - 1, 1, lane] = 0.0
     couplings[m1, 1, lane] = 0.0
-    shifts = np.stack([-s - _SELF_CHECK, -s + _SELF_CHECK,
-                       s - _SELF_CHECK, s + _SELF_CHECK])[:, None, :]
-    below = count_eigenvalues_below(diagonals, couplings, shifts)
-    at_or_above = np.stack([top + 1, top]) - below
-    bounded = (below[0] == 0).all(axis=0) & (
-        at_or_above[3] <= _PERRON
-    ).all(axis=0)
-    attained = (below[1] > 0).any(axis=0) | (at_or_above[2] > _PERRON).any(
-        axis=0
-    )
-    return bounded & attained
+    x = _self_check_shifts(s)[:, None, :]
+    below = count_eigenvalues_below(diagonals, couplings, x)
+    return _counts_prove_slem(below, top)
 
 
 def _solve_chunk(shapes: _Shapes) -> tuple[np.ndarray, ...]:
@@ -518,11 +526,7 @@ def optimal_weights_batch(m1, n1, m2, n2) -> BatchSolution:
     if failed.any():
         # the scalar route raises its own error for this instance
         params = TfsParams(*_cell(cells, int(np.argmax(failed))))
-        solution = optimal_weights(params)
-        raise SelfCheckError(
-            f"eigenvalue counts at {params} do not prove |slem - s| <= "
-            f"{_SELF_CHECK} for s = {solution.s!r}"
-        )
+        raise _self_check_error(params, optimal_weights(params).s)
     shape = np.broadcast_shapes(*(v.shape for v in arrays))
     return BatchSolution(*(result.reshape(shape) for result in results))
 

@@ -206,24 +206,24 @@ class _RunCount:
         # every entry is at most 1 in magnitude now, so ||T|| <= 3 and
         # LAPACK's pivmin, tiny * max(1, max b^2), is tiny
         self.diagonal, self.couplings = diagonal, b
-        c = b * b
-        a, b, c = diagonal.tolist(), b.tolist(), c.tolist()
         if n <= _DENSE_ROWS:
             # a block this short only confirms the dense route's values,
             # row by row
-            self.steps = list(zip(a, [0.0, *c], [0.0] * n, [1] * n))
+            c = [0.0, *(b * b).tolist()]
+            self.steps = list(zip(diagonal.tolist(), c, [0.0] * n, [1] * n))
             return
-        # rows 1.. start a new key where a_j or b_{j-1}^2 changes
-        changes = (self.diagonal[2:] != self.diagonal[1:-1]) | (
-            self.couplings[1:] != self.couplings[:-1]
-        )
+        # rows 1.. start a new key where a_j or b_{j-1}^2 changes; only
+        # the entries that start a run or make a step are read
+        changes = (diagonal[2:] != diagonal[1:-1]) | (b[1:] != b[:-1])
         bounds = [1, *(np.flatnonzero(changes) + 2).tolist(), n]
-        steps = [(a[0], 0.0, 0.0, 1)]
+        a, b = diagonal.item, b.item
+        steps = [(a(0), 0.0, 0.0, 1)]
         for lo, hi in zip(bounds[:-1], bounds[1:]):
             if hi - lo >= _MIN_RUN:
-                steps.append((a[lo], c[lo - 1], b[lo - 1], hi - lo))
+                beta = b(lo - 1)
+                steps.append((a(lo), beta * beta, beta, hi - lo))
             else:
-                steps += [(a[j], c[j - 1], 0.0, 1) for j in range(lo, hi)]
+                steps += [(a(j), b(j - 1) * b(j - 1), 0.0, 1) for j in range(lo, hi)]
         self.steps = steps
 
     @functools.cached_property

@@ -264,8 +264,8 @@ def test_feasibility_and_slackness_match_dense_matrices(params):
     for index, weights in enumerate(oracle_weightings(sol, sum(params))):
         res = verify_certificate(cert, weights)
         dense = dense_feasibility_residuals(cert, weights)
-        assert abs(res.feasibility_min_eig - dense["feasibility_min_eig"]) <= (
-            1e-12
+        assert res.feasibility_min_eig == pytest.approx(
+            dense["feasibility_min_eig"], rel=4 * np.finfo(float).eps, abs=1e-12
         ), index
         for name in ("slackness_center", "slackness_arms"):
             assert getattr(res, name) == pytest.approx(

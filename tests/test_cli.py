@@ -354,6 +354,10 @@ def test_sweep_empty_range(capsys):
         assert code == 2
         assert out == ""
         assert err.startswith("error: ")
+    # a range that starts below 1 is not empty, and is named for what it is
+    code, out, err = run_cli(capsys, "sweep", "fig2", "--mbar-min", "0")
+    assert (code, out) == (2, "")
+    assert err == "error: mean-length range [0, 8] must start at 1\n"
 
 
 @pytest.mark.parametrize(
@@ -422,8 +426,9 @@ def test_console_entry_point():
         (["--steps", "-1"], "--steps must be >= 0"),
         (["--tail", "1"], "--tail must be between 2 and --steps"),
         (["--steps", "10"], "--tail must be between 2 and --steps (10), got 50"),
+        (["--seed", "-1"], "--seed must be >= 0, got -1"),
     ],
-    ids=["negative-steps", "tail-below-2", "tail-beyond-steps"],
+    ids=["negative-steps", "tail-below-2", "tail-beyond-steps", "negative-seed"],
 )
 def test_simulate_rejects_bad_run_lengths(capsys, extra, message):
     code, out, err = run_cli(

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from fusedstar import optimizer
+from fusedstar.cli import main
 from fusedstar.optimizer import (
     DegenerateSineError,
     NoRootsError,
@@ -16,6 +17,7 @@ from fusedstar.optimizer import (
     RootCountMismatchWarning,
     SelfCheckError,
     _batch_shapes,
+    _blocks_prove_slem,
     _inertia_self_check,
     char_residual,
     equivalent_star,
@@ -25,6 +27,7 @@ from fusedstar.optimizer import (
     solve_theta_roots,
 )
 from fusedstar.spectral import (
+    Tridiagonal,
     block_extremes,
     block_spectrum,
     build_blocks,
@@ -350,8 +353,10 @@ def test_batch_broadcasts_and_is_read_only():
 
 @pytest.mark.parametrize("shift", [0.0, 1e-12, -1e-12, 1e-6, -1e-6, 1e-3, -1e-3])
 def test_inertia_check_agrees_with_computed_extremes(shift):
-    # the counts accept exactly where block_extremes puts the SLEM within
-    # 1e-9 of s, at the optimum and with w_-1 moved off it
+    # the counts of both routes, the batch's stacked lanes and the scalar
+    # route's run-compressed blocks, accept exactly where block_extremes
+    # puts the SLEM within 1e-9 of s, at the optimum and with w_-1 moved
+    # off it
     shapes = [
         (m1, n1, m2, n2)
         for n1 in (2, 3, 22)
@@ -365,14 +370,16 @@ def test_inertia_check_agrees_with_computed_extremes(shift):
     accepted = _inertia_self_check(
         _batch_shapes(cells), batch.s, w_minus, batch.w_plus_1
     )
-    expected = []
+    expected, scalar = [], []
     for shape, wm, wp, s in zip(shapes, w_minus, batch.w_plus_1, batch.s):
         p = TfsParams(*shape)
         w = {label: 0.5 for label in p.orbit_labels}
         w[-1], w[1] = wm, wp
-        report = block_extremes(build_blocks(p, OrbitWeights.from_labels(p, w)))
-        expected.append(abs(report.slem - s) <= 1e-9)
+        blocks = build_blocks(p, OrbitWeights.from_labels(p, w))
+        expected.append(abs(block_extremes(blocks).slem - s) <= 1e-9)
+        scalar.append(_blocks_prove_slem(blocks, float(s)))
     assert accepted.tolist() == expected
+    assert scalar == expected
     if shift in (0.0, -1e-12):
         assert all(expected)
     if abs(shift) >= 1e-6:
@@ -407,8 +414,9 @@ def test_count_below_survives_a_zero_pivot():
 def test_inertia_check_locates_the_slem_of_any_weights():
     # with arbitrary boundary weights the SLEM comes from the top of an arm
     # block or the bottom of the spectrum (the central block's second
-    # eigenvalue interlaces below the arms' top); the counts must accept s
-    # at the computed SLEM and reject it 2e-9 to either side
+    # eigenvalue interlaces below the arms' top); the counts of both
+    # routes must accept s at the computed SLEM and reject it 2e-9 to
+    # either side
     rng = np.random.default_rng(3)
     shapes = [
         (int(rng.integers(1, 8)), int(rng.integers(2, 30)),
@@ -416,12 +424,13 @@ def test_inertia_check_locates_the_slem_of_any_weights():
         for _ in range(150)
     ]
     w_minus, w_plus = rng.uniform(0.01, 0.3, (2, len(shapes)))
-    slem, sources = [], set()
+    slem, sources, all_blocks = [], set(), []
     for shape, wm, wp in zip(shapes, w_minus, w_plus):
         p = TfsParams(*shape)
         w = {label: 0.5 for label in p.orbit_labels}
         w[-1], w[1] = wm, wp
-        report = block_extremes(build_blocks(p, OrbitWeights.from_labels(p, w)))
+        all_blocks.append(build_blocks(p, OrbitWeights.from_labels(p, w)))
+        report = block_extremes(all_blocks[-1])
         slem.append(report.slem)
         sources.add("lowest" if report.slem == -report.lambda_min else "top")
     assert sources == {"lowest", "top"}
@@ -430,6 +439,26 @@ def test_inertia_check_locates_the_slem_of_any_weights():
         s = np.array(slem) + offset
         checked = _inertia_self_check(_batch_shapes(cells), s, w_minus, w_plus)
         assert checked.tolist() == [accept] * len(shapes), offset
+        scalar = [_blocks_prove_slem(b, v) for b, v in zip(all_blocks, s.tolist())]
+        assert scalar == [accept] * len(shapes), offset
+
+
+def test_no_optimum_computes_an_eigenvalue(monkeypatch, capsys):
+    # every optimum is self-checked by eigenvalue counts alone
+    def refuse(*args, **kwargs):
+        raise AssertionError("an eigenvalue was computed")
+
+    monkeypatch.setattr(Tridiagonal, "extremes", refuse)
+    monkeypatch.setattr(Tridiagonal, "eigenvalues", refuse)
+    monkeypatch.setattr(Tridiagonal, "spectrum", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    for shape in [(3, 4, 4, 3), (800, 5, 790, 7)] + EXTREME_SHAPES:
+        assert optimal_weights(TfsParams(*shape)).s > 0.0
+    assert solve_symmetric_star(5, 18).s > 0.0
+    argv = ["simulate", "--m1", "3", "--n1", "4", "--m2", "4", "--n2", "3",
+            "--scheme", "optimal", "--steps", "20", "--tail", "5"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out
 
 
 def scalar_loop_error(shapes):
