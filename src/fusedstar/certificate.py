@@ -361,7 +361,11 @@ def verify_certificate(
     weight perturbation shows up in the slackness and recurrence
     residuals.  Every condition costs O(m1 + m2): both slackness products
     are tridiagonal, and both smallest feasibility eigenvalues follow
-    from extreme eigenvalues of the blocks.
+    from extreme eigenvalues of the blocks.  The blocks are the ones that
+    ``build_blocks`` keeps on ``weights``: after a self-check and a
+    report on the same weights, no block is built again and the lowest
+    eigenvalue of the central block and the top of each arm block are
+    read from what the report found.
     """
     params = certificate.params
     w = weights.values_for(params)

@@ -73,8 +73,17 @@ def _scheme_weights(
     raise InvalidParameterError(f"unknown scheme {scheme!r}")
 
 
-def _solve_payload(params: TfsParams, args: argparse.Namespace) -> dict:
+def _solve_payload(
+    params: TfsParams, args: argparse.Namespace
+) -> tuple[dict, np.ndarray]:
+    """The solve report without its weights, and the weight vector.
+
+    The report's ``"weights"`` is an empty placeholder for ``cmd_solve``
+    to fill from ``_weights_json``.
+    """
     weights, solution = _scheme_weights(params, args.scheme, args)
+    # for the optimum these are the self-check's blocks, whose extremes the
+    # certificate below reads again
     report = block_extremes(build_blocks(params, weights))
     payload = {
         "params": {
@@ -89,9 +98,7 @@ def _solve_payload(params: TfsParams, args: argparse.Namespace) -> dict:
         "lambda2": _sig10(report.lambda2),
         "lambda_min": _sig10(report.lambda_min),
         "theta_star": _sig10(solution.theta_star) if solution else None,
-        "weights": dict(
-            zip(map(str, params.orbit_labels), map(_sig10, weights.values.tolist()))
-        ),
+        "weights": {},
     }
     if solution is not None:
         certificate = build_dual_certificate(solution)
@@ -100,12 +107,38 @@ def _solve_payload(params: TfsParams, args: argparse.Namespace) -> dict:
             key: _sig10(value) for key, value in residuals.as_dict().items()
         }
         payload["certificate"]["passes"] = residuals.passes()
-    return payload
+    return payload, weights.values
+
+
+def _weights_json(params: TfsParams, values: np.ndarray) -> str:
+    """The ``"weights"`` object as ``json.dumps(payload, indent=2)`` writes
+    ``{str(label): _sig10(weight)}`` one level deep, in orbit order.
+
+    Each run of equal weights formats its value once and joins its labels
+    in C, so the cost is O(runs) in Python.  Runs are of equal bits, which
+    keeps ``-0.0`` and ``0.0`` apart, and break where the labels skip 0.
+    """
+    m1 = params.m1
+    bits = values.view(np.int64)
+    starts = sorted({0, m1, *(np.flatnonzero(bits[1:] != bits[:-1]) + 1).tolist()})
+    entries = []
+    for lo, hi in zip(starts, [*starts[1:], values.size]):
+        value = json.dumps(_sig10(values.item(lo)))
+        # the labels skip 0 between the stars
+        first = lo - m1 if lo < m1 else lo - m1 + 1
+        labels = range(first, first + hi - lo)
+        separator = f'": {value},\n    "'
+        entries.append(f'    "{separator.join(map(str, labels))}": {value}')
+    return "{\n" + ",\n".join(entries) + "\n  }"
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    payload = _solve_payload(_params_from(args), args)
-    print(json.dumps(payload, indent=2))
+    params = _params_from(args)
+    payload, values = _solve_payload(params, args)
+    # no key before "weights" can hold the placeholder text
+    print(json.dumps(payload, indent=2).replace(
+        '"weights": {}', '"weights": ' + _weights_json(params, values), 1
+    ))
     return 0
 
 

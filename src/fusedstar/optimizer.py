@@ -305,7 +305,7 @@ def _first_sign_change(f: Callable[[float], float], hi: float) -> float:
 
 def _self_check_shifts(s):
     d = _SELF_CHECK
-    return np.stack([-s - d, -s + d, s - d, s + d])
+    return np.array([-s - d, -s + d, s - d, s + d])
 
 
 def _counts_prove_slem(below: np.ndarray, top) -> np.ndarray:

@@ -14,7 +14,9 @@ trailing ``m2`` rows.  Where only ``lambda2``, ``lambda_min`` and the SLEM
 are needed, ``block_extremes`` finds just the extreme eigenvalues: a block
 of at most ``_DENSE_ROWS`` rows by ``np.linalg.eigvalsh`` on its dense form
 (checked by counts where that is not accurate enough), a larger one by
-bisection on a run-compressed Sturm count.  Every block
+bisection on a run-compressed Sturm count.  ``build_blocks`` builds the
+blocks of one ``OrbitWeights`` once and each block keeps the eigenvalues
+it has found, so one solve does this work once.  Every block
 has equal rows except at its leaves, the center and the center's
 neighbours, and along a run of equal rows the pivots of ``T - xI = LDL^T``
 are the continuants ``beta^k sin(k phi + psi)`` (the characteristic
@@ -117,32 +119,48 @@ class Tridiagonal:
         )
 
     def eigenvalues(self, first: int, last: int) -> np.ndarray:
-        """Ascending eigenvalues ``first..last`` (0-based, inclusive)."""
+        """Ascending eigenvalues ``first..last`` (0-based, inclusive), as a
+        new array."""
         return self._eigenvalues(range(first, last + 1))
 
     def extremes(self) -> np.ndarray:
         """The lowest and the top two eigenvalues, ascending (all of them
-        when there are at most three)."""
+        when there are at most three), as a new array.
+
+        Each eigenvalue is found once per block: this and ``eigenvalues``
+        keep what they find by index and read it back on the next call.
+        """
         n = self.size
         return self._eigenvalues(range(n) if n <= 3 else (0, n - 2, n - 1))
 
     def _eigenvalues(self, indices: Iterable[int]) -> np.ndarray:
         indices = list(indices)
+        found = self._found
+        missing = [index for index in indices if index not in found]
+        if missing:
+            found.update(zip(missing, self._solve(missing)))
+        return np.array([found[index] for index in indices], dtype=float)
+
+    @functools.cached_property
+    def _found(self) -> dict[int, float]:
+        return {}
+
+    def _solve(self, indices: list[int]) -> list[float]:
         if self.size > _DENSE_ROWS:
-            return np.array(self._runs.eigenvalues(indices))
+            return self._runs.eigenvalues(indices)
         dense = self.dense()
         if not np.isfinite(dense).all():
             raise np.linalg.LinAlgError(_NON_FINITE)
         values = np.linalg.eigvalsh(dense)
-        guesses = values[indices]
+        guesses = values[indices].tolist()
         # LAPACK's dense solver is accurate to a few eps ||T||: to a few
         # ulps near ||T||, but not far below it, where the counts bisect
         # to their relative accuracy (as for lambda_min at (1, 10^12, 1, 2)
         # under Metropolis weights)
         floor = 0.125 * max(-values[0], values[-1])
-        if min(map(abs, guesses.tolist())) >= floor:
+        if min(map(abs, guesses)) >= floor:
             return guesses
-        return np.array(self._runs.eigenvalues(indices, guesses.tolist()))
+        return self._runs.eigenvalues(indices, guesses)
 
     def count_below(self, shifts: float | np.ndarray) -> int | np.ndarray:
         """Number of eigenvalues below each shift, from the run-compressed
@@ -557,21 +575,28 @@ def central_tridiagonal(
 
 
 def build_blocks(params: TfsParams, ow: OrbitWeights) -> StratifiedBlocks:
-    """Construct the three stratified blocks directly from orbit weights.
+    """The three stratified blocks of the orbit weights ``ow``.
 
     The central block comes from ``central_tridiagonal``; the arm blocks
     are its leading ``m1`` and trailing ``m2`` rows, the tridiagonal
     restrictions of the weight matrix to one branch.  Time and memory are
-    O(m1 + m2).
+    O(m1 + m2) on the first call for ``ow``.  The blocks are kept on
+    ``ow`` (its vector is read-only), so every later call, after checking
+    that ``ow`` belongs to ``params``, returns the same blocks, with the
+    counts and eigenvalues they have already found.
     """
-    diagonal, off = central_tridiagonal(params, ow.values_for(params))
-    m1 = params.m1
-    return StratifiedBlocks(
-        params=params,
-        minus=Tridiagonal(diagonal[:m1], off[: m1 - 1]),
-        center=Tridiagonal(diagonal, off),
-        plus=Tridiagonal(diagonal[m1 + 1 :], off[m1 + 1 :]),
-    )
+    w = ow.values_for(params)
+    if ow._blocks is None:
+        diagonal, off = central_tridiagonal(params, w)
+        m1 = ow.params.m1
+        blocks = StratifiedBlocks(
+            params=ow.params,
+            minus=Tridiagonal(diagonal[:m1], off[: m1 - 1]),
+            center=Tridiagonal(diagonal, off),
+            plus=Tridiagonal(diagonal[m1 + 1 :], off[m1 + 1 :]),
+        )
+        object.__setattr__(ow, "_blocks", blocks)
+    return ow._blocks
 
 
 def count_eigenvalues_below(

@@ -8,11 +8,15 @@ the orbit weight of their edge, diagonals absorb the complement.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .topology import TfsParams, edge_table
+
+if TYPE_CHECKING:
+    from .spectral import StratifiedBlocks
 
 
 class MissingOrbitWeightError(ValueError):
@@ -29,6 +33,12 @@ class OrbitWeights:
 
     params: TfsParams
     values: np.ndarray
+    # the stratified blocks of these weights: ``spectral.build_blocks``
+    # builds them on first use and keeps them here, which is safe because
+    # ``values`` is read-only and ``params`` frozen
+    _blocks: StratifiedBlocks | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         values = np.array(self.values, dtype=float)

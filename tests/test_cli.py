@@ -6,14 +6,25 @@ import json
 import math
 import os
 import pathlib
+import random
 import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import fusedstar
-from fusedstar.cli import main
+from fusedstar import spectral
+from fusedstar.cli import _sig10, _weights_json, main
+from fusedstar.optimizer import optimal_weights
+from fusedstar.topology import TfsParams
+from fusedstar.weighting import (
+    best_constant_orbit_weights,
+    max_degree_orbit_weights,
+    metropolis_orbit_weights,
+)
 
 
 def run_cli(capsys, *argv):
@@ -109,6 +120,121 @@ def test_solve_deterministic(capsys):
     _, first, _ = run_cli(capsys, *argv)
     _, second, _ = run_cli(capsys, *argv)
     assert first == second
+
+
+def _seeded_shapes(seed, count):
+    rng = random.Random(seed)
+
+    def draw(high):
+        return max(1, round(math.exp(rng.uniform(0.0, math.log(high)))))
+
+    return [(draw(900), 1 + draw(10**4), draw(900), 1 + draw(10**4)) for _ in range(count)]
+
+
+# the smallest shape, arms of one orbit, seeded shapes and one long arm
+JSON_SHAPES = [
+    (1, 2, 1, 2), (1, 7, 5, 3), (6, 3, 1, 9), (3, 4, 4, 3),
+    *_seeded_shapes(20261018, 4), (100_000, 2, 3, 2),
+]
+SCHEME_WEIGHTS = {
+    "optimal": lambda p: optimal_weights(p).weights,
+    "max-degree": max_degree_orbit_weights,
+    "metropolis": metropolis_orbit_weights,
+    "best-constant": best_constant_orbit_weights,
+}
+
+
+@pytest.mark.parametrize("shape", JSON_SHAPES)
+@pytest.mark.parametrize("scheme", [*SCHEME_WEIGHTS, "dmax+1"])
+def test_solve_writes_the_bytes_of_the_per_weight_dict(capsys, scheme, shape):
+    params = TfsParams(*shape)
+    argv = ["solve", *(f"--{k}={v}" for k, v in zip(("m1", "n1", "m2", "n2"), shape))]
+    if scheme == "dmax+1":
+        argv += ["--scheme", "max-degree", "--max-degree-convention", "dmax+1"]
+        weights = max_degree_orbit_weights(params, "inv_dmax_plus_1")
+    else:
+        argv += ["--scheme", scheme]
+        weights = SCHEME_WEIGHTS[scheme](params)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    payload = json.loads(out)
+    payload["weights"] = dict(
+        zip(map(str, params.orbit_labels), map(_sig10, weights.values.tolist()))
+    )
+    assert out == json.dumps(payload, indent=2) + "\n"
+
+
+def _runs(pieces):
+    return [value for value, length in pieces for _ in range(length)]
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_EDGE_VALUES = st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e300, -1e300, 0.5,
+     0.1, math.nextafter(0.1, 1.0), 1.7976931348623157e308]
+)
+_VECTORS = st.one_of(
+    st.lists(st.one_of(_FINITE, _EDGE_VALUES), min_size=2, max_size=40),
+    # runs of equal values: all equal, alternating and in between
+    st.lists(
+        st.tuples(st.one_of(_EDGE_VALUES, _FINITE), st.integers(1, 6)), min_size=1, max_size=8
+    ).map(_runs).filter(lambda v: len(v) >= 2),
+)
+
+
+@given(values=_VECTORS, data=st.data())
+@example(values=[-0.0, 0.0, 0.0, -0.0, -0.0], data=None)
+@example(values=[1e300] * 7 + [-1e300, 5e-324, -5e-324], data=None)
+@example(values=[0.1, math.nextafter(0.1, 1.0)] * 3, data=None)
+@settings(max_examples=300, deadline=None)
+def test_weights_writer_matches_the_stdlib_encoder(values, data):
+    m1 = data.draw(st.integers(1, len(values) - 1)) if data else len(values) // 2
+    params = TfsParams(m1, 2, len(values) - m1, 2)
+    by_label = dict(zip(map(str, params.orbit_labels), map(_sig10, values)))
+    written = _weights_json(params, np.array(values))
+    assert '{\n  "weights": ' + written + "\n}" == json.dumps(
+        {"weights": by_label}, indent=2
+    )
+
+
+@pytest.fixture
+def run_counts(monkeypatch):
+    """Counts of ``_RunCount`` builds and eigenvalue searches."""
+    counts = {"built": 0, "searched": 0}
+    build, search = spectral._RunCount.__init__, spectral._RunCount._search
+
+    def counted_build(self, *args):
+        counts["built"] += 1
+        build(self, *args)
+
+    def counted_search(self, *args):
+        counts["searched"] += 1
+        return search(self, *args)
+
+    monkeypatch.setattr(spectral._RunCount, "__init__", counted_build)
+    monkeypatch.setattr(spectral._RunCount, "_search", counted_search)
+    return counts
+
+
+@pytest.mark.parametrize(
+    "command, built, searched",
+    [
+        # the self-check's three blocks serve the report and the
+        # certificate, whose three eigenvalues the report already found
+        ("solve", 3, 9),
+        ("verify", 3, 3),
+        # three blocks per scheme, and the unit weights of best-constant
+        ("compare", 15, 45),
+    ],
+)
+def test_each_solve_builds_each_block_and_finds_each_eigenvalue_once(
+    capsys, run_counts, command, built, searched
+):
+    code, _, _ = run_cli(
+        capsys, command, "--m1", "450", "--n1", "5", "--m2", "400", "--n2", "3"
+    )
+    assert code == 0
+    assert run_counts == {"built": built, "searched": searched}
 
 
 TABLE_ROWS = {

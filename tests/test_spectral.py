@@ -381,3 +381,34 @@ def test_interlacing_requires_two_branches():
     blocks = build_blocks(p, OrbitWeights.constant(p, 0.3))
     with pytest.raises(InvalidParameterError):
         interlacing_check(blocks)
+
+
+def test_blocks_are_built_once_per_weight_vector():
+    p = TfsParams(4, 3, 5, 2)
+    ow = metropolis_orbit_weights(p)
+    blocks = build_blocks(p, ow)
+    assert build_blocks(TfsParams(4, 3, 5, 2), ow) is blocks
+    # equal weights in another object get their own blocks, equal to these
+    twin = OrbitWeights(p, ow.values)
+    twin_blocks = build_blocks(p, twin)
+    assert twin_blocks is not blocks
+    for name in ("minus", "center", "plus"):
+        mine, theirs = getattr(blocks, name), getattr(twin_blocks, name)
+        assert np.array_equal(mine.diagonal, theirs.diagonal)
+        assert np.array_equal(mine.off_diagonal, theirs.off_diagonal)
+
+
+@pytest.mark.parametrize("m", [5, 200])  # dense route, then bisection
+def test_returned_eigenvalues_do_not_share_the_memo(m):
+    p = TfsParams(m, 3, m + 1, 4)
+    block = build_blocks(p, metropolis_orbit_weights(p)).center
+    reads = (block.extremes, lambda: block.eigenvalues(0, 1))
+    for read in reads * 2:
+        first = read()
+        expected = first.copy()
+        try:
+            first[:] = 7.0
+        except ValueError:
+            pass  # a read-only array is as good as a copy
+        assert np.array_equal(read(), expected)
+    assert block.eigenvalues(0, 0)[0] == block.extremes()[0]
