@@ -227,8 +227,8 @@ def build_dual_certificate(solution: OptimalSolution) -> DualCertificate:
     z2 = _expand(stencils_prime, a_prime, k.size)
 
     # sqrt((1 - s) / 2) = sin(theta / 2), which does not cancel at small theta
-    t1 = math.sin(0.5 * theta) / float(np.linalg.norm(z1))
-    t2 = math.sqrt((1.0 + s) / 2.0) / float(np.linalg.norm(z2))
+    t1 = math.sin(0.5 * theta) / _norm(z1)
+    t2 = math.sqrt((1.0 + s) / 2.0) / _norm(z2)
     return DualCertificate(
         params=params,
         theta=theta,
@@ -342,11 +342,17 @@ def _proportionality_residual(
     )
 
 
+def _dot(x: np.ndarray, y: np.ndarray) -> float:
+    # numpy's pairwise sum, not BLAS: BLAS splits a long dot product
+    # between its threads, and the rounding with it
+    return float(np.sum(x * y))
+
+
 def _norm(x: np.ndarray) -> float:
-    # taken at a power-of-two scale, which is exact: the same bits as
-    # np.linalg.norm, but no square overflows
+    # taken at a power-of-two scale, which is exact, so no square overflows
     _, exponent = np.frexp(np.max(np.abs(x), initial=0.0))
-    return float(np.ldexp(np.linalg.norm(np.ldexp(x, -exponent)), exponent))
+    scaled = np.ldexp(x, -exponent)
+    return math.ldexp(math.sqrt(_dot(scaled, scaled)), int(exponent))
 
 
 def verify_certificate(
@@ -374,9 +380,9 @@ def verify_certificate(
     v = perron_vector(params)
     s, z1, z2 = certificate.s, certificate.z1, certificate.z2
 
-    norm1 = float(z1 @ z1)
-    norm2 = float(z2 @ z2)
-    perron_dot = float(v @ z1)
+    norm1 = _dot(z1, z1)
+    norm2 = _dot(z2, z2)
+    perron_dot = _dot(v, z1)
     arms_z2 = np.concatenate(
         [blocks.minus.matvec(z2[:m1]), blocks.plus.matvec(z2[m1:])]
     )

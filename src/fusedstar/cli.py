@@ -2,7 +2,8 @@
 
 Subcommands: solve (single-instance JSON report), compare (SLEM of all
 weighting schemes), verify (optimality certificate residuals), sweep
-(CSV grids over network shapes), simulate (consensus trajectory).
+(CSV grids over network shapes, each solved as one batch), simulate
+(consensus trajectory).
 JSON goes to stdout for single reports, RFC-4180 CSV for grids and
 trajectories; diagnostics go to stderr.  Exit codes: 0 success,
 1 verification or computation failure, 2 invalid input.
@@ -25,7 +26,6 @@ from .optimizer import (
     SelfCheckError,
     optimal_weights,
     optimal_weights_batch,
-    solve_symmetric_star,
 )
 from .simulation import (
     InsufficientSignalError,
@@ -186,37 +186,38 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if residuals.passes() else 1
 
 
-def _fig2_rows(args: argparse.Namespace) -> list[list[str]]:
+# A sweep's leading header and cells, and its shapes (m1, n1, m2, n2) as
+# arrays that broadcast; cmd_sweep solves every shape in one batch.
+def _fig2_sweep(args: argparse.Namespace) -> tuple:
     n1, n2 = 6, 12
     lo, hi = args.mbar_min, args.mbar_max
     if lo < 1:
         raise InvalidParameterError(f"mean-length range [{lo}, {hi}] must start at 1")
     if hi < lo:
         raise InvalidParameterError(f"empty mean-length range [{lo}, {hi}]")
-    cells: dict[int, list[tuple[int, int]]] = {}
+    lead, shapes = [], []
     for m_bar in range(lo, hi + 1):
         total = m_bar * (n1 + n2)
-        cells[m_bar] = [
+        tfs = [
             (m1, (total - m1 * n1) // n2)
             for m1 in range(1, total // n1 + 1)
             if total - m1 * n1 > 0 and (total - m1 * n1) % n2 == 0
         ]
-    shapes = np.array(
-        [cell for row in cells.values() for cell in row], dtype=int
-    ).reshape(-1, 2)
-    batch = optimal_weights_batch(shapes[:, 0], n1, shapes[:, 1], n2)
-    slem = iter(batch.s.tolist())
-    rows: list[list[str]] = []
-    for m_bar, tfs in cells.items():
-        star = solve_symmetric_star(m_bar, n1 + n2)
-        rows.append(
-            [str(m_bar), "star", str(m_bar), str(m_bar), f"{star.s:.10g}"]
-        )
-        rows += [
-            [str(m_bar), "tfs", str(m1), str(m2), f"{next(slem):.10g}"]
-            for m1, m2 in tfs
-        ]
-    return rows
+        # the star of n1 + n2 branches of length m_bar, as a TFS network
+        shapes += [(m_bar, (n1 + n2) // 2, m_bar, (n1 + n2 + 1) // 2)]
+        shapes += [(m1, n1, m2, n2) for m1, m2 in tfs]
+        lead += [[str(m_bar), "star", str(m_bar), str(m_bar)]]
+        lead += [[str(m_bar), "tfs", str(m1), str(m2)] for m1, m2 in tfs]
+    return ["m_bar", "network", "m1", "m2"], lead, np.array(shapes).T
+
+
+def _grid_sweep(args: argparse.Namespace, n1: int, n2: int) -> tuple:
+    if args.m1_max < 1 or args.m2_max < 1:
+        raise InvalidParameterError("branch-length ranges must start at 1")
+    m1, m2 = np.divmod(np.arange(args.m1_max * args.m2_max), args.m2_max)
+    m1, m2 = m1 + 1, m2 + 1
+    lead = [[str(a), str(b)] for a, b in zip(m1.tolist(), m2.tolist())]
+    return ["m1", "m2"], lead, (m1, n1, m2, n2)
 
 
 # sweep column -> BatchSolution field
@@ -227,33 +228,24 @@ _SWEEP_COLUMNS = {
 }
 
 
-def _grid_rows(
-    args: argparse.Namespace, n1: int, n2: int, columns: tuple[str, ...]
-) -> list[list[str]]:
-    if args.m1_max < 1 or args.m2_max < 1:
-        raise InvalidParameterError("branch-length ranges must start at 1")
-    m1, m2 = np.divmod(np.arange(args.m1_max * args.m2_max), args.m2_max)
-    m1, m2 = m1 + 1, m2 + 1
-    batch = optimal_weights_batch(m1, n1, m2, n2)
-    values = [getattr(batch, _SWEEP_COLUMNS[name]).tolist() for name in columns]
-    return [
-        [str(a), str(b)] + [f"{value:.10g}" for value in row]
-        for a, b, *row in zip(m1.tolist(), m2.tolist(), *values)
-    ]
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
     if args.kind == "fig2":
-        _write_csv(["m_bar", "network", "m1", "m2", "slem"], _fig2_rows(args))
-        return 0
-    if args.kind == "custom":
+        header, lead, shapes = _fig2_sweep(args)
+        columns = ("slem",)
+    elif args.kind == "custom":
         if args.n1 is None or args.n2 is None:
             raise InvalidParameterError("custom sweeps require --n1 and --n2")
-        n1, n2, columns = args.n1, args.n2, ("slem", "w_minus_1", "theta_star")
+        header, lead, shapes = _grid_sweep(args, args.n1, args.n2)
+        columns = ("slem", "w_minus_1", "theta_star")
     else:
-        n1, n2 = 2, 22
+        header, lead, shapes = _grid_sweep(args, 2, 22)
         columns = ("slem",) if args.kind == "fig3" else ("w_minus_1",)
-    _write_csv(["m1", "m2", *columns], _grid_rows(args, n1, n2, columns))
+    batch = optimal_weights_batch(*shapes)
+    values = [getattr(batch, _SWEEP_COLUMNS[name]).tolist() for name in columns]
+    _write_csv([*header, *columns], [
+        cells + [f"{value:.10g}" for value in row]
+        for cells, *row in zip(lead, *values)
+    ])
     return 0
 
 
@@ -321,9 +313,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     _add_params(p_compare)
 
-    p_verify = sub.add_parser(
-        "verify", parents=[common], help="check the optimality certificate"
-    )
+    p_verify = sub.add_parser("verify", help="check the optimality certificate")
     _add_params(p_verify)
     p_verify.add_argument(
         "--perturb",
@@ -333,9 +323,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "write a negative shift as --perturb=-1e-3",
     )
 
-    p_sweep = sub.add_parser(
-        "sweep", parents=[common], help="SLEM or boundary-weight grids, CSV"
-    )
+    p_sweep = sub.add_parser("sweep", help="SLEM or boundary-weight grids, CSV")
     p_sweep.add_argument("kind", choices=("fig2", "fig3", "fig4", "custom"))
     p_sweep.add_argument("--mbar-min", type=int, default=1)
     p_sweep.add_argument("--mbar-max", type=int, default=8)

@@ -299,7 +299,8 @@ class _RunCount:
         next.  Bisection runs until the interval holds no eigenvalue of
         the matrix without its last row.  The last pivot then falls
         continuously through zero across the interval, and regula falsi on
-        it (the Illinois variant) ends the search in a few steps.
+        it (the Illinois variant) ends the search in a few steps; while an
+        end's pivot is floored to pivmin, the search bisects instead.
         """
         count = self.count
         counted: list[tuple[float, int, float]] = []
@@ -337,9 +338,12 @@ class _RunCount:
             width = width if width > _TINY else _TINY
             if high - low <= width:
                 break
+            # a pivot floored to pivmin says nothing of the distance to
+            # the eigenvalue: at an exact eigenvalue the floored end would
+            # draw every secant point, half a width from it each time
             secant = (
                 below_low == index and below_high == index + 1
-                and f_low > 0.0 > f_high
+                and f_low > _TINY and -f_high > _TINY
             )
             if secant:
                 # at least half the final width inside either end, so that

@@ -16,9 +16,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import fusedstar
-from fusedstar import spectral
+from fusedstar import cli, optimizer, spectral
 from fusedstar.cli import _sig10, _weights_json, main
-from fusedstar.optimizer import optimal_weights
+from fusedstar.optimizer import (
+    SelfCheckError,
+    optimal_weights,
+    solve_symmetric_star,
+)
 from fusedstar.topology import TfsParams
 from fusedstar.weighting import (
     best_constant_orbit_weights,
@@ -363,6 +367,41 @@ def test_verify_reports_an_overflowing_weight(capsys, shape, perturb):
     assert all(math.isfinite(value) for value in report["residuals"].values())
 
 
+def test_verify_output_does_not_depend_on_the_blas_thread_count():
+    # at 20003 orbits a BLAS dot product splits its sum between threads
+    argv = [sys.executable, "-m", "fusedstar.cli",
+            "verify", "--m1", "20000", "--n1", "2", "--m2", "2", "--n2", "2"]
+    outs = []
+    for threads in ("1", "2"):
+        env = cli_env()
+        env["OPENBLAS_NUM_THREADS"] = threads
+        result = subprocess.run(argv, capture_output=True, env=env, timeout=120)
+        assert result.returncode == 0
+        outs.append(result.stdout)
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["solve", "--m1", "2", "--n1", "3", "--m2", "2", "--n2", "4"], 0),
+        (["compare", "--m1", "2", "--n1", "3", "--m2", "2", "--n2", "4"], 0),
+        (["simulate", "--m1", "2", "--n1", "3", "--m2", "2", "--n2", "4",
+          "--steps", "20", "--tail", "10"], 0),
+        (["verify", "--m1", "2", "--n1", "3", "--m2", "2", "--n2", "4"], 2),
+        (["sweep", "fig3", "--m1-max", "2", "--m2-max", "2"], 2),
+    ],
+    ids=["solve", "compare", "simulate", "verify", "sweep"],
+)
+def test_only_max_degree_commands_take_its_convention(capsys, argv, code):
+    try:
+        returned = main([*argv, "--max-degree-convention", "dmax+1"])
+    except SystemExit as exc:  # argparse rejects an unknown option
+        returned = exc.code
+    assert returned == code
+    capsys.readouterr()
+
+
 def test_verify_help_shows_the_negative_perturbation_form(capsys):
     with pytest.raises(SystemExit):
         main(["verify", "--help"])
@@ -410,6 +449,46 @@ def test_sweep_fig2_shape(capsys):
         assert len(stars) == 1
         assert others, "each mean length lists at least one two-star network"
         assert all(stars[0] <= v + 1e-12 for v in others)
+
+
+def test_sweep_fig2_star_rows_match_the_star_route(capsys):
+    code, out, _ = run_cli(capsys, "sweep", "fig2", "--mbar-max", "200")
+    assert code == 0
+    _, rows = parse_csv(out)
+    stars = [(int(m_bar), slem) for m_bar, network, _, _, slem in rows
+             if network == "star"]
+    assert stars == [
+        (m, f"{solve_symmetric_star(m, 18).s:.10g}") for m in range(1, 201)
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fig2", "--mbar-max", "4"],
+        ["fig3", "--m1-max", "3", "--m2-max", "2"],
+        ["fig4", "--m1-max", "2", "--m2-max", "3"],
+        ["custom", "--n1", "3", "--n2", "5", "--m1-max", "2", "--m2-max", "2"],
+    ],
+    ids=["fig2", "fig3", "fig4", "custom"],
+)
+def test_every_sweep_is_one_batch(capsys, monkeypatch, argv):
+    def scalar_route(params, *args):
+        raise SelfCheckError(f"the scalar route ran for {params}")
+
+    batches = []
+    batch = cli.optimal_weights_batch
+
+    def counted_batch(*shapes):
+        batches.append(shapes)
+        return batch(*shapes)
+
+    monkeypatch.setattr(optimizer, "_self_checked", scalar_route)
+    monkeypatch.setattr(cli, "optimal_weights_batch", counted_batch)
+    code, out, err = run_cli(capsys, "sweep", *argv)
+    assert (code, err) == (0, "")
+    assert len(batches) == 1
+    assert len(parse_csv(out)[1]) == np.broadcast(*batches[0]).size
 
 
 def test_sweep_fig3_monotone(capsys):

@@ -14,6 +14,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fusedstar import spectral
+from fusedstar.cli import main
 from fusedstar.optimizer import optimal_weights
 from fusedstar.spectral import (
     Tridiagonal,
@@ -208,3 +210,25 @@ def test_eigenvalues_match_scipy(params, scheme):
         tolerance = 1e-13 * max(1.0, float(np.max(np.abs(expected))))
         assert np.max(np.abs(tri.extremes() - expected)) <= tolerance
         assert np.max(np.abs(tri.eigenvalues(0, 0) - expected[:1])) <= tolerance
+
+
+def test_an_exact_eigenvalue_takes_few_counts(monkeypatch, capsys):
+    # the unit-weight arm block at m = 4 has the eigenvalue 0 exactly,
+    # where the last pivot floors to -pivmin; compare at (4, 20, 8, 93)
+    # finds it for best-constant
+    counted = []
+    count = spectral._RunCount.count
+
+    def counting(self, x):
+        counted.append(x)
+        return count(self, x)
+
+    monkeypatch.setattr(spectral._RunCount, "count", counting)
+    tri = Tridiagonal(np.array([0.0, -1.0, -1.0, -1.0]), np.ones(3))
+    expected = np.linalg.eigvalsh(tri.dense())[[0, 2, 3]]
+    assert np.max(np.abs(tri.extremes() - expected)) <= 1e-15
+    assert len(counted) <= 200
+    counted.clear()
+    assert main(["compare", "--m1", "4", "--n1", "20", "--m2", "8", "--n2", "93"]) == 0
+    capsys.readouterr()
+    assert len(counted) <= 500
