@@ -9,11 +9,12 @@ form from the smallest root theta*, and ``cos(theta*)`` is the optimal
 spectral radius.  On ``(0, pi / (2 max(m1, m2))]`` both response factors are
 at least -1 and strictly decreasing, so the relation is positive exactly
 below theta* there and bisection on that bracket finds it.
-``optimal_weights_batch`` bisects a grid of shapes at once.  Every optimum
-is self-checked by eigenvalue counts of its blocks (``_counts_prove_slem``),
-never by computed eigenvalues; the block entries and the counts come from
-``spectral``.  The all-roots scan ``solve_theta_roots`` is an independent
-reference route.
+``optimal_weights_batch`` bisects a grid of shapes at once.  Every optimum,
+on either route, is self-checked by eigenvalue counts
+(``_counts_prove_slem``), never by computed eigenvalues: those of its
+blocks with each arm written in three run-length-encoded rows
+(``_skeleton``), so the check costs O(1) in the branch lengths.  The
+all-roots scan ``solve_theta_roots`` is an independent reference route.
 """
 from __future__ import annotations
 
@@ -25,12 +26,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .spectral import (
-    StratifiedBlocks,
-    build_blocks,
-    central_tridiagonal,
-    count_eigenvalues_below,
-)
+from .spectral import build_blocks, central_tridiagonal, count_central_below
 from .topology import InvalidParameterError, TfsParams
 from .weighting import OrbitWeights
 
@@ -66,11 +62,8 @@ _SELF_CHECK = 1e-9  # largest |slem - s| the self-checks accept
 # a boundary weight is degenerate when its denominator is below this times
 # max(1, |numerator|)
 _DEGENERATE = 1e-13
-# padded block entries (instances x rows) that the batch solves at once;
-# bounds its memory whatever the grid
-_BATCH_ELEMENTS = 1 << 19
-# diagonal of the decoupled rows that pad a block: above every shift
-_PAD = 2.0
+# shapes up to which the self-check counts all four shifts in one call
+_ONE_CALL_LANES = 8192
 
 
 @dataclass(frozen=True)
@@ -329,20 +322,15 @@ def _self_check_error(params: TfsParams, s: float) -> SelfCheckError:
     return SelfCheckError(f"eigenvalue counts at {params} do not prove {claim}")
 
 
-def _blocks_prove_slem(blocks: StratifiedBlocks, s: float) -> bool:
-    """``_counts_prove_slem`` on the run-compressed counts of one shape's
-    blocks (``Tridiagonal.count_below``, O(1) in the branch length)."""
-    x = _self_check_shifts(s)
-    arms = blocks.minus.count_below(x) + blocks.plus.count_below(x)
-    below = np.stack([blocks.center.count_below(x), arms], axis=1)
-    return bool(_counts_prove_slem(below, blocks.center.size - 1))
-
-
 def _self_checked(
     params: TfsParams, theta_star: float, ow: OrbitWeights
 ) -> OptimalSolution:
     s = float(np.cos(theta_star))
-    if not _blocks_prove_slem(build_blocks(params, ow), s):
+    m1, w = params.m1, ow.values_for(params)
+    fields = (m1, params.n1, params.m2, params.n2)
+    lane = _Shapes(*(np.asarray([v], dtype=float) for v in fields))
+    w_minus, w_plus = w[m1 - 1 : m1], w[m1 : m1 + 1]
+    if not _skeleton_proves_slem(lane, np.array([s]), w_minus, w_plus)[0]:
         raise _self_check_error(params, s)
     return OptimalSolution(params=params, theta_star=theta_star, s=s, weights=ow)
 
@@ -353,8 +341,8 @@ def optimal_weights(params: TfsParams) -> OptimalSolution:
     Interior orbits get weight 1/2; the two center-adjacent orbits follow
     from the smallest characteristic root theta*, found by bisection on
     ``(0, pi / (2 max(m1, m2))]``.  The result is self-checked: eigenvalue
-    counts of the assembled blocks must prove ``s = cos(theta*)`` the
-    spectral radius below 1 within 1e-9 (``_counts_prove_slem``).
+    counts of its blocks (``_skeleton_proves_slem``) must prove
+    ``s = cos(theta*)`` the spectral radius below 1 within 1e-9.
     Requires n1, n2 >= 2.
     """
     _require_two_branches(params)
@@ -391,9 +379,6 @@ class _Shapes(NamedTuple):
     n1: np.ndarray
     m2: np.ndarray
     n2: np.ndarray
-
-    def take(self, index: np.ndarray) -> "_Shapes":
-        return _Shapes(*(field[index] for field in self))
 
 
 def _cell(cells: list[np.ndarray], index: int) -> tuple:
@@ -443,49 +428,42 @@ def _first_sign_changes(
     return mid
 
 
-def _inertia_self_check(
-    shapes: _Shapes, s: np.ndarray, w_minus: np.ndarray, w_plus: np.ndarray
-) -> np.ndarray:
-    """``_counts_prove_slem`` on ``count_eigenvalues_below`` over a
-    ``(rows, 2, instances)`` stack of blocks.
+def _skeleton(shapes: _Shapes, w_minus, w_plus) -> tuple:
+    """Each optimum's central block for ``count_central_below``.
 
-    Lane 0 is the central block from ``central_tridiagonal``.  The arm
-    blocks are its leading ``m1`` and trailing ``m2`` rows, so lane 1, the
-    central block with its center row decoupled, counts both together.
-    Decoupled rows of diagonal ``_PAD``, above every shift, pad each block
-    to the batch's widest.
+    The entries are ``central_tridiagonal``'s for the shape with each arm
+    written in three rows: the leaf, one interior row that stands for the
+    ``m - 2`` equal ones (an arm of two rows skips it; one of one row, with
+    no interior orbit, is its last row alone) and the row next to the
+    center.
     """
-    m1 = shapes.m1.astype(np.int64)
-    top = (shapes.m1 + shapes.m2).astype(np.int64)  # the last central row
-    lane = np.arange(m1.size)
-    padding = np.arange(int(np.max(top)) + 1)[:, None] > top
-    w = np.where(padding[1:], 0.0, 0.5)
-    w[m1 - 1, lane] = w_minus
-    w[m1, lane] = w_plus
-    diagonal, off = central_tridiagonal(shapes, w)
-    diagonal[padding] = _PAD
-    diagonals = np.stack([diagonal, diagonal], axis=1)
-    couplings = np.stack([off, off], axis=1) ** 2
-    diagonals[m1, 1, lane] = _PAD
-    couplings[m1 - 1, 1, lane] = 0.0
-    couplings[m1, 1, lane] = 0.0
-    x = _self_check_shifts(s)[:, None, :]
-    below = count_eigenvalues_below(diagonals, couplings, x)
-    return _counts_prove_slem(below, top)
-
-
-def _solve_chunk(shapes: _Shapes) -> tuple[np.ndarray, ...]:
-    """theta*, ``s``, both boundary weights and where the checks failed."""
-    theta = _first_sign_changes(
-        lambda mid: _char_values(shapes, mid),
-        np.pi / (2.0 * np.maximum(shapes.m1, shapes.m2)),
+    m = np.stack([shapes.m1, shapes.m2])
+    interior = np.where(m > 1.0, 0.5, 0.0)
+    w = [interior[0], interior[0], w_minus, w_plus, interior[1], interior[1]]
+    diagonal, off = central_tridiagonal(shapes._replace(m1=3), np.stack(w))
+    # entry j of off joins rows j and j + 1: rows 0-2 are the first arm
+    # from its leaf, row 3 the center and rows 6-4 the second arm
+    squares = off * off
+    arms = (
+        diagonal[[[0, 6], [1, 5], [2, 4]]],
+        (0.0, squares[[0, 5]], squares[[1, 4]]),
+        (m > 1.0, np.maximum(m - 2.0, 0.0), 1.0),
     )
-    s = np.cos(theta)
-    w_minus, bad_minus = _boundary_weights(shapes.m1, theta)
-    w_plus, bad_plus = _boundary_weights(shapes.m2, theta)
-    failed = bad_minus | bad_plus
-    failed |= ~_inertia_self_check(shapes, s, w_minus, w_plus)
-    return theta, s, w_minus, w_plus, failed
+    return diagonal[3].copy(), squares[2:4].copy(), arms
+
+
+def _skeleton_proves_slem(
+    shapes: _Shapes, s: np.ndarray, w_minus, w_plus
+) -> np.ndarray:
+    """``_counts_prove_slem`` on the counts of each optimum's ``_skeleton``:
+    past ``_ONE_CALL_LANES`` shapes one shift at a time, so that memory
+    stays a few arrays of two entries per shape, and otherwise in one
+    call, which pays numpy's per-call cost once."""
+    skeleton = _skeleton(shapes, w_minus, w_plus)
+    shifts = _self_check_shifts(s)
+    groups = [shifts] if s.size <= _ONE_CALL_LANES else shifts[:, None]
+    below = np.concatenate([count_central_below(*skeleton, x) for x in groups])
+    return _counts_prove_slem(below, shapes.m1 + shapes.m2)
 
 
 def optimal_weights_batch(m1, n1, m2, n2) -> BatchSolution:
@@ -494,40 +472,33 @@ def optimal_weights_batch(m1, n1, m2, n2) -> BatchSolution:
     ``m1, n1, m2, n2`` are integer arrays (or integers) that broadcast
     together.  All instances are bisected together with the scalar route's
     predicate, bracket and stop rule, so theta*, ``s`` and both boundary
-    weights equal the scalar route's bit for bit.  The self-check counts
-    eigenvalues below four shifts (``_inertia_self_check``) instead of
-    computing them.  Instances go in chunks of at most ``_BATCH_ELEMENTS``
-    padded block rows, in order of ``m1 + m2``, so memory stays bounded.
-    An invalid shape, or one that the scalar route would not return,
-    raises that route's error for the first such instance in input order:
+    weights equal the scalar route's bit for bit, and so does the
+    self-check (``_skeleton_proves_slem``), in O(1) time and memory per
+    instance whatever its branch lengths.  An invalid shape, or one that
+    the scalar route would not return, raises that route's error for the
+    first such instance in input order:
     ``InvalidParameterError`` before any solving, then
     ``DegenerateSineError`` or ``SelfCheckError``.
     """
     arrays = [np.asarray(v) for v in (m1, n1, m2, n2)]
-    cells = [cell.ravel() for cell in np.broadcast_arrays(*arrays)]
+    # reshape leaves a one-dimensional broadcast cell a view; ravel copies it
+    cells = [cell.reshape(-1) for cell in np.broadcast_arrays(*arrays)]
     shapes = _batch_shapes(cells)
-    order = np.argsort(shapes.m1 + shapes.m2, kind="stable")
-    widths = (shapes.m1 + shapes.m2 + 1)[order]
-    results = [np.empty(order.size) for _ in range(4)]
-    failed = np.zeros(order.size, dtype=bool)
-    start = 0
-    while start < order.size:
-        # widths ascend, so a chunk is as wide as its last instance
-        most = max(1, _BATCH_ELEMENTS // int(widths[start]))
-        room = widths[start : start + most]
-        fits = np.arange(1, room.size + 1) * room <= _BATCH_ELEMENTS
-        stop = start + max(1, int(np.count_nonzero(fits)))
-        chunk = order[start:stop]
-        *values, chunk_failed = _solve_chunk(shapes.take(chunk))
-        for result, value in zip(results, values):
-            result[chunk] = value
-        failed[chunk] = chunk_failed
-        start = stop
+    theta = _first_sign_changes(
+        lambda mid: _char_values(shapes, mid),
+        np.pi / (2.0 * np.maximum(shapes.m1, shapes.m2)),
+    )
+    s = np.cos(theta)
+    w_minus, bad_minus = _boundary_weights(shapes.m1, theta)
+    w_plus, bad_plus = _boundary_weights(shapes.m2, theta)
+    failed = bad_minus | bad_plus
+    failed |= ~_skeleton_proves_slem(shapes, s, w_minus, w_plus)
     if failed.any():
         # the scalar route raises its own error for this instance
         params = TfsParams(*_cell(cells, int(np.argmax(failed))))
         raise _self_check_error(params, optimal_weights(params).s)
     shape = np.broadcast_shapes(*(v.shape for v in arrays))
+    results = (theta, s, w_minus, w_plus)
     return BatchSolution(*(result.reshape(shape) for result in results))
 
 

@@ -9,22 +9,25 @@ weighted paths) and are stored as their two diagonals, so every spectral
 quantity of the full matrix follows from small tridiagonal eigensolves, even
 for very large networks.  ``central_tridiagonal`` is the one formula for
 the entries: it writes the central block from orbit weights, for one shape
-or a padded stack of shapes, and the arm blocks are its leading ``m1`` and
-trailing ``m2`` rows.  Where only ``lambda2``, ``lambda_min`` and the SLEM
-are needed, ``block_extremes`` finds just the extreme eigenvalues: a block
-of at most ``_DENSE_ROWS`` rows by ``np.linalg.eigvalsh`` on its dense form
-(checked by counts where that is not accurate enough), a larger one by
-bisection on a run-compressed Sturm count.  ``build_blocks`` builds the
-blocks of one ``OrbitWeights`` once and each block keeps the eigenvalues
-it has found, so one solve does this work once.  Every block
-has equal rows except at its leaves, the center and the center's
-neighbours, and along a run of equal rows the pivots of ``T - xI = LDL^T``
-are the continuants ``beta^k sin(k phi + psi)`` (the characteristic
-polynomials the optimum is derived from), so the count costs O(1) in the
-branch length.  ``count_eigenvalues_below`` counts eigenvalues below
-shifts by LDL^T inertia row by row over a stack of tridiagonals; it is the
-reference for the run-compressed count and the batch solver's count.  No
-route that the CLI takes imports scipy: only the full-spectrum reference,
+or a stack of shapes of one length, and the arm blocks are its leading
+``m1`` and trailing ``m2`` rows.  Where only ``lambda2``, ``lambda_min``
+and the SLEM are needed, ``block_extremes`` finds just the extreme
+eigenvalues: a block of at most ``_DENSE_ROWS`` rows by
+``np.linalg.eigvalsh`` on its dense form (checked by counts where that is
+not accurate enough), a larger one by bisection on a run-compressed Sturm
+count.  ``build_blocks`` builds the blocks of one ``OrbitWeights`` once
+and each block keeps the eigenvalues it has found, so one solve does this
+work once.  Every block has equal rows except at its leaves, the center
+and the center's neighbours, and along a run of equal rows the pivots of
+``T - xI = LDL^T`` are the continuants ``beta^k sin(k phi + psi)`` (the
+characteristic polynomials the optimum is derived from), so the count
+costs O(1) in the branch length.  ``count_runs_below`` is the same count
+over a stack of run-length-encoded tridiagonals, vectorised over the
+lanes, and ``count_central_below`` builds a central block's count from
+its two arms'; the optimizer proves every optimum with them.
+``count_eigenvalues_below`` counts row by row by LDL^T inertia over a
+stack of tridiagonals; it is the reference for both run counts.  No route
+that the CLI takes imports scipy: only the full-spectrum reference,
 ``Tridiagonal.spectrum``, loads it, on first use.
 """
 from __future__ import annotations
@@ -413,6 +416,124 @@ def _run(g: float, u0: float, length: int) -> tuple[int, float, bool]:
     return length - crossing, u, not last
 
 
+def _runs(g, u0, length):
+    """``_run`` over arrays of runs, each on its side of the band."""
+    inside = np.abs(g) < 1.0
+    if inside.all():
+        return _band_runs(g, u0, length)
+    sides = _band_runs(g, u0, length), _off_band_runs(g, u0, length)
+    return tuple(np.where(inside, band, off) for band, off in zip(*sides))
+
+
+def _band_runs(g, u0, length):
+    # _run inside the band, |g| < 1
+    s = np.sqrt((1.0 - g) * (1.0 + g))
+    phi = np.arctan2(s, g)
+    theta = np.arctan2(s, u0 - g)
+    theta += length * phi
+    k_end = np.floor((theta + phi) / np.pi)
+    last_negative = k_end > np.floor(theta / np.pi)
+    u = np.abs(g + s / np.tan(theta))
+    return k_end - (u0 < 0.0), u, last_negative
+
+
+def _off_band_runs(g, u0, length):
+    # _run outside the band, |g| >= 1, mirrored where g < 0
+    mirrored = g < 0.0
+    sign = np.where(mirrored, -1.0, 1.0)
+    g, e = np.abs(g), sign * (u0 - g)
+    sh = np.sqrt(g - 1.0) * np.sqrt(g + 1.0)
+    eta = np.arcsinh(sh)
+    edge = sh == 0.0  # tau = 2: u_j = 1 + 1 / (j + 1 / e)
+    ratio = np.where(edge, length, np.tanh(eta * length) / sh)
+    far = np.abs(e) > sh  # the pivots cross zero somewhere: at row z
+    # at the edge, 1 / e = 0 puts the crossing at infinity
+    z = np.where(edge, -1.0 / e, np.where(far, -np.arctanh(sh / e) / eta, -np.inf))
+    near = np.abs(e) <= 1.0
+    stretch = sh * (sh * ratio)
+    numerator = np.where(near, e + stretch, 1.0 + stretch / e)
+    denominator = np.where(near, 1.0 + e * ratio, 1.0 / e + ratio)
+    u = np.where(denominator != 0.0, np.abs(g + numerator / denominator), np.inf)
+    crossing = (sign * u0 > 0.0) & (0.0 < z) & (z <= length + 1.0)
+    last = crossing & (z > length)
+    return np.where(mirrored, length - crossing, crossing), u, last != mirrored
+
+
+def count_runs_below(
+    diagonals: Iterable, couplings: Iterable, lengths: Iterable, shifts
+) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues below each shift of each run-length-encoded tridiagonal
+    in a stack, and the last pivot of each.
+
+    Each argument holds one entry per encoded row, an array over the lanes
+    or a number.  Row ``j`` stands for ``lengths[j]`` equal rows of
+    diagonal ``diagonals[j]``, each coupled to the row before it by the
+    square root of ``couplings[j]``: 0 skips it, 1 is a step of Kahan's
+    recurrence and more a run in ``_run``'s closed form (a decoupled run
+    repeats its one pivot), so a count costs O(encoded rows).  The tie
+    rule is ``count_eigenvalues_below``'s, with ``pivmin`` over the stack,
+    and away from rounding level at an eigenvalue so are the counts.
+    """
+    pivmin = _pivmin(couplings)
+    below, pivot = 0, np.inf  # no row before the first
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for a, c, length in zip(diagonals, couplings, lengths):
+            below, pivot = _count_row(a - shifts, c, length, below, pivot, pivmin)
+    return np.asarray(below).astype(np.int64), np.asarray(pivot, dtype=float)
+
+
+def count_central_below(center, to_arms, arms, shifts) -> np.ndarray:
+    """Eigenvalues below ``shifts`` of each central block in a stack and of
+    its two arm blocks together, stacked on the second-last axis.
+
+    A central block is its center row, of diagonal ``center`` and squared
+    couplings ``to_arms`` to its arms, between two arms given from their
+    leaves for ``count_runs_below``, stacked on the first axis of each
+    row.  The arm blocks' counts add.  Eliminating both arms towards the
+    center (a twisted factorization) leaves the center one more pivot,
+    ``a - x - b_-^2 / d_- - b_+^2 / d_+``, which completes the central
+    block's count with the same tie rule, ``pivmin`` over the block.
+    """
+    below, pivots = count_runs_below(*arms, shifts[..., None, :])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        twisted = center - shifts - (to_arms / pivots).sum(axis=-2)
+    pivmin = _pivmin((to_arms, *arms[1]))
+    below = below.sum(axis=-2)
+    return np.stack([below + (twisted < pivmin), below], axis=-2)
+
+
+def _pivmin(couplings) -> float:
+    # LAPACK's pivmin for a stack of squared couplings
+    largest = np.asarray(functools.reduce(np.maximum, couplings, 1.0))
+    return _TINY * largest.max(initial=1.0)
+
+
+def _count_row(t, c, length, below, pivot, pivmin):
+    # counts and pivot after one encoded row, at t = a - x
+    run = np.logical_and(length > 1, c > 0.0)
+    ran = _count_run(t, c, length, run, below, pivot, pivmin) if run.any() else None
+    step = t - c / pivot
+    step = np.where(np.abs(step) < pivmin, -pivmin, step)
+    # a skipped row keeps its pivot
+    repeats = length if ran is None else np.where(run, 0, length)
+    below = below + repeats * (step < 0.0)
+    pivot = np.where(repeats > 0, step, pivot)
+    if ran is None:
+        return below, pivot
+    return np.where(run, ran[0], below), np.where(run, ran[1], pivot)
+
+
+def _count_run(t, c, length, run, below, pivot, pivmin):
+    # counts and pivot after the row's runs; lanes without a run take the
+    # band's side, and are dropped.  Its temporaries go before the row's
+    # step, which keeps a large stack's peak memory down.
+    beta = np.sqrt(c)
+    g = np.where(run, t / (2.0 * beta), 0.0)
+    negatives, u, last_negative = _runs(g, pivot / beta, length)
+    u = np.minimum(np.maximum(beta * u, pivmin), _HUGE_PIVOT)
+    return below + negatives, np.where(last_negative, -u, u)
+
+
 @dataclass(frozen=True)
 class StratifiedBlocks:
     """The three invariant blocks of an orbit-weight matrix, as tridiagonals.
@@ -557,10 +678,10 @@ def central_tridiagonal(
     entry is its orbit's weight.  The arm blocks are the leading ``m1``
     and trailing ``m2`` rows.
 
-    For a stack of shapes, ``w`` has one column per shape and the fields
-    of ``params`` are arrays over the columns (``m1`` integral); zero
-    weights past a shape's last orbit make decoupled padding rows with
-    diagonal 1.  Time and memory are O(rows) per shape.
+    For a stack of shapes with the same number of orbits, ``w`` has one
+    column per shape and the fields of ``params`` are numbers or arrays
+    over the columns (``m1`` integral).  Time and memory are O(rows) per
+    shape.
     """
     w = np.asarray(w, dtype=float)
     lanes = w.reshape(w.shape[0], -1)
@@ -575,7 +696,7 @@ def central_tridiagonal(
     diagonal[m1, lane] = 1.0 - n1 * w_minus - n2 * w_plus
     off[m1 - 1, lane] = np.sqrt(n1) * w_minus
     off[m1, lane] = np.sqrt(n2) * w_plus
-    return diagonal.reshape((-1,) + w.shape[1:]), off.reshape(w.shape)
+    return diagonal.reshape(diagonal.shape[:1] + w.shape[1:]), off.reshape(w.shape)
 
 
 def build_blocks(params: TfsParams, ow: OrbitWeights) -> StratifiedBlocks:

@@ -223,8 +223,8 @@ def run_counts(monkeypatch):
 @pytest.mark.parametrize(
     "command, built, searched",
     [
-        # the self-check's three blocks serve the report and the
-        # certificate, whose three eigenvalues the report already found
+        # the report's three blocks serve the certificate, whose three
+        # eigenvalues the report already found
         ("solve", 3, 9),
         ("verify", 3, 3),
         # three blocks per scheme, and the unit weights of best-constant

@@ -17,8 +17,7 @@ from fusedstar.optimizer import (
     RootCountMismatchWarning,
     SelfCheckError,
     _batch_shapes,
-    _blocks_prove_slem,
-    _inertia_self_check,
+    _skeleton_proves_slem,
     char_residual,
     equivalent_star,
     optimal_weights,
@@ -353,10 +352,9 @@ def test_batch_broadcasts_and_is_read_only():
 
 @pytest.mark.parametrize("shift", [0.0, 1e-12, -1e-12, 1e-6, -1e-6, 1e-3, -1e-3])
 def test_inertia_check_agrees_with_computed_extremes(shift):
-    # the counts of both routes, the batch's stacked lanes and the scalar
-    # route's run-compressed blocks, accept exactly where block_extremes
-    # puts the SLEM within 1e-9 of s, at the optimum and with w_-1 moved
-    # off it
+    # the self-check's counts, one count for both routes, accept exactly
+    # where block_extremes puts the SLEM within 1e-9 of s, at the optimum
+    # and with w_-1 moved off it
     shapes = [
         (m1, n1, m2, n2)
         for n1 in (2, 3, 22)
@@ -367,19 +365,17 @@ def test_inertia_check_agrees_with_computed_extremes(shift):
     batch = solve_batch(shapes)
     w_minus = batch.w_minus_1 + shift
     cells = list(np.array(shapes, dtype=object).T)
-    accepted = _inertia_self_check(
+    accepted = _skeleton_proves_slem(
         _batch_shapes(cells), batch.s, w_minus, batch.w_plus_1
     )
-    expected, scalar = [], []
+    expected = []
     for shape, wm, wp, s in zip(shapes, w_minus, batch.w_plus_1, batch.s):
         p = TfsParams(*shape)
         w = {label: 0.5 for label in p.orbit_labels}
         w[-1], w[1] = wm, wp
         blocks = build_blocks(p, OrbitWeights.from_labels(p, w))
         expected.append(abs(block_extremes(blocks).slem - s) <= 1e-9)
-        scalar.append(_blocks_prove_slem(blocks, float(s)))
     assert accepted.tolist() == expected
-    assert scalar == expected
     if shift in (0.0, -1e-12):
         assert all(expected)
     if abs(shift) >= 1e-6:
@@ -414,9 +410,8 @@ def test_count_below_survives_a_zero_pivot():
 def test_inertia_check_locates_the_slem_of_any_weights():
     # with arbitrary boundary weights the SLEM comes from the top of an arm
     # block or the bottom of the spectrum (the central block's second
-    # eigenvalue interlaces below the arms' top); the counts of both
-    # routes must accept s at the computed SLEM and reject it 2e-9 to
-    # either side
+    # eigenvalue interlaces below the arms' top); the self-check's counts
+    # must accept s at the computed SLEM and reject it 2e-9 to either side
     rng = np.random.default_rng(3)
     shapes = [
         (int(rng.integers(1, 8)), int(rng.integers(2, 30)),
@@ -424,23 +419,20 @@ def test_inertia_check_locates_the_slem_of_any_weights():
         for _ in range(150)
     ]
     w_minus, w_plus = rng.uniform(0.01, 0.3, (2, len(shapes)))
-    slem, sources, all_blocks = [], set(), []
+    slem, sources = [], set()
     for shape, wm, wp in zip(shapes, w_minus, w_plus):
         p = TfsParams(*shape)
         w = {label: 0.5 for label in p.orbit_labels}
         w[-1], w[1] = wm, wp
-        all_blocks.append(build_blocks(p, OrbitWeights.from_labels(p, w)))
-        report = block_extremes(all_blocks[-1])
+        report = block_extremes(build_blocks(p, OrbitWeights.from_labels(p, w)))
         slem.append(report.slem)
         sources.add("lowest" if report.slem == -report.lambda_min else "top")
     assert sources == {"lowest", "top"}
     cells = list(np.array(shapes).T)
     for offset, accept in ((0.0, True), (2e-9, False), (-2e-9, False)):
         s = np.array(slem) + offset
-        checked = _inertia_self_check(_batch_shapes(cells), s, w_minus, w_plus)
+        checked = _skeleton_proves_slem(_batch_shapes(cells), s, w_minus, w_plus)
         assert checked.tolist() == [accept] * len(shapes), offset
-        scalar = [_blocks_prove_slem(b, v) for b, v in zip(all_blocks, s.tolist())]
-        assert scalar == [accept] * len(shapes), offset
 
 
 def test_no_optimum_computes_an_eigenvalue(monkeypatch, capsys):
@@ -504,19 +496,38 @@ def test_batch_raises_the_scalar_degenerate_sine_error(monkeypatch):
 
 
 def test_batch_reports_the_first_failing_shape_in_input_order(monkeypatch):
-    # chunks go in order of m1 + m2; the error must still name the first
-    # failing shape of the grid, here (5, 10)
+    # every shape with m1 + m2 >= 15 fails on both routes; the error must
+    # name the first failing shape in input order, here (5, 10), not the
+    # first in order of m1 + m2, (6, 9)
     def reject_long(shapes, s, w_minus, w_plus):
         return shapes.m1 + shapes.m2 < 15
 
-    monkeypatch.setattr(optimizer, "_inertia_self_check", reject_long)
+    monkeypatch.setattr(optimizer, "_skeleton_proves_slem", reject_long)
     with pytest.raises(SelfCheckError, match=r"m1=5, n1=3, m2=10, n2=4"):
         solve_batch(grid(3, 4))
 
 
+def test_batch_of_one_long_shape_takes_no_memory_in_its_length():
+    # its self-check counts a few skeleton rows, whatever the arm lengths
+    shape = (10**5, 3, 10**5, 4)
+    tracemalloc.start()
+    try:
+        batch = optimal_weights_batch(*shape)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    sol = optimal_weights(TfsParams(*shape))
+    assert bits(batch.theta_star) == bits(sol.theta_star)
+    assert bits(batch.s) == bits(sol.s)
+    assert bits(batch.w_minus_1) == bits(sol.weights[-1])
+    assert bits(batch.w_plus_1) == bits(sol.weights[1])
+
+
 def test_batch_memory_is_bounded_on_a_large_grid():
-    # padded whole, this grid's blocks would take 90000 x 601 rows x 32
-    # bytes, about 1.7 GB; in chunks the batch stays far below
+    # stacked whole, this grid's blocks would take 90000 x 601 rows x 32
+    # bytes, about 1.7 GB; its self-check counts a few skeleton rows per
+    # shape, one shift at a time
     m1, m2 = np.divmod(np.arange(300 * 300), 300)
     tracemalloc.start()
     try:

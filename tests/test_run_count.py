@@ -156,8 +156,8 @@ def test_a_run_outside_its_band_changes_sign_where_kahan_does(above, eta, z):
     st.integers(0, 2**32 - 1),
 )
 def test_decoupled_runs_count_like_kahan(params, scheme, padding, seed):
-    # the batch pads a lane with decoupled rows of diagonal 1; at the shift
-    # 1 each of them is a zero pivot and counts as below
+    # a run of decoupled rows of diagonal 1: at the shift 1 each of them is
+    # a zero pivot and counts as below
     rng = np.random.default_rng(seed)
     minus, center, plus = blocks(params, scheme)
     for tri in (minus, center, plus):
