@@ -31,88 +31,13 @@ _RECURRENCE_TOL = 1e-10
 _PROPORTIONALITY_TOL = 1e-9
 
 
-def alpha_vectors(
-    params: TfsParams,
-) -> tuple[dict[int, np.ndarray], dict[int, np.ndarray]]:
-    """Rank-one edge stencils of the central block and the arm blocks.
-
-    Returns two dicts keyed by orbit label.  The first holds vectors of
-    length m1 + m2 + 1 (central-block space, center at index m1), the
-    second vectors of length m1 + m2 (arm-block space, first arm first).
-    Subtracting the weighted outer products of these stencils from the
-    identity reproduces the stratified blocks exactly.
-    """
-    m1 = params.m1
-    dim = params.m1 + params.m2 + 1
-    inv = 1.0 / math.sqrt(2.0)
-    alpha: dict[int, np.ndarray] = {}
-    alpha_prime: dict[int, np.ndarray] = {}
-    for i in params.orbit_labels:
-        u = np.zeros(dim)
-        up = np.zeros(dim - 1)
-        if i <= -2:
-            u[i + m1] = -inv
-            u[i + m1 + 1] = inv
-            up[i + m1] = -inv
-            up[i + m1 + 1] = inv
-        elif i == -1:
-            scale = 1.0 / math.sqrt(params.n1 + 1.0)
-            u[m1 - 1] = -scale
-            u[m1] = math.sqrt(params.n1) * scale
-            up[m1 - 1] = 1.0
-        elif i == 1:
-            scale = 1.0 / math.sqrt(params.n2 + 1.0)
-            u[m1] = -math.sqrt(params.n2) * scale
-            u[m1 + 1] = scale
-            up[m1] = 1.0
-        else:
-            u[i + m1 - 1] = -inv
-            u[i + m1] = inv
-            up[i + m1 - 2] = -inv
-            up[i + m1 - 1] = inv
-        alpha[i] = u
-        alpha_prime[i] = up
-    return alpha, alpha_prime
-
-
-def stencil_gram_matrices(params: TfsParams) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form Gram matrices of the two stencil families.
-
-    Rows and columns follow ``params.orbit_labels``.  Both matrices are
-    unit-diagonal and tridiagonal in label order; only the three pairs
-    touching the center deviate from the uniform -1/2 overlap.
-    """
-    labels = params.orbit_labels
-    n1, n2 = float(params.n1), float(params.n2)
-    k = len(labels)
-    gram = np.eye(k)
-    gram_prime = np.eye(k)
-    for a in range(k - 1):
-        pair = (labels[a], labels[a + 1])
-        if pair == (-2, -1):
-            g = -1.0 / math.sqrt(2.0 * (n1 + 1.0))
-            gp = 1.0 / math.sqrt(2.0)
-        elif pair == (-1, 1):
-            g = -math.sqrt(n1 * n2 / ((n1 + 1.0) * (n2 + 1.0)))
-            gp = 0.0
-        elif pair == (1, 2):
-            g = -1.0 / math.sqrt(2.0 * (n2 + 1.0))
-            gp = -1.0 / math.sqrt(2.0)
-        else:
-            g = -0.5
-            gp = -0.5
-        gram[a, a + 1] = gram[a + 1, a] = g
-        gram_prime[a, a + 1] = gram_prime[a + 1, a] = gp
-    return gram, gram_prime
-
-
 # one stencil family as index arrays: (pos, lo, hi)
 _Stencils = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def _stencil_arrays(params: TfsParams) -> tuple[_Stencils, _Stencils]:
-    """The stencils of ``alpha_vectors`` as index arrays, central block
-    first, then the arm blocks.
+    """The rank-one edge stencils of the central block, then of the arm
+    blocks (``reference.alpha_vectors`` writes them out), as index arrays.
 
     Each family is ``(pos, lo, hi)`` in ``params.orbit_labels`` order:
     stencil ``j`` holds ``lo[j]`` at ``pos[j]`` and ``hi[j]`` at

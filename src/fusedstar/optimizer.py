@@ -14,29 +14,20 @@ on either route, is self-checked by eigenvalue counts
 (``_counts_prove_slem``), never by computed eigenvalues: those of its
 blocks with each arm written in three run-length-encoded rows
 (``_skeleton``), so the check costs O(1) in the branch lengths.  The
-all-roots scan ``solve_theta_roots`` is an independent reference route.
+all-roots scan that cross-checks this bisection, ``solve_theta_roots``,
+lives in ``fusedstar.reference``.
 """
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .spectral import build_blocks, central_tridiagonal, count_central_below
+from .spectral import central_tridiagonal, count_central_below
 from .topology import InvalidParameterError, TfsParams
 from .weighting import OrbitWeights
-
-
-class PoleProximityError(ValueError):
-    """Evaluation point too close to a pole of the characteristic relation."""
-
-
-class NoRootsError(RuntimeError):
-    """The characteristic relation has no root on the scanned interval."""
 
 
 class SelfCheckError(RuntimeError):
@@ -47,37 +38,12 @@ class DegenerateSineError(ArithmeticError):
     """A sine-quotient formula hit a vanishing denominator."""
 
 
-class RootCountMismatchWarning(RuntimeWarning):
-    """Number of characteristic roots differs from the spectral reference."""
-
-
-_EXCLUSION = 1e-9  # half-width of the pole exclusion zone, in theta
-# a bracket is a root when its midpoint lies within this distance (theta)
-# of a zero by the Newton step |f| / slope, the slope taken across the
-# bracket; an absolute residual bound would drop roots where f is steep
-_STEP_SPURIOUS = 1e-9
-_ROOT_TOL = 1e-12  # bracket width at which a root's bisection may stop
-_RESIDUAL_POLISH = 1e-11  # keep bisecting below _ROOT_TOL until this is met
 _SELF_CHECK = 1e-9  # largest |slem - s| the self-checks accept
 # a boundary weight is degenerate when its denominator is below this times
 # max(1, |numerator|)
 _DEGENERATE = 1e-13
 # shapes up to which the self-check counts all four shifts in one call
 _ONE_CALL_LANES = 8192
-
-
-@dataclass(frozen=True)
-class ThetaRoots:
-    """All roots of the characteristic relation in (0, pi), ascending."""
-
-    roots: np.ndarray
-    residuals: np.ndarray
-
-    def __post_init__(self) -> None:
-        for name in ("roots", "residuals"):
-            arr = np.asarray(getattr(self, name), dtype=float).copy()
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
 
 
 @dataclass(frozen=True)
@@ -100,103 +66,6 @@ def _char_values(params: TfsParams, theta: np.ndarray | float) -> np.ndarray:
     arm1 = 2.0 / params.n1 * (np.cos(angle1) / np.sin(angle1)) * cot_half - 1.0
     arm2 = 2.0 / params.n2 * (np.cos(angle2) / np.sin(angle2)) * cot_half - 1.0
     return arm1 * arm2 - 1.0
-
-
-def _pole_distance(params: TfsParams, theta: float) -> float:
-    dist = theta  # cot(theta/2) is singular at 0
-    for m in (params.m1, params.m2):
-        nearest = round(theta * m / math.pi) * math.pi / m
-        dist = min(dist, abs(theta - nearest))
-    return dist
-
-
-def _pole_positions(params: TfsParams) -> np.ndarray:
-    """Interior singularities of the characteristic relation, sorted."""
-    poles = [
-        k * math.pi / m
-        for m in (params.m1, params.m2)
-        for k in range(1, m)
-    ]
-    return np.unique(np.asarray(poles, dtype=float))
-
-
-def char_residual(params: TfsParams, theta: float) -> float:
-    """Value of the characteristic relation (zero exactly at its roots).
-
-    Raises PoleProximityError within 1e-9 of a singularity.
-    """
-    if not 0.0 < theta < math.pi:
-        raise ValueError(f"theta must lie in (0, pi), got {theta}")
-    if _pole_distance(params, theta) < _EXCLUSION:
-        raise PoleProximityError(
-            f"theta = {theta} is within {_EXCLUSION} of a singularity"
-        )
-    return float(_char_values(params, theta))
-
-
-def _grid_roots(
-    f: Callable[[np.ndarray], np.ndarray],
-    n_grid: int,
-    poles: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Bracket sign changes of ``f`` on a uniform grid over (0, pi), bisect.
-
-    Grid points within the exclusion zone of a pole are discarded and
-    brackets that straddle a pole are rejected outright: a pole flips the
-    sign without a root.  Bisection continues past ``_ROOT_TOL`` while the
-    midpoint residual is still improvable, then spurious brackets are
-    dropped by their residual relative to the slope across them.
-    """
-    theta = np.linspace(0.0, math.pi, n_grid + 2)[1:-1]
-    if poles.size:
-        pos = np.searchsorted(poles, theta)
-        left = np.where(
-            pos > 0, theta - poles[np.maximum(pos - 1, 0)], np.inf
-        )
-        right = np.where(
-            pos < poles.size,
-            poles[np.minimum(pos, poles.size - 1)] - theta,
-            np.inf,
-        )
-        theta = theta[np.minimum(left, right) > _EXCLUSION]
-    values = f(theta)
-    finite = np.isfinite(values)
-    theta, values = theta[finite], values[finite]
-    exact = theta[values == 0.0]
-    sign = np.sign(values)
-    flip = sign[:-1] * sign[1:] < 0
-    lo, hi, flo = theta[:-1][flip], theta[1:][flip], values[:-1][flip]
-    if poles.size and lo.size:
-        straddles = np.searchsorted(poles, lo) != np.searchsorted(poles, hi)
-        lo, hi, flo = lo[~straddles], hi[~straddles], flo[~straddles]
-    for _ in range(200):
-        if lo.size == 0:
-            break
-        mid = 0.5 * (lo + hi)
-        fmid = f(mid)
-        go_left = np.sign(fmid) == np.sign(flo)
-        lo = np.where(go_left, mid, lo)
-        flo = np.where(go_left, fmid, flo)
-        hi = np.where(go_left, hi, mid)
-        width = hi - lo
-        floor = 4.0 * np.finfo(float).eps * np.maximum(np.abs(hi), 1.0)
-        done = width <= np.maximum(_ROOT_TOL, floor)
-        settled = (np.abs(fmid) <= _RESIDUAL_POLISH) | (width <= floor)
-        if np.all(done & settled):
-            break
-    roots = np.concatenate([0.5 * (lo + hi), exact])
-    residuals = np.abs(f(roots))
-    slopes = np.concatenate(
-        [np.abs(f(hi) - flo) / (hi - lo), np.full(exact.size, np.inf)]
-    )
-    genuine = residuals <= _STEP_SPURIOUS * slopes
-    roots, residuals = roots[genuine], residuals[genuine]
-    order = np.argsort(roots)
-    roots, residuals = roots[order], residuals[order]
-    if roots.size > 1:
-        distinct = np.concatenate([[True], np.diff(roots) > 1e-10])
-        roots, residuals = roots[distinct], residuals[distinct]
-    return roots, residuals
 
 
 def _boundary_weights(
@@ -239,44 +108,6 @@ def _weights_at(params: TfsParams, theta: float) -> OrbitWeights:
     w[params.m1 - 1] = _boundary_weight(params.m1, theta)
     w[params.m1] = _boundary_weight(params.m2, theta)
     return OrbitWeights(params, w)
-
-
-def _cross_check_root_count(params: TfsParams, roots: np.ndarray) -> None:
-    # reference count: central-block eigenvalues strictly below 1 at the
-    # candidate optimum
-    try:
-        ow = _weights_at(params, float(roots[0]))
-    except DegenerateSineError:
-        return
-    below = build_blocks(params, ow).center.count_below(1.0 - 1e-9)
-    if below != roots.size:
-        warnings.warn(
-            f"found {roots.size} characteristic roots for {params} but the "
-            f"central block has {below} eigenvalues below 1",
-            RootCountMismatchWarning,
-            stacklevel=3,
-        )
-
-
-def solve_theta_roots(params: TfsParams) -> ThetaRoots:
-    """All roots of the characteristic relation on (0, pi).
-
-    Scans a uniform grid of max(10^4, 200 * (m1 + m2)) points with
-    pole exclusion, bisects each sign change and cross-checks the root
-    count against the central-block spectrum (mismatch is a warning).
-    Requires n1, n2 >= 2.  This is the reference route; the optimum comes
-    from ``optimal_weights``, which never calls it.
-    """
-    _require_two_branches(params)
-    roots, residuals = _grid_roots(
-        lambda th: _char_values(params, th),
-        max(10_000, 200 * (params.m1 + params.m2)),
-        _pole_positions(params),
-    )
-    if roots.size == 0:
-        raise NoRootsError(f"no characteristic roots found for {params}")
-    _cross_check_root_count(params, roots)
-    return ThetaRoots(roots=roots, residuals=residuals)
 
 
 def _first_sign_change(f: Callable[[float], float], hi: float) -> float:
@@ -525,15 +356,3 @@ def solve_symmetric_star(m: int, n: int) -> OptimalSolution:
     )
     params = TfsParams(m, n // 2, m, n - n // 2)
     return _self_checked(params, theta_star, _weights_at(params, theta_star))
-
-
-def equivalent_star(params: TfsParams) -> tuple[int, Fraction]:
-    """Branch count and exact rational branch length of the equivalent star.
-
-    The equivalent single star preserves total branch count n1 + n2 and
-    total node count, giving mean branch length
-    (m1 n1 + m2 n2) / (n1 + n2).
-    """
-    n = params.n1 + params.n2
-    m_bar = Fraction(params.m1 * params.n1 + params.m2 * params.n2, n)
-    return n, m_bar

@@ -1,16 +1,16 @@
-"""Synchronous consensus iteration, two ways, as streams of rounds.
+"""Synchronous consensus iteration as a stream of rounds.
 
-``matrix_rounds`` yields the states x(1), x(2), ... of the plain matrix
-recurrence x(t+1) = W x(t).  ``distributed_rounds`` yields the same
-rounds as per-node neighbor gathers with no global matrix, which is how
-the protocol executes on an actual network.  The two must agree to
-reassociation-level tolerance.
+``distributed_rounds`` yields the states x(1), x(2), ... of
+x(t+1) = W x(t) as per-node neighbor gathers with no global matrix,
+which is how the protocol executes on an actual network.  The plain
+matrix recurrence, ``fusedstar.reference.matrix_rounds``, must agree with
+it to reassociation-level tolerance.
 
 A run is judged by its distance to consensus ||x(t) - x_bar|| per step,
-so ``iterate`` and ``distributed_iterate`` keep only that and the entry
-sum 1'x(t), which is conserved because the weight matrix is symmetric
-stochastic.  A Trajectory is this summary; no run stores its states, and
-one holds a few state vectors however many steps it takes.
+so ``distributed_iterate`` keeps only that and the entry sum 1'x(t),
+which is conserved because the weight matrix is symmetric stochastic.
+A Trajectory is this summary; no run stores its states, and one holds a
+few state vectors however many steps it takes.
 """
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ from typing import IO, Callable, Iterator
 import numpy as np
 
 from .topology import TfsGraph
-from .weighting import OrbitWeights, WeightMatrix
+from .weighting import OrbitWeights
 
 
 class InsufficientSignalError(RuntimeError):
@@ -117,23 +117,6 @@ def _summarise(
         return Trajectory(error_norms, sums, average)
     except MemoryError as exc:
         raise _no_room(exc) from None
-
-
-def matrix_rounds(matrix: WeightMatrix, x0: np.ndarray) -> Iterator[np.ndarray]:
-    """The states x(1), x(2), ... of the matrix recurrence, without end."""
-    entries = matrix.entries
-    x = np.asarray(x0, dtype=float)
-    if x.ndim != 1 or entries.shape != (x.size, x.size):
-        raise ValueError(
-            f"state of length {x.size} does not match matrix shape {entries.shape}"
-        )
-    return _rounds(x, lambda now: entries @ now)
-
-
-def iterate(matrix: WeightMatrix, x0: np.ndarray, steps: int) -> Trajectory:
-    """Run the matrix recurrence for ``steps`` rounds."""
-    x = np.asarray(x0, dtype=float)
-    return _summarise(x, matrix_rounds(matrix, x), steps)
 
 
 def distributed_rounds(

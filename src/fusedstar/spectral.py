@@ -26,9 +26,9 @@ over a stack of run-length-encoded tridiagonals, vectorised over the
 lanes, and ``count_central_below`` builds a central block's count from
 its two arms'; the optimizer proves every optimum with them.
 ``count_eigenvalues_below`` counts row by row by LDL^T inertia over a
-stack of tridiagonals; it is the reference for both run counts.  No route
-that the CLI takes imports scipy: only the full-spectrum reference,
-``Tridiagonal.spectrum``, loads it, on first use.
+stack of tridiagonals; it is the reference for both run counts.  This
+module does not need scipy: the full-spectrum reference that does,
+``fusedstar.reference.tridiagonal_spectrum``, loads it on first use.
 """
 from __future__ import annotations
 
@@ -39,7 +39,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .topology import InvalidParameterError, TfsParams
+from .topology import TfsParams
 from .weighting import OrbitWeights, WeightMatrix
 
 # A block of at most this many rows takes its eigenvalues from a dense
@@ -109,17 +109,6 @@ class Tridiagonal:
         y[:-1] += self.off_diagonal * x[1:]
         y[1:] += self.off_diagonal * x[:-1]
         return y
-
-    def spectrum(self) -> np.ndarray:
-        """All eigenvalues, ascending (the full-spectrum reference route;
-        it loads scipy on first use)."""
-        if self.size == 1:
-            return self.diagonal.copy()
-        from scipy.linalg import eigh_tridiagonal
-
-        return eigh_tridiagonal(
-            self.diagonal, self.off_diagonal, eigvals_only=True
-        )
 
     def eigenvalues(self, first: int, last: int) -> np.ndarray:
         """Ascending eigenvalues ``first..last`` (0-based, inclusive), as a
@@ -609,61 +598,6 @@ def perron_vector(params: TfsParams) -> np.ndarray:
     return v / math.sqrt(params.n_nodes)
 
 
-def block_structure(params: TfsParams) -> tuple[int, ...]:
-    """Block sizes along the diagonal of the transported matrix."""
-    return (
-        (params.m1,) * (params.n1 - 1)
-        + (params.m1 + params.m2 + 1,)
-        + (params.m2,) * (params.n2 - 1)
-    )
-
-
-def stratification_basis(params: TfsParams) -> np.ndarray:
-    """Unitary change of basis that block-diagonalizes orbit-weight matrices.
-
-    Columns are per-stratum DFT vectors, ordered to make the transported
-    matrix block diagonal with ``block_structure(params)`` sizes: first the
-    ``n1 - 1`` copies of the first-star block, then the central block, then
-    the ``n2 - 1`` copies of the second-star block.  For n1 = n2 = 1 this is
-    the identity.
-    """
-    m1, n1, m2, n2 = params.m1, params.n1, params.m2, params.n2
-    n = params.n_nodes
-    center = m1 * n1
-    phi = np.zeros((n, n), dtype=complex)
-
-    def star1_rows(i: int) -> slice:
-        base = (i + m1) * n1
-        return slice(base, base + n1)
-
-    def star2_rows(i: int) -> slice:
-        base = center + 1 + (i - 1) * n2
-        return slice(base, base + n2)
-
-    omega1 = np.exp(2j * math.pi * np.arange(1, n1 + 1) / n1)
-    omega2 = np.exp(2j * math.pi * np.arange(1, n2 + 1) / n2)
-    col = 0
-    for mu in range(1, n1):
-        dft = omega1**mu / math.sqrt(n1)
-        for i in range(-m1, 0):
-            phi[star1_rows(i), col] = dft
-            col += 1
-    for i in range(-m1, 0):
-        phi[star1_rows(i), col] = 1.0 / math.sqrt(n1)
-        col += 1
-    phi[center, col] = 1.0
-    col += 1
-    for i in range(1, m2 + 1):
-        phi[star2_rows(i), col] = 1.0 / math.sqrt(n2)
-        col += 1
-    for mu in range(1, n2):
-        dft = omega2**mu / math.sqrt(n2)
-        for i in range(1, m2 + 1):
-            phi[star2_rows(i), col] = dft
-            col += 1
-    return phi
-
-
 def central_tridiagonal(
     params: TfsParams, w: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -687,15 +621,18 @@ def central_tridiagonal(
     lanes = w.reshape(w.shape[0], -1)
     ends = np.zeros((1, lanes.shape[1]))
     sides = np.concatenate([ends, lanes, ends])
-    diagonal = 1.0 - sides[:-1] - sides[1:]
     off = lanes.copy()
     lane = np.arange(lanes.shape[1])
     m1 = np.asarray(params.m1).astype(np.int64)
     n1, n2 = (np.asarray(n, dtype=float) for n in (params.n1, params.n2))
     w_minus, w_plus = lanes[m1 - 1, lane], lanes[m1, lane]
-    diagonal[m1, lane] = 1.0 - n1 * w_minus - n2 * w_plus
-    off[m1 - 1, lane] = np.sqrt(n1) * w_minus
-    off[m1, lane] = np.sqrt(n2) * w_plus
+    # weights near the float range make entries infinite or nan quietly:
+    # every eigenvalue route refuses such a block with a typed error
+    with np.errstate(over="ignore", invalid="ignore"):
+        diagonal = 1.0 - sides[:-1] - sides[1:]
+        diagonal[m1, lane] = 1.0 - n1 * w_minus - n2 * w_plus
+        off[m1 - 1, lane] = np.sqrt(n1) * w_minus
+        off[m1, lane] = np.sqrt(n2) * w_plus
     return diagonal.reshape(diagonal.shape[:1] + w.shape[1:]), off.reshape(w.shape)
 
 
@@ -773,17 +710,6 @@ def _report(
     return SpectralReport.from_pairs(pairs)
 
 
-def block_spectrum(blocks: StratifiedBlocks) -> SpectralReport:
-    """Spectrum of the full matrix from the blocks, multiplicities symbolic.
-
-    Every block goes through the symmetric-tridiagonal eigensolver.
-    Eigenvalues are never replicated in memory.  This is the full-spectrum
-    reference route; ``block_extremes`` gives the same ``lambda2``,
-    ``lambda_min`` and ``slem`` from a few eigenvalues.
-    """
-    return _report(blocks, Tridiagonal.spectrum)
-
-
 def block_extremes(blocks: StratifiedBlocks) -> SpectralReport:
     """``lambda2``, ``lambda_min`` and ``slem`` of the full matrix from the
     extreme eigenvalues of its blocks.
@@ -809,24 +735,3 @@ def full_spectrum(matrix: WeightMatrix, max_size: int = 5000) -> SpectralReport:
         )
     eigs = np.linalg.eigvalsh(entries)
     return SpectralReport.from_pairs([(float(v), 1) for v in eigs])
-
-
-def interlacing_check(blocks: StratifiedBlocks) -> float:
-    """Largest violation of the arm/center eigenvalue interlacing (0 if none).
-
-    With ascending eigenvalues b_1..b_M of the two arm blocks together and
-    c_1..c_{M+1} of the central block, c_j <= b_j <= c_{j+1} must hold.
-    Requires n1, n2 >= 2 so that both arm blocks actually occur.
-    """
-    params = blocks.params
-    if params.n1 < 2 or params.n2 < 2:
-        raise InvalidParameterError(
-            "interlacing is only defined for n1, n2 >= 2"
-        )
-    arm = np.sort(
-        np.concatenate([blocks.minus.spectrum(), blocks.plus.spectrum()])
-    )
-    cen = blocks.center.spectrum()
-    lower = float(np.max(cen[:-1] - arm))
-    upper = float(np.max(arm - cen[1:]))
-    return max(0.0, lower, upper)

@@ -121,37 +121,6 @@ def assemble_weight_matrix(params: TfsParams, ow: OrbitWeights) -> WeightMatrix:
     return WeightMatrix(entries=mat, params=params)
 
 
-@dataclass(frozen=True)
-class StochasticityReport:
-    """Deviation measures of a candidate averaging matrix."""
-
-    max_row_sum_deviation: float
-    max_asymmetry: float
-    sparsity_violations: tuple[tuple[int, int], ...]
-
-
-def validate_stochastic(matrix: WeightMatrix) -> StochasticityReport:
-    """Measure row-sum deviation, asymmetry and sparsity-pattern violations.
-
-    Sparsity violations are index pairs (a < b) with a nonzero entry where
-    the network has no edge.
-    """
-    entries = matrix.entries
-    params = matrix.params
-    row_dev = float(np.max(np.abs(entries.sum(axis=1) - 1.0)))
-    asym = float(np.max(np.abs(entries - entries.T)))
-    a, b, _ = edge_table(params)
-    allowed = np.eye(params.n_nodes, dtype=bool)
-    allowed[a, b] = allowed[b, a] = True
-    bad = np.argwhere((entries != 0.0) & ~allowed)
-    violations = tuple((int(a), int(b)) for a, b in bad if a < b)
-    return StochasticityReport(
-        max_row_sum_deviation=row_dev,
-        max_asymmetry=asym,
-        sparsity_violations=violations,
-    )
-
-
 def max_degree_orbit_weights(
     params: TfsParams, convention: str = "inv_dmax"
 ) -> OrbitWeights:

@@ -19,27 +19,23 @@ import numpy as np
 import pytest
 
 from fusedstar.certificate import build_dual_certificate, verify_certificate
-from fusedstar.optimizer import (
+from fusedstar.optimizer import optimal_weights, solve_symmetric_star
+from fusedstar.reference import (
     RootCountMismatchWarning,
-    optimal_weights,
-    solve_symmetric_star,
+    block_spectrum,
+    block_structure,
+    interlacing_check,
+    iterate,
+    matrix_rounds,
     solve_theta_roots,
+    stratification_basis,
 )
 from fusedstar.simulation import (
     convergence_factor_estimate,
     distributed_rounds,
-    iterate,
-    matrix_rounds,
     random_initial_state,
 )
-from fusedstar.spectral import (
-    block_spectrum,
-    block_structure,
-    build_blocks,
-    full_spectrum,
-    interlacing_check,
-    stratification_basis,
-)
+from fusedstar.spectral import build_blocks, full_spectrum
 from fusedstar.topology import TfsParams, build_topology
 from fusedstar.weighting import (
     OrbitWeights,

@@ -9,13 +9,12 @@ import pytest
 
 from fusedstar.certificate import (
     DualCertificate,
-    alpha_vectors,
     build_dual_certificate,
-    stencil_gram_matrices,
     verify_certificate,
     _recurrence_residual,
 )
 from fusedstar.optimizer import _char_values, optimal_weights
+from fusedstar.reference import alpha_vectors, stencil_gram_matrices
 from fusedstar.spectral import build_blocks, perron_vector
 from fusedstar.topology import TfsParams
 from fusedstar.weighting import OrbitWeights

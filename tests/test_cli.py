@@ -367,6 +367,25 @@ def test_verify_reports_an_overflowing_weight(capsys, shape, perturb):
     assert all(math.isfinite(value) for value in report["residuals"].values())
 
 
+@pytest.mark.parametrize("perturb", ["1e308", "-1e308"])
+@pytest.mark.parametrize("shape", [(1, 2, 1, 2), (100, 3, 80, 4)], ids=str)
+def test_verify_reports_an_infinite_block_entry_as_one_error(capsys, shape, perturb):
+    # n1 w_{-1} overflows in the central block: the typed error is the only
+    # line on stderr, with no numpy warning before it
+    m1, n1, m2, n2 = map(str, shape)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(
+            capsys,
+            "verify",
+            "--m1", m1, "--n1", n1, "--m2", m2, "--n2", n2,
+            f"--perturb={perturb}",
+        )
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == ["error: a block with non-finite entries has no eigenvalues"]
+
+
 def test_verify_output_does_not_depend_on_the_blas_thread_count():
     # at 20003 orbits a BLAS dot product splits its sum between threads
     argv = [sys.executable, "-m", "fusedstar.cli",
@@ -743,3 +762,75 @@ def test_no_cli_path_imports_scipy():
     # only the perturbed certificates fail
     assert codes == [1 if "--perturb" in argv else 0 for argv in commands]
     assert loaded == []
+
+
+# what moved from each product module (or from a class in it) into
+# fusedstar.reference, and the name it has there when that differs
+MOVED_TO_REFERENCE = {
+    "optimizer": [
+        "solve_theta_roots", "_grid_roots", "_pole_positions", "_pole_distance",
+        "_cross_check_root_count", "char_residual", "ThetaRoots",
+        "PoleProximityError", "NoRootsError", "RootCountMismatchWarning",
+        "_EXCLUSION", "_STEP_SPURIOUS", "_ROOT_TOL", "_RESIDUAL_POLISH",
+        "equivalent_star",
+    ],
+    "topology": [
+        "NodeId", "canonical_nodes", "node_index", "edge_orbit", "degrees",
+        "_check_node", "_branch_count", "InvalidNodeError", "NotAnEdgeError",
+    ],
+    "topology.TfsGraph": ["nodes", "edges", "strata"],
+    "topology.TfsParams": ["stratum_labels"],
+    "certificate": ["alpha_vectors", "stencil_gram_matrices"],
+    "spectral": [
+        "stratification_basis", "block_structure", "interlacing_check",
+        "block_spectrum",
+    ],
+    "spectral.Tridiagonal": ["spectrum"],
+    "weighting": ["StochasticityReport", "validate_stochastic"],
+    "simulation": ["matrix_rounds", "iterate"],
+}
+RENAMED_IN_REFERENCE = {"spectrum": "tridiagonal_spectrum"}
+
+
+def test_cli_never_loads_the_reference():
+    # every subcommand on small shapes in one fresh interpreter; then the
+    # product modules, and classes in them, hold none of the moved names
+    shape = ["--m1", "3", "--n1", "4", "--m2", "4", "--n2", "3"]
+    commands = [
+        ["solve", *shape],
+        ["compare", *shape],
+        ["verify", *shape],
+        ["sweep", "fig2", "--mbar-max", "3"],
+        ["simulate", *shape, "--steps", "20", "--tail", "10"],
+    ]
+    script = (
+        "import contextlib, functools, importlib, io, json, sys\n"
+        "from fusedstar.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "loaded = [m for m in sys.modules\n"
+        "          if m == 'fusedstar.reference' or m.split('.')[0] == 'scipy']\n"
+        "left = []\n"
+        "for owner, names in json.loads(sys.argv[2]).items():\n"
+        "    module, *path = owner.split('.')\n"
+        "    obj = importlib.import_module('fusedstar.' + module)\n"
+        "    obj = functools.reduce(getattr, path, obj)\n"
+        "    left += [f'{owner}.{name}' for name in names if hasattr(obj, name)]\n"
+        "print(json.dumps([codes, loaded, left]))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(commands),
+         json.dumps(MOVED_TO_REFERENCE)],
+        capture_output=True,
+        env=cli_env(),
+        check=True,
+    )
+    codes, loaded, left = json.loads(result.stdout)
+    assert codes == [0] * len(commands)
+    assert loaded == []
+    assert left == []
+    from fusedstar import reference
+
+    for names in MOVED_TO_REFERENCE.values():
+        for name in names:
+            assert hasattr(reference, RENAMED_IN_REFERENCE.get(name, name)), name

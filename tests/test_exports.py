@@ -1,4 +1,5 @@
-"""The package namespace: every public library class and function."""
+"""The package namespace: every public product class and function, and the
+reference module's own namespace beside it."""
 
 import inspect
 
@@ -31,3 +32,17 @@ def test_every_public_definition_is_exported(module):
     assert public - set(fusedstar.__all__) == set()
     for name in public:
         assert getattr(fusedstar, name) is getattr(module, name)
+
+
+def test_the_reference_exports_its_own_names_and_the_package_none_of_them():
+    from fusedstar import reference
+
+    public = {
+        name
+        for name, obj in vars(reference).items()
+        if not name.startswith("_")
+        and (inspect.isclass(obj) or inspect.isfunction(obj))
+        and obj.__module__ == reference.__name__
+    }
+    assert public - set(reference.__all__) == set()
+    assert set(reference.__all__) & set(fusedstar.__all__) == set()

@@ -8,27 +8,29 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fusedstar import optimizer
+from fusedstar import optimizer, reference
 from fusedstar.cli import main
 from fusedstar.optimizer import (
     DegenerateSineError,
-    NoRootsError,
-    PoleProximityError,
-    RootCountMismatchWarning,
     SelfCheckError,
     _batch_shapes,
     _skeleton_proves_slem,
-    char_residual,
-    equivalent_star,
     optimal_weights,
     optimal_weights_batch,
     solve_symmetric_star,
+)
+from fusedstar.reference import (
+    NoRootsError,
+    PoleProximityError,
+    RootCountMismatchWarning,
+    block_spectrum,
+    char_residual,
+    equivalent_star,
     solve_theta_roots,
 )
 from fusedstar.spectral import (
     Tridiagonal,
     block_extremes,
-    block_spectrum,
     build_blocks,
     count_eigenvalues_below,
     full_spectrum,
@@ -442,7 +444,7 @@ def test_no_optimum_computes_an_eigenvalue(monkeypatch, capsys):
 
     monkeypatch.setattr(Tridiagonal, "extremes", refuse)
     monkeypatch.setattr(Tridiagonal, "eigenvalues", refuse)
-    monkeypatch.setattr(Tridiagonal, "spectrum", refuse)
+    monkeypatch.setattr(reference, "tridiagonal_spectrum", refuse)
     monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
     for shape in [(3, 4, 4, 3), (800, 5, 790, 7)] + EXTREME_SHAPES:
         assert optimal_weights(TfsParams(*shape)).s > 0.0

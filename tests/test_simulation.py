@@ -8,14 +8,13 @@ import numpy as np
 import pytest
 
 from fusedstar.optimizer import optimal_weights
+from fusedstar.reference import iterate, matrix_rounds
 from fusedstar.simulation import (
     InsufficientSignalError,
     Trajectory,
     convergence_factor_estimate,
     distributed_iterate,
     distributed_rounds,
-    iterate,
-    matrix_rounds,
     random_initial_state,
     write_trajectory_csv,
 )

@@ -4,19 +4,20 @@ import time
 
 import pytest
 
-from fusedstar.topology import (
+from fusedstar.reference import (
     InvalidNodeError,
-    InvalidParameterError,
     NodeId,
     NotAnEdgeError,
-    TfsParams,
-    build_topology,
     canonical_nodes,
     degrees,
     edge_orbit,
-    edge_table,
+    edges,
     node_index,
+    nodes,
+    strata,
+    stratum_labels,
 )
+from fusedstar.topology import InvalidParameterError, TfsParams, build_topology, edge_table
 
 
 def test_params_counts():
@@ -56,7 +57,7 @@ def test_orbit_labels():
 
 
 def test_stratum_labels():
-    assert TfsParams(2, 2, 3, 2).stratum_labels == (-2, -1, 0, 1, 2, 3)
+    assert stratum_labels(TfsParams(2, 2, 3, 2)) == (-2, -1, 0, 1, 2, 3)
 
 
 def test_swap():
@@ -108,9 +109,8 @@ def test_edge_orbit_rejects_non_edges():
 
 def test_build_topology_edge_order():
     p = TfsParams(3, 2, 2, 3)
-    g = build_topology(p)
-    assert len(g.edges) == p.n_edges
-    labels = [edge_orbit(p, e) for e in g.edges]
+    assert len(edges(p)) == p.n_edges
+    labels = [edge_orbit(p, e) for e in edges(p)]
     assert labels == sorted(labels)
     # orbit sizes: n1 per negative label, n2 per positive label
     assert labels.count(-2) == p.n1
@@ -126,26 +126,24 @@ def test_build_topology_is_constant_time():
         elapsed.append(time.perf_counter() - start)
     assert min(elapsed) < 5e-3
     assert g.params == p
-    # node and edge lists are built on first read; equality is by params
-    assert {"nodes", "edges", "strata"}.isdisjoint(vars(g))
+    # the graph holds its params and nothing else; equality is by params
+    assert vars(g) == {"params": p}
     small = build_topology(TfsParams(1, 2, 1, 2))
-    assert len(small.nodes) == 5 and "nodes" in vars(small)
+    assert len(nodes(small.params)) == 5
     assert small == build_topology(TfsParams(1, 2, 1, 2))
     assert hash(small) == hash(build_topology(TfsParams(1, 2, 1, 2)))
 
 
 def test_strata_partition():
     p = TfsParams(2, 3, 1, 4)
-    g = build_topology(p)
-    sizes = {i: len(g.strata[i]) for i in p.stratum_labels}
+    sizes = {i: len(strata(p)[i]) for i in stratum_labels(p)}
     assert sizes == {-2: 3, -1: 3, 0: 1, 1: 4}
     assert sum(sizes.values()) == p.n_nodes
 
 
 def test_degrees():
     p = TfsParams(3, 4, 4, 3)
-    g = build_topology(p)
-    d = degrees(g)
+    d = degrees(p)
     assert d[NodeId(0, 0)] == 7
     assert d[NodeId(-3, 2)] == 1
     assert d[NodeId(-2, 1)] == 2
@@ -153,24 +151,21 @@ def test_degrees():
 
 
 def test_degrees_single_hop_branches():
-    g = build_topology(TfsParams(1, 2, 1, 2))
-    d = degrees(g)
+    d = degrees(TfsParams(1, 2, 1, 2))
     for node, deg in d.items():
         assert deg == (2 + 2 if node.i == 0 else 1)
 
 
 def test_minimal_network_is_a_path():
-    g = build_topology(TfsParams(1, 1, 1, 1))
-    assert len(g.edges) == 2
-    assert degrees(g)[NodeId(0, 0)] == 2
+    p = TfsParams(1, 1, 1, 1)
+    assert len(edges(p)) == 2
+    assert degrees(p)[NodeId(0, 0)] == 2
 
 
 def test_swap_isomorphism():
     p = TfsParams(2, 3, 4, 5)
-    g = build_topology(p)
-    h = build_topology(p.swap())
-    mirrored = {frozenset((NodeId(-u.i, u.mu), NodeId(-v.i, v.mu))) for u, v in g.edges}
-    assert mirrored == {frozenset(e) for e in h.edges}
+    mirrored = {frozenset((NodeId(-u.i, u.mu), NodeId(-v.i, v.mu))) for u, v in edges(p)}
+    assert mirrored == {frozenset(e) for e in edges(p.swap())}
 
 
 @pytest.mark.parametrize("params", [(1, 2, 1, 2), (2, 3, 4, 5), (5, 2, 3, 7)])
@@ -188,7 +183,7 @@ def test_edge_table_matches_node_view(m1, n1, m2, n2):
     p = TfsParams(m1, n1, m2, n2)
     expected = [
         (node_index(p, u), node_index(p, v), p.orbit_labels.index(edge_orbit(p, (u, v))))
-        for u, v in build_topology(p).edges
+        for u, v in edges(p)
     ]
     a, b, k = edge_table(p)
     assert list(zip(a.tolist(), b.tolist(), k.tolist())) == expected

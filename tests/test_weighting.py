@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fusedstar.reference import degrees, edge_orbit, edges, validate_stochastic
 from fusedstar.spectral import build_blocks
-from fusedstar.topology import TfsParams, build_topology, degrees, edge_orbit
+from fusedstar.topology import TfsParams
 from fusedstar.weighting import (
     MissingOrbitWeightError,
     OrbitWeights,
@@ -15,7 +16,6 @@ from fusedstar.weighting import (
     best_constant_orbit_weights,
     max_degree_orbit_weights,
     metropolis_orbit_weights,
-    validate_stochastic,
 )
 
 
@@ -60,12 +60,11 @@ def test_missing_orbit_weight():
 def test_orbit_weights_round_trip():
     p = TfsParams(2, 3, 3, 2)
     ow = OrbitWeights.from_labels(p, {-2: 0.11, -1: 0.22, 1: 0.33, 2: 0.44, 3: 0.55})
-    g = build_topology(p)
     W = assemble_weight_matrix(p, ow).entries
-    from fusedstar.topology import edge_orbit, node_index
+    from fusedstar.reference import edge_orbit, node_index
 
     recovered = {}
-    for u, v in g.edges:
+    for u, v in edges(p):
         recovered[edge_orbit(p, (u, v))] = W[node_index(p, u), node_index(p, v)]
     assert OrbitWeights.from_labels(p, recovered) == ow
 
@@ -200,12 +199,11 @@ def test_best_constant_path():
 )
 def test_best_constant_matches_dense_laplacian(params):
     # oracle: the dense graph Laplacian straight from the edge list
-    from fusedstar.topology import node_index
+    from fusedstar.reference import node_index
 
     p = TfsParams(*params)
-    g = build_topology(p)
     lap = np.zeros((p.n_nodes, p.n_nodes))
-    for u, v in g.edges:
+    for u, v in edges(p):
         a, b = node_index(p, u), node_index(p, v)
         lap[a, b] = lap[b, a] = -1.0
         lap[a, a] += 1.0
@@ -294,7 +292,7 @@ SCHEME_SHAPES = [
 @pytest.mark.parametrize("convention,shift", [("inv_dmax", 0), ("inv_dmax_plus_1", 1)])
 def test_max_degree_closed_form_matches_degrees(params, convention, shift):
     p = TfsParams(*params)
-    dmax = max(degrees(build_topology(p)).values())
+    dmax = max(degrees(p).values())
     ow = max_degree_orbit_weights(p, convention=convention)
     for label in p.orbit_labels:
         assert ow[label] == 1.0 / (shift + dmax)
@@ -304,8 +302,7 @@ def test_max_degree_closed_form_matches_degrees(params, convention, shift):
 @pytest.mark.parametrize("convention,shift", [("inv_max", 0), ("inv_max_plus_1", 1)])
 def test_metropolis_closed_form_matches_degrees(params, convention, shift):
     p = TfsParams(*params)
-    g = build_topology(p)
-    deg = degrees(g)
+    deg = degrees(p)
     ow = metropolis_orbit_weights(p, convention=convention)
-    for u, v in g.edges:
+    for u, v in edges(p):
         assert ow[edge_orbit(p, (u, v))] == 1.0 / (shift + max(deg[u], deg[v]))
