@@ -314,10 +314,10 @@ def verify_certificate(
 
     # C v = v for every orbit weighting, so s I + C - v v^T has the
     # spectrum of C with one eigenvalue 1 replaced by 0
-    center_min = float(blocks.center.eigenvalues(0, 0)[0])
+    center_min = float(blocks.center.eigenvalues([0])[0])
     arms_top = max(
-        float(blocks.minus.eigenvalues(m1 - 1, m1 - 1)[0]),
-        float(blocks.plus.eigenvalues(params.m2 - 1, params.m2 - 1)[0]),
+        float(blocks.minus.eigenvalues([m1 - 1])[0]),
+        float(blocks.plus.eigenvalues([params.m2 - 1])[0]),
     )
 
     stencils, stencils_prime = _stencil_arrays(params)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .optimizer import DegenerateSineError, _char_values, _require_two_branches, _weights_at
 from .simulation import Trajectory, _rounds, _summarise
-from .spectral import SpectralReport, StratifiedBlocks, Tridiagonal, _report, build_blocks
+from .spectral import SpectralReport, StratifiedBlocks, Tridiagonal, build_blocks
 from .topology import InvalidParameterError, TfsParams, edge_table
 from .weighting import WeightMatrix
 
@@ -222,7 +222,12 @@ def block_spectrum(blocks: StratifiedBlocks) -> SpectralReport:
     gives the same ``lambda2``, ``lambda_min`` and ``slem`` from a few
     eigenvalues.
     """
-    return _report(blocks, tridiagonal_spectrum)
+    sized = zip((blocks.minus, blocks.center, blocks.plus), blocks.multiplicities)
+    return SpectralReport.from_pairs([
+        (value, mult)
+        for block, mult in sized
+        for value in tridiagonal_spectrum(block).tolist()
+    ])
 
 
 def block_structure(params: TfsParams) -> tuple[int, ...]:

@@ -10,18 +10,21 @@ quantity of the full matrix follows from small tridiagonal eigensolves, even
 for very large networks.  ``central_tridiagonal`` is the one formula for
 the entries: it writes the central block from orbit weights, for one shape
 or a stack of shapes of one length, and the arm blocks are its leading
-``m1`` and trailing ``m2`` rows.  Where only ``lambda2``, ``lambda_min``
-and the SLEM are needed, ``block_extremes`` finds just the extreme
-eigenvalues: a block of at most ``_DENSE_ROWS`` rows by
-``np.linalg.eigvalsh`` on its dense form (checked by counts where that is
-not accurate enough), a larger one by bisection on a run-compressed Sturm
-count.  ``build_blocks`` builds the blocks of one ``OrbitWeights`` once
-and each block keeps the eigenvalues it has found, so one solve does this
-work once.  Every block has equal rows except at its leaves, the center
-and the center's neighbours, and along a run of equal rows the pivots of
-``T - xI = LDL^T`` are the continuants ``beta^k sin(k phi + psi)`` (the
-characteristic polynomials the optimum is derived from), so the count
-costs O(1) in the branch length.  ``count_runs_below`` is the same count
+``m1`` and trailing ``m2`` rows.  ``block_extremes`` finds ``lambda2``,
+``lambda_min`` and the SLEM from six eigenvalues: the lowest and
+second-highest of the central block, whose top is the consensus
+eigenvalue 1, and the lowest and highest of each arm block.
+``Tridiagonal.eigenvalues`` finds eigenvalues by index: in a block of at
+most ``_DENSE_ROWS`` rows by ``np.linalg.eigvalsh`` on its dense form
+(checked by counts where that is not accurate enough), in a larger one by
+bisection on a run-compressed Sturm count.  ``build_blocks`` builds the
+blocks of one ``OrbitWeights`` once and each block keeps the eigenvalues
+it has found, so one solve does this work once.  Every block has equal
+rows except at its leaves, the center and the center's neighbours, and
+along a run of equal rows the pivots of ``T - xI = LDL^T`` are the
+continuants ``beta^k sin(k phi + psi)`` (the characteristic polynomials
+the optimum is derived from), so the count costs O(1) in the branch
+length.  ``count_runs_below`` is the same count
 over a stack of run-length-encoded tridiagonals, vectorised over the
 lanes, and ``count_central_below`` builds a central block's count from
 its two arms'; the optimizer proves every optimum with them.
@@ -35,7 +38,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -56,6 +59,10 @@ _DENSE_ROWS = 64
 _MIN_RUN = 8
 
 _NON_FINITE = "a block with non-finite entries has no eigenvalues"
+_PAST_RANGE = (
+    "a block with an entry of 2^1023 or more in magnitude may have "
+    "eigenvalues past the float range"
+)
 _TINY = float(np.finfo(float).tiny)
 # dstebz's convergence test: an interval is done once it is narrower than
 # two ulps of its larger end (or than pivmin)
@@ -110,25 +117,16 @@ class Tridiagonal:
         y[1:] += self.off_diagonal * x[:-1]
         return y
 
-    def eigenvalues(self, first: int, last: int) -> np.ndarray:
-        """Ascending eigenvalues ``first..last`` (0-based, inclusive), as a
-        new array."""
-        return self._eigenvalues(range(first, last + 1))
+    def eigenvalues(self, indices: Iterable[int]) -> np.ndarray:
+        """Ascending eigenvalues at ``indices`` (0-based), as a new array.
 
-    def extremes(self) -> np.ndarray:
-        """The lowest and the top two eigenvalues, ascending (all of them
-        when there are at most three), as a new array.
-
-        Each eigenvalue is found once per block: this and ``eigenvalues``
-        keep what they find by index and read it back on the next call.
+        Each eigenvalue is found once per block: what a read finds is kept
+        by index and read back on the next one, and the indices not yet
+        found are found together, by one dense solve or one bisection.
         """
-        n = self.size
-        return self._eigenvalues(range(n) if n <= 3 else (0, n - 2, n - 1))
-
-    def _eigenvalues(self, indices: Iterable[int]) -> np.ndarray:
         indices = list(indices)
         found = self._found
-        missing = [index for index in indices if index not in found]
+        missing = [index for index in dict.fromkeys(indices) if index not in found]
         if missing:
             found.update(zip(missing, self._solve(missing)))
         return np.array([found[index] for index in indices], dtype=float)
@@ -181,12 +179,13 @@ class _RunCount:
     equal rows in closed form.
 
     The matrix is scaled by the power of two at or above its largest
-    entry, exactly, so that no squared coupling overflows.  Row ``j >= 1``
-    is the pair ``(a_j, b_{j-1}^2)``; a run is ``_MIN_RUN`` or more equal
-    consecutive rows, and every other row, row 0 included, is one step of
-    Kahan's recurrence ``d_j = (a_j - x) - b_{j-1}^2 / d_{j-1}`` with
-    LAPACK's floor (a pivot below ``pivmin`` in magnitude becomes
-    ``-pivmin``).  Along a run with ``|b| = beta > 0`` the pivots are
+    entry, exactly, so that no squared coupling overflows; a largest entry
+    of 2^1023 or more has no such power, and the block is refused.  Row
+    ``j >= 1`` is the pair ``(a_j, b_{j-1}^2)``; a run is ``_MIN_RUN`` or
+    more equal consecutive rows, and every other row, row 0 included, is
+    one step of Kahan's recurrence ``d_j = (a_j - x) - b_{j-1}^2 /
+    d_{j-1}`` with LAPACK's floor (a pivot below ``pivmin`` in magnitude
+    becomes ``-pivmin``).  Along a run with ``|b| = beta > 0`` the pivots are
     ``d_j = beta u_j`` with ``u_j = tau - 1 / u_{j-1}`` and
     ``tau = (a - x) / beta``, a Moebius map:
 
@@ -210,7 +209,9 @@ class _RunCount:
         top = max(float(np.abs(diagonal).max()), float(b.max(initial=0.0)))
         if not math.isfinite(top):
             raise np.linalg.LinAlgError(_NON_FINITE)
-        self.scale = 2.0 ** math.frexp(top)[1] if top > 0.0 else 1.0
+        if top >= 2.0**1023:
+            raise np.linalg.LinAlgError(_PAST_RANGE)
+        self.scale = 2.0 ** math.frexp(top)[1]
         if self.scale != 1.0:
             diagonal, b = diagonal / self.scale, b / self.scale
         # every entry is at most 1 in magnitude now, so ||T|| <= 3 and
@@ -547,13 +548,14 @@ class StratifiedBlocks:
 
 @dataclass(frozen=True)
 class SpectralReport:
-    """Eigenvalues with multiplicities (descending) and derived quantities."""
+    """``lambda2``, ``lambda_min`` and the SLEM, and the spectrum behind
+    them where it was computed whole: its eigenvalues with multiplicities,
+    descending (``block_extremes`` leaves it empty)."""
 
     eigenvalues: tuple[tuple[float, int], ...]
     lambda2: float
     lambda_min: float
     slem: float
-    theta2: float
 
     @classmethod
     def from_pairs(
@@ -570,14 +572,11 @@ class SpectralReport:
         else:
             lambda2 = pairs[1][0]
         lambda_min = pairs[-1][0]
-        slem = max(lambda2, -lambda_min)
-        theta2 = math.acos(min(1.0, max(-1.0, lambda2)))
         return cls(
             eigenvalues=tuple(pairs),
             lambda2=lambda2,
             lambda_min=lambda_min,
-            slem=slem,
-            theta2=theta2,
+            slem=max(lambda2, -lambda_min),
         )
 
 
@@ -698,28 +697,32 @@ def count_eigenvalues_below(
     return below
 
 
-def _report(
-    blocks: StratifiedBlocks, eigenvalues: Callable[[Tridiagonal], np.ndarray]
-) -> SpectralReport:
-    pairs: list[tuple[float, int]] = []
-    for block, mult in zip(
-        (blocks.minus, blocks.center, blocks.plus), blocks.multiplicities
-    ):
-        if mult > 0:
-            pairs += [(float(v), mult) for v in eigenvalues(block)]
-    return SpectralReport.from_pairs(pairs)
-
-
 def block_extremes(blocks: StratifiedBlocks) -> SpectralReport:
-    """``lambda2``, ``lambda_min`` and ``slem`` of the full matrix from the
-    extreme eigenvalues of its blocks.
+    """``lambda2``, ``lambda_min`` and ``slem`` of the full matrix from six
+    eigenvalues of its blocks.
 
-    The two largest and the smallest eigenvalue of the full matrix are
-    among the lowest and the top two eigenvalues of the blocks, so only
-    those are computed, by bisection; the report's ``eigenvalues`` lists
-    just them.
+    The central block's top is the consensus eigenvalue 1 (``C v = v`` for
+    the Perron vector), and with nonnegative weights, as every scheme, the
+    optimum and best-constant's unit weights have, nothing exceeds it: the
+    matrix is ``I - L`` for a positive semidefinite Laplacian ``L``.  So
+    ``lambda2`` is the largest of the center's second-highest eigenvalue
+    and each arm block's highest, and ``lambda_min`` the smallest lowest
+    one; an arm block counts only when its star has two branches or more.
     """
-    return _report(blocks, Tridiagonal.extremes)
+    center = blocks.center
+    reads = [center.eigenvalues([0, center.size - 2])] + [
+        arm.eigenvalues([0, arm.size - 1])
+        for arm, mult in zip((blocks.minus, blocks.plus), blocks.multiplicities[::2])
+        if mult > 0
+    ]
+    lows, highs = np.array(reads).T
+    lambda2, lambda_min = float(highs.max()), float(lows.min())
+    return SpectralReport(
+        eigenvalues=(),
+        lambda2=lambda2,
+        lambda_min=lambda_min,
+        slem=max(lambda2, -lambda_min),
+    )
 
 
 def full_spectrum(matrix: WeightMatrix, max_size: int = 5000) -> SpectralReport:

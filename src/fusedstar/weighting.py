@@ -141,27 +141,15 @@ def max_degree_orbit_weights(
     return OrbitWeights.constant(params, alpha)
 
 
-def metropolis_orbit_weights(
-    params: TfsParams, convention: str = "inv_max"
-) -> OrbitWeights:
-    """Metropolis weights per edge orbit.
+def metropolis_orbit_weights(params: TfsParams) -> OrbitWeights:
+    """Metropolis weights per edge orbit, 1/max(deg_a, deg_b).
 
-    ``inv_max`` uses 1/max(deg_a, deg_b), ``inv_max_plus_1`` uses
-    1/(1 + max(deg_a, deg_b)).  The larger endpoint degree is the center's
-    n1 + n2 on the two center-adjacent orbits and 2 on every other orbit,
-    whose edges all touch a branch interior.
+    The larger endpoint degree is the center's n1 + n2 on the two
+    center-adjacent orbits and 2 on every other orbit, whose edges all
+    touch a branch interior.
     """
-    if convention == "inv_max":
-        shift = 0.0
-    elif convention == "inv_max_plus_1":
-        shift = 1.0
-    else:
-        raise ValueError(
-            "convention must be 'inv_max' or 'inv_max_plus_1', "
-            f"got {convention!r}"
-        )
-    w = np.full(params.m1 + params.m2, 1.0 / (shift + 2))
-    w[params.m1 - 1] = w[params.m1] = 1.0 / (shift + params.n1 + params.n2)
+    w = np.full(params.m1 + params.m2, 0.5)
+    w[params.m1 - 1] = w[params.m1] = 1.0 / (params.n1 + params.n2)
     return OrbitWeights(params, w)
 
 

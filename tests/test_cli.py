@@ -223,12 +223,12 @@ def run_counts(monkeypatch):
 @pytest.mark.parametrize(
     "command, built, searched",
     [
-        # the report's three blocks serve the certificate, whose three
-        # eigenvalues the report already found
-        ("solve", 3, 9),
+        # two eigenvalues of each of the report's three blocks, which serve
+        # the certificate: its three eigenvalues are among them
+        ("solve", 3, 6),
         ("verify", 3, 3),
         # three blocks per scheme, and the unit weights of best-constant
-        ("compare", 15, 45),
+        ("compare", 15, 30),
     ],
 )
 def test_each_solve_builds_each_block_and_finds_each_eigenvalue_once(
@@ -239,6 +239,26 @@ def test_each_solve_builds_each_block_and_finds_each_eigenvalue_once(
     )
     assert code == 0
     assert run_counts == {"built": built, "searched": searched}
+
+
+def test_solve_never_searches_the_consensus_eigenvalue(capsys, monkeypatch):
+    # the center's top is 1, and an arm's second-highest eigenvalue is
+    # never the report's lambda2 nor its lambda_min
+    searched = []
+    search = spectral._RunCount._search
+
+    def recorded_search(self, index, counted):
+        searched.append((self.size, index))
+        return search(self, index, counted)
+
+    monkeypatch.setattr(spectral._RunCount, "_search", recorded_search)
+    code, _, _ = run_cli(
+        capsys, "solve", "--m1", "450", "--n1", "5", "--m2", "400", "--n2", "3"
+    )
+    assert code == 0
+    assert sorted(searched) == [
+        (400, 0), (400, 399), (450, 0), (450, 449), (851, 0), (851, 849)
+    ]
 
 
 TABLE_ROWS = {
@@ -384,6 +404,31 @@ def test_verify_reports_an_infinite_block_entry_as_one_error(capsys, shape, pert
     assert code == 1
     assert out == ""
     assert err.splitlines() == ["error: a block with non-finite entries has no eigenvalues"]
+
+
+@pytest.mark.parametrize(
+    "shape, perturb",
+    [((100, 3, 80, 4), "5e307"), ((100, 3, 80, 4), "-5e307"), ((1, 2, 1, 2), "-5e307")],
+    ids=str,
+)
+def test_verify_refuses_a_block_past_the_float_range(capsys, shape, perturb):
+    # a block entry of 2^1023 or more has no power of two above it to scale
+    # the block by: the typed error is the only line, with no warning
+    m1, n1, m2, n2 = map(str, shape)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(
+            capsys,
+            "verify",
+            "--m1", m1, "--n1", n1, "--m2", m2, "--n2", n2,
+            f"--perturb={perturb}",
+        )
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == [
+        "error: a block with an entry of 2^1023 or more in magnitude may "
+        "have eigenvalues past the float range"
+    ]
 
 
 def test_verify_output_does_not_depend_on_the_blas_thread_count():

@@ -179,6 +179,23 @@ def random_shapes(count, seed):
         )
 
 
+def assert_extremes_match(p, ow, *, dense=False):
+    """``block_extremes`` agrees with the full block spectrum, and with the
+    dense matrix's if asked."""
+    blocks = build_blocks(p, ow)
+    extremes = block_extremes(blocks)
+    references = [block_spectrum(blocks)]
+    if dense:
+        references.append(full_spectrum(assemble_weight_matrix(p, ow)))
+    for reference in references:
+        for name in ("lambda2", "lambda_min", "slem"):
+            # unit weights reach |lambda| ~ n1 + n2, where 1e-13 is below
+            # one ulp
+            value = getattr(reference, name)
+            gap = abs(getattr(extremes, name) - value)
+            assert gap <= 1e-13 * max(1.0, abs(value)), (p, name, reference)
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_block_extremes_match_block_spectrum(seed):
     for index, p in enumerate(random_shapes(50, seed)):
@@ -190,18 +207,50 @@ def test_block_extremes_match_block_spectrum(seed):
         if p.m1 > 1:
             # a zero leaf weight splits the first arm block and the
             # central block: eigenvalue 1 three times
-            w = {label: weightings[0][label] for label in p.orbit_labels}
-            w[-p.m1] = 0.0
-            weightings.append(OrbitWeights.from_labels(p, w))
+            weightings.append(zero_leaf_weight(p, weightings[0]))
         for ow in weightings:
-            blocks = build_blocks(p, ow)
-            full, extremes = block_spectrum(blocks), block_extremes(blocks)
-            for name in ("lambda2", "lambda_min", "slem"):
-                # unit weights reach |lambda| ~ n1 + n2, where 1e-13 is
-                # below one ulp
-                value = getattr(full, name)
-                gap = abs(getattr(extremes, name) - value)
-                assert gap <= 1e-13 * max(1.0, abs(value)), (p, name)
+            assert_extremes_match(p, ow)
+
+
+def zero_leaf_weight(p, ow):
+    w = {label: ow[label] for label in p.orbit_labels}
+    w[-p.m1] = 0.0
+    return OrbitWeights.from_labels(p, w)
+
+
+# where block_extremes's direct rule (lambda2 from the center's
+# second-highest eigenvalue and the arms' highest) and the multiset rule of
+# the full spectrum could part; the blocks of more than 64 rows bisect
+PARTING_CASES = [
+    # n1 = 1: no first arm block
+    ((5, 1, 7, 3), "random"),
+    ((90, 1, 70, 2), "random"),
+    ((4, 1, 200, 2), "unit"),
+    # n1 = 2 and a zero leaf weight: the first arm's eigenvalue 1, once,
+    # beside the center's
+    ((4, 2, 6, 3), "zero leaf"),
+    ((100, 2, 90, 3), "zero leaf"),
+    # W = I
+    ((3, 4, 5, 2), "zero"),
+    ((100, 2, 70, 3), "zero"),
+    # unit weights, up to m = 200
+    ((3, 4, 4, 3), "unit"),
+    ((65, 3, 1, 2), "unit"),
+    ((200, 2, 150, 3), "unit"),
+    ((120, 3, 200, 2), "unit"),
+]
+
+
+@pytest.mark.parametrize("shape, weighting", PARTING_CASES, ids=str)
+def test_block_extremes_match_where_the_rules_could_part(shape, weighting):
+    p = TfsParams(*shape)
+    ow = {
+        "random": lambda: random_weights(p, sum(shape)),
+        "zero leaf": lambda: zero_leaf_weight(p, random_weights(p, sum(shape))),
+        "zero": lambda: OrbitWeights.constant(p, 0.0),
+        "unit": lambda: OrbitWeights.constant(p, 1.0),
+    }[weighting]()
+    assert_extremes_match(p, ow, dense=True)
 
 
 # 64 rows and fewer take the dense route, 65 and more bisection
@@ -217,11 +266,11 @@ def test_tridiagonal_matches_dense(size):
     x = rng.uniform(-1, 1, size)
     assert np.max(np.abs(tri.matvec(x) - dense @ x)) <= 1e-15
     assert np.max(np.abs(tridiagonal_spectrum(tri) - eigs)) <= 1e-13
-    assert np.max(np.abs(tri.eigenvalues(0, size - 1) - eigs)) <= 1e-13
+    assert np.max(np.abs(tri.eigenvalues(range(size)) - eigs)) <= 1e-13
     last = size - 1
-    assert tri.eigenvalues(last, last)[0] == pytest.approx(eigs[-1], abs=1e-13)
-    expected = eigs if size <= 3 else eigs[[0, last - 1, last]]
-    assert np.max(np.abs(tri.extremes() - expected)) <= 1e-13
+    assert tri.eigenvalues([last])[0] == pytest.approx(eigs[-1], abs=1e-13)
+    wanted = [0, max(last - 1, 0), last]
+    assert np.max(np.abs(tri.eigenvalues(wanted) - eigs[wanted])) <= 1e-13
     # thresholds halfway between eigenvalues, and beyond both ends
     thresholds = np.concatenate(
         [[eigs[0] - 1.0], 0.5 * (eigs[:-1] + eigs[1:]), [eigs[-1] + 1.0]]
@@ -324,7 +373,6 @@ def test_block_spectrum_at_optimum():
     # the smallest eigenvalue mirrors lambda2 exactly at the optimum
     assert report.lambda_min == pytest.approx(-S_343, abs=1e-9)
     assert report.slem == max(report.lambda2, -report.lambda_min)
-    assert report.theta2 == pytest.approx(math.acos(report.lambda2))
 
 
 def test_spectral_report_leading_eigenvalue():
@@ -405,7 +453,10 @@ def test_blocks_are_built_once_per_weight_vector():
 def test_returned_eigenvalues_do_not_share_the_memo(m):
     p = TfsParams(m, 3, m + 1, 4)
     block = build_blocks(p, metropolis_orbit_weights(p)).center
-    reads = (block.extremes, lambda: block.eigenvalues(0, 1))
+    reads = (
+        lambda: block.eigenvalues([0, block.size - 2]),
+        lambda: block.eigenvalues([0, 1]),
+    )
     for read in reads * 2:
         first = read()
         expected = first.copy()
@@ -414,4 +465,4 @@ def test_returned_eigenvalues_do_not_share_the_memo(m):
         except ValueError:
             pass  # a read-only array is as good as a copy
         assert np.array_equal(read(), expected)
-    assert block.eigenvalues(0, 0)[0] == block.extremes()[0]
+    assert block.eigenvalues([0])[0] == block.eigenvalues([0, block.size - 2])[0]

@@ -171,20 +171,6 @@ def test_max_degree_plus_one_convention():
         max_degree_orbit_weights(p, convention="bogus")
 
 
-def test_metropolis_conventions():
-    # interior edge joins two degree-2 nodes
-    p = TfsParams(2, 2, 2, 2)
-    plus1 = metropolis_orbit_weights(p, convention="inv_max_plus_1")
-    assert plus1[-2] == pytest.approx(1 / 3)
-    plain = metropolis_orbit_weights(p)
-    assert plain[-2] == pytest.approx(1 / 2)
-    # center edges see the center degree n1+n2 = 4
-    assert plain[-1] == pytest.approx(1 / 4)
-    assert plus1[-1] == pytest.approx(1 / 5)
-    with pytest.raises(ValueError):
-        metropolis_orbit_weights(p, convention="bogus")
-
-
 def test_best_constant_path():
     # 3-node path Laplacian spectrum {0, 1, 3} -> alpha = 2/(3+1)
     ow = best_constant_orbit_weights(TfsParams(1, 1, 1, 1))
@@ -256,7 +242,6 @@ def test_schemes_are_stochastic_with_bounded_spectra(params):
         max_degree_orbit_weights(p, convention="inv_dmax"),
         max_degree_orbit_weights(p, convention="inv_dmax_plus_1"),
         metropolis_orbit_weights(p),
-        metropolis_orbit_weights(p, convention="inv_max_plus_1"),
         best_constant_orbit_weights(p),
     ):
         wm = assemble_weight_matrix(p, ow)
@@ -299,10 +284,11 @@ def test_max_degree_closed_form_matches_degrees(params, convention, shift):
 
 
 @pytest.mark.parametrize("params", SCHEME_SHAPES)
-@pytest.mark.parametrize("convention,shift", [("inv_max", 0), ("inv_max_plus_1", 1)])
+@pytest.mark.parametrize("convention,shift", [("inv_max", 0)])
 def test_metropolis_closed_form_matches_degrees(params, convention, shift):
+    # one rule, 1 / max(d_a, d_b); its parameters keep the test's ids
     p = TfsParams(*params)
     deg = degrees(p)
-    ow = metropolis_orbit_weights(p, convention=convention)
+    ow = metropolis_orbit_weights(p)
     for u, v in edges(p):
         assert ow[edge_orbit(p, (u, v))] == 1.0 / (shift + max(deg[u], deg[v]))
