@@ -27,9 +27,8 @@ from .simulation import (
     Trajectory,
     TrajectoryMemoryError,
     convergence_factor_estimate,
-    distributed_iterate,
-    distributed_rounds,
     random_initial_state,
+    stratified_iterate,
     write_trajectory_csv,
 )
 from .spectral import (
@@ -96,8 +95,6 @@ __all__ = [
     "count_central_below",
     "count_eigenvalues_below",
     "count_runs_below",
-    "distributed_iterate",
-    "distributed_rounds",
     "edge_table",
     "full_spectrum",
     "max_degree_orbit_weights",
@@ -107,6 +104,7 @@ __all__ = [
     "perron_vector",
     "random_initial_state",
     "solve_symmetric_star",
+    "stratified_iterate",
     "verify_certificate",
     "write_trajectory_csv",
 ]

@@ -30,12 +30,12 @@ from .optimizer import (
 from .simulation import (
     InsufficientSignalError,
     convergence_factor_estimate,
-    distributed_iterate,
     random_initial_state,
+    stratified_iterate,
     write_trajectory_csv,
 )
 from .spectral import block_extremes, build_blocks
-from .topology import InvalidParameterError, TfsParams, build_topology
+from .topology import InvalidParameterError, TfsParams
 from .weighting import (
     OrbitWeights,
     best_constant_orbit_weights,
@@ -261,7 +261,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         raise InvalidParameterError(f"--seed must be >= 0, got {args.seed}")
     weights, _ = _scheme_weights(params, args.scheme, args)
     x0 = random_initial_state(params.n_nodes, args.seed)
-    trajectory = distributed_iterate(build_topology(params), weights, x0, args.steps)
+    trajectory = stratified_iterate(params, weights, x0, args.steps)
     write_trajectory_csv(trajectory, sys.stdout)
     try:
         estimate = f"{convergence_factor_estimate(trajectory, args.tail):.10g}"

@@ -6,14 +6,15 @@ module holds the other ways to reach the same answers, which the tests
 compare against: the node and edge views of a network, the
 stochasticity report of a dense matrix, the full spectrum of the blocks
 and the change of basis behind them, the all-roots scan of the
-characteristic relation, the rank-one edge stencils of the certificate
-and the matrix recurrence.  It imports the product modules; no product
-module imports it, so the CLI never loads it.  Only the full-spectrum
-route, ``tridiagonal_spectrum``, needs scipy, and it loads it on first
-use.
+characteristic relation, the rank-one edge stencils of the certificate,
+and the per-node stencil and the matrix recurrence of the iteration.  It
+imports the product modules; no product module imports it, so the CLI
+never loads it.  Only the full-spectrum route, ``tridiagonal_spectrum``,
+needs scipy, and it loads it on first use.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -23,17 +24,18 @@ from typing import Callable, Iterator, Mapping
 import numpy as np
 
 from .optimizer import DegenerateSineError, _char_values, _require_two_branches, _weights_at
-from .simulation import Trajectory, _rounds, _summarise
+from .simulation import Trajectory, _no_room
 from .spectral import SpectralReport, StratifiedBlocks, Tridiagonal, build_blocks
-from .topology import InvalidParameterError, TfsParams, edge_table
-from .weighting import WeightMatrix
+from .topology import InvalidParameterError, TfsGraph, TfsParams, edge_table
+from .weighting import OrbitWeights, WeightMatrix
 
 __all__ = [
     "InvalidNodeError", "NoRootsError", "NodeId", "NotAnEdgeError",
     "PoleProximityError", "RootCountMismatchWarning", "StochasticityReport",
     "ThetaRoots", "alpha_vectors", "block_spectrum", "block_structure",
-    "canonical_nodes", "char_residual", "degrees", "edge_orbit", "edges",
-    "equivalent_star", "interlacing_check", "iterate", "matrix_rounds",
+    "canonical_nodes", "char_residual", "degrees", "distributed_iterate",
+    "distributed_rounds", "edge_orbit", "edges", "equivalent_star",
+    "interlacing_check", "iterate", "matrix_rounds",
     "node_index", "nodes", "solve_theta_roots", "stencil_gram_matrices",
     "strata", "stratification_basis", "stratum_labels", "tridiagonal_spectrum",
     "validate_stochastic",
@@ -561,10 +563,129 @@ def stencil_gram_matrices(params: TfsParams) -> tuple[np.ndarray, np.ndarray]:
     return gram, gram_prime
 
 
-# -- simulation: the matrix recurrence ----------------------------------------
+# -- simulation: the per-node stencil and the matrix recurrence ---------------
+def _rounds(
+    x: np.ndarray, advance: Callable[[np.ndarray], np.ndarray]
+) -> Iterator[np.ndarray]:
+    """x(1), x(2), ... with x(t+1) = advance(x(t)), each a fresh
+    read-only array."""
+    while True:
+        try:
+            x = advance(x)
+        except MemoryError as exc:
+            raise _no_room(exc) from None
+        x.flags.writeable = False
+        yield x
+
+
+def _summarise(
+    x0: np.ndarray, rounds: Iterator[np.ndarray], steps: int
+) -> Trajectory:
+    """The error norm and sum of x(0) and the first ``steps`` states of
+    ``rounds``, each taken as the state arrives.
+
+    The reductions are those that ``np.linalg.norm(..., axis=1)`` and
+    ``sum(axis=1)`` apply per row of a state array, so they equal those
+    bitwise.
+    """
+    if steps < 0:
+        raise ValueError(f"steps must be >= 0, got {steps}")
+    try:
+        error_norms = np.empty(steps + 1)
+        sums = np.empty(steps + 1)
+        deviation = np.empty(x0.size)
+        average = x0.mean()
+        states = itertools.chain([x0], itertools.islice(rounds, steps))
+        for t, state in enumerate(states):
+            np.subtract(state, average, out=deviation)
+            np.multiply(deviation, deviation, out=deviation)
+            error_norms[t] = np.sqrt(np.add.reduce(deviation))
+            sums[t] = np.add.reduce(state)
+        return Trajectory(error_norms, sums, average)
+    except MemoryError as exc:
+        raise _no_room(exc) from None
+
+
+def distributed_rounds(
+    graph: TfsGraph, weights: OrbitWeights, x0: np.ndarray
+) -> Iterator[np.ndarray]:
+    """The rounds of x(t+1) = W x(t) as local updates, without end: each
+    node combines its own value with its neighbors' values, weighted per
+    edge orbit, as the protocol executes on an actual network.
+
+    No weight matrix and no edge list is formed.  In canonical order
+    every stratum is a contiguous run of nodes: arm 1 is ``x[:c]``, ``n1``
+    nodes per stratum, arm 2 is ``x[c+1:]``, ``n2`` per stratum, and the
+    center ``c = m1 * n1`` sits between them.  A node's neighbors in the
+    adjacent strata are then ``n1`` or ``n2`` places away, and a round is
+    a few shifted-slice products per arm.
+
+    Each node adds its terms in the order of the per-edge gather (two
+    ``np.add.at`` passes over ``edge_table``): its own share, then the
+    neighbor in the stratum above (label ``i + 1``), then the one below.
+    The center adds its ``n2 + n1`` terms one after another, arm 2
+    first, as the gather does, so the states equal the gather's bitwise.
+    """
+    params = graph.params
+    x = np.asarray(x0, dtype=float)
+    if x.ndim != 1 or x.size != params.n_nodes:
+        raise ValueError(
+            f"state of length {x.size} does not match {params.n_nodes} nodes"
+        )
+    m1, n1, m2, n2 = params.m1, params.n1, params.m2, params.n2
+    c = m1 * n1
+    w = weights.values_for(params)
+    w_in1, w_in2 = w[m1 - 1], w[m1]  # the center's two orbits
+    try:
+        # each node's weight to its neighbor one stratum nearer the center
+        near1 = np.repeat(w[:m1], n1)
+        near2 = np.repeat(w[m1:], n2)
+        keep = np.empty(x.size)  # the incident weights, then 1 minus them
+        keep[:c] = near1
+        keep[n1:c] += near1[:-n1]
+        keep[c + 1 :] = near2
+        keep[c + 1 : -n2] += near2[n2:]
+        # the center's terms, summed in gather order: its own share, arm 2, arm 1
+        hub = np.empty(1 + n2 + n1)
+        hub[0] = 0.0
+        hub[1 : 1 + n2] = w_in2
+        hub[1 + n2 :] = w_in1
+        keep[c] = np.add.accumulate(hub)[-1]
+    except MemoryError as exc:
+        raise _no_room(exc) from None
+    np.subtract(1.0, keep, out=keep)
+
+    def advance(now: np.ndarray) -> np.ndarray:
+        out = np.multiply(keep, now)
+        x1, y1 = now[:c], out[:c]
+        x2, y2 = now[c + 1 :], out[c + 1 :]
+        xc = now[c]
+        y1[:-n1] += near1[:-n1] * x1[n1:]
+        y1[-n1:] += w_in1 * xc
+        y1[n1:] += near1[:-n1] * x1[:-n1]
+        y2[:-n2] += near2[n2:] * x2[n2:]
+        y2[:n2] += w_in2 * xc
+        y2[n2:] += near2[n2:] * x2[:-n2]
+        hub[0] = out[c]
+        np.multiply(w_in2, x2[:n2], out=hub[1 : 1 + n2])
+        np.multiply(w_in1, x1[-n1:], out=hub[1 + n2 :])
+        out[c] = np.add.accumulate(hub, out=hub)[-1]
+        return out
+
+    return _rounds(x, advance)
+
+
+def distributed_iterate(
+    graph: TfsGraph, weights: OrbitWeights, x0: np.ndarray, steps: int
+) -> Trajectory:
+    """Run ``steps`` rounds of ``distributed_rounds``."""
+    x = np.asarray(x0, dtype=float)
+    return _summarise(x, distributed_rounds(graph, weights, x), steps)
+
+
 def matrix_rounds(matrix: WeightMatrix, x0: np.ndarray) -> Iterator[np.ndarray]:
     """The states x(1), x(2), ... of the matrix recurrence x(t+1) = W x(t),
-    without end; ``simulation.distributed_rounds`` must agree with them to
+    without end; ``distributed_rounds`` must agree with them to
     reassociation-level tolerance."""
     entries = matrix.entries
     x = np.asarray(x0, dtype=float)

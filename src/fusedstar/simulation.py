@@ -1,27 +1,32 @@
-"""Synchronous consensus iteration as a stream of rounds.
-
-``distributed_rounds`` yields the states x(1), x(2), ... of
-x(t+1) = W x(t) as per-node neighbor gathers with no global matrix,
-which is how the protocol executes on an actual network.  The plain
-matrix recurrence, ``fusedstar.reference.matrix_rounds``, must agree with
-it to reassociation-level tolerance.
+"""Synchronous consensus iteration x(t+1) = W x(t), run on the strata.
 
 A run is judged by its distance to consensus ||x(t) - x_bar|| per step,
-so ``distributed_iterate`` keeps only that and the entry sum 1'x(t),
-which is conserved because the weight matrix is symmetric stochastic.
-A Trajectory is this summary; no run stores its states, and one holds a
-few state vectors however many steps it takes.
+so a Trajectory keeps only that and the entry sum 1'x(t), which is
+conserved because the weight matrix is symmetric stochastic; no run
+stores its states.  ``stratified_iterate`` computes both records without
+advancing the nodes: the stratification that block-diagonalizes W
+splits x(0) - x_bar into the stratum profile, which the central block
+advances, and each arm's within-stratum deviations, which that arm's
+block advances and which keep their norm when ``min(m_i, n_i)`` lanes
+with the same Gram matrix replace the ``n_i`` branches.  After an
+O(n min(m, n)) set-up a round costs nothing in ``n1`` and ``n2``.
+
+The per-node stencil ``fusedstar.reference.distributed_rounds``, which
+is how the protocol executes on an actual network, and the matrix
+recurrence ``fusedstar.reference.matrix_rounds`` are the routes it is
+checked against.
 """
 from __future__ import annotations
 
 import csv
-import itertools
+import math
 from dataclasses import dataclass
-from typing import IO, Callable, Iterator
+from typing import IO
 
 import numpy as np
 
-from .topology import TfsGraph
+from .spectral import build_blocks, perron_vector
+from .topology import TfsParams
 from .weighting import OrbitWeights
 
 
@@ -31,8 +36,8 @@ class InsufficientSignalError(RuntimeError):
 
 class TrajectoryMemoryError(MemoryError):
     """An array that setting up or advancing a run needs (a state
-    vector, a per-node weight vector, the per-step records) does not fit
-    in the memory the process may use."""
+    vector, a state-length vector of the set-up, the per-step records)
+    does not fit in the memory the process may use."""
 
 
 def _no_room(exc: MemoryError) -> TrajectoryMemoryError:
@@ -77,122 +82,94 @@ class Trajectory:
         return np.abs(self.sums - self.sums[0])
 
 
-def _rounds(
-    x: np.ndarray, advance: Callable[[np.ndarray], np.ndarray]
-) -> Iterator[np.ndarray]:
-    """x(1), x(2), ... with x(t+1) = advance(x(t)), each a fresh
-    read-only array."""
-    while True:
-        try:
-            x = advance(x)
-        except MemoryError as exc:
-            raise _no_room(exc) from None
-        x.flags.writeable = False
-        yield x
-
-
-def _summarise(
-    x0: np.ndarray, rounds: Iterator[np.ndarray], steps: int
+def stratified_iterate(
+    params: TfsParams, weights: OrbitWeights, x0: np.ndarray, steps: int
 ) -> Trajectory:
-    """The error norm and sum of x(0) and the first ``steps`` states of
-    ``rounds``, each taken as the state arrives.
+    """The trajectory of ``steps`` rounds of x(t+1) = W x(t) from ``x0``,
+    computed on the strata.
 
-    The reductions are those that ``np.linalg.norm(..., axis=1)`` and
-    ``sum(axis=1)`` apply per row of a state array, so they equal those
-    bitwise.
+    ``x0`` is in canonical node order: the first arm ``x0[:c]`` with
+    ``n1`` nodes per stratum, the center ``c = m1 * n1``, then the second
+    arm with ``n2``.  ``x0 - x_bar`` splits into orthogonal parts that
+    never mix.  The scaled stratum profile ``y_s = sqrt(n_s) (mu_s -
+    x_bar)`` (the center's entry is ``x_c - x_bar``) advances by the
+    central block of ``build_blocks``.  Each arm's within-stratum
+    deviations ``D_i`` (``m_i x n_i``) advance branch by branch by that
+    arm's block, and the norm of ``T^t D_i`` depends only on ``D_i D_i'``,
+    so the transposed R factor of ``D_i'`` (``np.linalg.qr``) replaces the
+    ``n_i`` branches by ``r_i = min(m_i, n_i)`` lanes with the same Gram
+    matrix.  The arm blocks are the central block's leading and trailing
+    rows, so one ``(m1 + m2 + 1) x (1 + max r_i)`` array of lanes, the
+    profile and then the factors' columns, with the two center couplings
+    zeroed on the factor lanes, advances everything with one tridiagonal
+    product per round.
+
+    ``error_norms[t]`` is the norm of that array and ``sums[t]`` is
+    ``1'x0 + sum_s sqrt(n_s) y_s(t)``, so ``sum_deviations`` is the
+    rounding drift of the profile's consensus component.  Set-up takes
+    O(n min(m, n)) time and two state-length vectors; a round costs
+    O((m1 + m2 + 1)(1 + max r_i)), nothing in ``n_i`` once ``n_i >= m_i``.
     """
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
-    try:
-        error_norms = np.empty(steps + 1)
-        sums = np.empty(steps + 1)
-        deviation = np.empty(x0.size)
-        average = x0.mean()
-        states = itertools.chain([x0], itertools.islice(rounds, steps))
-        for t, state in enumerate(states):
-            np.subtract(state, average, out=deviation)
-            np.multiply(deviation, deviation, out=deviation)
-            error_norms[t] = np.sqrt(np.add.reduce(deviation))
-            sums[t] = np.add.reduce(state)
-        return Trajectory(error_norms, sums, average)
-    except MemoryError as exc:
-        raise _no_room(exc) from None
-
-
-def distributed_rounds(
-    graph: TfsGraph, weights: OrbitWeights, x0: np.ndarray
-) -> Iterator[np.ndarray]:
-    """The same rounds as local updates, without end: each node combines
-    its own value with its neighbors' values, weighted per edge orbit.
-
-    No weight matrix and no edge list is formed.  In canonical order
-    every stratum is a contiguous run of nodes: arm 1 is ``x[:c]``, ``n1``
-    nodes per stratum, arm 2 is ``x[c+1:]``, ``n2`` per stratum, and the
-    center ``c = m1 * n1`` sits between them.  A node's neighbors in the
-    adjacent strata are then ``n1`` or ``n2`` places away, and a round is
-    a few shifted-slice products per arm.
-
-    Each node adds its terms in the order of the per-edge gather (two
-    ``np.add.at`` passes over ``edge_table``): its own share, then the
-    neighbor in the stratum above (label ``i + 1``), then the one below.
-    The center adds its ``n2 + n1`` terms one after another, arm 2
-    first, as the gather does, so the states equal the gather's bitwise.
-    """
-    params = graph.params
     x = np.asarray(x0, dtype=float)
     if x.ndim != 1 or x.size != params.n_nodes:
         raise ValueError(
             f"state of length {x.size} does not match {params.n_nodes} nodes"
         )
+    center = build_blocks(params, weights).center
     m1, n1, m2, n2 = params.m1, params.n1, params.m2, params.n2
     c = m1 * n1
-    w = weights.values_for(params)
-    w_in1, w_in2 = w[m1 - 1], w[m1]  # the center's two orbits
+    # each arm's nodes, its strata in the central block, its branch count
+    arms = (
+        (slice(0, c), slice(0, m1), n1),
+        (slice(c + 1, None), slice(m1 + 1, None), n2),
+    )
+    # sqrt(n_s) per stratum
+    scale = perron_vector(params) * math.sqrt(params.n_nodes)
     try:
-        # each node's weight to its neighbor one stratum nearer the center
-        near1 = np.repeat(w[:m1], n1)
-        near2 = np.repeat(w[m1:], n2)
-        keep = np.empty(x.size)  # the incident weights, then 1 minus them
-        keep[:c] = near1
-        keep[n1:c] += near1[:-n1]
-        keep[c + 1 :] = near2
-        keep[c + 1 : -n2] += near2[n2:]
-        # the center's terms, summed in gather order: its own share, arm 2, arm 1
-        hub = np.empty(1 + n2 + n1)
-        hub[0] = 0.0
-        hub[1 : 1 + n2] = w_in2
-        hub[1 + n2 :] = w_in1
-        keep[c] = np.add.accumulate(hub)[-1]
+        total = np.add.reduce(x)
+        average = total / x.size
+        # two flat state-length vectors (the deviations could overwrite
+        # ``centered``, but then a state too large for memory would fail
+        # in the factors, naming an arm's shape instead of its own)
+        centered = np.subtract(x, average)
+        deviations = np.empty(x.size)
+        means = np.empty(center.size)  # mu_s - x_bar
+        means[m1] = centered[c]
+        factors = []
+        for nodes, strata, n in arms:
+            rows = centered[nodes].reshape(-1, n)
+            means[strata] = rows.mean(axis=1)
+            spread = deviations[nodes].reshape(rows.shape)
+            np.subtract(rows, means[strata, None], out=spread)
+            factors.append((strata, np.linalg.qr(spread.T, mode="r").T))
+        # one row per stratum, one column per lane; every array of a
+        # round is contiguous and of the lanes' shape
+        width = 1 + max(factor.shape[1] for _, factor in factors)
+        lanes = np.zeros((center.size, width))
+        lanes[:, 0] = scale * means
+        for strata, factor in factors:
+            lanes[strata, 1 : 1 + factor.shape[1]] = factor
+        diagonal = np.repeat(center.diagonal[:, None], width, axis=1)
+        couplings = np.repeat(center.off_diagonal[:, None], width, axis=1)
+        couplings[m1 - 1 : m1 + 1, 1:] = 0.0
+        following, term = np.empty_like(lanes), np.empty_like(couplings)
+        error_norms = np.empty(steps + 1)
+        sums = np.empty(steps + 1)
     except MemoryError as exc:
         raise _no_room(exc) from None
-    np.subtract(1.0, keep, out=keep)
-
-    def advance(now: np.ndarray) -> np.ndarray:
-        out = np.multiply(keep, now)
-        x1, y1 = now[:c], out[:c]
-        x2, y2 = now[c + 1 :], out[c + 1 :]
-        xc = now[c]
-        y1[:-n1] += near1[:-n1] * x1[n1:]
-        y1[-n1:] += w_in1 * xc
-        y1[n1:] += near1[:-n1] * x1[:-n1]
-        y2[:-n2] += near2[n2:] * x2[n2:]
-        y2[:n2] += w_in2 * xc
-        y2[n2:] += near2[n2:] * x2[:-n2]
-        hub[0] = out[c]
-        np.multiply(w_in2, x2[:n2], out=hub[1 : 1 + n2])
-        np.multiply(w_in1, x1[-n1:], out=hub[1 + n2 :])
-        out[c] = np.add.accumulate(hub, out=hub)[-1]
-        return out
-
-    return _rounds(x, advance)
-
-
-def distributed_iterate(
-    graph: TfsGraph, weights: OrbitWeights, x0: np.ndarray, steps: int
-) -> Trajectory:
-    """Run ``steps`` rounds of ``distributed_rounds``."""
-    x = np.asarray(x0, dtype=float)
-    return _summarise(x, distributed_rounds(graph, weights, x), steps)
+    for t in range(steps + 1):
+        if t:
+            np.multiply(diagonal, lanes, out=following)
+            np.multiply(couplings, lanes[1:], out=term)
+            following[:-1] += term
+            np.multiply(couplings, lanes[:-1], out=term)
+            following[1:] += term
+            lanes, following = following, lanes
+        error_norms[t] = math.sqrt(np.vdot(lanes, lanes))
+        sums[t] = np.dot(scale, lanes[:, 0])
+    return Trajectory(error_norms, total + sums, average)
 
 
 def random_initial_state(n: int, seed: int) -> np.ndarray:

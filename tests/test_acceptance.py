@@ -24,17 +24,14 @@ from fusedstar.reference import (
     RootCountMismatchWarning,
     block_spectrum,
     block_structure,
+    distributed_rounds,
     interlacing_check,
     iterate,
     matrix_rounds,
     solve_theta_roots,
     stratification_basis,
 )
-from fusedstar.simulation import (
-    convergence_factor_estimate,
-    distributed_rounds,
-    random_initial_state,
-)
+from fusedstar.simulation import convergence_factor_estimate, random_initial_state
 from fusedstar.spectral import build_blocks, full_spectrum
 from fusedstar.topology import TfsParams, build_topology
 from fusedstar.weighting import (

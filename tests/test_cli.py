@@ -718,7 +718,7 @@ def _cap_address_space():
 @pytest.mark.parametrize(
     "n1",
     # 5e7 nodes take 0.37 GiB per vector: the initial state fits under the
-    # cap, but not the per-node weights of the round beside it
+    # cap, but not the set-up's two state-length vectors beside it
     [10**12, 5 * 10**7],
     ids=["initial-state", "setup"],
 )
@@ -832,7 +832,10 @@ MOVED_TO_REFERENCE = {
     ],
     "spectral.Tridiagonal": ["spectrum"],
     "weighting": ["StochasticityReport", "validate_stochastic"],
-    "simulation": ["matrix_rounds", "iterate"],
+    "simulation": [
+        "matrix_rounds", "iterate", "distributed_rounds", "distributed_iterate",
+        "_rounds", "_summarise",
+    ],
 }
 RENAMED_IN_REFERENCE = {"spectrum": "tridiagonal_spectrum"}
 

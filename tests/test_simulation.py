@@ -8,14 +8,18 @@ import numpy as np
 import pytest
 
 from fusedstar.optimizer import optimal_weights
-from fusedstar.reference import iterate, matrix_rounds
+from fusedstar.reference import (
+    distributed_iterate,
+    distributed_rounds,
+    iterate,
+    matrix_rounds,
+)
 from fusedstar.simulation import (
     InsufficientSignalError,
     Trajectory,
     convergence_factor_estimate,
-    distributed_iterate,
-    distributed_rounds,
     random_initial_state,
+    stratified_iterate,
     write_trajectory_csv,
 )
 from fusedstar.topology import TfsParams, build_topology, edge_table
@@ -72,23 +76,34 @@ STENCIL_SHAPES = [
     (1, 1, 1, 1), (1, 5, 7, 3), (2, 3, 3, 2), (3, 4, 4, 3),
     (3, 500, 2, 700), (10, 200, 1, 1),
 ]
-STENCIL_CASES = [
-    (shape, scheme)
-    for shape in STENCIL_SHAPES
-    for scheme in ("random", "max-degree", "optimal")
-    # the optimum is defined for two or more branches per star
-    if scheme != "optimal" or min(shape[1], shape[3]) >= 2
-]
+
+
+def scheme_cases(shapes):
+    return [
+        (shape, scheme)
+        for shape in shapes
+        for scheme in ("random", "max-degree", "optimal")
+        # the optimum is defined for two or more branches per star
+        if scheme != "optimal" or min(shape[1], shape[3]) >= 2
+    ]
+
+
+STENCIL_CASES = scheme_cases(STENCIL_SHAPES)
+
+
+def scheme_weights(p, scheme):
+    seed = p.m1 + p.n1 + p.m2 + p.n2
+    return {
+        "random": lambda: bounded_random_weights(p, seed),
+        "max-degree": lambda: max_degree_orbit_weights(p, convention="inv_dmax"),
+        "optimal": lambda: optimal_weights(p).weights,
+    }[scheme]()
 
 
 @pytest.mark.parametrize("shape, scheme", STENCIL_CASES)
 def test_distributed_iterate_equals_per_edge_gather(shape, scheme):
     p = TfsParams(*shape)
-    ow = {
-        "random": lambda: bounded_random_weights(p, sum(shape)),
-        "max-degree": lambda: max_degree_orbit_weights(p, convention="inv_dmax"),
-        "optimal": lambda: optimal_weights(p).weights,
-    }[scheme]()
+    ow = scheme_weights(p, scheme)
     x0 = random_initial_state(p.n_nodes, seed=sum(shape))
     steps = 60
     graph = build_topology(p)
@@ -106,19 +121,84 @@ def test_distributed_iterate_equals_per_edge_gather(shape, scheme):
     assert np.array_equal(traj.sum_deviations(), np.abs(sums - sums[0]))
 
 
-def test_distributed_iterate_memory_does_not_grow_with_steps():
+@pytest.mark.parametrize("route", ["stencil", "strata"])
+def test_distributed_iterate_memory_does_not_grow_with_steps(route):
     p = TfsParams(6, 1200, 6, 1100)
     ow = max_degree_orbit_weights(p, convention="inv_dmax")
     x0 = random_initial_state(p.n_nodes, seed=1)
     graph = build_topology(p)
+    run = {
+        "stencil": lambda steps: distributed_iterate(graph, ow, x0, steps),
+        "strata": lambda steps: stratified_iterate(p, ow, x0, steps),
+    }[route]
     for steps in (200, 2000):
         tracemalloc.start()
         try:
-            distributed_iterate(graph, ow, x0, steps)
+            run(steps)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 16 * p.n_nodes * 8
+
+
+# n below, equal to and above m on each arm, n - 1 equal to m, and n = 1
+RANK_SHAPES = [
+    (4, 2, 3, 9), (4, 4, 3, 3), (4, 5, 3, 4), (4, 9, 3, 2), (3, 1, 2, 6),
+    (5, 3, 1, 1),
+]
+
+
+def estimate_or_error(trajectory):
+    try:
+        return convergence_factor_estimate(trajectory, tail=50)
+    except (InsufficientSignalError, ValueError) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("shape, scheme", scheme_cases(STENCIL_SHAPES + RANK_SHAPES))
+def test_stratified_iterate_matches_the_stencil(shape, scheme):
+    p = TfsParams(*shape)
+    ow = scheme_weights(p, scheme)
+    graph = build_topology(p)
+    x0 = random_initial_state(p.n_nodes, seed=sum(shape))
+    constant = np.full(p.n_nodes, 37.3)
+    spread = np.linalg.norm(x0 - x0.mean())
+    # (state, steps, atol scale, compare the estimates): the stencil drifts
+    # off a constant state by rounding, which the strata never see, so
+    # there the scale is the state's own and the estimates are noise
+    runs = [
+        (x0, 60, spread, True),
+        (x0, 0, spread, True),
+        (constant, 60, np.linalg.norm(constant), False),
+        (np.zeros(p.n_nodes), 60, 0.0, True),
+    ]
+    for state, steps, scale, estimates in runs:
+        expected = distributed_iterate(graph, ow, state, steps)
+        got = stratified_iterate(p, ow, state, steps)
+        assert got.n_steps == steps
+        assert got.average == expected.average
+        np.testing.assert_allclose(
+            got.error_norms, expected.error_norms, rtol=1e-9, atol=1e-12 * scale
+        )
+        budget = 1e-9 * np.abs(state).sum()
+        drift = np.abs(got.sum_deviations() - expected.sum_deviations())
+        assert np.all(drift <= budget)
+        if not estimates:
+            continue
+        want, have = estimate_or_error(expected), estimate_or_error(got)
+        if isinstance(want, float):
+            assert have == pytest.approx(want, rel=1e-10)
+        else:
+            assert have is want
+
+
+def test_stratified_iterate_rejects_a_bad_run():
+    p = TfsParams(1, 2, 1, 2)
+    ow = OrbitWeights.constant(p, 0.2)
+    with pytest.raises(ValueError):
+        stratified_iterate(p, ow, np.ones(p.n_nodes + 1), 5)
+    with pytest.raises(ValueError):
+        stratified_iterate(p, ow, np.ones(p.n_nodes), -1)
 
 
 def test_constant_state_is_fixed():
