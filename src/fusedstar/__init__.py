@@ -1,11 +1,11 @@
 """Fastest consensus averaging on two-fused-star networks.
 
-Build the network, pick or solve for edge weights, inspect the spectrum
-through its stratified blocks, certify optimality analytically, and run
-the consensus iteration.  These names are the product, what the
-command-line entry point ``fusedstar.cli`` runs.  The independent routes
-that the tests check the product against live in ``fusedstar.reference``,
-which is not imported here.
+Give the network by its ``TfsParams``, pick or solve for edge weights,
+inspect the spectrum through its stratified blocks, certify optimality
+analytically, and run the consensus iteration.  These names are the
+product, what the command-line entry point ``fusedstar.cli`` runs.  The
+independent routes that the tests check the product against live in
+``fusedstar.reference``, which is not imported here.
 """
 from .certificate import (
     CertificateResiduals,
@@ -47,15 +47,12 @@ from .spectral import (
 )
 from .topology import (
     InvalidParameterError,
-    TfsGraph,
     TfsParams,
-    build_topology,
     edge_table,
 )
 from .weighting import (
     MissingOrbitWeightError,
     OrbitWeights,
-    WeightMatrix,
     assemble_weight_matrix,
     best_constant_orbit_weights,
     max_degree_orbit_weights,
@@ -78,18 +75,15 @@ __all__ = [
     "SpectralReport",
     "SpectrumSizeError",
     "StratifiedBlocks",
-    "TfsGraph",
     "TfsParams",
     "Trajectory",
     "TrajectoryMemoryError",
     "Tridiagonal",
-    "WeightMatrix",
     "assemble_weight_matrix",
     "best_constant_orbit_weights",
     "block_extremes",
     "build_blocks",
     "build_dual_certificate",
-    "build_topology",
     "central_tridiagonal",
     "convergence_factor_estimate",
     "count_central_below",

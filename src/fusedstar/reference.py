@@ -7,8 +7,9 @@ compare against: the node and edge views of a network, the
 stochasticity report of a dense matrix, the full spectrum of the blocks
 and the change of basis behind them, the all-roots scan of the
 characteristic relation, the rank-one edge stencils of the certificate,
-and the per-node stencil and the matrix recurrence of the iteration.  It
-imports the product modules; no product module imports it, so the CLI
+and the per-node stencil and the matrix recurrence of the iteration.  They
+take a network as its ``TfsParams`` and a dense matrix as a plain array.
+It imports the product modules; no product module imports it, so the CLI
 never loads it.  Only the full-spectrum route, ``tridiagonal_spectrum``,
 needs scipy, and it loads it on first use.
 """
@@ -26,8 +27,8 @@ import numpy as np
 from .optimizer import DegenerateSineError, _char_values, _require_two_branches, _weights_at
 from .simulation import Trajectory, _no_room
 from .spectral import SpectralReport, StratifiedBlocks, Tridiagonal, build_blocks
-from .topology import InvalidParameterError, TfsGraph, TfsParams, edge_table
-from .weighting import OrbitWeights, WeightMatrix
+from .topology import InvalidParameterError, TfsParams, edge_table
+from .weighting import OrbitWeights
 
 __all__ = [
     "InvalidNodeError", "NoRootsError", "NodeId", "NotAnEdgeError",
@@ -183,14 +184,13 @@ class StochasticityReport:
     sparsity_violations: tuple[tuple[int, int], ...]
 
 
-def validate_stochastic(matrix: WeightMatrix) -> StochasticityReport:
-    """Measure row-sum deviation, asymmetry and sparsity-pattern violations.
+def validate_stochastic(params: TfsParams, entries: np.ndarray) -> StochasticityReport:
+    """Measure row-sum deviation, asymmetry and sparsity-pattern violations
+    of the ``(n, n)`` matrix ``entries`` on the network ``params``.
 
     Sparsity violations are index pairs (a < b) with a nonzero entry where
     the network has no edge.
     """
-    entries = matrix.entries
-    params = matrix.params
     row_dev = float(np.max(np.abs(entries.sum(axis=1) - 1.0)))
     asym = float(np.max(np.abs(entries - entries.T)))
     a, b, _ = edge_table(params)
@@ -607,7 +607,7 @@ def _summarise(
 
 
 def distributed_rounds(
-    graph: TfsGraph, weights: OrbitWeights, x0: np.ndarray
+    params: TfsParams, weights: OrbitWeights, x0: np.ndarray
 ) -> Iterator[np.ndarray]:
     """The rounds of x(t+1) = W x(t) as local updates, without end: each
     node combines its own value with its neighbors' values, weighted per
@@ -626,7 +626,6 @@ def distributed_rounds(
     The center adds its ``n2 + n1`` terms one after another, arm 2
     first, as the gather does, so the states equal the gather's bitwise.
     """
-    params = graph.params
     x = np.asarray(x0, dtype=float)
     if x.ndim != 1 or x.size != params.n_nodes:
         raise ValueError(
@@ -676,18 +675,17 @@ def distributed_rounds(
 
 
 def distributed_iterate(
-    graph: TfsGraph, weights: OrbitWeights, x0: np.ndarray, steps: int
+    params: TfsParams, weights: OrbitWeights, x0: np.ndarray, steps: int
 ) -> Trajectory:
     """Run ``steps`` rounds of ``distributed_rounds``."""
     x = np.asarray(x0, dtype=float)
-    return _summarise(x, distributed_rounds(graph, weights, x), steps)
+    return _summarise(x, distributed_rounds(params, weights, x), steps)
 
 
-def matrix_rounds(matrix: WeightMatrix, x0: np.ndarray) -> Iterator[np.ndarray]:
-    """The states x(1), x(2), ... of the matrix recurrence x(t+1) = W x(t),
-    without end; ``distributed_rounds`` must agree with them to
-    reassociation-level tolerance."""
-    entries = matrix.entries
+def matrix_rounds(entries: np.ndarray, x0: np.ndarray) -> Iterator[np.ndarray]:
+    """The states x(1), x(2), ... of the matrix recurrence x(t+1) = W x(t)
+    for the ``(n, n)`` array ``entries``, without end; ``distributed_rounds``
+    must agree with them to reassociation-level tolerance."""
     x = np.asarray(x0, dtype=float)
     if x.ndim != 1 or entries.shape != (x.size, x.size):
         raise ValueError(
@@ -696,7 +694,7 @@ def matrix_rounds(matrix: WeightMatrix, x0: np.ndarray) -> Iterator[np.ndarray]:
     return _rounds(x, lambda now: entries @ now)
 
 
-def iterate(matrix: WeightMatrix, x0: np.ndarray, steps: int) -> Trajectory:
+def iterate(entries: np.ndarray, x0: np.ndarray, steps: int) -> Trajectory:
     """Run the matrix recurrence for ``steps`` rounds."""
     x = np.asarray(x0, dtype=float)
-    return _summarise(x, matrix_rounds(matrix, x), steps)
+    return _summarise(x, matrix_rounds(entries, x), steps)

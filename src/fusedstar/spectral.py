@@ -43,7 +43,7 @@ from typing import Iterable
 import numpy as np
 
 from .topology import TfsParams
-from .weighting import OrbitWeights, WeightMatrix
+from .weighting import OrbitWeights
 
 # A block of at most this many rows takes its eigenvalues from a dense
 # ``np.linalg.eigvalsh``; a larger one bisects on run-compressed counts.
@@ -53,6 +53,8 @@ from .weighting import OrbitWeights, WeightMatrix
 # by bisection at 64 rows, and 0.23-0.24 ms dense and 0.18 ms by bisection
 # at 72 rows.
 _DENSE_ROWS = 64
+
+_FULL_SPECTRUM_ROWS = 5000  # the most rows ``full_spectrum`` decomposes
 
 # runs of at least this many equal rows take the closed form; shorter
 # ones are stepped row by row like the rest
@@ -725,16 +727,15 @@ def block_extremes(blocks: StratifiedBlocks) -> SpectralReport:
     )
 
 
-def full_spectrum(matrix: WeightMatrix, max_size: int = 5000) -> SpectralReport:
+def full_spectrum(entries: np.ndarray) -> SpectralReport:
     """Dense eigendecomposition of an assembled matrix (oracle route).
 
-    Guarded by ``max_size``; prefer the block route for large networks.
+    Guarded by ``_FULL_SPECTRUM_ROWS``; prefer the block route for large networks.
     """
-    entries = matrix.entries
-    n = entries.shape[0]
-    if n > max_size:
+    n, limit = len(entries), _FULL_SPECTRUM_ROWS
+    if n > limit:
         raise SpectrumSizeError(
-            f"matrix of size {n} exceeds the dense-eigensolve guard {max_size}"
+            f"matrix of size {n} exceeds the dense-eigensolve guard {limit}"
         )
     eigs = np.linalg.eigvalsh(entries)
     return SpectralReport.from_pairs([(float(v), 1) for v in eigs])

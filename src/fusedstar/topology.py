@@ -11,9 +11,9 @@ Edges fall into ``m1 + m2`` orbits of the branch-permuting symmetry group,
 labeled by the stratum they lead away from the center into: orbit ``i < 0``
 holds the edges between strata ``i`` and ``i + 1`` of the first star, orbit
 ``i > 0`` the edges between strata ``i - 1`` and ``i`` of the second.
-Everything numerical works from ``TfsParams`` and the index arithmetic of
-``edge_table``; the node labels ``(i, mu)`` and the node and edge lists
-built from them are in ``fusedstar.reference``.
+A network is its ``TfsParams``: everything numerical works from them and
+the index arithmetic of ``edge_table``.  The node labels ``(i, mu)`` and
+the node and edge lists built from them are in ``fusedstar.reference``.
 """
 from __future__ import annotations
 
@@ -68,19 +68,6 @@ class TfsParams:
     def swap(self) -> "TfsParams":
         """Parameters of the mirror network with the two stars exchanged."""
         return TfsParams(self.m2, self.n2, self.m1, self.n1)
-
-
-@dataclass(frozen=True)
-class TfsGraph:
-    """A TFS network, given by its parameters alone: two graphs are equal
-    when their parameters are."""
-
-    params: TfsParams
-
-
-def build_topology(params: TfsParams) -> TfsGraph:
-    """The TFS network of ``params``; O(1)."""
-    return TfsGraph(params)
 
 
 def edge_table(params: TfsParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

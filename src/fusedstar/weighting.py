@@ -2,9 +2,9 @@
 
 Every symmetric averaging matrix that respects the branch-permuting symmetry
 of a TFS network is determined by one weight per edge orbit, which
-``OrbitWeights`` stores as one read-only vector.  The assembled matrix is
-symmetric and row-stochastic by construction: off-diagonal entries carry
-the orbit weight of their edge, diagonals absorb the complement.
+``OrbitWeights`` stores as one read-only vector.  The assembled matrix is a
+read-only array, symmetric and row-stochastic by construction: off-diagonal
+entries carry the orbit weight of their edge, diagonals absorb the rest.
 """
 from __future__ import annotations
 
@@ -85,27 +85,9 @@ class OrbitWeights:
         return self.params == other.params and np.array_equal(self.values, other.values)
 
 
-@dataclass(frozen=True)
-class WeightMatrix:
-    """Dense symmetric averaging matrix in canonical node order."""
-
-    entries: np.ndarray
-    params: TfsParams
-
-    def __post_init__(self) -> None:
-        entries = np.asarray(self.entries, dtype=float)
-        n = self.params.n_nodes
-        if entries.shape != (n, n):
-            raise ValueError(
-                f"expected a {n} x {n} matrix, got shape {entries.shape}"
-            )
-        entries = entries.copy()
-        entries.flags.writeable = False
-        object.__setattr__(self, "entries", entries)
-
-
-def assemble_weight_matrix(params: TfsParams, ow: OrbitWeights) -> WeightMatrix:
-    """Assemble the symmetric row-stochastic matrix for the given orbit weights.
+def assemble_weight_matrix(params: TfsParams, ow: OrbitWeights) -> np.ndarray:
+    """The symmetric row-stochastic matrix of the given orbit weights, as a
+    read-only ``(n, n)`` array in canonical node order.
 
     Off-diagonals carry the orbit weight of their edge; each diagonal entry
     is 1 minus the rest of its row.  This dense matrix is the oracle the
@@ -118,7 +100,8 @@ def assemble_weight_matrix(params: TfsParams, ow: OrbitWeights) -> WeightMatrix:
     mat = np.zeros((n, n))
     mat[a, b] = mat[b, a] = w[k]
     np.fill_diagonal(mat, 1.0 - mat.sum(axis=1))
-    return WeightMatrix(entries=mat, params=params)
+    mat.flags.writeable = False
+    return mat
 
 
 def max_degree_orbit_weights(

@@ -33,7 +33,7 @@ from fusedstar.reference import (
 )
 from fusedstar.simulation import convergence_factor_estimate, random_initial_state
 from fusedstar.spectral import build_blocks, full_spectrum
-from fusedstar.topology import TfsParams, build_topology
+from fusedstar.topology import TfsParams
 from fusedstar.weighting import (
     OrbitWeights,
     assemble_weight_matrix,
@@ -278,13 +278,13 @@ def test_criterion_5_stratification_suite():
         for value, mult in reported.eigenvalues:
             values.extend([value] * mult)
         dense_matrix = assemble_weight_matrix(p, ow)
-        dense = np.sort(np.linalg.eigvalsh(dense_matrix.entries))
+        dense = np.sort(np.linalg.eigvalsh(dense_matrix))
         worst_spectrum = max(
             worst_spectrum, float(np.max(np.abs(np.sort(values) - dense)))
         )
 
         phi = stratification_basis(p)
-        transported = phi.conj().T @ dense_matrix.entries @ phi
+        transported = phi.conj().T @ dense_matrix @ phi
         mask = np.zeros((p.n_nodes, p.n_nodes), dtype=bool)
         offset = 0
         for size in block_structure(p):
@@ -328,7 +328,7 @@ def test_criterion_7_simulation_suite():
     wm = assemble_weight_matrix(p, sol.weights)
     routes = zip(
         matrix_rounds(wm, x0),
-        distributed_rounds(build_topology(p), sol.weights, x0),
+        distributed_rounds(p, sol.weights, x0),
     )
     route_gap = max(
         float(np.max(np.abs(a - b))) for a, b in itertools.islice(routes, 500)

@@ -1,6 +1,7 @@
 """Command-line interface: report formats, exit codes, determinism."""
 
 import csv
+import importlib
 import io
 import json
 import math
@@ -822,8 +823,8 @@ MOVED_TO_REFERENCE = {
     "topology": [
         "NodeId", "canonical_nodes", "node_index", "edge_orbit", "degrees",
         "_check_node", "_branch_count", "InvalidNodeError", "NotAnEdgeError",
+        "nodes", "edges", "strata",
     ],
-    "topology.TfsGraph": ["nodes", "edges", "strata"],
     "topology.TfsParams": ["stratum_labels"],
     "certificate": ["alpha_vectors", "stencil_gram_matrices"],
     "spectral": [
@@ -882,3 +883,12 @@ def test_cli_never_loads_the_reference():
     for names in MOVED_TO_REFERENCE.values():
         for name in names:
             assert hasattr(reference, RENAMED_IN_REFERENCE.get(name, name)), name
+
+    # a network is its TfsParams and a dense oracle a plain array: the
+    # wrappers that held them are gone from every module of the package
+    gone = {"TfsGraph", "build_topology", "WeightMatrix"}
+    modules = ["certificate", "cli", "optimizer", "reference", "simulation",
+               "spectral", "topology", "weighting"]
+    for module in [fusedstar, *(importlib.import_module(f"fusedstar.{m}") for m in modules)]:
+        assert gone & set(vars(module)) == set(), module.__name__
+    assert gone & set(fusedstar.__all__) == set()

@@ -22,7 +22,7 @@ from fusedstar.simulation import (
     stratified_iterate,
     write_trajectory_csv,
 )
-from fusedstar.topology import TfsParams, build_topology, edge_table
+from fusedstar.topology import TfsParams, edge_table
 from fusedstar.weighting import (
     OrbitWeights,
     assemble_weight_matrix,
@@ -106,14 +106,13 @@ def test_distributed_iterate_equals_per_edge_gather(shape, scheme):
     ow = scheme_weights(p, scheme)
     x0 = random_initial_state(p.n_nodes, seed=sum(shape))
     steps = 60
-    graph = build_topology(p)
     reference = gather_reference(p, ow, x0, steps)
     for state, expected in zip(
-        first(distributed_rounds(graph, ow, x0), steps), reference[1:], strict=True
+        first(distributed_rounds(p, ow, x0), steps), reference[1:], strict=True
     ):
         assert np.array_equal(state, expected)
     # the per-step statistics are the whole-array reductions, bitwise
-    traj = distributed_iterate(graph, ow, x0, steps)
+    traj = distributed_iterate(p, ow, x0, steps)
     assert np.array_equal(
         traj.error_norms, np.linalg.norm(reference - x0.mean(), axis=1)
     )
@@ -126,9 +125,8 @@ def test_distributed_iterate_memory_does_not_grow_with_steps(route):
     p = TfsParams(6, 1200, 6, 1100)
     ow = max_degree_orbit_weights(p, convention="inv_dmax")
     x0 = random_initial_state(p.n_nodes, seed=1)
-    graph = build_topology(p)
     run = {
-        "stencil": lambda steps: distributed_iterate(graph, ow, x0, steps),
+        "stencil": lambda steps: distributed_iterate(p, ow, x0, steps),
         "strata": lambda steps: stratified_iterate(p, ow, x0, steps),
     }[route]
     for steps in (200, 2000):
@@ -159,7 +157,6 @@ def estimate_or_error(trajectory):
 def test_stratified_iterate_matches_the_stencil(shape, scheme):
     p = TfsParams(*shape)
     ow = scheme_weights(p, scheme)
-    graph = build_topology(p)
     x0 = random_initial_state(p.n_nodes, seed=sum(shape))
     constant = np.full(p.n_nodes, 37.3)
     spread = np.linalg.norm(x0 - x0.mean())
@@ -173,7 +170,7 @@ def test_stratified_iterate_matches_the_stencil(shape, scheme):
         (np.zeros(p.n_nodes), 60, 0.0, True),
     ]
     for state, steps, scale, estimates in runs:
-        expected = distributed_iterate(graph, ow, state, steps)
+        expected = distributed_iterate(p, ow, state, steps)
         got = stratified_iterate(p, ow, state, steps)
         assert got.n_steps == steps
         assert got.average == expected.average
@@ -226,7 +223,7 @@ def test_dimension_mismatch():
     with pytest.raises(ValueError):
         iterate(wm, np.ones(p.n_nodes + 1), 5)
     with pytest.raises(ValueError):
-        distributed_rounds(build_topology(p), OrbitWeights.constant(p, 0.2), np.ones(3))
+        distributed_rounds(p, OrbitWeights.constant(p, 0.2), np.ones(3))
 
 
 def test_trajectory_bookkeeping():
@@ -263,7 +260,7 @@ def test_iterated_trajectories_are_read_only_and_detached():
     x0 = random_initial_state(p.n_nodes, seed=5)
     for rounds in (
         matrix_rounds(assemble_weight_matrix(p, ow), x0),
-        distributed_rounds(build_topology(p), ow, x0),
+        distributed_rounds(p, ow, x0),
     ):
         states = first(rounds, 6)
         for t, state in enumerate(states):
@@ -273,7 +270,7 @@ def test_iterated_trajectories_are_read_only_and_detached():
             assert not any(np.shares_memory(state, s) for s in states[:t])
     for traj in (
         iterate(assemble_weight_matrix(p, ow), x0, 6),
-        distributed_iterate(build_topology(p), ow, x0, 6),
+        distributed_iterate(p, ow, x0, 6),
     ):
         for arr in (traj.error_norms, traj.sums):
             assert not arr.flags.writeable
@@ -292,11 +289,10 @@ def test_sum_conservation():
 
 def test_distributed_matches_matrix_route():
     p = TfsParams(2, 3, 3, 2)
-    g = build_topology(p)
     ow = random_weights(p, 17)
     x0 = random_initial_state(p.n_nodes, seed=17)
     a = first(matrix_rounds(assemble_weight_matrix(p, ow), x0), 100)
-    b = first(distributed_rounds(g, ow, x0), 100)
+    b = first(distributed_rounds(p, ow, x0), 100)
     for sa, sb in zip(a, b, strict=True):
         assert np.max(np.abs(sa - sb)) <= 1e-12
 

@@ -127,7 +127,7 @@ def test_basis_trivial_branches_is_permutation():
 def test_basis_transport_is_block_diagonal():
     p = TfsParams(2, 2, 2, 2)
     ow = random_weights(p, 11)
-    W = assemble_weight_matrix(p, ow).entries
+    W = assemble_weight_matrix(p, ow)
     phi = stratification_basis(p)
     transported = phi.conj().T @ W @ phi
     assert np.max(np.abs(transported.imag)) <= 1e-12
@@ -159,9 +159,7 @@ def test_block_spectrum_matches_dense(params):
     ow = random_weights(p, sum(params))
     blocks = build_blocks(p, ow)
     via_blocks = weighted_multiset(block_spectrum(blocks))
-    dense = np.sort(
-        np.linalg.eigvalsh(assemble_weight_matrix(p, ow).entries)
-    )
+    dense = np.sort(np.linalg.eigvalsh(assemble_weight_matrix(p, ow)))
     assert via_blocks.shape == dense.shape
     assert np.max(np.abs(via_blocks - dense)) <= 1e-10
 
@@ -395,11 +393,14 @@ def test_full_spectrum_metropolis_benchmark():
     assert report.slem == pytest.approx(0.97194, abs=5e-4)
 
 
-def test_full_spectrum_size_guard():
+def test_full_spectrum_size_guard(monkeypatch):
+    monkeypatch.setattr("fusedstar.spectral._FULL_SPECTRUM_ROWS", 10)
     p = TfsParams(3, 2, 2, 3)
     wm = assemble_weight_matrix(p, OrbitWeights.constant(p, 0.25))
-    with pytest.raises(SpectrumSizeError):
-        full_spectrum(wm, max_size=10)
+    with pytest.raises(
+        SpectrumSizeError, match="matrix of size 13 exceeds the dense-eigensolve guard 10"
+    ):
+        full_spectrum(wm)
 
 
 @pytest.mark.parametrize("seed", range(4))

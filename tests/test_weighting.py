@@ -27,21 +27,29 @@ def slem(matrix: np.ndarray) -> float:
 def test_center_diagonal_case():
     p = TfsParams(1, 2, 1, 2)
     ow = OrbitWeights.from_labels(p, {-1: 0.25, 1: 0.25})
-    W = assemble_weight_matrix(p, ow).entries
+    W = assemble_weight_matrix(p, ow)
     center = p.m1 * p.n1
     assert W[center, center] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_zero_weights_give_identity():
     p = TfsParams(2, 3, 3, 2)
-    W = assemble_weight_matrix(p, OrbitWeights.constant(p, 0.0)).entries
+    W = assemble_weight_matrix(p, OrbitWeights.constant(p, 0.0))
     assert np.array_equal(W, np.eye(p.n_nodes))
+
+
+def test_assembled_matrix_is_read_only():
+    p = TfsParams(2, 3, 3, 2)
+    W = assemble_weight_matrix(p, OrbitWeights.constant(p, 0.2))
+    assert W.shape == (p.n_nodes, p.n_nodes)
+    with pytest.raises(ValueError, match="read-only"):
+        W[0, 0] = 1.0
 
 
 def test_diagonal_case_formula():
     p = TfsParams(3, 2, 2, 3)
     ow = OrbitWeights.from_labels(p, {-3: 0.1, -2: 0.2, -1: 0.3, 1: 0.4, 2: 0.5})
-    W = assemble_weight_matrix(p, ow).entries
+    W = assemble_weight_matrix(p, ow)
     # leaf, interior, center, interior, leaf diagonals
     assert W[0, 0] == pytest.approx(1 - 0.1)
     assert W[2, 2] == pytest.approx(1 - 0.1 - 0.2)  # stratum -2
@@ -60,7 +68,7 @@ def test_missing_orbit_weight():
 def test_orbit_weights_round_trip():
     p = TfsParams(2, 3, 3, 2)
     ow = OrbitWeights.from_labels(p, {-2: 0.11, -1: 0.22, 1: 0.33, 2: 0.44, 3: 0.55})
-    W = assemble_weight_matrix(p, ow).entries
+    W = assemble_weight_matrix(p, ow)
     from fusedstar.reference import edge_orbit, node_index
 
     recovered = {}
@@ -114,20 +122,17 @@ def test_from_labels_rejects_bad_input():
 def test_validate_stochastic_clean():
     p = TfsParams(2, 2, 3, 4)
     wm = assemble_weight_matrix(p, OrbitWeights.constant(p, 0.3))
-    report = validate_stochastic(wm)
+    report = validate_stochastic(p, wm)
     assert report.max_row_sum_deviation <= 1e-12
     assert report.max_asymmetry == 0.0
     assert report.sparsity_violations == ()
 
 
 def test_validate_stochastic_flags_perturbation():
-    from fusedstar.weighting import WeightMatrix
-
     p = TfsParams(2, 2, 2, 2)
-    wm = assemble_weight_matrix(p, OrbitWeights.constant(p, 0.3))
-    perturbed = wm.entries.copy()
+    perturbed = assemble_weight_matrix(p, OrbitWeights.constant(p, 0.3)).copy()
     perturbed[0, 1] += 1e-3
-    report = validate_stochastic(WeightMatrix(perturbed, p))
+    report = validate_stochastic(p, perturbed)
     assert report.max_asymmetry > 0
     assert report.max_row_sum_deviation > 0
     # nodes 0 and 1 are two leaves of the first star: no edge joins them
@@ -137,7 +142,7 @@ def test_validate_stochastic_flags_perturbation():
 def test_validate_stochastic_identity():
     p = TfsParams(1, 2, 1, 2)
     wm = assemble_weight_matrix(p, OrbitWeights.constant(p, 0.0))
-    report = validate_stochastic(wm)
+    report = validate_stochastic(p, wm)
     assert report.max_row_sum_deviation == 0.0
     assert report.sparsity_violations == ()
 
@@ -146,7 +151,7 @@ def test_max_degree_path():
     # 3-node path, d_max = 2: constant weight 1/2 gives SLEM 1/2
     p = TfsParams(1, 1, 1, 1)
     ow = max_degree_orbit_weights(p, convention="inv_dmax")
-    W = assemble_weight_matrix(p, ow).entries
+    W = assemble_weight_matrix(p, ow)
     assert W[0, 1] == pytest.approx(0.5)
     assert slem(W) == pytest.approx(0.5, abs=1e-12)
 
@@ -155,7 +160,7 @@ def test_max_degree_star_rows():
     # two fused 3-branch stars of depth 1: d_max = 6
     p = TfsParams(1, 3, 1, 3)
     ow = max_degree_orbit_weights(p, convention="inv_dmax")
-    W = assemble_weight_matrix(p, ow).entries
+    W = assemble_weight_matrix(p, ow)
     for row in (0, 1, 2):  # leaf rows
         assert W[row, row] == pytest.approx(1 - 1 / 6)
         assert W[row, 3] == pytest.approx(1 / 6)
@@ -165,7 +170,7 @@ def test_max_degree_plus_one_convention():
     p = TfsParams(1, 1, 1, 1)
     W = assemble_weight_matrix(
         p, max_degree_orbit_weights(p, convention="inv_dmax_plus_1")
-    ).entries
+    )
     assert W[0, 1] == pytest.approx(1 / 3)
     with pytest.raises(ValueError):
         max_degree_orbit_weights(p, convention="bogus")
@@ -214,7 +219,7 @@ def test_best_constant_matches_dense_laplacian(params):
 )
 def test_metropolis_slem_values(params, expected, tol):
     p = TfsParams(*params)
-    W = assemble_weight_matrix(p, metropolis_orbit_weights(p)).entries
+    W = assemble_weight_matrix(p, metropolis_orbit_weights(p))
     assert slem(W) == pytest.approx(expected, abs=tol)
 
 
@@ -224,14 +229,14 @@ def test_metropolis_slem_values(params, expected, tol):
 )
 def test_best_constant_slem_values(params, expected):
     p = TfsParams(*params)
-    W = assemble_weight_matrix(p, best_constant_orbit_weights(p)).entries
+    W = assemble_weight_matrix(p, best_constant_orbit_weights(p))
     assert slem(W) == pytest.approx(expected, abs=5e-4)
 
 
 def test_max_degree_slem_value():
     p = TfsParams(3, 4, 4, 3)
     ow = max_degree_orbit_weights(p, convention="inv_dmax")
-    W = assemble_weight_matrix(p, ow).entries
+    W = assemble_weight_matrix(p, ow)
     assert slem(W) == pytest.approx(0.98277, abs=5e-4)
 
 
@@ -245,11 +250,11 @@ def test_schemes_are_stochastic_with_bounded_spectra(params):
         best_constant_orbit_weights(p),
     ):
         wm = assemble_weight_matrix(p, ow)
-        report = validate_stochastic(wm)
+        report = validate_stochastic(p, wm)
         assert report.max_row_sum_deviation <= 1e-12
         assert report.max_asymmetry <= 1e-12
         assert report.sparsity_violations == ()
-        vals = np.linalg.eigvalsh(wm.entries)
+        vals = np.linalg.eigvalsh(wm)
         assert vals.min() >= -1 - 1e-12
         assert vals.max() <= 1 + 1e-12
 
@@ -262,8 +267,8 @@ def test_star_swap_spectra_match():
         metropolis_orbit_weights,
         best_constant_orbit_weights,
     ):
-        a = np.sort(np.linalg.eigvalsh(assemble_weight_matrix(p, scheme(p)).entries))
-        b = np.sort(np.linalg.eigvalsh(assemble_weight_matrix(q, scheme(q)).entries))
+        a = np.sort(np.linalg.eigvalsh(assemble_weight_matrix(p, scheme(p))))
+        b = np.sort(np.linalg.eigvalsh(assemble_weight_matrix(q, scheme(q))))
         assert np.allclose(a, b, atol=1e-11)
 
 
