@@ -296,7 +296,10 @@ def verify_certificate(
     ``build_blocks`` keeps on ``weights``: after a self-check and a
     report on the same weights, no block is built again and the lowest
     eigenvalue of the central block and the top of each arm block are
-    read from what the report found.
+    read from what the report found.  Otherwise the certificate's own
+    claim seeds them, ``-s`` and ``+s``: at the optimum a few counts
+    confirm it, and under other weights the seeds fail and the search
+    finds the eigenvalues.
     """
     params = certificate.params
     w = weights.values_for(params)
@@ -313,11 +316,12 @@ def verify_certificate(
     )
 
     # C v = v for every orbit weighting, so s I + C - v v^T has the
-    # spectrum of C with one eigenvalue 1 replaced by 0
-    center_min = float(blocks.center.eigenvalues([0])[0])
+    # spectrum of C with one eigenvalue 1 replaced by 0; the certificate
+    # claims C's lowest at -s and each arm's top at +s, which seeds them
+    center_min = float(blocks.center.eigenvalues([0], [-s])[0])
     arms_top = max(
-        float(blocks.minus.eigenvalues([m1 - 1])[0]),
-        float(blocks.plus.eigenvalues([params.m2 - 1])[0]),
+        float(blocks.minus.eigenvalues([m1 - 1], [s])[0]),
+        float(blocks.plus.eigenvalues([params.m2 - 1], [s])[0]),
     )
 
     stencils, stencils_prime = _stencil_arrays(params)

@@ -34,7 +34,7 @@ from .simulation import (
     stratified_iterate,
     write_trajectory_csv,
 )
-from .spectral import block_extremes, build_blocks
+from .spectral import SpectralReport, block_extremes, build_blocks
 from .topology import InvalidParameterError, TfsParams
 from .weighting import (
     OrbitWeights,
@@ -73,6 +73,17 @@ def _scheme_weights(
     raise InvalidParameterError(f"unknown scheme {scheme!r}")
 
 
+def _report(
+    params: TfsParams, weights: OrbitWeights, solution: OptimalSolution | None
+) -> SpectralReport:
+    """``block_extremes`` of the weights of a scheme, seeded with the
+    optimum's ``s`` where ``solution`` is one: its blocks are then the
+    self-check's, and the certificate reads their extremes again."""
+    return block_extremes(
+        build_blocks(params, weights), None if solution is None else solution.s
+    )
+
+
 def _solve_payload(
     params: TfsParams, args: argparse.Namespace
 ) -> tuple[dict, np.ndarray]:
@@ -82,9 +93,7 @@ def _solve_payload(
     to fill from ``_weights_json``.
     """
     weights, solution = _scheme_weights(params, args.scheme, args)
-    # for the optimum these are the self-check's blocks, whose extremes the
-    # certificate below reads again
-    report = block_extremes(build_blocks(params, weights))
+    report = _report(params, weights, solution)
     payload = {
         "params": {
             "m1": params.m1,
@@ -146,8 +155,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     params = _params_from(args)
     rows = []
     for scheme in SCHEMES:
-        weights, _ = _scheme_weights(params, scheme, args)
-        report = block_extremes(build_blocks(params, weights))
+        report = _report(params, *_scheme_weights(params, scheme, args))
         rows.append([scheme, f"{report.slem:.10g}"])
     _write_csv(["scheme", "slem"], rows)
     return 0

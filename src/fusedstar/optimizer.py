@@ -10,12 +10,15 @@ spectral radius.  On ``(0, pi / (2 max(m1, m2))]`` both response factors are
 at least -1 and strictly decreasing, so the relation is positive exactly
 below theta* there and bisection on that bracket finds it.
 ``optimal_weights_batch`` bisects a grid of shapes at once.  Every optimum,
-on either route, is self-checked by eigenvalue counts
-(``_counts_prove_slem``), never by computed eigenvalues: those of its
-blocks with each arm written in three run-length-encoded rows
-(``_skeleton``), so the check costs O(1) in the branch lengths.  The
-all-roots scan that cross-checks this bisection, ``solve_theta_roots``,
-lives in ``fusedstar.reference``.
+on either route, is self-checked by eigenvalue counts at four shifts
+(``_counts_prove_slem``), never by computed eigenvalues, and the counts
+cost O(1) in the branch lengths.  A single solve counts the blocks that
+``build_blocks`` keeps on its weights, twelve pure-Python counts of
+``Tridiagonal.count_below`` whose blocks its report and certificate
+reuse.  A batch counts each optimum's blocks with each arm written in
+three run-length-encoded rows (``_skeleton``), vectorised over the
+shapes.  The all-roots scan that cross-checks this bisection,
+``solve_theta_roots``, lives in ``fusedstar.reference``.
 """
 from __future__ import annotations
 
@@ -25,7 +28,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .spectral import central_tridiagonal, count_central_below
+from .spectral import build_blocks, central_tridiagonal, count_central_below
 from .topology import InvalidParameterError, TfsParams
 from .weighting import OrbitWeights
 
@@ -157,11 +160,13 @@ def _self_checked(
     params: TfsParams, theta_star: float, ow: OrbitWeights
 ) -> OptimalSolution:
     s = float(np.cos(theta_star))
-    m1, w = params.m1, ow.values_for(params)
-    fields = (m1, params.n1, params.m2, params.n2)
-    lane = _Shapes(*(np.asarray([v], dtype=float) for v in fields))
-    w_minus, w_plus = w[m1 - 1 : m1], w[m1 : m1 + 1]
-    if not _skeleton_proves_slem(lane, np.array([s]), w_minus, w_plus)[0]:
+    blocks = build_blocks(params, ow)
+    shifts = _self_check_shifts(s)
+    below = np.array([
+        blocks.center.count_below(shifts),
+        blocks.minus.count_below(shifts) + blocks.plus.count_below(shifts),
+    ]).T
+    if not _counts_prove_slem(below, params.m1 + params.m2):
         raise _self_check_error(params, s)
     return OptimalSolution(params=params, theta_star=theta_star, s=s, weights=ow)
 
@@ -172,7 +177,7 @@ def optimal_weights(params: TfsParams) -> OptimalSolution:
     Interior orbits get weight 1/2; the two center-adjacent orbits follow
     from the smallest characteristic root theta*, found by bisection on
     ``(0, pi / (2 max(m1, m2))]``.  The result is self-checked: eigenvalue
-    counts of its blocks (``_skeleton_proves_slem``) must prove
+    counts of its blocks (``Tridiagonal.count_below``) must prove
     ``s = cos(theta*)`` the spectral radius below 1 within 1e-9.
     Requires n1, n2 >= 2.
     """
@@ -303,9 +308,11 @@ def optimal_weights_batch(m1, n1, m2, n2) -> BatchSolution:
     ``m1, n1, m2, n2`` are integer arrays (or integers) that broadcast
     together.  All instances are bisected together with the scalar route's
     predicate, bracket and stop rule, so theta*, ``s`` and both boundary
-    weights equal the scalar route's bit for bit, and so does the
-    self-check (``_skeleton_proves_slem``), in O(1) time and memory per
-    instance whatever its branch lengths.  An invalid shape, or one that
+    weights equal the scalar route's bit for bit.  The self-check
+    (``_skeleton_proves_slem``) makes the scalar route's decision,
+    ``_counts_prove_slem`` at the same shifts, on a skeleton of each
+    optimum's central block, in O(1) time and memory per instance
+    whatever its branch lengths.  An invalid shape, or one that
     the scalar route would not return, raises that route's error for the
     first such instance in input order:
     ``InvalidParameterError`` before any solving, then

@@ -13,13 +13,16 @@ or a stack of shapes of one length, and the arm blocks are its leading
 ``m1`` and trailing ``m2`` rows.  ``block_extremes`` finds ``lambda2``,
 ``lambda_min`` and the SLEM from six eigenvalues: the lowest and
 second-highest of the central block, whose top is the consensus
-eigenvalue 1, and the lowest and highest of each arm block.
-``Tridiagonal.eigenvalues`` finds eigenvalues by index: in a block of at
-most ``_DENSE_ROWS`` rows by ``np.linalg.eigvalsh`` on its dense form
-(checked by counts where that is not accurate enough), in a larger one by
-bisection on a run-compressed Sturm count.  ``build_blocks`` builds the
-blocks of one ``OrbitWeights`` once and each block keeps the eigenvalues
-it has found, so one solve does this work once.  Every block has equal
+eigenvalue 1, and the lowest and highest of each arm block; at an optimum
+``+-s`` seed them.  ``Tridiagonal.eigenvalues`` finds eigenvalues by
+index: in a block of at most ``_DENSE_ROWS`` rows by ``np.linalg.eigvalsh``
+on its dense form (checked by counts where that is not accurate enough),
+in a larger one by bisection on a run-compressed Sturm count, which a
+guess that the counts confirm spares.  ``Tridiagonal.count_below`` is
+that count in pure Python; a single solve's self-check is twelve of them.
+``build_blocks`` builds the blocks of one ``OrbitWeights`` once and each
+block keeps the eigenvalues it has found, so one solve does this work
+once.  Every block has equal
 rows except at its leaves, the center and the center's neighbours, and
 along a run of equal rows the pivots of ``T - xI = LDL^T`` are the
 continuants ``beta^k sin(k phi + psi)`` (the characteristic polynomials
@@ -27,7 +30,7 @@ the optimum is derived from), so the count costs O(1) in the branch
 length.  ``count_runs_below`` is the same count
 over a stack of run-length-encoded tridiagonals, vectorised over the
 lanes, and ``count_central_below`` builds a central block's count from
-its two arms'; the optimizer proves every optimum with them.
+its two arms'; the optimizer proves every optimum of a batch with them.
 ``count_eigenvalues_below`` counts row by row by LDL^T inertia over a
 stack of tridiagonals; it is the reference for both run counts.  This
 module does not need scipy: the full-spectrum reference that does,
@@ -119,15 +122,34 @@ class Tridiagonal:
         y[1:] += self.off_diagonal * x[:-1]
         return y
 
-    def eigenvalues(self, indices: Iterable[int]) -> np.ndarray:
+    def eigenvalues(
+        self, indices: Iterable[int], guesses: Iterable[float] | None = None
+    ) -> np.ndarray:
         """Ascending eigenvalues at ``indices`` (0-based), as a new array.
 
         Each eigenvalue is found once per block: what a read finds is kept
         by index and read back on the next one, and the indices not yet
-        found are found together, by one dense solve or one bisection.
+        found are found together, by one dense solve or one bisection;
+        found together or one at a time, they are bitwise equal.
+
+        ``guesses``, one per index, spare a block of more than
+        ``_DENSE_ROWS`` rows its bisection: a guess stands, as it is, if
+        the counts eight ulps either side of it hold its index.  Those
+        counts narrow no search, so a wrong guess costs two counts and
+        leaves the value found as it is unguessed.  A guess that stands
+        may differ from the searched value by a few ulps.  The dense route
+        ignores guesses.
         """
         indices = list(indices)
         found = self._found
+        if guesses is not None and self.size > _DENSE_ROWS:
+            for index, guess in zip(indices, guesses):
+                if index in found:
+                    continue
+                ulps = 8.0 * math.ulp(guess)
+                low, high = self.count_below(np.array([guess - ulps, guess + ulps]))
+                if low <= index < high:
+                    found[index] = guess
         missing = [index for index in dict.fromkeys(indices) if index not in found]
         if missing:
             found.update(zip(missing, self._solve(missing)))
@@ -158,7 +180,10 @@ class Tridiagonal:
         """Number of eigenvalues below each shift, from the run-compressed
         Sturm count: an int for one shift, an array for an array.
 
-        Away from rounding level at an eigenvalue it equals
+        Each shift is one pure-Python count, O(runs and stepped rows) of
+        the block: a single solve's self-check takes its four shifts on
+        each block from it, and ``block_extremes`` its one count on an arm
+        at an optimum.  Away from rounding level at an eigenvalue it equals
         ``count_eigenvalues_below`` on a stack of one, whose tie rule it
         keeps on stepped rows and decoupled runs (an eigenvalue that meets
         the shift exactly, as a zero pivot, counts as below).
@@ -699,9 +724,11 @@ def count_eigenvalues_below(
     return below
 
 
-def block_extremes(blocks: StratifiedBlocks) -> SpectralReport:
-    """``lambda2``, ``lambda_min`` and ``slem`` of the full matrix from six
-    eigenvalues of its blocks.
+def block_extremes(
+    blocks: StratifiedBlocks, s: float | None = None
+) -> SpectralReport:
+    """``lambda2``, ``lambda_min`` and ``slem`` of the full matrix from the
+    extreme eigenvalues of its blocks.
 
     The central block's top is the consensus eigenvalue 1 (``C v = v`` for
     the Perron vector), and with nonnegative weights, as every scheme, the
@@ -710,15 +737,38 @@ def block_extremes(blocks: StratifiedBlocks) -> SpectralReport:
     ``lambda2`` is the largest of the center's second-highest eigenvalue
     and each arm block's highest, and ``lambda_min`` the smallest lowest
     one; an arm block counts only when its star has two branches or more.
+
+    Unseeded, that is six eigenvalues.  With the ``s`` of an optimum, its
+    slackness conditions seed them: the center's lowest at ``-s`` (``z1``
+    of the certificate), the center's second-highest and each arm's top
+    at ``+s`` (``z2``).  An arm is a principal submatrix of the center,
+    so by interlacing its lowest eigenvalue is at or above the center's;
+    it is read only if one count eight ulps above the center's lowest
+    finds it there or below, near enough that its search might return
+    the smaller value.  A wrong seed costs counts, and the report is
+    bitwise the unseeded one.
     """
     center = blocks.center
-    reads = [center.eigenvalues([0, center.size - 2])] + [
-        arm.eigenvalues([0, arm.size - 1])
+    arms = [
+        arm
         for arm, mult in zip((blocks.minus, blocks.plus), blocks.multiplicities[::2])
         if mult > 0
     ]
-    lows, highs = np.array(reads).T
-    lambda2, lambda_min = float(highs.max()), float(lows.min())
+    if s is None:
+        reads = [center.eigenvalues([0, center.size - 2])] + [
+            arm.eigenvalues([0, arm.size - 1]) for arm in arms
+        ]
+        lows, highs = np.array(reads).T.tolist()
+    else:
+        low, second = center.eigenvalues([0, center.size - 2], [-s, s]).tolist()
+        near = low + 8.0 * math.ulp(low)
+        lows = [low] + [
+            float(arm.eigenvalues([0])[0]) for arm in arms if arm.count_below(near)
+        ]
+        highs = [second] + [
+            float(arm.eigenvalues([arm.size - 1], [s])[0]) for arm in arms
+        ]
+    lambda2, lambda_min = max(highs), min(lows)
     return SpectralReport(
         eigenvalues=(),
         lambda2=lambda2,

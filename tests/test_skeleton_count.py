@@ -1,28 +1,34 @@
 """The self-check's counts, ``count_runs_below`` and
 ``count_central_below``, against Kahan's count.
 
-Every optimum is proved by counts over a skeleton of its central block:
-each arm written from its leaf as three run-length-encoded rows, and the
-center's twisted pivot.  Here those counts must equal
+Every optimum of a batch is proved by counts over a skeleton of its
+central block: each arm written from its leaf as three run-length-encoded
+rows, and the center's twisted pivot.  Here those counts must equal
 ``count_eigenvalues_below`` on the blocks written out row by row, away
 from rounding level at an eigenvalue, and the self-check's verdict must
 be the same from either count on every example.  The sample has arms of
 one, two and three rows, runs shorter than ``spectral._MIN_RUN``, shifts
 exactly at an entry of the blocks, ``w_-1`` moved off the optimum and
-shifts relative to the gap ``1 - s``.
+shifts relative to the gap ``1 - s``.  A single solve counts its blocks
+themselves with ``Tridiagonal.count_below`` instead, and must reach the
+skeleton's verdict on the same sample and on the extreme shapes.
 """
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from fusedstar import spectral
 from fusedstar.optimizer import (
+    SelfCheckError,
     _counts_prove_slem,
     _self_check_shifts,
+    _self_checked,
     _Shapes,
     _skeleton,
+    _skeleton_proves_slem,
     optimal_weights,
 )
 from fusedstar.spectral import (
@@ -32,6 +38,7 @@ from fusedstar.spectral import (
     count_runs_below,
 )
 from fusedstar.topology import TfsParams
+from fusedstar.weighting import OrbitWeights
 
 EXAMPLES = settings(
     derandomize=True, database=None, deadline=None, max_examples=150
@@ -106,6 +113,62 @@ def test_skeleton_counts_equal_kahan_counts(params, move, seed):
     assert _counts_prove_slem(counts[:4], top) == _counts_prove_slem(
         reference[:4], top
     ), (params, move)
+
+
+def assert_scalar_verdict_is_the_skeletons(params, move):
+    """``_self_checked``, which counts the blocks of the weights, accepts
+    the optimum with ``w_-1`` times ``move`` exactly when
+    ``_skeleton_proves_slem`` does."""
+    optimum, m1 = optimal_weights(params), params.m1
+    w = optimum.weights.values.copy()
+    w[m1 - 1] *= move
+    fields = (m1, params.n1, params.m2, params.n2)
+    lane = _Shapes(*(np.asarray([v], dtype=float) for v in fields))
+    skeleton = _skeleton_proves_slem(
+        lane, np.array([optimum.s]), w[m1 - 1 : m1], w[m1 : m1 + 1]
+    )[0]
+    try:
+        _self_checked(params, optimum.theta_star, OrbitWeights(params, w))
+    except SelfCheckError:
+        scalar = False
+    else:
+        scalar = True
+    assert scalar == skeleton, (params, move)
+
+
+@EXAMPLES
+@given(networks, moves)
+def test_scalar_self_check_reaches_the_skeletons_verdict(params, move):
+    assert_scalar_verdict_is_the_skeletons(params, move)
+
+
+@pytest.mark.parametrize("move", [1.0, 0.0, 1.0 + 1e-6, 1.0 - 1e-6, 0.5, 1.5])
+@pytest.mark.parametrize(
+    "shape",
+    [
+        # tests/test_extremes.py's named shapes
+        (1, 10**12, 1, 2),
+        (10**5, 2, 1, 2),
+        (1, 10**18, 2, 10**18),
+        (2646, 257245, 1, 964),
+        (199, 2196315, 1, 9),
+        (2, 10**300, 2, 2),
+        (3, 4, 4, 3),
+        (1, 2, 1, 2),
+        (2000, 2, 1, 2),
+        (50, 10**7, 60, 10**7),
+        (7, 3, 900, 10**9),
+        # where 1 - s is near or below the self-check's margin 1e-9
+        (10**5, 2, 2, 2),
+        (40000, 3, 40000, 4),
+        (3000, 3, 3000, 4),
+    ],
+    ids=str,
+)
+def test_scalar_self_check_reaches_the_skeletons_verdict_on_extreme_shapes(
+    shape, move
+):
+    assert_scalar_verdict_is_the_skeletons(TfsParams(*shape), move)
 
 
 rows = st.tuples(

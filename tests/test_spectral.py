@@ -30,6 +30,7 @@ from fusedstar.topology import InvalidParameterError, TfsParams
 from fusedstar.weighting import (
     OrbitWeights,
     assemble_weight_matrix,
+    max_degree_orbit_weights,
     metropolis_orbit_weights,
 )
 
@@ -249,6 +250,57 @@ def test_block_extremes_match_where_the_rules_could_part(shape, weighting):
         "unit": lambda: OrbitWeights.constant(p, 1.0),
     }[weighting]()
     assert_extremes_match(p, ow, dense=True)
+
+
+def seeded_shapes(count, seed):
+    # log-uniform arms up to 10^5 rows, on both sides of the dense route's
+    # 64 rows, and branch counts up to 10^6
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        m1, m2 = np.exp(rng.uniform(0.0, math.log(1e5), 2)).round().astype(int)
+        n1, n2 = np.exp(rng.uniform(math.log(2), math.log(1e6), 2)).round().astype(int)
+        yield TfsParams(int(m1), int(n1), int(m2), int(n2))
+
+
+def fresh_report(p, ow, s=None):
+    # blocks of their own, so that no memo carries values between reports
+    return block_extremes(build_blocks(p, OrbitWeights(p, ow.values)), s)
+
+
+def report_bits(report):
+    return [getattr(report, name) for name in ("lambda2", "lambda_min", "slem")]
+
+
+# Metropolis weights on a long arm, whose lowest eigenvalue the arm block
+# shares with the central block to within an ulp
+NEAR_TIES = [TfsParams(75076, 96, 6, 4), TfsParams(517, 809119, 99322, 1848)]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_a_wrong_seed_costs_counts_not_accuracy(seed):
+    shapes = list(seeded_shapes(12, seed)) + NEAR_TIES
+    optima = [optimal_weights(p) for p in shapes]
+    for p, optimum, other in zip(shapes, optima, optima[1:] + optima[:1]):
+        # every weight scaled, which moves each eigenvalue x by
+        # 1e-3 (1 - x): far more than 8 ulps, also where 1 - s ~ 1e-10 and
+        # a move of the boundary weights alone does not move the arms' tops
+        moved = OrbitWeights(p, optimum.weights.values * (1.0 - 1e-3))
+        weightings = [
+            (optimum.weights, other.s),
+            (moved, optimum.s),
+            (metropolis_orbit_weights(p), optimum.s),
+            (max_degree_orbit_weights(p), optimum.s),
+        ]
+        for ow, s in weightings:
+            assert report_bits(fresh_report(p, ow, s)) == report_bits(
+                fresh_report(p, ow)
+            ), (p, s)
+        # at the optimum the seeds stand, within 8 ulps of the search
+        searched = fresh_report(p, optimum.weights)
+        seeded = fresh_report(p, optimum.weights, optimum.s)
+        for name in ("lambda2", "lambda_min"):
+            gap = abs(getattr(seeded, name) - getattr(searched, name))
+            assert gap <= 8 * math.ulp(optimum.s), (p, name)
 
 
 # 64 rows and fewer take the dense route, 65 and more bisection
