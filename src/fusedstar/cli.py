@@ -11,7 +11,6 @@ trajectories; diagnostics go to stderr.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import math
@@ -281,10 +280,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def _write_csv(header: list[str], rows: list[list[str]]) -> None:
     # rows are computed before anything is written, so an input error
-    # leaves stdout empty
-    writer = csv.writer(sys.stdout)
-    writer.writerow(header)
-    writer.writerows(rows)
+    # leaves stdout empty; no cell (digits, .10g floats, scheme names,
+    # star or tfs) needs quoting, so these are csv.writer's excel bytes
+    sys.stdout.write("".join(",".join(row) + "\r\n" for row in [header, *rows]))
 
 
 def _add_params(parser: argparse.ArgumentParser) -> None:

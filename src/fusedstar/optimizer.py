@@ -9,7 +9,10 @@ form from the smallest root theta*, and ``cos(theta*)`` is the optimal
 spectral radius.  On ``(0, pi / (2 max(m1, m2))]`` both response factors are
 at least -1 and strictly decreasing, so the relation is positive exactly
 below theta* there and bisection on that bracket finds it.
-``optimal_weights_batch`` bisects a grid of shapes at once.  Every optimum,
+``optimal_weights_batch`` bisects a grid of shapes at once, each step one
+evaluation of the relation on a stacked ``(3, lanes)`` angle array
+(``_StackedRelation``) with ``_char_values``'s float operations in its
+order, so every lane takes the scalar route's steps.  Every optimum,
 on either route, is self-checked by eigenvalue counts at four shifts
 (``_counts_prove_slem``), never by computed eigenvalues, and the counts
 cost O(1) in the branch lengths.  A single solve counts the blocks that
@@ -22,6 +25,7 @@ shapes.  The all-roots scan that cross-checks this bisection,
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -61,8 +65,8 @@ class OptimalSolution:
 
 
 def _char_values(params: TfsParams, theta: np.ndarray | float) -> np.ndarray:
-    # a float stays a numpy scalar throughout, which the bisection needs
-    # fast; array-valued params evaluate a batch lane by lane
+    # a float stays a numpy scalar throughout, which the scalar bisection
+    # needs fast; _StackedRelation repeats these operations for a batch
     half = 0.5 * theta
     cot_half = np.cos(half) / np.sin(half)
     angle1, angle2 = params.m1 * theta, params.m2 * theta
@@ -208,8 +212,8 @@ class BatchSolution:
 
 
 class _Shapes(NamedTuple):
-    """Branch lengths and counts of a batch as float arrays; ``_char_values``
-    reads them as it reads a ``TfsParams``."""
+    """Branch lengths and counts of a batch as float arrays, one entry per
+    lane; ``central_tridiagonal`` reads them as it reads a ``TfsParams``."""
 
     m1: np.ndarray
     n1: np.ndarray
@@ -244,24 +248,68 @@ def _batch_shapes(cells: list[np.ndarray]) -> _Shapes:
     raise InvalidParameterError("branch lengths and counts must be integers")
 
 
-def _first_sign_changes(
-    f: Callable[[np.ndarray], np.ndarray], hi: np.ndarray
-) -> np.ndarray:
-    """``_first_sign_change`` on every lane of ``hi`` at once.
+class _StackedRelation:
+    """The characteristic relation of every lane of a batch, evaluated on
+    one stacked angle array.
 
-    Each lane bisects on ``f(mid) > 0`` until its midpoint is no longer
-    strictly inside its bracket, as the scalar loop does.  A finished
-    lane's midpoint equals one end of its bracket, so moving either end
-    to it leaves the midpoint where it stopped while the others go on.
+    ``coef`` holds each lane's angle coefficients ``0.5, m1, m2`` as rows
+    and ``two_n`` its arm factors ``2/n1, 2/n2``.  Each evaluation writes
+    the same buffers, so a bisection step allocates no stack.
     """
+
+    def __init__(self, shapes: _Shapes) -> None:
+        self.coef = np.stack([np.full_like(shapes.m1, 0.5), shapes.m1, shapes.m2])
+        self.two_n = 2.0 / np.stack([shapes.n1, shapes.n2])
+        self._angles = np.empty_like(self.coef)
+        self._cot = np.empty_like(self.coef)
+        self._arm = np.empty_like(self.two_n)
+        self._product = np.empty_like(shapes.m1)
+
+    def arm_product(self, theta) -> np.ndarray:
+        """``_char_values + 1`` of every lane at ``theta``, in a buffer that
+        the next call overwrites.
+
+        Each float operation is ``_char_values``'s, in the same order, so
+        the bits are its own; ``arm_product(theta) > 1.0`` is then exactly
+        its ``> 0.0``, since ``x - 1.0 > 0.0`` holds exactly when ``x > 1.0``.
+        """
+        angles = np.multiply(self.coef, theta, out=self._angles)
+        cot = np.cos(angles, out=self._cot)
+        cot /= np.sin(angles, out=angles)
+        arm = np.multiply(self.two_n, cot[1:], out=self._arm)
+        arm *= cot[0]
+        arm -= 1.0
+        return np.multiply(arm[0], arm[1], out=self._product)
+
+
+# bisection steps before the batch first looks for an unfinished lane: a
+# lane's bracket starts at 0, so it needs about 52 to reach adjacent floats
+_UNCHECKED_STEPS = 48
+
+
+def _first_sign_changes(shapes: _Shapes) -> np.ndarray:
+    """``_first_sign_change`` of the relation on every lane at once.
+
+    Each lane bisects ``(0, pi / (2 max(m1, m2))]`` on the predicate
+    ``_StackedRelation.arm_product(mid) > 1.0``, the scalar route's bit for
+    bit, until its midpoint is no longer strictly inside its bracket, as
+    the scalar loop does.  A finished lane's midpoint equals one end of its
+    bracket, so moving either end to it leaves the midpoint where it
+    stopped while the others go on.  So the loop looks for unfinished
+    lanes only after ``_UNCHECKED_STEPS`` steps, and a step costs 13 numpy
+    calls whatever the batch's size.
+    """
+    relation = _StackedRelation(shapes)
+    hi = np.pi / (2.0 * np.maximum(shapes.m1, shapes.m2))
     lo = np.zeros_like(hi)
     mid = 0.5 * (lo + hi)
-    while ((lo < mid) & (mid < hi)).any():
-        positive = f(mid) > 0.0
+    for step in itertools.count():
+        if step >= _UNCHECKED_STEPS and not ((lo < mid) & (mid < hi)).any():
+            return mid
+        positive = relation.arm_product(mid) > 1.0
         lo = np.where(positive, mid, lo)
         hi = np.where(positive, hi, mid)
         mid = 0.5 * (lo + hi)
-    return mid
 
 
 def _skeleton(shapes: _Shapes, w_minus, w_plus) -> tuple:
@@ -322,10 +370,7 @@ def optimal_weights_batch(m1, n1, m2, n2) -> BatchSolution:
     # reshape leaves a one-dimensional broadcast cell a view; ravel copies it
     cells = [cell.reshape(-1) for cell in np.broadcast_arrays(*arrays)]
     shapes = _batch_shapes(cells)
-    theta = _first_sign_changes(
-        lambda mid: _char_values(shapes, mid),
-        np.pi / (2.0 * np.maximum(shapes.m1, shapes.m2)),
-    )
+    theta = _first_sign_changes(shapes)
     s = np.cos(theta)
     w_minus, bad_minus = _boundary_weights(shapes.m1, theta)
     w_plus, bad_plus = _boundary_weights(shapes.m2, theta)

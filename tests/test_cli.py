@@ -557,6 +557,35 @@ def test_every_sweep_is_one_batch(capsys, monkeypatch, argv):
     assert len(parse_csv(out)[1]) == np.broadcast(*batches[0]).size
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "fig2"],
+        ["sweep", "fig3"],
+        ["sweep", "fig4"],
+        ["sweep", "custom", "--n1", "3", "--n2", "12"],
+        ["compare", "--m1", "4", "--n1", "20", "--m2", "8", "--n2", "93"],
+    ],
+    ids=["fig2", "fig3", "fig4", "custom", "compare"],
+)
+def test_csv_is_the_bytes_of_the_stdlib_writer(capsys, monkeypatch, argv):
+    tables = []
+    write_csv = cli._write_csv
+
+    def recorded(header, rows):
+        tables.append((header, rows))
+        write_csv(header, rows)
+
+    monkeypatch.setattr(cli, "_write_csv", recorded)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err, len(tables)) == (0, "", 1)
+    expected = io.StringIO()
+    writer = csv.writer(expected)
+    writer.writerow(tables[0][0])
+    writer.writerows(tables[0][1])
+    assert out == expected.getvalue()
+
+
 def test_sweep_fig3_monotone(capsys):
     code, out, _ = run_cli(
         capsys, "sweep", "fig3", "--m1-max", "3", "--m2-max", "3"

@@ -1,5 +1,6 @@
 """Characteristic-relation root finding and the analytic optimum."""
 
+import argparse
 import math
 import tracemalloc
 import warnings
@@ -7,8 +8,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from fusedstar import optimizer, reference
+from fusedstar import cli, optimizer, reference
 from fusedstar.cli import main
 from fusedstar.optimizer import (
     DegenerateSineError,
@@ -338,6 +340,92 @@ def test_batch_is_bitwise_equal_to_the_scalar_route():
     ):
         expected = bits([value(sol) for sol in scalar])
         assert np.array_equal(bits(getattr(batch, field)), expected), field
+
+
+def bare_bisection(shapes):
+    """theta*, s, w_{-1} and w_1 of each shape, as bits, from the scalar
+    route's bisection and the boundary weights that ``_weights_at`` writes,
+    without its self-check or its O(m) weight vector."""
+    lanes = []
+    for shape in shapes:
+        params = TfsParams(*map(int, shape))
+        theta = optimizer._first_sign_change(
+            lambda theta: float(optimizer._char_values(params, theta)),
+            math.pi / (2 * max(params.m1, params.m2)),
+        )
+        lanes.append((
+            theta,
+            float(np.cos(theta)),
+            optimizer._boundary_weight(params.m1, theta),
+            optimizer._boundary_weight(params.m2, theta),
+        ))
+    return bits(lanes).T
+
+
+def fig2_shapes(mbar_max):
+    args = argparse.Namespace(mbar_min=1, mbar_max=mbar_max)
+    return cli._fig2_sweep(args)[2].T.tolist()
+
+
+def log_uniform_shapes(count, seed=20221):
+    # m log-uniform on [1, 1e6] and n on [2, 1e15]
+    rng = np.random.default_rng(seed)
+    m = np.exp(rng.uniform(0.0, math.log(1e6), (2, count)))
+    n = np.exp(rng.uniform(math.log(2.0), math.log(1e15), (2, count)))
+    return np.stack([m[0], n[0], m[1], n[1]]).astype(np.int64).T.tolist()
+
+
+@pytest.mark.parametrize(
+    "shapes",
+    [
+        CRITERION_3_GRID,
+        fig2_shapes(8) + fig2_shapes(30),
+        log_uniform_shapes(10**4),
+    ],
+    ids=["custom-grids", "fig2", "log-uniform"],
+)
+def test_batch_bisection_takes_the_scalar_steps(shapes):
+    # every `sweep custom` grid of m1, m2 <= 10 over the bench's branch
+    # counts, the shapes of `sweep fig2` and `--mbar-max 30`, and a
+    # seeded sample up to m = 1e6 and n = 1e15
+    batch = solve_batch(shapes)
+    expected = bare_bisection(shapes)
+    for field, lane_bits in zip(
+        ("theta_star", "s", "w_minus_1", "w_plus_1"), expected
+    ):
+        assert np.array_equal(bits(getattr(batch, field)), lane_bits), field
+
+
+_LENGTHS = st.one_of(st.integers(1, 40), st.integers(1, 10**6))
+_COUNTS = st.one_of(st.integers(2, 40), st.integers(2, 10**15))
+
+
+@st.composite
+def lanes_and_angles(draw):
+    """A few shapes, each with an angle in ``(0, pi / (2 max(m1, m2))]``."""
+    lanes = []
+    for _ in range(draw(st.integers(1, 4))):
+        m1, n1, m2, n2 = (draw(_LENGTHS), draw(_COUNTS), draw(_LENGTHS), draw(_COUNTS))
+        hi = math.pi / (2 * max(m1, m2))
+        lanes.append(((m1, n1, m2, n2), draw(st.floats(0.0, hi, exclude_min=True))))
+    return lanes
+
+
+@given(lanes=lanes_and_angles())
+@settings(max_examples=300, deadline=None)
+def test_stacked_relation_has_the_bits_of_the_scalar_relation(lanes):
+    shapes, thetas = zip(*lanes)
+    relation = optimizer._StackedRelation(_batch_shapes(list(np.array(shapes).T)))
+    # at angles near the smallest float a cotangent overflows or its sine
+    # is 0, on both sides alike
+    with np.errstate(all="ignore"):
+        product = relation.arm_product(np.array(thetas)).copy()
+        expected = np.array([
+            optimizer._char_values(TfsParams(*shape), theta)
+            for shape, theta in lanes
+        ])
+    assert np.array_equal(bits(product - 1.0), bits(expected))
+    assert np.array_equal(product > 1.0, expected > 0.0)
 
 
 def test_batch_broadcasts_and_is_read_only():
