@@ -9,7 +9,9 @@ splits x(0) - x_bar into the stratum profile, which the central block
 advances, and each arm's within-stratum deviations, which that arm's
 block advances and which keep their norm when ``min(m_i, n_i)`` lanes
 with the same Gram matrix replace the ``n_i`` branches.  After an
-O(n min(m, n)) set-up a round costs nothing in ``n1`` and ``n2``.
+O(n min(m, n)) set-up a round costs nothing in ``n1`` and ``n2``: it is
+one product and one sum on a few hundred floats, written into a bounded
+history that is reduced to the per-step records each time it fills.
 
 The per-node stencil ``fusedstar.reference.distributed_rounds``, which
 is how the protocol executes on an actual network, and the matrix
@@ -18,16 +20,22 @@ checked against.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import IO
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .spectral import build_blocks, perron_vector
 from .topology import TfsParams
 from .weighting import OrbitWeights
+
+
+# floats of lanes a run keeps before it reduces them to per-step records;
+# einsum reduces a round of at most 8192 floats the same way however many
+# rounds a fill holds, so the history's size changes no bit of a record
+_HISTORY_FLOATS = 8192
 
 
 class InsufficientSignalError(RuntimeError):
@@ -102,13 +110,22 @@ def stratified_iterate(
     rows, so one ``(m1 + m2 + 1) x (1 + max r_i)`` array of lanes, the
     profile and then the factors' columns, with the two center couplings
     zeroed on the factor lanes, advances everything with one tridiagonal
-    product per round.
+    product per round: one ``np.multiply`` of the lower coupling, the
+    diagonal and the upper coupling of every lane by a read-only view of
+    the previous round's rows ``s - 1``, ``s`` and ``s + 1``, and one
+    ``np.add.reduce`` of the three terms into the next round's lanes.
 
     ``error_norms[t]`` is the norm of that array and ``sums[t]`` is
     ``1'x0 + sum_s sqrt(n_s) y_s(t)``, so ``sum_deviations`` is the
-    rounding drift of the profile's consensus component.  Set-up takes
-    O(n min(m, n)) time and two state-length vectors; a round costs
-    O((m1 + m2 + 1)(1 + max r_i)), nothing in ``n_i`` once ``n_i >= m_i``.
+    rounding drift of the profile's consensus component.  The rounds fill
+    a history of about ``_HISTORY_FLOATS`` floats, at least one round and
+    at most ``steps + 1``; each time it fills, one ``einsum`` per record
+    reduces it and the next round starts over at its first slot.  Set-up
+    takes O(n min(m, n)) time and two state-length vectors, released
+    before the rounds' buffers are allocated: the history, and the
+    coefficients and the product, three times the lanes each.  A
+    round costs O((m1 + m2 + 1)(1 + max r_i)), nothing in ``n_i`` once
+    ``n_i >= m_i``.
     """
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
@@ -127,6 +144,7 @@ def stratified_iterate(
     )
     # sqrt(n_s) per stratum
     scale = perron_vector(params) * math.sqrt(params.n_nodes)
+    size = center.size
     try:
         total = np.add.reduce(x)
         average = total / x.size
@@ -135,7 +153,7 @@ def stratified_iterate(
         # in the factors, naming an arm's shape instead of its own)
         centered = np.subtract(x, average)
         deviations = np.empty(x.size)
-        means = np.empty(center.size)  # mu_s - x_bar
+        means = np.empty(size)  # mu_s - x_bar
         means[m1] = centered[c]
         factors = []
         for nodes, strata, n in arms:
@@ -144,31 +162,45 @@ def stratified_iterate(
             spread = deviations[nodes].reshape(rows.shape)
             np.subtract(rows, means[strata, None], out=spread)
             factors.append((strata, np.linalg.qr(spread.T, mode="r").T))
-        # one row per stratum, one column per lane; every array of a
-        # round is contiguous and of the lanes' shape
+        # the set-up's state-length vectors go before the round buffers come
+        del centered, deviations, rows, spread
+        # one row per stratum, one column per lane; a history slot holds a
+        # round's lanes between a zero row above and one below
         width = 1 + max(factor.shape[1] for _, factor in factors)
-        lanes = np.zeros((center.size, width))
+        rounds = max(1, min(steps + 1, _HISTORY_FLOATS // ((size + 2) * width)))
+        history = np.zeros((rounds, size + 2, width))
+        states = history[:, 1:-1]
+        lanes = states[0]
         lanes[:, 0] = scale * means
         for strata, factor in factors:
             lanes[strata, 1 : 1 + factor.shape[1]] = factor
-        diagonal = np.repeat(center.diagonal[:, None], width, axis=1)
-        couplings = np.repeat(center.off_diagonal[:, None], width, axis=1)
-        couplings[m1 - 1 : m1 + 1, 1:] = 0.0
-        following, term = np.empty_like(lanes), np.empty_like(couplings)
+        # each slot's rows s - 1, s and s + 1 for every stratum s, as one
+        # read-only (3, size, width) view with contiguous planes
+        taps = np.moveaxis(sliding_window_view(history, 3, axis=1), 3, 1)
+        # the lower coupling, the diagonal and the upper coupling per lane;
+        # the factor lanes never touch the center
+        coef = np.zeros((3, size, width))
+        coef[0, 1:] = center.off_diagonal[:, None]
+        coef[1] = center.diagonal[:, None]
+        coef[2, :-1] = center.off_diagonal[:, None]
+        coef[0, m1 + 1, 1:] = coef[2, m1 - 1, 1:] = coef[:, m1, 1:] = 0.0
+        product = np.empty_like(coef)
         error_norms = np.empty(steps + 1)
         sums = np.empty(steps + 1)
     except MemoryError as exc:
         raise _no_room(exc) from None
-    for t in range(steps + 1):
-        if t:
-            np.multiply(diagonal, lanes, out=following)
-            np.multiply(couplings, lanes[1:], out=term)
-            following[:-1] += term
-            np.multiply(couplings, lanes[:-1], out=term)
-            following[1:] += term
-            lanes, following = following, lanes
-        error_norms[t] = math.sqrt(np.vdot(lanes, lanes))
-        sums[t] = np.dot(scale, lanes[:, 0])
+    # fill the history slot by slot (slot 0 follows the last slot of the
+    # previous fill, taps[-1]), then record the filled slots in two calls
+    first = 1
+    for done in range(0, steps + 1, rounds):
+        filled = states[: min(rounds, steps + 1 - done)]
+        for k in range(first, len(filled)):
+            np.multiply(coef, taps[k - 1], out=product)
+            np.add.reduce(product, axis=0, out=states[k])
+        first = 0
+        records = slice(done, done + len(filled))
+        np.sqrt(np.einsum("tij,tij->t", filled, filled), out=error_norms[records])
+        np.einsum("ti,i->t", filled[:, :, 0], scale, out=sums[records])
     return Trajectory(error_norms, total + sums, average)
 
 
@@ -202,10 +234,16 @@ def convergence_factor_estimate(trajectory: Trajectory, tail: int = 50) -> float
 
 
 def write_trajectory_csv(trajectory: Trajectory, stream: IO[str]) -> None:
-    """Columns t, error_norm, sum_deviation; 10 significant digits."""
-    writer = csv.writer(stream)
-    writer.writerow(["t", "error_norm", "sum_deviation"])
-    for t, (norm, deviation) in enumerate(
-        zip(trajectory.error_norms, trajectory.sum_deviations())
-    ):
-        writer.writerow([t, f"{norm:.10g}", f"{deviation:.10g}"])
+    """Columns t, error_norm, sum_deviation; 10 significant digits.
+
+    No cell (digits, .10g floats) needs quoting, so these are
+    ``csv.writer``'s excel bytes, written in one call.
+    """
+    rows = zip(trajectory.error_norms.tolist(), trajectory.sum_deviations().tolist())
+    stream.write(
+        "t,error_norm,sum_deviation\r\n"
+        + "".join(
+            f"{t},{norm:.10g},{deviation:.10g}\r\n"
+            for t, (norm, deviation) in enumerate(rows)
+        )
+    )

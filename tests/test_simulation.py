@@ -1,5 +1,7 @@
 """Consensus iteration, distributed-gather equivalence, rate estimation."""
 
+import csv
+import io
 import itertools
 import math
 import tracemalloc
@@ -7,6 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from fusedstar import simulation
 from fusedstar.optimizer import optimal_weights
 from fusedstar.reference import (
     distributed_iterate,
@@ -139,6 +142,20 @@ def test_distributed_iterate_memory_does_not_grow_with_steps(route):
         assert peak <= 16 * p.n_nodes * 8
 
 
+def test_stratified_iterate_memory_on_a_long_arm():
+    # the round buffers come after the set-up's state-length vectors go
+    p = TfsParams(200_000, 2, 200_000, 3)
+    ow = max_degree_orbit_weights(p, convention="inv_dmax")
+    x0 = random_initial_state(p.n_nodes, seed=1)
+    tracemalloc.start()
+    try:
+        stratified_iterate(p, ow, x0, 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * p.n_nodes * 8
+
+
 # n below, equal to and above m on each arm, n - 1 equal to m, and n = 1
 RANK_SHAPES = [
     (4, 2, 3, 9), (4, 4, 3, 3), (4, 5, 3, 4), (4, 9, 3, 2), (3, 1, 2, 6),
@@ -187,6 +204,21 @@ def test_stratified_iterate_matches_the_stencil(shape, scheme):
             assert have == pytest.approx(want, rel=1e-10)
         else:
             assert have is want
+
+
+@pytest.mark.parametrize("shape", [(5, 900, 4, 683), (4, 5, 3, 4), (40, 3, 30, 50)])
+def test_history_size_changes_no_bit(shape, monkeypatch):
+    p = TfsParams(*shape)
+    ow = bounded_random_weights(p, seed=sum(shape))
+    x0 = random_initial_state(p.n_nodes, seed=sum(shape))
+    expected = stratified_iterate(p, ow, x0, 300)
+    # one round per fill, fills that split 301 records unevenly, and one
+    # fill for the whole run
+    for budget in (1, 1000, 5000, 2**20):
+        monkeypatch.setattr(simulation, "_HISTORY_FLOATS", budget)
+        got = stratified_iterate(p, ow, x0, 300)
+        assert np.array_equal(got.error_norms, expected.error_norms)
+        assert np.array_equal(got.sums, expected.sums)
 
 
 def test_stratified_iterate_rejects_a_bad_run():
@@ -370,3 +402,31 @@ def test_trajectory_csv(tmp_path):
     assert lines[0] == "t,error_norm,sum_deviation"
     assert len(lines) == 7  # header + states 0..5
     assert lines[1].startswith("0,")
+
+
+def test_trajectory_csv_is_the_bytes_of_the_stdlib_writer():
+    p = TfsParams(3, 4, 4, 3)
+    ow = max_degree_orbit_weights(p, convention="inv_dmax")
+    x0 = random_initial_state(p.n_nodes, seed=0)
+    trajectories = [
+        stratified_iterate(p, ow, x0, 200),
+        stratified_iterate(p, ow, x0, 0),
+        # exact zeros, subnormal and rounding-level norms, and sums that
+        # drift by an ulp or less
+        Trajectory(
+            error_norms=[3.5, 0.0, 1e-300, 5e-324, 1.2345678901234e-17, 1e20],
+            sums=[10.0, 10.0, np.nextafter(10.0, 11.0), 10.0 - 2**-49, -0.0, 1e-16],
+            average=10.0 / 7,
+        ),
+    ]
+    for trajectory in trajectories:
+        out = io.StringIO()
+        write_trajectory_csv(trajectory, out)
+        expected = io.StringIO()
+        writer = csv.writer(expected)
+        writer.writerow(["t", "error_norm", "sum_deviation"])
+        for t, (norm, deviation) in enumerate(
+            zip(trajectory.error_norms, trajectory.sum_deviations())
+        ):
+            writer.writerow([t, f"{norm:.10g}", f"{deviation:.10g}"])
+        assert out.getvalue() == expected.getvalue()
