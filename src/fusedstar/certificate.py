@@ -15,7 +15,7 @@ certificate measurably.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -209,19 +209,7 @@ class CertificateResiduals:
         )
 
     def as_dict(self) -> dict[str, float]:
-        return {
-            "slackness_center": self.slackness_center,
-            "slackness_arms": self.slackness_arms,
-            "perron_orthogonality": self.perron_orthogonality,
-            "norm_sum_error": self.norm_sum_error,
-            "norm_split_error": self.norm_split_error,
-            "trace_mismatch": self.trace_mismatch,
-            "feasibility_min_eig": self.feasibility_min_eig,
-            "recurrence": self.recurrence,
-            "recurrence_prime": self.recurrence_prime,
-            "proportionality_rel": self.proportionality_rel,
-            "duality_gap": self.duality_gap,
-        }
+        return asdict(self)
 
 
 def _recurrence_residual(

@@ -15,11 +15,13 @@ or a stack of shapes of one length, and the arm blocks are its leading
 second-highest of the central block, whose top is the consensus
 eigenvalue 1, and the lowest and highest of each arm block; at an optimum
 ``+-s`` seed them.  ``Tridiagonal.eigenvalues`` finds eigenvalues by
-index: in a block of at most ``_DENSE_ROWS`` rows by ``np.linalg.eigvalsh``
-on its dense form (checked by counts where that is not accurate enough),
-in a larger one by bisection on a run-compressed Sturm count, which a
-guess that the counts confirm spares.  ``Tridiagonal.count_below`` is
-that count in pure Python; a single solve's self-check is twelve of them.
+index, and one rule decides every guessed one, a seed or a dense solver's
+value: it stands when two run-compressed Sturm counts 8 ulps either side
+of it hold its index.  A missing eigenvalue comes, in a block of at most
+``_DENSE_ROWS`` rows, from ``np.linalg.eigvalsh`` on its dense form
+(through that rule where it is not accurate enough), and in a larger one
+from bisection on the count.  ``Tridiagonal.count_below`` is that count
+in pure Python; a single solve's self-check is twelve of them.
 ``build_blocks`` builds the blocks of one ``OrbitWeights`` once and each
 block keeps the eigenvalues it has found, so one solve does this work
 once.  Every block has equal
@@ -132,49 +134,56 @@ class Tridiagonal:
         found are found together, by one dense solve or one bisection;
         found together or one at a time, they are bitwise equal.
 
-        ``guesses``, one per index, spare a block of more than
-        ``_DENSE_ROWS`` rows its bisection: a guess stands, as it is, if
-        the counts eight ulps either side of it hold its index.  Those
-        counts narrow no search, so a wrong guess costs two counts and
-        leaves the value found as it is unguessed.  A guess that stands
-        may differ from the searched value by a few ulps.  The dense route
-        ignores guesses.
+        One rule decides a guessed eigenvalue: it stands, as it is, if the
+        counts eight ulps either side of it hold its index.  Those counts
+        narrow no search, so a wrong guess costs at most two counts and
+        leaves the value found as it is unguessed; one that stands may
+        differ from the searched value by a few ulps.  ``guesses``, one per
+        index, pass it first.  A block of at most ``_DENSE_ROWS`` rows then
+        takes ``np.linalg.eigvalsh``'s values, accurate to a few ``eps
+        ||T||``: as they are if none is below ``||T|| / 8``, else through
+        the rule, a value that fails it bracketing its search at ``8 n eps
+        ||T||``.  A larger block bisects.
         """
         indices = list(indices)
         found = self._found
-        if guesses is not None and self.size > _DENSE_ROWS:
-            for index, guess in zip(indices, guesses):
-                if index in found:
-                    continue
-                ulps = 8.0 * math.ulp(guess)
-                low, high = self.count_below(np.array([guess - ulps, guess + ulps]))
-                if low <= index < high:
-                    found[index] = guess
+        if guesses is not None:
+            self._confirm(indices, guesses)
         missing = [index for index in dict.fromkeys(indices) if index not in found]
+        near: list[float] = []
+        if missing and self.size <= _DENSE_ROWS:
+            dense = self.dense()
+            if not np.isfinite(dense).all():
+                raise np.linalg.LinAlgError(_NON_FINITE)
+            values = np.linalg.eigvalsh(dense)
+            wanted = values[missing].tolist()
+            # a few ulps near ||T||, but not far below it, where the counts
+            # bisect to their relative accuracy (as for lambda_min at
+            # (1, 10^12, 1, 2) under Metropolis weights)
+            floor = 0.125 * max(-values[0], values[-1])
+            if min(map(abs, wanted)) >= floor:
+                found.update(zip(missing, wanted))
+            else:
+                self._confirm(missing, wanted)
+                near = [v for i, v in zip(missing, wanted) if i not in found]
+            missing = [index for index in missing if index not in found]
         if missing:
-            found.update(zip(missing, self._solve(missing)))
+            found.update(zip(missing, self._runs.eigenvalues(missing, near)))
         return np.array([found[index] for index in indices], dtype=float)
 
     @functools.cached_property
     def _found(self) -> dict[int, float]:
         return {}
 
-    def _solve(self, indices: list[int]) -> list[float]:
-        if self.size > _DENSE_ROWS:
-            return self._runs.eigenvalues(indices)
-        dense = self.dense()
-        if not np.isfinite(dense).all():
-            raise np.linalg.LinAlgError(_NON_FINITE)
-        values = np.linalg.eigvalsh(dense)
-        guesses = values[indices].tolist()
-        # LAPACK's dense solver is accurate to a few eps ||T||: to a few
-        # ulps near ||T||, but not far below it, where the counts bisect
-        # to their relative accuracy (as for lambda_min at (1, 10^12, 1, 2)
-        # under Metropolis weights)
-        floor = 0.125 * max(-values[0], values[-1])
-        if min(map(abs, guesses)) >= floor:
-            return guesses
-        return self._runs.eigenvalues(indices, guesses)
+    def _confirm(self, indices: list[int], guesses: Iterable[float]) -> None:
+        # keep each guess whose counts 8 ulps either side hold its index
+        found, runs = self._found, self._runs
+        for index, guess in zip(indices, guesses):
+            if index not in found:
+                x = guess / runs.scale
+                ulps = 8.0 * math.ulp(x)
+                if runs.count(x - ulps)[0] <= index < runs.count(x + ulps)[0]:
+                    found[index] = guess
 
     def count_below(self, shifts: float | np.ndarray) -> int | np.ndarray:
         """Number of eigenvalues below each shift, from the run-compressed
@@ -183,7 +192,8 @@ class Tridiagonal:
         Each shift is one pure-Python count, O(runs and stepped rows) of
         the block: a single solve's self-check takes its four shifts on
         each block from it, and ``block_extremes`` its one count on an arm
-        at an optimum.  Away from rounding level at an eigenvalue it equals
+        at an optimum; a guessed eigenvalue's two counts are the same.
+        Away from rounding level at an eigenvalue it equals
         ``count_eigenvalues_below`` on a stack of one, whose tie rule it
         keeps on stepped rows and decoupled runs (an eigenvalue that meets
         the shift exactly, as a zero pivot, counts as below).
@@ -203,7 +213,8 @@ class Tridiagonal:
 
 class _RunCount:
     """Sturm count and bisection for one tridiagonal, with its runs of
-    equal rows in closed form.
+    equal rows in closed form, at any size; the bisection serves blocks of
+    more than ``_DENSE_ROWS`` rows and dense values that fail the counts.
 
     The matrix is scaled by the power of two at or above its largest
     entry, exactly, so that no squared coupling overflows; a largest entry
@@ -244,12 +255,6 @@ class _RunCount:
         # every entry is at most 1 in magnitude now, so ||T|| <= 3 and
         # LAPACK's pivmin, tiny * max(1, max b^2), is tiny
         self.diagonal, self.couplings = diagonal, b
-        if n <= _DENSE_ROWS:
-            # a block this short only confirms the dense route's values,
-            # row by row
-            c = [0.0, *(b * b).tolist()]
-            self.steps = list(zip(diagonal.tolist(), c, [0.0] * n, [1] * n))
-            return
         # rows 1.. start a new key where a_j or b_{j-1}^2 changes; only
         # the entries that start a run or make a step are read
         changes = (diagonal[2:] != diagonal[1:-1]) | (b[1:] != b[:-1])
@@ -301,17 +306,12 @@ class _RunCount:
                 d = -d
         return below, d
 
-    def eigenvalues(
-        self, indices: list[int], guesses: list[float] = ()
-    ) -> list[float]:
-        """Ascending eigenvalues at ``indices``, unscaled.
+    def eigenvalues(self, indices: list[int], near: list[float] = ()) -> list[float]:
+        """Ascending eigenvalues at ``indices``, unscaled, by bisection.
 
-        ``guesses``, if given, are the same eigenvalues from a solver
-        accurate to about ``eps ||T||``.  A guess stands if the counts eight
-        ulps either side of it hold its index between them: near ``||T||``
-        the counts resolve no finer.  Otherwise, as for an eigenvalue far
-        below ``||T||``, counts ``8 n eps ||T||`` either side of it start
-        the search.  A wrong guess costs counts, not accuracy.
+        ``near``, if given, holds one value per index within ``8 n eps
+        ||T||`` of its eigenvalue, as from LAPACK's dense solver: counts
+        that far either side of each start the search.
 
         The search holds each eigenvalue in an interval ``(low, high]``
         that shrinks until it is two ulps wide, as in dstebz; every count
@@ -322,22 +322,13 @@ class _RunCount:
         it (the Illinois variant) ends the search in a few steps; while an
         end's pivot is floored to pivmin, the search bisects instead.
         """
-        count = self.count
-        counted: list[tuple[float, int, float]] = []
-        found = {}
         reach = 24 * self.size * _EPS  # 8 n eps ||T||
-        for index, guess in zip(indices, guesses):
-            x = guess / self.scale
-            ulps = 8.0 * math.ulp(x)
-            counted += [(y, *count(y)) for y in (x - ulps, x + ulps)]
-            if counted[-2][1] <= index < counted[-1][1]:
-                found[index] = guess
-            else:
-                counted += [(y, *count(y)) for y in (x - reach, x + reach)]
-        for index in indices:
-            if index not in found:
-                found[index] = self._search(index, counted) * self.scale
-        return [found[index] for index in indices]
+        counted = [
+            (y, *self.count(y))
+            for value in near
+            for y in (value / self.scale - reach, value / self.scale + reach)
+        ]
+        return [self._search(index, counted) * self.scale for index in indices]
 
     def _search(
         self, index: int, counted: list[tuple[float, int, float]]

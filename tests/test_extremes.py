@@ -5,6 +5,7 @@ passes, or raise a typed error.  The oracle finds theta* and both
 boundary weights in mpmath, outside numpy and LAPACK.
 """
 
+import json
 import math
 
 import mpmath
@@ -12,12 +13,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fusedstar.certificate import build_dual_certificate, verify_certificate
+from fusedstar.cli import _sig10, main
 from fusedstar.optimizer import (
     DegenerateSineError,
     SelfCheckError,
     optimal_weights,
 )
+from fusedstar.spectral import block_extremes, build_blocks
 from fusedstar.topology import TfsParams
+from fusedstar.weighting import metropolis_orbit_weights
 
 
 def log_uniform(low, high):
@@ -155,3 +159,22 @@ def test_mpmath_oracle(params):
     assert sol.weights[1] == pytest.approx(
         float(w_plus), rel=weight_tolerance(p.m2, theta), abs=0
     )
+
+
+def test_lambda_min_far_below_the_norm_keeps_its_digits(capsys):
+    # under Metropolis weights at (1, 10^12, 1, 2) the central block's
+    # lowest eigenvalue is about -1e-12 beside two eigenvalues near 1;
+    # np.linalg.eigvalsh alone finds it to a few eps ||T|| (2.2e-5 off),
+    # so the dense route confirms or bisects it on counts
+    p = TfsParams(1, 10**12, 1, 2)
+    blocks = build_blocks(p, metropolis_orbit_weights(p))
+    with mpmath.workdps(60):
+        dense = mpmath.matrix(blocks.center.dense().tolist())
+        lowest = float(min(mpmath.eigsy(dense, eigvals_only=True)))
+    lambda_min = block_extremes(blocks).lambda_min
+    assert lambda_min == pytest.approx(lowest, rel=1e-12, abs=0)
+    assert main(
+        ["solve", "--m1", "1", "--n1", str(10**12), "--m2", "1", "--n2", "2",
+         "--scheme", "metropolis"]
+    ) == 0
+    assert json.loads(capsys.readouterr().out)["lambda_min"] == _sig10(lowest)

@@ -275,10 +275,19 @@ def report_bits(report):
 # shares with the central block to within an ulp
 NEAR_TIES = [TfsParams(75076, 96, 6, 4), TfsParams(517, 809119, 99322, 1848)]
 
+# every block of these takes the dense route: at most 64 rows
+SMALL_SHAPES = [
+    TfsParams(3, 4, 4, 3),
+    TfsParams(1, 2, 1, 2),
+    TfsParams(10, 149, 10, 149),
+    TfsParams(30, 3, 33, 2),
+    TfsParams(2, 6, 3, 12),
+]
+
 
 @pytest.mark.parametrize("seed", range(3))
 def test_a_wrong_seed_costs_counts_not_accuracy(seed):
-    shapes = list(seeded_shapes(12, seed)) + NEAR_TIES
+    shapes = list(seeded_shapes(12, seed)) + NEAR_TIES + SMALL_SHAPES
     optima = [optimal_weights(p) for p in shapes]
     for p, optimum, other in zip(shapes, optima, optima[1:] + optima[:1]):
         # every weight scaled, which moves each eigenvalue x by
@@ -301,6 +310,31 @@ def test_a_wrong_seed_costs_counts_not_accuracy(seed):
         for name in ("lambda2", "lambda_min"):
             gap = abs(getattr(seeded, name) - getattr(searched, name))
             assert gap <= 8 * math.ulp(optimum.s), (p, name)
+
+
+@pytest.mark.parametrize(
+    "shape", [(3, 4, 4, 3), (1, 2, 1, 2), (10, 149, 10, 149), (20, 2, 43, 5)],
+    ids=str,
+)
+def test_seeds_stand_on_a_dense_route_block(shape, monkeypatch):
+    # a central block of at most 64 rows: the seeds +-s pass the same
+    # counts as on a longer block, and no dense solve is made
+    p = TfsParams(*shape)
+    optimum = optimal_weights(p)
+    blocks = build_blocks(p, OrbitWeights(p, optimum.weights.values))
+    assert blocks.center.size <= 64
+    solved = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recorded(matrix):
+        solved.append(matrix.shape)
+        return eigvalsh(matrix)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
+    report = block_extremes(blocks, optimum.s)
+    assert report.lambda2 == optimum.s
+    assert report.lambda_min == -optimum.s
+    assert solved == []
 
 
 # 64 rows and fewer take the dense route, 65 and more bisection
