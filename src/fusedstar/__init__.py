@@ -48,6 +48,7 @@ from .spectral import (
 from .topology import (
     InvalidParameterError,
     TfsParams,
+    check_array_size,
     edge_table,
 )
 from .weighting import (
@@ -85,6 +86,7 @@ __all__ = [
     "build_blocks",
     "build_dual_certificate",
     "central_tridiagonal",
+    "check_array_size",
     "convergence_factor_estimate",
     "count_central_below",
     "count_eigenvalues_below",

@@ -34,7 +34,7 @@ from .simulation import (
     write_trajectory_csv,
 )
 from .spectral import SpectralReport, block_extremes, build_blocks
-from .topology import InvalidParameterError, TfsParams
+from .topology import InvalidParameterError, TfsParams, check_array_size
 from .weighting import (
     OrbitWeights,
     best_constant_orbit_weights,
@@ -221,6 +221,7 @@ def _fig2_sweep(args: argparse.Namespace) -> tuple:
 def _grid_sweep(args: argparse.Namespace, n1: int, n2: int) -> tuple:
     if args.m1_max < 1 or args.m2_max < 1:
         raise InvalidParameterError("branch-length ranges must start at 1")
+    check_array_size("--m1-max * --m2-max", args.m1_max * args.m2_max)
     m1, m2 = np.divmod(np.arange(args.m1_max * args.m2_max), args.m2_max)
     m1, m2 = m1 + 1, m2 + 1
     lead = [[str(a), str(b)] for a, b in zip(m1.tolist(), m2.tolist())]
@@ -266,6 +267,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         )
     if args.seed < 0:
         raise InvalidParameterError(f"--seed must be >= 0, got {args.seed}")
+    check_array_size("the node count", params.n_nodes)
+    check_array_size("--steps + 1", args.steps + 1)
     weights, _ = _scheme_weights(params, args.scheme, args)
     x0 = random_initial_state(params.n_nodes, args.seed)
     trajectory = stratified_iterate(params, weights, x0, args.steps)

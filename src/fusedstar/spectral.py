@@ -75,9 +75,6 @@ _TINY = float(np.finfo(float).tiny)
 # two ulps of its larger end (or than pivmin)
 _EPS = float(np.finfo(float).eps)
 _RELATIVE_WIDTH = 2.0 * _EPS
-# pivots are clamped below this magnitude, so that regula falsi can
-# interpolate between two of them
-_HUGE_PIVOT = 2.0**1000
 
 
 class SpectrumSizeError(ValueError):
@@ -182,7 +179,7 @@ class Tridiagonal:
             if index not in found:
                 x = guess / runs.scale
                 ulps = 8.0 * math.ulp(x)
-                if runs.count(x - ulps)[0] <= index < runs.count(x + ulps)[0]:
+                if runs.count(x - ulps) <= index < runs.count(x + ulps):
                     found[index] = guess
 
     def count_below(self, shifts: float | np.ndarray) -> int | np.ndarray:
@@ -201,7 +198,7 @@ class Tridiagonal:
         x = np.asarray(shifts, dtype=float)
         runs = self._runs
         counts = np.array(
-            [runs.count(v / runs.scale)[0] for v in x.ravel().tolist()],
+            [runs.count(v / runs.scale) for v in x.ravel().tolist()],
             dtype=np.int64,
         ).reshape(x.shape)
         return int(counts) if counts.ndim == 0 else counts
@@ -212,9 +209,10 @@ class Tridiagonal:
 
 
 class _RunCount:
-    """Sturm count and bisection for one tridiagonal, with its runs of
-    equal rows in closed form, at any size; the bisection serves blocks of
-    more than ``_DENSE_ROWS`` rows and dense values that fail the counts.
+    """Sturm count and plain bisection on it, as in LAPACK's dstebz, for
+    one tridiagonal, with its runs of equal rows in closed form, at any
+    size; the bisection serves blocks of more than ``_DENSE_ROWS`` rows and
+    dense values that fail the counts.
 
     The matrix is scaled by the power of two at or above its largest
     entry, exactly, so that no squared coupling overflows; a largest entry
@@ -237,8 +235,9 @@ class _RunCount:
       ``j`` with ``j < z <= j + 1`` for ``z = -psi / eta``.
 
     The last pivot's sign is taken from the count, so the pivot handed to
-    the next row always agrees with it.  The cost of a count is O(number
-    of runs and stepped rows), whatever the run lengths.
+    the next row always agrees with it; at a pole of ``u`` it is infinite,
+    and the next row's step divides it to nothing.  The cost of a count is
+    O(number of runs and stepped rows), whatever the run lengths.
     """
 
     def __init__(self, diagonal: np.ndarray, off_diagonal: np.ndarray):
@@ -280,9 +279,8 @@ class _RunCount:
         fudge = 2.0 * (_EPS * max(-low, high) * self.size + 2.0 * _TINY)
         return low - fudge, high + fudge
 
-    def count(self, x: float) -> tuple[int, float]:
-        """Eigenvalues of the scaled matrix below the scaled shift ``x``,
-        and the last pivot."""
+    def count(self, x: float) -> int:
+        """Eigenvalues of the scaled matrix below the scaled shift ``x``."""
         pivmin = _TINY
         below = 0
         d = math.inf  # no row above row 0
@@ -301,10 +299,10 @@ class _RunCount:
                 continue
             negatives, u, last_negative = _run(t / (2.0 * beta), d / beta, length)
             below += negatives
-            d = min(max(beta * u, pivmin), _HUGE_PIVOT)
+            d = max(beta * u, pivmin)
             if last_negative:
                 d = -d
-        return below, d
+        return below
 
     def eigenvalues(self, indices: list[int], near: list[float] = ()) -> list[float]:
         """Ascending eigenvalues at ``indices``, unscaled, by bisection.
@@ -313,71 +311,43 @@ class _RunCount:
         ||T||`` of its eigenvalue, as from LAPACK's dense solver: counts
         that far either side of each start the search.
 
-        The search holds each eigenvalue in an interval ``(low, high]``
-        that shrinks until it is two ulps wide, as in dstebz; every count
-        is kept, and the counts made for one index narrow the start of the
-        next.  Bisection runs until the interval holds no eigenvalue of
-        the matrix without its last row.  The last pivot then falls
-        continuously through zero across the interval, and regula falsi on
-        it (the Illinois variant) ends the search in a few steps; while an
-        end's pivot is floored to pivmin, the search bisects instead.
+        The search is dstebz's plain bisection.  It holds each eigenvalue
+        in an interval ``(low, high]``, from the Gershgorin bounds narrowed
+        by every count made so far, counts at its midpoint and keeps the
+        half whose counts still hold the index, until the interval is two
+        ulps wide.  Every count is kept, and the counts made for one index
+        narrow the start of the next.  Without ``near``, every count point
+        is then a midpoint of one dyadic subdivision of the Gershgorin
+        interval, so an eigenvalue found together with others or alone is
+        bitwise the same.
         """
         reach = 24 * self.size * _EPS  # 8 n eps ||T||
         counted = [
-            (y, *self.count(y))
+            (y, self.count(y))
             for value in near
             for y in (value / self.scale - reach, value / self.scale + reach)
         ]
         return [self._search(index, counted) * self.scale for index in indices]
 
-    def _search(
-        self, index: int, counted: list[tuple[float, int, float]]
-    ) -> float:
-        # an end of the interval: shift, count and last pivot there (the
-        # Gershgorin ends are not counted)
-        (low, high), below_low, below_high = self.gershgorin, -1, -1
-        f_low = f_high = 0.0
-        for x, below, d in counted:
+    def _search(self, index: int, counted: list[tuple[float, int]]) -> float:
+        # the narrowest interval (low, high] that the counts so far give
+        # (the Gershgorin ends are not counted)
+        low, high = self.gershgorin
+        for x, below in counted:
             if below > index:
-                if x < high:
-                    high, below_high, f_high = x, below, d
-            elif x > low:
-                low, below_low, f_low = x, below, d
-        moved = -1  # the end that the last secant step replaced
-        while True:
-            width = _RELATIVE_WIDTH * (high if high > -low else -low)
-            width = width if width > _TINY else _TINY
-            if high - low <= width:
+                high = min(high, x)
+            else:
+                low = max(low, x)
+        while high - low > max(_RELATIVE_WIDTH * max(high, -low), _TINY):
+            x = 0.5 * (low + high)
+            if not low < x < high:
                 break
-            # a pivot floored to pivmin says nothing of the distance to
-            # the eigenvalue: at an exact eigenvalue the floored end would
-            # draw every secant point, half a width from it each time
-            secant = (
-                below_low == index and below_high == index + 1
-                and f_low > _TINY and -f_high > _TINY
-            )
-            if secant:
-                # at least half the final width inside either end, so that
-                # a secant point on the eigenvalue closes the interval on
-                # the next count
-                x = low + (high - low) * (f_low / (f_low - f_high))
-                x = min(max(x, low + 0.5 * width), high - 0.5 * width)
+            below = self.count(x)
+            counted.append((x, below))
+            if below > index:
+                high = x
             else:
-                x = 0.5 * (low + high)
-                if not low < x < high:
-                    break
-            below, d = self.count(x)
-            counted.append((x, below, d))
-            side = below > index
-            if side:
-                high, below_high, f_high = x, below, d
-                if secant and moved == side:
-                    f_low *= 0.5  # one end kept twice (Illinois)
-            else:
-                low, below_low, f_low = x, below, d
-                if secant and moved == side:
-                    f_high *= 0.5
-            moved = side if secant else -1
+                low = x
         return 0.5 * (low + high)
 
 
@@ -538,7 +508,7 @@ def _count_run(t, c, length, run, below, pivot, pivmin):
     beta = np.sqrt(c)
     g = np.where(run, t / (2.0 * beta), 0.0)
     negatives, u, last_negative = _runs(g, pivot / beta, length)
-    u = np.minimum(np.maximum(beta * u, pivmin), _HUGE_PIVOT)
+    u = np.maximum(beta * u, pivmin)
     return below + negatives, np.where(last_negative, -u, u)
 
 

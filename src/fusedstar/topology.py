@@ -22,8 +22,22 @@ from dataclasses import dataclass
 import numpy as np
 
 
+# numpy refuses a float64 or int64 array of more entries than this, 2^60 - 1
+# on a 64-bit platform; a size past it is invalid input
+MAX_ARRAY_ENTRIES = np.iinfo(np.intp).max // 8
+
+
 class InvalidParameterError(ValueError):
     """Network parameters outside their valid range."""
+
+
+def check_array_size(what: str, entries: int) -> None:
+    """Refuse ``entries`` more than a float64 array can hold, as invalid input."""
+    if entries > MAX_ARRAY_ENTRIES:
+        raise InvalidParameterError(
+            f"{what} = {entries} is more than the {MAX_ARRAY_ENTRIES} entries "
+            "a float64 array can hold"
+        )
 
 
 @dataclass(frozen=True)
@@ -50,6 +64,7 @@ class TfsParams:
                     f"{name} must be an integer >= 1, got {value!r}"
                 )
             object.__setattr__(self, name, int(value))
+        check_array_size("m1 + m2 + 1", self.m1 + self.m2 + 1)
 
     @property
     def n_nodes(self) -> int:

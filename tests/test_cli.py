@@ -490,6 +490,35 @@ def test_branch_count_beyond_float_range_is_invalid_input(capsys, argv):
     assert "too large for floating-point arithmetic" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "solve --m1 1152921504606846976 --n1 2 --m2 2 --n2 2",
+        "compare --m1 2 --n1 2 --m2 1152921504606846976 --n2 2",
+        "verify --m1 9223372036854775807 --n1 2 --m2 2 --n2 2",
+        "solve --m1 9223372036854775807 --n1 2 --m2 2 --n2 2 --scheme metropolis",
+        "simulate --m1 2 --n1 576460752303423488 --m2 2 --n2 2 --steps 10 --tail 5",
+        "simulate --m1 3 --n1 4 --m2 4 --n2 3 --steps 1152921504606846976 --tail 5",
+        "sweep custom --n1 2 --n2 3 --m1-max 1073741824 --m2-max 1073741824",
+    ],
+)
+def test_a_size_past_numpy_array_limit_is_invalid_input(capsys, argv):
+    # more than 2^60 - 1 float64 entries: numpy cannot even try to allocate
+    code, out, err = run_cli(capsys, *argv.split())
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_a_size_at_numpy_array_limit_is_a_memory_error(capsys):
+    # 2^60 - 1 rows, 2^60 - 2 orbit weights: numpy tries, and fails to allocate
+    code, out, err = run_cli(
+        capsys, "solve", "--m1", "1152921504606846972", "--n1", "2", "--m2", "2", "--n2", "2"
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("error: Unable to allocate 8.00 EiB")
+
+
 def test_huge_branch_count_within_float_range_certifies(capsys):
     code, out, _ = run_cli(
         capsys, "solve", "--m1", "2", "--n1", str(10**300), "--m2", "2", "--n2", "2"

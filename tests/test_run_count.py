@@ -25,6 +25,7 @@ from fusedstar.spectral import (
 from fusedstar.topology import TfsParams
 from fusedstar.weighting import (
     OrbitWeights,
+    best_constant_orbit_weights,
     max_degree_orbit_weights,
     metropolis_orbit_weights,
 )
@@ -217,6 +218,55 @@ def test_eigenvalues_match_scipy(params, scheme):
         tolerance = 1e-13 * max(1.0, float(np.max(np.abs(expected))))
         assert np.max(np.abs(tri.eigenvalues(wanted) - expected)) <= tolerance
         assert np.max(np.abs(tri.eigenvalues([0]) - expected[:1])) <= tolerance
+
+
+BISECTED_SCHEMES = {
+    "metropolis": metropolis_orbit_weights,
+    "max-degree": lambda p: max_degree_orbit_weights(p, "inv_dmax"),
+    "best-constant": best_constant_orbit_weights,
+    "unit": lambda p: OrbitWeights.constant(p, 1.0),
+}
+
+
+@pytest.mark.parametrize("scheme", sorted(BISECTED_SCHEMES))
+@pytest.mark.parametrize(
+    "shape", [(450, 5, 400, 3), (65, 3, 66, 4), (800, 2, 700, 8), (2000, 3, 70, 9)]
+)
+def test_bisected_eigenvalues_keep_the_search_contract(shape, scheme):
+    # every block of more than _DENSE_ROWS rows, read unseeded, bisects:
+    # each value is bracketed by counts two ulps either side, within a few
+    # eps ||T|| of LAPACK's, and the same bits however the indices are read
+    from scipy.linalg import eigh_tridiagonal
+
+    p = TfsParams(*shape)
+    b = build_blocks(p, BISECTED_SCHEMES[scheme](p))
+    large = [tri for tri in (b.minus, b.center, b.plus) if tri.size > 64]
+    assert large
+    for tri in large:
+        n = tri.size
+        wanted = [0, n - 2, n - 1]
+        values = tri.eigenvalues(wanted)
+        expected = np.array([
+            eigh_tridiagonal(
+                tri.diagonal, tri.off_diagonal, eigvals_only=True,
+                select="i", select_range=(i, i),
+            )[0]
+            for i in wanted
+        ])
+        norm = max(abs(expected[0]), abs(expected[-1]))
+        eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
+        for i, x in zip(wanted, values.tolist()):
+            w = max(2.0 * eps * abs(x), tiny)
+            assert tri.count_below(x - w) <= i < tri.count_below(x + w)
+        assert np.max(np.abs(values - expected)) <= 4.0 * eps * norm
+
+        def fresh():
+            return Tridiagonal(tri.diagonal, tri.off_diagonal)
+
+        alone = [fresh().eigenvalues([i])[0] for i in wanted]
+        reverse = fresh().eigenvalues(wanted[::-1])[::-1]
+        together = fresh().eigenvalues(wanted)
+        assert together.tobytes() == np.array(alone).tobytes() == reverse.tobytes()
 
 
 def test_an_exact_eigenvalue_takes_few_counts(monkeypatch, capsys):
