@@ -6,7 +6,10 @@ weighting schemes), verify (optimality certificate residuals), sweep
 (consensus trajectory).
 JSON goes to stdout for single reports, RFC-4180 CSV for grids and
 trajectories; diagnostics go to stderr.  Exit codes: 0 success,
-1 verification or computation failure, 2 invalid input.
+1 verification or computation failure, 2 invalid input, 141 stdout
+closed before the report was written (a reader such as ``head`` that
+exits early; 128 + SIGPIPE, as a shell reports a process that SIGPIPE
+ends), with nothing on stderr.
 """
 from __future__ import annotations
 
@@ -14,6 +17,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -43,6 +47,8 @@ from .weighting import (
 )
 
 SCHEMES = ("optimal", "max-degree", "metropolis", "best-constant")
+
+EXIT_CLOSED_PIPE = 141
 
 _CONVENTIONS = {"dmax": "inv_dmax", "dmax+1": "inv_dmax_plus_1"}
 
@@ -358,7 +364,15 @@ def main(argv: list[str] | None = None) -> int:
     # here: a ``cmd_*`` rebound since then (say, by a tracing wrapper) runs
     command = globals()[f"cmd_{args.command}"]
     try:
-        return command(args)
+        code = command(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout early; as the Python docs' note on
+        # SIGPIPE shows, point stdout at devnull so that the flush at exit
+        # does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED_PIPE
     except InvalidParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

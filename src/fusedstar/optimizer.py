@@ -9,14 +9,17 @@ form from the smallest root theta*, and ``cos(theta*)`` is the optimal
 spectral radius.  On ``(0, pi / (2 max(m1, m2))]`` both response factors are
 at least -1 and strictly decreasing, so the relation is positive exactly
 below theta* there and bisection on that bracket finds it.
-``optimal_weights_batch`` bisects a grid of shapes at once, each step one
+``optimal_weights_batch`` solves a grid of shapes at once, each step one
 evaluation of the relation on a stacked ``(3, lanes)`` angle array
 (``_StackedRelation``) with ``_char_values``'s float operations in its
-order, so every lane takes the scalar route's steps.  Every optimum,
-on either route, is self-checked by eigenvalue counts at four shifts
-(``_counts_prove_slem``), never by computed eigenvalues, and the counts
-cost O(1) in the branch lengths.  A single solve counts the blocks that
-``build_blocks`` keeps on its weights, twelve pure-Python counts of
+order.  Below theta* the relation is convex, so a Newton step from the
+positive end of each lane's bracket stays below theta*; guarded by
+bisection, it reaches the adjacent floats where the scalar bisection
+stops in 14 to 16 steps instead of 52 to 55, and returns its bits.  Every
+optimum, on either route, is self-checked by eigenvalue counts at four
+shifts (``_counts_prove_slem``), never by computed eigenvalues, and the
+counts cost O(1) in the branch lengths.  A single solve counts the blocks
+that ``build_blocks`` keeps on its weights, twelve pure-Python counts of
 ``Tridiagonal.count_below`` whose blocks its report and certificate
 reuse.  A batch counts each optimum's blocks with each arm written in
 three run-length-encoded rows (``_skeleton``), vectorised over the
@@ -25,7 +28,6 @@ shapes.  The all-roots scan that cross-checks this bisection,
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -49,7 +51,8 @@ _SELF_CHECK = 1e-9  # largest |slem - s| the self-checks accept
 # a boundary weight is degenerate when its denominator is below this times
 # max(1, |numerator|)
 _DEGENERATE = 1e-13
-# shapes up to which the self-check counts all four shifts in one call
+# shapes up to which the self-check counts all four shifts in one call, and
+# the root search solves them in one chunk
 _ONE_CALL_LANES = 8192
 
 
@@ -122,6 +125,7 @@ def _first_sign_change(f: Callable[[float], float], hi: float) -> float:
 
     ``f`` must be positive exactly on an initial segment of the interval;
     bisection on the predicate ``f(mid) > 0`` then never loses the point.
+    It is the oracle whose bits ``optimal_weights_batch`` must return.
     """
     lo = 0.0
     while True:
@@ -254,7 +258,8 @@ class _StackedRelation:
 
     ``coef`` holds each lane's angle coefficients ``0.5, m1, m2`` as rows
     and ``two_n`` its arm factors ``2/n1, 2/n2``.  Each evaluation writes
-    the same buffers, so a bisection step allocates no stack.
+    the same buffers, and ``newton_step`` reuses them, so a step of the
+    root search allocates no stack.
     """
 
     def __init__(self, shapes: _Shapes) -> None:
@@ -281,35 +286,93 @@ class _StackedRelation:
         arm -= 1.0
         return np.multiply(arm[0], arm[1], out=self._product)
 
+    def newton_step(self, out: np.ndarray, where: np.ndarray) -> None:
+        """Newton's step ``-f / f'`` for ``f = a1 a2 - 1`` at the angle of
+        the last ``arm_product``, written to ``out`` where ``where`` holds.
 
-# bisection steps before the batch first looks for an unfinished lane: a
-# lane's bracket starts at 0, so it needs about 52 to reach adjacent floats
-_UNCHECKED_STEPS = 48
+        An arm factor is ``a = g - 1`` with ``g = (2/n) cot(m t) cot(t/2)``,
+        so ``-a' = e g`` with ``e = m / (sin cos)(m t) + 1 / sin t``, the
+        rows of ``coef / (sin cos)`` summed.  Then ``-f' = a1 a2 ((1 +
+        1/a1) e1 + (1 + 1/a2) e2)``, and the step ``(1 - 1/a1 a2)`` over
+        that sum overflows nowhere that ``a1 a2`` does not.  It overwrites
+        the buffers of the evaluation, where ``_angles`` holds the sines.
+        """
+        rate = np.multiply(self._angles, self._angles, out=self._angles)
+        rate *= self._cot
+        np.divide(self.coef, rate, out=rate)
+        rate[1:] += rate[0]
+        ratio = np.reciprocal(self._arm, out=self._arm)
+        ratio += 1.0
+        rate[1:] *= ratio
+        slope = np.add(rate[1], rate[2], out=rate[0])
+        drop = np.reciprocal(self._product, out=self._product)
+        np.subtract(1.0, drop, out=drop)
+        np.divide(drop, slope, out=out, where=where)
 
 
 def _first_sign_changes(shapes: _Shapes) -> np.ndarray:
-    """``_first_sign_change`` of the relation on every lane at once.
+    """``_first_sign_change`` of the relation on every lane at once, bit for
+    bit, by a guarded Newton search.
 
-    Each lane bisects ``(0, pi / (2 max(m1, m2))]`` on the predicate
-    ``_StackedRelation.arm_product(mid) > 1.0``, the scalar route's bit for
-    bit, until its midpoint is no longer strictly inside its bracket, as
-    the scalar loop does.  A finished lane's midpoint equals one end of its
-    bracket, so moving either end to it leaves the midpoint where it
-    stopped while the others go on.  So the loop looks for unfinished
-    lanes only after ``_UNCHECKED_STEPS`` steps, and a step costs 13 numpy
-    calls whatever the batch's size.
+    Each lane keeps bisection's bracket ``(lo, hi]``, from ``lo = 0`` and
+    ``hi = pi / (2 max(m1, m2))``: it evaluates the scalar predicate,
+    ``_StackedRelation.arm_product(x) > 1.0``, once per step and moves
+    ``lo`` or ``hi`` to ``x`` as bisection does.  Below theta* both arm
+    factors are positive, decreasing and convex, so ``f = a1 a2 - 1`` is
+    convex there, and Newton's point from ``lo`` never passes theta* in
+    exact arithmetic.  The next ``x`` is that point when it lies strictly
+    inside the bracket, the float below ``hi`` when it lands at or past
+    ``hi``, and the float above ``lo`` when the step is below an ulp.  A
+    lane bisects instead while it has no finite positive step (before its
+    first positive point, or where the slope overflowed), and when its
+    bracket has not halved over the last two steps.  Since the predicate
+    changes sign once on the bracket, as ``_first_sign_change`` requires,
+    each lane ends at the adjacent floats where bisection ends and
+    returns bisection's last midpoint ``0.5 * (lo + hi)``.
+
+    The guard halves a bracket at least once in three steps, so a lane
+    takes at most three times the steps that bisection takes from the same
+    bracket: at most 3 x 1075 from ``(0, pi / 2]``, and the batch as many
+    as its slowest lane.  The benchmark's ``sweep`` grids take 14 to 16
+    steps, where bisection takes 52 to 55.  Past ``_ONE_CALL_LANES`` lanes
+    it solves them in chunks of that many, so that memory stays a few
+    stacks of that size.
     """
+    size = _ONE_CALL_LANES
+    if shapes.m1.size > size:
+        chunks = range(0, shapes.m1.size, size)
+        return np.concatenate([
+            _first_sign_changes(_Shapes(*(f[i : i + size] for f in shapes)))
+            for i in chunks
+        ])
     relation = _StackedRelation(shapes)
     hi = np.pi / (2.0 * np.maximum(shapes.m1, shapes.m2))
     lo = np.zeros_like(hi)
-    mid = 0.5 * (lo + hi)
-    for step in itertools.count():
-        if step >= _UNCHECKED_STEPS and not ((lo < mid) & (mid < hi)).any():
-            return mid
-        positive = relation.arm_product(mid) > 1.0
-        lo = np.where(positive, mid, lo)
-        hi = np.where(positive, hi, mid)
-        mid = 0.5 * (lo + hi)
+    x = 0.5 * hi
+    step = np.full_like(hi, np.nan)  # Newton's step from lo: none yet
+    # half the bracket's width after each of the last two steps
+    half_last = half_before = np.full_like(hi, np.inf)
+    # the Newton step may divide by zero or overflow on lanes that do not
+    # take it, and a step of zero or nan makes its lane bisect
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        while True:
+            positive = relation.arm_product(x) > 1.0
+            relation.newton_step(out=step, where=positive)
+            lo = np.where(positive, x, lo)
+            hi = np.where(positive, hi, x)
+            x = lo + hi
+            x *= 0.5
+            above_lo = np.nextafter(lo, hi)
+            if not (above_lo < hi).any():
+                return x
+            width = hi - lo
+            newton = width <= half_before
+            newton &= step > 0.0
+            half_before, half_last = half_last, np.multiply(width, 0.5, out=width)
+            point = lo + step
+            np.maximum(point, above_lo, out=point)
+            np.minimum(point, np.nextafter(hi, lo), out=point)
+            np.copyto(x, point, where=newton)
 
 
 def _skeleton(shapes: _Shapes, w_minus, w_plus) -> tuple:

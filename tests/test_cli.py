@@ -749,6 +749,24 @@ def test_console_entry_point():
     assert json.loads(out)["params"]["n_nodes"] == 5
 
 
+def test_a_reader_gone_before_the_report_ends_the_cli_quietly():
+    # as when `head` exits before the report is written: the pipe's read
+    # end is closed, so the first write fails with EPIPE
+    argv = [sys.executable, "-m", "fusedstar.cli", "solve", "--m1", "450",
+            "--n1", "5", "--m2", "400", "--n2", "3", "--scheme", "metropolis"]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            argv,
+            stdout=write_end, stderr=subprocess.PIPE, env=cli_env(), timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert result.stderr.decode() == ""
+    assert result.returncode == cli.EXIT_CLOSED_PIPE == 141
+
+
 @pytest.mark.parametrize(
     "extra, message",
     [

@@ -375,7 +375,7 @@ def log_uniform_shapes(count, seed=20221):
     return np.stack([m[0], n[0], m[1], n[1]]).astype(np.int64).T.tolist()
 
 
-@pytest.mark.parametrize(
+BATCH_SAMPLES = pytest.mark.parametrize(
     "shapes",
     [
         CRITERION_3_GRID,
@@ -384,6 +384,9 @@ def log_uniform_shapes(count, seed=20221):
     ],
     ids=["custom-grids", "fig2", "log-uniform"],
 )
+
+
+@BATCH_SAMPLES
 def test_batch_bisection_takes_the_scalar_steps(shapes):
     # every `sweep custom` grid of m1, m2 <= 10 over the bench's branch
     # counts, the shapes of `sweep fig2` and `--mbar-max 30`, and a
@@ -394,6 +397,66 @@ def test_batch_bisection_takes_the_scalar_steps(shapes):
         ("theta_star", "s", "w_minus_1", "w_plus_1"), expected
     ):
         assert np.array_equal(bits(getattr(batch, field)), lane_bits), field
+
+
+@BATCH_SAMPLES
+def test_the_predicate_changes_sign_once_around_theta_star(shapes):
+    # the batch's Newton search and the scalar bisection evaluate the
+    # predicate at different angles; they end on the same adjacent floats
+    # only where it is true below theta* and false above it
+    theta = solve_batch(shapes).theta_star
+    cells = list(np.array(shapes, dtype=object).T)
+    relation = optimizer._StackedRelation(_batch_shapes(cells))
+    below = above = theta
+    for _ in range(64):
+        below, above = np.nextafter(below, 0.0), np.nextafter(above, np.inf)
+        assert (relation.arm_product(below) > 1.0).all()
+        assert not (relation.arm_product(above) > 1.0).any()
+
+
+def count_evaluations(monkeypatch, shapes):
+    calls = []
+    evaluate = optimizer._StackedRelation.arm_product
+
+    def counting(relation, theta):
+        calls.append(None)
+        return evaluate(relation, theta)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(optimizer._StackedRelation, "arm_product", counting)
+        solve_batch(shapes)
+    return len(calls)
+
+
+def bisection_evaluations(shape):
+    params = TfsParams(*shape)
+    calls = []
+
+    def relation(theta):
+        calls.append(None)
+        return float(optimizer._char_values(params, theta))
+
+    hi = math.pi / (2 * max(params.m1, params.m2))
+    optimizer._first_sign_change(relation, hi)
+    return len(calls)
+
+
+def test_newton_search_pins_a_sweep_in_few_evaluations(monkeypatch):
+    # bisection takes 52 to 55 on these shapes, and so would any slide back
+    # to linear convergence
+    for n1 in BRANCH_COUNTS:
+        for n2 in BRANCH_COUNTS:
+            assert count_evaluations(monkeypatch, grid(n1, n2)) <= 16, (n1, n2)
+    assert count_evaluations(monkeypatch, fig2_shapes(8)) <= 16
+
+
+@pytest.mark.parametrize("shape", EXTREME_SHAPES)
+def test_newton_search_stays_within_three_times_bisection(monkeypatch, shape):
+    # the docstring's bound: the bracket halves at least once in three
+    # evaluations, so a lane takes at most three times the bisection's;
+    # (2, 10**300, 2, 2) bisects about 500 times to its first positive point
+    bound = 3 * bisection_evaluations(shape)
+    assert count_evaluations(monkeypatch, [shape]) <= bound
 
 
 _LENGTHS = st.one_of(st.integers(1, 40), st.integers(1, 10**6))
@@ -625,6 +688,17 @@ def test_batch_memory_is_bounded_on_a_large_grid():
     finally:
         tracemalloc.stop()
     assert peak < 48 * 2**20
+    shapes = _batch_shapes(np.broadcast_arrays(m1 + 1, 3, m2 + 1, 4))
+    tracemalloc.start()
+    try:
+        theta = optimizer._first_sign_changes(shapes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the root search solves 8192 lanes at a time, so its stacks stay near
+    # 1.4 MB beside the 0.7 MB of the result
+    assert peak < 4 * 2**20
+    assert np.array_equal(theta, batch.theta_star)
     for index in (0, 299, 90000 - 1):
         sol = optimal_weights(TfsParams(int(m1[index]) + 1, 3, int(m2[index]) + 1, 4))
         assert batch.theta_star[index] == sol.theta_star
