@@ -1,16 +1,21 @@
 """Analytic optimality certificate for the fastest-consensus weights.
 
-The optimum returned by the solver is certified through a dual witness
-pair (z1, z2) built from closed-form sine chains.  z1 lives in the
-coupled central block, z2 in the direct sum of the two arm blocks; at
-the optimum z1 is an eigenvector of the central block for -s and z2 an
-eigenvector of the arm blocks for +s.  Both chains are read from one
-table ``sin(k theta*)`` with no cancelling difference.  Every optimality
+The solver's optimum is certified through a dual witness pair (z1, z2)
+built from closed-form sine chains: z1 lives in the coupled central
+block and is, at the optimum, its eigenvector for -s; z2 lives in the
+direct sum of the two arm blocks and is their eigenvector for +s.  Both
+chains are read from one table ``sin(k theta*)`` with no cancelling
+difference, and z1 and z2 come from them by one stencil formula: the
+edge stencil of orbit ``j`` is ``-1/sqrt(2)`` at row ``j`` and
+``+1/sqrt(2)`` at row ``j + 1`` of the central block, except the two
+beside the center, whose ``(lo, hi)`` pairs are all that differs in the
+arm space (the central space without its center row), where they are
+unit vectors.  ``verify_certificate`` evaluates every optimality
 condition (slackness, normalization, trace matching, feasibility, chain
-recurrences and the squared-coordinate proportionality between the two
-chains) is evaluated numerically by ``verify_certificate``; all of them
-vanish only at the optimal weights, so perturbing any weight breaks the
-certificate measurably.
+recurrences and the proportionality of the chains' squares) as a
+residual that vanishes only at the optimal weights.  A certificate
+stores three float vectors of the ``m1 + m2`` orbits (the table, z1 and
+z2); building one peaks at six such vectors and verifying one at about three.
 """
 from __future__ import annotations
 
@@ -30,50 +35,45 @@ _FEASIBILITY_TOL = 1e-10
 _RECURRENCE_TOL = 1e-10
 _PROPORTIONALITY_TOL = 1e-9
 
-
-# one stencil family as index arrays: (pos, lo, hi)
-_Stencils = tuple[np.ndarray, np.ndarray, np.ndarray]
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
-def _stencil_arrays(params: TfsParams) -> tuple[_Stencils, _Stencils]:
-    """The rank-one edge stencils of the central block, then of the arm
-    blocks (``reference.alpha_vectors`` writes them out), as index arrays.
-
-    Each family is ``(pos, lo, hi)`` in ``params.orbit_labels`` order:
-    stencil ``j`` holds ``lo[j]`` at ``pos[j]`` and ``hi[j]`` at
-    ``pos[j] + 1`` and is zero elsewhere.  In the arm space the two
-    center-adjacent stencils are unit vectors, written with a zero entry.
-    """
-    m1, k = params.m1, params.m1 + params.m2
-    inv = 1.0 / math.sqrt(2.0)
-    pos = np.arange(k)
-    lo, hi = np.full(k, -inv), np.full(k, inv)
-    scale1 = 1.0 / math.sqrt(params.n1 + 1.0)
-    scale2 = 1.0 / math.sqrt(params.n2 + 1.0)
-    lo[m1 - 1], hi[m1 - 1] = -scale1, math.sqrt(params.n1) * scale1
-    lo[m1], hi[m1] = -math.sqrt(params.n2) * scale2, scale2
-    # the second arm's stencils sit one place lower: the arm space has no
-    # center
-    pos_prime = np.where(pos < m1, pos, pos - 1)
-    lo_prime, hi_prime = np.full(k, -inv), np.full(k, inv)
-    lo_prime[m1 - 1], hi_prime[m1 - 1] = 1.0, 0.0
-    lo_prime[m1], hi_prime[m1] = 0.0, 1.0
-    return (pos, lo, hi), (pos_prime, lo_prime, hi_prime)
+def _center_stencils(params: TfsParams, arms: bool) -> tuple[tuple[float, float], ...]:
+    """The ``(lo, hi)`` pairs of stencils ``m1 - 1`` and ``m1``, on central
+    rows ``(m1 - 1, m1)`` and ``(m1, m1 + 1)`` (``reference.alpha_vectors``
+    writes every stencil out)."""
+    if arms:
+        return (1.0, 0.0), (0.0, 1.0)
+    n1, n2 = params.n1, params.n2
+    scale1, scale2 = 1.0 / math.sqrt(n1 + 1.0), 1.0 / math.sqrt(n2 + 1.0)
+    return (-scale1, math.sqrt(n1) * scale1), (-math.sqrt(n2) * scale2, scale2)
 
 
-def _expand(stencils: _Stencils, coeffs: np.ndarray, size: int) -> np.ndarray:
-    """The combination ``sum_j coeffs[j] * stencil_j``."""
-    pos, lo, hi = stencils
-    z = np.zeros(size)
-    np.add.at(z, pos, coeffs * lo)
-    np.add.at(z, pos + 1, coeffs * hi)
-    return z
+def _combine(params: TfsParams, coeffs: np.ndarray, arms: bool) -> np.ndarray:
+    """``sum_j coeffs[j] stencil_j``: each row adds its lo term to 0, then its hi."""
+    m1 = params.m1
+    (lo1, hi1), (lo2, hi2) = _center_stencils(params, arms)
+    z = np.zeros(coeffs.size + 1)
+    terms = coeffs * -_INV_SQRT2
+    terms[m1 - 1], terms[m1] = coeffs[m1 - 1] * lo1, coeffs[m1] * lo2
+    z[:-1] += terms
+    np.multiply(coeffs, _INV_SQRT2, out=terms)
+    terms[m1 - 1], terms[m1] = coeffs[m1 - 1] * hi1, coeffs[m1] * hi2
+    z[1:] += terms
+    return np.delete(z, m1) if arms else z
 
 
-def _project(stencils: _Stencils, z: np.ndarray) -> np.ndarray:
-    """The inner products ``stencil_j . z`` for every ``j``."""
-    pos, lo, hi = stencils
-    return lo * z[pos] + hi * z[pos + 1]
+def _inner_products(params: TfsParams, z: np.ndarray, arms: bool) -> np.ndarray:
+    """``stencil_j . z`` for every ``j``."""
+    m1 = params.m1
+    (lo1, hi1), (lo2, hi2) = _center_stencils(params, arms)
+    if arms:
+        z = np.insert(z, m1, 0.0)
+    dots = z[:-1] * -_INV_SQRT2
+    dots += z[1:] * _INV_SQRT2
+    dots[m1 - 1] = lo1 * z[m1 - 1] + hi1 * z[m1]
+    dots[m1] = lo2 * z[m1] + hi2 * z[m1 + 1]
+    return dots
 
 
 def _chain_ratio(params: TfsParams, theta: float) -> float:
@@ -90,81 +90,84 @@ def _chain_ratio(params: TfsParams, theta: float) -> float:
     return sign * a1 * ratio / math.sin(params.m2 * theta)
 
 
+def _chain(
+    params: TfsParams, table: np.ndarray, arms: bool, scaled: bool
+) -> np.ndarray:
+    """The +s chain (``arms``) or the -s chain, hatted or (``scaled``)
+    rescaled at the two center-adjacent labels to stencil coefficients.
+    The -s chain, at ``pi - theta``, is the table with each even ``k``
+    negated: ``k = j + 1`` on the first arm, ``m1 + m2 - j`` on the second."""
+    m1 = params.m1
+    chain = table.copy()
+    if not arms:
+        for part in (chain[1:m1:2], chain[m1 + params.m2 % 2 :: 2]):
+            np.negative(part, out=part)
+    if scaled and arms:
+        chain[m1 - 1] /= -math.sqrt(2.0)
+        chain[m1] /= math.sqrt(2.0)
+    elif scaled:
+        chain[m1 - 1] *= math.sqrt((params.n1 + 1.0) / 2.0)
+        chain[m1] *= math.sqrt((params.n2 + 1.0) / 2.0)
+    return chain
+
+
 @dataclass(frozen=True)
 class DualCertificate:
     """Dual witness pair with its chain coordinates.
 
-    Every chain is a read-only array in ``params.orbit_labels`` order.
-    ``coeffs``/``coeffs_prime`` expand z1 and z2 over the stencils;
-    ``coeffs_hat``/``coeffs_hat_prime`` are the same chains in hatted
-    form (rescaled at the two center-adjacent labels) in which the
-    three-term recurrences and the proportionality law hold.
+    ``sines`` is the table ``sin(k theta*)``, times the chain ratio on the
+    second arm; ``t1`` and ``t2`` normalize the -s and +s chains into z1
+    and z2.  The chains are derived on each read: ``coeffs``/``coeffs_prime``
+    expand z1 and z2 over the stencils, and ``coeffs_hat``/``coeffs_hat_prime``
+    are the hatted chains, in which the recurrences and the proportionality
+    law hold.  Every array is read-only, in ``params.orbit_labels`` order.
     """
 
     params: TfsParams
     theta: float
     s: float
-    coeffs: np.ndarray
-    coeffs_prime: np.ndarray
-    coeffs_hat: np.ndarray
-    coeffs_hat_prime: np.ndarray
+    sines: np.ndarray
+    t1: float
+    t2: float
     z1: np.ndarray
     z2: np.ndarray
 
-    def __post_init__(self) -> None:
-        for name in (
-            "coeffs", "coeffs_prime", "coeffs_hat", "coeffs_hat_prime", "z1", "z2"
-        ):
-            arr = np.asarray(getattr(self, name), dtype=float).copy()
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+    def _normalized(self, arms: bool, scaled: bool) -> np.ndarray:
+        chain = _chain(self.params, self.sines, arms, scaled)
+        chain *= self.t2 if arms else self.t1
+        chain.flags.writeable = False
+        return chain
+
+    coeffs = property(lambda self: self._normalized(False, True))
+    coeffs_prime = property(lambda self: self._normalized(True, True))
+    coeffs_hat = property(lambda self: self._normalized(False, False))
+    coeffs_hat_prime = property(lambda self: self._normalized(True, False))
 
 
 def build_dual_certificate(solution: OptimalSolution) -> DualCertificate:
     """Closed-form dual witness for an optimal solution.
 
-    Both chains come from one table ``sin(k theta*)`` in orbit order
-    (``k = 1..m1`` on the first arm, ``k = m2..1`` on the second), times
-    the arm ratio on the second arm.  The -s chain is that table; the +s
-    chain, a sine chain at ``pi - theta*``, is the same table times
-    ``(-1)^(k+1)``.  The pair is normalized so that
-    ||z1||^2 = (1 - s)/2 and ||z2||^2 = (1 + s)/2, which fixes both the
-    unit total norm and the duality value.
-    """
+    The table ``sin(k theta*)`` is in orbit order (``k = 1..m1``, then
+    ``k = m2..1``).  ||z1||^2 = (1 - s)/2 and ||z2||^2 = (1 + s)/2 fix
+    both the unit total norm and the duality value."""
     params = solution.params
     theta, s = solution.theta_star, solution.s
     m1, m2 = params.m1, params.m2
-    k = np.concatenate([np.arange(1, m1 + 1), np.arange(m2, 0, -1)])
-    hat_prime = np.sin(k * theta)
-    hat_prime[m1:] *= _chain_ratio(params, theta)
-    # sin(k (pi - theta)) = (-1)^(k+1) sin(k theta)
-    hat = np.where(k % 2 == 1, hat_prime, -hat_prime)
-
-    a = hat.copy()
-    a[m1 - 1] *= math.sqrt((params.n1 + 1.0) / 2.0)
-    a[m1] *= math.sqrt((params.n2 + 1.0) / 2.0)
-    a_prime = hat_prime.copy()
-    a_prime[m1 - 1] /= -math.sqrt(2.0)
-    a_prime[m1] /= math.sqrt(2.0)
-
-    stencils, stencils_prime = _stencil_arrays(params)
-    z1 = _expand(stencils, a, k.size + 1)
-    z2 = _expand(stencils_prime, a_prime, k.size)
-
+    table = np.sin(np.arange(1.0, max(m1, m2) + 1.0) * theta)
+    sines = np.empty(m1 + m2)
+    sines[:m1] = table[:m1]
+    np.multiply(table[m2 - 1 :: -1], _chain_ratio(params, theta), out=sines[m1:])
+    del table  # before the witnesses take their own vectors
+    z1 = _combine(params, _chain(params, sines, False, True), arms=False)
+    z2 = _combine(params, _chain(params, sines, True, True), arms=True)
     # sqrt((1 - s) / 2) = sin(theta / 2), which does not cancel at small theta
     t1 = math.sin(0.5 * theta) / _norm(z1)
     t2 = math.sqrt((1.0 + s) / 2.0) / _norm(z2)
-    return DualCertificate(
-        params=params,
-        theta=theta,
-        s=s,
-        coeffs=a * t1,
-        coeffs_prime=a_prime * t2,
-        coeffs_hat=hat * t1,
-        coeffs_hat_prime=hat_prime * t2,
-        z1=z1 * t1,
-        z2=z2 * t2,
-    )
+    z1 *= t1
+    z2 *= t2
+    for array in (sines, z1, z2):
+        array.flags.writeable = False
+    return DualCertificate(params, theta, s, sines, t1, t2, z1, z2)
 
 
 @dataclass(frozen=True)
@@ -188,20 +191,13 @@ class CertificateResiduals:
     duality_gap: float
 
     def passes(self) -> bool:
-        residuals_ok = all(
-            value <= _RESIDUAL_TOL
-            for value in (
-                self.slackness_center,
-                self.slackness_arms,
-                self.perron_orthogonality,
-                self.norm_sum_error,
-                self.norm_split_error,
-                self.trace_mismatch,
-                abs(self.duality_gap),
-            )
+        absolute = (
+            self.slackness_center, self.slackness_arms, self.perron_orthogonality,
+            self.norm_sum_error, self.norm_split_error, self.trace_mismatch,
+            abs(self.duality_gap),
         )
         return (
-            residuals_ok
+            all(value <= _RESIDUAL_TOL for value in absolute)
             and self.feasibility_min_eig >= -_FEASIBILITY_TOL
             and self.recurrence <= _RECURRENCE_TOL
             and self.recurrence_prime <= _RECURRENCE_TOL
@@ -213,46 +209,52 @@ class CertificateResiduals:
 
 
 def _recurrence_residual(
-    params: TfsParams,
-    w: np.ndarray,
-    c: np.ndarray,
-    s: float,
-    primed: bool,
+    params: TfsParams, w: np.ndarray, c: np.ndarray, s: float, primed: bool
 ) -> float:
-    """Worst violation of the three-term chain relations.
-
-    ``w`` and the chain ``c`` are in ``params.orbit_labels`` order.  The
-    +s system couples the two arms through the center with strength
-    sqrt(n1 n2); the -s system is decoupled there.  Center-adjacent
-    diagonal terms carry (n + 1) w in the coupled system and w in the
-    decoupled one.
-    """
+    """Worst violation of the three-term chain relations, ``w`` and the
+    chain ``c`` in orbit order.  The +s system couples the arms through the
+    center with strength sqrt(n1 n2), the -s system not at all, and its
+    center-adjacent diagonal terms carry (n + 1) w, the other's w."""
     m1 = params.m1
     base = (1.0 - s) if primed else (1.0 + s)
-    diag = base - 2.0 * w
-    diag[m1 - 1] = base - (1.0 if primed else params.n1 + 1.0) * w[m1 - 1]
-    diag[m1] = base - (1.0 if primed else params.n2 + 1.0) * w[m1]
-    # coupling between neighbouring labels j and j + 1
-    coupling = np.ones(c.size - 1)
-    coupling[m1 - 1] = 0.0 if primed else math.sqrt(params.n1 * params.n2)
-    acc = diag * c
-    acc[1:] += coupling * w[1:] * c[:-1]
-    acc[:-1] += coupling * w[:-1] * c[1:]
-    return float(np.max(np.abs(acc)))
+    acc = np.subtract(base, w * 2.0)
+    acc[m1 - 1] = base - (1.0 if primed else params.n1 + 1.0) * w[m1 - 1]
+    acc[m1] = base - (1.0 if primed else params.n2 + 1.0) * w[m1]
+    acc *= c
+    cross = 0.0 if primed else math.sqrt(params.n1 * params.n2)
+    terms = w[1:] * c[:-1]
+    terms[m1 - 1] = cross * w[m1] * c[m1 - 1]
+    acc[1:] += terms
+    np.multiply(w[:-1], c[1:], out=terms)
+    terms[m1 - 1] = cross * w[m1 - 1] * c[m1]
+    acc[:-1] += terms
+    return _max_abs(acc)
 
 
-def _proportionality_residual(
-    theta: float, hat: np.ndarray, hat_prime: np.ndarray
-) -> float:
+def _proportionality_residual(certificate: DualCertificate) -> float:
+    """Worst relative gap between ``(1 + cos theta)^2 hat^2`` and
+    ``(1 - cos theta)^2 hat_prime^2`` where either is nonzero."""
+    theta, sines = certificate.theta, certificate.sines
     plus = 1.0 + math.cos(theta)
     minus = 2.0 * math.sin(0.5 * theta) ** 2  # 1 - cos(theta), no cancellation
-    lhs = plus**2 * hat**2
-    rhs = minus**2 * hat_prime**2
-    scale = np.maximum(np.abs(lhs), np.abs(rhs))
+    # the hatted -s chain is the table times t1 up to sign
+    lhs = np.square(sines * certificate.t1) * plus**2
+    rhs = np.square(sines * certificate.t2) * minus**2
+    scale = np.maximum(lhs, rhs)  # both are never negative
     nonzero = scale > 0.0
-    return float(
-        np.max(np.abs(lhs - rhs)[nonzero] / scale[nonzero], initial=0.0)
-    )
+    np.abs(np.subtract(lhs, rhs, out=lhs), out=lhs)
+    np.divide(lhs, scale, out=lhs, where=nonzero)
+    return float(np.max(lhs, where=nonzero, initial=0.0))
+
+
+def _trace_mismatch(params: TfsParams, z1: np.ndarray, z2: np.ndarray) -> float:
+    # squared stencil coordinates of z1, times n + 1 at the center, vs z2's
+    rhs = np.square(_inner_products(params, z2, arms=True))
+    lhs = np.square(_inner_products(params, z1, arms=False))
+    lhs[params.m1 - 1] *= params.n1 + 1.0
+    lhs[params.m1] *= params.n2 + 1.0
+    lhs -= rhs
+    return _max_abs(lhs)
 
 
 def _dot(x: np.ndarray, y: np.ndarray) -> float:
@@ -261,11 +263,18 @@ def _dot(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.sum(x * y))
 
 
-def _norm(x: np.ndarray) -> float:
-    # taken at a power-of-two scale, which is exact, so no square overflows
-    _, exponent = np.frexp(np.max(np.abs(x), initial=0.0))
-    scaled = np.ldexp(x, -exponent)
-    return math.ldexp(math.sqrt(_dot(scaled, scaled)), int(exponent))
+def _max_abs(x: np.ndarray) -> float:
+    # with no |x| array; abs turns -0.0 into 0.0
+    return float(abs(max(x.max(), -x.min())))
+
+
+def _norm(x: np.ndarray, out: np.ndarray | None = None) -> float:
+    # at a power-of-two scale, which is exact, so no square overflows;
+    # ``out``, which may be ``x``, takes the scaled squares
+    _, exponent = np.frexp(_max_abs(x))
+    squares = np.ldexp(x, -exponent, out=out)
+    squares *= squares
+    return math.ldexp(math.sqrt(float(np.sum(squares))), int(exponent))
 
 
 def verify_certificate(
@@ -280,61 +289,51 @@ def verify_certificate(
     weight perturbation shows up in the slackness and recurrence
     residuals.  Every condition costs O(m1 + m2): both slackness products
     are tridiagonal, and both smallest feasibility eigenvalues follow
-    from extreme eigenvalues of the blocks.  The blocks are the ones that
-    ``build_blocks`` keeps on ``weights``: after a self-check and a
-    report on the same weights, no block is built again and the lowest
-    eigenvalue of the central block and the top of each arm block are
-    read from what the report found.  Otherwise the certificate's own
-    claim seeds them, ``-s`` and ``+s``: at the optimum a few counts
-    confirm it, and under other weights the seeds fail and the search
-    finds the eigenvalues.
+    from extreme eigenvalues of the blocks that ``build_blocks`` keeps on
+    ``weights``: read from what a report on the same weights found, or
+    seeded with the certificate's own claim, which a few counts confirm
+    at the optimum and a search replaces under other weights.
     """
     params = certificate.params
     w = weights.values_for(params)
     blocks = build_blocks(params, weights)
-    m1 = params.m1
-    v = perron_vector(params)
     s, z1, z2 = certificate.s, certificate.z1, certificate.z2
-
-    norm1 = _dot(z1, z1)
-    norm2 = _dot(z2, z2)
-    perron_dot = _dot(v, z1)
-    arms_z2 = np.concatenate(
-        [blocks.minus.matvec(z2[:m1]), blocks.plus.matvec(z2[m1:])]
-    )
 
     # C v = v for every orbit weighting, so s I + C - v v^T has the
     # spectrum of C with one eigenvalue 1 replaced by 0; the certificate
-    # claims C's lowest at -s and each arm's top at +s, which seeds them
+    # claims C's lowest at -s and each arm's top at +s.  A block they
+    # refuse (not finite, or past the float range) raises here, first.
     center_min = float(blocks.center.eigenvalues([0], [-s])[0])
     arms_top = max(
-        float(blocks.minus.eigenvalues([m1 - 1], [s])[0]),
+        float(blocks.minus.eigenvalues([params.m1 - 1], [s])[0]),
         float(blocks.plus.eigenvalues([params.m2 - 1], [s])[0]),
     )
-
-    stencils, stencils_prime = _stencil_arrays(params)
-    factor = np.ones(w.size)
-    factor[m1 - 1] = params.n1 + 1.0
-    factor[m1] = params.n2 + 1.0
-    lhs = factor * _project(stencils, z1) ** 2
-    rhs = _project(stencils_prime, z2) ** 2
-
+    norm1, norm2 = _dot(z1, z1), _dot(z2, z2)
+    v = perron_vector(params)
+    perron_dot = _dot(v, z1)
+    # s z1 + C z1 - (v . z1) v, then s z2 - arms z2, in place
+    residual = blocks.center.matvec(z1)
+    residual += s * z1
+    v *= perron_dot
+    residual -= v
+    slackness_center = _norm(residual, out=residual)
+    residual = s * z2
+    residual[: params.m1] -= blocks.minus.matvec(z2[: params.m1])
+    residual[params.m1 :] -= blocks.plus.matvec(z2[params.m1 :])
+    slackness_arms = _norm(residual, out=residual)
+    del v, residual  # before the passes below take their own
     return CertificateResiduals(
-        slackness_center=_norm(s * z1 + blocks.center.matvec(z1) - perron_dot * v),
-        slackness_arms=_norm(s * z2 - arms_z2),
+        slackness_center=slackness_center,
+        slackness_arms=slackness_arms,
         perron_orthogonality=abs(perron_dot),
         norm_sum_error=abs(norm1 + norm2 - 1.0),
         norm_split_error=abs(norm2 - norm1 - s),
-        trace_mismatch=float(np.max(np.abs(lhs - rhs))),
+        trace_mismatch=_trace_mismatch(params, z1, z2),
         feasibility_min_eig=min(s + min(0.0, center_min), s - arms_top),
-        recurrence=_recurrence_residual(
-            params, w, certificate.coeffs_hat, s, primed=False
-        ),
+        recurrence=_recurrence_residual(params, w, certificate.coeffs_hat, s, False),
         recurrence_prime=_recurrence_residual(
-            params, w, certificate.coeffs_hat_prime, s, primed=True
+            params, w, certificate.coeffs_hat_prime, s, True
         ),
-        proportionality_rel=_proportionality_residual(
-            certificate.theta, certificate.coeffs_hat, certificate.coeffs_hat_prime
-        ),
+        proportionality_rel=_proportionality_residual(certificate),
         duality_gap=s + norm1 - perron_dot**2 - norm2,
     )

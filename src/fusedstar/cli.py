@@ -7,14 +7,16 @@ weighting schemes), verify (optimality certificate residuals), sweep
 JSON goes to stdout for single reports, RFC-4180 CSV for grids and
 trajectories; diagnostics go to stderr.  Exit codes: 0 success,
 1 verification or computation failure, 2 invalid input, 141 stdout
-closed before the report was written (a reader such as ``head`` that
-exits early; 128 + SIGPIPE, as a shell reports a process that SIGPIPE
-ends), with nothing on stderr.
+closed before the whole report was written (a reader such as ``head``
+that exits early; 128 + SIGPIPE, as a shell reports a process that
+SIGPIPE ends), with nothing on stderr, buffered or not (``python -u``,
+``PYTHONUNBUFFERED``).
 """
 from __future__ import annotations
 
 import argparse
 import functools
+import io
 import json
 import math
 import os
@@ -49,6 +51,36 @@ from .weighting import (
 SCHEMES = ("optimal", "max-degree", "metropolis", "best-constant")
 
 EXIT_CLOSED_PIPE = 141
+
+
+class _Stdout:
+    """Where the reports go: ``sys.stdout`` as it is at each write, which
+    takes every byte or raises.
+
+    Under ``python -u`` or ``PYTHONUNBUFFERED``, ``sys.stdout.buffer`` is
+    a raw ``FileIO``, whose ``write`` may take only part of its bytes (a
+    reader that exits mid-write takes what the pipe held), and
+    ``TextIOWrapper`` drops the rest without an error.  There the encoded
+    text goes to the raw stream until it takes every byte or raises
+    ``BrokenPipeError``; a POSIX stdout's text layer writes its text as
+    encoded, so the bytes are the same.  Any other stdout, buffered or a
+    text stream with no raw buffer under it (``StringIO``, pytest's
+    capture), takes the text as it is.
+    """
+
+    def write(self, text: str) -> None:
+        stream = sys.stdout
+        raw = getattr(stream, "buffer", None)
+        if not isinstance(raw, io.RawIOBase):
+            stream.write(text)
+            return
+        stream.flush()
+        data = memoryview(text.encode(stream.encoding, stream.errors))
+        while data:
+            data = data[raw.write(data) :]
+
+
+_STDOUT = _Stdout()
 
 _CONVENTIONS = {"dmax": "inv_dmax", "dmax+1": "inv_dmax_plus_1"}
 
@@ -150,9 +182,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
     params = _params_from(args)
     payload, values = _solve_payload(params, args)
     # no key before "weights" can hold the placeholder text
-    print(json.dumps(payload, indent=2).replace(
+    _STDOUT.write(json.dumps(payload, indent=2).replace(
         '"weights": {}', '"weights": ' + _weights_json(params, values), 1
-    ))
+    ) + "\n")
     return 0
 
 
@@ -195,7 +227,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         },
         "passes": residuals.passes(),
     }
-    print(json.dumps(payload, indent=2))
+    _STDOUT.write(json.dumps(payload, indent=2) + "\n")
     return 0 if residuals.passes() else 1
 
 
@@ -278,12 +310,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     weights, _ = _scheme_weights(params, args.scheme, args)
     x0 = random_initial_state(params.n_nodes, args.seed)
     trajectory = stratified_iterate(params, weights, x0, args.steps)
-    write_trajectory_csv(trajectory, sys.stdout)
+    write_trajectory_csv(trajectory, _STDOUT)
     try:
         estimate = f"{convergence_factor_estimate(trajectory, args.tail):.10g}"
     except InsufficientSignalError:
         estimate = "nan"
-    sys.stdout.write(f"# convergence_factor_estimate = {estimate}\r\n")
+    _STDOUT.write(f"# convergence_factor_estimate = {estimate}\r\n")
     return 0
 
 
@@ -291,7 +323,7 @@ def _write_csv(header: list[str], rows: list[list[str]]) -> None:
     # rows are computed before anything is written, so an input error
     # leaves stdout empty; no cell (digits, .10g floats, scheme names,
     # star or tfs) needs quoting, so these are csv.writer's excel bytes
-    sys.stdout.write("".join(",".join(row) + "\r\n" for row in [header, *rows]))
+    _STDOUT.write("".join(",".join(row) + "\r\n" for row in [header, *rows]))
 
 
 def _add_params(parser: argparse.ArgumentParser) -> None:

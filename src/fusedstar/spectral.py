@@ -574,15 +574,13 @@ def perron_vector(params: TfsParams) -> np.ndarray:
     Entries are sqrt(n1) on the first-star arm, 1 at the center and
     sqrt(n2) on the second-star arm, normalized by sqrt(n_nodes).
     """
-    m1, n1, m2, n2 = params.m1, params.n1, params.m2, params.n2
-    v = np.concatenate(
-        [
-            np.full(m1, math.sqrt(n1)),
-            [1.0],
-            np.full(m2, math.sqrt(n2)),
-        ]
-    )
-    return v / math.sqrt(params.n_nodes)
+    m1 = params.m1
+    norm = math.sqrt(params.n_nodes)
+    v = np.empty(m1 + params.m2 + 1)
+    v[:m1] = math.sqrt(params.n1) / norm
+    v[m1] = 1.0 / norm
+    v[m1 + 1 :] = math.sqrt(params.n2) / norm
+    return v
 
 
 def central_tridiagonal(

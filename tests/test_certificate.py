@@ -206,6 +206,10 @@ def test_certificate_immutability():
         cert.coeffs[-1] = 0.0
     with pytest.raises(ValueError):
         cert.z1[0] = 0.0
+    # every other stored array and every derived chain
+    for name in ("sines", "z2", "coeffs_prime", "coeffs_hat", "coeffs_hat_prime"):
+        with pytest.raises(ValueError):
+            getattr(cert, name)[0] = 0.0
 
 
 # shapes for the dense-oracle checks, with single-stratum arms among them
@@ -340,3 +344,25 @@ def test_certificate_at_long_arms_runs_in_small_memory():
         tracemalloc.stop()
     assert res.passes()
     assert peak <= 16 * 10**6
+
+
+def traced_peak(call):
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_certificate_memory_in_orbit_vectors():
+    # building and verifying each peak within 8 float vectors of the
+    # m1 + m2 orbits, the solution's own weights verified
+    p = TfsParams(10**5, 3, 10**5, 4)
+    sol = optimal_weights(p)
+    vector = 8 * (p.m1 + p.m2)
+    cert, build_peak = traced_peak(lambda: build_dual_certificate(sol))
+    res, verify_peak = traced_peak(lambda: verify_certificate(cert, sol.weights))
+    assert res.passes()
+    assert build_peak <= 8 * vector, build_peak / vector
+    assert verify_peak <= 8 * vector, verify_peak / vector

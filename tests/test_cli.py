@@ -767,6 +767,48 @@ def test_a_reader_gone_before_the_report_ends_the_cli_quietly():
     assert result.returncode == cli.EXIT_CLOSED_PIPE == 141
 
 
+# 10001 rows, 472027 bytes: far more than a pipe holds, so the report is
+# still being written when a reader that takes one line exits
+SWEEP_ARGV = ["sweep", "custom", "--n1", "3", "--n2", "4",
+              "--m1-max", "100", "--m2-max", "100"]
+
+
+def sweep_command(unbuffered):
+    # -u, or no PYTHONUNBUFFERED in the environment: stdout buffered or not
+    env = cli_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    flags = ["-u"] if unbuffered else []
+    return [sys.executable, *flags, "-m", "fusedstar.cli", *SWEEP_ARGV], env
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["-u", "buffered"])
+def test_a_reader_gone_mid_report_ends_the_cli_quietly(unbuffered):
+    # as `| head -1`: the reader exits while the report is being written,
+    # so a raw write is short; unbuffered, the rest must not be dropped
+    # with exit 0
+    argv, env = sweep_command(unbuffered)
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    try:
+        assert proc.stdout.readline() == b"m1,m2,slem,w_minus_1,theta_star\r\n"
+        proc.stdout.close()
+        _, stderr = proc.communicate(timeout=120)
+    finally:
+        proc.kill()
+    assert stderr == b""
+    assert proc.returncode == cli.EXIT_CLOSED_PIPE
+
+
+def test_a_full_reader_gets_the_same_report_buffered_or_not():
+    reports = []
+    for unbuffered in (True, False):
+        argv, env = sweep_command(unbuffered)
+        result = subprocess.run(argv, capture_output=True, env=env, timeout=120)
+        assert (result.returncode, result.stderr) == (0, b"")
+        reports.append(result.stdout)
+    assert len(reports[0]) == 472027
+    assert reports[0] == reports[1]
+
+
 @pytest.mark.parametrize(
     "extra, message",
     [
