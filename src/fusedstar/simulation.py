@@ -9,9 +9,16 @@ splits x(0) - x_bar into the stratum profile, which the central block
 advances, and each arm's within-stratum deviations, which that arm's
 block advances and which keep their norm when ``min(m_i, n_i)`` lanes
 with the same Gram matrix replace the ``n_i`` branches.  After an
-O(n min(m, n)) set-up a round costs nothing in ``n1`` and ``n2``: it is
-one product and one sum on a few hundred floats, written into a bounded
-history that is reduced to the per-step records each time it fills.
+O(n min(m, n)) set-up a run costs nothing in ``n1`` and ``n2``.  A
+central block of at most ``spectral._DENSE_ROWS`` rows takes the run in
+closed form, x(t) - x_bar being a sum of eigenmodes (Xiao and Boyd,
+"Fast linear iterations for distributed averaging", 2004): one
+``np.linalg.eigh`` per block gives every mode's amplitude, and every
+step's records follow from the amplitudes' powers, a chunk of steps at a
+time.  A longer block, whose dense eigendecomposition would take
+O(rows^2) memory, advances its lanes round by round: three products and
+two sums on the lanes, written into a bounded history that is reduced
+to the per-step records each time it fills.
 
 The per-node stencil ``fusedstar.reference.distributed_rounds``, which
 is how the protocol executes on an actual network, and the matrix
@@ -27,14 +34,21 @@ from typing import IO
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .spectral import build_blocks, perron_vector
+from .spectral import (
+    _DENSE_ROWS,
+    StratifiedBlocks,
+    _frozen_floats,
+    build_blocks,
+    perron_vector,
+)
 from .topology import TfsParams
 from .weighting import OrbitWeights
 
 
-# floats of lanes a run keeps before it reduces them to per-step records;
-# einsum reduces a round of at most 8192 floats the same way however many
-# rounds a fill holds, so the history's size changes no bit of a record
+# floats of lanes (or of mode powers) a run keeps before it reduces them to
+# per-step records; einsum reduces a round of at most 8192 floats the same
+# way however many rounds a fill holds, so the history's size changes no
+# bit of a record
 _HISTORY_FLOATS = 8192
 
 
@@ -62,7 +76,8 @@ class Trajectory:
 
     ``error_norms[t]`` is the euclidean distance of x(t) from the
     consensus vector, whose entries all equal ``average``, the mean of
-    x(0); ``sums[t]`` is 1'x(t).
+    x(0); ``sums[t]`` is 1'x(t).  A read-only float64 record is kept as
+    it is; any other is copied, and the copy made read-only.
     """
 
     error_norms: np.ndarray
@@ -71,9 +86,7 @@ class Trajectory:
 
     def __post_init__(self) -> None:
         for name in ("error_norms", "sums"):
-            arr = np.array(getattr(self, name), dtype=float)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _frozen_floats(getattr(self, name)))
         if self.sums.ndim != 1 or self.sums.shape != self.error_norms.shape:
             raise ValueError(
                 f"error norms of shape {self.error_norms.shape} and sums of "
@@ -106,26 +119,30 @@ def stratified_iterate(
     arm's block, and the norm of ``T^t D_i`` depends only on ``D_i D_i'``,
     so the transposed R factor of ``D_i'`` (``np.linalg.qr``) replaces the
     ``n_i`` branches by ``r_i = min(m_i, n_i)`` lanes with the same Gram
-    matrix.  The arm blocks are the central block's leading and trailing
-    rows, so one ``(m1 + m2 + 1) x (1 + max r_i)`` array of lanes, the
-    profile and then the factors' columns, with the two center couplings
-    zeroed on the factor lanes, advances everything with one tridiagonal
-    product per round: one ``np.multiply`` of the lower coupling, the
-    diagonal and the upper coupling of every lane by a read-only view of
-    the previous round's rows ``s - 1``, ``s`` and ``s + 1``, and one
-    ``np.add.reduce`` of the three terms into the next round's lanes.
+    matrix.
 
-    ``error_norms[t]`` is the norm of that array and ``sums[t]`` is
-    ``1'x0 + sum_s sqrt(n_s) y_s(t)``, so ``sum_deviations`` is the
-    rounding drift of the profile's consensus component.  The rounds fill
-    a history of about ``_HISTORY_FLOATS`` floats, at least one round and
-    at most ``steps + 1``; each time it fills, one ``einsum`` per record
-    reduces it and the next round starts over at its first slot.  Set-up
-    takes O(n min(m, n)) time and two state-length vectors, released
-    before the rounds' buffers are allocated: the history, and the
-    coefficients and the product, three times the lanes each.  A
-    round costs O((m1 + m2 + 1)(1 + max r_i)), nothing in ``n_i`` once
-    ``n_i >= m_i``.
+    ``error_norms[t]`` is the norm of the profile and the factor lanes
+    after ``t`` rounds, and ``sums[t]`` is ``1'x0 + sum_s sqrt(n_s)
+    y_s(t)``, so ``sum_deviations`` is the rounding drift of the
+    profile's consensus component.  Set-up takes O(n min(m, n)) time and
+    two state-length vectors, released before the run's buffers are
+    allocated.  The records come by one of two routes, chosen by the
+    central block's row count:
+
+    - at most ``spectral._DENSE_ROWS`` rows: in closed form, from one
+      ``np.linalg.eigh`` per block (``_closed_form``), in O(rows^2)
+      memory and O(rows) per step, besides the two records;
+    - more: round by round (``_stepped``).  The arm blocks are the
+      central block's leading and trailing rows, so one ``(m1 + m2 + 1)
+      x (1 + max r_i)`` array of lanes, the profile and then the
+      factors' columns, with the two center couplings zeroed on the
+      factor lanes, advances everything with one tridiagonal product per
+      round, at O((m1 + m2 + 1)(1 + max r_i)), nothing in ``n_i`` once
+      ``n_i >= m_i``.
+
+    The two routes agree to rounding; each route's records have the same
+    bits whatever ``_HISTORY_FLOATS`` is, for rounds of at most that
+    many floats.
     """
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
@@ -134,7 +151,8 @@ def stratified_iterate(
         raise ValueError(
             f"state of length {x.size} does not match {params.n_nodes} nodes"
         )
-    center = build_blocks(params, weights).center
+    blocks = build_blocks(params, weights)
+    center = blocks.center
     m1, n1, m2, n2 = params.m1, params.n1, params.m2, params.n2
     c = m1 * n1
     # each arm's nodes, its strata in the central block, its branch count
@@ -162,46 +180,136 @@ def stratified_iterate(
             spread = deviations[nodes].reshape(rows.shape)
             np.subtract(rows, means[strata, None], out=spread)
             factors.append((strata, np.linalg.qr(spread.T, mode="r").T))
-        # the set-up's state-length vectors go before the round buffers come
+        # the set-up's state-length vectors go before the run's buffers come
         del centered, deviations, rows, spread
-        # one row per stratum, one column per lane; a history slot holds a
-        # round's lanes between a zero row above and one below
-        width = 1 + max(factor.shape[1] for _, factor in factors)
-        rounds = max(1, min(steps + 1, _HISTORY_FLOATS // ((size + 2) * width)))
-        history = np.zeros((rounds, size + 2, width))
-        states = history[:, 1:-1]
-        lanes = states[0]
-        lanes[:, 0] = scale * means
-        for strata, factor in factors:
-            lanes[strata, 1 : 1 + factor.shape[1]] = factor
-        # each slot's rows s - 1, s and s + 1 for every stratum s, as one
-        # read-only (3, size, width) view with contiguous planes
-        taps = np.moveaxis(sliding_window_view(history, 3, axis=1), 3, 1)
-        # the lower coupling, the diagonal and the upper coupling per lane;
-        # the factor lanes never touch the center
-        coef = np.zeros((3, size, width))
-        coef[0, 1:] = center.off_diagonal[:, None]
-        coef[1] = center.diagonal[:, None]
-        coef[2, :-1] = center.off_diagonal[:, None]
-        coef[0, m1 + 1, 1:] = coef[2, m1 - 1, 1:] = coef[:, m1, 1:] = 0.0
-        product = np.empty_like(coef)
         error_norms = np.empty(steps + 1)
         sums = np.empty(steps + 1)
+        # on a shared 2-vCPU host with one BLAS thread, the route alone
+        # past set-up, at two branches per star (the narrowest lanes, where
+        # stepping is cheapest): 65 rows took 1.16-1.24 ms in closed form
+        # and 1.46-1.74 ms stepped at 200 steps, 1.41-1.68 and 3.98-4.34 ms
+        # at 500; 81 rows 1.67-1.89 and 1.59-1.62 ms at 200 steps.  With
+        # as many lanes as rows the closed form won at every size up to
+        # 161 rows, the largest measured
+        run = _closed_form if size <= _DENSE_ROWS else _stepped
+        run(blocks, scale * means, factors, scale, error_norms, sums)
     except MemoryError as exc:
         raise _no_room(exc) from None
+    np.add(total, sums, out=sums)
+    for record in (error_norms, sums):
+        record.flags.writeable = False
+    return Trajectory(error_norms, sums, average)
+
+
+def _closed_form(
+    blocks: StratifiedBlocks,
+    profile: np.ndarray,
+    factors: list[tuple[slice, np.ndarray]],
+    scale: np.ndarray,
+    error_norms: np.ndarray,
+    sums: np.ndarray,
+) -> None:
+    """Fill the records of a run from one eigendecomposition per block.
+
+    With ``T = Q diag(lambda) Q'`` from ``np.linalg.eigh`` on a block's
+    dense form, a lane ``y`` is ``Q a`` with amplitudes ``a = Q'y``, and
+    ``T^t y = Q (lambda^t a)``.  So ``error_norms[t]^2`` is the sum over
+    every mode of every block of ``(a_j lambda_j^t)^2``, where an arm
+    mode's amplitude is the norm of its row of ``Q' Z_i`` (its factor
+    lanes' projections), and ``sums[t] - 1'x0`` is the sum over the
+    central modes of ``a_j lambda_j^t (scale' q_j)``.  The amplitudes
+    ``a_j lambda_j^t`` are built by ``np.multiply.accumulate`` over t, in
+    chunks of about ``_HISTORY_FLOATS`` floats, each chunk starting from
+    the last row of the one before; a mode of amplitude 0 stays exactly
+    0 whatever ``lambda_j^t`` would be.  One ``einsum`` per record reduces
+    a chunk, row by row, so the chunk length changes no bit.
+    """
+    spectrum, q = np.linalg.eigh(blocks.center.dense())
+    spectra, amplitudes = [spectrum], [q.T @ profile]
+    gains = scale @ q
+    for block, (_, factor) in zip((blocks.minus, blocks.plus), factors):
+        spectrum, q = np.linalg.eigh(block.dense())
+        projected = q.T @ factor
+        spectra.append(spectrum)
+        amplitudes.append(np.sqrt(np.einsum("jk,jk->j", projected, projected)))
+    values = np.concatenate(spectra)
+    rows = max(1, min(error_norms.size, _HISTORY_FLOATS // values.size))
+    powers = np.empty((rows, values.size))
+    powers[0] = np.concatenate(amplitudes)
+    for done in range(0, error_norms.size, rows):
+        chunk = powers[: min(rows, error_norms.size - done)]
+        chunk[1:] = values
+        np.multiply.accumulate(chunk, axis=0, out=chunk)
+        records = slice(done, done + len(chunk))
+        np.sqrt(np.einsum("tj,tj->t", chunk, chunk), out=error_norms[records])
+        np.einsum("tj,j->t", chunk[:, : gains.size], gains, out=sums[records])
+        np.multiply(chunk[-1], values, out=powers[0])
+
+
+def _stepped(
+    blocks: StratifiedBlocks,
+    profile: np.ndarray,
+    factors: list[tuple[slice, np.ndarray]],
+    scale: np.ndarray,
+    error_norms: np.ndarray,
+    sums: np.ndarray,
+) -> None:
+    """Fill the records of a run by advancing its lanes round by round.
+
+    A round multiplies the lower coupling, the diagonal and the upper
+    coupling of every lane by read-only views of the previous round's
+    rows ``s - 1``, ``s`` and ``s + 1``, and adds the three terms as
+    ``(lower + diagonal) + upper``, the order of ``np.add.reduce`` over
+    them.  The rounds fill a history of about ``_HISTORY_FLOATS`` floats,
+    at least one round and at most ``steps + 1``; each time it fills, one
+    ``einsum`` per record reduces it and the next round starts over at its
+    first slot.  Besides the history, a run holds the diagonal, the
+    couplings and two term buffers, one lane array each.
+    """
+    center = blocks.center
+    size, m1 = center.size, blocks.minus.size
+    # one row per stratum, one column per lane; a history slot holds a
+    # round's lanes between a zero row above and one below
+    width = 1 + max(factor.shape[1] for _, factor in factors)
+    rounds = max(1, min(error_norms.size, _HISTORY_FLOATS // ((size + 2) * width)))
+    history = np.zeros((rounds, size + 2, width))
+    states = history[:, 1:-1]
+    lanes = states[0]
+    lanes[:, 0] = profile
+    for strata, factor in factors:
+        lanes[strata, 1 : 1 + factor.shape[1]] = factor
+    # each slot's rows s - 1, s and s + 1 for every stratum s, as one
+    # read-only (3, size, width) view with contiguous planes
+    taps = np.moveaxis(sliding_window_view(history, 3, axis=1), 3, 1)
+    # the lower coupling, the diagonal and the upper coupling per lane:
+    # row s's couplings are rows s and s + 1 of one array, and the factor
+    # lanes, zeroed there on rows m1 and m1 + 1, never touch the center
+    couplings = np.zeros((size + 1, width))
+    couplings[1:-1] = center.off_diagonal[:, None]
+    couplings[m1 : m1 + 2, 1:] = 0.0
+    lower, upper = couplings[:-1], couplings[1:]
+    diagonal = np.empty((size, width))
+    diagonal[:] = center.diagonal[:, None]
+    diagonal[m1, 1:] = 0.0
+    # the sum goes to its slot only once every term is formed, since a
+    # one-slot history reads the slot it writes
+    partial, term = np.empty((2, size, width))
     # fill the history slot by slot (slot 0 follows the last slot of the
     # previous fill, taps[-1]), then record the filled slots in two calls
     first = 1
-    for done in range(0, steps + 1, rounds):
-        filled = states[: min(rounds, steps + 1 - done)]
+    for done in range(0, error_norms.size, rounds):
+        filled = states[: min(rounds, error_norms.size - done)]
         for k in range(first, len(filled)):
-            np.multiply(coef, taps[k - 1], out=product)
-            np.add.reduce(product, axis=0, out=states[k])
+            rows = taps[k - 1]
+            np.multiply(lower, rows[0], out=partial)
+            np.multiply(diagonal, rows[1], out=term)
+            np.add(partial, term, out=partial)
+            np.multiply(upper, rows[2], out=term)
+            np.add(partial, term, out=states[k])
         first = 0
         records = slice(done, done + len(filled))
         np.sqrt(np.einsum("tij,tij->t", filled, filled), out=error_norms[records])
         np.einsum("ti,i->t", filled[:, :, 0], scale, out=sums[records])
-    return Trajectory(error_norms, total + sums, average)
 
 
 def random_initial_state(n: int, seed: int) -> np.ndarray:

@@ -56,7 +56,8 @@ from .weighting import OrbitWeights
 # (2.1 GHz, 1 BLAS thread), the lowest and top two eigenvalues of an arm
 # block under optimal or Metropolis weights took 0.17 ms dense and 0.20 ms
 # by bisection at 64 rows, and 0.23-0.24 ms dense and 0.18 ms by bisection
-# at 72 rows.
+# at 72 rows.  ``simulation.stratified_iterate`` runs a central block of at
+# most this many rows in closed form, from its dense ``np.linalg.eigh``.
 _DENSE_ROWS = 64
 
 _FULL_SPECTRUM_ROWS = 5000  # the most rows ``full_spectrum`` decomposes
@@ -77,6 +78,21 @@ _EPS = float(np.finfo(float).eps)
 _RELATIVE_WIDTH = 2.0 * _EPS
 
 
+def _frozen_floats(value) -> np.ndarray:
+    """``value`` as a read-only float64 array: a read-only float64 array
+    is kept as it is, anything else (a writeable array a caller may still
+    change, a list) is copied and the copy made read-only."""
+    if (
+        isinstance(value, np.ndarray)
+        and value.dtype == np.float64
+        and not value.flags.writeable
+    ):
+        return value
+    arr = np.array(value, dtype=float)
+    arr.flags.writeable = False
+    return arr
+
+
 class SpectrumSizeError(ValueError):
     """Dense eigendecomposition refused: matrix exceeds the size guard."""
 
@@ -90,9 +106,7 @@ class Tridiagonal:
 
     def __post_init__(self) -> None:
         for name in ("diagonal", "off_diagonal"):
-            arr = np.asarray(getattr(self, name), dtype=float).copy()
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _frozen_floats(getattr(self, name)))
         if self.diagonal.ndim != 1 or self.off_diagonal.shape != (
             self.diagonal.size - 1,
         ):
@@ -635,6 +649,8 @@ def build_blocks(params: TfsParams, ow: OrbitWeights) -> StratifiedBlocks:
     w = ow.values_for(params)
     if ow._blocks is None:
         diagonal, off = central_tridiagonal(params, w)
+        # read-only, so the three blocks share these two arrays uncopied
+        diagonal.flags.writeable = off.flags.writeable = False
         m1 = ow.params.m1
         blocks = StratifiedBlocks(
             params=ow.params,

@@ -676,6 +676,20 @@ def test_batch_of_one_long_shape_takes_no_memory_in_its_length():
     assert bits(batch.w_plus_1) == bits(sol.weights[1])
 
 
+def test_single_solve_memory_in_orbit_vectors():
+    # the weights, the central block's two diagonals, which the arm blocks
+    # slice without a copy, and the two scaled rows its counts keep
+    shape = TfsParams(10**5, 3, 10**5, 4)
+    optimal_weights(TfsParams(3, 4, 4, 3))
+    tracemalloc.start()
+    try:
+        optimal_weights(shape)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * 8 * (shape.m1 + shape.m2)
+
+
 def test_batch_memory_is_bounded_on_a_large_grid():
     # stacked whole, this grid's blocks would take 90000 x 601 rows x 32
     # bytes, about 1.7 GB; its self-check counts a few skeleton rows per

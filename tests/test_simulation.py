@@ -170,7 +170,14 @@ def estimate_or_error(trajectory):
         return type(exc)
 
 
-@pytest.mark.parametrize("shape, scheme", scheme_cases(STENCIL_SHAPES + RANK_SHAPES))
+# a central block of more than spectral._DENSE_ROWS (64) rows, which the
+# run advances round by round instead of in closed form
+STEPPED_SHAPE = (40, 3, 30, 5)
+
+
+@pytest.mark.parametrize(
+    "shape, scheme", scheme_cases(STENCIL_SHAPES + RANK_SHAPES + [STEPPED_SHAPE])
+)
 def test_stratified_iterate_matches_the_stencil(shape, scheme):
     p = TfsParams(*shape)
     ow = scheme_weights(p, scheme)
@@ -206,19 +213,79 @@ def test_stratified_iterate_matches_the_stencil(shape, scheme):
             assert have is want
 
 
+# the threshold that forces each route, whatever the central block's size
+ROUTES = {"closed": 10**9, "stepped": 0}
+
+
 @pytest.mark.parametrize("shape", [(5, 900, 4, 683), (4, 5, 3, 4), (40, 3, 30, 50)])
-def test_history_size_changes_no_bit(shape, monkeypatch):
+@pytest.mark.parametrize("route", ROUTES)
+def test_history_size_changes_no_bit(route, shape, monkeypatch):
+    monkeypatch.setattr(simulation, "_DENSE_ROWS", ROUTES[route])
     p = TfsParams(*shape)
     ow = bounded_random_weights(p, seed=sum(shape))
     x0 = random_initial_state(p.n_nodes, seed=sum(shape))
     expected = stratified_iterate(p, ow, x0, 300)
-    # one round per fill, fills that split 301 records unevenly, and one
-    # fill for the whole run
+    # one round (or chunk row) per fill, fills that split 301 records
+    # unevenly, and one fill for the whole run
     for budget in (1, 1000, 5000, 2**20):
         monkeypatch.setattr(simulation, "_HISTORY_FLOATS", budget)
         got = stratified_iterate(p, ow, x0, 300)
         assert np.array_equal(got.error_norms, expected.error_norms)
         assert np.array_equal(got.sums, expected.sums)
+
+
+@pytest.mark.parametrize("shape, scheme", scheme_cases(STENCIL_SHAPES + RANK_SHAPES))
+def test_closed_form_matches_stepping(shape, scheme, monkeypatch):
+    p = TfsParams(*shape)
+    ow = scheme_weights(p, scheme)
+    x0 = random_initial_state(p.n_nodes, seed=sum(shape))
+    spread = np.linalg.norm(x0 - x0.mean())
+    budget = 1e-9 * np.abs(x0).sum()
+    for steps in (0, 1, 200, 2000):
+        runs = {}
+        for route, limit in ROUTES.items():
+            monkeypatch.setattr(simulation, "_DENSE_ROWS", limit)
+            runs[route] = stratified_iterate(p, ow, x0, steps)
+        closed, stepped = runs["closed"], runs["stepped"]
+        assert closed.n_steps == stepped.n_steps == steps
+        assert closed.average == stepped.average
+        np.testing.assert_allclose(
+            closed.error_norms, stepped.error_norms, rtol=1e-9, atol=1e-12 * spread
+        )
+        drift = np.abs(closed.sum_deviations() - stepped.sum_deviations())
+        assert np.all(drift <= budget)
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_a_zero_state_stays_zero_under_expanding_weights(route, monkeypatch):
+    # weights of 0.9 give the blocks eigenvalues past 1 in magnitude, whose
+    # powers overflow long before 2000 steps; a mode that holds nothing
+    # must still add exactly 0, never inf * 0 = nan
+    monkeypatch.setattr(simulation, "_DENSE_ROWS", ROUTES[route])
+    p = TfsParams(3, 4, 2, 5)
+    ow = OrbitWeights.constant(p, 0.9)
+    assert np.abs(np.linalg.eigvalsh(assemble_weight_matrix(p, ow))).max() > 1.5
+    with np.errstate(all="raise"):
+        traj = stratified_iterate(p, ow, np.zeros(p.n_nodes), 2000)
+    assert np.all(traj.error_norms == 0.0)
+    assert np.all(traj.sum_deviations() == 0.0)
+
+
+def test_closed_form_memory_is_the_records():
+    # 10**6 steps in chunks of about _HISTORY_FLOATS floats: the peak is
+    # the two per-step records and a constant, whatever the step count
+    p = TfsParams(3, 4, 4, 3)
+    ow = optimal_weights(p).weights
+    x0 = random_initial_state(p.n_nodes, seed=1)
+    steps = 10**6
+    tracemalloc.start()
+    try:
+        traj = stratified_iterate(p, ow, x0, steps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert traj.n_steps == steps
+    assert peak <= 2 * 8 * (steps + 1) + 2**20
 
 
 def test_stratified_iterate_rejects_a_bad_run():

@@ -91,6 +91,31 @@ def test_center_block_embeds_arm_blocks():
     assert np.allclose(c[-3:, -3:], blocks.plus.dense())
 
 
+def test_blocks_share_the_central_arrays_and_copy_a_callers():
+    p = TfsParams(4, 3, 5, 2)
+    blocks = build_blocks(p, random_weights(p, 11))
+    center = blocks.center
+    for arm in (blocks.minus, blocks.plus):
+        for arr in (arm.diagonal, arm.off_diagonal):
+            assert not arr.flags.writeable
+        assert np.shares_memory(arm.diagonal, center.diagonal)
+        assert np.shares_memory(arm.off_diagonal, center.off_diagonal)
+    # a read-only float64 array is kept; a writeable one, or one of
+    # another dtype, is copied, so the caller's later writes do not reach it
+    kept = Tridiagonal(center.diagonal, center.off_diagonal)
+    assert kept.diagonal is center.diagonal
+    assert kept.off_diagonal is center.off_diagonal
+    diagonal, off = np.array([0.5, 0.25, 0.5]), np.array([0.25, 0.25], dtype=np.float32)
+    off.flags.writeable = False
+    block = Tridiagonal(diagonal, off)
+    assert not np.shares_memory(block.diagonal, diagonal)
+    assert block.off_diagonal.dtype == np.float64
+    assert not block.diagonal.flags.writeable
+    assert not block.off_diagonal.flags.writeable
+    diagonal[0] = 7.0
+    assert block.diagonal[0] == 0.5
+
+
 def test_multiplicities_and_structure():
     p = TfsParams(3, 4, 4, 3)
     blocks = build_blocks(p, OPT_343)
