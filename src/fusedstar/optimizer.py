@@ -9,21 +9,21 @@ form from the smallest root theta*, and ``cos(theta*)`` is the optimal
 spectral radius.  On ``(0, pi / (2 max(m1, m2))]`` both response factors are
 at least -1 and strictly decreasing, so the relation is positive exactly
 below theta* there and bisection on that bracket finds it.
-``optimal_weights_batch`` solves a grid of shapes at once, each step one
-evaluation of the relation on a stacked ``(3, lanes)`` angle array
-(``_StackedRelation``) with ``_char_values``'s float operations in its
-order.  Below theta* the relation is convex, so a Newton step from the
-positive end of each lane's bracket stays below theta*; guarded by
-bisection, it reaches the adjacent floats where the scalar bisection
-stops in 14 to 16 steps instead of 52 to 55, and returns its bits.  Every
-optimum, on either route, is self-checked by eigenvalue counts at four
-shifts (``_counts_prove_slem``), never by computed eigenvalues, and the
-counts cost O(1) in the branch lengths.  A single solve counts the blocks
-that ``build_blocks`` keeps on its weights, twelve pure-Python counts of
-``Tridiagonal.count_below`` whose blocks its report and certificate
-reuse.  A batch counts each optimum's blocks with each arm written in
-three run-length-encoded rows (``_skeleton``), vectorised over the
-shapes.  The all-roots scan that cross-checks this bisection,
+``optimal_weights_batch`` solves a grid of shapes in slices of
+``_ONE_CALL_LANES``, each step one evaluation of the relation on a stacked
+``(3, lanes)`` angle array (``_StackedRelation``) with ``_char_values``'s
+float operations in its order.  Below theta* the relation is convex, so a
+Newton step from the positive end of each lane's bracket stays below
+theta*; guarded by bisection, it reaches the adjacent floats where the
+scalar bisection stops in 14 to 16 steps instead of 52 to 55, and returns
+its bits.  Every optimum, on either route, is self-checked by eigenvalue
+counts at four shifts (``_counts_prove_slem``), never by computed
+eigenvalues, and the counts cost O(1) in the branch lengths.  A single
+solve counts the blocks that ``build_blocks`` keeps on its weights, twelve
+pure-Python counts of ``Tridiagonal.count_below`` whose blocks its report
+and certificate reuse.  A batch counts each optimum's blocks with each arm
+written in three run-length-encoded rows (``_skeleton``), vectorised over
+a slice.  The all-roots scan that cross-checks this bisection,
 ``solve_theta_roots``, lives in ``fusedstar.reference``.
 """
 from __future__ import annotations
@@ -34,7 +34,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .spectral import build_blocks, central_tridiagonal, count_central_below
+from .spectral import (
+    _frozen_floats, build_blocks, central_tridiagonal, count_central_below
+)
 from .topology import InvalidParameterError, TfsParams
 from .weighting import OrbitWeights
 
@@ -51,8 +53,7 @@ _SELF_CHECK = 1e-9  # largest |slem - s| the self-checks accept
 # a boundary weight is degenerate when its denominator is below this times
 # max(1, |numerator|)
 _DEGENERATE = 1e-13
-# shapes up to which the self-check counts all four shifts in one call, and
-# the root search solves them in one chunk
+# shapes that optimal_weights_batch solves end to end in one slice
 _ONE_CALL_LANES = 8192
 
 
@@ -201,7 +202,8 @@ def optimal_weights(params: TfsParams) -> OptimalSolution:
 class BatchSolution:
     """Smallest roots theta*, ``s = cos(theta*)`` and the two boundary
     weights ``w_{-1}``, ``w_1`` of a batch of shapes, as read-only arrays
-    in the shape of the broadcast inputs."""
+    in the shape of the broadcast inputs.  A read-only float64 array is
+    kept as it is; any other is copied, and the copy made read-only."""
 
     theta_star: np.ndarray
     s: np.ndarray
@@ -210,9 +212,7 @@ class BatchSolution:
 
     def __post_init__(self) -> None:
         for name in ("theta_star", "s", "w_minus_1", "w_plus_1"):
-            arr = np.asarray(getattr(self, name), dtype=float).copy()
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _frozen_floats(getattr(self, name)))
 
 
 class _Shapes(NamedTuple):
@@ -334,17 +334,9 @@ def _first_sign_changes(shapes: _Shapes) -> np.ndarray:
     takes at most three times the steps that bisection takes from the same
     bracket: at most 3 x 1075 from ``(0, pi / 2]``, and the batch as many
     as its slowest lane.  The benchmark's ``sweep`` grids take 14 to 16
-    steps, where bisection takes 52 to 55.  Past ``_ONE_CALL_LANES`` lanes
-    it solves them in chunks of that many, so that memory stays a few
-    stacks of that size.
+    steps, where bisection takes 52 to 55.  Its memory is a few stacks
+    of the lanes it is given.
     """
-    size = _ONE_CALL_LANES
-    if shapes.m1.size > size:
-        chunks = range(0, shapes.m1.size, size)
-        return np.concatenate([
-            _first_sign_changes(_Shapes(*(f[i : i + size] for f in shapes)))
-            for i in chunks
-        ])
     relation = _StackedRelation(shapes)
     hi = np.pi / (2.0 * np.maximum(shapes.m1, shapes.m2))
     lo = np.zeros_like(hi)
@@ -402,14 +394,10 @@ def _skeleton(shapes: _Shapes, w_minus, w_plus) -> tuple:
 def _skeleton_proves_slem(
     shapes: _Shapes, s: np.ndarray, w_minus, w_plus
 ) -> np.ndarray:
-    """``_counts_prove_slem`` on the counts of each optimum's ``_skeleton``:
-    past ``_ONE_CALL_LANES`` shapes one shift at a time, so that memory
-    stays a few arrays of two entries per shape, and otherwise in one
-    call, which pays numpy's per-call cost once."""
+    """``_counts_prove_slem`` on the counts of each optimum's ``_skeleton``
+    at all four shifts, in one ``count_central_below`` call."""
     skeleton = _skeleton(shapes, w_minus, w_plus)
-    shifts = _self_check_shifts(s)
-    groups = [shifts] if s.size <= _ONE_CALL_LANES else shifts[:, None]
-    below = np.concatenate([count_central_below(*skeleton, x) for x in groups])
+    below = count_central_below(*skeleton, _self_check_shifts(s))
     return _counts_prove_slem(below, shapes.m1 + shapes.m2)
 
 
@@ -417,34 +405,42 @@ def optimal_weights_batch(m1, n1, m2, n2) -> BatchSolution:
     """``optimal_weights`` for many shapes at once, as arrays.
 
     ``m1, n1, m2, n2`` are integer arrays (or integers) that broadcast
-    together.  All instances are bisected together with the scalar route's
-    predicate, bracket and stop rule, so theta*, ``s`` and both boundary
-    weights equal the scalar route's bit for bit.  The self-check
-    (``_skeleton_proves_slem``) makes the scalar route's decision,
-    ``_counts_prove_slem`` at the same shifts, on a skeleton of each
-    optimum's central block, in O(1) time and memory per instance
-    whatever its branch lengths.  An invalid shape, or one that
-    the scalar route would not return, raises that route's error for the
-    first such instance in input order:
-    ``InvalidParameterError`` before any solving, then
-    ``DegenerateSineError`` or ``SelfCheckError``.
+    together.  Once every shape is valid, each slice of
+    ``_ONE_CALL_LANES`` shapes is solved end to end, root search to
+    self-check, into one result buffer, whose rows the result views
+    read-only: memory is one slice's besides the buffer.  A slice is
+    bisected with the scalar route's predicate, bracket and stop rule, so
+    theta*, ``s`` and both boundary weights equal the scalar route's bit
+    for bit.  The self-check (``_skeleton_proves_slem``) makes the scalar
+    route's decision, ``_counts_prove_slem`` at the same shifts, on a
+    skeleton of each optimum's central block, in O(1) time and memory
+    per instance whatever its branch lengths.  An invalid shape, or one
+    that the scalar route would not return, raises that route's error
+    for the first such instance in input order: ``InvalidParameterError``
+    before any solving, then ``DegenerateSineError`` or
+    ``SelfCheckError``.
     """
     arrays = [np.asarray(v) for v in (m1, n1, m2, n2)]
     # reshape leaves a one-dimensional broadcast cell a view; ravel copies it
     cells = [cell.reshape(-1) for cell in np.broadcast_arrays(*arrays)]
     shapes = _batch_shapes(cells)
-    theta = _first_sign_changes(shapes)
-    s = np.cos(theta)
-    w_minus, bad_minus = _boundary_weights(shapes.m1, theta)
-    w_plus, bad_plus = _boundary_weights(shapes.m2, theta)
-    failed = bad_minus | bad_plus
-    failed |= ~_skeleton_proves_slem(shapes, s, w_minus, w_plus)
-    if failed.any():
-        # the scalar route raises its own error for this instance
-        params = TfsParams(*_cell(cells, int(np.argmax(failed))))
-        raise _self_check_error(params, optimal_weights(params).s)
+    results = np.empty((4, shapes.m1.size))
+    for start in range(0, shapes.m1.size, _ONE_CALL_LANES):
+        lanes = slice(start, start + _ONE_CALL_LANES)
+        chunk = _Shapes(*(field[lanes] for field in shapes))
+        theta, s, w_minus, w_plus = results[:, lanes]
+        theta[:] = _first_sign_changes(chunk)
+        np.cos(theta, out=s)
+        w_minus[:], failed = _boundary_weights(chunk.m1, theta)
+        w_plus[:], bad_plus = _boundary_weights(chunk.m2, theta)
+        failed |= bad_plus
+        failed |= ~_skeleton_proves_slem(chunk, s, w_minus, w_plus)
+        if failed.any():
+            # the scalar route raises its own error for this instance
+            params = TfsParams(*_cell(cells, start + int(np.argmax(failed))))
+            raise _self_check_error(params, optimal_weights(params).s)
+    results.flags.writeable = False
     shape = np.broadcast_shapes(*(v.shape for v in arrays))
-    results = (theta, s, w_minus, w_plus)
     return BatchSolution(*(result.reshape(shape) for result in results))
 
 

@@ -152,38 +152,9 @@ def stratified_iterate(
             f"state of length {x.size} does not match {params.n_nodes} nodes"
         )
     blocks = build_blocks(params, weights)
-    center = blocks.center
-    m1, n1, m2, n2 = params.m1, params.n1, params.m2, params.n2
-    c = m1 * n1
-    # each arm's nodes, its strata in the central block, its branch count
-    arms = (
-        (slice(0, c), slice(0, m1), n1),
-        (slice(c + 1, None), slice(m1 + 1, None), n2),
-    )
-    # sqrt(n_s) per stratum
-    scale = perron_vector(params) * math.sqrt(params.n_nodes)
-    size = center.size
     try:
         total = np.add.reduce(x)
         average = total / x.size
-        # two flat state-length vectors (the deviations could overwrite
-        # ``centered``, but then a state too large for memory would fail
-        # in the factors, naming an arm's shape instead of its own)
-        centered = np.subtract(x, average)
-        deviations = np.empty(x.size)
-        means = np.empty(size)  # mu_s - x_bar
-        means[m1] = centered[c]
-        factors = []
-        for nodes, strata, n in arms:
-            rows = centered[nodes].reshape(-1, n)
-            means[strata] = rows.mean(axis=1)
-            spread = deviations[nodes].reshape(rows.shape)
-            np.subtract(rows, means[strata, None], out=spread)
-            factors.append((strata, np.linalg.qr(spread.T, mode="r").T))
-        # the set-up's state-length vectors go before the run's buffers come
-        del centered, deviations, rows, spread
-        error_norms = np.empty(steps + 1)
-        sums = np.empty(steps + 1)
         # on a shared 2-vCPU host with one BLAS thread, the route alone
         # past set-up, at two branches per star (the narrowest lanes, where
         # stepping is cheapest): 65 rows took 1.16-1.24 ms in closed form
@@ -191,8 +162,8 @@ def stratified_iterate(
         # at 500; 81 rows 1.67-1.89 and 1.59-1.62 ms at 200 steps.  With
         # as many lanes as rows the closed form won at every size up to
         # 161 rows, the largest measured
-        run = _closed_form if size <= _DENSE_ROWS else _stepped
-        run(blocks, scale * means, factors, scale, error_norms, sums)
+        run = _closed_form if blocks.center.size <= _DENSE_ROWS else _stepped
+        error_norms, sums = run(blocks, x, average, steps)
     except MemoryError as exc:
         raise _no_room(exc) from None
     np.add(total, sums, out=sums)
@@ -201,15 +172,53 @@ def stratified_iterate(
     return Trajectory(error_norms, sums, average)
 
 
+def _split(
+    blocks: StratifiedBlocks, x: np.ndarray, average: float
+) -> tuple[np.ndarray, np.ndarray, list[tuple[slice, np.ndarray]]]:
+    """A run's set-up from the state ``x`` of mean ``average``: ``sqrt(n_s)``
+    per stratum, the scaled stratum profile and, per arm, its strata in
+    the central block with its factor lanes.
+
+    Its state-length vectors and the stratum means are gone when it
+    returns, so the route that calls it holds the only references to what
+    it returns and can drop them once they are in its lanes.
+    """
+    params = blocks.params
+    m1, n1 = params.m1, params.n1
+    c = m1 * n1
+    # each arm's nodes, its strata in the central block, its branch count
+    arms = (
+        (slice(0, c), slice(0, m1), n1),
+        (slice(c + 1, None), slice(m1 + 1, None), params.n2),
+    )
+    # two flat state-length vectors (the deviations could overwrite
+    # ``centered``, but then a state too large for memory would fail in
+    # the factors, naming an arm's shape instead of its own)
+    centered = np.subtract(x, average)
+    deviations = np.empty(x.size)
+    means = np.empty(blocks.center.size)  # mu_s - x_bar
+    means[m1] = centered[c]
+    factors = []
+    for nodes, strata, n in arms:
+        rows = centered[nodes].reshape(-1, n)
+        means[strata] = rows.mean(axis=1)
+        spread = deviations[nodes].reshape(rows.shape)
+        np.subtract(rows, means[strata, None], out=spread)
+        factors.append((strata, np.linalg.qr(spread.T, mode="r").T))
+    # the set-up's state-length vectors go before the profile comes
+    del centered, deviations, rows, spread
+    scale = perron_vector(params) * math.sqrt(params.n_nodes)
+    return scale, scale * means, factors
+
+
 def _closed_form(
     blocks: StratifiedBlocks,
-    profile: np.ndarray,
-    factors: list[tuple[slice, np.ndarray]],
-    scale: np.ndarray,
-    error_norms: np.ndarray,
-    sums: np.ndarray,
-) -> None:
-    """Fill the records of a run from one eigendecomposition per block.
+    x: np.ndarray,
+    average: float,
+    steps: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The records of a run, after ``_split``, from one eigendecomposition
+    per block.
 
     With ``T = Q diag(lambda) Q'`` from ``np.linalg.eigh`` on a block's
     dense form, a lane ``y`` is ``Q a`` with amplitudes ``a = Q'y``, and
@@ -224,6 +233,8 @@ def _closed_form(
     0 whatever ``lambda_j^t`` would be.  One ``einsum`` per record reduces
     a chunk, row by row, so the chunk length changes no bit.
     """
+    scale, profile, factors = _split(blocks, x, average)
+    error_norms, sums = np.empty(steps + 1), np.empty(steps + 1)
     spectrum, q = np.linalg.eigh(blocks.center.dense())
     spectra, amplitudes = [spectrum], [q.T @ profile]
     gains = scale @ q
@@ -244,17 +255,17 @@ def _closed_form(
         np.sqrt(np.einsum("tj,tj->t", chunk, chunk), out=error_norms[records])
         np.einsum("tj,j->t", chunk[:, : gains.size], gains, out=sums[records])
         np.multiply(chunk[-1], values, out=powers[0])
+    return error_norms, sums
 
 
 def _stepped(
     blocks: StratifiedBlocks,
-    profile: np.ndarray,
-    factors: list[tuple[slice, np.ndarray]],
-    scale: np.ndarray,
-    error_norms: np.ndarray,
-    sums: np.ndarray,
-) -> None:
-    """Fill the records of a run by advancing its lanes round by round.
+    x: np.ndarray,
+    average: float,
+    steps: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The records of a run, after ``_split``, by advancing its lanes round
+    by round.
 
     A round multiplies the lower coupling, the diagonal and the upper
     coupling of every lane by read-only views of the previous round's
@@ -266,6 +277,8 @@ def _stepped(
     first slot.  Besides the history, a run holds the diagonal, the
     couplings and two term buffers, one lane array each.
     """
+    scale, profile, factors = _split(blocks, x, average)
+    error_norms, sums = np.empty(steps + 1), np.empty(steps + 1)
     center = blocks.center
     size, m1 = center.size, blocks.minus.size
     # one row per stratum, one column per lane; a history slot holds a
@@ -278,6 +291,8 @@ def _stepped(
     lanes[:, 0] = profile
     for strata, factor in factors:
         lanes[strata, 1 : 1 + factor.shape[1]] = factor
+    # the lanes hold the set-up's profile and factors from here on
+    del profile, factors, factor
     # each slot's rows s - 1, s and s + 1 for every stratum s, as one
     # read-only (3, size, width) view with contiguous planes
     taps = np.moveaxis(sliding_window_view(history, 3, axis=1), 3, 1)
@@ -310,6 +325,7 @@ def _stepped(
         records = slice(done, done + len(filled))
         np.sqrt(np.einsum("tij,tij->t", filled, filled), out=error_norms[records])
         np.einsum("ti,i->t", filled[:, :, 0], scale, out=sums[records])
+    return error_norms, sums
 
 
 def random_initial_state(n: int, seed: int) -> np.ndarray:

@@ -256,27 +256,33 @@ class _RunCount:
 
     def __init__(self, diagonal: np.ndarray, off_diagonal: np.ndarray):
         self.size = n = diagonal.size
-        b = np.abs(off_diagonal)
-        top = max(float(np.abs(diagonal).max()), float(b.max(initial=0.0)))
+        # one magnitude array at a time, and none kept: the couplings are
+        # kept with their signs and taken in magnitude where they are read
+        top = max(
+            float(np.abs(diagonal).max()),
+            float(np.abs(off_diagonal).max(initial=0.0)),
+        )
         if not math.isfinite(top):
             raise np.linalg.LinAlgError(_NON_FINITE)
         if top >= 2.0**1023:
             raise np.linalg.LinAlgError(_PAST_RANGE)
         self.scale = 2.0 ** math.frexp(top)[1]
         if self.scale != 1.0:
-            diagonal, b = diagonal / self.scale, b / self.scale
+            diagonal = diagonal / self.scale
+            off_diagonal = off_diagonal / self.scale
         # every entry is at most 1 in magnitude now, so ||T|| <= 3 and
         # LAPACK's pivmin, tiny * max(1, max b^2), is tiny
-        self.diagonal, self.couplings = diagonal, b
+        self.diagonal, self.couplings = diagonal, off_diagonal
         # rows 1.. start a new key where a_j or b_{j-1}^2 changes; only
         # the entries that start a run or make a step are read
+        b = np.abs(off_diagonal)
         changes = (diagonal[2:] != diagonal[1:-1]) | (b[1:] != b[:-1])
         bounds = [1, *(np.flatnonzero(changes) + 2).tolist(), n]
-        a, b = diagonal.item, b.item
+        a, b = diagonal.item, off_diagonal.item
         steps = [(a(0), 0.0, 0.0, 1)]
         for lo, hi in zip(bounds[:-1], bounds[1:]):
             if hi - lo >= _MIN_RUN:
-                beta = b(lo - 1)
+                beta = abs(b(lo - 1))
                 steps.append((a(lo), beta * beta, beta, hi - lo))
             else:
                 steps += [(a(j), b(j - 1) * b(j - 1), 0.0, 1) for j in range(lo, hi)]
@@ -286,7 +292,7 @@ class _RunCount:
     def gershgorin(self) -> tuple[float, float]:
         """Bounds on the scaled spectrum, widened as in dstebz."""
         sides = np.zeros(self.size + 1)
-        sides[1:-1] = self.couplings
+        np.abs(self.couplings, out=sides[1:-1])
         radius = sides[:-1] + sides[1:]
         low = float((self.diagonal - radius).min())
         high = float((self.diagonal + radius).max())

@@ -375,14 +375,13 @@ def log_uniform_shapes(count, seed=20221):
     return np.stack([m[0], n[0], m[1], n[1]]).astype(np.int64).T.tolist()
 
 
+BATCH_SHAPES = {
+    "custom-grids": CRITERION_3_GRID,
+    "fig2": fig2_shapes(8) + fig2_shapes(30),
+    "log-uniform": log_uniform_shapes(10**4),
+}
 BATCH_SAMPLES = pytest.mark.parametrize(
-    "shapes",
-    [
-        CRITERION_3_GRID,
-        fig2_shapes(8) + fig2_shapes(30),
-        log_uniform_shapes(10**4),
-    ],
-    ids=["custom-grids", "fig2", "log-uniform"],
+    "shapes", list(BATCH_SHAPES.values()), ids=list(BATCH_SHAPES)
 )
 
 
@@ -659,6 +658,43 @@ def test_batch_reports_the_first_failing_shape_in_input_order(monkeypatch):
         solve_batch(grid(3, 4))
 
 
+def test_a_failing_shape_past_the_first_slice_is_reported_in_input_order(
+    monkeypatch,
+):
+    # in slices of 7 shapes, (5, 10) is shape 49, in the eighth slice
+    def reject_long(shapes, s, w_minus, w_plus):
+        return shapes.m1 + shapes.m2 < 15
+
+    monkeypatch.setattr(optimizer, "_ONE_CALL_LANES", 7)
+    monkeypatch.setattr(optimizer, "_skeleton_proves_slem", reject_long)
+    with pytest.raises(SelfCheckError, match=r"m1=5, n1=3, m2=10, n2=4"):
+        solve_batch(grid(3, 4))
+
+
+@pytest.mark.parametrize("size", [1, 7, 8192])
+@pytest.mark.parametrize(
+    "shapes",
+    [*BATCH_SHAPES.values(), grid(3, 4, m_max=20), grid(22, 2, m_max=20)],
+    ids=[*BATCH_SHAPES, "grid-3-4", "grid-22-2"],
+)
+def test_slices_of_any_size_return_the_bits_of_one_slice(
+    monkeypatch, shapes, size
+):
+    # a lane's bits do not depend on the lanes solved beside it; slices of
+    # one shape take 16 s on the 10^4 log-uniform shapes, so they solve its
+    # first 1000 (slices of 8192 cut it in two)
+    if size == 1:
+        shapes = shapes[:1000]
+    monkeypatch.setattr(optimizer, "_ONE_CALL_LANES", len(shapes))
+    whole = solve_batch(shapes)
+    monkeypatch.setattr(optimizer, "_ONE_CALL_LANES", size)
+    sliced = solve_batch(shapes)
+    for field in ("theta_star", "s", "w_minus_1", "w_plus_1"):
+        assert np.array_equal(
+            bits(getattr(sliced, field)), bits(getattr(whole, field))
+        ), field
+
+
 def test_batch_of_one_long_shape_takes_no_memory_in_its_length():
     # its self-check counts a few skeleton rows, whatever the arm lengths
     shape = (10**5, 3, 10**5, 4)
@@ -677,23 +713,27 @@ def test_batch_of_one_long_shape_takes_no_memory_in_its_length():
 
 
 def test_single_solve_memory_in_orbit_vectors():
-    # the weights, the central block's two diagonals, which the arm blocks
-    # slice without a copy, and the two scaled rows its counts keep
+    # the solution keeps the weights and the central block's two diagonals,
+    # which the arm blocks slice without a copy and the counts read as they
+    # are; a count's set-up takes the couplings' magnitudes for a while
     shape = TfsParams(10**5, 3, 10**5, 4)
     optimal_weights(TfsParams(3, 4, 4, 3))
     tracemalloc.start()
     try:
-        optimal_weights(shape)
-        peak = tracemalloc.get_traced_memory()[1]
+        sol = optimal_weights(shape)
+        retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 6 * 8 * (shape.m1 + shape.m2)
+    orbit_vector = 8 * (shape.m1 + shape.m2)
+    assert retained <= 3.5 * orbit_vector
+    assert peak <= 6 * orbit_vector
+    assert sol.weights.values.size == shape.m1 + shape.m2
 
 
 def test_batch_memory_is_bounded_on_a_large_grid():
     # stacked whole, this grid's blocks would take 90000 x 601 rows x 32
-    # bytes, about 1.7 GB; its self-check counts a few skeleton rows per
-    # shape, one shift at a time
+    # bytes, about 1.7 GB; the batch solves it in slices of 8192 shapes,
+    # each self-checked on a few skeleton rows per shape
     m1, m2 = np.divmod(np.arange(300 * 300), 300)
     tracemalloc.start()
     try:
@@ -701,18 +741,20 @@ def test_batch_memory_is_bounded_on_a_large_grid():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 48 * 2**20
-    shapes = _batch_shapes(np.broadcast_arrays(m1 + 1, 3, m2 + 1, 4))
+    # 2.9 MB of results beside one slice's root search and counts
+    assert peak < 16 * 2**20
+    lanes = slice(0, optimizer._ONE_CALL_LANES)
+    cells = np.broadcast_arrays(m1[lanes] + 1, 3, m2[lanes] + 1, 4)
+    shapes = _batch_shapes(cells)
     tracemalloc.start()
     try:
         theta = optimizer._first_sign_changes(shapes)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the root search solves 8192 lanes at a time, so its stacks stay near
-    # 1.4 MB beside the 0.7 MB of the result
+    # one slice's stacks stay near 1.4 MB beside its 64 kB of roots
     assert peak < 4 * 2**20
-    assert np.array_equal(theta, batch.theta_star)
+    assert np.array_equal(theta, batch.theta_star[lanes])
     for index in (0, 299, 90000 - 1):
         sol = optimal_weights(TfsParams(int(m1[index]) + 1, 3, int(m2[index]) + 1, 4))
         assert batch.theta_star[index] == sol.theta_star

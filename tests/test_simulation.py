@@ -143,7 +143,8 @@ def test_distributed_iterate_memory_does_not_grow_with_steps(route):
 
 
 def test_stratified_iterate_memory_on_a_long_arm():
-    # the round buffers come after the set-up's state-length vectors go
+    # the round buffers come after the set-up's state-length vectors go,
+    # and the set-up's profile and factors go once they are in the lanes
     p = TfsParams(200_000, 2, 200_000, 3)
     ow = max_degree_orbit_weights(p, convention="inv_dmax")
     x0 = random_initial_state(p.n_nodes, seed=1)
@@ -153,7 +154,7 @@ def test_stratified_iterate_memory_on_a_long_arm():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 16 * p.n_nodes * 8
+    assert peak <= 10 * p.n_nodes * 8
 
 
 # n below, equal to and above m on each arm, n - 1 equal to m, and n = 1
