@@ -232,7 +232,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 # A sweep's leading header and cells, and its shapes (m1, n1, m2, n2) as
-# arrays that broadcast; cmd_sweep solves every shape in one batch.
+# arrays that broadcast; cmd_sweep solves every shape in one batch.  Each
+# kind's parser names its grid builder and columns.
 def _fig2_sweep(args: argparse.Namespace) -> tuple:
     n1, n2 = 6, 12
     lo, hi = args.mbar_min, args.mbar_max
@@ -256,14 +257,14 @@ def _fig2_sweep(args: argparse.Namespace) -> tuple:
     return ["m_bar", "network", "m1", "m2"], lead, np.array(shapes).T
 
 
-def _grid_sweep(args: argparse.Namespace, n1: int, n2: int) -> tuple:
+def _grid_sweep(args: argparse.Namespace) -> tuple:
     if args.m1_max < 1 or args.m2_max < 1:
         raise InvalidParameterError("branch-length ranges must start at 1")
     check_array_size("--m1-max * --m2-max", args.m1_max * args.m2_max)
     m1, m2 = np.divmod(np.arange(args.m1_max * args.m2_max), args.m2_max)
     m1, m2 = m1 + 1, m2 + 1
     lead = [[str(a), str(b)] for a, b in zip(m1.tolist(), m2.tolist())]
-    return ["m1", "m2"], lead, (m1, n1, m2, n2)
+    return ["m1", "m2"], lead, (m1, args.n1, m2, args.n2)
 
 
 # sweep column -> BatchSolution field
@@ -275,20 +276,10 @@ _SWEEP_COLUMNS = {
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    if args.kind == "fig2":
-        header, lead, shapes = _fig2_sweep(args)
-        columns = ("slem",)
-    elif args.kind == "custom":
-        if args.n1 is None or args.n2 is None:
-            raise InvalidParameterError("custom sweeps require --n1 and --n2")
-        header, lead, shapes = _grid_sweep(args, args.n1, args.n2)
-        columns = ("slem", "w_minus_1", "theta_star")
-    else:
-        header, lead, shapes = _grid_sweep(args, 2, 22)
-        columns = ("slem",) if args.kind == "fig3" else ("w_minus_1",)
+    header, lead, shapes = args.grid(args)
     batch = optimal_weights_batch(*shapes)
-    values = [getattr(batch, _SWEEP_COLUMNS[name]).tolist() for name in columns]
-    _write_csv([*header, *columns], [
+    values = [getattr(batch, _SWEEP_COLUMNS[name]).tolist() for name in args.columns]
+    _write_csv([*header, *args.columns], [
         cells + [f"{value:.10g}" for value in row]
         for cells, *row in zip(lead, *values)
     ])
@@ -371,13 +362,21 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     p_sweep = sub.add_parser("sweep", help="SLEM or boundary-weight grids, CSV")
-    p_sweep.add_argument("kind", choices=("fig2", "fig3", "fig4", "custom"))
-    p_sweep.add_argument("--mbar-min", type=int, default=1)
-    p_sweep.add_argument("--mbar-max", type=int, default=8)
-    p_sweep.add_argument("--m1-max", type=int, default=10)
-    p_sweep.add_argument("--m2-max", type=int, default=10)
-    p_sweep.add_argument("--n1", type=int, default=None, help="custom sweeps only")
-    p_sweep.add_argument("--n2", type=int, default=None, help="custom sweeps only")
+    kinds = p_sweep.add_subparsers(dest="kind", required=True)
+    p_fig2 = kinds.add_parser("fig2", help="slem by mean branch length, n1=6, n2=12")
+    p_fig2.add_argument("--mbar-min", type=int, default=1)
+    p_fig2.add_argument("--mbar-max", type=int, default=8)
+    p_fig2.set_defaults(grid=_fig2_sweep, columns=("slem",))
+    for kind, columns in [("fig3", ("slem",)), ("fig4", ("w_minus_1",)),
+                          ("custom", ("slem", "w_minus_1", "theta_star"))]:
+        p_grid = kinds.add_parser(kind, help=f"{', '.join(columns)} over m1, m2")
+        p_grid.add_argument("--m1-max", type=int, default=10)
+        p_grid.add_argument("--m2-max", type=int, default=10)
+        p_grid.set_defaults(grid=_grid_sweep, columns=columns)
+    kinds.choices["fig3"].set_defaults(n1=2, n2=22)
+    kinds.choices["fig4"].set_defaults(n1=2, n2=22)
+    for name in ("--n1", "--n2"):
+        kinds.choices["custom"].add_argument(name, type=int, required=True)
 
     p_sim = sub.add_parser(
         "simulate", parents=[common], help="run consensus rounds, trajectory CSV"

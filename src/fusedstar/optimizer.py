@@ -229,14 +229,23 @@ def _cell(cells: list[np.ndarray], index: int) -> tuple:
     return tuple(cell[index : index + 1].tolist()[0] for cell in cells)
 
 
-def _batch_shapes(cells: list[np.ndarray]) -> _Shapes:
-    """The cells as floats, once every cell is a valid two-branch shape.
+def _cells(arrays: list[np.ndarray]) -> list[np.ndarray]:
+    # the arrays broadcast together and flattened; reshape leaves a
+    # one-dimensional broadcast a view, where ravel copies it
+    return [cell.reshape(-1) for cell in np.broadcast_arrays(*arrays)]
+
+
+def _batch_shapes(arrays: list[np.ndarray]) -> _Shapes:
+    """The arrays' cells as floats, once every cell is a valid two-branch
+    shape.  Each array is converted once, at its own shape, so a constant
+    branch count stays one float under its lanes' views.
 
     Otherwise the first invalid cell, in input order, raises the error
     that ``TfsParams`` or ``optimal_weights`` raise for it.
     """
+    cells = _cells(arrays)
     try:
-        shapes = _Shapes(*(np.asarray(cell, dtype=float) for cell in cells))
+        shapes = _Shapes(*_cells([np.asarray(v, dtype=float) for v in arrays]))
     except (OverflowError, TypeError, ValueError):
         suspects = range(cells[0].size)
     else:
@@ -421,9 +430,7 @@ def optimal_weights_batch(m1, n1, m2, n2) -> BatchSolution:
     ``SelfCheckError``.
     """
     arrays = [np.asarray(v) for v in (m1, n1, m2, n2)]
-    # reshape leaves a one-dimensional broadcast cell a view; ravel copies it
-    cells = [cell.reshape(-1) for cell in np.broadcast_arrays(*arrays)]
-    shapes = _batch_shapes(cells)
+    shapes = _batch_shapes(arrays)
     results = np.empty((4, shapes.m1.size))
     for start in range(0, shapes.m1.size, _ONE_CALL_LANES):
         lanes = slice(start, start + _ONE_CALL_LANES)
@@ -437,7 +444,7 @@ def optimal_weights_batch(m1, n1, m2, n2) -> BatchSolution:
         failed |= ~_skeleton_proves_slem(chunk, s, w_minus, w_plus)
         if failed.any():
             # the scalar route raises its own error for this instance
-            params = TfsParams(*_cell(cells, start + int(np.argmax(failed))))
+            params = TfsParams(*_cell(_cells(arrays), start + int(np.argmax(failed))))
             raise _self_check_error(params, optimal_weights(params).s)
     results.flags.writeable = False
     shape = np.broadcast_shapes(*(v.shape for v in arrays))

@@ -4,11 +4,12 @@ The product is what the command line runs: ``topology``, ``weighting``,
 ``spectral``, ``optimizer``, ``certificate`` and ``simulation``.  This
 module holds the other ways to reach the same answers, which the tests
 compare against: the node and edge views of a network, the
-stochasticity report of a dense matrix, the full spectrum of the blocks
-and the change of basis behind them, the all-roots scan of the
-characteristic relation, the rank-one edge stencils of the certificate,
-and the per-node stencil and the matrix recurrence of the iteration.  They
-take a network as its ``TfsParams`` and a dense matrix as a plain array.
+stochasticity report of a dense matrix, the full spectrum of the blocks,
+eigenvalues with multiplicities, and the change of basis behind them, the
+all-roots scan of the characteristic relation, the rank-one edge stencils
+of the certificate, and the per-node stencil and the matrix recurrence of
+the iteration.  They take a network as its ``TfsParams`` and a dense
+matrix as a plain array.
 It imports the product modules; no product module imports it, so the CLI
 never loads it.  Only the full-spectrum route, ``tridiagonal_spectrum``,
 needs scipy, and it loads it on first use.
@@ -31,12 +32,12 @@ from .topology import InvalidParameterError, TfsParams, edge_table
 from .weighting import OrbitWeights
 
 __all__ = [
-    "InvalidNodeError", "NoRootsError", "NodeId", "NotAnEdgeError",
-    "PoleProximityError", "RootCountMismatchWarning", "StochasticityReport",
-    "ThetaRoots", "alpha_vectors", "block_spectrum", "block_structure",
-    "canonical_nodes", "char_residual", "degrees", "distributed_iterate",
-    "distributed_rounds", "edge_orbit", "edges", "equivalent_star",
-    "interlacing_check", "iterate", "matrix_rounds",
+    "BlockSpectrumReport", "InvalidNodeError", "NoRootsError", "NodeId",
+    "NotAnEdgeError", "PoleProximityError", "RootCountMismatchWarning",
+    "StochasticityReport", "ThetaRoots", "alpha_vectors", "block_spectrum",
+    "block_structure", "canonical_nodes", "char_residual", "degrees",
+    "distributed_iterate", "distributed_rounds", "edge_orbit", "edges",
+    "equivalent_star", "interlacing_check", "iterate", "matrix_rounds",
     "node_index", "nodes", "solve_theta_roots", "stencil_gram_matrices",
     "strata", "stratification_basis", "stratum_labels", "tridiagonal_spectrum",
     "validate_stochastic",
@@ -216,7 +217,33 @@ def tridiagonal_spectrum(block: Tridiagonal) -> np.ndarray:
     return eigh_tridiagonal(block.diagonal, block.off_diagonal, eigvals_only=True)
 
 
-def block_spectrum(blocks: StratifiedBlocks) -> SpectralReport:
+@dataclass(frozen=True)
+class BlockSpectrumReport(SpectralReport):
+    """A ``SpectralReport`` with the spectrum behind it: its eigenvalues
+    with multiplicities, descending."""
+
+    eigenvalues: tuple[tuple[float, int], ...]
+
+    @classmethod
+    def from_pairs(cls, pairs: list[tuple[float, int]]) -> "BlockSpectrumReport":
+        """The report of ``(value, multiplicity)`` pairs.  ``lambda2`` is
+        the top value when it repeats or stands alone, else the next."""
+        pairs = sorted(
+            ((float(v), int(m)) for v, m in pairs if m > 0), reverse=True
+        )
+        if not pairs:
+            raise ValueError("no eigenvalues")
+        top_value, top_mult = pairs[0]
+        if top_mult > 1 or len(pairs) == 1:
+            lambda2 = top_value
+        else:
+            lambda2 = pairs[1][0]
+        return cls(
+            lambda2=lambda2, lambda_min=pairs[-1][0], eigenvalues=tuple(pairs)
+        )
+
+
+def block_spectrum(blocks: StratifiedBlocks) -> BlockSpectrumReport:
     """Spectrum of the full matrix from the blocks, multiplicities symbolic.
 
     Every block goes through the symmetric-tridiagonal eigensolver.
@@ -225,7 +252,7 @@ def block_spectrum(blocks: StratifiedBlocks) -> SpectralReport:
     eigenvalues.
     """
     sized = zip((blocks.minus, blocks.center, blocks.plus), blocks.multiplicities)
-    return SpectralReport.from_pairs([
+    return BlockSpectrumReport.from_pairs([
         (value, mult)
         for block, mult in sized
         for value in tridiagonal_spectrum(block).tolist()

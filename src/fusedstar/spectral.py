@@ -10,14 +10,15 @@ quantity of the full matrix follows from small tridiagonal eigensolves, even
 for very large networks.  ``central_tridiagonal`` is the one formula for
 the entries: it writes the central block from orbit weights, for one shape
 or a stack of shapes of one length, and the arm blocks are its leading
-``m1`` and trailing ``m2`` rows.  ``block_extremes`` finds ``lambda2``,
-``lambda_min`` and the SLEM from six eigenvalues: the lowest and
-second-highest of the central block, whose top is the consensus
-eigenvalue 1, and the lowest and highest of each arm block; at an optimum
-``+-s`` seed them.  ``Tridiagonal.eigenvalues`` finds eigenvalues by
-index, and one rule decides every guessed one, a seed or a dense solver's
-value: it stands when two run-compressed Sturm counts 8 ulps either side
-of it hold its index.  A missing eigenvalue comes, in a block of at most
+``m1`` and trailing ``m2`` rows.  ``block_extremes`` finds ``lambda2``
+and ``lambda_min`` from six eigenvalues: the lowest and second-highest of
+the central block, whose top is the consensus eigenvalue 1, and the lowest
+and highest of each arm block; at an optimum ``+-s`` seed them.  A
+``SpectralReport`` holds those two numbers, and its SLEM is derived from
+them.  ``Tridiagonal.eigenvalues`` finds eigenvalues by index, and one
+rule decides every guessed one, a seed or a dense solver's value: it
+stands when two run-compressed Sturm counts 8 ulps either side of it hold
+its index.  A missing eigenvalue comes, in a block of at most
 ``_DENSE_ROWS`` rows, from ``np.linalg.eigvalsh`` on its dense form
 (through that rule where it is not accurate enough), and in a larger one
 from bisection on the count.  ``Tridiagonal.count_below`` is that count
@@ -34,8 +35,10 @@ over a stack of run-length-encoded tridiagonals, vectorised over the
 lanes, and ``count_central_below`` builds a central block's count from
 its two arms'; the optimizer proves every optimum of a batch with them.
 ``count_eigenvalues_below`` counts row by row by LDL^T inertia over a
-stack of tridiagonals; it is the reference for both run counts.  This
-module does not need scipy: the full-spectrum reference that does,
+stack of tridiagonals; it is the reference for both run counts.  At run
+time this module imports ``topology`` alone (``OrbitWeights`` is named
+only in an annotation), so ``weighting`` builds on it.  It does not
+need scipy: the full-spectrum reference that does,
 ``fusedstar.reference.tridiagonal_spectrum``, loads it on first use.
 """
 from __future__ import annotations
@@ -43,12 +46,14 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
 from .topology import TfsParams
-from .weighting import OrbitWeights
+
+if TYPE_CHECKING:
+    from .weighting import OrbitWeights
 
 # A block of at most this many rows takes its eigenvalues from a dense
 # ``np.linalg.eigvalsh``; a larger one bisects on run-compressed counts.
@@ -256,8 +261,8 @@ class _RunCount:
 
     def __init__(self, diagonal: np.ndarray, off_diagonal: np.ndarray):
         self.size = n = diagonal.size
-        # one magnitude array at a time, and none kept: the couplings are
-        # kept with their signs and taken in magnitude where they are read
+        # one magnitude array at a time, and none kept: the off-diagonal is
+        # kept with its signs and taken in magnitude where it is read
         top = max(
             float(np.abs(diagonal).max()),
             float(np.abs(off_diagonal).max(initial=0.0)),
@@ -272,7 +277,7 @@ class _RunCount:
             off_diagonal = off_diagonal / self.scale
         # every entry is at most 1 in magnitude now, so ||T|| <= 3 and
         # LAPACK's pivmin, tiny * max(1, max b^2), is tiny
-        self.diagonal, self.couplings = diagonal, off_diagonal
+        self.diagonal, self.off_diagonal = diagonal, off_diagonal
         # rows 1.. start a new key where a_j or b_{j-1}^2 changes; only
         # the entries that start a run or make a step are read
         b = np.abs(off_diagonal)
@@ -292,7 +297,7 @@ class _RunCount:
     def gershgorin(self) -> tuple[float, float]:
         """Bounds on the scaled spectrum, widened as in dstebz."""
         sides = np.zeros(self.size + 1)
-        np.abs(self.couplings, out=sides[1:-1])
+        np.abs(self.off_diagonal, out=sides[1:-1])
         radius = sides[:-1] + sides[1:]
         low = float((self.diagonal - radius).min())
         high = float((self.diagonal + radius).max())
@@ -556,36 +561,16 @@ class StratifiedBlocks:
 
 @dataclass(frozen=True)
 class SpectralReport:
-    """``lambda2``, ``lambda_min`` and the SLEM, and the spectrum behind
-    them where it was computed whole: its eigenvalues with multiplicities,
-    descending (``block_extremes`` leaves it empty)."""
+    """``lambda2``, the second-highest eigenvalue of a weight matrix, and
+    ``lambda_min``, its lowest; the SLEM follows from them."""
 
-    eigenvalues: tuple[tuple[float, int], ...]
     lambda2: float
     lambda_min: float
-    slem: float
 
-    @classmethod
-    def from_pairs(
-        cls, pairs: list[tuple[float, int]]
-    ) -> "SpectralReport":
-        pairs = sorted(
-            ((float(v), int(m)) for v, m in pairs if m > 0), reverse=True
-        )
-        if not pairs:
-            raise ValueError("no eigenvalues")
-        top_value, top_mult = pairs[0]
-        if top_mult > 1 or len(pairs) == 1:
-            lambda2 = top_value
-        else:
-            lambda2 = pairs[1][0]
-        lambda_min = pairs[-1][0]
-        return cls(
-            eigenvalues=tuple(pairs),
-            lambda2=lambda2,
-            lambda_min=lambda_min,
-            slem=max(lambda2, -lambda_min),
-        )
+    @property
+    def slem(self) -> float:
+        """The second-largest eigenvalue modulus, ``max(lambda2, -lambda_min)``."""
+        return max(self.lambda2, -self.lambda_min)
 
 
 def perron_vector(params: TfsParams) -> np.ndarray:
@@ -749,17 +734,13 @@ def block_extremes(
         highs = [second] + [
             float(arm.eigenvalues([arm.size - 1], [s])[0]) for arm in arms
         ]
-    lambda2, lambda_min = max(highs), min(lows)
-    return SpectralReport(
-        eigenvalues=(),
-        lambda2=lambda2,
-        lambda_min=lambda_min,
-        slem=max(lambda2, -lambda_min),
-    )
+    return SpectralReport(lambda2=max(highs), lambda_min=min(lows))
 
 
 def full_spectrum(entries: np.ndarray) -> SpectralReport:
-    """Dense eigendecomposition of an assembled matrix (oracle route).
+    """``lambda2`` and ``lambda_min`` of an assembled matrix from its dense
+    eigendecomposition (oracle route): the second-highest and the lowest of
+    its ascending eigenvalues, the highest for a single row.
 
     Guarded by ``_FULL_SPECTRUM_ROWS``; prefer the block route for large networks.
     """
@@ -769,4 +750,6 @@ def full_spectrum(entries: np.ndarray) -> SpectralReport:
             f"matrix of size {n} exceeds the dense-eigensolve guard {limit}"
         )
     eigs = np.linalg.eigvalsh(entries)
-    return SpectralReport.from_pairs([(float(v), 1) for v in eigs])
+    return SpectralReport(
+        lambda2=float(eigs[-2 if n > 1 else -1]), lambda_min=float(eigs[0])
+    )

@@ -5,18 +5,18 @@ of a TFS network is determined by one weight per edge orbit, which
 ``OrbitWeights`` stores as one read-only vector.  The assembled matrix is a
 read-only array, symmetric and row-stochastic by construction: off-diagonal
 entries carry the orbit weight of their edge, diagonals absorb the rest.
+The best constant weight comes from the extreme eigenvalues of the unit
+weights' stratified blocks, which ``spectral`` builds and keeps on the
+weights; ``spectral`` needs nothing from this module at run time.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .spectral import StratifiedBlocks, block_extremes, build_blocks
 from .topology import TfsParams, edge_table
-
-if TYPE_CHECKING:
-    from .spectral import StratifiedBlocks
 
 
 class MissingOrbitWeightError(ValueError):
@@ -144,9 +144,6 @@ def best_constant_orbit_weights(params: TfsParams) -> OrbitWeights:
     so both come from the extreme eigenvalues of its blocks: the weight is
     ``2 / (2 - lambda_min - lambda2)`` of that matrix.
     """
-    # deferred: spectral imports this module
-    from .spectral import block_extremes, build_blocks
-
     unit = OrbitWeights.constant(params, 1.0)
     report = block_extremes(build_blocks(params, unit))
     alpha = 2.0 / (2.0 - report.lambda_min - report.lambda2)

@@ -741,8 +741,10 @@ def test_batch_memory_is_bounded_on_a_large_grid():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # 2.9 MB of results beside one slice's root search and counts
-    assert peak < 16 * 2**20
+    # 2.9 MB of results and the grid's 1.4 MB of float branch lengths
+    # beside one slice's root search and counts; each constant branch
+    # count is one float under its lanes' views
+    assert peak < 13 * 2**20
     lanes = slice(0, optimizer._ONE_CALL_LANES)
     cells = np.broadcast_arrays(m1[lanes] + 1, 3, m2[lanes] + 1, 4)
     shapes = _batch_shapes(cells)

@@ -1,5 +1,6 @@
 """Stratified block decomposition, spectra, SLEM and interlacing."""
 
+import dataclasses
 import math
 from types import SimpleNamespace
 
@@ -30,6 +31,7 @@ from fusedstar.topology import InvalidParameterError, TfsParams
 from fusedstar.weighting import (
     OrbitWeights,
     assemble_weight_matrix,
+    best_constant_orbit_weights,
     max_degree_orbit_weights,
     metropolis_orbit_weights,
 )
@@ -494,8 +496,33 @@ def test_full_spectrum_identity():
     p = TfsParams(2, 2, 2, 2)
     wm = assemble_weight_matrix(p, OrbitWeights.constant(p, 0.0))
     report = full_spectrum(wm)
-    assert report.eigenvalues[0][0] == pytest.approx(1.0)
     assert report.lambda2 == pytest.approx(1.0)
+
+
+def test_spectral_report_holds_two_numbers_and_derives_the_slem():
+    assert [f.name for f in dataclasses.fields(SpectralReport)] == [
+        "lambda2", "lambda_min",
+    ]
+    assert SpectralReport(lambda2=0.5, lambda_min=-0.75).slem == 0.75
+    assert SpectralReport(lambda2=0.75, lambda_min=-0.5).slem == 0.75
+
+
+@pytest.mark.parametrize("shape", [(3, 4, 4, 3), (3, 4, 3, 6), (10, 20, 20, 10)])
+def test_full_spectrum_reads_the_ascending_eigenvalues(shape):
+    # the scheme matrices of the acceptance benchmark table
+    p = TfsParams(*shape)
+    schemes = [metropolis_orbit_weights(p), best_constant_orbit_weights(p),
+               max_degree_orbit_weights(p, convention="inv_dmax")]
+    for ow in schemes:
+        entries = assemble_weight_matrix(p, ow)
+        eigs = np.linalg.eigvalsh(entries)
+        report = full_spectrum(entries)
+        assert type(report) is SpectralReport
+        expected = (eigs[-2], eigs[0], max(eigs[-2], -eigs[0]))
+        got = (report.lambda2, report.lambda_min, report.slem)
+        assert [float(v).hex() for v in got] == [float(v).hex() for v in expected]
+    # a single row is its own lambda2
+    assert dataclasses.astuple(full_spectrum(np.array([[0.25]]))) == (0.25, 0.25)
 
 
 def test_full_spectrum_metropolis_benchmark():
