@@ -10,7 +10,8 @@ trajectories; diagnostics go to stderr.  Exit codes: 0 success,
 closed before the whole report was written (a reader such as ``head``
 that exits early; 128 + SIGPIPE, as a shell reports a process that
 SIGPIPE ends), with nothing on stderr, buffered or not (``python -u``,
-``PYTHONUNBUFFERED``).
+``PYTHONUNBUFFERED``).  ``main`` returns the code for every argument
+list: argparse's usage errors give 2 and ``--help`` 0.
 """
 from __future__ import annotations
 
@@ -390,7 +391,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse has written its usage error (2) or its help (0)
+        return exc.code
     # the parser is built once per process, so the command is looked up
     # here: a ``cmd_*`` rebound since then (say, by a tracing wrapper) runs
     command = globals()[f"cmd_{args.command}"]

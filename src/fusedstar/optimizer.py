@@ -10,15 +10,19 @@ spectral radius.  On ``(0, pi / (2 max(m1, m2))]`` both response factors are
 at least -1 and strictly decreasing, so the relation is positive exactly
 below theta* there and bisection on that bracket finds it.
 ``optimal_weights_batch`` solves a grid of shapes in slices of
-``_ONE_CALL_LANES``, each step one evaluation of the relation on a stacked
-``(3, lanes)`` angle array (``_StackedRelation``) with ``_char_values``'s
-float operations in its order.  Below theta* the relation is convex, so a
-Newton step from the positive end of each lane's bracket stays below
-theta*; guarded by bisection, it reaches the adjacent floats where the
-scalar bisection stops in 14 to 16 steps instead of 52 to 55, and returns
-its bits.  Every optimum, on either route, is self-checked by eigenvalue
-counts at four shifts (``_counts_prove_slem``), never by computed
-eigenvalues, and the counts cost O(1) in the branch lengths.  A single
+``_ONE_CALL_LANES``, each step one evaluation of the relation at two
+angles a lane on a stacked ``(3, 2, lanes)`` array (``_StackedRelation``)
+with ``_char_values``'s float operations in its order.  The search starts
+from a closed-form root of the relation with ``cot x = 1/x - 4x/pi^2``,
+within 3 % of theta*.  Below theta* the relation is convex, so Newton's
+point from the positive end of each lane's bracket stays below theta*
+and the chord's above it; two points either side of their extrapolation,
+guarded by the midpoint, reach the adjacent floats where the scalar
+bisection stops in five or six evaluations instead of 52 to 55, whatever
+``n1`` and ``n2``, and return its bits.  Every optimum, on either route,
+is self-checked by eigenvalue counts at four shifts
+(``_counts_prove_slem``), never by computed eigenvalues, and the counts
+cost O(1) in the branch lengths.  A single
 solve counts the blocks that ``build_blocks`` keeps on its weights, twelve
 pure-Python counts of ``Tridiagonal.count_below`` whose blocks its report
 and certificate reuse.  A batch counts each optimum's blocks with each arm
@@ -55,6 +59,13 @@ _SELF_CHECK = 1e-9  # largest |slem - s| the self-checks accept
 _DEGENERATE = 1e-13
 # shapes that optimal_weights_batch solves end to end in one slice
 _ONE_CALL_LANES = 8192
+# _first_sign_changes: the slope of the start's cotangent, its first two
+# points as multiples of the start, and the offsets of the next two from
+# the extrapolated root, as shares of the gap between Newton's point and
+# the chord's, at the second evaluation and after it
+_COT_SLOPE = 4.0 / math.pi**2
+_START = np.array([[1.0 - 1e-6], [1.03]])
+_MARGINS = np.array([[-0.05], [0.05]]), np.array([[-0.005], [0.005]])
 
 
 @dataclass(frozen=True)
@@ -266,18 +277,25 @@ class _StackedRelation:
     one stacked angle array.
 
     ``coef`` holds each lane's angle coefficients ``0.5, m1, m2`` as rows
-    and ``two_n`` its arm factors ``2/n1, 2/n2``.  Each evaluation writes
-    the same buffers, and ``newton_step`` reuses them, so a step of the
-    root search allocates no stack.
+    and ``two_n`` its arm factors ``2/n1, 2/n2``; both broadcast over the
+    trial angles of a lane, whose shape ``points`` is ``()`` for one angle
+    a lane and ``(2,)`` for two, ahead of the lanes.  Each evaluation
+    writes the same buffers, and ``newton_step`` reuses them, so a step
+    of the root search allocates no stack.
     """
 
-    def __init__(self, shapes: _Shapes) -> None:
-        self.coef = np.stack([np.full_like(shapes.m1, 0.5), shapes.m1, shapes.m2])
-        self.two_n = 2.0 / np.stack([shapes.n1, shapes.n2])
-        self._angles = np.empty_like(self.coef)
-        self._cot = np.empty_like(self.coef)
-        self._arm = np.empty_like(self.two_n)
-        self._product = np.empty_like(shapes.m1)
+    def __init__(self, shapes: _Shapes, points: tuple = ()) -> None:
+        lanes = (1,) * len(points) + shapes.m1.shape
+        self.coef = np.empty((3, *lanes))
+        self.coef[0], self.coef[1], self.coef[2] = 0.5, shapes.m1, shapes.m2
+        self.two_n = np.empty((2, *lanes))
+        np.divide(2.0, shapes.n1, out=self.two_n[0])
+        np.divide(2.0, shapes.n2, out=self.two_n[1])
+        angles = points + shapes.m1.shape
+        self._angles = np.empty((3, *angles))
+        self._cot = np.empty_like(self._angles)
+        self._arm = np.empty((2, *angles))
+        self._product = np.empty(angles)
 
     def arm_product(self, theta) -> np.ndarray:
         """``_char_values + 1`` of every lane at ``theta``, in a buffer that
@@ -295,9 +313,9 @@ class _StackedRelation:
         arm -= 1.0
         return np.multiply(arm[0], arm[1], out=self._product)
 
-    def newton_step(self, out: np.ndarray, where: np.ndarray) -> None:
-        """Newton's step ``-f / f'`` for ``f = a1 a2 - 1`` at the angle of
-        the last ``arm_product``, written to ``out`` where ``where`` holds.
+    def newton_step(self, out: np.ndarray) -> None:
+        """Newton's step ``-f / f'`` for ``f = a1 a2 - 1`` at the angles of
+        the last ``arm_product``, written to ``out``.
 
         An arm factor is ``a = g - 1`` with ``g = (2/n) cot(m t) cot(t/2)``,
         so ``-a' = e g`` with ``e = m / (sin cos)(m t) + 1 / sin t``, the
@@ -316,64 +334,153 @@ class _StackedRelation:
         slope = np.add(rate[1], rate[2], out=rate[0])
         drop = np.reciprocal(self._product, out=self._product)
         np.subtract(1.0, drop, out=drop)
-        np.divide(drop, slope, out=out, where=where)
+        np.divide(drop, slope, out=out)
+
+
+def _closed_form_start(relation: _StackedRelation, hi: np.ndarray) -> np.ndarray:
+    """Each lane's theta* from the relation with ``cot x = 1/x - 4x/pi^2``,
+    in ``(0, hi]``, from the relation's rows ``m`` and ``2/n``.
+
+    That cotangent is exact as ``x -> 0`` and at ``pi/2``, and
+    ``cot(t/2) = 2/t - t/6``; dropping the ``t^2`` term then makes
+    ``(g1 - 1)(g2 - 1) = 1`` the quadratic
+    ``(u - c1)(u - c2) = n1 m1 n2 m2 / 16`` in ``u = 1/t^2``, with
+    ``c = n m/4 + 4 m^2/pi^2 + 1/12``.  Its larger root, the smaller
+    angle, is ``(c1 + c2 + hypot(c1 - c2, d)) / 2`` with
+    ``d = sqrt(n1 m1 n2 m2) / 2``.  A start that is not a positive float
+    falls back to ``hi / 2``.
+    """
+    m = relation.coef[1:]
+    quarter = m / relation.two_n
+    quarter *= 0.5
+    # the split square root keeps n1 n2 ~ 1e600 finite, and so does hypot
+    root = np.sqrt(quarter)
+    d = root[0] * root[1]
+    d += d
+    c = m * m
+    c *= _COT_SLOPE
+    c += quarter
+    c += 1.0 / 12.0
+    u = np.hypot(c[0] - c[1], d)
+    u += c[0]
+    u += c[1]
+    theta = np.sqrt(2.0 / u)
+    return np.where(theta > 0.0, np.minimum(theta, hi), 0.5 * hi)
 
 
 def _first_sign_changes(shapes: _Shapes) -> np.ndarray:
     """``_first_sign_change`` of the relation on every lane at once, bit for
-    bit, by a guarded Newton search.
+    bit, by a two-point Newton search from a closed-form start.
 
     Each lane keeps bisection's bracket ``(lo, hi]``, from ``lo = 0`` and
-    ``hi = pi / (2 max(m1, m2))``: it evaluates the scalar predicate,
-    ``_StackedRelation.arm_product(x) > 1.0``, once per step and moves
-    ``lo`` or ``hi`` to ``x`` as bisection does.  Below theta* both arm
-    factors are positive, decreasing and convex, so ``f = a1 a2 - 1`` is
-    convex there, and Newton's point from ``lo`` never passes theta* in
-    exact arithmetic.  The next ``x`` is that point when it lies strictly
-    inside the bracket, the float below ``hi`` when it lands at or past
-    ``hi``, and the float above ``lo`` when the step is below an ulp.  A
-    lane bisects instead while it has no finite positive step (before its
-    first positive point, or where the slope overflowed), and when its
-    bracket has not halved over the last two steps.  Since the predicate
-    changes sign once on the bracket, as ``_first_sign_change`` requires,
-    each lane ends at the adjacent floats where bisection ends and
-    returns bisection's last midpoint ``0.5 * (lo + hi)``.
+    ``hi = pi / (2 max(m1, m2))``, and each evaluation judges two trial
+    points strictly inside it, in one stacked call, by the scalar
+    predicate ``_StackedRelation.arm_product(x) > 1.0``: ``lo`` moves to
+    the higher point that holds and ``hi`` to the lower one that fails, as
+    bisection moves them.  Since the predicate changes sign once on the
+    bracket, as ``_first_sign_change`` requires, each lane ends at the
+    adjacent floats where bisection ends and returns bisection's last
+    midpoint ``0.5 * (lo + hi)``.  Like bisection it never evaluates the
+    first ``hi``, where with ``m1 = m2`` both arm factors are -1 and
+    rounding may make the predicate hold.
 
-    The guard halves a bracket at least once in three steps, so a lane
-    takes at most three times the steps that bisection takes from the same
-    bracket: at most 3 x 1075 from ``(0, pi / 2]``, and the batch as many
-    as its slowest lane.  The benchmark's ``sweep`` grids take 14 to 16
-    steps, where bisection takes 52 to 55.  Its memory is a few stacks
-    of the lanes it is given.
+    The first points are a millionth below ``_closed_form_start`` and 3 %
+    above it (at most halfway to ``hi``).  Below theta* both arm factors
+    are positive, decreasing and convex, so ``f = a1 a2 - 1`` is convex on
+    ``[lo, theta*]``: Newton's point ``N`` from ``lo`` stays below
+    theta*, and the chord point ``U`` of ``f(lo)`` and ``f(hi)`` stays
+    above it while ``f`` is convex up to ``hi`` (Fourier's pairing of the
+    two).  Their errors are in the ratio of the distances of ``lo`` and
+    ``hi`` to theta*, so ``N + (U - N)(N - lo)/(hi - lo)`` cancels the
+    leading error of both.  The next two points lie ``_MARGINS`` of
+    ``U - N`` either side of that estimate, 5 % at the second evaluation
+    and 0.5 % after it: one then holds and one fails, and the bracket
+    shrinks at least quadratically.  The lower point stays below the
+    float under ``hi`` and the upper one at least one float above it, so
+    a bracket of three ulps closes in one evaluation.  Where the bracket
+    has not shrunk to a quarter over the last two evaluations, the upper
+    point is the midpoint instead (the two sorted), so the width falls
+    at least as ``2**(-k/2)`` over ``k`` evaluations: a lane takes at
+    most about twice the evaluations of bisection from the same bracket,
+    whatever ``f`` does above theta*.  A point outside the bracket
+    becomes the float inside it nearest to it, and a nan point (where a
+    lane has no chord yet) a float next to one of its ends.
+
+    The batch takes as many evaluations as its slowest lane: five on the
+    benchmark's ``sweep`` grids, on ``sweep fig2`` and on a log-uniform
+    sample up to ``m = 1e6`` and ``n = 1e15``, and six on the slices of
+    a 300 x 300 grid, where bisection takes 52 to 55; the count does not
+    grow with ``n1`` and ``n2``.  Its memory is a few stacks of two
+    points on the lanes it is given.
     """
-    relation = _StackedRelation(shapes)
-    hi = np.pi / (2.0 * np.maximum(shapes.m1, shapes.m2))
-    lo = np.zeros_like(hi)
-    x = 0.5 * hi
-    step = np.full_like(hi, np.nan)  # Newton's step from lo: none yet
-    # half the bracket's width after each of the last two steps
-    half_last = half_before = np.full_like(hi, np.inf)
-    # the Newton step may divide by zero or overflow on lanes that do not
-    # take it, and a step of zero or nan makes its lane bisect
+    relation = _StackedRelation(shapes, points=(2,))
+    # angle, Newton step and arm product of the two trial points ...
+    trial = np.empty((3, 2, shapes.m1.size))
+    x, steps, products = trial
+    # ... and of lo and hi; until they are evaluated, f(lo = 0) is
+    # infinite, which makes the chord nan, and f(hi) is taken as 0, which
+    # puts the chord point at hi
+    ends = np.empty_like(trial)
+    lo, hi = ends[0]
+    hi[...] = np.pi / (2.0 * np.maximum(shapes.m1, shapes.m2))
+    lo[...] = 0.0
+    ends[1] = np.nan
+    ends[2] = np.array([[np.inf], [1.0]])
+    step, _ = ends[1]
+    p_lo, p_hi = ends[2]
+    np.multiply(_closed_form_start(relation, hi), _START, out=x)
+    # bisection never evaluates hi, where with m1 = m2 both arm factors
+    # are -1 and rounding may make the predicate hold
+    np.minimum(x[1], 0.5 * (x[0] + hi), out=x[1])
+    # non-negative floats order as their bit patterns, and adjacent ones
+    # differ by one there
+    x_bits, (lo_bits, hi_bits) = x.view(np.int64), ends[0].view(np.int64)
+    lower_bits, upper_bits = x_bits
+    # the loop reuses these views and buffers
+    lower, upper = trial[:, 0], trial[:, 1]
+    lo_end, hi_end = ends[:, 0], ends[:, 1]
+    holds, fails = np.empty((2, *x.shape), dtype=bool)
+    share = np.empty_like(x)
+    quarter_before = quarter_last = 0.25 * hi
+    margin = _MARGINS[0]
+    # far from theta* a step or chord may divide by zero or overflow, and
+    # a nan point is clipped into the bracket
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         while True:
-            positive = relation.arm_product(x) > 1.0
-            relation.newton_step(out=step, where=positive)
-            lo = np.where(positive, x, lo)
-            hi = np.where(positive, hi, x)
-            x = lo + hi
-            x *= 0.5
-            above_lo = np.nextafter(lo, hi)
-            if not (above_lo < hi).any():
-                return x
+            np.copyto(products, relation.arm_product(x))
+            relation.newton_step(out=steps)
+            np.greater(products, 1.0, out=holds)
+            np.logical_not(holds, out=fails)
+            # x[0] <= x[1], and the predicate holds on an initial segment
+            np.copyto(lo_end, lower, where=holds[0])
+            np.copyto(lo_end, upper, where=holds[1])
+            np.copyto(hi_end, upper, where=fails[1])
+            np.copyto(hi_end, lower, where=fails[0])
+            if not (hi_bits - lo_bits > 1).any():
+                return 0.5 * (lo + hi)
             width = hi - lo
-            newton = width <= half_before
-            newton &= step > 0.0
-            half_before, half_last = half_last, np.multiply(width, 0.5, out=width)
-            point = lo + step
-            np.maximum(point, above_lo, out=point)
-            np.minimum(point, np.nextafter(hi, lo), out=point)
-            np.copyto(x, point, where=newton)
+            # N = lo + q width and U = lo + r width; their extrapolation is
+            # lo + (q + q t) width with t = r - q, and the points lie
+            # margin t width either side of it
+            q = step / width
+            t = p_lo - 1.0
+            t /= p_lo - p_hi
+            t -= q
+            np.multiply(t, q + margin, out=share)
+            share += q
+            margin = _MARGINS[1]
+            # the midpoint and the lower point, in order, where stalled
+            stalled = width > quarter_before
+            np.fmax(share[0], 0.5, out=share[1], where=stalled)
+            np.fmin(share[0], 0.5, out=share[0], where=stalled)
+            quarter_before, quarter_last = quarter_last, 0.25 * width
+            np.multiply(share, width, out=x)
+            x += lo
+            # lo < x[0] < x[1] < hi, x[0] below the float under hi
+            np.minimum(lower_bits, hi_bits - 2, out=lower_bits)
+            np.maximum(x_bits, lo_bits + 1, out=x_bits)
+            np.maximum(upper_bits, lower_bits + 1, out=upper_bits)
+            np.minimum(upper_bits, hi_bits - 1, out=upper_bits)
 
 
 def _skeleton(shapes: _Shapes, w_minus, w_plus) -> tuple:

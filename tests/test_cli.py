@@ -460,17 +460,47 @@ def test_verify_output_does_not_depend_on_the_blas_thread_count():
     ids=["solve", "compare", "simulate", "verify", "sweep"],
 )
 def test_only_max_degree_commands_take_its_convention(capsys, argv, code):
-    try:
-        returned = main([*argv, "--max-degree-convention", "dmax+1"])
-    except SystemExit as exc:  # argparse rejects an unknown option
-        returned = exc.code
-    assert returned == code
+    # argparse rejects the option where the command does not read it
+    assert main([*argv, "--max-degree-convention", "dmax+1"]) == code
     capsys.readouterr()
 
 
+USAGE_ERRORS = [
+    ["solve", "--m1", "x", "--n1", "2", "--m2", "2", "--n2", "2"],
+    ["solve", "--m1", "2", "--n1", "2", "--m2", "2"],
+    ["sweep", "fig3", "--n1", "5"],
+    ["simulate", "--bogus"],
+    ["frobnicate"],
+    [],
+]
+
+
+@pytest.mark.parametrize("argv", USAGE_ERRORS, ids=lambda argv: " ".join(argv))
+def test_main_returns_two_for_a_usage_error(capsys, argv):
+    # argparse's own message on stderr, and no report
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: fusedstar")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["sweep", "custom", "-h"]])
+def test_main_returns_zero_for_help(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: fusedstar")
+
+
+def test_the_console_exit_codes_of_usage_errors_and_help_stay():
+    code, out, err = run_cli_process(USAGE_ERRORS[0])
+    assert (code, out) == (2, "")
+    assert "invalid int value: 'x'" in err
+    code, out, err = run_cli_process(["--help"])
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: fusedstar")
+
+
 def test_verify_help_shows_the_negative_perturbation_form(capsys):
-    with pytest.raises(SystemExit):
-        main(["verify", "--help"])
+    assert main(["verify", "--help"]) == 0
     assert "--perturb=-1e-3" in capsys.readouterr().out
 
 
@@ -647,10 +677,10 @@ def test_sweep_fig4_boundary_weight_grid(capsys):
 
 
 def test_sweep_custom_requires_branch_counts(capsys):
-    with pytest.raises(SystemExit) as exc:  # argparse requires them
-        main(["sweep", "custom", "--m1-max", "2", "--m2-max", "2"])
+    # argparse requires them
+    code = main(["sweep", "custom", "--m1-max", "2", "--m2-max", "2"])
     out, err = capsys.readouterr()
-    assert (exc.value.code, out) == (2, "")
+    assert (code, out) == (2, "")
     assert "--n1" in err
 
 
@@ -671,10 +701,9 @@ def test_sweep_custom_requires_branch_counts(capsys):
 def test_sweep_refuses_an_option_its_kind_does_not_read(capsys, argv):
     # each kind reads its own options: the one after the kind is another's,
     # and is refused rather than ignored
-    with pytest.raises(SystemExit) as exc:
-        main(["sweep", *argv])
+    code = main(["sweep", *argv])
     out, err = capsys.readouterr()
-    assert (exc.value.code, out) == (2, "")
+    assert (code, out) == (2, "")
     assert err.endswith(f"unrecognized arguments: {' '.join(argv[1:3])}\n")
 
 

@@ -442,20 +442,41 @@ def bisection_evaluations(shape):
 
 def test_newton_search_pins_a_sweep_in_few_evaluations(monkeypatch):
     # bisection takes 52 to 55 on these shapes, and so would any slide back
-    # to linear convergence
+    # to linear convergence; each evaluation judges two points a shape
     for n1 in BRANCH_COUNTS:
         for n2 in BRANCH_COUNTS:
-            assert count_evaluations(monkeypatch, grid(n1, n2)) <= 16, (n1, n2)
-    assert count_evaluations(monkeypatch, fig2_shapes(8)) <= 16
+            assert count_evaluations(monkeypatch, grid(n1, n2)) <= 5, (n1, n2)
+    assert count_evaluations(monkeypatch, fig2_shapes(8)) <= 5
+    # the 10^4 log-uniform shapes in one slice
+    monkeypatch.setattr(optimizer, "_ONE_CALL_LANES", 10**4)
+    assert count_evaluations(monkeypatch, BATCH_SHAPES["log-uniform"]) <= 5
 
 
 @pytest.mark.parametrize("shape", EXTREME_SHAPES)
-def test_newton_search_stays_within_three_times_bisection(monkeypatch, shape):
-    # the docstring's bound: the bracket halves at least once in three
-    # evaluations, so a lane takes at most three times the bisection's;
-    # (2, 10**300, 2, 2) bisects about 500 times to its first positive point
-    bound = 3 * bisection_evaluations(shape)
+def test_newton_search_stays_within_twice_bisection(monkeypatch, shape):
+    # the docstring's bound: where the bracket has not shrunk to a quarter
+    # over two evaluations the next one takes its midpoint, so the width
+    # falls as 2**(-k/2) at least and a lane takes at most about twice
+    # the bisection's; (2, 10**300, 2, 2) bisects about 500 times
+    bound = 2 * bisection_evaluations(shape)
     assert count_evaluations(monkeypatch, [shape]) <= bound
+
+
+@pytest.mark.parametrize(
+    "shapes",
+    [
+        [(m, n, m, n) for m in (1, 3, 10, 100, 10**4)]
+        for n in (10**2, 10**6, 10**10, 10**15)
+    ] + [[(2, 10**300, 2, 2)]],
+    ids=["n=1e2", "n=1e6", "n=1e10", "n=1e15", "n=1e300"],
+)
+def test_root_search_evaluations_do_not_grow_with_branch_counts(
+    monkeypatch, shapes
+):
+    # the closed-form start is as close at every branch count; a search
+    # from the bracket's midpoint took 33 evaluations at n = 1e15 and 509
+    # at (2, 10**300, 2, 2)
+    assert count_evaluations(monkeypatch, shapes) <= 6
 
 
 _LENGTHS = st.one_of(st.integers(1, 40), st.integers(1, 10**6))
@@ -754,7 +775,8 @@ def test_batch_memory_is_bounded_on_a_large_grid():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # one slice's stacks stay near 1.4 MB beside its 64 kB of roots
+    # one slice's stacks of two points a shape stay near 3 MB beside its
+    # 64 kB of roots
     assert peak < 4 * 2**20
     assert np.array_equal(theta, batch.theta_star[lanes])
     for index in (0, 299, 90000 - 1):
