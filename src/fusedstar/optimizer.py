@@ -15,11 +15,11 @@ angles a lane on a stacked ``(3, 2, lanes)`` array (``_StackedRelation``)
 with ``_char_values``'s float operations in its order.  The search starts
 from a closed-form root of the relation with ``cot x = 1/x - 4x/pi^2``,
 within 3 % of theta*.  Below theta* the relation is convex, so Newton's
-point from the positive end of each lane's bracket stays below theta*
-and the chord's above it; two points either side of their extrapolation,
-guarded by the midpoint, reach the adjacent floats where the scalar
-bisection stops in five or six evaluations instead of 52 to 55, whatever
-``n1`` and ``n2``, and return its bits.  Every optimum, on either route,
+point from the positive end of each lane's bracket stays below theta*;
+with a second point just past its predicted error, guarded by the
+midpoint, it reaches the adjacent floats where the scalar bisection
+stops in six or seven evaluations instead of 52 to 55, whatever ``n1``
+and ``n2``, and returns its bits.  Every optimum, on either route,
 is self-checked by eigenvalue counts at four shifts
 (``_counts_prove_slem``), never by computed eigenvalues, and the counts
 cost O(1) in the branch lengths.  A single
@@ -60,12 +60,13 @@ _DEGENERATE = 1e-13
 # shapes that optimal_weights_batch solves end to end in one slice
 _ONE_CALL_LANES = 8192
 # _first_sign_changes: the slope of the start's cotangent, its first two
-# points as multiples of the start, and the offsets of the next two from
-# the extrapolated root, as shares of the gap between Newton's point and
-# the chord's, at the second evaluation and after it
+# points as multiples of the start, how far past Newton's point the second
+# point lies, in Newton's predicted errors, and the largest predicted
+# error, as a share of Newton's step
 _COT_SLOPE = 4.0 / math.pi**2
 _START = np.array([[1.0 - 1e-6], [1.03]])
-_MARGINS = np.array([[-0.05], [0.05]]), np.array([[-0.005], [0.005]])
+_PAST = 2.0
+_FIRST_ERROR = 0.05
 
 
 @dataclass(frozen=True)
@@ -277,25 +278,24 @@ class _StackedRelation:
     one stacked angle array.
 
     ``coef`` holds each lane's angle coefficients ``0.5, m1, m2`` as rows
-    and ``two_n`` its arm factors ``2/n1, 2/n2``; both broadcast over the
-    trial angles of a lane, whose shape ``points`` is ``()`` for one angle
-    a lane and ``(2,)`` for two, ahead of the lanes.  Each evaluation
-    writes the same buffers, and ``newton_step`` reuses them, so a step
-    of the root search allocates no stack.
+    and ``two_n`` its arm factors ``2/n1, 2/n2``, each of shape
+    ``(1, lanes)``, so that they broadcast over the two trial angles of a
+    lane, ``theta`` of shape ``(2, lanes)``.  Each evaluation writes the
+    same buffers, and ``newton_step`` reuses them, so a step of the root
+    search allocates no stack.
     """
 
-    def __init__(self, shapes: _Shapes, points: tuple = ()) -> None:
-        lanes = (1,) * len(points) + shapes.m1.shape
-        self.coef = np.empty((3, *lanes))
+    def __init__(self, shapes: _Shapes) -> None:
+        lanes = shapes.m1.size
+        self.coef = np.empty((3, 1, lanes))
         self.coef[0], self.coef[1], self.coef[2] = 0.5, shapes.m1, shapes.m2
-        self.two_n = np.empty((2, *lanes))
+        self.two_n = np.empty((2, 1, lanes))
         np.divide(2.0, shapes.n1, out=self.two_n[0])
         np.divide(2.0, shapes.n2, out=self.two_n[1])
-        angles = points + shapes.m1.shape
-        self._angles = np.empty((3, *angles))
+        self._angles = np.empty((3, 2, lanes))
         self._cot = np.empty_like(self._angles)
-        self._arm = np.empty((2, *angles))
-        self._product = np.empty(angles)
+        self._arm = np.empty((2, 2, lanes))
+        self._product = np.empty((2, lanes))
 
     def arm_product(self, theta) -> np.ndarray:
         """``_char_values + 1`` of every lane at ``theta``, in a buffer that
@@ -370,7 +370,7 @@ def _closed_form_start(relation: _StackedRelation, hi: np.ndarray) -> np.ndarray
 
 def _first_sign_changes(shapes: _Shapes) -> np.ndarray:
     """``_first_sign_change`` of the relation on every lane at once, bit for
-    bit, by a two-point Newton search from a closed-form start.
+    bit, by a hedged Newton search from a closed-form start.
 
     Each lane keeps bisection's bracket ``(lo, hi]``, from ``lo = 0`` and
     ``hi = pi / (2 max(m1, m2))``, and each evaluation judges two trial
@@ -387,95 +387,83 @@ def _first_sign_changes(shapes: _Shapes) -> np.ndarray:
     The first points are a millionth below ``_closed_form_start`` and 3 %
     above it (at most halfway to ``hi``).  Below theta* both arm factors
     are positive, decreasing and convex, so ``f = a1 a2 - 1`` is convex on
-    ``[lo, theta*]``: Newton's point ``N`` from ``lo`` stays below
-    theta*, and the chord point ``U`` of ``f(lo)`` and ``f(hi)`` stays
-    above it while ``f`` is convex up to ``hi`` (Fourier's pairing of the
-    two).  Their errors are in the ratio of the distances of ``lo`` and
-    ``hi`` to theta*, so ``N + (U - N)(N - lo)/(hi - lo)`` cancels the
-    leading error of both.  The next two points lie ``_MARGINS`` of
-    ``U - N`` either side of that estimate, 5 % at the second evaluation
-    and 0.5 % after it: one then holds and one fails, and the bracket
-    shrinks at least quadratically.  The lower point stays below the
-    float under ``hi`` and the upper one at least one float above it, so
-    a bracket of three ulps closes in one evaluation.  Where the bracket
-    has not shrunk to a quarter over the last two evaluations, the upper
-    point is the midpoint instead (the two sorted), so the width falls
-    at least as ``2**(-k/2)`` over ``k`` evaluations: a lane takes at
-    most about twice the evaluations of bisection from the same bracket,
-    whatever ``f`` does above theta*.  A point outside the bracket
-    becomes the float inside it nearest to it, and a nan point (where a
-    lane has no chord yet) a float next to one of its ends.
+    ``[lo, theta*]`` and Newton's point ``N = lo + step`` stays below
+    theta*.  Its error is near ``C step^2``, with ``C = step / last^2``
+    read from ``lo``'s last two steps, and the other point lies ``_PAST``
+    such errors above ``N``; a predicted error is at most
+    ``_FIRST_ERROR`` of the step, which is all a lane whose ``lo`` has
+    one step yet predicts.  Then ``N`` holds and the other point fails,
+    and the bracket shrinks to a few of Newton's errors.  The lower point
+    stays below the float under ``hi`` and the upper one at least one
+    float above it, so a bracket of three ulps closes in one evaluation.
+    Where the bracket has not shrunk to a quarter over the last two
+    evaluations, the upper point is the midpoint instead (the two
+    sorted), so the width falls at least as ``2**(-k/2)`` over ``k``
+    evaluations: a lane takes at most about twice the evaluations of
+    bisection from the same bracket, whatever ``f`` does above theta*.  A
+    point outside the bracket becomes the float inside it nearest to it,
+    and a nan point (where ``lo`` has no step yet) a float next to one of
+    its ends.
 
-    The batch takes as many evaluations as its slowest lane: five on the
-    benchmark's ``sweep`` grids, on ``sweep fig2`` and on a log-uniform
-    sample up to ``m = 1e6`` and ``n = 1e15``, and six on the slices of
-    a 300 x 300 grid, where bisection takes 52 to 55; the count does not
-    grow with ``n1`` and ``n2``.  Its memory is a few stacks of two
-    points on the lanes it is given.
+    The batch takes as many evaluations as its slowest lane: six or seven
+    on the benchmark's ``sweep`` grids, on ``sweep fig2``, on a
+    log-uniform sample up to ``m = 1e6`` and ``n = 1e15`` and on the
+    slices of a 300 x 300 grid, where bisection takes 52 to 55; the count
+    does not grow with ``n1`` and ``n2``.  Its memory is a few stacks of
+    two points on the lanes it is given.
     """
-    relation = _StackedRelation(shapes, points=(2,))
-    # angle, Newton step and arm product of the two trial points ...
-    trial = np.empty((3, 2, shapes.m1.size))
-    x, steps, products = trial
-    # ... and of lo and hi; until they are evaluated, f(lo = 0) is
-    # infinite, which makes the chord nan, and f(hi) is taken as 0, which
-    # puts the chord point at hi
-    ends = np.empty_like(trial)
-    lo, hi = ends[0]
-    hi[...] = np.pi / (2.0 * np.maximum(shapes.m1, shapes.m2))
+    relation = _StackedRelation(shapes)
+    hi = np.pi / (2.0 * np.maximum(shapes.m1, shapes.m2))
+    # angle and Newton step of the two trial points, and of lo
+    trial = np.empty((2, 2, hi.size))
+    x, steps = trial
+    lo_end = np.empty((2, hi.size))
+    lo, step = lo_end
     lo[...] = 0.0
-    ends[1] = np.nan
-    ends[2] = np.array([[np.inf], [1.0]])
-    step, _ = ends[1]
-    p_lo, p_hi = ends[2]
+    step[...] = np.nan
+    last, error = np.empty_like(lo_end)
     np.multiply(_closed_form_start(relation, hi), _START, out=x)
     # bisection never evaluates hi, where with m1 = m2 both arm factors
     # are -1 and rounding may make the predicate hold
     np.minimum(x[1], 0.5 * (x[0] + hi), out=x[1])
     # non-negative floats order as their bit patterns, and adjacent ones
     # differ by one there
-    x_bits, (lo_bits, hi_bits) = x.view(np.int64), ends[0].view(np.int64)
+    x_bits, lo_bits, hi_bits = (v.view(np.int64) for v in (x, lo, hi))
     lower_bits, upper_bits = x_bits
     # the loop reuses these views and buffers
     lower, upper = trial[:, 0], trial[:, 1]
-    lo_end, hi_end = ends[:, 0], ends[:, 1]
     holds, fails = np.empty((2, *x.shape), dtype=bool)
-    share = np.empty_like(x)
     quarter_before = quarter_last = 0.25 * hi
-    margin = _MARGINS[0]
-    # far from theta* a step or chord may divide by zero or overflow, and
-    # a nan point is clipped into the bracket
+    # far from theta* a step may divide by zero or overflow, and a nan
+    # point is clipped into the bracket
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         while True:
-            np.copyto(products, relation.arm_product(x))
+            np.greater(relation.arm_product(x), 1.0, out=holds)
             relation.newton_step(out=steps)
-            np.greater(products, 1.0, out=holds)
             np.logical_not(holds, out=fails)
+            np.copyto(last, step)
             # x[0] <= x[1], and the predicate holds on an initial segment
             np.copyto(lo_end, lower, where=holds[0])
             np.copyto(lo_end, upper, where=holds[1])
-            np.copyto(hi_end, upper, where=fails[1])
-            np.copyto(hi_end, lower, where=fails[0])
+            np.copyto(hi, x[1], where=fails[1])
+            np.copyto(hi, x[0], where=fails[0])
             if not (hi_bits - lo_bits > 1).any():
                 return 0.5 * (lo + hi)
-            width = hi - lo
-            # N = lo + q width and U = lo + r width; their extrapolation is
-            # lo + (q + q t) width with t = r - q, and the points lie
-            # margin t width either side of it
-            q = step / width
-            t = p_lo - 1.0
-            t /= p_lo - p_hi
-            t -= q
-            np.multiply(t, q + margin, out=share)
-            share += q
-            margin = _MARGINS[1]
+            np.divide(step, last, out=error)
+            error *= error
+            error *= step
+            np.fmin(error, _FIRST_ERROR * step, out=error)
+            np.add(lo, step, out=x[0])
+            np.multiply(error, _PAST, out=x[1])
+            x[1] += x[0]
             # the midpoint and the lower point, in order, where stalled
+            width = hi - lo
             stalled = width > quarter_before
-            np.fmax(share[0], 0.5, out=share[1], where=stalled)
-            np.fmin(share[0], 0.5, out=share[0], where=stalled)
             quarter_before, quarter_last = quarter_last, 0.25 * width
-            np.multiply(share, width, out=x)
-            x += lo
+            mid = np.multiply(width, 0.5, out=width)
+            mid += lo
+            np.fmax(x[0], mid, out=x[1], where=stalled)
+            np.fmin(x[0], mid, out=x[0], where=stalled)
             # lo < x[0] < x[1] < hi, x[0] below the float under hi
             np.minimum(lower_bits, hi_bits - 2, out=lower_bits)
             np.maximum(x_bits, lo_bits + 1, out=x_bits)

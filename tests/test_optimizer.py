@@ -409,8 +409,9 @@ def test_the_predicate_changes_sign_once_around_theta_star(shapes):
     below = above = theta
     for _ in range(64):
         below, above = np.nextafter(below, 0.0), np.nextafter(above, np.inf)
-        assert (relation.arm_product(below) > 1.0).all()
-        assert not (relation.arm_product(above) > 1.0).any()
+        holds = relation.arm_product(np.stack([below, above])) > 1.0
+        assert holds[0].all()
+        assert not holds[1].any()
 
 
 def count_evaluations(monkeypatch, shapes):
@@ -445,11 +446,11 @@ def test_newton_search_pins_a_sweep_in_few_evaluations(monkeypatch):
     # to linear convergence; each evaluation judges two points a shape
     for n1 in BRANCH_COUNTS:
         for n2 in BRANCH_COUNTS:
-            assert count_evaluations(monkeypatch, grid(n1, n2)) <= 5, (n1, n2)
-    assert count_evaluations(monkeypatch, fig2_shapes(8)) <= 5
+            assert count_evaluations(monkeypatch, grid(n1, n2)) <= 7, (n1, n2)
+    assert count_evaluations(monkeypatch, fig2_shapes(8)) <= 7
     # the 10^4 log-uniform shapes in one slice
     monkeypatch.setattr(optimizer, "_ONE_CALL_LANES", 10**4)
-    assert count_evaluations(monkeypatch, BATCH_SHAPES["log-uniform"]) <= 5
+    assert count_evaluations(monkeypatch, BATCH_SHAPES["log-uniform"]) <= 7
 
 
 @pytest.mark.parametrize("shape", EXTREME_SHAPES)
@@ -499,10 +500,11 @@ def lanes_and_angles(draw):
 def test_stacked_relation_has_the_bits_of_the_scalar_relation(lanes):
     shapes, thetas = zip(*lanes)
     relation = optimizer._StackedRelation(_batch_shapes(list(np.array(shapes).T)))
-    # at angles near the smallest float a cotangent overflows or its sine
-    # is 0, on both sides alike
+    # each lane's angle broadcasts over both of its trial points; at angles
+    # near the smallest float a cotangent overflows or its sine is 0, on
+    # both sides alike
     with np.errstate(all="ignore"):
-        product = relation.arm_product(np.array(thetas)).copy()
+        product = relation.arm_product(np.array(thetas))[0].copy()
         expected = np.array([
             optimizer._char_values(TfsParams(*shape), theta)
             for shape, theta in lanes
