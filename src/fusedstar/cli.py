@@ -35,6 +35,7 @@ from .optimizer import (
 )
 from .simulation import (
     InsufficientSignalError,
+    _format_rows,
     convergence_factor_estimate,
     random_initial_state,
     stratified_iterate,
@@ -157,26 +158,56 @@ def _solve_payload(
     return payload, weights.values
 
 
+# the labels below 100, and the last two digits of the larger ones
+_SMALL_LABELS = tuple(str(d) for d in range(100))
+_LAST_DIGITS = tuple("%02d" % d for d in range(100))
+
+
+def _label_lines(first: int, stop: int, value: str) -> list[str]:
+    """``    "<label>": <value>,\n`` for each label in ``range(first, stop)``,
+    all on one side of 0, in blocks of the labels that differ only in
+    their last two digits.  A block is one ``str.join`` of those digits
+    behind its shared prefix, so Python runs once per hundred labels."""
+    sign, step = ("-", -1) if first < 0 else ("", 1)
+    end = '": ' + value + ",\n"
+    separator = end + '    "'
+    # the labels' absolute values, in label order
+    magnitudes = range(first * step, stop * step, step)
+    blocks = []
+    while magnitudes:
+        hundreds, digits = divmod(magnitudes[0], 100)
+        count = 100 - digits if step == 1 else digits + 1
+        block, magnitudes = magnitudes[:count], magnitudes[count:]
+        low, high = sorted((block[0] % 100, block[-1] % 100))
+        prefix = sign + str(hundreds) if hundreds else sign
+        table = _LAST_DIGITS if hundreds else _SMALL_LABELS
+        ends = table[low : high + 1][::step]
+        blocks.append('    "' + prefix + (separator + prefix).join(ends) + end)
+    return blocks
+
+
 def _weights_json(params: TfsParams, values: np.ndarray) -> str:
     """The ``"weights"`` object as ``json.dumps(payload, indent=2)`` writes
     ``{str(label): _sig10(weight)}`` one level deep, in orbit order.
 
-    Each run of equal weights formats its value once and joins its labels
-    in C, so the cost is O(runs) in Python.  Runs are of equal bits, which
-    keeps ``-0.0`` and ``0.0`` apart, and break where the labels skip 0.
+    Each run of equal weights formats its value once and writes its
+    labels by ``_label_lines``, so the cost in Python is per run and per
+    hundred labels.  Runs are of equal bits, which keeps ``-0.0`` and
+    ``0.0`` apart, and break where the labels skip 0.
     """
     m1 = params.m1
     bits = values.view(np.int64)
     starts = sorted({0, m1, *(np.flatnonzero(bits[1:] != bits[:-1]) + 1).tolist()})
-    entries = []
+    parts = ["{\n"]
     for lo, hi in zip(starts, [*starts[1:], values.size]):
         value = json.dumps(_sig10(values.item(lo)))
         # the labels skip 0 between the stars
         first = lo - m1 if lo < m1 else lo - m1 + 1
-        labels = range(first, first + hi - lo)
-        separator = f'": {value},\n    "'
-        entries.append(f'    "{separator.join(map(str, labels))}": {value}')
-    return "{\n" + ",\n".join(entries) + "\n  }"
+        parts += _label_lines(first, first + hi - lo, value)
+    # the last entry takes no comma
+    parts[-1] = parts[-1][:-2]
+    parts.append("\n  }")
+    return "".join(parts)
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
@@ -191,11 +222,11 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     params = _params_from(args)
-    rows = []
-    for scheme in SCHEMES:
-        report = _report(params, *_scheme_weights(params, scheme, args))
-        rows.append([scheme, f"{report.slem:.10g}"])
-    _write_csv(["scheme", "slem"], rows)
+    slems = [
+        _report(params, *_scheme_weights(params, scheme, args)).slem
+        for scheme in SCHEMES
+    ]
+    _write_csv(["scheme", "slem"], "%s,%.10g\r\n", [SCHEMES, slems])
     return 0
 
 
@@ -232,9 +263,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if residuals.passes() else 1
 
 
-# A sweep's leading header and cells, and its shapes (m1, n1, m2, n2) as
-# arrays that broadcast; cmd_sweep solves every shape in one batch.  Each
-# kind's parser names its grid builder and columns.
+# A sweep's leading header, its leading cells as columns, and its shapes
+# (m1, n1, m2, n2) as arrays that broadcast; cmd_sweep solves every shape
+# in one batch.  Each kind's parser names its grid builder and columns.
 def _fig2_sweep(args: argparse.Namespace) -> tuple:
     n1, n2 = 6, 12
     lo, hi = args.mbar_min, args.mbar_max
@@ -253,9 +284,9 @@ def _fig2_sweep(args: argparse.Namespace) -> tuple:
         # the star of n1 + n2 branches of length m_bar, as a TFS network
         shapes += [(m_bar, (n1 + n2) // 2, m_bar, (n1 + n2 + 1) // 2)]
         shapes += [(m1, n1, m2, n2) for m1, m2 in tfs]
-        lead += [[str(m_bar), "star", str(m_bar), str(m_bar)]]
-        lead += [[str(m_bar), "tfs", str(m1), str(m2)] for m1, m2 in tfs]
-    return ["m_bar", "network", "m1", "m2"], lead, np.array(shapes).T
+        lead += [(m_bar, "star", m_bar, m_bar)]
+        lead += [(m_bar, "tfs", m1, m2) for m1, m2 in tfs]
+    return ["m_bar", "network", "m1", "m2"], list(zip(*lead)), np.array(shapes).T
 
 
 def _grid_sweep(args: argparse.Namespace) -> tuple:
@@ -264,8 +295,7 @@ def _grid_sweep(args: argparse.Namespace) -> tuple:
     check_array_size("--m1-max * --m2-max", args.m1_max * args.m2_max)
     m1, m2 = np.divmod(np.arange(args.m1_max * args.m2_max), args.m2_max)
     m1, m2 = m1 + 1, m2 + 1
-    lead = [[str(a), str(b)] for a, b in zip(m1.tolist(), m2.tolist())]
-    return ["m1", "m2"], lead, (m1, args.n1, m2, args.n2)
+    return ["m1", "m2"], [m1.tolist(), m2.tolist()], (m1, args.n1, m2, args.n2)
 
 
 # sweep column -> BatchSolution field
@@ -280,10 +310,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     header, lead, shapes = args.grid(args)
     batch = optimal_weights_batch(*shapes)
     values = [getattr(batch, _SWEEP_COLUMNS[name]).tolist() for name in args.columns]
-    _write_csv([*header, *args.columns], [
-        cells + [f"{value:.10g}" for value in row]
-        for cells, *row in zip(lead, *values)
-    ])
+    row_format = ",".join(["%s"] * len(lead) + ["%.10g"] * len(values)) + "\r\n"
+    _write_csv([*header, *args.columns], row_format, [*lead, *values])
     return 0
 
 
@@ -311,11 +339,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _write_csv(header: list[str], rows: list[list[str]]) -> None:
+def _write_csv(header: list[str], row_format: str, columns: list) -> None:
     # rows are computed before anything is written, so an input error
     # leaves stdout empty; no cell (digits, .10g floats, scheme names,
     # star or tfs) needs quoting, so these are csv.writer's excel bytes
-    _STDOUT.write("".join(",".join(row) + "\r\n" for row in [header, *rows]))
+    _STDOUT.write(",".join(header) + "\r\n" + _format_rows(row_format, columns))
 
 
 def _add_params(parser: argparse.ArgumentParser) -> None:

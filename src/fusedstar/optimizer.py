@@ -8,26 +8,29 @@ are 1/2 at the optimum and the two center-adjacent weights follow in closed
 form from the smallest root theta*, and ``cos(theta*)`` is the optimal
 spectral radius.  On ``(0, pi / (2 max(m1, m2))]`` both response factors are
 at least -1 and strictly decreasing, so the relation is positive exactly
-below theta* there and bisection on that bracket finds it.
-``optimal_weights_batch`` solves a grid of shapes in slices of
-``_ONE_CALL_LANES``, each step one evaluation of the relation at two
+below theta* there and bisection on that bracket finds it.  Both routes
+find it faster with bisection's bits.  The search starts from a
+closed-form root of the relation with ``cot x = 1/x - 4x/pi^2``
+(``_closed_form_root``), within 3 % of theta*.  Below theta* the
+relation is convex, so Newton's point from the positive end of the
+bracket stays below theta*; with a second point just past its predicted
+error, guarded by the midpoint, it reaches the adjacent floats where
+bisection stops, and returns its bits, in a number of steps that does
+not grow with ``n1`` and ``n2``.  ``optimal_weights`` takes six to
+thirteen evaluations of ``_char_values`` (``_theta_star``) where
+bisection takes 52 to 55.  ``optimal_weights_batch`` solves a grid of
+shapes in slices of ``_ONE_CALL_LANES``, in six or seven steps
+(``_first_sign_changes``), each one evaluation of the relation at two
 angles a lane on a stacked ``(3, 2, lanes)`` array (``_StackedRelation``)
-with ``_char_values``'s float operations in its order.  The search starts
-from a closed-form root of the relation with ``cot x = 1/x - 4x/pi^2``,
-within 3 % of theta*.  Below theta* the relation is convex, so Newton's
-point from the positive end of each lane's bracket stays below theta*;
-with a second point just past its predicted error, guarded by the
-midpoint, it reaches the adjacent floats where the scalar bisection
-stops in six or seven evaluations instead of 52 to 55, whatever ``n1``
-and ``n2``, and returns its bits.  Every optimum, on either route,
-is self-checked by eigenvalue counts at four shifts
+with ``_char_values``'s float operations in its order.  Every optimum, on
+either route, is self-checked by eigenvalue counts at four shifts
 (``_counts_prove_slem``), never by computed eigenvalues, and the counts
-cost O(1) in the branch lengths.  A single
-solve counts the blocks that ``build_blocks`` keeps on its weights, twelve
-pure-Python counts of ``Tridiagonal.count_below`` whose blocks its report
-and certificate reuse.  A batch counts each optimum's blocks with each arm
-written in three run-length-encoded rows (``_skeleton``), vectorised over
-a slice.  The all-roots scan that cross-checks this bisection,
+cost O(1) in the branch lengths.  A single solve counts the blocks that
+``build_blocks`` keeps on its weights, twelve pure-Python counts of
+``Tridiagonal.count_below`` whose blocks its report and certificate
+reuse.  A batch counts each optimum's blocks with each arm written in
+three run-length-encoded rows (``_skeleton``), vectorised over a slice.
+The all-roots scan that cross-checks these searches,
 ``solve_theta_roots``, lives in ``fusedstar.reference``.
 """
 from __future__ import annotations
@@ -59,12 +62,14 @@ _SELF_CHECK = 1e-9  # largest |slem - s| the self-checks accept
 _DEGENERATE = 1e-13
 # shapes that optimal_weights_batch solves end to end in one slice
 _ONE_CALL_LANES = 8192
-# _first_sign_changes: the slope of the start's cotangent, its first two
-# points as multiples of the start, how far past Newton's point the second
+# the root searches (_first_sign_changes, _theta_star): the slope of the
+# start's cotangent, its first two points as multiples of the start (the
+# batch's as one stacked column), how far past Newton's point the second
 # point lies, in Newton's predicted errors, and the largest predicted
 # error, as a share of Newton's step
 _COT_SLOPE = 4.0 / math.pi**2
-_START = np.array([[1.0 - 1e-6], [1.03]])
+_START_BELOW, _START_ABOVE = 1.0 - 1e-6, 1.03
+_START = np.array([[_START_BELOW], [_START_ABOVE]])
 _PAST = 2.0
 _FIRST_ERROR = 0.05
 
@@ -81,8 +86,8 @@ class OptimalSolution:
 
 
 def _char_values(params: TfsParams, theta: np.ndarray | float) -> np.ndarray:
-    # a float stays a numpy scalar throughout, which the scalar bisection
-    # needs fast; _StackedRelation repeats these operations for a batch
+    # a float stays a numpy scalar throughout, which the scalar searches
+    # need fast; _StackedRelation repeats these operations for a batch
     half = 0.5 * theta
     cot_half = np.cos(half) / np.sin(half)
     angle1, angle2 = params.m1 * theta, params.m2 * theta
@@ -105,16 +110,6 @@ def _boundary_weights(
         return num / den, degenerate
 
 
-def _boundary_weight(m: int, theta: float) -> float:
-    """Center-adjacent orbit weight of an arm of length ``m`` at a root."""
-    weight, degenerate = _boundary_weights(np.float64(m), np.float64(theta))
-    if degenerate:
-        raise DegenerateSineError(
-            f"boundary-weight denominator vanished at theta = {theta}"
-        )
-    return float(weight)
-
-
 def _require_two_branches(params: TfsParams) -> None:
     # with a single branch a star has no repeated arm block and the
     # analytic construction does not apply
@@ -128,8 +123,14 @@ def _require_two_branches(params: TfsParams) -> None:
 def _weights_at(params: TfsParams, theta: float) -> OrbitWeights:
     """Optimal orbit weights as a function of the characteristic root."""
     w = np.full(params.m1 + params.m2, 0.5)
-    w[params.m1 - 1] = _boundary_weight(params.m1, theta)
-    w[params.m1] = _boundary_weight(params.m2, theta)
+    boundary, degenerate = _boundary_weights(
+        np.array([params.m1, params.m2], dtype=float), np.float64(theta)
+    )
+    if degenerate.any():
+        raise DegenerateSineError(
+            f"boundary-weight denominator vanished at theta = {theta}"
+        )
+    w[params.m1 - 1 : params.m1 + 1] = boundary
     return OrbitWeights(params, w)
 
 
@@ -138,7 +139,8 @@ def _first_sign_change(f: Callable[[float], float], hi: float) -> float:
 
     ``f`` must be positive exactly on an initial segment of the interval;
     bisection on the predicate ``f(mid) > 0`` then never loses the point.
-    It is the oracle whose bits ``optimal_weights_batch`` must return.
+    It is the oracle whose bits both searches, ``_theta_star`` and
+    ``_first_sign_changes``, must return.
     """
     lo = 0.0
     while True:
@@ -196,17 +198,15 @@ def optimal_weights(params: TfsParams) -> OptimalSolution:
     """Provably optimal orbit weights for fastest consensus averaging.
 
     Interior orbits get weight 1/2; the two center-adjacent orbits follow
-    from the smallest characteristic root theta*, found by bisection on
-    ``(0, pi / (2 max(m1, m2))]``.  The result is self-checked: eigenvalue
+    from the smallest characteristic root theta*, the bits that bisection
+    on ``(0, pi / (2 max(m1, m2))]`` gives, found by ``_theta_star`` in
+    at most fourteen evaluations.  The result is self-checked: eigenvalue
     counts of its blocks (``Tridiagonal.count_below``) must prove
     ``s = cos(theta*)`` the spectral radius below 1 within 1e-9.
     Requires n1, n2 >= 2.
     """
     _require_two_branches(params)
-    theta_star = _first_sign_change(
-        lambda theta: float(_char_values(params, theta)),
-        math.pi / (2 * max(params.m1, params.m2)),
-    )
+    theta_star = _theta_star(params)
     return _self_checked(params, theta_star, _weights_at(params, theta_star))
 
 
@@ -255,11 +255,10 @@ def _batch_shapes(arrays: list[np.ndarray]) -> _Shapes:
     Otherwise the first invalid cell, in input order, raises the error
     that ``TfsParams`` or ``optimal_weights`` raise for it.
     """
-    cells = _cells(arrays)
     try:
         shapes = _Shapes(*_cells([np.asarray(v, dtype=float) for v in arrays]))
     except (OverflowError, TypeError, ValueError):
-        suspects = range(cells[0].size)
+        suspects = None
     else:
         m1, n1, m2, n2 = shapes
         valid = (m1 >= 1) & (m2 >= 1) & (n1 >= 2) & (n2 >= 2)
@@ -268,7 +267,9 @@ def _batch_shapes(arrays: list[np.ndarray]) -> _Shapes:
         if valid.all():
             return shapes
         suspects = np.flatnonzero(~valid).tolist()
-    for index in suspects:
+    # only an error message reads the cells as they were given
+    cells = _cells(arrays)
+    for index in range(cells[0].size) if suspects is None else suspects:
         _require_two_branches(TfsParams(*_cell(cells, index)))
     raise InvalidParameterError("branch lengths and counts must be integers")
 
@@ -337,9 +338,10 @@ class _StackedRelation:
         np.divide(drop, slope, out=out)
 
 
-def _closed_form_start(relation: _StackedRelation, hi: np.ndarray) -> np.ndarray:
-    """Each lane's theta* from the relation with ``cot x = 1/x - 4x/pi^2``,
-    in ``(0, hi]``, from the relation's rows ``m`` and ``2/n``.
+def _closed_form_root(m1, two_n1, m2, two_n2, xp):
+    """theta* from the relation with ``cot x = 1/x - 4x/pi^2``, from the
+    lengths ``m`` and arm factors ``2/n``: floats with ``xp = math``, or
+    arrays that broadcast with ``xp = np``.
 
     That cotangent is exact as ``x -> 0`` and at ``pi/2``, and
     ``cot(t/2) = 2/t - t/6``; dropping the ``t^2`` term then makes
@@ -347,25 +349,17 @@ def _closed_form_start(relation: _StackedRelation, hi: np.ndarray) -> np.ndarray
     ``(u - c1)(u - c2) = n1 m1 n2 m2 / 16`` in ``u = 1/t^2``, with
     ``c = n m/4 + 4 m^2/pi^2 + 1/12``.  Its larger root, the smaller
     angle, is ``(c1 + c2 + hypot(c1 - c2, d)) / 2`` with
-    ``d = sqrt(n1 m1 n2 m2) / 2``.  A start that is not a positive float
-    falls back to ``hi / 2``.
+    ``d = sqrt(n1 m1 n2 m2) / 2``.  Where the result is not a positive
+    float, or lies above the bracket, each search starts from ``hi / 2``
+    or ``hi``.
     """
-    m = relation.coef[1:]
-    quarter = m / relation.two_n
-    quarter *= 0.5
+    quarter1, quarter2 = m1 / two_n1 * 0.5, m2 / two_n2 * 0.5
     # the split square root keeps n1 n2 ~ 1e600 finite, and so does hypot
-    root = np.sqrt(quarter)
-    d = root[0] * root[1]
-    d += d
-    c = m * m
-    c *= _COT_SLOPE
-    c += quarter
-    c += 1.0 / 12.0
-    u = np.hypot(c[0] - c[1], d)
-    u += c[0]
-    u += c[1]
-    theta = np.sqrt(2.0 / u)
-    return np.where(theta > 0.0, np.minimum(theta, hi), 0.5 * hi)
+    d = xp.sqrt(quarter1) * xp.sqrt(quarter2)
+    d = d + d
+    c1 = m1 * m1 * _COT_SLOPE + quarter1 + 1.0 / 12.0
+    c2 = m2 * m2 * _COT_SLOPE + quarter2 + 1.0 / 12.0
+    return xp.sqrt(2.0 / (xp.hypot(c1 - c2, d) + c1 + c2))
 
 
 def _first_sign_changes(shapes: _Shapes) -> np.ndarray:
@@ -384,7 +378,7 @@ def _first_sign_changes(shapes: _Shapes) -> np.ndarray:
     first ``hi``, where with ``m1 = m2`` both arm factors are -1 and
     rounding may make the predicate hold.
 
-    The first points are a millionth below ``_closed_form_start`` and 3 %
+    The first points are a millionth below ``_closed_form_root`` and 3 %
     above it (at most halfway to ``hi``).  Below theta* both arm factors
     are positive, decreasing and convex, so ``f = a1 a2 - 1`` is convex on
     ``[lo, theta*]`` and Newton's point ``N = lo + step`` stays below
@@ -422,7 +416,10 @@ def _first_sign_changes(shapes: _Shapes) -> np.ndarray:
     lo[...] = 0.0
     step[...] = np.nan
     last, error = np.empty_like(lo_end)
-    np.multiply(_closed_form_start(relation, hi), _START, out=x)
+    two_n1, two_n2 = relation.two_n
+    start = _closed_form_root(shapes.m1, two_n1, shapes.m2, two_n2, np)
+    start = np.where(start > 0.0, np.minimum(start, hi), 0.5 * hi)
+    np.multiply(start, _START, out=x)
     # bisection never evaluates hi, where with m1 = m2 both arm factors
     # are -1 and rounding may make the predicate hold
     np.minimum(x[1], 0.5 * (x[0] + hi), out=x[1])
@@ -471,6 +468,91 @@ def _first_sign_changes(shapes: _Shapes) -> np.ndarray:
             np.minimum(upper_bits, hi_bits - 1, out=upper_bits)
 
 
+def _newton_step(
+    m1: int, two_n1: float, m2: int, two_n2: float, theta: float
+) -> float:
+    """``_StackedRelation.newton_step`` at one angle, on Python floats.
+
+    It is called only where the predicate holds, below the top of the
+    bracket, where each arm factor is at least -1: a product above 1 then
+    makes both positive, and no divisor is 0.
+    """
+    half = 0.5 * theta
+    sin_half, cos_half = math.sin(half), math.cos(half)
+    cot_half = cos_half / sin_half
+    rate_half = 0.5 / (sin_half * cos_half)
+    slope, product = 0.0, 1.0
+    for m, two_n in ((m1, two_n1), (m2, two_n2)):
+        angle = m * theta
+        sin, cos = math.sin(angle), math.cos(angle)
+        arm = two_n * (cos / sin) * cot_half - 1.0
+        slope += (m / (sin * cos) + rate_half) * (1.0 + 1.0 / arm)
+        product *= arm
+    return (1.0 - 1.0 / product) / slope
+
+
+def _theta_star(params: TfsParams) -> float:
+    """``_first_sign_change`` of ``_char_values(params, .)`` on
+    ``(0, pi / (2 max(m1, m2))]``, bit for bit: ``_first_sign_changes``'s
+    search on one shape.
+
+    It starts from ``_closed_form_root`` and moves ``lo`` and ``hi`` by
+    the predicate ``_char_values(params, x) > 0.0`` alone, at the trial
+    points a lane of the batch takes, clipped into the bracket with
+    ``math.nextafter``.  The lower point is judged first; where it fails
+    so does the upper one, which is then not evaluated.  Only ``lo``'s
+    Newton step is read, so it is computed, in ``math``, once per move of
+    ``lo``.  It takes 6 to 13 evaluations of the relation where bisection
+    takes 52 to 55, whatever ``n1`` and ``n2``.
+    """
+    m1, m2 = params.m1, params.m2
+    two_n1, two_n2 = 2.0 / params.n1, 2.0 / params.n2
+    lo, hi = 0.0, math.pi / (2 * max(m1, m2))
+    start = _closed_form_root(m1, two_n1, m2, two_n2, math)
+    start = min(start, hi) if start > 0.0 else 0.5 * hi
+    lower = start * _START_BELOW
+    upper = min(start * _START_ABOVE, 0.5 * (lower + hi))
+    step = math.nan
+    quarter_before = quarter_last = 0.25 * hi
+    while True:
+        last = step
+        # the predicate holds on an initial segment of the bracket
+        if _char_values(params, lower) > 0.0:
+            if lower < upper:
+                if _char_values(params, upper) > 0.0:
+                    lower = upper
+                else:
+                    hi = upper
+            lo, step = lower, _newton_step(m1, two_n1, m2, two_n2, lower)
+        else:
+            hi = lower
+        if math.nextafter(lo, hi) == hi:
+            return 0.5 * (lo + hi)
+        # min and max keep their first argument against nan, as fmin and
+        # fmax drop a nan: a nan step (lo has none yet) is clipped below
+        error = _FIRST_ERROR * step
+        if last != 0.0:
+            ratio = step / last
+            error = min(error, ratio * ratio * step)
+        lower = lo + step
+        upper = lower + _PAST * error
+        width = hi - lo
+        if width > quarter_before:
+            mid = 0.5 * width + lo
+            lower, upper = min(mid, lower), max(mid, lower)
+        quarter_before, quarter_last = quarter_last, 0.25 * width
+        # lo < lower <= upper < hi: lower below the float under hi and
+        # upper a float above lower where the bracket has room; a point
+        # past the top, or nan, goes to its end
+        below_hi = math.nextafter(hi, 0.0)
+        if not lower < below_hi:
+            lower = math.nextafter(below_hi, 0.0)
+        lower = max(lower, math.nextafter(lo, hi))
+        if not upper < below_hi:
+            upper = below_hi
+        upper = min(max(upper, math.nextafter(lower, hi)), below_hi)
+
+
 def _skeleton(shapes: _Shapes, w_minus, w_plus) -> tuple:
     """Each optimum's central block for ``count_central_below``.
 
@@ -512,10 +594,10 @@ def optimal_weights_batch(m1, n1, m2, n2) -> BatchSolution:
     together.  Once every shape is valid, each slice of
     ``_ONE_CALL_LANES`` shapes is solved end to end, root search to
     self-check, into one result buffer, whose rows the result views
-    read-only: memory is one slice's besides the buffer.  A slice is
-    bisected with the scalar route's predicate, bracket and stop rule, so
-    theta*, ``s`` and both boundary weights equal the scalar route's bit
-    for bit.  The self-check (``_skeleton_proves_slem``) makes the scalar
+    read-only: memory is one slice's besides the buffer.  A slice's
+    search keeps bisection's predicate, bracket and stop rule, so theta*,
+    ``s`` and both boundary weights equal the scalar route's bit for
+    bit.  The self-check (``_skeleton_proves_slem``) makes the scalar
     route's decision, ``_counts_prove_slem`` at the same shifts, on a
     skeleton of each optimum's central block, in O(1) time and memory
     per instance whatever its branch lengths.  An invalid shape, or one

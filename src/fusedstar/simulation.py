@@ -357,17 +357,37 @@ def convergence_factor_estimate(trajectory: Trajectory, tail: int = 50) -> float
     return float((window[-1] / window[0]) ** (1.0 / tail))
 
 
+# rows that one ``%`` pass of _format_rows formats
+_ROWS_PER_PASS = 4096
+
+
+def _format_rows(row_format: str, columns: list) -> str:
+    """``row_format % row`` for each row, cell ``i`` from ``columns[i]``,
+    all columns of one length.
+
+    One ``%`` pass formats ``_ROWS_PER_PASS`` rows from one repeated
+    template, so no template or tuple grows with the row count.
+    """
+    width, size = len(columns), len(columns[0])
+    template = row_format * min(size, _ROWS_PER_PASS)
+    parts = []
+    for start in range(0, size, _ROWS_PER_PASS):
+        stop = min(start + _ROWS_PER_PASS, size)
+        cells = [None] * (width * (stop - start))
+        for index, column in enumerate(columns):
+            cells[index::width] = column[start:stop]
+        parts.append(template[: len(row_format) * (stop - start)] % tuple(cells))
+    return "".join(parts)
+
+
 def write_trajectory_csv(trajectory: Trajectory, stream: IO[str]) -> None:
     """Columns t, error_norm, sum_deviation; 10 significant digits.
 
     No cell (digits, .10g floats) needs quoting, so these are
     ``csv.writer``'s excel bytes, written in one call.
     """
-    rows = zip(trajectory.error_norms.tolist(), trajectory.sum_deviations().tolist())
-    stream.write(
-        "t,error_norm,sum_deviation\r\n"
-        + "".join(
-            f"{t},{norm:.10g},{deviation:.10g}\r\n"
-            for t, (norm, deviation) in enumerate(rows)
-        )
-    )
+    norms = trajectory.error_norms.tolist()
+    stream.write("t,error_norm,sum_deviation\r\n" + _format_rows(
+        "%d,%.10g,%.10g\r\n",
+        [range(len(norms)), norms, trajectory.sum_deviations().tolist()],
+    ))

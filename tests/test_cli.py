@@ -202,6 +202,40 @@ def test_weights_writer_matches_the_stdlib_encoder(values, data):
     )
 
 
+@pytest.mark.parametrize(
+    "m1, m2, breaks",
+    [
+        (1, 1, []),
+        (99, 100, [50]),
+        (100, 101, [1, 99, 100]),
+        (101, 99, [2, 101, 150]),
+        (250, 1999, [50, 199, 200, 201, 250, 1349]),
+        (10**4 + 7, 10**4 + 1, [17, 999, 1000, 1001, 12345]),
+    ],
+)
+def test_weights_writer_runs_cross_hundreds(m1, m2, breaks):
+    # runs that start, end and break on either side of a label's hundred
+    # and thousand, on both stars
+    params = TfsParams(m1, 2, m2, 2)
+    values = np.full(m1 + m2, 0.5)
+    values[[0, m1 - 1, m1, *breaks]] = 0.25, 1 / 3, -0.0, *[0.1] * len(breaks)
+    by_label = dict(zip(map(str, params.orbit_labels), map(_sig10, values)))
+    written = _weights_json(params, values)
+    assert '{\n  "weights": ' + written + "\n}" == json.dumps(
+        {"weights": by_label}, indent=2
+    )
+
+
+@given(first=st.integers(-3000, 3000), count=st.integers(1, 2500))
+@settings(max_examples=300, deadline=None)
+def test_label_lines_are_the_per_label_lines(first, count):
+    # a run of labels lies on one side of 0
+    first = first or 1
+    stop = min(first + count, 0) if first < 0 else first + count
+    written = "".join(cli._label_lines(first, stop, "-1.5e-07"))
+    assert written == "".join(f'    "{label}": -1.5e-07,\n' for label in range(first, stop))
+
+
 @pytest.fixture
 def run_counts(monkeypatch):
     """Counts of ``_RunCount`` builds and eigenvalue searches."""
@@ -623,25 +657,32 @@ def test_every_sweep_is_one_batch(capsys, monkeypatch, argv):
         ["sweep", "fig3"],
         ["sweep", "fig4"],
         ["sweep", "custom", "--n1", "3", "--n2", "12"],
+        # 4160 rows, two passes of the row template
+        ["sweep", "custom", "--n1", "3", "--n2", "12", "--m1-max", "65", "--m2-max", "64"],
         ["compare", "--m1", "4", "--n1", "20", "--m2", "8", "--n2", "93"],
     ],
-    ids=["fig2", "fig3", "fig4", "custom", "compare"],
+    ids=["fig2", "fig3", "fig4", "custom", "custom-two-passes", "compare"],
 )
 def test_csv_is_the_bytes_of_the_stdlib_writer(capsys, monkeypatch, argv):
+    # the cells given to _write_csv, a float to 10 significant digits
     tables = []
     write_csv = cli._write_csv
 
-    def recorded(header, rows):
-        tables.append((header, rows))
-        write_csv(header, rows)
+    def recorded(header, row_format, columns):
+        tables.append((header, columns))
+        write_csv(header, row_format, columns)
 
     monkeypatch.setattr(cli, "_write_csv", recorded)
     code, out, err = run_cli(capsys, *argv)
     assert (code, err, len(tables)) == (0, "", 1)
+    header, columns = tables[0]
     expected = io.StringIO()
     writer = csv.writer(expected)
-    writer.writerow(tables[0][0])
-    writer.writerows(tables[0][1])
+    writer.writerow(header)
+    writer.writerows(
+        [f"{cell:.10g}" if isinstance(cell, float) else cell for cell in row]
+        for row in zip(*columns)
+    )
     assert out == expected.getvalue()
 
 

@@ -1,6 +1,7 @@
 """Characteristic-relation root finding and the analytic optimum."""
 
 import argparse
+import functools
 import math
 import tracemalloc
 import warnings
@@ -342,10 +343,16 @@ def test_batch_is_bitwise_equal_to_the_scalar_route():
         assert np.array_equal(bits(getattr(batch, field)), expected), field
 
 
+def boundary_weight(m, theta):
+    weight, degenerate = optimizer._boundary_weights(np.float64(m), np.float64(theta))
+    assert not degenerate
+    return float(weight)
+
+
 def bare_bisection(shapes):
-    """theta*, s, w_{-1} and w_1 of each shape, as bits, from the scalar
-    route's bisection and the boundary weights that ``_weights_at`` writes,
-    without its self-check or its O(m) weight vector."""
+    """theta*, s, w_{-1} and w_1 of each shape, as bits, from bisection on
+    the scalar relation and the boundary-weight formula at each arm's
+    length alone, without a self-check or an O(m) weight vector."""
     lanes = []
     for shape in shapes:
         params = TfsParams(*map(int, shape))
@@ -356,8 +363,8 @@ def bare_bisection(shapes):
         lanes.append((
             theta,
             float(np.cos(theta)),
-            optimizer._boundary_weight(params.m1, theta),
-            optimizer._boundary_weight(params.m2, theta),
+            boundary_weight(params.m1, theta),
+            boundary_weight(params.m2, theta),
         ))
     return bits(lanes).T
 
@@ -375,6 +382,13 @@ def log_uniform_shapes(count, seed=20221):
     return np.stack([m[0], n[0], m[1], n[1]]).astype(np.int64).T.tolist()
 
 
+def long_arm_shapes(count, seed=20232):
+    # the long_arm benchmark's range: m on [100, 800] and n on [2, 8]
+    rng = np.random.default_rng(seed)
+    m, n = rng.integers(100, 801, (2, count)), rng.integers(2, 9, (2, count))
+    return np.stack([m[0], n[0], m[1], n[1]]).T.tolist()
+
+
 BATCH_SHAPES = {
     "custom-grids": CRITERION_3_GRID,
     "fig2": fig2_shapes(8) + fig2_shapes(30),
@@ -383,19 +397,46 @@ BATCH_SHAPES = {
 BATCH_SAMPLES = pytest.mark.parametrize(
     "shapes", list(BATCH_SHAPES.values()), ids=list(BATCH_SHAPES)
 )
+SCALAR_SHAPES = {
+    **BATCH_SHAPES,
+    "long-arm": long_arm_shapes(2000),
+    "extreme": EXTREME_SHAPES,
+}
+SCALAR_SAMPLES = pytest.mark.parametrize("name", list(SCALAR_SHAPES))
 
 
-@BATCH_SAMPLES
-def test_batch_bisection_takes_the_scalar_steps(shapes):
+@functools.cache
+def bisection_bits(name):
+    return bare_bisection(SCALAR_SHAPES[name])
+
+
+@pytest.mark.parametrize("name", list(BATCH_SHAPES))
+def test_batch_bisection_takes_the_scalar_steps(name):
     # every `sweep custom` grid of m1, m2 <= 10 over the bench's branch
     # counts, the shapes of `sweep fig2` and `--mbar-max 30`, and a
     # seeded sample up to m = 1e6 and n = 1e15
-    batch = solve_batch(shapes)
-    expected = bare_bisection(shapes)
+    batch = solve_batch(BATCH_SHAPES[name])
     for field, lane_bits in zip(
-        ("theta_star", "s", "w_minus_1", "w_plus_1"), expected
+        ("theta_star", "s", "w_minus_1", "w_plus_1"), bisection_bits(name)
     ):
         assert np.array_equal(bits(getattr(batch, field)), lane_bits), field
+
+
+@SCALAR_SAMPLES
+def test_single_solve_takes_the_bisection_bits(name):
+    # the batch's samples, the long_arm benchmark's range and the extreme
+    # shapes, (2, 10**300, 2, 2) among them; optimal_weights returns these
+    # once its self-check passes
+    lanes = []
+    for shape in SCALAR_SHAPES[name]:
+        params = TfsParams(*map(int, shape))
+        theta = optimizer._theta_star(params)
+        w = optimizer._weights_at(params, theta).values
+        lanes.append((theta, float(np.cos(theta)), w[params.m1 - 1], w[params.m1]))
+    for field, lane_bits, expected in zip(
+        ("theta_star", "s", "w_minus_1", "w_plus_1"), bits(lanes).T, bisection_bits(name)
+    ):
+        assert np.array_equal(lane_bits, expected), field
 
 
 @BATCH_SAMPLES
@@ -478,6 +519,48 @@ def test_root_search_evaluations_do_not_grow_with_branch_counts(
     # from the bracket's midpoint took 33 evaluations at n = 1e15 and 509
     # at (2, 10**300, 2, 2)
     assert count_evaluations(monkeypatch, shapes) <= 6
+
+
+def scalar_evaluations(monkeypatch, solve, shape):
+    calls = []
+    evaluate = optimizer._char_values
+
+    def counting(params, theta):
+        calls.append(None)
+        return evaluate(params, theta)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(optimizer, "_char_values", counting)
+        solve(TfsParams(*map(int, shape)))
+    return len(calls)
+
+
+@SCALAR_SAMPLES
+def test_single_solve_pins_theta_star_in_few_evaluations(monkeypatch, name):
+    # bisection takes 52 to 55 evaluations on most of these shapes and 550
+    # on (2, 10**300, 2, 2); the search judges at most two points a step
+    counts = [
+        scalar_evaluations(monkeypatch, optimizer._theta_star, shape)
+        for shape in SCALAR_SHAPES[name]
+    ]
+    assert max(counts) <= 14
+
+
+@pytest.mark.parametrize(
+    "shapes",
+    [
+        [(m, n, m, n) for m in (1, 3, 10, 100, 10**4)]
+        for n in (10**2, 10**6, 10**10, 10**15)
+    ] + [[(2, 10**300, 2, 2)]],
+    ids=["n=1e2", "n=1e6", "n=1e10", "n=1e15", "n=1e300"],
+)
+def test_single_solve_evaluations_do_not_grow_with_branch_counts(
+    monkeypatch, shapes
+):
+    # bisection took 77 evaluations at n = 1e15 and 550 at
+    # (2, 10**300, 2, 2); the closed-form start is as close at every count
+    for shape in shapes:
+        assert scalar_evaluations(monkeypatch, optimal_weights, shape) <= 14, shape
 
 
 _LENGTHS = st.one_of(st.integers(1, 40), st.integers(1, 10**6))

@@ -5,9 +5,11 @@ import io
 import itertools
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fusedstar import simulation
 from fusedstar.optimizer import optimal_weights
@@ -486,6 +488,9 @@ def test_trajectory_csv_is_the_bytes_of_the_stdlib_writer():
             sums=[10.0, 10.0, np.nextafter(10.0, 11.0), 10.0 - 2**-49, -0.0, 1e-16],
             average=10.0 / 7,
         ),
+        # one pass of the row template, and one row into a second
+        stratified_iterate(p, ow, x0, 4095),
+        stratified_iterate(p, ow, x0, 4096),
     ]
     for trajectory in trajectories:
         out = io.StringIO()
@@ -498,3 +503,26 @@ def test_trajectory_csv_is_the_bytes_of_the_stdlib_writer():
         ):
             writer.writerow([t, f"{norm:.10g}", f"{deviation:.10g}"])
         assert out.getvalue() == expected.getvalue()
+
+
+_CELLS = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, 5e-324, -2.2250738585072e-308]),
+)
+
+
+@given(
+    rows=st.lists(st.tuples(st.integers(-10**20, 10**20), _CELLS, _CELLS), max_size=20),
+    rows_per_pass=st.integers(1, 7),
+)
+@settings(max_examples=200, deadline=None)
+def test_row_passes_format_each_cell_as_its_own_format_call(rows, rows_per_pass):
+    # "%d" and "%.10g" write what format() writes, nan, inf, -0.0 and
+    # subnormals included, whichever pass a row falls in
+    expected = "".join(
+        f"{count},{format(x, '.10g')},{format(y, '.10g')}\r\n" for count, x, y in rows
+    )
+    columns = [list(column) for column in zip(*rows)] or [[], [], []]
+    with mock.patch.object(simulation, "_ROWS_PER_PASS", rows_per_pass):
+        written = simulation._format_rows("%d,%.10g,%.10g\r\n", columns)
+    assert written == expected
