@@ -6,7 +6,9 @@ weighting schemes), verify (optimality certificate residuals), sweep
 (consensus trajectory).
 JSON goes to stdout for single reports, RFC-4180 CSV for grids and
 trajectories; diagnostics go to stderr.  Exit codes: 0 success,
-1 verification or computation failure, 2 invalid input, 141 stdout
+1 verification or computation failure, 2 invalid input, 3 out of memory
+(an array that the request needs does not fit in the memory the process
+may use; nothing on stdout and one ``error:`` line), 141 stdout
 closed before the whole report was written (a reader such as ``head``
 that exits early; 128 + SIGPIPE, as a shell reports a process that
 SIGPIPE ends), with nothing on stderr, buffered or not (``python -u``,
@@ -52,6 +54,7 @@ from .weighting import (
 
 SCHEMES = ("optimal", "max-degree", "metropolis", "best-constant")
 
+EXIT_NO_MEMORY = 3
 EXIT_CLOSED_PIPE = 141
 
 
@@ -267,26 +270,32 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # (m1, n1, m2, n2) as arrays that broadcast; cmd_sweep solves every shape
 # in one batch.  Each kind's parser names its grid builder and columns.
 def _fig2_sweep(args: argparse.Namespace) -> tuple:
-    n1, n2 = 6, 12
     lo, hi = args.mbar_min, args.mbar_max
     if lo < 1:
         raise InvalidParameterError(f"mean-length range [{lo}, {hi}] must start at 1")
     if hi < lo:
         raise InvalidParameterError(f"empty mean-length range [{lo}, {hi}]")
-    lead, shapes = [], []
-    for m_bar in range(lo, hi + 1):
-        total = m_bar * (n1 + n2)
-        tfs = [
-            (m1, (total - m1 * n1) // n2)
-            for m1 in range(1, total // n1 + 1)
-            if total - m1 * n1 > 0 and (total - m1 * n1) % n2 == 0
-        ]
-        # the star of n1 + n2 branches of length m_bar, as a TFS network
-        shapes += [(m_bar, (n1 + n2) // 2, m_bar, (n1 + n2 + 1) // 2)]
-        shapes += [(m1, n1, m2, n2) for m1, m2 in tfs]
-        lead += [(m_bar, "star", m_bar, m_bar)]
-        lead += [(m_bar, "tfs", m1, m2) for m1, m2 in tfs]
-    return ["m_bar", "network", "m1", "m2"], list(zip(*lead)), np.array(shapes).T
+    # each mean length m_bar gives the star of 18 branches of length m_bar
+    # (nine a side as a TFS network), then the TFS shapes with n1 = 6,
+    # n2 = 12 and 6 m1 + 12 m2 = 18 m_bar, by increasing m1: m1 = 2j -
+    # m_bar % 2 and m2 = (3 m_bar - m1) / 2 for j = 1 .. (3 m_bar - 1) // 2,
+    # which j = 0 turns into the star's m1 = m2 = m_bar
+    def rows_to(m):  # the sum of (3 k + 1) // 2 rows over k = 1 .. m
+        return (3 * m * (m + 1) // 2 + (m + 1) // 2) // 2
+
+    check_array_size("the fig2 grid", rows_to(hi) - rows_to(lo - 1))
+    m_bar = np.arange(lo, hi + 1)
+    rows = (3 * m_bar + 1) // 2
+    first = np.cumsum(rows) - rows
+    m_bar = np.repeat(m_bar, rows)
+    j = np.arange(m_bar.size) - np.repeat(first, rows)
+    star = j == 0
+    m1 = np.where(star, m_bar, 2 * j - m_bar % 2)
+    m2 = (3 * m_bar - m1) // 2
+    network = np.where(star, "star", "tfs")
+    lead = [column.tolist() for column in (m_bar, network, m1, m2)]
+    shapes = np.stack([m1, np.where(star, 9, 6), m2, np.where(star, 9, 12)])
+    return ["m_bar", "network", "m1", "m2"], lead, shapes
 
 
 def _grid_sweep(args: argparse.Namespace) -> tuple:
@@ -440,8 +449,12 @@ def main(argv: list[str] | None = None) -> int:
     except InvalidParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (SelfCheckError, DegenerateSineError, MemoryError,
-            np.linalg.LinAlgError) as exc:
+    except MemoryError as exc:
+        # numpy's names the array it could not allocate, while Python's
+        # own (a list that cannot grow) may have no message
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return EXIT_NO_MEMORY
+    except (SelfCheckError, DegenerateSineError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -20,9 +20,9 @@ not grow with ``n1`` and ``n2``.  ``optimal_weights`` takes six to
 thirteen evaluations of ``_char_values`` (``_theta_star``) where
 bisection takes 52 to 55.  ``optimal_weights_batch`` solves a grid of
 shapes in slices of ``_ONE_CALL_LANES``, in six or seven steps
-(``_first_sign_changes``), each one evaluation of the relation at two
-angles a lane on a stacked ``(3, 2, lanes)`` array (``_StackedRelation``)
-with ``_char_values``'s float operations in its order.  Every optimum, on
+(``_first_sign_changes``), each one call of the stateless ``_relation``
+at two angles a lane on a stacked ``(3, 2, lanes)`` array, with
+``_char_values``'s float operations in its order.  Every optimum, on
 either route, is self-checked by eigenvalue counts at four shifts
 (``_counts_prove_slem``), never by computed eigenvalues, and the counts
 cost O(1) in the branch lengths.  A single solve counts the blocks that
@@ -87,7 +87,7 @@ class OptimalSolution:
 
 def _char_values(params: TfsParams, theta: np.ndarray | float) -> np.ndarray:
     # a float stays a numpy scalar throughout, which the scalar searches
-    # need fast; _StackedRelation repeats these operations for a batch
+    # need fast; _relation repeats these operations for a batch
     half = 0.5 * theta
     cot_half = np.cos(half) / np.sin(half)
     angle1, angle2 = params.m1 * theta, params.m2 * theta
@@ -274,68 +274,50 @@ def _batch_shapes(arrays: list[np.ndarray]) -> _Shapes:
     raise InvalidParameterError("branch lengths and counts must be integers")
 
 
-class _StackedRelation:
-    """The characteristic relation of every lane of a batch, evaluated on
-    one stacked angle array.
+def _relation_rows(shapes: _Shapes) -> tuple[np.ndarray, np.ndarray]:
+    """Each lane's angle coefficients ``0.5, m1, m2`` and arm factors
+    ``2/n1, 2/n2`` as rows of shape ``(1, lanes)``, which broadcast over
+    the two trial angles of a lane: ``_relation``'s ``coef`` and
+    ``two_n``."""
+    coef = np.stack([np.full(shapes.m1.size, 0.5), shapes.m1, shapes.m2])
+    two_n = 2.0 / np.stack([shapes.n1, shapes.n2])
+    return coef[:, None], two_n[:, None]
 
-    ``coef`` holds each lane's angle coefficients ``0.5, m1, m2`` as rows
-    and ``two_n`` its arm factors ``2/n1, 2/n2``, each of shape
-    ``(1, lanes)``, so that they broadcast over the two trial angles of a
-    lane, ``theta`` of shape ``(2, lanes)``.  Each evaluation writes the
-    same buffers, and ``newton_step`` reuses them, so a step of the root
-    search allocates no stack.
+
+def _relation(coef, two_n, theta) -> tuple[np.ndarray, np.ndarray]:
+    """``_char_values + 1`` of every lane at ``theta``, and Newton's step
+    ``-f / f'`` there for ``f = a1 a2 - 1``, from ``_relation_rows``.
+
+    Each float operation of the product is ``_char_values``'s, in the
+    same order, so the bits are its own; ``product > 1.0`` is then
+    exactly its ``> 0.0``, since ``x - 1.0 > 0.0`` holds exactly when
+    ``x > 1.0``.  An arm factor is ``a = g - 1`` with ``g = (2/n) cot(m t)
+    cot(t/2)``, so ``-a' = e g`` with ``e = m / (sin cos)(m t) + 1 / sin
+    t``, the rows of ``coef / (sin cos)`` summed.  Then ``-f' = a1 a2 ((1
+    + 1/a1) e1 + (1 + 1/a2) e2)``, and the step ``(1 - 1/a1 a2)`` over
+    that sum overflows nowhere that ``a1 a2`` does not.  Nothing persists
+    between calls; the step reuses the evaluation's arrays in place.
     """
-
-    def __init__(self, shapes: _Shapes) -> None:
-        lanes = shapes.m1.size
-        self.coef = np.empty((3, 1, lanes))
-        self.coef[0], self.coef[1], self.coef[2] = 0.5, shapes.m1, shapes.m2
-        self.two_n = np.empty((2, 1, lanes))
-        np.divide(2.0, shapes.n1, out=self.two_n[0])
-        np.divide(2.0, shapes.n2, out=self.two_n[1])
-        self._angles = np.empty((3, 2, lanes))
-        self._cot = np.empty_like(self._angles)
-        self._arm = np.empty((2, 2, lanes))
-        self._product = np.empty((2, lanes))
-
-    def arm_product(self, theta) -> np.ndarray:
-        """``_char_values + 1`` of every lane at ``theta``, in a buffer that
-        the next call overwrites.
-
-        Each float operation is ``_char_values``'s, in the same order, so
-        the bits are its own; ``arm_product(theta) > 1.0`` is then exactly
-        its ``> 0.0``, since ``x - 1.0 > 0.0`` holds exactly when ``x > 1.0``.
-        """
-        angles = np.multiply(self.coef, theta, out=self._angles)
-        cot = np.cos(angles, out=self._cot)
-        cot /= np.sin(angles, out=angles)
-        arm = np.multiply(self.two_n, cot[1:], out=self._arm)
-        arm *= cot[0]
-        arm -= 1.0
-        return np.multiply(arm[0], arm[1], out=self._product)
-
-    def newton_step(self, out: np.ndarray) -> None:
-        """Newton's step ``-f / f'`` for ``f = a1 a2 - 1`` at the angles of
-        the last ``arm_product``, written to ``out``.
-
-        An arm factor is ``a = g - 1`` with ``g = (2/n) cot(m t) cot(t/2)``,
-        so ``-a' = e g`` with ``e = m / (sin cos)(m t) + 1 / sin t``, the
-        rows of ``coef / (sin cos)`` summed.  Then ``-f' = a1 a2 ((1 +
-        1/a1) e1 + (1 + 1/a2) e2)``, and the step ``(1 - 1/a1 a2)`` over
-        that sum overflows nowhere that ``a1 a2`` does not.  It overwrites
-        the buffers of the evaluation, where ``_angles`` holds the sines.
-        """
-        rate = np.multiply(self._angles, self._angles, out=self._angles)
-        rate *= self._cot
-        np.divide(self.coef, rate, out=rate)
-        rate[1:] += rate[0]
-        ratio = np.reciprocal(self._arm, out=self._arm)
-        ratio += 1.0
-        rate[1:] *= ratio
-        slope = np.add(rate[1], rate[2], out=rate[0])
-        drop = np.reciprocal(self._product, out=self._product)
-        np.subtract(1.0, drop, out=drop)
-        np.divide(drop, slope, out=out)
+    angles = coef * theta
+    cot = np.cos(angles)
+    sin = np.sin(angles, out=angles)
+    cot /= sin
+    arm = two_n * cot[1:]
+    arm *= cot[0]
+    arm -= 1.0
+    product = arm[0] * arm[1]
+    rate = np.multiply(sin, sin, out=sin)
+    rate *= cot
+    np.divide(coef, rate, out=rate)
+    rate[1:] += rate[0]
+    ratio = np.reciprocal(arm, out=arm)
+    ratio += 1.0
+    rate[1:] *= ratio
+    slope = np.add(rate[1], rate[2], out=rate[0])
+    step = np.reciprocal(product)
+    np.subtract(1.0, step, out=step)
+    step /= slope
+    return product, step
 
 
 def _closed_form_root(m1, two_n1, m2, two_n2, xp):
@@ -368,15 +350,15 @@ def _first_sign_changes(shapes: _Shapes) -> np.ndarray:
 
     Each lane keeps bisection's bracket ``(lo, hi]``, from ``lo = 0`` and
     ``hi = pi / (2 max(m1, m2))``, and each evaluation judges two trial
-    points strictly inside it, in one stacked call, by the scalar
-    predicate ``_StackedRelation.arm_product(x) > 1.0``: ``lo`` moves to
-    the higher point that holds and ``hi`` to the lower one that fails, as
-    bisection moves them.  Since the predicate changes sign once on the
-    bracket, as ``_first_sign_change`` requires, each lane ends at the
-    adjacent floats where bisection ends and returns bisection's last
-    midpoint ``0.5 * (lo + hi)``.  Like bisection it never evaluates the
-    first ``hi``, where with ``m1 = m2`` both arm factors are -1 and
-    rounding may make the predicate hold.
+    points strictly inside it, in one call of ``_relation``, by the
+    scalar predicate ``product > 1.0``: ``lo`` moves to the higher point
+    that holds, taking its Newton step, and ``hi`` to the lower one that
+    fails, as bisection moves them.  Since the predicate changes sign
+    once on the bracket, as ``_first_sign_change`` requires, each lane
+    ends at the adjacent floats where bisection ends and returns
+    bisection's last midpoint ``0.5 * (lo + hi)``.  Like bisection it
+    never evaluates the first ``hi``, where with ``m1 = m2`` both arm
+    factors are -1 and rounding may make the predicate hold.
 
     The first points are a millionth below ``_closed_form_root`` and 3 %
     above it (at most halfway to ``hi``).  Below theta* both arm factors
@@ -406,20 +388,15 @@ def _first_sign_changes(shapes: _Shapes) -> np.ndarray:
     does not grow with ``n1`` and ``n2``.  Its memory is a few stacks of
     two points on the lanes it is given.
     """
-    relation = _StackedRelation(shapes)
+    coef, two_n = _relation_rows(shapes)
     hi = np.pi / (2.0 * np.maximum(shapes.m1, shapes.m2))
-    # angle and Newton step of the two trial points, and of lo
-    trial = np.empty((2, 2, hi.size))
-    x, steps = trial
-    lo_end = np.empty((2, hi.size))
-    lo, step = lo_end
-    lo[...] = 0.0
-    step[...] = np.nan
-    last, error = np.empty_like(lo_end)
-    two_n1, two_n2 = relation.two_n
-    start = _closed_form_root(shapes.m1, two_n1, shapes.m2, two_n2, np)
+    lo = np.zeros_like(hi)
+    step = np.full_like(hi, np.nan)
+    last, error = np.empty((2, hi.size))
+    start = _closed_form_root(shapes.m1, two_n[0], shapes.m2, two_n[1], np)
     start = np.where(start > 0.0, np.minimum(start, hi), 0.5 * hi)
-    np.multiply(start, _START, out=x)
+    # the two trial points of each lane, in order
+    x = start * _START
     # bisection never evaluates hi, where with m1 = m2 both arm factors
     # are -1 and rounding may make the predicate hold
     np.minimum(x[1], 0.5 * (x[0] + hi), out=x[1])
@@ -427,21 +404,19 @@ def _first_sign_changes(shapes: _Shapes) -> np.ndarray:
     # differ by one there
     x_bits, lo_bits, hi_bits = (v.view(np.int64) for v in (x, lo, hi))
     lower_bits, upper_bits = x_bits
-    # the loop reuses these views and buffers
-    lower, upper = trial[:, 0], trial[:, 1]
-    holds, fails = np.empty((2, *x.shape), dtype=bool)
     quarter_before = quarter_last = 0.25 * hi
     # far from theta* a step may divide by zero or overflow, and a nan
     # point is clipped into the bracket
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         while True:
-            np.greater(relation.arm_product(x), 1.0, out=holds)
-            relation.newton_step(out=steps)
-            np.logical_not(holds, out=fails)
+            product, steps = _relation(coef, two_n, x)
+            holds = product > 1.0
+            fails = ~holds
             np.copyto(last, step)
             # x[0] <= x[1], and the predicate holds on an initial segment
-            np.copyto(lo_end, lower, where=holds[0])
-            np.copyto(lo_end, upper, where=holds[1])
+            for k in (0, 1):
+                np.copyto(lo, x[k], where=holds[k])
+                np.copyto(step, steps[k], where=holds[k])
             np.copyto(hi, x[1], where=fails[1])
             np.copyto(hi, x[0], where=fails[0])
             if not (hi_bits - lo_bits > 1).any():
@@ -471,7 +446,7 @@ def _first_sign_changes(shapes: _Shapes) -> np.ndarray:
 def _newton_step(
     m1: int, two_n1: float, m2: int, two_n2: float, theta: float
 ) -> float:
-    """``_StackedRelation.newton_step`` at one angle, on Python floats.
+    """``_relation``'s Newton step at one angle, on Python floats.
 
     It is called only where the predicate holds, below the top of the
     bracket, where each arm factor is at least -1: a product above 1 then

@@ -1,5 +1,6 @@
 """Command-line interface: report formats, exit codes, determinism."""
 
+import contextlib
 import csv
 import importlib
 import io
@@ -564,6 +565,8 @@ def test_branch_count_beyond_float_range_is_invalid_input(capsys, argv):
         "simulate --m1 2 --n1 576460752303423488 --m2 2 --n2 2 --steps 10 --tail 5",
         "simulate --m1 3 --n1 4 --m2 4 --n2 3 --steps 1152921504606846976 --tail 5",
         "sweep custom --n1 2 --n2 3 --m1-max 1073741824 --m2-max 1073741824",
+        # 3.0e18 rows, about 0.75 mbar_max^2
+        "sweep fig2 --mbar-max 2000000000",
     ],
 )
 def test_a_size_past_numpy_array_limit_is_invalid_input(capsys, argv):
@@ -579,7 +582,7 @@ def test_a_size_at_numpy_array_limit_is_a_memory_error(capsys):
     code, out, err = run_cli(
         capsys, "solve", "--m1", "1152921504606846972", "--n1", "2", "--m2", "2", "--n2", "2"
     )
-    assert (code, out) == (1, "")
+    assert (code, out) == (cli.EXIT_NO_MEMORY, "")
     assert err.startswith("error: Unable to allocate 8.00 EiB")
 
 
@@ -943,7 +946,7 @@ def test_simulate_reports_unallocatable_trajectory(n1):
         ["simulate", "--m1", "1", "--n1", str(n1), "--m2", "1", "--n2", "2"],
         preexec_fn=_cap_address_space,
     )
-    assert code == 1
+    assert code == cli.EXIT_NO_MEMORY == 3
     assert out == ""
     assert err.startswith("error: cannot allocate the run: ")
     assert f"shape ({n1 + 3},)" in err
@@ -958,15 +961,30 @@ def test_simulate_reports_unallocatable_trajectory(n1):
     ]
     # a 10**10-cell grid: 74.5 GiB of branch lengths
     + [["sweep", "custom", "--n1", "2", "--n2", "3",
-        "--m1-max", "100000", "--m2-max", "100000"]],
-    ids=["solve", "compare", "verify", "sweep"],
+        "--m1-max", "100000", "--m2-max", "100000"]]
+    # 7.5e9 shapes: the grid's first array of them takes 55.9 GiB
+    + [["sweep", "fig2", "--mbar-max", "100000"]],
+    ids=["solve", "compare", "verify", "sweep", "fig2"],
 )
 def test_unallocatable_requests_report_a_typed_error(argv):
     code, out, err = run_cli_process(argv, preexec_fn=_cap_address_space)
-    assert code == 1
+    assert code == cli.EXIT_NO_MEMORY
     assert out == ""
+    assert len(err.splitlines()) == 1
     assert err.startswith("error: Unable to allocate ")
     assert "Traceback" not in err
+
+
+def test_a_memory_error_without_a_message_reports_a_reason(capsys, monkeypatch):
+    # Python's own MemoryError, from a list that cannot grow, has no message
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "cmd_sweep", exhausted)
+    code, out, err = run_cli(capsys, "sweep", "fig2")
+    assert code == cli.EXIT_NO_MEMORY
+    assert out == ""
+    assert err == "error: out of memory\n"
 
 
 def test_main_is_reentrant(capsys):
@@ -982,6 +1000,74 @@ def test_main_is_reentrant(capsys):
         for argv in order:
             code, out, _ = run_cli(capsys, *argv)
             assert (code, out) == alone[commands.index(argv)]
+
+
+# ints that either keep a request small or lie past what an array can hold,
+# so that no example allocates much
+_INT_TOKENS = st.one_of(st.integers(0, 12), st.integers(2**60, 2**64)).map(str)
+_BAD_TOKENS = st.sampled_from(["", "x", "-1", "1.5", "0x10"])
+_VALUES = {
+    "--scheme": st.sampled_from([*cli.SCHEMES, "x"]),
+    "--max-degree-convention": st.sampled_from(["dmax", "dmax+1", "x"]),
+    "--perturb": st.floats().map(repr),
+}
+_SHAPE = ["--m1", "--n1", "--m2", "--n2"]
+_GRID = ["--m1-max", "--m2-max"]
+# each command with its required options and the others it takes
+_COMMANDS = {
+    ("solve",): (_SHAPE, ["--scheme", "--max-degree-convention"]),
+    ("compare",): (_SHAPE, ["--max-degree-convention"]),
+    ("verify",): (_SHAPE, ["--perturb"]),
+    ("simulate",): (_SHAPE, ["--scheme", "--max-degree-convention",
+                             "--steps", "--seed", "--tail"]),
+    ("sweep", "fig2"): ([], ["--mbar-min", "--mbar-max"]),
+    ("sweep", "fig3"): ([], _GRID),
+    ("sweep", "fig4"): ([], _GRID),
+    ("sweep", "custom"): (["--n1", "--n2"], _GRID),
+    (): ([], []),
+    ("sweep",): ([], []),
+    ("bogus",): ([], []),
+}
+_ANY_OPTION = st.sampled_from(sorted({*_VALUES, *_SHAPE, *_GRID, "--steps", "--bogus"}))
+
+
+@st.composite
+def argument_lists(draw):
+    """A command with its required options and some others it takes, now
+    and then one dropped or one it does not take, each with a value, one
+    in ten invalid, attached by '=' or not."""
+    command = draw(st.sampled_from(list(_COMMANDS)))
+    required, optional = _COMMANDS[command]
+    options = required + [option for option in optional if draw(st.booleans())]
+    if draw(st.integers(0, 9)) == 0:
+        options = options[1:] + [draw(_ANY_OPTION)]
+    argv = list(command)
+    for option in draw(st.permutations(options)):
+        valid = draw(st.integers(0, 9)) > 0
+        value = draw(_VALUES.get(option, _INT_TOKENS) if valid else _BAD_TOKENS)
+        argv += [f"{option}={value}"] if draw(st.booleans()) else [option, value]
+    return argv
+
+
+@given(argv=argument_lists())
+@example(argv=["solve", "--m1", "3", "--n1", "4", "--m2", "4", "--n2", "3"])
+@example(argv=["verify", "--m1", "1", "--n1", "2", "--m2", "1", "--n2", "2",
+               "--perturb=1e308"])
+@settings(max_examples=200, deadline=None)
+def test_every_argument_list_gets_a_documented_exit_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2, cli.EXIT_NO_MEMORY), code
+    if err.startswith("usage: "):
+        assert code == 2
+    else:
+        assert err == "" or (err.count("\n") == 1 and err.startswith("error: ")), err
+    if code == 2:
+        assert out == ""
 
 
 def test_no_cli_path_imports_scipy():

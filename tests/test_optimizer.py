@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from fusedstar import cli, optimizer, reference
 from fusedstar.cli import main
@@ -446,25 +446,28 @@ def test_the_predicate_changes_sign_once_around_theta_star(shapes):
     # only where it is true below theta* and false above it
     theta = solve_batch(shapes).theta_star
     cells = list(np.array(shapes, dtype=object).T)
-    relation = optimizer._StackedRelation(_batch_shapes(cells))
+    rows = optimizer._relation_rows(_batch_shapes(cells))
     below = above = theta
     for _ in range(64):
         below, above = np.nextafter(below, 0.0), np.nextafter(above, np.inf)
-        holds = relation.arm_product(np.stack([below, above])) > 1.0
+        # Newton's step, which this test does not read, may divide by zero
+        with np.errstate(divide="ignore", invalid="ignore"):
+            product, _ = optimizer._relation(*rows, np.stack([below, above]))
+        holds = product > 1.0
         assert holds[0].all()
         assert not holds[1].any()
 
 
 def count_evaluations(monkeypatch, shapes):
     calls = []
-    evaluate = optimizer._StackedRelation.arm_product
+    evaluate = optimizer._relation
 
-    def counting(relation, theta):
+    def counting(coef, two_n, theta):
         calls.append(None)
-        return evaluate(relation, theta)
+        return evaluate(coef, two_n, theta)
 
     with monkeypatch.context() as patch:
-        patch.setattr(optimizer._StackedRelation, "arm_product", counting)
+        patch.setattr(optimizer, "_relation", counting)
         solve_batch(shapes)
     return len(calls)
 
@@ -582,18 +585,37 @@ def lanes_and_angles(draw):
 @settings(max_examples=300, deadline=None)
 def test_stacked_relation_has_the_bits_of_the_scalar_relation(lanes):
     shapes, thetas = zip(*lanes)
-    relation = optimizer._StackedRelation(_batch_shapes(list(np.array(shapes).T)))
+    rows = optimizer._relation_rows(_batch_shapes(list(np.array(shapes).T)))
     # each lane's angle broadcasts over both of its trial points; at angles
     # near the smallest float a cotangent overflows or its sine is 0, on
     # both sides alike
     with np.errstate(all="ignore"):
-        product = relation.arm_product(np.array(thetas))[0].copy()
+        product = optimizer._relation(*rows, np.array(thetas))[0][0]
         expected = np.array([
             optimizer._char_values(TfsParams(*shape), theta)
             for shape, theta in lanes
         ])
     assert np.array_equal(bits(product - 1.0), bits(expected))
     assert np.array_equal(product > 1.0, expected > 0.0)
+
+
+@given(
+    shape=st.tuples(_LENGTHS, _COUNTS, _LENGTHS, _COUNTS),
+    share=st.floats(1e-6, 1.0, exclude_max=True),
+)
+@settings(max_examples=300, deadline=None)
+def test_scalar_newton_step_is_the_batch_step(shape, share):
+    # the single solve's step in math and the batch's in numpy are one
+    # formula written twice, summed in other orders; both searches read
+    # it only where the predicate holds, below theta*
+    params = TfsParams(*shape)
+    theta = share * optimizer._theta_star(params)
+    assume(optimizer._char_values(params, theta) > 0.0)
+    m1, n1, m2, n2 = shape
+    scalar = optimizer._newton_step(m1, 2.0 / n1, m2, 2.0 / n2, theta)
+    rows = optimizer._relation_rows(_batch_shapes([np.array([v]) for v in shape]))
+    batch = optimizer._relation(*rows, np.array([theta]))[1].item()
+    assert scalar == pytest.approx(batch, rel=1e-12, abs=0.0)
 
 
 def test_batch_broadcasts_and_is_read_only():
