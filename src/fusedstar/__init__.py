@@ -41,7 +41,6 @@ from .spectral import (
     central_tridiagonal,
     count_central_below,
     count_eigenvalues_below,
-    count_runs_below,
     full_spectrum,
     perron_vector,
 )
@@ -90,7 +89,6 @@ __all__ = [
     "convergence_factor_estimate",
     "count_central_below",
     "count_eigenvalues_below",
-    "count_runs_below",
     "edge_table",
     "full_spectrum",
     "max_degree_orbit_weights",

@@ -20,7 +20,7 @@ z2); building one peaks at six such vectors and verifying one at about three.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -205,7 +205,7 @@ class CertificateResiduals:
         )
 
     def as_dict(self) -> dict[str, float]:
-        return asdict(self)
+        return {name: getattr(self, name) for name in self.__dataclass_fields__}
 
 
 def _recurrence_residual(

@@ -28,8 +28,10 @@ either route, is self-checked by eigenvalue counts at four shifts
 cost O(1) in the branch lengths.  A single solve counts the blocks that
 ``build_blocks`` keeps on its weights, twelve pure-Python counts of
 ``Tridiagonal.count_below`` whose blocks its report and certificate
-reuse.  A batch counts each optimum's blocks with each arm written in
-three run-length-encoded rows (``_skeleton``), vectorised over a slice.
+reuse.  A batch counts each optimum's blocks from five rows of
+``central_tridiagonal`` on four orbits (``_skeleton_rows``), each arm's
+interior taken as the optimum's constant run, in one
+``count_central_below`` call vectorised over a slice.
 The all-roots scan that cross-checks these searches,
 ``solve_theta_roots``, lives in ``fusedstar.reference``.
 """
@@ -72,6 +74,8 @@ _START_BELOW, _START_ABOVE = 1.0 - 1e-6, 1.03
 _START = np.array([[_START_BELOW], [_START_ABOVE]])
 _PAST = 2.0
 _FIRST_ERROR = 0.05
+# the least valid m1, n1, m2, n2, as a column
+_LEAST = np.array([[1.0], [2.0], [1.0], [2.0]])
 
 
 @dataclass(frozen=True)
@@ -260,10 +264,9 @@ def _batch_shapes(arrays: list[np.ndarray]) -> _Shapes:
     except (OverflowError, TypeError, ValueError):
         suspects = None
     else:
-        m1, n1, m2, n2 = shapes
-        valid = (m1 >= 1) & (m2 >= 1) & (n1 >= 2) & (n2 >= 2)
-        for field in shapes:
-            valid &= np.isfinite(field) & (field == np.floor(field))
+        fields = np.stack(shapes)
+        valid = np.isfinite(fields) & (fields == np.floor(fields)) & (fields >= _LEAST)
+        valid = valid.all(axis=0)
         if valid.all():
             return shapes
         suspects = np.flatnonzero(~valid).tolist()
@@ -284,7 +287,7 @@ def _relation_rows(shapes: _Shapes) -> tuple[np.ndarray, np.ndarray]:
     return coef[:, None], two_n[:, None]
 
 
-def _relation(coef, two_n, theta) -> tuple[np.ndarray, np.ndarray]:
+def _relation(coef, two_n, theta, out=None) -> tuple[np.ndarray, np.ndarray]:
     """``_char_values + 1`` of every lane at ``theta``, and Newton's step
     ``-f / f'`` there for ``f = a1 a2 - 1``, from ``_relation_rows``.
 
@@ -296,7 +299,8 @@ def _relation(coef, two_n, theta) -> tuple[np.ndarray, np.ndarray]:
     t``, the rows of ``coef / (sin cos)`` summed.  Then ``-f' = a1 a2 ((1
     + 1/a1) e1 + (1 + 1/a2) e2)``, and the step ``(1 - 1/a1 a2)`` over
     that sum overflows nowhere that ``a1 a2`` does not.  Nothing persists
-    between calls; the step reuses the evaluation's arrays in place.
+    between calls; the step reuses the evaluation's arrays in place, and
+    is written to ``out`` if given.
     """
     angles = coef * theta
     cot = np.cos(angles)
@@ -314,7 +318,7 @@ def _relation(coef, two_n, theta) -> tuple[np.ndarray, np.ndarray]:
     ratio += 1.0
     rate[1:] *= ratio
     slope = np.add(rate[1], rate[2], out=rate[0])
-    step = np.reciprocal(product)
+    step = np.reciprocal(product, out=out)
     np.subtract(1.0, step, out=step)
     step /= slope
     return product, step
@@ -390,13 +394,17 @@ def _first_sign_changes(shapes: _Shapes) -> np.ndarray:
     """
     coef, two_n = _relation_rows(shapes)
     hi = np.pi / (2.0 * np.maximum(shapes.m1, shapes.m2))
-    lo = np.zeros_like(hi)
-    step = np.full_like(hi, np.nan)
-    last, error = np.empty((2, hi.size))
+    # angle and Newton step of the two trial points of each lane, in
+    # order, and of lo
+    trial = np.empty((2, 2, hi.size))
+    x, steps = trial
+    lo_end = np.zeros((2, hi.size))
+    lo, step = lo_end
+    step[...] = np.nan
+    last, error = np.empty_like(lo_end)
     start = _closed_form_root(shapes.m1, two_n[0], shapes.m2, two_n[1], np)
     start = np.where(start > 0.0, np.minimum(start, hi), 0.5 * hi)
-    # the two trial points of each lane, in order
-    x = start * _START
+    np.multiply(start, _START, out=x)
     # bisection never evaluates hi, where with m1 = m2 both arm factors
     # are -1 and rounding may make the predicate hold
     np.minimum(x[1], 0.5 * (x[0] + hi), out=x[1])
@@ -409,14 +417,12 @@ def _first_sign_changes(shapes: _Shapes) -> np.ndarray:
     # point is clipped into the bracket
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         while True:
-            product, steps = _relation(coef, two_n, x)
-            holds = product > 1.0
+            holds = _relation(coef, two_n, x, out=steps)[0] > 1.0
             fails = ~holds
             np.copyto(last, step)
             # x[0] <= x[1], and the predicate holds on an initial segment
-            for k in (0, 1):
-                np.copyto(lo, x[k], where=holds[k])
-                np.copyto(step, steps[k], where=holds[k])
+            np.copyto(lo_end, trial[:, 0], where=holds[0])
+            np.copyto(lo_end, trial[:, 1], where=holds[1])
             np.copyto(hi, x[1], where=fails[1])
             np.copyto(hi, x[0], where=fails[0])
             if not (hi_bits - lo_bits > 1).any():
@@ -528,37 +534,29 @@ def _theta_star(params: TfsParams) -> float:
         upper = min(max(upper, math.nextafter(lower, hi)), below_hi)
 
 
-def _skeleton(shapes: _Shapes, w_minus, w_plus) -> tuple:
-    """Each optimum's central block for ``count_central_below``.
-
-    The entries are ``central_tridiagonal``'s for the shape with each arm
-    written in three rows: the leaf, one interior row that stands for the
-    ``m - 2`` equal ones (an arm of two rows skips it; one of one row, with
-    no interior orbit, is its last row alone) and the row next to the
-    center.
-    """
-    m = np.stack([shapes.m1, shapes.m2])
-    interior = np.where(m > 1.0, 0.5, 0.0)
-    w = [interior[0], interior[0], w_minus, w_plus, interior[1], interior[1]]
-    diagonal, off = central_tridiagonal(shapes._replace(m1=3), np.stack(w))
-    # entry j of off joins rows j and j + 1: rows 0-2 are the first arm
-    # from its leaf, row 3 the center and rows 6-4 the second arm
-    squares = off * off
-    arms = (
-        diagonal[[[0, 6], [1, 5], [2, 4]]],
-        (0.0, squares[[0, 5]], squares[[1, 4]]),
-        (m > 1.0, np.maximum(m - 2.0, 0.0), 1.0),
-    )
-    return diagonal[3].copy(), squares[2:4].copy(), arms
+def _skeleton_rows(shapes: _Shapes, w_minus, w_plus) -> tuple:
+    """Each optimum's weight-dependent rows for ``count_central_below``:
+    ``central_tridiagonal`` on the four orbits ``[w_int, w_-1, w_1,
+    w_int]``, with ``w_int`` the arm's interior weight (1/2, and 0 for an
+    arm of one row, which has no interior orbit)."""
+    w = np.empty((4, w_minus.size))
+    w[1], w[2] = w_minus, w_plus
+    w[0] = np.where(shapes.m1 > 1.0, 0.5, 0.0)
+    w[3] = np.where(shapes.m2 > 1.0, 0.5, 0.0)
+    return central_tridiagonal(shapes._replace(m1=2), w)
 
 
 def _skeleton_proves_slem(
     shapes: _Shapes, s: np.ndarray, w_minus, w_plus
 ) -> np.ndarray:
-    """``_counts_prove_slem`` on the counts of each optimum's ``_skeleton``
-    at all four shifts, in one ``count_central_below`` call."""
-    skeleton = _skeleton(shapes, w_minus, w_plus)
-    below = count_central_below(*skeleton, _self_check_shifts(s))
+    """``_counts_prove_slem`` on the counts of each optimum's central block
+    at all four shifts, in one ``count_central_below`` call on its
+    ``_skeleton_rows``."""
+    below = count_central_below(
+        *_skeleton_rows(shapes, w_minus, w_plus),
+        np.stack([shapes.m1, shapes.m2]),
+        _self_check_shifts(s),
+    )
     return _counts_prove_slem(below, shapes.m1 + shapes.m2)
 
 
@@ -590,9 +588,9 @@ def optimal_weights_batch(m1, n1, m2, n2) -> BatchSolution:
         theta, s, w_minus, w_plus = results[:, lanes]
         theta[:] = _first_sign_changes(chunk)
         np.cos(theta, out=s)
-        w_minus[:], failed = _boundary_weights(chunk.m1, theta)
-        w_plus[:], bad_plus = _boundary_weights(chunk.m2, theta)
-        failed |= bad_plus
+        m = np.stack([chunk.m1, chunk.m2])
+        results[2:, lanes], degenerate = _boundary_weights(m, theta)
+        failed = degenerate.any(axis=0)
         failed |= ~_skeleton_proves_slem(chunk, s, w_minus, w_plus)
         if failed.any():
             # the scalar route raises its own error for this instance

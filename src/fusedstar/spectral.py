@@ -30,10 +30,11 @@ rows except at its leaves, the center and the center's neighbours, and
 along a run of equal rows the pivots of ``T - xI = LDL^T`` are the
 continuants ``beta^k sin(k phi + psi)`` (the characteristic polynomials
 the optimum is derived from), so the count costs O(1) in the branch
-length.  ``count_runs_below`` is the same count
-over a stack of run-length-encoded tridiagonals, vectorised over the
-lanes, and ``count_central_below`` builds a central block's count from
-its two arms'; the optimizer proves every optimum of a batch with them.
+length.  ``count_central_below`` is the same count for a stack of
+optimal central blocks, vectorised over the lanes: it reads each block's
+five weight-dependent rows from ``central_tridiagonal`` on four orbits
+and takes each arm's interior as the optimum's constant run, so the
+optimizer proves every optimum of a batch with one straight-line count.
 ``count_eigenvalues_below`` counts row by row by LDL^T inertia over a
 stack of tridiagonals; it is the reference for both run counts.  At run
 time this module imports ``topology`` alone (``OrbitWeights`` is named
@@ -462,79 +463,63 @@ def _off_band_runs(g, u0, length):
     return np.where(mirrored, length - crossing, crossing), u, last != mirrored
 
 
-def count_runs_below(
-    diagonals: Iterable, couplings: Iterable, lengths: Iterable, shifts
-) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues below each shift of each run-length-encoded tridiagonal
-    in a stack, and the last pivot of each.
-
-    Each argument holds one entry per encoded row, an array over the lanes
-    or a number.  Row ``j`` stands for ``lengths[j]`` equal rows of
-    diagonal ``diagonals[j]``, each coupled to the row before it by the
-    square root of ``couplings[j]``: 0 skips it, 1 is a step of Kahan's
-    recurrence and more a run in ``_run``'s closed form (a decoupled run
-    repeats its one pivot), so a count costs O(encoded rows).  The tie
-    rule is ``count_eigenvalues_below``'s, with ``pivmin`` over the stack,
-    and away from rounding level at an eigenvalue so are the counts.
-    """
-    pivmin = _pivmin(couplings)
-    below, pivot = 0, np.inf  # no row before the first
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for a, c, length in zip(diagonals, couplings, lengths):
-            below, pivot = _count_row(a - shifts, c, length, below, pivot, pivmin)
-    return np.asarray(below).astype(np.int64), np.asarray(pivot, dtype=float)
-
-
-def count_central_below(center, to_arms, arms, shifts) -> np.ndarray:
+def count_central_below(diagonal, off, m, shifts) -> np.ndarray:
     """Eigenvalues below ``shifts`` of each central block in a stack and of
-    its two arm blocks together, stacked on the second-last axis.
+    its two arm blocks together, stacked on the second-last axis, from a
+    skeleton of the block in O(1) per shape.
 
-    A central block is its center row, of diagonal ``center`` and squared
-    couplings ``to_arms`` to its arms, between two arms given from their
-    leaves for ``count_runs_below``, stacked on the first axis of each
-    row.  The arm blocks' counts add.  Eliminating both arms towards the
-    center (a twisted factorization) leaves the center one more pivot,
-    ``a - x - b_-^2 / d_- - b_+^2 / d_+``, which completes the central
-    block's count with the same tie rule, ``pivmin`` over the block.
+    ``diagonal`` and ``off`` are ``central_tridiagonal``'s rows on the
+    four orbits ``[w_int1, w_-1, w_1, w_int2]``, one column per shape:
+    each arm's leaf, its row next to the center, and the center between
+    them.  ``m`` holds the arm lengths on its first axis.  Between its
+    leaf and its row next to the center, an arm of ``m`` rows holds
+    ``m - 2`` interior rows as they are at the optimum, where every
+    interior weight is 1/2: diagonal ``(1 - 1/2) - 1/2 = 0``, each
+    coupled to the row before it by 1/2.  The row next to the center is
+    coupled to the row before it by ``w_int``, and an arm of one row is
+    that row alone.  Each arm is counted from its leaf by Kahan's
+    recurrence, its interior run in ``_run``'s closed form (one step at
+    ``m = 3``).  The arm blocks' counts add; eliminating both arms towards
+    the center (a twisted factorization) leaves the center one more
+    pivot, ``a - x - b_-^2 / d_- - b_+^2 / d_+``, which completes the
+    central block's count.  The tie rule is ``count_eigenvalues_below``'s,
+    with ``pivmin`` over the stack's arms and over its central blocks, and
+    away from rounding level at an eigenvalue so are the counts.
     """
-    below, pivots = count_runs_below(*arms, shifts[..., None, :])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        twisted = center - shifts - (to_arms / pivots).sum(axis=-2)
-    pivmin = _pivmin((to_arms, *arms[1]))
-    below = below.sum(axis=-2)
-    return np.stack([below + (twisted < pivmin), below], axis=-2)
+    x = shifts[..., None, :]
+    squares = off * off
+    pivmin = _TINY * squares[::3].max(initial=1.0)
+    interior = m - 2.0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # the leaves; a pivot of inf enters an arm without one
+        pivot = _floor_pivots(diagonal[::4] - x, pivmin)
+        leaf = m > 1.0
+        below = leaf & (pivot < 0.0)
+        pivot = np.where(leaf, pivot, np.inf)
+        # the interior run: a - x = -x, and beta = 1/2 makes g = a - x
+        t = 0.0 - x
+        step = _floor_pivots(t - 0.25 / pivot, pivmin)
+        negatives, u, last_negative = _runs(t, pivot / 0.5, interior)
+        u = np.maximum(0.5 * u, pivmin)
+        run, stepped = interior > 1.0, interior == 1.0
+        below = below + np.where(run, negatives, stepped & (step < 0.0))
+        pivot = np.where(
+            run, np.where(last_negative, -u, u), np.where(stepped, step, pivot)
+        )
+        # the rows next to the center, then the center's twisted pivot
+        pivot = (diagonal[1:4:2] - x) - squares[::3] / pivot
+        pivot = _floor_pivots(pivot, pivmin)
+        below = below + (pivot < 0.0)
+        ratios = squares[1:3] / pivot
+        twisted = (diagonal[2] - shifts) - (ratios[..., 0, :] + ratios[..., 1, :])
+    arms = (below[..., 0, :] + below[..., 1, :]).astype(np.int64)
+    central = arms + (twisted < _TINY * squares.max(initial=1.0))
+    return np.stack([central, arms], axis=-2)
 
 
-def _pivmin(couplings) -> float:
-    # LAPACK's pivmin for a stack of squared couplings
-    largest = np.asarray(functools.reduce(np.maximum, couplings, 1.0))
-    return _TINY * largest.max(initial=1.0)
-
-
-def _count_row(t, c, length, below, pivot, pivmin):
-    # counts and pivot after one encoded row, at t = a - x
-    run = np.logical_and(length > 1, c > 0.0)
-    ran = _count_run(t, c, length, run, below, pivot, pivmin) if run.any() else None
-    step = t - c / pivot
-    step = np.where(np.abs(step) < pivmin, -pivmin, step)
-    # a skipped row keeps its pivot
-    repeats = length if ran is None else np.where(run, 0, length)
-    below = below + repeats * (step < 0.0)
-    pivot = np.where(repeats > 0, step, pivot)
-    if ran is None:
-        return below, pivot
-    return np.where(run, ran[0], below), np.where(run, ran[1], pivot)
-
-
-def _count_run(t, c, length, run, below, pivot, pivmin):
-    # counts and pivot after the row's runs; lanes without a run take the
-    # band's side, and are dropped.  Its temporaries go before the row's
-    # step, which keeps a large stack's peak memory down.
-    beta = np.sqrt(c)
-    g = np.where(run, t / (2.0 * beta), 0.0)
-    negatives, u, last_negative = _runs(g, pivot / beta, length)
-    u = np.maximum(beta * u, pivmin)
-    return below + negatives, np.where(last_negative, -u, u)
+def _floor_pivots(pivot: np.ndarray, pivmin: float) -> np.ndarray:
+    # LAPACK's floor: a pivot below pivmin in magnitude becomes -pivmin
+    return np.where(np.abs(pivot) < pivmin, -pivmin, pivot)
 
 
 @dataclass(frozen=True)
@@ -609,20 +594,27 @@ def central_tridiagonal(
     """
     w = np.asarray(w, dtype=float)
     lanes = w.reshape(w.shape[0], -1)
-    ends = np.zeros((1, lanes.shape[1]))
-    sides = np.concatenate([ends, lanes, ends])
+    # (1 - w_{k-1}) - w_k, with no orbit beyond either end
+    diagonal = np.empty((lanes.shape[0] + 1, lanes.shape[1]))
+    diagonal[0] = 1.0
+    np.subtract(1.0, lanes, out=diagonal[1:])
+    diagonal[:-1] -= lanes
     off = lanes.copy()
-    lane = np.arange(lanes.shape[1])
-    m1 = np.asarray(params.m1).astype(np.int64)
+    m1 = np.asarray(params.m1)
+    if m1.ndim:  # a center row per lane
+        lane = np.arange(lanes.shape[1])
+        m1 = m1.astype(np.int64)
+        before, at = (m1 - 1, lane), (m1, lane)
+    else:
+        before, at = int(m1) - 1, int(m1)
     n1, n2 = (np.asarray(n, dtype=float) for n in (params.n1, params.n2))
-    w_minus, w_plus = lanes[m1 - 1, lane], lanes[m1, lane]
+    w_minus, w_plus = lanes[before], lanes[at]
     # weights near the float range make entries infinite or nan quietly:
     # every eigenvalue route refuses such a block with a typed error
     with np.errstate(over="ignore", invalid="ignore"):
-        diagonal = 1.0 - sides[:-1] - sides[1:]
-        diagonal[m1, lane] = 1.0 - n1 * w_minus - n2 * w_plus
-        off[m1 - 1, lane] = np.sqrt(n1) * w_minus
-        off[m1, lane] = np.sqrt(n2) * w_plus
+        diagonal[at] = 1.0 - n1 * w_minus - n2 * w_plus
+        off[before] = np.sqrt(n1) * w_minus
+        off[at] = np.sqrt(n2) * w_plus
     return diagonal.reshape(diagonal.shape[:1] + w.shape[1:]), off.reshape(w.shape)
 
 

@@ -462,9 +462,9 @@ def count_evaluations(monkeypatch, shapes):
     calls = []
     evaluate = optimizer._relation
 
-    def counting(coef, two_n, theta):
+    def counting(*args, **kwargs):
         calls.append(None)
-        return evaluate(coef, two_n, theta)
+        return evaluate(*args, **kwargs)
 
     with monkeypatch.context() as patch:
         patch.setattr(optimizer, "_relation", counting)

@@ -1,17 +1,20 @@
-"""The self-check's counts, ``count_runs_below`` and
-``count_central_below``, against Kahan's count.
+"""The self-check's count, ``count_central_below``, against Kahan's count.
 
 Every optimum of a batch is proved by counts over a skeleton of its
-central block: each arm written from its leaf as three run-length-encoded
-rows, and the center's twisted pivot.  Here those counts must equal
+central block: ``central_tridiagonal`` on four orbits gives each arm's
+leaf, the row next to the center and the center, the arm's interior is a
+run of the optimum's constant rows in closed form, and the center's
+pivot is twisted.  Here those counts must equal
 ``count_eigenvalues_below`` on the blocks written out row by row, away
 from rounding level at an eigenvalue, and the self-check's verdict must
 be the same from either count on every example.  The sample has arms of
-one, two and three rows, runs shorter than ``spectral._MIN_RUN``, shifts
-exactly at an entry of the blocks, ``w_-1`` moved off the optimum and
-shifts relative to the gap ``1 - s``.  A single solve counts its blocks
-themselves with ``Tridiagonal.count_below`` instead, and must reach the
-skeleton's verdict on the same sample and on the extreme shapes.
+one, two and three rows, runs shorter and longer than
+``spectral._MIN_RUN``, shifts exactly at an entry of the blocks and at
+the edges of the interior run's band, ``w_-1`` moved off the optimum,
+random boundary and interior weights and shifts relative to the gap
+``1 - s``.  A single solve counts its blocks themselves with
+``Tridiagonal.count_below`` instead, and must reach the skeleton's
+verdict on the same sample and on the extreme shapes.
 """
 
 import math
@@ -27,15 +30,14 @@ from fusedstar.optimizer import (
     _self_check_shifts,
     _self_checked,
     _Shapes,
-    _skeleton,
     _skeleton_proves_slem,
+    _skeleton_rows,
     optimal_weights,
 )
 from fusedstar.spectral import (
     central_tridiagonal,
     count_central_below,
     count_eigenvalues_below,
-    count_runs_below,
 )
 from fusedstar.topology import TfsParams
 from fusedstar.weighting import OrbitWeights
@@ -101,8 +103,9 @@ def test_skeleton_counts_equal_kahan_counts(params, move, seed):
     ])
     fields = (params.m1, params.n1, params.m2, params.n2)
     lane = _Shapes(*(np.asarray([v], dtype=float) for v in fields))
-    skeleton = _skeleton(lane, np.array([w_minus]), np.array([w_plus]))
-    counts = count_central_below(*skeleton, x[:, None])[..., 0]
+    rows = _skeleton_rows(lane, np.array([w_minus]), np.array([w_plus]))
+    m = np.array([[params.m1], [params.m2]], dtype=float)
+    counts = count_central_below(*rows, m, x[:, None])[..., 0]
     reference, scale = kahan_counts(params, w_minus, w_plus, x)
     # away from rounding level: no eigenvalue within a few ulps of ||T||
     # of the shift, where the counts a little to either side agree
@@ -171,43 +174,82 @@ def test_scalar_self_check_reaches_the_skeletons_verdict_on_extreme_shapes(
     assert_scalar_verdict_is_the_skeletons(TfsParams(*shape), move)
 
 
-rows = st.tuples(
-    st.floats(-1.5, 1.5),
-    st.one_of(st.just(0.0), st.floats(0.01, 1.0)),
-    st.sampled_from([0, 1, 2, 3, spectral._MIN_RUN - 1, spectral._MIN_RUN, 40]),
+def written_out(diagonal, off, m1, m2):
+    """The central block that ``count_central_below`` reads from one
+    lane's rows, row by row: each arm's leaf, ``m - 2`` interior rows of
+    diagonal 0 coupled by 1/2, and its row next to the center."""
+    def arm(leaf, adjacent, coupling, m):
+        if m == 1:
+            return [adjacent], []
+        return [leaf] + [0.0] * (m - 2) + [adjacent], [0.5] * (m - 2) + [coupling]
+
+    rows1, couplings1 = arm(diagonal[0], diagonal[1], off[0], m1)
+    rows2, couplings2 = arm(diagonal[4], diagonal[3], off[3], m2)
+    rows = rows1 + [diagonal[2]] + rows2[::-1]
+    couplings = couplings1 + [off[1], off[2]] + couplings2[::-1]
+    return np.array(rows), np.array(couplings)
+
+
+lane_strategy = st.tuples(
+    arm_lengths,
+    log_uniform(2, 10**6),
+    arm_lengths,
+    log_uniform(2, 10**6),
+    st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4),
 )
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=100)
-@given(
-    st.lists(st.lists(rows, min_size=1, max_size=5), min_size=1, max_size=3),
-    st.integers(0, 2**32 - 1),
-)
-def test_run_counts_equal_kahan_counts(stack, seed):
-    # lanes of up to five encoded rows: skipped rows, steps, decoupled
-    # runs and coupled runs shorter and longer than _MIN_RUN, counted at
-    # random shifts, at every diagonal entry and at the edges of every
-    # run's band, a +- 2 b
-    depth = max(map(len, stack))
-    # skipped rows even out the lanes
-    a, c, length = np.array(
-        [lane + [(0.0, 0.0, 0)] * (depth - len(lane)) for lane in stack]
-    ).T
+@given(st.lists(lane_strategy, min_size=1, max_size=3), st.integers(0, 2**32 - 1))
+def test_run_counts_equal_kahan_counts(lanes, seed):
+    # stacks of up to three lanes with random boundary and interior
+    # weights: arms of one to three rows, interior runs shorter and longer
+    # than _MIN_RUN, counted at random shifts, at every entry of the rows
+    # and at the edges of the interior run's band, 0 +- 2 * 1/2
+    m1, n1, m2, n2, w = (np.array(v, dtype=float) for v in zip(*lanes))
+    stack = _Shapes(m1, n1, m2, n2)._replace(m1=2)
+    diagonal, off = central_tridiagonal(stack, w.T)
+    m = np.stack([m1, m2])
     x = np.concatenate([
         np.random.default_rng(seed).uniform(-3.0, 3.0, 8),
-        a.ravel(), (a + 2.0 * np.sqrt(c)).ravel(), (a - 2.0 * np.sqrt(c)).ravel(),
+        diagonal.ravel(), [0.0, 1.0, -1.0],
     ])[:, None]
-    counts, _ = count_runs_below(a, c, length, x)
-    for k in range(a.shape[1]):
-        written = np.repeat(np.arange(depth), length[:, k].astype(int))
-        if written.size == 0:
-            assert not counts[:, k].any()
-            continue
-        rows_a, rows_c = a[written, k], c[written, k][1:]
+    counts = count_central_below(diagonal, off, m, x)
+    for k, (length1, _, length2, _, _) in enumerate(lanes):
+        rows, couplings = written_out(diagonal[:, k], off[:, k], length1, length2)
 
         def kahan(shifts):
-            return count_eigenvalues_below(rows_a[:, None], rows_c[:, None], shifts)
+            def count(a, b):
+                return count_eigenvalues_below(a[:, None], b[:, None] ** 2, shifts)
+
+            arms = count(rows[:length1], couplings[: length1 - 1]) + count(
+                rows[length1 + 1 :], couplings[length1 + 1 :]
+            )
+            return np.stack([count(rows, couplings), arms], axis=-1)
 
         reference = kahan(x[:, 0])
-        away = kahan(x[:, 0] - 1e-12) == kahan(x[:, 0] + 1e-12)
-        assert np.array_equal(counts[away, k], reference[away]), (stack, k)
+        away = np.equal(kahan(x[:, 0] - 1e-12), kahan(x[:, 0] + 1e-12))
+        assert np.array_equal(counts[:, :, k][away], reference[away]), (lanes, k)
+
+
+def test_four_orbit_rows_are_the_seven_row_skeletons():
+    # the five rows of _skeleton_rows are, bit for bit, the leaf, the row
+    # next to the center and the center of the skeleton with each arm
+    # written in three rows (leaf, one interior row, row next to the
+    # center), built by central_tridiagonal on six orbits
+    rng = np.random.default_rng(5)
+    for _ in range(100):
+        lanes = int(rng.integers(1, 50))
+        m1, m2 = rng.integers(1, 6, (2, lanes)).astype(float)
+        m1[rng.random(lanes) < 0.3] = 10**5
+        n1, n2 = np.round(np.exp(rng.uniform(math.log(2), 35.0, (2, lanes))))
+        shapes = _Shapes(m1, n1, m2, n2)
+        w_minus, w_plus = rng.uniform(0.0, 1.0, (2, lanes))
+        w_minus[rng.random(lanes) < 0.1] = 0.0
+        diagonal, off = _skeleton_rows(shapes, w_minus, w_plus)
+        interior = np.where(np.stack([m1, m2]) > 1.0, 0.5, 0.0)
+        six = [interior[0], interior[0], w_minus, w_plus, interior[1], interior[1]]
+        seven, seven_off = central_tridiagonal(shapes._replace(m1=3), np.stack(six))
+        rows = seven[[0, 2, 3, 4, 6]]
+        assert np.array_equal(diagonal.view(np.int64), rows.view(np.int64))
+        assert np.array_equal(off.view(np.int64), seven_off[1:5].view(np.int64))

@@ -414,6 +414,57 @@ def test_central_tridiagonal_of_a_stack_is_that_of_each_shape():
         assert np.all(off[size - 1 :, k] == 0.0)
 
 
+def padded_central_tridiagonal(params, w):
+    """``central_tridiagonal`` as a reference: each diagonal entry from the
+    weights padded with a zero orbit at either end, and the center's
+    entries gathered by fancy indexing."""
+    lanes = np.asarray(w, dtype=float).reshape(len(w), -1)
+    ends = np.zeros((1, lanes.shape[1]))
+    sides = np.concatenate([ends, lanes, ends])
+    off = lanes.copy()
+    lane = np.arange(lanes.shape[1])
+    m1 = np.asarray(params.m1).astype(np.int64)
+    n1, n2 = (np.asarray(n, dtype=float) for n in (params.n1, params.n2))
+    w_minus, w_plus = lanes[m1 - 1, lane], lanes[m1, lane]
+    with np.errstate(over="ignore", invalid="ignore"):
+        diagonal = 1.0 - sides[:-1] - sides[1:]
+        diagonal[m1, lane] = 1.0 - n1 * w_minus - n2 * w_plus
+        off[m1 - 1, lane] = np.sqrt(n1) * w_minus
+        off[m1, lane] = np.sqrt(n2) * w_plus
+    shape = np.shape(w)
+    return diagonal.reshape(diagonal.shape[:1] + shape[1:]), off.reshape(shape)
+
+
+def test_central_tridiagonal_keeps_the_padded_formulas_bits():
+    # one shape, a stack with a center row per lane and a stack with one,
+    # at weights from 1e-300 to 1e300 in magnitude, of either sign
+    rng = np.random.default_rng(23)
+
+    def assert_same_bits(params, w):
+        for ours, theirs in zip(
+            central_tridiagonal(params, w), padded_central_tridiagonal(params, w)
+        ):
+            assert ours.shape == theirs.shape
+            assert np.array_equal(ours.view(np.int64), theirs.view(np.int64))
+
+    def weights(shape):
+        scale = 10.0 ** rng.integers(-300, 301, shape)
+        return rng.uniform(-1.0, 1.0, shape) * scale
+
+    for _ in range(300):
+        m1, m2 = (int(m) for m in rng.integers(1, 40, 2))
+        n1, n2 = (int(n) for n in np.exp(rng.uniform(0.7, 35.0, 2)))
+        assert_same_bits(TfsParams(m1, n1, m2, n2), weights(m1 + m2))
+    for _ in range(100):
+        lanes, orbits = int(rng.integers(1, 30)), int(rng.integers(3, 30))
+        m1 = rng.integers(1, orbits, lanes).astype(float)
+        n1, n2 = np.round(np.exp(rng.uniform(0.7, 35.0, (2, lanes))))
+        stack = SimpleNamespace(m1=m1, n1=n1, m2=orbits - m1, n2=n2)
+        w = weights((orbits, lanes))
+        assert_same_bits(stack, w)
+        assert_same_bits(SimpleNamespace(m1=2, n1=n1, m2=orbits - 2, n2=n2), w)
+
+
 # (diagonal, off-diagonal, shift, count): each shift meets an eigenvalue
 # exactly, as a zero pivot, and the tie counts as below
 EXACT_TIES = [
