@@ -7,18 +7,19 @@ stores its states.  ``stratified_iterate`` computes both records without
 advancing the nodes: the stratification that block-diagonalizes W
 splits x(0) - x_bar into the stratum profile, which the central block
 advances, and each arm's within-stratum deviations, which that arm's
-block advances and which keep their norm when ``min(m_i, n_i)`` lanes
-with the same Gram matrix replace the ``n_i`` branches.  After an
-O(n min(m, n)) set-up a run costs nothing in ``n1`` and ``n2``.  A
+block advances branch by branch.  After an O(n m) set-up a run costs
+nothing in ``n1`` and ``n2``.  A
 central block of at most ``spectral._DENSE_ROWS`` rows takes the run in
 closed form, x(t) - x_bar being a sum of eigenmodes (Xiao and Boyd,
 "Fast linear iterations for distributed averaging", 2004): one
-``np.linalg.eigh`` per block gives every mode's amplitude, and every
-step's records follow from the amplitudes' powers, a chunk of steps at a
-time.  A longer block, whose dense eigendecomposition would take
-O(rows^2) memory, advances its lanes round by round: three products and
-two sums on the lanes, written into a bounded history that is reduced
-to the per-step records each time it fills.
+``np.linalg.eigh`` per block gives every mode's amplitude, an arm mode's
+from the projections of that arm's branches, and every step's records
+follow from the amplitudes' powers, a chunk of steps at a time.  A
+longer block, whose dense eigendecomposition would take O(rows^2)
+memory, replaces each arm's ``n_i`` branches by ``min(m_i, n_i)`` lanes
+with the same Gram matrix and advances the lanes round by round: three
+products and two sums on the lanes, written into a bounded history that
+is reduced to the per-step records each time it fills.
 
 The per-node stencil ``fusedstar.reference.distributed_rounds``, which
 is how the protocol executes on an actual network, and the matrix
@@ -116,29 +117,32 @@ def stratified_iterate(
     x_bar)`` (the center's entry is ``x_c - x_bar``) advances by the
     central block of ``build_blocks``.  Each arm's within-stratum
     deviations ``D_i`` (``m_i x n_i``) advance branch by branch by that
-    arm's block, and the norm of ``T^t D_i`` depends only on ``D_i D_i'``,
-    so the transposed R factor of ``D_i'`` (``np.linalg.qr``) replaces the
-    ``n_i`` branches by ``r_i = min(m_i, n_i)`` lanes with the same Gram
-    matrix.
+    arm's block.
 
-    ``error_norms[t]`` is the norm of the profile and the factor lanes
+    ``error_norms[t]`` is the norm of the profile and the deviations
     after ``t`` rounds, and ``sums[t]`` is ``1'x0 + sum_s sqrt(n_s)
     y_s(t)``, so ``sum_deviations`` is the rounding drift of the
-    profile's consensus component.  Set-up takes O(n min(m, n)) time and
-    two state-length vectors, released before the run's buffers are
-    allocated.  The records come by one of two routes, chosen by the
-    central block's row count:
+    profile's consensus component.  Set-up takes O(n) time and one
+    state-length vector, the deviations written over the centred state,
+    which is released before the run's buffers are allocated.  The
+    records come by one of two routes, chosen by the central block's row
+    count:
 
     - at most ``spectral._DENSE_ROWS`` rows: in closed form, from one
-      ``np.linalg.eigh`` per block (``_closed_form``), in O(rows^2)
-      memory and O(rows) per step, besides the two records;
-    - more: round by round (``_stepped``).  The arm blocks are the
-      central block's leading and trailing rows, so one ``(m1 + m2 + 1)
-      x (1 + max r_i)`` array of lanes, the profile and then the
-      factors' columns, with the two center couplings zeroed on the
-      factor lanes, advances everything with one tridiagonal product per
-      round, at O((m1 + m2 + 1)(1 + max r_i)), nothing in ``n_i`` once
-      ``n_i >= m_i``.
+      ``np.linalg.eigh`` per block (``_closed_form``), an arm mode's
+      amplitude being the norm of the projections of ``D_i``'s branches
+      on it, in O(n max m_i) time for the projections, O(rows^2) memory
+      and O(rows) per step, besides the two records;
+    - more: round by round (``_stepped``).  The norm of ``T^t D_i``
+      depends only on ``D_i D_i'``, so the transposed R factor of
+      ``D_i'`` (``np.linalg.qr``, in O(n min(m, n)) time) replaces the
+      ``n_i`` branches by ``r_i = min(m_i, n_i)`` lanes with the same
+      Gram matrix.  The arm blocks are the central block's leading and
+      trailing rows, so one ``(m1 + m2 + 1) x (1 + max r_i)`` array of
+      lanes, the profile and then the factors' columns, with the two
+      center couplings zeroed on the factor lanes, advances everything
+      with one tridiagonal product per round, at O((m1 + m2 + 1)(1 + max
+      r_i)), nothing in ``n_i`` once ``n_i >= m_i``.
 
     The two routes agree to rounding; each route's records have the same
     bits whatever ``_HISTORY_FLOATS`` is, for rounds of at most that
@@ -155,13 +159,14 @@ def stratified_iterate(
     try:
         total = np.add.reduce(x)
         average = total / x.size
-        # on a shared 2-vCPU host with one BLAS thread, the route alone
-        # past set-up, at two branches per star (the narrowest lanes, where
-        # stepping is cheapest): 65 rows took 1.16-1.24 ms in closed form
-        # and 1.46-1.74 ms stepped at 200 steps, 1.41-1.68 and 3.98-4.34 ms
-        # at 500; 81 rows 1.67-1.89 and 1.59-1.62 ms at 200 steps.  With
-        # as many lanes as rows the closed form won at every size up to
-        # 161 rows, the largest measured
+        # on a shared 2-vCPU host with one BLAS thread, each route with its
+        # set-up, at two branches per star (the narrowest lanes, where
+        # stepping is cheapest; medians of five interleaved batches): 65
+        # rows took 0.90-1.49 ms in closed form and 0.92-1.76 ms stepped at
+        # 200 steps, 1.25-1.59 and 2.02-2.51 ms at 500; 81 rows 1.43-1.45
+        # and 0.99-1.03 ms at 200 steps.  With as many branches as strata
+        # the closed form won at every size up to 161 rows, the largest
+        # measured (5.2-6.2 against 12.2-13.9 ms there)
         run = _closed_form if blocks.center.size <= _DENSE_ROWS else _stepped
         error_norms, sums = run(blocks, x, average, steps)
     except MemoryError as exc:
@@ -177,11 +182,12 @@ def _split(
 ) -> tuple[np.ndarray, np.ndarray, list[tuple[slice, np.ndarray]]]:
     """A run's set-up from the state ``x`` of mean ``average``: ``sqrt(n_s)``
     per stratum, the scaled stratum profile and, per arm, its strata in
-    the central block with its factor lanes.
+    the central block with its ``m_i x n_i`` within-stratum deviations.
 
-    Its state-length vectors and the stratum means are gone when it
-    returns, so the route that calls it holds the only references to what
-    it returns and can drop them once they are in its lanes.
+    The deviations are views of one state-length vector, the set-up's
+    only one, and the stratum means are gone when it returns, so the
+    route that calls it holds the only references to what it returns and
+    frees that vector by dropping the deviations.
     """
     params = blocks.params
     m1, n1 = params.m1, params.n1
@@ -191,24 +197,20 @@ def _split(
         (slice(0, c), slice(0, m1), n1),
         (slice(c + 1, None), slice(m1 + 1, None), params.n2),
     )
-    # two flat state-length vectors (the deviations could overwrite
-    # ``centered``, but then a state too large for memory would fail in
-    # the factors, naming an arm's shape instead of its own)
+    # one flat state-length vector: each stratum's mean is read from
+    # ``centered`` before its deviations overwrite it
     centered = np.subtract(x, average)
-    deviations = np.empty(x.size)
     means = np.empty(blocks.center.size)  # mu_s - x_bar
     means[m1] = centered[c]
-    factors = []
+    deviations = []
     for nodes, strata, n in arms:
         rows = centered[nodes].reshape(-1, n)
         means[strata] = rows.mean(axis=1)
-        spread = deviations[nodes].reshape(rows.shape)
-        np.subtract(rows, means[strata, None], out=spread)
-        factors.append((strata, np.linalg.qr(spread.T, mode="r").T))
-    # the set-up's state-length vectors go before the profile comes
-    del centered, deviations, rows, spread
+        np.subtract(rows, means[strata, None], out=rows)
+        deviations.append((strata, rows))
+    del centered, rows
     scale = perron_vector(params) * math.sqrt(params.n_nodes)
-    return scale, scale * means, factors
+    return scale, scale * means, deviations
 
 
 def _closed_form(
@@ -224,25 +226,26 @@ def _closed_form(
     dense form, a lane ``y`` is ``Q a`` with amplitudes ``a = Q'y``, and
     ``T^t y = Q (lambda^t a)``.  So ``error_norms[t]^2`` is the sum over
     every mode of every block of ``(a_j lambda_j^t)^2``, where an arm
-    mode's amplitude is the norm of its row of ``Q' Z_i`` (its factor
-    lanes' projections), and ``sums[t] - 1'x0`` is the sum over the
-    central modes of ``a_j lambda_j^t (scale' q_j)``.  The amplitudes
-    ``a_j lambda_j^t`` are built by ``np.multiply.accumulate`` over t, in
-    chunks of about ``_HISTORY_FLOATS`` floats, each chunk starting from
-    the last row of the one before; a mode of amplitude 0 stays exactly
-    0 whatever ``lambda_j^t`` would be.  One ``einsum`` per record reduces
-    a chunk, row by row, so the chunk length changes no bit.
+    mode's amplitude is the norm of its row of ``Q' D_i`` (the projections
+    of its branches, ``_arm_amplitudes``), and ``sums[t] - 1'x0`` is the
+    sum over the central modes of ``a_j lambda_j^t (scale' q_j)``.  The
+    amplitudes ``a_j lambda_j^t`` are built by ``np.multiply.accumulate``
+    over t, in chunks of about ``_HISTORY_FLOATS`` floats, each chunk
+    starting from the last row of the one before; a mode of amplitude 0
+    stays exactly 0 whatever ``lambda_j^t`` would be.  One ``einsum`` per
+    record reduces a chunk, row by row, so the chunk length changes no
+    bit.
     """
-    scale, profile, factors = _split(blocks, x, average)
-    error_norms, sums = np.empty(steps + 1), np.empty(steps + 1)
+    scale, profile, deviations = _split(blocks, x, average)
     spectrum, q = np.linalg.eigh(blocks.center.dense())
     spectra, amplitudes = [spectrum], [q.T @ profile]
     gains = scale @ q
-    for block, (_, factor) in zip((blocks.minus, blocks.plus), factors):
+    for block, (_, spread) in zip((blocks.minus, blocks.plus), deviations):
         spectrum, q = np.linalg.eigh(block.dense())
-        projected = q.T @ factor
         spectra.append(spectrum)
-        amplitudes.append(np.sqrt(np.einsum("jk,jk->j", projected, projected)))
+        amplitudes.append(_arm_amplitudes(q, spread))
+    del deviations, spread
+    error_norms, sums = np.empty(steps + 1), np.empty(steps + 1)
     values = np.concatenate(spectra)
     rows = max(1, min(error_norms.size, _HISTORY_FLOATS // values.size))
     powers = np.empty((rows, values.size))
@@ -258,14 +261,40 @@ def _closed_form(
     return error_norms, sums
 
 
+# floats of an arm's projected branches that _arm_amplitudes squares and
+# sums at a time; a budget of its own, so that no other buffer's size
+# regroups the sums
+_PROJECTION_FLOATS = 8192
+
+
+def _arm_amplitudes(q: np.ndarray, spread: np.ndarray) -> np.ndarray:
+    """The norm of each row of ``q' spread``, the projections of an arm's
+    ``m_i x n_i`` deviations onto its block's eigenvectors, summed over a
+    fixed chunk of branches at a time.
+
+    Each projection is rounded on its own, so a mode that holds nothing
+    gets an amplitude at rounding level of ``||spread||``, never the
+    cancellation of a Gram form ``q_j' (spread spread') q_j``.
+    """
+    size, n = spread.shape
+    width = max(1, _PROJECTION_FLOATS // size)
+    projected = np.empty((size, min(width, n)))
+    squares = np.zeros(size)
+    for start in range(0, n, width):
+        part = projected[:, : min(width, n - start)]
+        np.matmul(q.T, spread[:, start : start + width], out=part)
+        squares += np.einsum("jk,jk->j", part, part)
+    return np.sqrt(squares)
+
+
 def _stepped(
     blocks: StratifiedBlocks,
     x: np.ndarray,
     average: float,
     steps: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The records of a run, after ``_split``, by advancing its lanes round
-    by round.
+    """The records of a run, after ``_split``, by advancing each arm's
+    factor lanes and the profile round by round.
 
     A round multiplies the lower coupling, the diagonal and the upper
     coupling of every lane by read-only views of the previous round's
@@ -277,7 +306,13 @@ def _stepped(
     first slot.  Besides the history, a run holds the diagonal, the
     couplings and two term buffers, one lane array each.
     """
-    scale, profile, factors = _split(blocks, x, average)
+    scale, profile, deviations = _split(blocks, x, average)
+    # the transposed R factor of D_i' has the Gram matrix of the n_i
+    # branches in min(m_i, n_i) lanes; the deviations go once it is formed
+    factors = [
+        (strata, np.linalg.qr(spread.T, mode="r").T) for strata, spread in deviations
+    ]
+    del deviations
     error_norms, sums = np.empty(steps + 1), np.empty(steps + 1)
     center = blocks.center
     size, m1 = center.size, blocks.minus.size

@@ -934,9 +934,9 @@ def _cap_address_space():
 
 @pytest.mark.parametrize(
     "n1",
-    # 5e7 nodes take 0.37 GiB per vector: the initial state fits under the
-    # cap, but not the set-up's two state-length vectors beside it
-    [10**12, 5 * 10**7],
+    # 8e7 nodes take 0.6 GiB per vector: the initial state fits under the
+    # cap, but not the set-up's one state-length vector beside it
+    [10**12, 8 * 10**7],
     ids=["initial-state", "setup"],
 )
 def test_simulate_reports_unallocatable_trajectory(n1):
@@ -951,6 +951,22 @@ def test_simulate_reports_unallocatable_trajectory(n1):
     assert err.startswith("error: cannot allocate the run: ")
     assert f"shape ({n1 + 3},)" in err
     assert "Traceback" not in err
+
+
+def test_simulate_sets_up_in_one_state_vector():
+    # 5e7 nodes take 0.37 GiB per vector: the initial state and the
+    # set-up's one vector fit under the cap together
+    code, out, err = run_cli_process(
+        ["simulate", "--m1", "1", "--n1", str(5 * 10**7), "--m2", "1", "--n2", "2",
+         "--steps", "60"],
+        preexec_fn=_cap_address_space,
+    )
+    assert (code, err) == (0, "")
+    lines = out.split("\r\n")
+    assert lines[0] == "t,error_norm,sum_deviation"
+    assert [line.split(",")[0] for line in lines[1:62]] == [str(t) for t in range(61)]
+    assert lines[62].startswith("# convergence_factor_estimate = ")
+    assert lines[63:] == [""]
 
 
 @pytest.mark.parametrize(

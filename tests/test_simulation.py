@@ -27,6 +27,7 @@ from fusedstar.simulation import (
     stratified_iterate,
     write_trajectory_csv,
 )
+from fusedstar.spectral import build_blocks
 from fusedstar.topology import TfsParams, edge_table
 from fusedstar.weighting import (
     OrbitWeights,
@@ -237,26 +238,81 @@ def test_history_size_changes_no_bit(route, shape, monkeypatch):
         assert np.array_equal(got.sums, expected.sums)
 
 
+def without_an_arm_mode(p, ow, x0):
+    """``x0`` with each arm's dominant block eigenvector taken out of its
+    within-stratum deviations, so that the mode holds only rounding."""
+    blocks = build_blocks(p, ow)
+    x = x0.copy()
+    c = p.m1 * p.n1
+    arms = ((blocks.minus, x[:c], p.n1), (blocks.plus, x[c + 1 :], p.n2))
+    for block, nodes, n in arms:
+        rows = nodes.reshape(-1, n)
+        spectrum, q = np.linalg.eigh(block.dense())
+        mode = q[:, np.argmax(np.abs(spectrum))]
+        spread = rows - rows.mean(axis=1, keepdims=True)
+        rows -= np.outer(mode, mode @ spread)
+    return x
+
+
 @pytest.mark.parametrize("shape, scheme", scheme_cases(STENCIL_SHAPES + RANK_SHAPES))
 def test_closed_form_matches_stepping(shape, scheme, monkeypatch):
     p = TfsParams(*shape)
     ow = scheme_weights(p, scheme)
     x0 = random_initial_state(p.n_nodes, seed=sum(shape))
-    spread = np.linalg.norm(x0 - x0.mean())
-    budget = 1e-9 * np.abs(x0).sum()
-    for steps in (0, 1, 200, 2000):
-        runs = {}
-        for route, limit in ROUTES.items():
-            monkeypatch.setattr(simulation, "_DENSE_ROWS", limit)
-            runs[route] = stratified_iterate(p, ow, x0, steps)
-        closed, stepped = runs["closed"], runs["stepped"]
-        assert closed.n_steps == stepped.n_steps == steps
-        assert closed.average == stepped.average
-        np.testing.assert_allclose(
-            closed.error_norms, stepped.error_norms, rtol=1e-9, atol=1e-12 * spread
-        )
-        drift = np.abs(closed.sum_deviations() - stepped.sum_deviations())
-        assert np.all(drift <= budget)
+    # an arm mode of amplitude at rounding level, which a Gram form
+    # q' (D D') q can round below zero
+    for state in (x0, without_an_arm_mode(p, ow, x0)):
+        spread = np.linalg.norm(state - state.mean())
+        budget = 1e-9 * np.abs(state).sum()
+        for steps in (0, 1, 200, 2000):
+            runs = {}
+            for route, limit in ROUTES.items():
+                monkeypatch.setattr(simulation, "_DENSE_ROWS", limit)
+                runs[route] = stratified_iterate(p, ow, state, steps)
+            closed, stepped = runs["closed"], runs["stepped"]
+            assert closed.n_steps == stepped.n_steps == steps
+            assert closed.average == stepped.average
+            np.testing.assert_allclose(
+                closed.error_norms,
+                stepped.error_norms,
+                rtol=1e-9,
+                atol=1e-12 * spread,
+            )
+            drift = np.abs(closed.sum_deviations() - stepped.sum_deviations())
+            assert np.all(drift <= budget)
+
+
+def test_only_the_stepped_route_factors_the_deviations(monkeypatch):
+    # the closed form projects each arm's deviations on its eigenvectors;
+    # only round-by-round lanes need min(m_i, n_i) factor columns
+    def no_qr(*args, **kwargs):
+        raise AssertionError("np.linalg.qr called")
+
+    monkeypatch.setattr(np.linalg, "qr", no_qr)
+    for shape in STENCIL_SHAPES + RANK_SHAPES:
+        p = TfsParams(*shape)
+        x0 = random_initial_state(p.n_nodes, seed=sum(shape))
+        stratified_iterate(p, bounded_random_weights(p, sum(shape)), x0, 50)
+    p = TfsParams(*STEPPED_SHAPE)
+    x0 = random_initial_state(p.n_nodes, seed=1)
+    with pytest.raises(AssertionError, match="qr"):
+        stratified_iterate(p, bounded_random_weights(p, 1), x0, 50)
+
+
+@pytest.mark.parametrize("shape", [(6, 400_000, 6, 400_000), (1, 5 * 10**6, 1, 2)])
+def test_closed_form_set_up_is_one_state_vector(shape):
+    # the deviations overwrite the centred state, and the projections go a
+    # bounded chunk of branches at a time
+    p = TfsParams(*shape)
+    ow = max_degree_orbit_weights(p, convention="inv_dmax")
+    x0 = random_initial_state(p.n_nodes, seed=1)
+    tracemalloc.start()
+    try:
+        stratified_iterate(p, ow, x0, 200)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2 * p.n_nodes * 8
 
 
 @pytest.mark.parametrize("route", ROUTES)
