@@ -55,6 +55,7 @@ from .weighting import (
     OrbitWeights,
     assemble_weight_matrix,
     best_constant_orbit_weights,
+    constant_weight_slems,
     max_degree_orbit_weights,
     metropolis_orbit_weights,
 )
@@ -86,6 +87,7 @@ __all__ = [
     "build_dual_certificate",
     "central_tridiagonal",
     "check_array_size",
+    "constant_weight_slems",
     "convergence_factor_estimate",
     "count_central_below",
     "count_eigenvalues_below",

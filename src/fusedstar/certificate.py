@@ -20,13 +20,14 @@ z2); building one peaks at six such vectors and verifying one at about three.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .optimizer import OptimalSolution
 from .spectral import build_blocks, perron_vector
-from .topology import TfsParams
+from .topology import InvalidParameterError, TfsParams
 from .weighting import OrbitWeights
 
 # the bounds that ``CertificateResiduals.passes`` applies
@@ -149,8 +150,15 @@ def build_dual_certificate(solution: OptimalSolution) -> DualCertificate:
 
     The table ``sin(k theta*)`` is in orbit order (``k = 1..m1``, then
     ``k = m2..1``).  ||z1||^2 = (1 - s)/2 and ||z2||^2 = (1 + s)/2 fix
-    both the unit total norm and the duality value."""
+    both the unit total norm and the duality value.  A network of more
+    nodes than the largest float is refused as invalid input: the Perron
+    vector's norm is the node count's square root, and past it the
+    chains' arm factors, about ``n m / 4``, overflow."""
     params = solution.params
+    if params.n_nodes > sys.float_info.max:
+        raise InvalidParameterError(
+            "the node count is too large for floating-point arithmetic"
+        )
     theta, s = solution.theta_star, solution.s
     m1, m2 = params.m1, params.m2
     table = np.sin(np.arange(1.0, max(m1, m2) + 1.0) * theta)
@@ -221,7 +229,15 @@ def _recurrence_residual(
     acc[m1 - 1] = base - (1.0 if primed else params.n1 + 1.0) * w[m1 - 1]
     acc[m1] = base - (1.0 if primed else params.n2 + 1.0) * w[m1]
     acc *= c
-    cross = 0.0 if primed else math.sqrt(params.n1 * params.n2)
+    if primed:
+        cross = 0.0
+    else:
+        try:
+            cross = math.sqrt(params.n1 * params.n2)
+        except OverflowError:
+            # a product past the float range: its integer square root is
+            # within one of the root, and fits
+            cross = float(math.isqrt(params.n1 * params.n2))
     terms = w[1:] * c[:-1]
     terms[m1 - 1] = cross * w[m1] * c[m1 - 1]
     acc[1:] += terms

@@ -1,7 +1,9 @@
 """Command-line reports for fused-star consensus networks.
 
-Subcommands: solve (single-instance JSON report), compare (SLEM of all
-weighting schemes), verify (optimality certificate residuals), sweep
+Subcommands: solve (single-instance JSON report, from the blocks of the
+scheme's own weights), compare (SLEM of all weighting schemes, from the
+blocks of three weightings: max-degree's and best-constant's rows come
+from the unit weights' report), verify (optimality certificate residuals), sweep
 (CSV grids over network shapes, each solved as one batch), simulate
 (consensus trajectory).
 JSON goes to stdout for single reports, RFC-4180 CSV for grids and
@@ -48,6 +50,7 @@ from .topology import InvalidParameterError, TfsParams, check_array_size
 from .weighting import (
     OrbitWeights,
     best_constant_orbit_weights,
+    constant_weight_slems,
     max_degree_orbit_weights,
     metropolis_orbit_weights,
 )
@@ -224,11 +227,20 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    """The SLEM of each scheme, from the blocks of three weightings: the
+    optimum's, Metropolis's and the unit weights', read in that order.
+    Max-degree and best-constant are ``I - alpha L``, whose SLEMs
+    ``constant_weight_slems`` gives from the unit weights' report.  Since
+    max-degree's own blocks never fail, a request that fails reports the
+    error a read of each scheme's own blocks in row order would meet
+    first.  ``solve --scheme`` reads those blocks, for ``lambda_min``."""
     params = _params_from(args)
-    slems = [
-        _report(params, *_scheme_weights(params, scheme, args)).slem
-        for scheme in SCHEMES
-    ]
+    optimal = _report(params, *_scheme_weights(params, "optimal", args)).slem
+    metropolis = _report(params, metropolis_orbit_weights(params), None).slem
+    max_degree, best_constant = constant_weight_slems(
+        params, _CONVENTIONS[args.max_degree_convention]
+    )
+    slems = [optimal, max_degree, metropolis, best_constant]
     _write_csv(["scheme", "slem"], "%s,%.10g\r\n", [SCHEMES, slems])
     return 0
 

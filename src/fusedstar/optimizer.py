@@ -210,7 +210,12 @@ def optimal_weights(params: TfsParams) -> OptimalSolution:
     Requires n1, n2 >= 2.
     """
     _require_two_branches(params)
-    theta_star = _theta_star(params)
+    # with a branch count near the float range theta* is near 1e-154, where
+    # the other star's arm factor overflows to an infinity, and a product of
+    # it and a zero factor is nan: the predicate reads them as the batch's
+    # search does, under the same quiet error state
+    with np.errstate(over="ignore", invalid="ignore"):
+        theta_star = _theta_star(params)
     return _self_checked(params, theta_star, _weights_at(params, theta_star))
 
 
@@ -402,7 +407,10 @@ def _first_sign_changes(shapes: _Shapes) -> np.ndarray:
     lo, step = lo_end
     step[...] = np.nan
     last, error = np.empty_like(lo_end)
-    start = _closed_form_root(shapes.m1, two_n[0], shapes.m2, two_n[1], np)
+    # n m / 4 overflows for a branch count near the float range: that
+    # start is then not a positive float, as the next line handles
+    with np.errstate(over="ignore", invalid="ignore"):
+        start = _closed_form_root(shapes.m1, two_n[0], shapes.m2, two_n[1], np)
     start = np.where(start > 0.0, np.minimum(start, hi), 0.5 * hi)
     np.multiply(start, _START, out=x)
     # bisection never evaluates hi, where with m1 = m2 both arm factors

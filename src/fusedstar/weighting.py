@@ -5,9 +5,14 @@ of a TFS network is determined by one weight per edge orbit, which
 ``OrbitWeights`` stores as one read-only vector.  The assembled matrix is a
 read-only array, symmetric and row-stochastic by construction: off-diagonal
 entries carry the orbit weight of their edge, diagonals absorb the rest.
-The best constant weight comes from the extreme eigenvalues of the unit
-weights' stratified blocks, which ``spectral`` builds and keeps on the
-weights; ``spectral`` needs nothing from this module at run time.
+Max-degree and best-constant put one weight ``alpha`` on every edge, so
+their matrix is ``I - alpha L`` for the graph Laplacian ``L``, an affine
+image of the unit weights' ``I - L``: ``_unit_report`` reads the unit
+weights' extreme eigenvalues from their stratified blocks, which
+``spectral`` builds and keeps on the weights, once.  Best-constant's weight
+comes from that report, and ``constant_weight_slems`` gives both schemes'
+SLEMs from it without building their own blocks.  ``spectral`` needs
+nothing from this module at run time.
 """
 from __future__ import annotations
 
@@ -15,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import StratifiedBlocks, block_extremes, build_blocks
+from .spectral import SpectralReport, StratifiedBlocks, block_extremes, build_blocks
 from .topology import TfsParams, edge_table
 
 
@@ -104,6 +109,27 @@ def assemble_weight_matrix(params: TfsParams, ow: OrbitWeights) -> np.ndarray:
     return mat
 
 
+def _reciprocal(n: int) -> float:
+    """``1.0 / n``; for an ``n`` past the float range, which ``1.0 / n``
+    cannot convert, Python's correctly rounded integer quotient ``1 / n``."""
+    try:
+        return 1.0 / n
+    except OverflowError:
+        return 1 / n
+
+
+def _max_degree_weight(params: TfsParams, convention: str) -> float:
+    dmax = params.n1 + params.n2
+    if convention == "inv_dmax":
+        return _reciprocal(dmax)
+    if convention == "inv_dmax_plus_1":
+        return _reciprocal(dmax + 1)
+    raise ValueError(
+        "convention must be 'inv_dmax' or 'inv_dmax_plus_1', "
+        f"got {convention!r}"
+    )
+
+
 def max_degree_orbit_weights(
     params: TfsParams, convention: str = "inv_dmax"
 ) -> OrbitWeights:
@@ -111,17 +137,7 @@ def max_degree_orbit_weights(
 
     ``inv_dmax`` uses 1/d_max, ``inv_dmax_plus_1`` uses 1/(d_max + 1).
     """
-    dmax = params.n1 + params.n2
-    if convention == "inv_dmax":
-        alpha = 1.0 / dmax
-    elif convention == "inv_dmax_plus_1":
-        alpha = 1.0 / (dmax + 1)
-    else:
-        raise ValueError(
-            "convention must be 'inv_dmax' or 'inv_dmax_plus_1', "
-            f"got {convention!r}"
-        )
-    return OrbitWeights.constant(params, alpha)
+    return OrbitWeights.constant(params, _max_degree_weight(params, convention))
 
 
 def metropolis_orbit_weights(params: TfsParams) -> OrbitWeights:
@@ -132,8 +148,18 @@ def metropolis_orbit_weights(params: TfsParams) -> OrbitWeights:
     touch a branch interior.
     """
     w = np.full(params.m1 + params.m2, 0.5)
-    w[params.m1 - 1] = w[params.m1] = 1.0 / (params.n1 + params.n2)
+    w[params.m1 - 1] = w[params.m1] = _reciprocal(params.n1 + params.n2)
     return OrbitWeights(params, w)
+
+
+def _unit_report(params: TfsParams) -> SpectralReport:
+    """``block_extremes`` of the unit weights, unseeded: the extreme
+    eigenvalues of ``I - L`` for the graph Laplacian ``L``."""
+    return block_extremes(build_blocks(params, OrbitWeights.constant(params, 1.0)))
+
+
+def _best_constant_weight(unit: SpectralReport) -> float:
+    return 2.0 / (2.0 - unit.lambda_min - unit.lambda2)
 
 
 def best_constant_orbit_weights(params: TfsParams) -> OrbitWeights:
@@ -144,7 +170,45 @@ def best_constant_orbit_weights(params: TfsParams) -> OrbitWeights:
     so both come from the extreme eigenvalues of its blocks: the weight is
     ``2 / (2 - lambda_min - lambda2)`` of that matrix.
     """
-    unit = OrbitWeights.constant(params, 1.0)
-    report = block_extremes(build_blocks(params, unit))
-    alpha = 2.0 / (2.0 - report.lambda_min - report.lambda2)
-    return OrbitWeights.constant(params, alpha)
+    return OrbitWeights.constant(params, _best_constant_weight(_unit_report(params)))
+
+
+def constant_weight_slems(
+    params: TfsParams, convention: str = "inv_dmax"
+) -> tuple[float, float]:
+    """The SLEMs of max-degree's weights under ``convention`` and of
+    best-constant's, from one read of the unit weights' blocks.
+
+    A constant weight ``alpha`` gives ``W = I - alpha L = (1 - alpha) I +
+    alpha U`` with ``U = I - L`` the unit weights' matrix; block by block,
+    with the same multiplicities, ``W``'s blocks are ``(1 - alpha) I +
+    alpha`` times ``U``'s.  For ``alpha > 0`` the map keeps the order of the
+    eigenvalues, so ``lambda2(W) = 1 - alpha (1 - lambda2(U))`` and
+    ``lambda_min(W) = 1 - alpha (1 - lambda_min(U))``, and the SLEM is
+    ``max(1 - alpha (1 - lambda2(U)), alpha (1 - lambda_min(U)) - 1)``.
+    ``lambda_min(W)`` is not given: near 0 its form cancels, and only
+    ``block_extremes`` on ``W``'s own blocks has it to relative accuracy.
+
+    Error: let a route read each eigenvalue of a matrix ``M`` to within
+    ``r eps ||M||``.  ``block_extremes`` has ``r = 8``: a dense solve of a
+    block is good to a few ``eps ||T||``, a search ends two ulps wide on
+    counts whose backward error is a few ``eps`` per entry, and a block's
+    norm is at most its matrix's.  A dense solve of the whole matrix, as
+    ``full_spectrum``, is good to ``p(n) eps ||M||``, here ``r = n`` for
+    ``n`` rows.  Reading ``U`` by ``block_extremes`` and scaling by
+    ``alpha`` moves the SLEM by at most ``8 eps alpha ||U||``; the form's
+    three roundings move it by at most ``eps (1 + alpha (1 -
+    lambda_min(U)))``.  Both matrices' top eigenvalue is 1, so ``||U|| =
+    max(1, -lambda_min(U))`` and ``||W|| = max(1, alpha (1 -
+    lambda_min(U)) - 1)``, and the SLEM differs from the route's read of
+    ``W`` by at most ``eps (8 alpha ||U|| + r ||W|| + 1 + alpha (1 -
+    lambda_min(U)))``.  Both schemes have ``alpha lambda_max(L) <= 2``:
+    ``lambda_max(L) <= d_max + 2``, and best-constant's ``alpha`` is at
+    most ``2 / lambda_max(L)``.  Against ``block_extremes`` on ``W``'s own
+    blocks the bound is then at most ``27 eps``, 6.0e-15.
+    """
+    unit = _unit_report(params)
+    return tuple(
+        max(1.0 - alpha * (1.0 - unit.lambda2), alpha * (1.0 - unit.lambda_min) - 1.0)
+        for alpha in (_max_degree_weight(params, convention), _best_constant_weight(unit))
+    )

@@ -25,9 +25,13 @@ from fusedstar.optimizer import (
     optimal_weights,
     solve_symmetric_star,
 )
+from fusedstar.spectral import block_extremes, build_blocks, full_spectrum
 from fusedstar.topology import TfsParams
 from fusedstar.weighting import (
+    OrbitWeights,
+    assemble_weight_matrix,
     best_constant_orbit_weights,
+    constant_weight_slems,
     max_degree_orbit_weights,
     metropolis_orbit_weights,
 )
@@ -263,10 +267,11 @@ def run_counts(monkeypatch):
         # certificate share; the seeds +-s stand, so nothing is searched
         ("solve", 3, 0),
         ("verify", 3, 0),
-        # three blocks per scheme, and the unit weights of best-constant;
-        # two eigenvalues of each of the other schemes' nine blocks and of
-        # best-constant's three
-        ("compare", 15, 24),
+        # the blocks of three weightings: the optimum's, Metropolis's and
+        # the unit weights', whose report gives max-degree's and
+        # best-constant's rows; two eigenvalues of each of the six blocks
+        # of Metropolis and the unit weights
+        ("compare", 9, 12),
     ],
 )
 def test_each_solve_builds_each_block_and_finds_each_eigenvalue_once(
@@ -331,13 +336,59 @@ def test_compare_reproduces_benchmark_rows(capsys, params):
     assert values["optimal"] == min(values.values())
 
 
-def test_compare_optimal_matches_solve(capsys):
-    argv = ("--m1", "2", "--n1", "3", "--m2", "3", "--n2", "2")
-    _, solve_out, _ = run_cli(capsys, "solve", *argv)
-    _, compare_out, _ = run_cli(capsys, "compare", *argv)
-    _, rows = parse_csv(compare_out)
-    compare_value = dict(rows)["optimal"]
-    assert float(compare_value) == json.loads(solve_out)["slem"]
+def _compare_shapes():
+    # the search-path shape, a star of 10^12 branches, two long arms, then
+    # wide_net's kinds of compare: arms of 2-10 strata with 20-149
+    # branches, some at most 2000 nodes, and 30000-40000 nodes
+    rng = random.Random(7)
+    shapes = [(450, 5, 400, 3), (1, 10**12, 1, 2), (10**5, 3, 10**5, 4)]
+    for low, high in [(20, 60), (20, 60), (20, 149), (20, 149), (1500, 2200)]:
+        shapes.append(
+            (rng.randint(2, 10), rng.randint(low, high), rng.randint(2, 10),
+             rng.randint(low, high))
+        )
+    return shapes
+
+
+@pytest.mark.parametrize("convention", sorted(cli._CONVENTIONS))
+@pytest.mark.parametrize("shape", _compare_shapes(), ids=str)
+def test_compare_matches_solve_on_every_scheme(capsys, shape, convention):
+    # each row is the .10g of solve's slem, which reads the scheme's own
+    # blocks; in-process, max-degree's and best-constant's closed forms
+    # keep constant_weight_slems' bound against those blocks (r = 8) and
+    # against the dense oracle (r = n) where it fits
+    params = TfsParams(*shape)
+    argv = [f"{name}={value}" for name, value in zip(_SHAPE, shape)]
+    argv.append(f"--max-degree-convention={convention}")
+    code, out, _ = run_cli(capsys, "compare", *argv)
+    assert code == 0
+    _, rows = parse_csv(out)
+    assert [scheme for scheme, _ in rows] == list(cli.SCHEMES)
+    for scheme, text in rows:
+        code, solve_out, _ = run_cli(capsys, "solve", *argv, "--scheme", scheme)
+        assert code == 0
+        assert text == "%.10g" % json.loads(solve_out)["slem"], scheme
+    unit = block_extremes(build_blocks(params, OrbitWeights.constant(params, 1.0)))
+    closed = constant_weight_slems(params, cli._CONVENTIONS[convention])
+    schemes = (
+        max_degree_orbit_weights(params, cli._CONVENTIONS[convention]),
+        best_constant_orbit_weights(params),
+    )
+    for slem, weights in zip(closed, schemes):
+        alpha = float(weights.values[0])
+        spread = alpha * (1.0 - unit.lambda_min)
+        routes = [(8, block_extremes(build_blocks(params, weights)))]
+        if params.n_nodes <= 2000:
+            matrix = assemble_weight_matrix(params, weights)
+            routes.append((params.n_nodes, full_spectrum(matrix)))
+        for reads, report in routes:
+            bound = np.finfo(float).eps * (
+                8 * alpha * max(1.0, -unit.lambda_min)
+                + reads * max(1.0, spread - 1.0)
+                + 1.0
+                + spread
+            )
+            assert abs(slem - report.slem) <= bound, (reads, alpha)
 
 
 @pytest.mark.parametrize("params", [(3, 4, 4, 3), (2, 2, 2, 2)])
@@ -553,6 +604,48 @@ def test_branch_count_beyond_float_range_is_invalid_input(capsys, argv):
     assert code == 2
     assert len(out.splitlines()) <= 1  # a sweep prints its header first
     assert "too large for floating-point arithmetic" in err
+
+
+def _wide_stars(n):
+    return ["--m1", "2", "--n1", str(n), "--m2", "2", "--n2", str(n)]
+
+
+_ONE_WIDE_STAR = ["--m1", "1", "--n1", "2", "--m2", "10", "--n2", str(5 * 10**307)]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", *_wide_stars(10**200)],
+        ["verify", *_wide_stars(10**200)],
+        ["solve", *_wide_stars(10**308)],
+        ["verify", *_wide_stars(10**308)],
+        *(["solve", *_wide_stars(10**308), "--scheme", scheme] for scheme in cli.SCHEMES[1:]),
+        ["compare", *_wide_stars(10**308)],
+        ["compare", *_wide_stars(10**308), "--max-degree-convention", "dmax+1"],
+        # theta* near 1e-154: the first star's arm factor overflows
+        ["solve", *_ONE_WIDE_STAR],
+        ["compare", *_ONE_WIDE_STAR],
+        ["sweep", "custom", "--n1", "3", "--n2", str(10**308)],
+    ],
+    ids=lambda argv: "-".join(
+        f"{token[0]}e{len(token) - 1}" if token.isdigit() and len(token) > 20
+        else token.lstrip("-")
+        for token in argv
+    ),
+)
+def test_derived_integers_past_the_float_range_raise_no_traceback(capsys, argv):
+    # each branch count fits a float, but n1 n2 (10^400), n1 + n2 or the
+    # node count (4 10^308) does not: each is computed without converting
+    # it, or the request is refused with one error line; and no overflow
+    # in the searches reaches stderr as a RuntimeWarning
+    code, out, err = run_cli(capsys, *argv)
+    assert code in (0, 1, 2)
+    if code:
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    else:
+        assert err == ""
 
 
 @pytest.mark.parametrize(
@@ -1019,8 +1112,11 @@ def test_main_is_reentrant(capsys):
 
 
 # ints that either keep a request small or lie past what an array can hold,
-# so that no example allocates much
-_INT_TOKENS = st.one_of(st.integers(0, 12), st.integers(2**60, 2**64)).map(str)
+# so that no example allocates much; 10^200 and 10^308 are branch counts
+# whose sums and products pass the float range
+_INT_TOKENS = st.one_of(
+    st.integers(0, 12), st.integers(2**60, 2**64), st.sampled_from([10**200, 10**308])
+).map(str)
 _BAD_TOKENS = st.sampled_from(["", "x", "-1", "1.5", "0x10"])
 _VALUES = {
     "--scheme": st.sampled_from([*cli.SCHEMES, "x"]),
