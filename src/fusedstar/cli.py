@@ -15,7 +15,10 @@ closed before the whole report was written (a reader such as ``head``
 that exits early; 128 + SIGPIPE, as a shell reports a process that
 SIGPIPE ends), with nothing on stderr, buffered or not (``python -u``,
 ``PYTHONUNBUFFERED``).  ``main`` returns the code for every argument
-list: argparse's usage errors give 2 and ``--help`` 0.
+list: argparse's usage errors give 2 and ``--help`` 0.  Each request is
+parsed by its command words' own parser (``solve``, ``sweep custom``), in
+one argparse walk; the top-level parser answers help, unknown commands
+and arguments that the command's parser leaves over.
 """
 from __future__ import annotations
 
@@ -374,8 +377,22 @@ def _add_params(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--n2", type=int, required=True, help="second-star branch count")
 
 
+# the namespace attribute that the first and the second command word set
+_COMMAND_DESTS = ("command", "kind")
+
+
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
+def _command_parsers() -> dict[tuple[str, ...], argparse.ArgumentParser]:
+    """The one grammar of every request: each parser by the command words
+    that select it, recorded as it is created.  The top-level parser is
+    under ``()``, each command's under ``("solve",)`` and so on, and each
+    ``sweep`` kind's under ``("sweep", kind)``."""
+    parsers = {}
+
+    def add_command(subparsers, *words: str, **kwargs) -> argparse.ArgumentParser:
+        parsers[words] = subparsers.add_parser(words[-1], **kwargs)
+        return parsers[words]
+
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--max-degree-convention",
@@ -384,24 +401,24 @@ def _build_parser() -> argparse.ArgumentParser:
         help="max-degree weight 1/d_max or 1/(d_max+1)",
     )
 
-    parser = argparse.ArgumentParser(
+    parser = parsers[()] = argparse.ArgumentParser(
         prog="fusedstar",
         description="Optimal consensus-averaging weights for two fused stars.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_solve = sub.add_parser(
-        "solve", parents=[common], help="solve one network, report JSON"
+    p_solve = add_command(
+        sub, "solve", parents=[common], help="solve one network, report JSON"
     )
     _add_params(p_solve)
     p_solve.add_argument("--scheme", choices=SCHEMES, default="optimal")
 
-    p_compare = sub.add_parser(
-        "compare", parents=[common], help="SLEM of every weighting scheme, CSV"
+    p_compare = add_command(
+        sub, "compare", parents=[common], help="SLEM of every weighting scheme, CSV"
     )
     _add_params(p_compare)
 
-    p_verify = sub.add_parser("verify", help="check the optimality certificate")
+    p_verify = add_command(sub, "verify", help="check the optimality certificate")
     _add_params(p_verify)
     p_verify.add_argument(
         "--perturb",
@@ -411,37 +428,66 @@ def _build_parser() -> argparse.ArgumentParser:
         "write a negative shift as --perturb=-1e-3",
     )
 
-    p_sweep = sub.add_parser("sweep", help="SLEM or boundary-weight grids, CSV")
+    p_sweep = add_command(sub, "sweep", help="SLEM or boundary-weight grids, CSV")
     kinds = p_sweep.add_subparsers(dest="kind", required=True)
-    p_fig2 = kinds.add_parser("fig2", help="slem by mean branch length, n1=6, n2=12")
+    p_fig2 = add_command(
+        kinds, "sweep", "fig2", help="slem by mean branch length, n1=6, n2=12"
+    )
     p_fig2.add_argument("--mbar-min", type=int, default=1)
     p_fig2.add_argument("--mbar-max", type=int, default=8)
     p_fig2.set_defaults(grid=_fig2_sweep, columns=("slem",))
     for kind, columns in [("fig3", ("slem",)), ("fig4", ("w_minus_1",)),
                           ("custom", ("slem", "w_minus_1", "theta_star"))]:
-        p_grid = kinds.add_parser(kind, help=f"{', '.join(columns)} over m1, m2")
+        p_grid = add_command(
+            kinds, "sweep", kind, help=f"{', '.join(columns)} over m1, m2"
+        )
         p_grid.add_argument("--m1-max", type=int, default=10)
         p_grid.add_argument("--m2-max", type=int, default=10)
         p_grid.set_defaults(grid=_grid_sweep, columns=columns)
-    kinds.choices["fig3"].set_defaults(n1=2, n2=22)
-    kinds.choices["fig4"].set_defaults(n1=2, n2=22)
+    for kind in ("fig3", "fig4"):
+        parsers["sweep", kind].set_defaults(n1=2, n2=22)
     for name in ("--n1", "--n2"):
-        kinds.choices["custom"].add_argument(name, type=int, required=True)
+        parsers["sweep", "custom"].add_argument(name, type=int, required=True)
 
-    p_sim = sub.add_parser(
-        "simulate", parents=[common], help="run consensus rounds, trajectory CSV"
+    p_sim = add_command(
+        sub, "simulate", parents=[common], help="run consensus rounds, trajectory CSV"
     )
     _add_params(p_sim)
     p_sim.add_argument("--scheme", choices=SCHEMES, default="optimal")
     p_sim.add_argument("--steps", type=int, default=500)
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--tail", type=int, default=50)
-    return parser
+    return parsers
+
+
+def _parse_args(argv: list[str] | None) -> argparse.Namespace:
+    """The top-level parser's ``parse_args(argv)``, in one argparse walk
+    where ``argv`` starts with a command's words.
+
+    The top-level parser classifies every token before it hands the rest
+    to the command's parser, and ``sweep``'s parser does so again for its
+    kind's, so each option is scanned two or three times.  Here the
+    longest known command words pick their parser, which parses the rest
+    into a namespace preset with those words, as the parsers above it
+    would have set them.  Any other list (help, an unknown command), or
+    one that the command's parser leaves a token of, goes to the
+    top-level parser, so help, usage errors and exit codes stay its own.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parsers = _command_parsers()
+    # the longest known command words, () where there are none
+    words = next(w for w in (tuple(argv[:2]), tuple(argv[:1]), ()) if w in parsers)
+    if words:
+        preset = argparse.Namespace(**dict(zip(_COMMAND_DESTS, words)))
+        args, rest = parsers[words].parse_known_args(argv[len(words) :], preset)
+        if not rest:
+            return args
+    return parsers[()].parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args = _parse_args(argv)
     except SystemExit as exc:
         # argparse has written its usage error (2) or its help (0)
         return exc.code

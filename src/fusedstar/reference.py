@@ -21,7 +21,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -37,10 +37,10 @@ __all__ = [
     "StochasticityReport", "ThetaRoots", "alpha_vectors", "block_spectrum",
     "block_structure", "canonical_nodes", "char_residual", "degrees",
     "distributed_iterate", "distributed_rounds", "edge_orbit", "edges",
-    "equivalent_star", "interlacing_check", "iterate", "matrix_rounds",
-    "node_index", "nodes", "solve_theta_roots", "stencil_gram_matrices",
-    "strata", "stratification_basis", "stratum_labels", "tridiagonal_spectrum",
-    "validate_stochastic",
+    "equivalent_star", "exact_count_below", "interlacing_check", "iterate",
+    "matrix_rounds", "node_index", "nodes", "solve_theta_roots",
+    "stencil_gram_matrices", "strata", "stratification_basis",
+    "stratum_labels", "tridiagonal_spectrum", "validate_stochastic",
 ]
 
 
@@ -335,6 +335,40 @@ def interlacing_check(blocks: StratifiedBlocks) -> float:
     lower = float(np.max(cen[:-1] - arm))
     upper = float(np.max(arm - cen[1:]))
     return max(0.0, lower, upper)
+
+
+def exact_count_below(
+    diagonal: Iterable[float | Fraction],
+    couplings: Iterable[float | Fraction],
+    shift: float | Fraction,
+) -> int:
+    """Eigenvalues of a symmetric tridiagonal at or below ``shift``, by
+    Sylvester's law of inertia in exact rational arithmetic.
+
+    ``diagonal`` holds the rows' entries and ``couplings`` (one fewer) the
+    squared off-diagonals; every value is a rational (a float, an int or a
+    ``Fraction``), taken exactly.  The count is the number of negative
+    pivots of ``T - xI = LDL^T``, stepped row by row as ``d_j = (a_j - x)
+    - b_{j-1}^2 / d_{j-1}``.  The tie rule is
+    ``spectral.count_eigenvalues_below``'s, with its ``pivmin`` taken to
+    0: the pivots are those just above the shift, where each one falls as
+    the shift rises.  So a zero pivot counts as negative, the pivot after
+    it (its coupling not 0) is ``+inf`` and passes no term on, and an
+    eigenvalue at the shift counts as below.  Its cost grows as the
+    square of the rows in bit work.
+    """
+    x = Fraction(shift)
+    below = 0
+    # None is an infinite pivot, or none before row 0: no term passes on
+    pivot: Fraction | None = None
+    for a, c in zip(diagonal, itertools.chain([0], couplings)):
+        c = Fraction(c)
+        if pivot == 0 and c:
+            pivot = None
+            continue
+        pivot = Fraction(a) - x - (c / pivot if pivot and c else 0)
+        below += pivot <= 0
+    return below
 
 
 # -- optimizer: every root of the characteristic relation ---------------------

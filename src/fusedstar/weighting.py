@@ -16,12 +16,13 @@ nothing from this module at run time.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .spectral import SpectralReport, StratifiedBlocks, block_extremes, build_blocks
-from .topology import TfsParams, edge_table
+from .topology import InvalidParameterError, TfsParams, edge_table
 
 
 class MissingOrbitWeightError(ValueError):
@@ -154,7 +155,14 @@ def metropolis_orbit_weights(params: TfsParams) -> OrbitWeights:
 
 def _unit_report(params: TfsParams) -> SpectralReport:
     """``block_extremes`` of the unit weights, unseeded: the extreme
-    eigenvalues of ``I - L`` for the graph Laplacian ``L``."""
+    eigenvalues of ``I - L`` for the graph Laplacian ``L``.  A center of
+    so many branches that its diagonal entry ``1 - n1 - n2`` overflows
+    float64 is refused as invalid input, as ``build_dual_certificate``
+    refuses a node count past the float range."""
+    if math.isinf(1.0 - params.n1 - params.n2):
+        raise InvalidParameterError(
+            "the center's degree n1 + n2 is too large for floating-point arithmetic"
+        )
     return block_extremes(build_blocks(params, OrbitWeights.constant(params, 1.0)))
 
 

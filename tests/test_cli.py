@@ -613,34 +613,45 @@ def _wide_stars(n):
 _ONE_WIDE_STAR = ["--m1", "1", "--n1", "2", "--m2", "10", "--n2", str(5 * 10**307)]
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["solve", *_wide_stars(10**200)],
-        ["verify", *_wide_stars(10**200)],
-        ["solve", *_wide_stars(10**308)],
-        ["verify", *_wide_stars(10**308)],
-        *(["solve", *_wide_stars(10**308), "--scheme", scheme] for scheme in cli.SCHEMES[1:]),
-        ["compare", *_wide_stars(10**308)],
-        ["compare", *_wide_stars(10**308), "--max-degree-convention", "dmax+1"],
-        # theta* near 1e-154: the first star's arm factor overflows
-        ["solve", *_ONE_WIDE_STAR],
-        ["compare", *_ONE_WIDE_STAR],
-        ["sweep", "custom", "--n1", "3", "--n2", str(10**308)],
-    ],
-    ids=lambda argv: "-".join(
+def _argv_id(argv):
+    return "-".join(
         f"{token[0]}e{len(token) - 1}" if token.isdigit() and len(token) > 20
         else token.lstrip("-")
         for token in argv
-    ),
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        pytest.param(argv, code, id=_argv_id(argv))
+        for argv, code in [
+            (["solve", *_wide_stars(10**200)], 0),
+            (["verify", *_wide_stars(10**200)], 0),
+            (["solve", *_wide_stars(10**308)], 2),
+            (["verify", *_wide_stars(10**308)], 2),
+            *((["solve", *_wide_stars(10**308), "--scheme", scheme], code)
+              for scheme, code in zip(cli.SCHEMES[1:], (0, 0, 2))),
+            # n1 + n2 past the float range: the unit weights' center
+            # entry 1 - n1 - n2 would be -inf, so every read of them refuses
+            (["compare", *_wide_stars(10**308)], 2),
+            (["compare", *_wide_stars(10**308), "--max-degree-convention", "dmax+1"], 2),
+            (["compare", *_wide_stars(9 * 10**307)], 2),
+            (["solve", *_wide_stars(9 * 10**307), "--scheme", "best-constant"], 2),
+            # theta* near 1e-154: the first star's arm factor overflows
+            (["solve", *_ONE_WIDE_STAR], 2),
+            (["compare", *_ONE_WIDE_STAR], 0),
+            (["sweep", "custom", "--n1", "3", "--n2", str(10**308)], 0),
+        ]
+    ],
 )
-def test_derived_integers_past_the_float_range_raise_no_traceback(capsys, argv):
+def test_derived_integers_past_the_float_range_raise_no_traceback(capsys, argv, expected):
     # each branch count fits a float, but n1 n2 (10^400), n1 + n2 or the
     # node count (4 10^308) does not: each is computed without converting
-    # it, or the request is refused with one error line; and no overflow
-    # in the searches reaches stderr as a RuntimeWarning
+    # it, or the request is refused as invalid input with one error line;
+    # and no overflow in the searches reaches stderr as a RuntimeWarning
     code, out, err = run_cli(capsys, *argv)
-    assert code in (0, 1, 2)
+    assert code == expected
     if code:
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
@@ -1180,6 +1191,43 @@ def test_every_argument_list_gets_a_documented_exit_code(argv):
         assert err == "" or (err.count("\n") == 1 and err.startswith("error: ")), err
     if code == 2:
         assert out == ""
+
+
+def _parse_outcome(parse, argv):
+    """The namespace ``parse`` gives ``argv``, or its ``SystemExit`` code,
+    with what it wrote to stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = ("namespace", vars(parse(argv)))
+        except SystemExit as exc:
+            result = ("exit", exc.code)
+    return result, out.getvalue(), err.getvalue()
+
+
+_SMALL_SHAPE = ["--m1", "3", "--n1", "4", "--m2", "4", "--n2", "3"]
+
+
+@given(argv=argument_lists())
+@example(argv=["--help"])
+@example(argv=["-h"])
+@example(argv=["solve", "--help"])
+@example(argv=["solve", "--he"])
+@example(argv=["sweep", "--help"])
+@example(argv=["sweep", "fig3", "--n1", "5"])
+@example(argv=["solve", *_SMALL_SHAPE, "extra"])
+@example(argv=["solve", "--", "--m1", "1"])
+@example(argv=["--m1", "1", "solve"])
+@example(argv=["verify", *_SMALL_SHAPE, "--perturb", "-1e-3"])
+@example(argv=["verify", *_SMALL_SHAPE, "--perturb=-1e-3"])
+@settings(max_examples=200, deadline=None)
+def test_the_command_word_route_parses_as_the_top_level_parser(argv):
+    # main parses a request with its command words' own parser; the
+    # namespace, or the exit code and the text on stdout and stderr, are
+    # those of the top-level parser's own walk
+    assert _parse_outcome(cli._parse_args, argv) == _parse_outcome(
+        cli._command_parsers()[()].parse_args, argv
+    )
 
 
 def test_no_cli_path_imports_scipy():

@@ -1,6 +1,7 @@
 """Weight matrix assembly and the three comparison weighting schemes."""
 
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
@@ -8,12 +9,13 @@ from hypothesis import given, settings, strategies as st
 
 from fusedstar.reference import degrees, edge_orbit, edges, validate_stochastic
 from fusedstar.spectral import build_blocks
-from fusedstar.topology import TfsParams
+from fusedstar.topology import InvalidParameterError, TfsParams
 from fusedstar.weighting import (
     MissingOrbitWeightError,
     OrbitWeights,
     assemble_weight_matrix,
     best_constant_orbit_weights,
+    constant_weight_slems,
     max_degree_orbit_weights,
     metropolis_orbit_weights,
 )
@@ -297,3 +299,15 @@ def test_metropolis_closed_form_matches_degrees(params, convention, shift):
     ow = metropolis_orbit_weights(p)
     for u, v in edges(p):
         assert ow[edge_orbit(p, (u, v))] == 1.0 / (shift + max(deg[u], deg[v]))
+
+
+def test_unit_weights_refuse_a_center_degree_past_the_float_range():
+    # n1 + n2 = the largest float keeps the center entry 1 - n1 - n2
+    # finite, and the block routes refuse its size as before; at 2^1024
+    # the entry would be -inf, and the shape is refused as invalid input
+    half = int(sys.float_info.max / 2)
+    for read in (best_constant_orbit_weights, constant_weight_slems):
+        with pytest.raises(np.linalg.LinAlgError):
+            read(TfsParams(2, half, 2, half))
+        with pytest.raises(InvalidParameterError, match="n1 \\+ n2 is too large"):
+            read(TfsParams(2, 2**1023, 2, 2**1023))
