@@ -9,17 +9,16 @@ form from the smallest root theta*, and ``cos(theta*)`` is the optimal
 spectral radius.  On ``(0, pi / (2 max(m1, m2))]`` both response factors are
 at least -1 and strictly decreasing, so the relation is positive exactly
 below theta* there and bisection on that bracket finds it.  Both routes
-find it faster with bisection's bits.  The search starts from a
-closed-form root of the relation with ``cot x = 1/x - 4x/pi^2``
-(``_closed_form_root``), within 3 % of theta*.  Below theta* the
-relation is convex, so Newton's point from the positive end of the
-bracket stays below theta*; with a second point just past its predicted
-error, guarded by the midpoint, it reaches the adjacent floats where
-bisection stops, and returns its bits, in a number of steps that does
-not grow with ``n1`` and ``n2``.  ``optimal_weights`` takes six to
-thirteen evaluations of ``_char_values`` (``_theta_star``) where
-bisection takes 52 to 55.  ``optimal_weights_batch`` solves a grid of
-shapes in slices of ``_ONE_CALL_LANES``, in six or seven steps
+find it faster with bisection's bits, from a closed-form root of the
+relation with ``cot x = 1/x - 4x/pi^2`` (``_closed_form_root``), within
+3 % of theta*, in a number of steps that does not grow with ``n1`` and
+``n2``.  Below theta* the relation is convex, so Newton's points from
+below stay below theta*.  ``optimal_weights`` climbs with them to the
+first point past theta*, walks down a few floats and bisects the
+bracket left (``_theta_star``): four to nine evaluations of
+``_char_values`` where bisection takes 52 to 55.
+``optimal_weights_batch`` solves a grid of shapes in slices of
+``_ONE_CALL_LANES``, by a hedged Newton search in six or seven steps
 (``_first_sign_changes``), each one call of the stateless ``_relation``
 at two angles a lane on a stacked ``(3, 2, lanes)`` array, with
 ``_char_values``'s float operations in its order.  Every optimum, on
@@ -64,11 +63,12 @@ _SELF_CHECK = 1e-9  # largest |slem - s| the self-checks accept
 _DEGENERATE = 1e-13
 # shapes that optimal_weights_batch solves end to end in one slice
 _ONE_CALL_LANES = 8192
-# the root searches (_first_sign_changes, _theta_star): the slope of the
-# start's cotangent, its first two points as multiples of the start (the
-# batch's as one stacked column), how far past Newton's point the second
-# point lies, in Newton's predicted errors, and the largest predicted
-# error, as a share of Newton's step
+# the slope of _closed_form_root's cotangent; the first point of both
+# root searches as a multiple of that start, and the batch's second
+# (_first_sign_changes reads both as one stacked column, _theta_star the
+# first alone); how far past Newton's point the batch's second point lies,
+# in Newton's predicted errors, and the largest predicted error, as a
+# share of Newton's step
 _COT_SLOPE = 4.0 / math.pi**2
 _START_BELOW, _START_ABOVE = 1.0 - 1e-6, 1.03
 _START = np.array([[_START_BELOW], [_START_ABOVE]])
@@ -138,15 +138,20 @@ def _weights_at(params: TfsParams, theta: float) -> OrbitWeights:
     return OrbitWeights(params, w)
 
 
-def _first_sign_change(f: Callable[[float], float], hi: float) -> float:
-    """Where ``f`` stops being positive on ``(0, hi]``, to adjacent floats.
+def _first_sign_change(
+    f: Callable[[float], float], hi: float, lo: float = 0.0
+) -> float:
+    """Where ``f`` stops being positive on ``(lo, hi]``, to adjacent floats.
 
-    ``f`` must be positive exactly on an initial segment of the interval;
-    bisection on the predicate ``f(mid) > 0`` then never loses the point.
-    It is the oracle whose bits both searches, ``_theta_star`` and
-    ``_first_sign_changes``, must return.
+    ``f`` must be positive exactly on an initial segment of an interval
+    ``(0, top]`` that holds ``(lo, hi]``; bisection on the predicate
+    ``f(mid) > 0`` then never loses the point.  Any ``lo`` where ``f`` is
+    positive (or 0) and ``hi`` where it is not (or ``top``) end on the
+    same two adjacent floats around the point, and so return the bits of
+    the full bracket ``(0, top]``.  ``_theta_star`` ends in this
+    bisection; ``_first_sign_changes`` must return the full bracket's
+    bits.
     """
-    lo = 0.0
     while True:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
@@ -204,7 +209,7 @@ def optimal_weights(params: TfsParams) -> OptimalSolution:
     Interior orbits get weight 1/2; the two center-adjacent orbits follow
     from the smallest characteristic root theta*, the bits that bisection
     on ``(0, pi / (2 max(m1, m2))]`` gives, found by ``_theta_star`` in
-    at most fourteen evaluations.  The result is self-checked: eigenvalue
+    at most nine evaluations.  The result is self-checked: eigenvalue
     counts of its blocks (``Tridiagonal.count_below``) must prove
     ``s = cos(theta*)`` the spectral radius below 1 within 1e-9.
     Requires n1, n2 >= 2.
@@ -482,64 +487,42 @@ def _newton_step(
 
 def _theta_star(params: TfsParams) -> float:
     """``_first_sign_change`` of ``_char_values(params, .)`` on
-    ``(0, pi / (2 max(m1, m2))]``, bit for bit: ``_first_sign_changes``'s
-    search on one shape.
+    ``(0, pi / (2 max(m1, m2))]``, bit for bit.
 
-    It starts from ``_closed_form_root`` and moves ``lo`` and ``hi`` by
-    the predicate ``_char_values(params, x) > 0.0`` alone, at the trial
-    points a lane of the batch takes, clipped into the bracket with
-    ``math.nextafter``.  The lower point is judged first; where it fails
-    so does the upper one, which is then not evaluated.  Only ``lo``'s
-    Newton step is read, so it is computed, in ``math``, once per move of
-    ``lo``.  It takes 6 to 13 evaluations of the relation where bisection
-    takes 52 to 55, whatever ``n1`` and ``n2``.
+    Below theta* the relation is convex and decreasing, so Newton's
+    method from a point where the predicate ``_char_values(params, x) >
+    0.0`` holds climbs towards theta* and stays below it but for
+    rounding.  It starts a millionth below ``_closed_form_root``, halved
+    until the predicate holds, and each next point is at least two floats
+    above the last.  From the first point that fails it walks down by one
+    float, two, four, ... until a point holds, and ``_first_sign_change``
+    bisects the bracket left, which ends on bisection's adjacent floats.
+    It takes 4 to 9 evaluations of the relation where bisection takes 52
+    to 55, whatever ``n1`` and ``n2``, but where the start is not a
+    positive float (``n m / 4`` past the float range): there it halves
+    ``hi / 2`` a few hundred times.
     """
     m1, m2 = params.m1, params.m2
     two_n1, two_n2 = 2.0 / params.n1, 2.0 / params.n2
-    lo, hi = 0.0, math.pi / (2 * max(m1, m2))
+    hi = math.pi / (2 * max(m1, m2))
     start = _closed_form_root(m1, two_n1, m2, two_n2, math)
-    start = min(start, hi) if start > 0.0 else 0.5 * hi
-    lower = start * _START_BELOW
-    upper = min(start * _START_ABOVE, 0.5 * (lower + hi))
-    step = math.nan
-    quarter_before = quarter_last = 0.25 * hi
+    lo = (min(start, hi) if start > 0.0 else 0.5 * hi) * _START_BELOW
+    while not _char_values(params, lo) > 0.0:
+        lo *= 0.5
     while True:
-        last = step
-        # the predicate holds on an initial segment of the bracket
-        if _char_values(params, lower) > 0.0:
-            if lower < upper:
-                if _char_values(params, upper) > 0.0:
-                    lower = upper
-                else:
-                    hi = upper
-            lo, step = lower, _newton_step(m1, two_n1, m2, two_n2, lower)
-        else:
-            hi = lower
-        if math.nextafter(lo, hi) == hi:
-            return 0.5 * (lo + hi)
-        # min and max keep their first argument against nan, as fmin and
-        # fmax drop a nan: a nan step (lo has none yet) is clipped below
-        error = _FIRST_ERROR * step
-        if last != 0.0:
-            ratio = step / last
-            error = min(error, ratio * ratio * step)
-        lower = lo + step
-        upper = lower + _PAST * error
-        width = hi - lo
-        if width > quarter_before:
-            mid = 0.5 * width + lo
-            lower, upper = min(mid, lower), max(mid, lower)
-        quarter_before, quarter_last = quarter_last, 0.25 * width
-        # lo < lower <= upper < hi: lower below the float under hi and
-        # upper a float above lower where the bracket has room; a point
-        # past the top, or nan, goes to its end
-        below_hi = math.nextafter(hi, 0.0)
-        if not lower < below_hi:
-            lower = math.nextafter(below_hi, 0.0)
-        lower = max(lower, math.nextafter(lo, hi))
-        if not upper < below_hi:
-            upper = below_hi
-        upper = min(max(upper, math.nextafter(lower, hi)), below_hi)
+        # max keeps its first argument against a nan step
+        two_up = math.nextafter(math.nextafter(lo, math.inf), math.inf)
+        x = max(two_up, lo + _newton_step(m1, two_n1, m2, two_n2, lo))
+        if not _char_values(params, x) > 0.0:
+            break
+        lo = x
+    hi, drop = x, math.ulp(x)
+    while x - drop > lo:
+        if _char_values(params, x - drop) > 0.0:
+            lo = x - drop
+            break
+        hi, drop = x - drop, drop + drop
+    return _first_sign_change(lambda theta: _char_values(params, theta), hi, lo)
 
 
 def _skeleton_rows(shapes: _Shapes, w_minus, w_plus) -> tuple:

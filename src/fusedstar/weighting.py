@@ -16,7 +16,6 @@ nothing from this module at run time.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -156,10 +155,12 @@ def metropolis_orbit_weights(params: TfsParams) -> OrbitWeights:
 def _unit_report(params: TfsParams) -> SpectralReport:
     """``block_extremes`` of the unit weights, unseeded: the extreme
     eigenvalues of ``I - L`` for the graph Laplacian ``L``.  A center of
-    so many branches that its diagonal entry ``1 - n1 - n2`` overflows
-    float64 is refused as invalid input, as ``build_dual_certificate``
-    refuses a node count past the float range."""
-    if math.isinf(1.0 - params.n1 - params.n2):
+    so many branches that its diagonal entry ``1 - n1 - n2`` is 2^1023 or
+    more in magnitude, or overflows float64, is refused as invalid input
+    before any block is built: no block route reads such an entry (see
+    ``spectral._RunCount``), as ``build_dual_certificate`` refuses a node
+    count past the float range."""
+    if abs(1.0 - params.n1 - params.n2) >= 2.0**1023:
         raise InvalidParameterError(
             "the center's degree n1 + n2 is too large for floating-point arithmetic"
         )

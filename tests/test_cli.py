@@ -610,6 +610,10 @@ def _wide_stars(n):
     return ["--m1", "2", "--n1", str(n), "--m2", "2", "--n2", str(n)]
 
 
+def _unequal_wide_stars(n):
+    return ["--m1", "2", "--n1", str(n), "--m2", "3", "--n2", str(n)]
+
+
 _ONE_WIDE_STAR = ["--m1", "1", "--n1", "2", "--m2", "10", "--n2", str(5 * 10**307)]
 
 
@@ -638,6 +642,17 @@ def _argv_id(argv):
             (["compare", *_wide_stars(10**308), "--max-degree-convention", "dmax+1"], 2),
             (["compare", *_wide_stars(9 * 10**307)], 2),
             (["solve", *_wide_stars(9 * 10**307), "--scheme", "best-constant"], 2),
+            # n1 + n2 = 2^1023: a center entry of 2^1023 or more, which no
+            # block route reads, is refused before a block is built;
+            # max-degree builds none
+            (["compare", *_unequal_wide_stars(2**1022)], 2),
+            (["compare", *_unequal_wide_stars(2**1022), "--max-degree-convention", "dmax+1"], 2),
+            (["solve", *_unequal_wide_stars(2**1022), "--scheme", "best-constant"], 2),
+            (["solve", *_unequal_wide_stars(2**1022), "--scheme", "max-degree"], 0),
+            # just below that bound every read of the unit weights computes
+            (["compare", *_unequal_wide_stars(4 * 10**307)], 0),
+            (["solve", *_unequal_wide_stars(4 * 10**307), "--scheme", "best-constant"], 0),
+            (["solve", *_unequal_wide_stars(4 * 10**307), "--scheme", "max-degree"], 0),
             # theta* near 1e-154: the first star's arm factor overflows
             (["solve", *_ONE_WIDE_STAR], 2),
             (["compare", *_ONE_WIDE_STAR], 0),

@@ -349,6 +349,19 @@ def boundary_weight(m, theta):
     return float(weight)
 
 
+def full_bracket_bisection(params):
+    """Bisection on the predicate ``_char_values > 0`` from the whole
+    bracket ``(0, pi / (2 max(m1, m2))]``, written here so that the bits
+    the searches must return come from code the product does not run."""
+    lo, hi = 0.0, math.pi / (2 * max(params.m1, params.m2))
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if optimizer._char_values(params, mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return mid
+
+
 def bare_bisection(shapes):
     """theta*, s, w_{-1} and w_1 of each shape, as bits, from bisection on
     the scalar relation and the boundary-weight formula at each arm's
@@ -356,10 +369,7 @@ def bare_bisection(shapes):
     lanes = []
     for shape in shapes:
         params = TfsParams(*map(int, shape))
-        theta = optimizer._first_sign_change(
-            lambda theta: float(optimizer._char_values(params, theta)),
-            math.pi / (2 * max(params.m1, params.m2)),
-        )
+        theta = full_bracket_bisection(params)
         lanes.append((
             theta,
             float(np.cos(theta)),
@@ -541,12 +551,13 @@ def scalar_evaluations(monkeypatch, solve, shape):
 @SCALAR_SAMPLES
 def test_single_solve_pins_theta_star_in_few_evaluations(monkeypatch, name):
     # bisection takes 52 to 55 evaluations on most of these shapes and 550
-    # on (2, 10**300, 2, 2); the search judges at most two points a step
+    # on (2, 10**300, 2, 2); Newton's climb, the walk down and the last
+    # bisection each take a few
     counts = [
         scalar_evaluations(monkeypatch, optimizer._theta_star, shape)
         for shape in SCALAR_SHAPES[name]
     ]
-    assert max(counts) <= 14
+    assert max(counts) <= 9
 
 
 @pytest.mark.parametrize(
@@ -554,8 +565,8 @@ def test_single_solve_pins_theta_star_in_few_evaluations(monkeypatch, name):
     [
         [(m, n, m, n) for m in (1, 3, 10, 100, 10**4)]
         for n in (10**2, 10**6, 10**10, 10**15)
-    ] + [[(2, 10**300, 2, 2)]],
-    ids=["n=1e2", "n=1e6", "n=1e10", "n=1e15", "n=1e300"],
+    ] + [[(2, 10**300, 2, 2)], [(10**6, 2, 10**6, 2)]],
+    ids=["n=1e2", "n=1e6", "n=1e10", "n=1e15", "n=1e300", "m=1e6"],
 )
 def test_single_solve_evaluations_do_not_grow_with_branch_counts(
     monkeypatch, shapes
@@ -563,11 +574,40 @@ def test_single_solve_evaluations_do_not_grow_with_branch_counts(
     # bisection took 77 evaluations at n = 1e15 and 550 at
     # (2, 10**300, 2, 2); the closed-form start is as close at every count
     for shape in shapes:
-        assert scalar_evaluations(monkeypatch, optimal_weights, shape) <= 14, shape
+        assert scalar_evaluations(monkeypatch, optimal_weights, shape) <= 9, shape
 
 
 _LENGTHS = st.one_of(st.integers(1, 40), st.integers(1, 10**6))
 _COUNTS = st.one_of(st.integers(2, 40), st.integers(2, 10**15))
+
+
+@given(
+    shape=st.tuples(_LENGTHS, _COUNTS, _LENGTHS, _COUNTS),
+    below=st.one_of(st.integers(0, 64), st.floats(0.0, 1.0, exclude_max=True)),
+    above=st.one_of(st.integers(0, 64), st.floats(0.0, 1.0)),
+)
+@settings(max_examples=300, deadline=None)
+def test_any_bracket_around_the_sign_change_bisects_to_the_same_bits(
+    shape, below, above
+):
+    # the single solve's last step: from any lo where the predicate holds
+    # (or 0) and any hi where it fails (or the bracket's top), bisection
+    # ends on the full bracket's two adjacent floats; an integer end lies
+    # that many ulps from theta*, a float one that share of the way to the
+    # bracket's end
+    params = TfsParams(*shape)
+    theta = full_bracket_bisection(params)
+    top = math.pi / (2 * max(params.m1, params.m2))
+    ulp = math.ulp(theta)
+    lo = max(theta - below * ulp, 0.0) if isinstance(below, int) else below * theta
+    hi = min(theta + above * ulp, top) if isinstance(above, int) else (
+        theta + above * (top - theta)
+    )
+    with np.errstate(all="ignore"):
+        relation = functools.partial(optimizer._char_values, params)
+        assume(lo == 0.0 or relation(lo) > 0.0)
+        assume(hi == top or not relation(hi) > 0.0)
+        assert bits(optimizer._first_sign_change(relation, hi, lo)) == bits(theta)
 
 
 @st.composite
