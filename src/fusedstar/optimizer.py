@@ -13,15 +13,14 @@ find it faster with bisection's bits, from a closed-form root of the
 relation with ``cot x = 1/x - 4x/pi^2`` (``_closed_form_root``), within
 3 % of theta*, in a number of steps that does not grow with ``n1`` and
 ``n2``.  Below theta* the relation is convex, so Newton's points from
-below stay below theta*.  ``optimal_weights`` climbs with them to the
-first point past theta*, walks down a few floats and bisects the
-bracket left (``_theta_star``): four to nine evaluations of
-``_char_values`` where bisection takes 52 to 55.
-``optimal_weights_batch`` solves a grid of shapes in slices of
-``_ONE_CALL_LANES``, by a hedged Newton search in six or seven steps
-(``_first_sign_changes``), each one call of the stateless ``_relation``
-at two angles a lane on a stacked ``(3, 2, lanes)`` array, with
-``_char_values``'s float operations in its order.  Every optimum, on
+below stay below theta*.  Both routes climb with them to the first
+point past theta*, walk down a few floats and bisect the bracket left,
+in four to twelve evaluations where bisection takes 52 to 55:
+``optimal_weights`` on one shape (``_theta_star``, evaluating
+``_char_values``), and ``optimal_weights_batch`` on every lane of a
+slice of ``_ONE_CALL_LANES`` shapes at once (``_first_sign_changes``),
+each step one call of the stateless ``_relation`` at one angle a lane,
+with ``_char_values``'s float operations in its order.  Every optimum, on
 either route, is self-checked by eigenvalue counts at four shifts
 (``_counts_prove_slem``), never by computed eigenvalues, and the counts
 cost O(1) in the branch lengths.  A single solve counts the blocks that
@@ -63,17 +62,10 @@ _SELF_CHECK = 1e-9  # largest |slem - s| the self-checks accept
 _DEGENERATE = 1e-13
 # shapes that optimal_weights_batch solves end to end in one slice
 _ONE_CALL_LANES = 8192
-# the slope of _closed_form_root's cotangent; the first point of both
-# root searches as a multiple of that start, and the batch's second
-# (_first_sign_changes reads both as one stacked column, _theta_star the
-# first alone); how far past Newton's point the batch's second point lies,
-# in Newton's predicted errors, and the largest predicted error, as a
-# share of Newton's step
+# the slope of _closed_form_root's cotangent, and the first point of both
+# root searches as a multiple of that start
 _COT_SLOPE = 4.0 / math.pi**2
-_START_BELOW, _START_ABOVE = 1.0 - 1e-6, 1.03
-_START = np.array([[_START_BELOW], [_START_ABOVE]])
-_PAST = 2.0
-_FIRST_ERROR = 0.05
+_START_BELOW = 1.0 - 1e-6
 # the least valid m1, n1, m2, n2, as a column
 _LEAST = np.array([[1.0], [2.0], [1.0], [2.0]])
 
@@ -149,8 +141,7 @@ def _first_sign_change(
     positive (or 0) and ``hi`` where it is not (or ``top``) end on the
     same two adjacent floats around the point, and so return the bits of
     the full bracket ``(0, top]``.  ``_theta_star`` ends in this
-    bisection; ``_first_sign_changes`` must return the full bracket's
-    bits.
+    bisection, and ``_first_sign_changes`` in the same one on every lane.
     """
     while True:
         mid = 0.5 * (lo + hi)
@@ -209,9 +200,10 @@ def optimal_weights(params: TfsParams) -> OptimalSolution:
     Interior orbits get weight 1/2; the two center-adjacent orbits follow
     from the smallest characteristic root theta*, the bits that bisection
     on ``(0, pi / (2 max(m1, m2))]`` gives, found by ``_theta_star`` in
-    at most nine evaluations.  The result is self-checked: eigenvalue
-    counts of its blocks (``Tridiagonal.count_below``) must prove
-    ``s = cos(theta*)`` the spectral radius below 1 within 1e-9.
+    at most nine evaluations (twelve at long unequal arms).  The result
+    is self-checked: eigenvalue counts of its blocks
+    (``Tridiagonal.count_below``) must prove ``s = cos(theta*)`` the
+    spectral radius below 1 within 1e-9.
     Requires n1, n2 >= 2.
     """
     _require_two_branches(params)
@@ -290,8 +282,8 @@ def _batch_shapes(arrays: list[np.ndarray]) -> _Shapes:
 def _relation_rows(shapes: _Shapes) -> tuple[np.ndarray, np.ndarray]:
     """Each lane's angle coefficients ``0.5, m1, m2`` and arm factors
     ``2/n1, 2/n2`` as rows of shape ``(1, lanes)``, which broadcast over
-    the two trial angles of a lane: ``_relation``'s ``coef`` and
-    ``two_n``."""
+    the angles of a lane (``theta``'s first axis): ``_relation``'s
+    ``coef`` and ``two_n``."""
     coef = np.stack([np.full(shapes.m1.size, 0.5), shapes.m1, shapes.m2])
     two_n = 2.0 / np.stack([shapes.n1, shapes.n2])
     return coef[:, None], two_n[:, None]
@@ -308,7 +300,9 @@ def _relation(coef, two_n, theta, out=None) -> tuple[np.ndarray, np.ndarray]:
     cot(t/2)``, so ``-a' = e g`` with ``e = m / (sin cos)(m t) + 1 / sin
     t``, the rows of ``coef / (sin cos)`` summed.  Then ``-f' = a1 a2 ((1
     + 1/a1) e1 + (1 + 1/a2) e2)``, and the step ``(1 - 1/a1 a2)`` over
-    that sum overflows nowhere that ``a1 a2`` does not.  Nothing persists
+    that sum overflows nowhere that ``a1 a2`` does not.  ``sin cos`` is
+    read as ``(cot sin) sin``, which stays normal at angles below 1e-154,
+    where ``sin**2`` underflows.  Nothing persists
     between calls; the step reuses the evaluation's arrays in place, and
     is written to ``out`` if given.
     """
@@ -320,8 +314,8 @@ def _relation(coef, two_n, theta, out=None) -> tuple[np.ndarray, np.ndarray]:
     arm *= cot[0]
     arm -= 1.0
     product = arm[0] * arm[1]
-    rate = np.multiply(sin, sin, out=sin)
-    rate *= cot
+    rate = np.multiply(cot, sin, out=cot)
+    rate *= sin
     np.divide(coef, rate, out=rate)
     rate[1:] += rate[0]
     ratio = np.reciprocal(arm, out=arm)
@@ -345,121 +339,95 @@ def _closed_form_root(m1, two_n1, m2, two_n2, xp):
     ``(u - c1)(u - c2) = n1 m1 n2 m2 / 16`` in ``u = 1/t^2``, with
     ``c = n m/4 + 4 m^2/pi^2 + 1/12``.  Its larger root, the smaller
     angle, is ``(c1 + c2 + hypot(c1 - c2, d)) / 2`` with
-    ``d = sqrt(n1 m1 n2 m2) / 2``.  Where the result is not a positive
-    float, or lies above the bracket, each search starts from ``hi / 2``
-    or ``hi``.
+    ``d = sqrt(n1 m1 n2 m2) / 2``.  Its terms are scaled by ``2**-64`` and
+    the angle by ``2**-32``, exact powers of four, so ``n m / 4`` near the
+    float range leaves the sum finite and other shapes keep their bits.
+    Where the result is not a positive float, or lies above the bracket,
+    each search starts from ``hi / 2`` or ``hi``.
     """
-    quarter1, quarter2 = m1 / two_n1 * 0.5, m2 / two_n2 * 0.5
+    unit = 2.0**-64
+    quarter1, quarter2 = m1 * unit / two_n1 * 0.5, m2 * unit / two_n2 * 0.5
     # the split square root keeps n1 n2 ~ 1e600 finite, and so does hypot
     d = xp.sqrt(quarter1) * xp.sqrt(quarter2)
     d = d + d
-    c1 = m1 * m1 * _COT_SLOPE + quarter1 + 1.0 / 12.0
-    c2 = m2 * m2 * _COT_SLOPE + quarter2 + 1.0 / 12.0
-    return xp.sqrt(2.0 / (xp.hypot(c1 - c2, d) + c1 + c2))
+    c1 = m1 * m1 * unit * _COT_SLOPE + quarter1 + unit / 12.0
+    c2 = m2 * m2 * unit * _COT_SLOPE + quarter2 + unit / 12.0
+    return xp.sqrt(2.0 / (xp.hypot(c1 - c2, d) + c1 + c2)) * 2.0**-32
 
 
 def _first_sign_changes(shapes: _Shapes) -> np.ndarray:
-    """``_first_sign_change`` of the relation on every lane at once, bit for
-    bit, by a hedged Newton search from a closed-form start.
+    """``_theta_star`` on every lane at once: ``_first_sign_change`` of the
+    relation on ``(0, pi / (2 max(m1, m2))]``, bit for bit.
 
-    Each lane keeps bisection's bracket ``(lo, hi]``, from ``lo = 0`` and
-    ``hi = pi / (2 max(m1, m2))``, and each evaluation judges two trial
-    points strictly inside it, in one call of ``_relation``, by the
-    scalar predicate ``product > 1.0``: ``lo`` moves to the higher point
-    that holds, taking its Newton step, and ``hi`` to the lower one that
-    fails, as bisection moves them.  Since the predicate changes sign
-    once on the bracket, as ``_first_sign_change`` requires, each lane
-    ends at the adjacent floats where bisection ends and returns
-    bisection's last midpoint ``0.5 * (lo + hi)``.  Like bisection it
-    never evaluates the first ``hi``, where with ``m1 = m2`` both arm
-    factors are -1 and rounding may make the predicate hold.
+    Each call of ``_relation`` judges one angle ``x`` a lane by the scalar
+    predicate ``product > 1.0``, and moves the lane's ``lo`` to ``x`` where
+    it holds and its ``hi`` to ``x`` where it fails.  A lane climbs as the
+    single solve does: from a millionth below ``_closed_form_root``, a
+    start that fails halved, then Newton's points from ``lo``, each at
+    least two floats above it.  Where the step vanishes, as where a slope
+    overflows under a pole at lengths near ``1e300`` that only a batch
+    takes, that floor doubles with each such point, so the climb still
+    ends.  From its first failing point after one held a lane walks down
+    from ``hi`` by 1, 2, 4, ... floats, and bisects once the walk passes
+    the midpoint.  Every point lies below ``hi``, so the first ``hi``,
+    where with ``m1 = m2`` both arm factors are -1 and rounding may make
+    the predicate hold, is never judged.  Since the predicate holds on an
+    initial segment of the bracket, each lane ends on the adjacent floats
+    where bisection ends, and the search returns bisection's last
+    midpoint ``0.5 * (lo + hi)`` once every lane has.
 
-    The first points are a millionth below ``_closed_form_root`` and 3 %
-    above it (at most halfway to ``hi``).  Below theta* both arm factors
-    are positive, decreasing and convex, so ``f = a1 a2 - 1`` is convex on
-    ``[lo, theta*]`` and Newton's point ``N = lo + step`` stays below
-    theta*.  Its error is near ``C step^2``, with ``C = step / last^2``
-    read from ``lo``'s last two steps, and the other point lies ``_PAST``
-    such errors above ``N``; a predicted error is at most
-    ``_FIRST_ERROR`` of the step, which is all a lane whose ``lo`` has
-    one step yet predicts.  Then ``N`` holds and the other point fails,
-    and the bracket shrinks to a few of Newton's errors.  The lower point
-    stays below the float under ``hi`` and the upper one at least one
-    float above it, so a bracket of three ulps closes in one evaluation.
-    Where the bracket has not shrunk to a quarter over the last two
-    evaluations, the upper point is the midpoint instead (the two
-    sorted), so the width falls at least as ``2**(-k/2)`` over ``k``
-    evaluations: a lane takes at most about twice the evaluations of
-    bisection from the same bracket, whatever ``f`` does above theta*.  A
-    point outside the bracket becomes the float inside it nearest to it,
-    and a nan point (where ``lo`` has no step yet) a float next to one of
-    its ends.
-
-    The batch takes as many evaluations as its slowest lane: six or seven
-    on the benchmark's ``sweep`` grids, on ``sweep fig2``, on a
-    log-uniform sample up to ``m = 1e6`` and ``n = 1e15`` and on the
-    slices of a 300 x 300 grid, where bisection takes 52 to 55; the count
-    does not grow with ``n1`` and ``n2``.  Its memory is a few stacks of
-    two points on the lanes it is given.
+    The batch takes as many evaluations as its slowest lane: 8 or 9 on
+    the benchmark's ``sweep`` grids, on ``sweep fig2``, on a log-uniform
+    sample up to ``m = 1e6`` and ``n = 1e15`` and on the slices of a 300
+    x 300 grid, and 10 to 12 at the longest unequal arms of that sample,
+    where bisection takes 52 to 55; the count does not grow with ``n1``
+    and ``n2``.  Its memory is a few rows of one angle a lane.
     """
     coef, two_n = _relation_rows(shapes)
     hi = np.pi / (2.0 * np.maximum(shapes.m1, shapes.m2))
-    # angle and Newton step of the two trial points of each lane, in
-    # order, and of lo
-    trial = np.empty((2, 2, hi.size))
-    x, steps = trial
-    lo_end = np.zeros((2, hi.size))
-    lo, step = lo_end
-    step[...] = np.nan
-    last, error = np.empty_like(lo_end)
-    # n m / 4 overflows for a branch count near the float range: that
-    # start is then not a positive float, as the next line handles
-    with np.errstate(over="ignore", invalid="ignore"):
-        start = _closed_form_root(shapes.m1, two_n[0], shapes.m2, two_n[1], np)
-    start = np.where(start > 0.0, np.minimum(start, hi), 0.5 * hi)
-    np.multiply(start, _START, out=x)
-    # bisection never evaluates hi, where with m1 = m2 both arm factors
-    # are -1 and rounding may make the predicate hold
-    np.minimum(x[1], 0.5 * (x[0] + hi), out=x[1])
-    # non-negative floats order as their bit patterns, and adjacent ones
-    # differ by one there
-    x_bits, lo_bits, hi_bits = (v.view(np.int64) for v in (x, lo, hi))
-    lower_bits, upper_bits = x_bits
-    quarter_before = quarter_last = 0.25 * hi
-    # far from theta* a step may divide by zero or overflow, and a nan
-    # point is clipped into the bracket
+    # each lane's lo, Newton's step there and the step at x
+    lo, step, x_step = np.zeros((3, hi.size))
+    # the floats by which a climbing point rises at least above lo, and by
+    # which a walking lane walks down from hi (0 while it climbs)
+    rise = np.full(hi.size, 2, dtype=np.int64)
+    walk = np.zeros(hi.size, dtype=np.int64)
+    # a start that is not a positive float, and far from theta* a step,
+    # may come of a division by zero or an overflow
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        start = _closed_form_root(shapes.m1, two_n[0, 0], shapes.m2, two_n[1, 0], np)
+        x = np.where(start > 0.0, np.minimum(start, hi), 0.5 * hi) * _START_BELOW
+        # non-negative floats order as their bit patterns, and adjacent
+        # ones differ by one there
+        x_bits, lo_bits, hi_bits = (v.view(np.int64) for v in (x, lo, hi))
         while True:
-            holds = _relation(coef, two_n, x, out=steps)[0] > 1.0
+            holds = _relation(coef, two_n, x[None], out=x_step[None])[0][0] > 1.0
             fails = ~holds
-            np.copyto(last, step)
-            # x[0] <= x[1], and the predicate holds on an initial segment
-            np.copyto(lo_end, trial[:, 0], where=holds[0])
-            np.copyto(lo_end, trial[:, 1], where=holds[1])
-            np.copyto(hi, x[1], where=fails[1])
-            np.copyto(hi, x[0], where=fails[0])
-            if not (hi_bits - lo_bits > 1).any():
+            np.copyto(lo, x, where=holds)
+            np.copyto(step, x_step, where=holds)
+            np.copyto(hi, x, where=fails)
+            width = hi_bits - lo_bits
+            if not (width > 1).any():
                 return 0.5 * (lo + hi)
-            np.divide(step, last, out=error)
-            error *= error
-            error *= step
-            np.fmin(error, _FIRST_ERROR * step, out=error)
-            np.add(lo, step, out=x[0])
-            np.multiply(error, _PAST, out=x[1])
-            x[1] += x[0]
-            # the midpoint and the lower point, in order, where stalled
-            width = hi - lo
-            stalled = width > quarter_before
-            quarter_before, quarter_last = quarter_last, 0.25 * width
-            mid = np.multiply(width, 0.5, out=width)
-            mid += lo
-            np.fmax(x[0], mid, out=x[1], where=stalled)
-            np.fmin(x[0], mid, out=x[0], where=stalled)
-            # lo < x[0] < x[1] < hi, x[0] below the float under hi
-            np.minimum(lower_bits, hi_bits - 2, out=lower_bits)
-            np.maximum(x_bits, lo_bits + 1, out=x_bits)
-            np.maximum(upper_bits, lower_bits + 1, out=upper_bits)
-            np.minimum(upper_bits, hi_bits - 1, out=upper_bits)
+            climbed = lo > 0.0
+            # a walk starts at a lane's first failing point after one held;
+            # past half the bracket the midpoint takes over, and the cap at
+            # its width keeps the doubling from overflowing
+            walk += walk
+            np.minimum(walk, width, out=walk)
+            np.maximum(walk, fails & climbed, out=walk)
+            mid = lo + hi
+            mid *= 0.5
+            # Newton's point at least rise floats above lo, rise doubled
+            # where the step vanished (a slope overflowed); a start that
+            # fails is halved
+            np.add(lo, step, out=x)
+            np.fmax(x, (lo_bits + rise).view(float), out=x)
+            rise <<= climbed & ~(step > 0.0)
+            np.copyto(x, mid, where=~climbed)
+            below_hi = (hi_bits - walk).view(float)
+            np.fmax(below_hi, mid, out=below_hi)
+            np.copyto(x, below_hi, where=walk > 0)
+            np.minimum(x_bits, hi_bits - 1, out=x_bits)
 
 
 def _newton_step(
@@ -497,10 +465,9 @@ def _theta_star(params: TfsParams) -> float:
     above the last.  From the first point that fails it walks down by one
     float, two, four, ... until a point holds, and ``_first_sign_change``
     bisects the bracket left, which ends on bisection's adjacent floats.
-    It takes 4 to 9 evaluations of the relation where bisection takes 52
-    to 55, whatever ``n1`` and ``n2``, but where the start is not a
-    positive float (``n m / 4`` past the float range): there it halves
-    ``hi / 2`` a few hundred times.
+    It takes 4 to 9 evaluations of the relation, and up to 12 at long
+    unequal arms, where bisection takes 52 to 55, whatever ``n1`` and
+    ``n2``.
     """
     m1, m2 = params.m1, params.m2
     two_n1, two_n2 = 2.0 / params.n1, 2.0 / params.n2
