@@ -15,7 +15,6 @@ from .certificate import (
 )
 from .optimizer import (
     BatchSolution,
-    DegenerateSineError,
     OptimalSolution,
     SelfCheckError,
     optimal_weights,
@@ -65,7 +64,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BatchSolution",
     "CertificateResiduals",
-    "DegenerateSineError",
     "DualCertificate",
     "InsufficientSignalError",
     "InvalidParameterError",

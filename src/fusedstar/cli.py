@@ -34,7 +34,6 @@ import numpy as np
 
 from .certificate import build_dual_certificate, verify_certificate
 from .optimizer import (
-    DegenerateSineError,
     OptimalSolution,
     SelfCheckError,
     optimal_weights,
@@ -512,7 +511,7 @@ def main(argv: list[str] | None = None) -> int:
         # own (a list that cannot grow) may have no message
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_NO_MEMORY
-    except (SelfCheckError, DegenerateSineError, np.linalg.LinAlgError) as exc:
+    except (SelfCheckError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

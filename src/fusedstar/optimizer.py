@@ -20,7 +20,10 @@ in four to twelve evaluations where bisection takes 52 to 55:
 ``_char_values``), and ``optimal_weights_batch`` on every lane of a
 slice of ``_ONE_CALL_LANES`` shapes at once (``_first_sign_changes``),
 each step one call of the stateless ``_relation`` at one angle a lane,
-with ``_char_values``'s float operations in its order.  Every optimum, on
+with ``_char_values``'s float operations in its order.  The batch takes
+exactly the shapes that ``TfsParams`` takes, so both routes search the
+same domain, and on its bracket the boundary weights' denominator is at
+least ``sin(pi / (4m))`` (``_boundary_weights``).  Every optimum, on
 either route, is self-checked by eigenvalue counts at four shifts
 (``_counts_prove_slem``), never by computed eigenvalues, and the counts
 cost O(1) in the branch lengths.  A single solve counts the blocks that
@@ -44,7 +47,7 @@ import numpy as np
 from .spectral import (
     _frozen_floats, build_blocks, central_tridiagonal, count_central_below
 )
-from .topology import InvalidParameterError, TfsParams
+from .topology import MAX_ARRAY_ENTRIES, InvalidParameterError, TfsParams
 from .weighting import OrbitWeights
 
 
@@ -52,14 +55,7 @@ class SelfCheckError(RuntimeError):
     """Eigenvalue counts do not prove the analytic optimum's SLEM."""
 
 
-class DegenerateSineError(ArithmeticError):
-    """A sine-quotient formula hit a vanishing denominator."""
-
-
 _SELF_CHECK = 1e-9  # largest |slem - s| the self-checks accept
-# a boundary weight is degenerate when its denominator is below this times
-# max(1, |numerator|)
-_DEGENERATE = 1e-13
 # shapes that optimal_weights_batch solves end to end in one slice
 _ONE_CALL_LANES = 8192
 # the slope of _closed_form_root's cotangent, and the first point of both
@@ -92,18 +88,17 @@ def _char_values(params: TfsParams, theta: np.ndarray | float) -> np.ndarray:
     return arm1 * arm2 - 1.0
 
 
-def _boundary_weights(
-    m: np.ndarray, theta: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def _boundary_weights(m: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """Center-adjacent orbit weights of arms of lengths ``m`` at roots
-    ``theta``, and where their denominator vanished."""
-    # (1 - cos theta) sin(m theta) / (sin(m theta) - sin((m - 1) theta)),
-    # as a product free of cancellation at small theta
-    num = np.sin(0.5 * theta) * np.sin(m * theta)
-    den = np.cos((m - 0.5) * theta)
-    degenerate = np.abs(den) < _DEGENERATE * np.maximum(1.0, np.abs(num))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return num / den, degenerate
+    ``theta``.
+
+    ``(1 - cos t) sin(m t) / (sin(m t) - sin((m - 1) t))`` is read as the
+    product ``sin(t/2) sin(m t) / cos((m - 1/2) t)``, free of cancellation
+    at small ``t``.  On theta*'s bracket ``(0, pi / (2 max(m1, m2))]``,
+    ``(m - 1/2) t <= pi/2 - pi/(4m)``, so the denominator is at least
+    ``sin(pi / (4m)) > 0`` and needs no guard.
+    """
+    return np.sin(0.5 * theta) * np.sin(m * theta) / np.cos((m - 0.5) * theta)
 
 
 def _require_two_branches(params: TfsParams) -> None:
@@ -119,14 +114,9 @@ def _require_two_branches(params: TfsParams) -> None:
 def _weights_at(params: TfsParams, theta: float) -> OrbitWeights:
     """Optimal orbit weights as a function of the characteristic root."""
     w = np.full(params.m1 + params.m2, 0.5)
-    boundary, degenerate = _boundary_weights(
+    w[params.m1 - 1 : params.m1 + 1] = _boundary_weights(
         np.array([params.m1, params.m2], dtype=float), np.float64(theta)
     )
-    if degenerate.any():
-        raise DegenerateSineError(
-            f"boundary-weight denominator vanished at theta = {theta}"
-        )
-    w[params.m1 - 1 : params.m1 + 1] = boundary
     return OrbitWeights(params, w)
 
 
@@ -259,24 +249,29 @@ def _batch_shapes(arrays: list[np.ndarray]) -> _Shapes:
     branch count stays one float under its lanes' views.
 
     Otherwise the first invalid cell, in input order, raises the error
-    that ``TfsParams`` or ``optimal_weights`` raise for it.
+    that ``TfsParams`` or ``optimal_weights`` raise for it.  A float sum
+    of lengths may round across the limit ``m1 + m2 + 1 <=
+    MAX_ARRAY_ENTRIES``, so ``TfsParams`` judges the cells as given
+    wherever that sum reaches half the limit.
     """
     try:
         shapes = _Shapes(*_cells([np.asarray(v, dtype=float) for v in arrays]))
     except (OverflowError, TypeError, ValueError):
-        suspects = None
+        suspects = valid = None
     else:
         fields = np.stack(shapes)
         valid = np.isfinite(fields) & (fields == np.floor(fields)) & (fields >= _LEAST)
         valid = valid.all(axis=0)
-        if valid.all():
+        long = shapes.m1 + shapes.m2 >= 0.5 * MAX_ARRAY_ENTRIES
+        if valid.all() and not long.any():
             return shapes
-        suspects = np.flatnonzero(~valid).tolist()
-    # only an error message reads the cells as they were given
+        suspects = np.flatnonzero(~valid | long).tolist()
     cells = _cells(arrays)
     for index in range(cells[0].size) if suspects is None else suspects:
         _require_two_branches(TfsParams(*_cell(cells, index)))
-    raise InvalidParameterError("branch lengths and counts must be integers")
+    if valid is None or not valid.all():
+        raise InvalidParameterError("branch lengths and counts must be integers")
+    return shapes
 
 
 def _relation_rows(shapes: _Shapes) -> tuple[np.ndarray, np.ndarray]:
@@ -342,8 +337,8 @@ def _closed_form_root(m1, two_n1, m2, two_n2, xp):
     ``d = sqrt(n1 m1 n2 m2) / 2``.  Its terms are scaled by ``2**-64`` and
     the angle by ``2**-32``, exact powers of four, so ``n m / 4`` near the
     float range leaves the sum finite and other shapes keep their bits.
-    Where the result is not a positive float, or lies above the bracket,
-    each search starts from ``hi / 2`` or ``hi``.
+    Where the result lies above the bracket, each search starts from
+    ``hi``.
     """
     unit = 2.0**-64
     quarter1, quarter2 = m1 * unit / two_n1 * 0.5, m2 * unit / two_n2 * 0.5
@@ -364,14 +359,11 @@ def _first_sign_changes(shapes: _Shapes) -> np.ndarray:
     it holds and its ``hi`` to ``x`` where it fails.  A lane climbs as the
     single solve does: from a millionth below ``_closed_form_root``, a
     start that fails halved, then Newton's points from ``lo``, each at
-    least two floats above it.  Where the step vanishes, as where a slope
-    overflows under a pole at lengths near ``1e300`` that only a batch
-    takes, that floor doubles with each such point, so the climb still
-    ends.  From its first failing point after one held a lane walks down
-    from ``hi`` by 1, 2, 4, ... floats, and bisects once the walk passes
-    the midpoint.  Every point lies below ``hi``, so the first ``hi``,
-    where with ``m1 = m2`` both arm factors are -1 and rounding may make
-    the predicate hold, is never judged.  Since the predicate holds on an
+    least two floats above it.  From its first failing point after one
+    held a lane walks down from ``hi`` by 1, 2, 4, ... floats, and
+    bisects once the walk passes the midpoint.  Every point lies below
+    ``hi``, so the first ``hi``, where with ``m1 = m2`` both arm factors
+    are -1 and rounding may make the predicate hold, is never judged.  Since the predicate holds on an
     initial segment of the bracket, each lane ends on the adjacent floats
     where bisection ends, and the search returns bisection's last
     midpoint ``0.5 * (lo + hi)`` once every lane has.
@@ -387,15 +379,13 @@ def _first_sign_changes(shapes: _Shapes) -> np.ndarray:
     hi = np.pi / (2.0 * np.maximum(shapes.m1, shapes.m2))
     # each lane's lo, Newton's step there and the step at x
     lo, step, x_step = np.zeros((3, hi.size))
-    # the floats by which a climbing point rises at least above lo, and by
-    # which a walking lane walks down from hi (0 while it climbs)
-    rise = np.full(hi.size, 2, dtype=np.int64)
+    # the floats by which a walking lane walks down from hi (0 while it
+    # climbs)
     walk = np.zeros(hi.size, dtype=np.int64)
-    # a start that is not a positive float, and far from theta* a step,
-    # may come of a division by zero or an overflow
+    start = _closed_form_root(shapes.m1, two_n[0, 0], shapes.m2, two_n[1, 0], np)
+    x = np.minimum(start, hi) * _START_BELOW
+    # far from theta* a step may come of a division by zero or an overflow
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        start = _closed_form_root(shapes.m1, two_n[0, 0], shapes.m2, two_n[1, 0], np)
-        x = np.where(start > 0.0, np.minimum(start, hi), 0.5 * hi) * _START_BELOW
         # non-negative floats order as their bit patterns, and adjacent
         # ones differ by one there
         x_bits, lo_bits, hi_bits = (v.view(np.int64) for v in (x, lo, hi))
@@ -417,12 +407,10 @@ def _first_sign_changes(shapes: _Shapes) -> np.ndarray:
             np.maximum(walk, fails & climbed, out=walk)
             mid = lo + hi
             mid *= 0.5
-            # Newton's point at least rise floats above lo, rise doubled
-            # where the step vanished (a slope overflowed); a start that
+            # Newton's point at least two floats above lo; a start that
             # fails is halved
             np.add(lo, step, out=x)
-            np.fmax(x, (lo_bits + rise).view(float), out=x)
-            rise <<= climbed & ~(step > 0.0)
+            np.fmax(x, (lo_bits + 2).view(float), out=x)
             np.copyto(x, mid, where=~climbed)
             below_hi = (hi_bits - walk).view(float)
             np.fmax(below_hi, mid, out=below_hi)
@@ -473,7 +461,7 @@ def _theta_star(params: TfsParams) -> float:
     two_n1, two_n2 = 2.0 / params.n1, 2.0 / params.n2
     hi = math.pi / (2 * max(m1, m2))
     start = _closed_form_root(m1, two_n1, m2, two_n2, math)
-    lo = (min(start, hi) if start > 0.0 else 0.5 * hi) * _START_BELOW
+    lo = min(start, hi) * _START_BELOW
     while not _char_values(params, lo) > 0.0:
         lo *= 0.5
     while True:
@@ -534,8 +522,8 @@ def optimal_weights_batch(m1, n1, m2, n2) -> BatchSolution:
     per instance whatever its branch lengths.  An invalid shape, or one
     that the scalar route would not return, raises that route's error
     for the first such instance in input order: ``InvalidParameterError``
-    before any solving, then ``DegenerateSineError`` or
-    ``SelfCheckError``.
+    before any solving, as ``TfsParams`` raises it (for a length sum
+    past ``MAX_ARRAY_ENTRIES`` too), then ``SelfCheckError``.
     """
     arrays = [np.asarray(v) for v in (m1, n1, m2, n2)]
     shapes = _batch_shapes(arrays)
@@ -546,14 +534,14 @@ def optimal_weights_batch(m1, n1, m2, n2) -> BatchSolution:
         theta, s, w_minus, w_plus = results[:, lanes]
         theta[:] = _first_sign_changes(chunk)
         np.cos(theta, out=s)
-        m = np.stack([chunk.m1, chunk.m2])
-        results[2:, lanes], degenerate = _boundary_weights(m, theta)
-        failed = degenerate.any(axis=0)
-        failed |= ~_skeleton_proves_slem(chunk, s, w_minus, w_plus)
+        results[2:, lanes] = _boundary_weights(np.stack([chunk.m1, chunk.m2]), theta)
+        failed = ~_skeleton_proves_slem(chunk, s, w_minus, w_plus)
         if failed.any():
-            # the scalar route raises its own error for this instance
-            params = TfsParams(*_cell(_cells(arrays), start + int(np.argmax(failed))))
-            raise _self_check_error(params, optimal_weights(params).s)
+            # the scalar route's error for the first failing lane, from
+            # the lane's own s, which has that route's bits
+            lane = int(np.argmax(failed))
+            params = TfsParams(*_cell(_cells(arrays), start + lane))
+            raise _self_check_error(params, float(s[lane]))
     results.flags.writeable = False
     shape = np.broadcast_shapes(*(v.shape for v in arrays))
     return BatchSolution(*(result.reshape(shape) for result in results))

@@ -25,7 +25,7 @@ from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .optimizer import DegenerateSineError, _char_values, _require_two_branches, _weights_at
+from .optimizer import _char_values, _require_two_branches, _weights_at
 from .simulation import Trajectory, _no_room
 from .spectral import SpectralReport, StratifiedBlocks, Tridiagonal, build_blocks
 from .topology import InvalidParameterError, TfsParams, edge_table
@@ -500,11 +500,10 @@ def _grid_roots(
 
 def _cross_check_root_count(params: TfsParams, roots: np.ndarray) -> None:
     # reference count: central-block eigenvalues strictly below 1 at the
-    # candidate optimum
-    try:
-        ow = _weights_at(params, float(roots[0]))
-    except DegenerateSineError:
-        return
+    # candidate optimum; a scan that missed theta* (at large branch counts
+    # theta* lies below its first grid point) takes a root past theta*'s
+    # bracket for it, where the count mostly disagrees
+    ow = _weights_at(params, float(roots[0]))
     below = build_blocks(params, ow).center.count_below(1.0 - 1e-9)
     if below != roots.size:
         warnings.warn(

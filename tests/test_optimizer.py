@@ -14,7 +14,6 @@ from hypothesis import assume, given, settings, strategies as st
 from fusedstar import cli, optimizer, reference
 from fusedstar.cli import main
 from fusedstar.optimizer import (
-    DegenerateSineError,
     SelfCheckError,
     _batch_shapes,
     _skeleton_proves_slem,
@@ -344,9 +343,7 @@ def test_batch_is_bitwise_equal_to_the_scalar_route():
 
 
 def boundary_weight(m, theta):
-    weight, degenerate = optimizer._boundary_weights(np.float64(m), np.float64(theta))
-    assert not degenerate
-    return float(weight)
+    return float(optimizer._boundary_weights(np.float64(m), np.float64(theta)))
 
 
 def full_bracket_bisection(params):
@@ -497,9 +494,7 @@ def count_angles(monkeypatch, shapes, search=solve_batch, limit=math.inf):
 
 
 def bisection_evaluations(shape):
-    # the relation reads the four fields alone, so lengths whose network
-    # TfsParams refuses are counted too
-    params = optimizer._Shapes(*shape)
+    params = TfsParams(*shape)
     calls = []
 
     def relation(theta):
@@ -534,26 +529,40 @@ def test_newton_search_stays_within_twice_bisection(monkeypatch, shape):
     assert count_angles(monkeypatch, [shape]) <= bound
 
 
-def search_alone(cells):
-    return optimizer._first_sign_changes(_batch_shapes(cells))
-
-
 @pytest.mark.parametrize(
     "shape",
     [(10**200, 2, 3, 2), (10**300, 2, 10**300, 2), (10**300, 10**300, 3, 2),
      (10**307, 2, 2, 2)],
 )
-def test_newton_search_ends_where_its_step_vanishes(monkeypatch, shape):
-    # only the batch takes lengths like these, whose optimum the scalar
-    # route refuses: theta* lies near the bracket's top, where the slope
-    # may overflow and Newton's step be 0; the climb's floor then
-    # doubles, and the lane still ends on bisection's floats
-    with np.errstate(over="ignore", invalid="ignore"):
-        bound = 2 * bisection_evaluations(shape)
-        expected = full_bracket_bisection(optimizer._Shapes(*shape))
-    cells = [np.array([float(v)]) for v in shape]
-    assert count_angles(monkeypatch, cells, search_alone, bound) <= bound
-    assert bits(search_alone(cells)[0]) == bits(expected)
+def test_batch_refuses_lengths_past_an_array_before_any_solving(
+    monkeypatch, shape
+):
+    # TfsParams refuses these lengths, whose m1 + m2 + 1 orbits no array
+    # holds, and so does the batch, before its search judges an angle
+    # (count_angles fails on the first) or its counts warn of a cast
+    with pytest.raises(InvalidParameterError) as expected:
+        TfsParams(*shape)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidParameterError) as info:
+            count_angles(monkeypatch, [(3, 4, 4, 3), shape], limit=0)
+    assert str(info.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("dtype", [object, np.int64])
+def test_batch_takes_the_lengths_that_the_single_solve_takes(dtype):
+    # a float sum rounds both m1 + m2 = 2**60 - 2 and 2**60 - 1 to 2**60,
+    # but only the second makes m1 + m2 + 1 more than an array holds
+    valid, invalid = (2**59, 2, 2**59 - 2, 3), (2**59, 2, 2**59 - 1, 3)
+    assert TfsParams(*valid)
+    with pytest.raises(InvalidParameterError) as expected:
+        TfsParams(*invalid)
+    cells = list(np.array([(1, 2, 1, 2), valid], dtype=dtype).T)
+    assert _batch_shapes(cells).m2[1] == float(2**59 - 2)
+    cells = list(np.array([valid, invalid, (1, 1, 1, 2)], dtype=dtype).T)
+    with pytest.raises(InvalidParameterError) as info:
+        _batch_shapes(cells)
+    assert str(info.value) == str(expected.value)
 
 
 # a branch count near the float range, where the closed-form start's
@@ -851,16 +860,19 @@ def test_batch_rejects_the_first_invalid_shape_like_the_scalar_loop(shapes):
     assert str(info.value) == str(expected)
 
 
-def test_batch_raises_the_scalar_degenerate_sine_error(monkeypatch):
-    # no shape of this grid comes near a vanishing denominator, so raise
-    # the threshold until the longer arms count as degenerate
-    monkeypatch.setattr(optimizer, "_DEGENERATE", 0.2)
-    shapes = grid(2, 22)
-    expected = scalar_loop_error(shapes)
-    assert isinstance(expected, DegenerateSineError)
-    with pytest.raises(DegenerateSineError) as info:
-        solve_batch(shapes)
-    assert str(info.value) == str(expected)
+def test_boundary_weights_stay_clear_of_a_vanishing_denominator():
+    # on the bracket (m - 1/2) theta <= pi/2 - pi/(4m), so the product
+    # form's denominator cos((m - 1/2) theta) is at least sin(pi/(4m)) at
+    # theta*, whatever the branch counts
+    rng = np.random.default_rng(20240)
+    count = 10**5
+    m = np.floor(np.exp(rng.uniform(0.0, math.log(1e6), (2, count))))
+    n = np.floor(np.exp(rng.uniform(math.log(2.0), math.log(1e300), (2, count))))
+    batch = optimal_weights_batch(m[0], n[0], m[1], n[1])
+    for length, weight in ((m[0], batch.w_minus_1), (m[1], batch.w_plus_1)):
+        den = np.cos((length - 0.5) * batch.theta_star)
+        assert (den >= np.sin(np.pi / (4 * length)) * (1 - 1e-12)).all()
+        assert (np.isfinite(weight) & (weight > 0.0) & (weight < 1.0)).all()
 
 
 def test_batch_reports_the_first_failing_shape_in_input_order(monkeypatch):
@@ -873,6 +885,29 @@ def test_batch_reports_the_first_failing_shape_in_input_order(monkeypatch):
     monkeypatch.setattr(optimizer, "_skeleton_proves_slem", reject_long)
     with pytest.raises(SelfCheckError, match=r"m1=5, n1=3, m2=10, n2=4"):
         solve_batch(grid(3, 4))
+
+
+def test_a_failing_long_shape_is_reported_in_memory_free_of_its_length(
+    monkeypatch,
+):
+    # the error names the lane's own s, which has the scalar route's bits,
+    # without a second solve of the shape on an O(m) weight vector
+    def reject_long(shapes, s, w_minus, w_plus):
+        return shapes.m1 < 10**12
+
+    monkeypatch.setattr(optimizer, "_skeleton_proves_slem", reject_long)
+    params = TfsParams(10**12, 2, 10**12, 2)
+    s = float(np.cos(optimizer._theta_star(params)))
+    expected = optimizer._self_check_error(params, s)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SelfCheckError) as info:
+            solve_batch([(3, 4, 4, 3), (10**12, 2, 10**12, 2)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(info.value) == str(expected)
+    assert peak < 2**20
 
 
 def test_a_failing_shape_past_the_first_slice_is_reported_in_input_order(
