@@ -127,6 +127,7 @@ class DualCertificate:
     params: TfsParams
     theta: float
     s: float
+    gap: float
     sines: np.ndarray
     t1: float
     t2: float
@@ -159,7 +160,7 @@ def build_dual_certificate(solution: OptimalSolution) -> DualCertificate:
         raise InvalidParameterError(
             "the node count is too large for floating-point arithmetic"
         )
-    theta, s = solution.theta_star, solution.s
+    theta, s, gap = solution.theta_star, solution.s, solution.gap
     m1, m2 = params.m1, params.m2
     table = np.sin(np.arange(1.0, max(m1, m2) + 1.0) * theta)
     sines = np.empty(m1 + m2)
@@ -168,14 +169,13 @@ def build_dual_certificate(solution: OptimalSolution) -> DualCertificate:
     del table  # before the witnesses take their own vectors
     z1 = _combine(params, _chain(params, sines, False, True), arms=False)
     z2 = _combine(params, _chain(params, sines, True, True), arms=True)
-    # sqrt((1 - s) / 2) = sin(theta / 2), which does not cancel at small theta
-    t1 = math.sin(0.5 * theta) / _norm(z1)
+    t1 = math.sqrt(0.5 * gap) / _norm(z1)
     t2 = math.sqrt((1.0 + s) / 2.0) / _norm(z2)
     z1 *= t1
     z2 *= t2
     for array in (sines, z1, z2):
         array.flags.writeable = False
-    return DualCertificate(params, theta, s, sines, t1, t2, z1, z2)
+    return DualCertificate(params, theta, s, gap, sines, t1, t2, z1, z2)
 
 
 @dataclass(frozen=True)
@@ -217,14 +217,16 @@ class CertificateResiduals:
 
 
 def _recurrence_residual(
-    params: TfsParams, w: np.ndarray, c: np.ndarray, s: float, primed: bool
+    params: TfsParams, w: np.ndarray, c: np.ndarray, s: float, gap: float,
+    primed: bool,
 ) -> float:
     """Worst violation of the three-term chain relations, ``w`` and the
-    chain ``c`` in orbit order.  The +s system couples the arms through the
-    center with strength sqrt(n1 n2), the -s system not at all, and its
-    center-adjacent diagonal terms carry (n + 1) w, the other's w."""
+    chain ``c`` in orbit order, at ``s`` and its gap ``1 - s``.  The +s
+    system couples the arms through the center with strength sqrt(n1 n2),
+    the -s system not at all, and its center-adjacent diagonal terms carry
+    (n + 1) w, the other's w."""
     m1 = params.m1
-    base = (1.0 - s) if primed else (1.0 + s)
+    base = gap if primed else (1.0 + s)
     acc = np.subtract(base, w * 2.0)
     acc[m1 - 1] = base - (1.0 if primed else params.n1 + 1.0) * w[m1 - 1]
     acc[m1] = base - (1.0 if primed else params.n2 + 1.0) * w[m1]
@@ -251,8 +253,7 @@ def _proportionality_residual(certificate: DualCertificate) -> float:
     """Worst relative gap between ``(1 + cos theta)^2 hat^2`` and
     ``(1 - cos theta)^2 hat_prime^2`` where either is nonzero."""
     theta, sines = certificate.theta, certificate.sines
-    plus = 1.0 + math.cos(theta)
-    minus = 2.0 * math.sin(0.5 * theta) ** 2  # 1 - cos(theta), no cancellation
+    plus, minus = 1.0 + math.cos(theta), certificate.gap
     # the hatted -s chain is the table times t1 up to sign
     lhs = np.square(sines * certificate.t1) * plus**2
     rhs = np.square(sines * certificate.t2) * minus**2
@@ -346,9 +347,11 @@ def verify_certificate(
         norm_split_error=abs(norm2 - norm1 - s),
         trace_mismatch=_trace_mismatch(params, z1, z2),
         feasibility_min_eig=min(s + min(0.0, center_min), s - arms_top),
-        recurrence=_recurrence_residual(params, w, certificate.coeffs_hat, s, False),
+        recurrence=_recurrence_residual(
+            params, w, certificate.coeffs_hat, s, certificate.gap, False
+        ),
         recurrence_prime=_recurrence_residual(
-            params, w, certificate.coeffs_hat_prime, s, True
+            params, w, certificate.coeffs_hat_prime, s, certificate.gap, True
         ),
         proportionality_rel=_proportionality_residual(certificate),
         duality_gap=s + norm1 - perron_dot**2 - norm2,

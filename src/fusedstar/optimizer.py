@@ -69,11 +69,13 @@ _LEAST = np.array([[1.0], [2.0], [1.0], [2.0]])
 @dataclass(frozen=True)
 class OptimalSolution:
     """Optimal orbit weights, the smallest root and ``s = cos(theta_star)``,
-    the SLEM that eigenvalue counts proved within ``_SELF_CHECK``."""
+    the SLEM that eigenvalue counts proved within ``_SELF_CHECK``, and the
+    spectral gap ``1 - s``, taken as ``_gap(theta_star)``."""
 
     params: TfsParams
     theta_star: float
     s: float
+    gap: float
     weights: OrbitWeights
 
 
@@ -99,6 +101,14 @@ def _boundary_weights(m: np.ndarray, theta: np.ndarray) -> np.ndarray:
     ``sin(pi / (4m)) > 0`` and needs no guard.
     """
     return np.sin(0.5 * theta) * np.sin(m * theta) / np.cos((m - 0.5) * theta)
+
+
+def _gap(theta):
+    """``1 - cos(theta)`` as ``2 sin(theta/2)^2``, free of the cancellation
+    of ``1 - s`` at small angles, for a float or an array of angles, with
+    the same float operations in the same order on either."""
+    half = np.sin(0.5 * theta)
+    return 2.0 * (half * half)
 
 
 def _require_two_branches(params: TfsParams) -> None:
@@ -181,7 +191,9 @@ def _self_checked(
     ]).T
     if not _counts_prove_slem(below, params.m1 + params.m2):
         raise _self_check_error(params, s)
-    return OptimalSolution(params=params, theta_star=theta_star, s=s, weights=ow)
+    return OptimalSolution(
+        params=params, theta_star=theta_star, s=s, gap=float(_gap(theta_star)), weights=ow
+    )
 
 
 def optimal_weights(params: TfsParams) -> OptimalSolution:
@@ -208,18 +220,20 @@ def optimal_weights(params: TfsParams) -> OptimalSolution:
 
 @dataclass(frozen=True)
 class BatchSolution:
-    """Smallest roots theta*, ``s = cos(theta*)`` and the two boundary
-    weights ``w_{-1}``, ``w_1`` of a batch of shapes, as read-only arrays
-    in the shape of the broadcast inputs.  A read-only float64 array is
-    kept as it is; any other is copied, and the copy made read-only."""
+    """Smallest roots theta*, ``s = cos(theta*)``, the two boundary weights
+    ``w_{-1}``, ``w_1`` and the gaps ``1 - s`` of a batch of shapes, as
+    read-only arrays in the shape of the broadcast inputs.  A read-only
+    float64 array is kept as it is; any other is copied, and the copy made
+    read-only."""
 
     theta_star: np.ndarray
     s: np.ndarray
     w_minus_1: np.ndarray
     w_plus_1: np.ndarray
+    gap: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("theta_star", "s", "w_minus_1", "w_plus_1"):
+        for name in ("theta_star", "s", "w_minus_1", "w_plus_1", "gap"):
             object.__setattr__(self, name, _frozen_floats(getattr(self, name)))
 
 
@@ -527,14 +541,15 @@ def optimal_weights_batch(m1, n1, m2, n2) -> BatchSolution:
     """
     arrays = [np.asarray(v) for v in (m1, n1, m2, n2)]
     shapes = _batch_shapes(arrays)
-    results = np.empty((4, shapes.m1.size))
+    results = np.empty((5, shapes.m1.size))
     for start in range(0, shapes.m1.size, _ONE_CALL_LANES):
         lanes = slice(start, start + _ONE_CALL_LANES)
         chunk = _Shapes(*(field[lanes] for field in shapes))
-        theta, s, w_minus, w_plus = results[:, lanes]
+        theta, s, w_minus, w_plus, gap = results[:, lanes]
         theta[:] = _first_sign_changes(chunk)
         np.cos(theta, out=s)
-        results[2:, lanes] = _boundary_weights(np.stack([chunk.m1, chunk.m2]), theta)
+        results[2:4, lanes] = _boundary_weights(np.stack([chunk.m1, chunk.m2]), theta)
+        gap[:] = _gap(theta)
         failed = ~_skeleton_proves_slem(chunk, s, w_minus, w_plus)
         if failed.any():
             # the scalar route's error for the first failing lane, from

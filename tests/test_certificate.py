@@ -277,10 +277,10 @@ def test_feasibility_and_slackness_match_dense_matrices(params):
         assert dataclasses.replace(res, **dense).passes() == res.passes()
 
 
-def loop_recurrence_residual(params, weights, chain, s, primed):
+def loop_recurrence_residual(params, weights, chain, s, gap, primed):
     # label-by-label form of the three-term chain relations
     labels = params.orbit_labels
-    base = (1.0 - s) if primed else (1.0 + s)
+    base = gap if primed else (1.0 + s)
     cross = 0.0 if primed else math.sqrt(params.n1 * params.n2)
     worst = 0.0
     for k, i in enumerate(labels):
@@ -328,8 +328,8 @@ def test_recurrence_and_trace_match_stencil_loops(params):
             (cert.coeffs_hat, False), (cert.coeffs_hat_prime, True)
         ):
             assert _recurrence_residual(
-                p, w, chain, cert.s, primed
-            ) == loop_recurrence_residual(p, weights, chain, cert.s, primed)
+                p, w, chain, cert.s, cert.gap, primed
+            ) == loop_recurrence_residual(p, weights, chain, cert.s, cert.gap, primed)
 
 
 def test_certificate_at_long_arms_runs_in_small_memory():

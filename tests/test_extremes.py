@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from fusedstar.certificate import build_dual_certificate, verify_certificate
 from fusedstar.cli import _sig10, main
-from fusedstar.optimizer import SelfCheckError, optimal_weights
+from fusedstar.optimizer import SelfCheckError, optimal_weights, optimal_weights_batch
 from fusedstar.spectral import block_extremes, build_blocks
 from fusedstar.topology import TfsParams
 from fusedstar.weighting import metropolis_orbit_weights
@@ -123,21 +123,22 @@ def weight_tolerance(m, theta):
     return 8.0 * 2.0**-52 * kappa
 
 
-@pytest.mark.parametrize(
-    "params",
-    [
-        (3, 4, 4, 3),
-        (1, 2, 1, 2),
-        (2000, 2, 1, 2),
-        (1, 10**12, 1, 2),
-        (1, 10**18, 2, 10**18),
-        (2646, 257245, 1, 964),
-        (199, 2196315, 1, 9),
-        (50, 10**7, 60, 10**7),
-        (2, 10**300, 2, 2),
-        (7, 3, 900, 10**9),
-    ],
-)
+# the shapes held to the 50-digit oracle
+ORACLE_SHAPES = [
+    (3, 4, 4, 3),
+    (1, 2, 1, 2),
+    (2000, 2, 1, 2),
+    (1, 10**12, 1, 2),
+    (1, 10**18, 2, 10**18),
+    (2646, 257245, 1, 964),
+    (199, 2196315, 1, 9),
+    (50, 10**7, 60, 10**7),
+    (2, 10**300, 2, 2),
+    (7, 3, 900, 10**9),
+]
+
+
+@pytest.mark.parametrize("params", ORACLE_SHAPES)
 def test_mpmath_oracle(params):
     # theta* against the 50-digit root; the weights against 50-digit values
     # at the same float theta*, so that only their own rounding is measured
@@ -155,6 +156,26 @@ def test_mpmath_oracle(params):
     assert sol.weights[1] == pytest.approx(
         float(w_plus), rel=weight_tolerance(p.m2, theta), abs=0
     )
+
+
+@pytest.mark.parametrize(
+    "params", ORACLE_SHAPES + [(10**5, 2, 2, 2)], ids=str
+)
+def test_gap_is_two_squared_half_sines_to_four_ulps(params):
+    # 1 - s cancels at small theta*: at (1, 10^12, 1, 2) it is off by a
+    # relative 2.2e-5; the gap is held to the 50-digit 2 sin^2(theta*/2) at
+    # the returned theta*, on both routes, and the batch's is the single
+    # solve's bit for bit
+    p = TfsParams(*params)
+    sol = optimal_weights(p)
+    with mpmath.workdps(50):
+        exact = float(2 * mpmath.sin(mpmath.mpf(sol.theta_star) / 2) ** 2)
+    assert abs(sol.gap - exact) <= 4 * math.ulp(exact), (sol.gap, exact)
+    batch = optimal_weights_batch(*params)
+    assert batch.theta_star == sol.theta_star
+    assert float(batch.gap).hex() == sol.gap.hex()
+    with pytest.raises(ValueError):
+        batch.gap[...] = 0.0
 
 
 def test_lambda_min_far_below_the_norm_keeps_its_digits(capsys):
