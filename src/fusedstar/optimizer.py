@@ -470,21 +470,32 @@ def _theta_star(params: TfsParams) -> float:
     It takes 4 to 9 evaluations of the relation, and up to 12 at long
     unequal arms, where bisection takes 52 to 55, whatever ``n1`` and
     ``n2``.
+
+    No point lies above the float under ``hi``, as in the batch.  The
+    climb's guarantee holds in exact arithmetic only: past ``m = 2^53``
+    the float predicate can hold on the whole bracket (``m * hi`` rounds
+    below pi/2, whose cosine is positive), and a climb of two floats a
+    step would then pass ``hi`` and never end.  A climb that reaches the
+    float under ``hi`` with the predicate holding there ends, on the
+    bracket of that float and ``hi``, whose bisection gives ``hi``'s bits.
     """
     m1, m2 = params.m1, params.m2
     two_n1, two_n2 = 2.0 / params.n1, 2.0 / params.n2
     hi = math.pi / (2 * max(m1, m2))
+    top = math.nextafter(hi, 0.0)
     start = _closed_form_root(m1, two_n1, m2, two_n2, math)
     lo = min(start, hi) * _START_BELOW
     while not _char_values(params, lo) > 0.0:
         lo *= 0.5
-    while True:
+    while lo < top:
         # max keeps its first argument against a nan step
         two_up = math.nextafter(math.nextafter(lo, math.inf), math.inf)
-        x = max(two_up, lo + _newton_step(m1, two_n1, m2, two_n2, lo))
+        x = min(max(two_up, lo + _newton_step(m1, two_n1, m2, two_n2, lo)), top)
         if not _char_values(params, x) > 0.0:
             break
         lo = x
+    else:
+        return _first_sign_change(lambda theta: _char_values(params, theta), hi, lo)
     hi, drop = x, math.ulp(x)
     while x - drop > lo:
         if _char_values(params, x - drop) > 0.0:

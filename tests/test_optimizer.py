@@ -15,6 +15,7 @@ from fusedstar import cli, optimizer, reference
 from fusedstar.cli import main
 from fusedstar.optimizer import (
     SelfCheckError,
+    _Shapes,
     _batch_shapes,
     _skeleton_proves_slem,
     optimal_weights,
@@ -633,6 +634,66 @@ def test_single_solve_evaluations_do_not_grow_with_branch_counts(
     # (2, 10**300, 2, 2); the closed-form start is as close at every count
     for shape in shapes:
         assert scalar_evaluations(monkeypatch, optimal_weights, shape) <= 9, shape
+
+
+# past m = 2^53 the float predicate can hold on the whole bracket, as at
+# this valid shape, where a climb of two floats a step never ended
+PAST_THE_BRACKET = (2**59, 2, 2**59 - 2, 3)
+
+
+def capped_scalar_evaluations(monkeypatch, shape, limit):
+    """``_theta_star`` at ``shape`` and its ``_char_values`` calls; past
+    ``limit`` the search fails instead of running on."""
+    calls = []
+    evaluate = optimizer._char_values
+
+    def counting(params, theta):
+        calls.append(None)
+        assert len(calls) <= limit, "the search did not end"
+        return evaluate(params, theta)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(optimizer, "_char_values", counting)
+        theta = optimizer._theta_star(TfsParams(*shape))
+    return theta, len(calls)
+
+
+def test_single_solve_ends_where_the_predicate_holds_on_the_whole_bracket(
+    monkeypatch,
+):
+    # the bound is test_newton_search_stays_within_twice_bisection's
+    bound = 2 * bisection_evaluations(PAST_THE_BRACKET)
+    theta, _ = capped_scalar_evaluations(monkeypatch, PAST_THE_BRACKET, bound)
+    params = TfsParams(*PAST_THE_BRACKET)
+    assert theta.hex() == full_bracket_bisection(params).hex()
+    assert theta == math.pi / (2 * params.m1)
+    assert count_angles(monkeypatch, [PAST_THE_BRACKET], limit=bound) <= bound
+
+
+def test_both_searches_end_at_lengths_up_to_2_to_the_59(monkeypatch):
+    # 3000 seeded shapes, m log-uniform from 1e6 to 2^59, half with near
+    # equal arms, where the relation's root is nearly double and the
+    # climb is slowest; n up to 1e6
+    rng = np.random.default_rng(20)
+    m = np.exp(rng.uniform(math.log(1e6), math.log(2.0**59), (2, 3000)))
+    m = m.round().astype(np.int64)
+    m[1] = np.where(rng.random(3000) < 0.5, m[0] - rng.integers(0, 4, 3000), m[1])
+    n = np.exp(rng.uniform(math.log(2), math.log(1e6), (2, 3000))).round()
+    shapes = [tuple(map(int, cells)) for cells in zip(m[0], n[0], m[1], n[1])]
+    bounds = [2 * bisection_evaluations(shape) for shape in shapes]
+    thetas = []
+    for shape, bound in zip(shapes, bounds):
+        theta, _ = capped_scalar_evaluations(monkeypatch, shape, bound)
+        thetas.append(theta)
+        assert theta == full_bracket_bisection(TfsParams(*shape)), shape
+    batch = []
+
+    def search(lanes):
+        lanes = _Shapes(*np.array(lanes, dtype=float).T)
+        batch.append(optimizer._first_sign_changes(lanes))
+
+    assert count_angles(monkeypatch, shapes, search, limit=min(bounds)) <= min(bounds)
+    assert np.array_equal(batch[0], thetas)
 
 
 _LENGTHS = st.one_of(st.integers(1, 40), st.integers(1, 10**6))
