@@ -31,6 +31,7 @@ from .simulation import (
     write_trajectory_csv,
 )
 from .spectral import (
+    SkeletonBlocks,
     SpectralReport,
     SpectrumSizeError,
     StratifiedBlocks,
@@ -42,6 +43,7 @@ from .spectral import (
     count_eigenvalues_below,
     full_spectrum,
     perron_vector,
+    skeleton_rows,
 )
 from .topology import (
     InvalidParameterError,
@@ -71,6 +73,7 @@ __all__ = [
     "OptimalSolution",
     "OrbitWeights",
     "SelfCheckError",
+    "SkeletonBlocks",
     "SpectralReport",
     "SpectrumSizeError",
     "StratifiedBlocks",
@@ -97,6 +100,7 @@ __all__ = [
     "optimal_weights_batch",
     "perron_vector",
     "random_initial_state",
+    "skeleton_rows",
     "solve_symmetric_star",
     "stratified_iterate",
     "verify_certificate",

@@ -33,12 +33,7 @@ import sys
 import numpy as np
 
 from .certificate import build_dual_certificate, verify_certificate
-from .optimizer import (
-    OptimalSolution,
-    SelfCheckError,
-    optimal_weights,
-    optimal_weights_batch,
-)
+from .optimizer import SelfCheckError, optimal_weights, optimal_weights_batch
 from .simulation import (
     InsufficientSignalError,
     _format_rows,
@@ -47,7 +42,7 @@ from .simulation import (
     stratified_iterate,
     write_trajectory_csv,
 )
-from .spectral import SpectralReport, block_extremes, build_blocks
+from .spectral import SkeletonBlocks, block_extremes, build_blocks
 from .topology import InvalidParameterError, TfsParams, check_array_size
 from .weighting import (
     OrbitWeights,
@@ -104,43 +99,46 @@ def _params_from(args: argparse.Namespace) -> TfsParams:
     return TfsParams(m1=args.m1, n1=args.n1, m2=args.m2, n2=args.n2)
 
 
-def _scheme_weights(
+def _fixed_scheme_weights(
     params: TfsParams, scheme: str, args: argparse.Namespace
-) -> tuple[OrbitWeights, OptimalSolution | None]:
-    if scheme == "optimal":
-        solution = optimal_weights(params)
-        return solution.weights, solution
+) -> OrbitWeights:
     if scheme == "max-degree":
         convention = _CONVENTIONS[args.max_degree_convention]
-        return max_degree_orbit_weights(params, convention), None
+        return max_degree_orbit_weights(params, convention)
     if scheme == "metropolis":
-        return metropolis_orbit_weights(params), None
+        return metropolis_orbit_weights(params)
     if scheme == "best-constant":
-        return best_constant_orbit_weights(params), None
+        return best_constant_orbit_weights(params)
     raise InvalidParameterError(f"unknown scheme {scheme!r}")
 
 
-def _report(
-    params: TfsParams, weights: OrbitWeights, solution: OptimalSolution | None
-) -> SpectralReport:
-    """``block_extremes`` of the weights of a scheme, seeded with the
-    optimum's ``s`` where ``solution`` is one: its blocks are then the
-    self-check's, and the certificate reads their extremes again."""
-    return block_extremes(
-        build_blocks(params, weights), None if solution is None else solution.s
-    )
+def _scheme_weights(
+    params: TfsParams, scheme: str, args: argparse.Namespace
+) -> OrbitWeights:
+    """A scheme's orbit weights written out; the optimum's in O(m) memory,
+    as ``simulate`` needs them."""
+    if scheme == "optimal":
+        return optimal_weights(params).weights
+    return _fixed_scheme_weights(params, scheme, args)
 
 
 def _solve_payload(
     params: TfsParams, args: argparse.Namespace
-) -> tuple[dict, np.ndarray]:
-    """The solve report without its weights, and the weight vector.
+) -> tuple[dict, OrbitWeights]:
+    """The solve report without its weights, and the weights.
 
-    The report's ``"weights"`` is an empty placeholder for ``cmd_solve``
-    to fill from ``_weights_json``.
+    The optimum's report and certificate read its skeleton, in O(1) of
+    the branch lengths; another scheme's report reads its own blocks
+    (``block_extremes``).  The report's ``"weights"`` is an empty
+    placeholder for ``cmd_solve`` to fill from ``_weights_json``.
     """
-    weights, solution = _scheme_weights(params, args.scheme, args)
-    report = _report(params, weights, solution)
+    solution = None
+    if args.scheme == "optimal":
+        solution = optimal_weights(params)
+        report = solution.skeleton.report(solution.s)
+    else:
+        weights = _fixed_scheme_weights(params, args.scheme, args)
+        report = block_extremes(build_blocks(params, weights))
     payload = {
         "params": {
             "m1": params.m1,
@@ -158,12 +156,14 @@ def _solve_payload(
     }
     if solution is not None:
         certificate = build_dual_certificate(solution)
-        residuals = verify_certificate(certificate, solution.weights)
+        residuals = verify_certificate(certificate, solution.skeleton)
         payload["certificate"] = {
             key: _sig10(value) for key, value in residuals.as_dict().items()
         }
         payload["certificate"]["passes"] = residuals.passes()
-    return payload, weights.values
+        # the one O(m) step, after everything that the report needs
+        weights = solution.weights
+    return payload, weights
 
 
 # the labels below 100, and the last two digits of the larger ones
@@ -220,25 +220,28 @@ def _weights_json(params: TfsParams, values: np.ndarray) -> str:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     params = _params_from(args)
-    payload, values = _solve_payload(params, args)
+    payload, weights = _solve_payload(params, args)
     # no key before "weights" can hold the placeholder text
     _STDOUT.write(json.dumps(payload, indent=2).replace(
-        '"weights": {}', '"weights": ' + _weights_json(params, values), 1
+        '"weights": {}', '"weights": ' + _weights_json(params, weights.values), 1
     ) + "\n")
     return 0
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
     """The SLEM of each scheme, from the blocks of three weightings: the
-    optimum's, Metropolis's and the unit weights', read in that order.
-    Max-degree and best-constant are ``I - alpha L``, whose SLEMs
+    optimum's skeleton, Metropolis's and the unit weights', read in that
+    order.  Max-degree and best-constant are ``I - alpha L``, whose SLEMs
     ``constant_weight_slems`` gives from the unit weights' report.  Since
     max-degree's own blocks never fail, a request that fails reports the
     error a read of each scheme's own blocks in row order would meet
     first.  ``solve --scheme`` reads those blocks, for ``lambda_min``."""
     params = _params_from(args)
-    optimal = _report(params, *_scheme_weights(params, "optimal", args)).slem
-    metropolis = _report(params, metropolis_orbit_weights(params), None).slem
+    solution = optimal_weights(params)
+    optimal = solution.skeleton.report(solution.s).slem
+    metropolis = block_extremes(
+        build_blocks(params, metropolis_orbit_weights(params))
+    ).slem
     max_degree, best_constant = constant_weight_slems(
         params, _CONVENTIONS[args.max_degree_convention]
     )
@@ -255,11 +258,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
         )
     solution = optimal_weights(params)
     certificate = build_dual_certificate(solution)
-    weights = solution.weights
+    weights = solution.skeleton
     if args.perturb:
-        shifted = weights.values.copy()
-        shifted[params.m1 - 1] += args.perturb
-        weights = OrbitWeights(params, shifted)
+        weights = SkeletonBlocks(
+            params, solution.w_minus_1 + args.perturb, solution.w_plus_1
+        )
     residuals = verify_certificate(certificate, weights)
     payload = {
         "params": {
@@ -350,7 +353,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         raise InvalidParameterError(f"--seed must be >= 0, got {args.seed}")
     check_array_size("the node count", params.n_nodes)
     check_array_size("--steps + 1", args.steps + 1)
-    weights, _ = _scheme_weights(params, args.scheme, args)
+    weights = _scheme_weights(params, args.scheme, args)
     x0 = random_initial_state(params.n_nodes, args.seed)
     trajectory = stratified_iterate(params, weights, x0, args.steps)
     write_trajectory_csv(trajectory, _STDOUT)

@@ -38,14 +38,15 @@ The all-roots scan that cross-checks these searches,
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
 from .spectral import (
-    _frozen_floats, build_blocks, central_tridiagonal, count_central_below
+    SkeletonBlocks, _frozen_floats, _Shapes, count_central_below, skeleton_rows
 )
 from .topology import MAX_ARRAY_ENTRIES, InvalidParameterError, TfsParams
 from .weighting import OrbitWeights
@@ -68,15 +69,28 @@ _LEAST = np.array([[1.0], [2.0], [1.0], [2.0]])
 
 @dataclass(frozen=True)
 class OptimalSolution:
-    """Optimal orbit weights, the smallest root and ``s = cos(theta_star)``,
-    the SLEM that eigenvalue counts proved within ``_SELF_CHECK``, and the
-    spectral gap ``1 - s``, taken as ``_gap(theta_star)``."""
+    """The optimum of one shape as four numbers: the smallest root
+    ``theta_star``, ``s = cos(theta_star)``, the SLEM that eigenvalue counts
+    proved within ``_SELF_CHECK``, the spectral gap ``1 - s``, taken as
+    ``_gap(theta_star)``, and the two boundary weights; every interior
+    orbit weighs 1/2.  ``skeleton`` counts its blocks in O(1) of the branch
+    lengths, and ``weights`` writes its ``m1 + m2`` orbit weights out, in
+    O(m) memory, only when a consumer asks for them."""
 
     params: TfsParams
     theta_star: float
     s: float
     gap: float
-    weights: OrbitWeights
+    w_minus_1: float
+    w_plus_1: float
+
+    @functools.cached_property
+    def skeleton(self) -> SkeletonBlocks:
+        return SkeletonBlocks(self.params, self.w_minus_1, self.w_plus_1)
+
+    @functools.cached_property
+    def weights(self) -> OrbitWeights:
+        return _orbit_weights(self.params, self.w_minus_1, self.w_plus_1)
 
 
 def _char_values(params: TfsParams, theta: np.ndarray | float) -> np.ndarray:
@@ -121,12 +135,17 @@ def _require_two_branches(params: TfsParams) -> None:
         )
 
 
-def _weights_at(params: TfsParams, theta: float) -> OrbitWeights:
-    """Optimal orbit weights as a function of the characteristic root."""
+def _boundary_pair(params: TfsParams, theta: float) -> tuple[float, float]:
+    """``w_{-1}`` and ``w_1`` at the characteristic root ``theta``."""
+    pair = _boundary_weights(np.array([params.m1, params.m2], dtype=float), theta)
+    return tuple(pair.tolist())
+
+
+def _orbit_weights(params: TfsParams, w_minus: float, w_plus: float) -> OrbitWeights:
+    """The orbit weights with interior orbits of 1/2 and these boundary
+    weights, as one numpy vector."""
     w = np.full(params.m1 + params.m2, 0.5)
-    w[params.m1 - 1 : params.m1 + 1] = _boundary_weights(
-        np.array([params.m1, params.m2], dtype=float), np.float64(theta)
-    )
+    w[params.m1 - 1], w[params.m1] = w_minus, w_plus
     return OrbitWeights(params, w)
 
 
@@ -166,11 +185,14 @@ def _counts_prove_slem(below: np.ndarray, top) -> np.ndarray:
     central block and of both arm blocks together (second axis).  Each
     has ``top = m1 + m2`` eigenvalues besides the Perron eigenvalue 1, and
     none may lie below ``-s - d`` or at or above ``s + d``, while one lies
-    below ``-s + d`` or at or above ``s - d``: then ``slem``, the largest
-    modulus after the Perron eigenvalue, is within ``d`` of ``s``.
+    below ``-s + d`` and one at or above ``s - d``: then ``slem``, the
+    largest modulus after the Perron eigenvalue, is within ``d`` of ``s``,
+    and both ends of the spectrum are where the optimum's slackness
+    conditions put them, ``lambda_min`` within ``d`` of ``-s`` and
+    ``lambda2`` of ``s``.
     """
     bounded = (below[0] == 0).all(axis=0) & (below[3] >= top).all(axis=0)
-    attained = (below[1] > 0).any(axis=0) | (below[2] < top).any(axis=0)
+    attained = (below[1] > 0).any(axis=0) & (below[2] < top).any(axis=0)
     return bounded & attained
 
 
@@ -180,20 +202,16 @@ def _self_check_error(params: TfsParams, s: float) -> SelfCheckError:
 
 
 def _self_checked(
-    params: TfsParams, theta_star: float, ow: OrbitWeights
+    params: TfsParams, theta_star: float, w_minus: float, w_plus: float
 ) -> OptimalSolution:
     s = float(np.cos(theta_star))
-    blocks = build_blocks(params, ow)
-    shifts = _self_check_shifts(s)
-    below = np.array([
-        blocks.center.count_below(shifts),
-        blocks.minus.count_below(shifts) + blocks.plus.count_below(shifts),
-    ]).T
+    solution = OptimalSolution(
+        params, theta_star, s, float(_gap(theta_star)), w_minus, w_plus
+    )
+    below = solution.skeleton.count_below(_self_check_shifts(s).tolist())
     if not _counts_prove_slem(below, params.m1 + params.m2):
         raise _self_check_error(params, s)
-    return OptimalSolution(
-        params=params, theta_star=theta_star, s=s, gap=float(_gap(theta_star)), weights=ow
-    )
+    return solution
 
 
 def optimal_weights(params: TfsParams) -> OptimalSolution:
@@ -203,10 +221,10 @@ def optimal_weights(params: TfsParams) -> OptimalSolution:
     from the smallest characteristic root theta*, the bits that bisection
     on ``(0, pi / (2 max(m1, m2))]`` gives, found by ``_theta_star`` in
     at most nine evaluations (twelve at long unequal arms).  The result
-    is self-checked: eigenvalue counts of its blocks
-    (``Tridiagonal.count_below``) must prove ``s = cos(theta*)`` the
-    spectral radius below 1 within 1e-9.
-    Requires n1, n2 >= 2.
+    is self-checked: eigenvalue counts of its blocks, twelve counts of
+    their skeleton (``SkeletonBlocks``), must prove ``s = cos(theta*)`` the
+    spectral radius below 1 within 1e-9.  Time and memory are O(1) in the
+    branch lengths and counts.  Requires n1, n2 >= 2.
     """
     _require_two_branches(params)
     # with a branch count near the float range theta* is near 1e-154, where
@@ -215,7 +233,7 @@ def optimal_weights(params: TfsParams) -> OptimalSolution:
     # search does, under the same quiet error state
     with np.errstate(over="ignore", invalid="ignore"):
         theta_star = _theta_star(params)
-    return _self_checked(params, theta_star, _weights_at(params, theta_star))
+    return _self_checked(params, theta_star, *_boundary_pair(params, theta_star))
 
 
 @dataclass(frozen=True)
@@ -235,16 +253,6 @@ class BatchSolution:
     def __post_init__(self) -> None:
         for name in ("theta_star", "s", "w_minus_1", "w_plus_1", "gap"):
             object.__setattr__(self, name, _frozen_floats(getattr(self, name)))
-
-
-class _Shapes(NamedTuple):
-    """Branch lengths and counts of a batch as float arrays, one entry per
-    lane; ``central_tridiagonal`` reads them as it reads a ``TfsParams``."""
-
-    m1: np.ndarray
-    n1: np.ndarray
-    m2: np.ndarray
-    n2: np.ndarray
 
 
 def _cell(cells: list[np.ndarray], index: int) -> tuple:
@@ -505,26 +513,14 @@ def _theta_star(params: TfsParams) -> float:
     return _first_sign_change(lambda theta: _char_values(params, theta), hi, lo)
 
 
-def _skeleton_rows(shapes: _Shapes, w_minus, w_plus) -> tuple:
-    """Each optimum's weight-dependent rows for ``count_central_below``:
-    ``central_tridiagonal`` on the four orbits ``[w_int, w_-1, w_1,
-    w_int]``, with ``w_int`` the arm's interior weight (1/2, and 0 for an
-    arm of one row, which has no interior orbit)."""
-    w = np.empty((4, w_minus.size))
-    w[1], w[2] = w_minus, w_plus
-    w[0] = np.where(shapes.m1 > 1.0, 0.5, 0.0)
-    w[3] = np.where(shapes.m2 > 1.0, 0.5, 0.0)
-    return central_tridiagonal(shapes._replace(m1=2), w)
-
-
 def _skeleton_proves_slem(
     shapes: _Shapes, s: np.ndarray, w_minus, w_plus
 ) -> np.ndarray:
     """``_counts_prove_slem`` on the counts of each optimum's central block
     at all four shifts, in one ``count_central_below`` call on its
-    ``_skeleton_rows``."""
+    ``skeleton_rows``."""
     below = count_central_below(
-        *_skeleton_rows(shapes, w_minus, w_plus),
+        *skeleton_rows(shapes, w_minus, w_plus),
         np.stack([shapes.m1, shapes.m2]),
         _self_check_shifts(s),
     )
@@ -595,4 +591,4 @@ def solve_symmetric_star(m: int, n: int) -> OptimalSolution:
         math.pi / (2 * m + 1),
     )
     params = TfsParams(m, n // 2, m, n - n // 2)
-    return _self_checked(params, theta_star, _weights_at(params, theta_star))
+    return _self_checked(params, theta_star, *_boundary_pair(params, theta_star))

@@ -7,8 +7,9 @@ compare against: the node and edge views of a network, the
 stochasticity report of a dense matrix, the full spectrum of the blocks,
 eigenvalues with multiplicities, and the change of basis behind them, the
 all-roots scan of the characteristic relation, the rank-one edge stencils
-of the certificate, and the per-node stencil and the matrix recurrence of
-the iteration.  They take a network as its ``TfsParams`` and a dense
+of the certificate and the certificate with its vectors written out, in
+O(m), and the per-node stencil and the matrix recurrence of the
+iteration.  They take a network as its ``TfsParams`` and a dense
 matrix as a plain array.
 It imports the product modules; no product module imports it, so the CLI
 never loads it.  Only the full-spectrum route, ``tridiagonal_spectrum``,
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,22 +27,37 @@ from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .optimizer import _char_values, _require_two_branches, _weights_at
+from .certificate import CertificateResiduals, _chain_ratio
+from .optimizer import (
+    OptimalSolution,
+    _boundary_pair,
+    _char_values,
+    _orbit_weights,
+    _require_two_branches,
+)
 from .simulation import Trajectory, _no_room
-from .spectral import SpectralReport, StratifiedBlocks, Tridiagonal, build_blocks
+from .spectral import (
+    SpectralReport,
+    StratifiedBlocks,
+    Tridiagonal,
+    build_blocks,
+    perron_vector,
+)
 from .topology import InvalidParameterError, TfsParams, edge_table
 from .weighting import OrbitWeights
 
 __all__ = [
     "BlockSpectrumReport", "InvalidNodeError", "NoRootsError", "NodeId",
     "NotAnEdgeError", "PoleProximityError", "RootCountMismatchWarning",
-    "StochasticityReport", "ThetaRoots", "alpha_vectors", "block_spectrum",
-    "block_structure", "canonical_nodes", "char_residual", "degrees",
+    "StochasticityReport", "ThetaRoots", "VectorCertificate", "alpha_vectors",
+    "block_spectrum", "block_structure", "build_vector_certificate",
+    "canonical_nodes", "char_residual", "degrees",
     "distributed_iterate", "distributed_rounds", "edge_orbit", "edges",
     "equivalent_star", "exact_count_below", "interlacing_check", "iterate",
     "matrix_rounds", "node_index", "nodes", "solve_theta_roots",
     "stencil_gram_matrices", "strata", "stratification_basis",
     "stratum_labels", "tridiagonal_spectrum", "validate_stochastic",
+    "verify_vector_certificate",
 ]
 
 
@@ -503,7 +520,7 @@ def _cross_check_root_count(params: TfsParams, roots: np.ndarray) -> None:
     # candidate optimum; a scan that missed theta* (at large branch counts
     # theta* lies below its first grid point) takes a root past theta*'s
     # bracket for it, where the count mostly disagrees
-    ow = _weights_at(params, float(roots[0]))
+    ow = _orbit_weights(params, *_boundary_pair(params, float(roots[0])))
     below = build_blocks(params, ow).center.count_below(1.0 - 1e-9)
     if below != roots.size:
         warnings.warn(
@@ -758,3 +775,278 @@ def iterate(entries: np.ndarray, x0: np.ndarray, steps: int) -> Trajectory:
     """Run the matrix recurrence for ``steps`` rounds."""
     x = np.asarray(x0, dtype=float)
     return _summarise(x, matrix_rounds(entries, x), steps)
+
+
+# The O(m) dual certificate: the sine chains, z1 and z2 written out as
+# vectors of the m1 + m2 orbits and the m1 + m2 + 1 rows, and every
+# condition evaluated on them.  A certificate stores three such vectors
+# (the table, z1 and z2); building one peaks at six and verifying one at
+# about three.
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
+
+
+def _center_stencils(params: TfsParams, arms: bool) -> tuple[tuple[float, float], ...]:
+    """The ``(lo, hi)`` pairs of stencils ``m1 - 1`` and ``m1``, on central
+    rows ``(m1 - 1, m1)`` and ``(m1, m1 + 1)`` (``reference.alpha_vectors``
+    writes every stencil out)."""
+    if arms:
+        return (1.0, 0.0), (0.0, 1.0)
+    n1, n2 = params.n1, params.n2
+    scale1, scale2 = 1.0 / math.sqrt(n1 + 1.0), 1.0 / math.sqrt(n2 + 1.0)
+    return (-scale1, math.sqrt(n1) * scale1), (-math.sqrt(n2) * scale2, scale2)
+
+
+def _combine(params: TfsParams, coeffs: np.ndarray, arms: bool) -> np.ndarray:
+    """``sum_j coeffs[j] stencil_j``: each row adds its lo term to 0, then its hi."""
+    m1 = params.m1
+    (lo1, hi1), (lo2, hi2) = _center_stencils(params, arms)
+    z = np.zeros(coeffs.size + 1)
+    terms = coeffs * -_INV_SQRT2
+    terms[m1 - 1], terms[m1] = coeffs[m1 - 1] * lo1, coeffs[m1] * lo2
+    z[:-1] += terms
+    np.multiply(coeffs, _INV_SQRT2, out=terms)
+    terms[m1 - 1], terms[m1] = coeffs[m1 - 1] * hi1, coeffs[m1] * hi2
+    z[1:] += terms
+    return np.delete(z, m1) if arms else z
+
+
+def _inner_products(params: TfsParams, z: np.ndarray, arms: bool) -> np.ndarray:
+    """``stencil_j . z`` for every ``j``."""
+    m1 = params.m1
+    (lo1, hi1), (lo2, hi2) = _center_stencils(params, arms)
+    if arms:
+        z = np.insert(z, m1, 0.0)
+    dots = z[:-1] * -_INV_SQRT2
+    dots += z[1:] * _INV_SQRT2
+    dots[m1 - 1] = lo1 * z[m1 - 1] + hi1 * z[m1]
+    dots[m1] = lo2 * z[m1] + hi2 * z[m1 + 1]
+    return dots
+
+
+def _chain(
+    params: TfsParams, table: np.ndarray, arms: bool, scaled: bool
+) -> np.ndarray:
+    """The +s chain (``arms``) or the -s chain, hatted or (``scaled``)
+    rescaled at the two center-adjacent labels to stencil coefficients.
+    The -s chain, at ``pi - theta``, is the table with each even ``k``
+    negated: ``k = j + 1`` on the first arm, ``m1 + m2 - j`` on the second."""
+    m1 = params.m1
+    chain = table.copy()
+    if not arms:
+        for part in (chain[1:m1:2], chain[m1 + params.m2 % 2 :: 2]):
+            np.negative(part, out=part)
+    if scaled and arms:
+        chain[m1 - 1] /= -math.sqrt(2.0)
+        chain[m1] /= math.sqrt(2.0)
+    elif scaled:
+        chain[m1 - 1] *= math.sqrt((params.n1 + 1.0) / 2.0)
+        chain[m1] *= math.sqrt((params.n2 + 1.0) / 2.0)
+    return chain
+
+
+@dataclass(frozen=True)
+class VectorCertificate:
+    """Dual witness pair with its chain coordinates.
+
+    ``sines`` is the table ``sin(k theta*)``, times the chain ratio on the
+    second arm; ``t1`` and ``t2`` normalize the -s and +s chains into z1
+    and z2.  The chains are derived on each read: ``coeffs``/``coeffs_prime``
+    expand z1 and z2 over the stencils, and ``coeffs_hat``/``coeffs_hat_prime``
+    are the hatted chains, in which the recurrences and the proportionality
+    law hold.  Every array is read-only, in ``params.orbit_labels`` order.
+    """
+
+    params: TfsParams
+    theta: float
+    s: float
+    gap: float
+    sines: np.ndarray
+    t1: float
+    t2: float
+    z1: np.ndarray
+    z2: np.ndarray
+
+    def _normalized(self, arms: bool, scaled: bool) -> np.ndarray:
+        chain = _chain(self.params, self.sines, arms, scaled)
+        chain *= self.t2 if arms else self.t1
+        chain.flags.writeable = False
+        return chain
+
+    coeffs = property(lambda self: self._normalized(False, True))
+    coeffs_prime = property(lambda self: self._normalized(True, True))
+    coeffs_hat = property(lambda self: self._normalized(False, False))
+    coeffs_hat_prime = property(lambda self: self._normalized(True, False))
+
+
+def build_vector_certificate(solution: OptimalSolution) -> VectorCertificate:
+    """Dual witness for an optimal solution, every vector written out: the
+    oracle of ``certificate.build_dual_certificate``.
+
+    The table ``sin(k theta*)`` is in orbit order (``k = 1..m1``, then
+    ``k = m2..1``).  ||z1||^2 = (1 - s)/2 and ||z2||^2 = (1 + s)/2 fix
+    both the unit total norm and the duality value.  A network of more
+    nodes than the largest float is refused as invalid input: the Perron
+    vector's norm is the node count's square root, and past it the
+    chains' arm factors, about ``n m / 4``, overflow."""
+    params = solution.params
+    if params.n_nodes > sys.float_info.max:
+        raise InvalidParameterError(
+            "the node count is too large for floating-point arithmetic"
+        )
+    theta, s, gap = solution.theta_star, solution.s, solution.gap
+    m1, m2 = params.m1, params.m2
+    table = np.sin(np.arange(1.0, max(m1, m2) + 1.0) * theta)
+    sines = np.empty(m1 + m2)
+    sines[:m1] = table[:m1]
+    np.multiply(table[m2 - 1 :: -1], _chain_ratio(params, theta), out=sines[m1:])
+    del table  # before the witnesses take their own vectors
+    z1 = _combine(params, _chain(params, sines, False, True), arms=False)
+    z2 = _combine(params, _chain(params, sines, True, True), arms=True)
+    t1 = math.sqrt(0.5 * gap) / _norm(z1)
+    t2 = math.sqrt((1.0 + s) / 2.0) / _norm(z2)
+    z1 *= t1
+    z2 *= t2
+    for array in (sines, z1, z2):
+        array.flags.writeable = False
+    return VectorCertificate(params, theta, s, gap, sines, t1, t2, z1, z2)
+
+
+def _recurrence_residual(
+    params: TfsParams, w: np.ndarray, c: np.ndarray, s: float, gap: float,
+    primed: bool,
+) -> float:
+    """Worst violation of the three-term chain relations, ``w`` and the
+    chain ``c`` in orbit order, at ``s`` and its gap ``1 - s``.  The +s
+    system couples the arms through the center with strength sqrt(n1 n2),
+    the -s system not at all, and its center-adjacent diagonal terms carry
+    (n + 1) w, the other's w."""
+    m1 = params.m1
+    base = gap if primed else (1.0 + s)
+    acc = np.subtract(base, w * 2.0)
+    acc[m1 - 1] = base - (1.0 if primed else params.n1 + 1.0) * w[m1 - 1]
+    acc[m1] = base - (1.0 if primed else params.n2 + 1.0) * w[m1]
+    acc *= c
+    if primed:
+        cross = 0.0
+    else:
+        try:
+            cross = math.sqrt(params.n1 * params.n2)
+        except OverflowError:
+            # a product past the float range: its integer square root is
+            # within one of the root, and fits
+            cross = float(math.isqrt(params.n1 * params.n2))
+    terms = w[1:] * c[:-1]
+    terms[m1 - 1] = cross * w[m1] * c[m1 - 1]
+    acc[1:] += terms
+    np.multiply(w[:-1], c[1:], out=terms)
+    terms[m1 - 1] = cross * w[m1 - 1] * c[m1]
+    acc[:-1] += terms
+    return _max_abs(acc)
+
+
+def _proportionality_residual(certificate: VectorCertificate) -> float:
+    """Worst relative gap between ``(1 + cos theta)^2 hat^2`` and
+    ``(1 - cos theta)^2 hat_prime^2`` where either is nonzero."""
+    theta, sines = certificate.theta, certificate.sines
+    plus, minus = 1.0 + math.cos(theta), certificate.gap
+    # the hatted -s chain is the table times t1 up to sign
+    lhs = np.square(sines * certificate.t1) * plus**2
+    rhs = np.square(sines * certificate.t2) * minus**2
+    scale = np.maximum(lhs, rhs)  # both are never negative
+    nonzero = scale > 0.0
+    np.abs(np.subtract(lhs, rhs, out=lhs), out=lhs)
+    np.divide(lhs, scale, out=lhs, where=nonzero)
+    return float(np.max(lhs, where=nonzero, initial=0.0))
+
+
+def _trace_mismatch(params: TfsParams, z1: np.ndarray, z2: np.ndarray) -> float:
+    # squared stencil coordinates of z1, times n + 1 at the center, vs z2's
+    rhs = np.square(_inner_products(params, z2, arms=True))
+    lhs = np.square(_inner_products(params, z1, arms=False))
+    lhs[params.m1 - 1] *= params.n1 + 1.0
+    lhs[params.m1] *= params.n2 + 1.0
+    lhs -= rhs
+    return _max_abs(lhs)
+
+
+def _dot(x: np.ndarray, y: np.ndarray) -> float:
+    # numpy's pairwise sum, not BLAS: BLAS splits a long dot product
+    # between its threads, and the rounding with it
+    return float(np.sum(x * y))
+
+
+def _max_abs(x: np.ndarray) -> float:
+    # with no |x| array; abs turns -0.0 into 0.0
+    return float(abs(max(x.max(), -x.min())))
+
+
+def _norm(x: np.ndarray, out: np.ndarray | None = None) -> float:
+    # at a power-of-two scale, which is exact, so no square overflows;
+    # ``out``, which may be ``x``, takes the scaled squares
+    _, exponent = np.frexp(_max_abs(x))
+    squares = np.ldexp(x, -exponent, out=out)
+    squares *= squares
+    return math.ldexp(math.sqrt(float(np.sum(squares))), int(exponent))
+
+
+def verify_vector_certificate(
+    certificate: VectorCertificate,
+    weights: OrbitWeights,
+) -> CertificateResiduals:
+    """Evaluate every certificate condition against the given weights.
+
+    At the optimal weights all residuals sit at rounding level and the
+    two feasibility matrices ``s I + C - v v^T`` (C the central block, v
+    its Perron vector) and ``s I - arms`` are positive semidefinite.  Any
+    weight perturbation shows up in the slackness and recurrence
+    residuals.  Every condition costs O(m1 + m2): both slackness products
+    are tridiagonal, and both smallest feasibility eigenvalues follow
+    from extreme eigenvalues of the blocks that ``build_blocks`` keeps on
+    ``weights``.  This is the oracle of ``certificate.verify_certificate``,
+    and the route for weights whose interior orbits are not all 1/2.
+    """
+    params = certificate.params
+    w = weights.values_for(params)
+    blocks = build_blocks(params, weights)
+    s, z1, z2 = certificate.s, certificate.z1, certificate.z2
+
+    # C v = v for every orbit weighting, so s I + C - v v^T has the
+    # spectrum of C with one eigenvalue 1 replaced by 0; the certificate
+    # claims C's lowest at -s and each arm's top at +s.  A block they
+    # refuse (not finite, or past the float range) raises here, first.
+    center_min = float(blocks.center.eigenvalues([0])[0])
+    arms_top = max(
+        float(blocks.minus.eigenvalues([params.m1 - 1])[0]),
+        float(blocks.plus.eigenvalues([params.m2 - 1])[0]),
+    )
+    norm1, norm2 = _dot(z1, z1), _dot(z2, z2)
+    v = perron_vector(params)
+    perron_dot = _dot(v, z1)
+    # s z1 + C z1 - (v . z1) v, then s z2 - arms z2, in place
+    residual = blocks.center.matvec(z1)
+    residual += s * z1
+    v *= perron_dot
+    residual -= v
+    slackness_center = _norm(residual, out=residual)
+    residual = s * z2
+    residual[: params.m1] -= blocks.minus.matvec(z2[: params.m1])
+    residual[params.m1 :] -= blocks.plus.matvec(z2[params.m1 :])
+    slackness_arms = _norm(residual, out=residual)
+    del v, residual  # before the passes below take their own
+    return CertificateResiduals(
+        slackness_center=slackness_center,
+        slackness_arms=slackness_arms,
+        perron_orthogonality=abs(perron_dot),
+        norm_sum_error=abs(norm1 + norm2 - 1.0),
+        norm_split_error=abs(norm2 - norm1 - s),
+        trace_mismatch=_trace_mismatch(params, z1, z2),
+        feasibility_min_eig=min(s + min(0.0, center_min), s - arms_top),
+        recurrence=_recurrence_residual(
+            params, w, certificate.coeffs_hat, s, certificate.gap, False
+        ),
+        recurrence_prime=_recurrence_residual(
+            params, w, certificate.coeffs_hat_prime, s, certificate.gap, True
+        ),
+        proportionality_rel=_proportionality_residual(certificate),
+        duality_gap=s + norm1 - perron_dot**2 - norm2,
+    )

@@ -47,7 +47,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 import numpy as np
 
@@ -141,9 +141,7 @@ class Tridiagonal:
         y[1:] += self.off_diagonal * x[:-1]
         return y
 
-    def eigenvalues(
-        self, indices: Iterable[int], guesses: Iterable[float] | None = None
-    ) -> np.ndarray:
+    def eigenvalues(self, indices: Iterable[int]) -> np.ndarray:
         """Ascending eigenvalues at ``indices`` (0-based), as a new array.
 
         Each eigenvalue is found once per block: what a read finds is kept
@@ -151,21 +149,16 @@ class Tridiagonal:
         found are found together, by one dense solve or one bisection;
         found together or one at a time, they are bitwise equal.
 
-        One rule decides a guessed eigenvalue: it stands, as it is, if the
-        counts eight ulps either side of it hold its index.  Those counts
-        narrow no search, so a wrong guess costs at most two counts and
-        leaves the value found as it is unguessed; one that stands may
-        differ from the searched value by a few ulps.  ``guesses``, one per
-        index, pass it first.  A block of at most ``_DENSE_ROWS`` rows then
-        takes ``np.linalg.eigvalsh``'s values, accurate to a few ``eps
-        ||T||``: as they are if none is below ``||T|| / 8``, else through
-        the rule, a value that fails it bracketing its search at ``8 n eps
-        ||T||``.  A larger block bisects.
+        A block of at most ``_DENSE_ROWS`` rows takes
+        ``np.linalg.eigvalsh``'s values, accurate to a few ``eps ||T||``:
+        as they are if none is below ``||T|| / 8``, else each through the
+        rule that a guessed eigenvalue stands if the counts eight ulps
+        either side of it hold its index (``_RunCount.holds``), a value
+        that fails it bracketing its search at ``8 n eps ||T||``.  A
+        larger block bisects.
         """
         indices = list(indices)
         found = self._found
-        if guesses is not None:
-            self._confirm(indices, guesses)
         missing = [index for index in dict.fromkeys(indices) if index not in found]
         near: list[float] = []
         if missing and self.size <= _DENSE_ROWS:
@@ -181,7 +174,12 @@ class Tridiagonal:
             if min(map(abs, wanted)) >= floor:
                 found.update(zip(missing, wanted))
             else:
-                self._confirm(missing, wanted)
+                runs = self._runs
+                found.update(
+                    (index, value)
+                    for index, value in zip(missing, wanted)
+                    if runs.holds(index, value)
+                )
                 near = [v for i, v in zip(missing, wanted) if i not in found]
             missing = [index for index in missing if index not in found]
         if missing:
@@ -192,25 +190,12 @@ class Tridiagonal:
     def _found(self) -> dict[int, float]:
         return {}
 
-    def _confirm(self, indices: list[int], guesses: Iterable[float]) -> None:
-        # keep each guess whose counts 8 ulps either side hold its index
-        found, runs = self._found, self._runs
-        for index, guess in zip(indices, guesses):
-            if index not in found:
-                x = guess / runs.scale
-                ulps = 8.0 * math.ulp(x)
-                if runs.count(x - ulps) <= index < runs.count(x + ulps):
-                    found[index] = guess
-
     def count_below(self, shifts: float | np.ndarray) -> int | np.ndarray:
         """Number of eigenvalues below each shift, from the run-compressed
         Sturm count: an int for one shift, an array for an array.
 
         Each shift is one pure-Python count, O(runs and stepped rows) of
-        the block: a single solve's self-check takes its four shifts on
-        each block from it, and ``block_extremes`` its one count on an arm
-        at an optimum; a guessed eigenvalue's two counts are the same.
-        Away from rounding level at an eigenvalue it equals
+        the block.  Away from rounding level at an eigenvalue it equals
         ``count_eigenvalues_below`` on a stack of one, whose tie rule it
         keeps on stepped rows and decoupled runs (an eigenvalue that meets
         the shift exactly, as a zero pivot, counts as below).
@@ -225,25 +210,29 @@ class Tridiagonal:
 
     @functools.cached_property
     def _runs(self) -> "_RunCount":
-        return _RunCount(self.diagonal, self.off_diagonal)
+        return _RunCount.of(self.diagonal, self.off_diagonal)
 
 
 class _RunCount:
     """Sturm count and plain bisection on it, as in LAPACK's dstebz, for
     one tridiagonal, with its runs of equal rows in closed form, at any
-    size; the bisection serves blocks of more than ``_DENSE_ROWS`` rows and
-    dense values that fail the counts.
+    size; the bisection serves blocks of more than ``_DENSE_ROWS`` rows,
+    dense values that fail the counts and the skeleton's reads.
 
-    The matrix is scaled by the power of two at or above its largest
-    entry, exactly, so that no squared coupling overflows; a largest entry
-    of 2^1023 or more has no such power, and the block is refused.  Row
-    ``j >= 1`` is the pair ``(a_j, b_{j-1}^2)``; a run is ``_MIN_RUN`` or
-    more equal consecutive rows, and every other row, row 0 included, is
-    one step of Kahan's recurrence ``d_j = (a_j - x) - b_{j-1}^2 /
-    d_{j-1}`` with LAPACK's floor (a pivot below ``pivmin`` in magnitude
-    becomes ``-pivmin``).  Along a run with ``|b| = beta > 0`` the pivots are
-    ``d_j = beta u_j`` with ``u_j = tau - 1 / u_{j-1}`` and
-    ``tau = (a - x) / beta``, a Moebius map:
+    It is built from the block's rows as runs of equal rows, ``(a, |b|,
+    length)`` in row order with ``b`` each row's coupling to the row
+    before (``of`` finds them in two arrays, and ``SkeletonBlocks`` writes
+    them from a skeleton).  The matrix is scaled by the power of two at or
+    above its largest entry, exactly, so that no squared coupling
+    overflows; a largest entry of 2^1023 or more has no such power, and
+    the block is refused.  Row ``j >= 1`` is the pair ``(a_j,
+    b_{j-1}^2)``; a run is ``_MIN_RUN`` or more equal consecutive rows,
+    and every other row, row 0 included, is one step of Kahan's
+    recurrence ``d_j = (a_j - x) - b_{j-1}^2 / d_{j-1}`` with LAPACK's
+    floor (a pivot below ``pivmin`` in magnitude becomes ``-pivmin``).
+    Along a run with ``|b| = beta > 0`` the pivots are ``d_j = beta u_j``
+    with ``u_j = tau - 1 / u_{j-1}`` and ``tau = (a - x) / beta``, a
+    Moebius map:
 
     - inside the band, ``tau = 2 cos(phi)``, ``u_j = sin(theta_{j+1}) /
       sin(theta_j)`` with ``theta_j = j phi + psi`` and ``psi`` in
@@ -260,50 +249,93 @@ class _RunCount:
     O(number of runs and stepped rows), whatever the run lengths.
     """
 
-    def __init__(self, diagonal: np.ndarray, off_diagonal: np.ndarray):
-        self.size = n = diagonal.size
-        # one magnitude array at a time, and none kept: the off-diagonal is
-        # kept with its signs and taken in magnitude where it is read
+    def __init__(self, runs: list[tuple[float, float, int]]):
+        """``runs`` starts with row 0 alone; its coupling is not read.
+        Equal runs after it that follow each other are joined, as ``of``
+        finds them."""
+        entries = [abs(a) for a, _, _ in runs] + [b for _, b, _ in runs[1:]]
+        if not all(map(math.isfinite, entries)):
+            raise np.linalg.LinAlgError(_NON_FINITE)
+        top = max(entries)
+        if top >= 2.0**1023:
+            raise np.linalg.LinAlgError(_PAST_RANGE)
+        self.scale = scale = 2.0 ** math.frexp(top)[1]
+        # every entry is at most 1 in magnitude now, so ||T|| <= 3 and
+        # LAPACK's pivmin, tiny * max(1, max b^2), is tiny
+        rows = [(runs[0][0] / scale, 0.0, 1)]
+        for a, b, length in runs[1:]:
+            a, b = a / scale, b / scale
+            if rows[-1][:2] == (a, b) and len(rows) > 1:
+                length += rows.pop()[2]
+            rows.append((a, b, length))
+        self.rows = rows
+        self.size = sum(length for *_, length in rows)
+        steps = []
+        for a, b, length in rows:
+            if length >= _MIN_RUN:
+                steps.append((a, b * b, b, length))
+            else:
+                steps += [(a, b * b, 0.0, 1)] * length
+        self.steps = steps
+        # every count made through ``holds`` or ``below``, scaled, which
+        # narrows a later search
+        self.counted: list[tuple[float, int]] = []
+
+    @classmethod
+    def of(cls, diagonal: np.ndarray, off_diagonal: np.ndarray) -> "_RunCount":
+        """The count of the tridiagonal with these two diagonals: rows 1..
+        start a new run where ``a_j`` or ``|b_{j-1}|`` changes, and only the
+        entries that start a run are read."""
         top = max(
             float(np.abs(diagonal).max()),
             float(np.abs(off_diagonal).max(initial=0.0)),
         )
         if not math.isfinite(top):
             raise np.linalg.LinAlgError(_NON_FINITE)
-        if top >= 2.0**1023:
-            raise np.linalg.LinAlgError(_PAST_RANGE)
-        self.scale = 2.0 ** math.frexp(top)[1]
-        if self.scale != 1.0:
-            diagonal = diagonal / self.scale
-            off_diagonal = off_diagonal / self.scale
-        # every entry is at most 1 in magnitude now, so ||T|| <= 3 and
-        # LAPACK's pivmin, tiny * max(1, max b^2), is tiny
-        self.diagonal, self.off_diagonal = diagonal, off_diagonal
-        # rows 1.. start a new key where a_j or b_{j-1}^2 changes; only
-        # the entries that start a run or make a step are read
         b = np.abs(off_diagonal)
         changes = (diagonal[2:] != diagonal[1:-1]) | (b[1:] != b[:-1])
-        bounds = [1, *(np.flatnonzero(changes) + 2).tolist(), n]
-        a, b = diagonal.item, off_diagonal.item
-        steps = [(a(0), 0.0, 0.0, 1)]
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            if hi - lo >= _MIN_RUN:
-                beta = abs(b(lo - 1))
-                steps.append((a(lo), beta * beta, beta, hi - lo))
-            else:
-                steps += [(a(j), b(j - 1) * b(j - 1), 0.0, 1) for j in range(lo, hi)]
-        self.steps = steps
+        bounds = [1, *(np.flatnonzero(changes) + 2).tolist(), diagonal.size]
+        a, b = diagonal.item, b.item
+        return cls([(a(0), 0.0, 1)] + [
+            (a(lo), b(lo - 1), hi - lo) for lo, hi in zip(bounds[:-1], bounds[1:])
+            if hi > lo
+        ])
 
     @functools.cached_property
     def gershgorin(self) -> tuple[float, float]:
-        """Bounds on the scaled spectrum, widened as in dstebz."""
-        sides = np.zeros(self.size + 1)
-        np.abs(self.off_diagonal, out=sides[1:-1])
-        radius = sides[:-1] + sides[1:]
-        low = float((self.diagonal - radius).min())
-        high = float((self.diagonal + radius).max())
+        """Bounds on the scaled spectrum, widened as in dstebz: each row's
+        radius is its two couplings, the last row of a run taking the next
+        run's."""
+        rows = self.rows
+        low, high = math.inf, -math.inf
+        for (a, b, length), (_, b_next, _) in zip(rows, [*rows[1:], (0.0, 0.0, 0)]):
+            for radius in [b + b_next] + ([b + b] if length > 1 else []):
+                low, high = min(low, a - radius), max(high, a + radius)
         fudge = 2.0 * (_EPS * max(-low, high) * self.size + 2.0 * _TINY)
         return low - fudge, high + fudge
+
+    def below(self, value: float) -> int:
+        """Eigenvalues below the unscaled ``value``; the count is kept."""
+        x = value / self.scale
+        below = self.count(x)
+        self.counted.append((x, below))
+        return below
+
+    def holds(self, index: int, value: float) -> bool:
+        """Whether the counts eight ulps either side of the unscaled
+        ``value`` hold ``index``: the rule by which a guessed eigenvalue
+        stands.  Those counts narrow no search of ``eigenvalues``, so a
+        wrong guess costs two counts."""
+        ulps = 8.0 * math.ulp(value)
+        return self.below(value - ulps) <= index < self.below(value + ulps)
+
+    def read(self, index: int, guess: float) -> float:
+        """The eigenvalue at ``index``, unscaled: ``guess`` where it
+        ``holds``, else bisection from the narrowest interval that every
+        count kept gives, which is bitwise the value within two ulps."""
+        if self.holds(index, guess):
+            return guess
+        return self._search(index, self.counted) * self.scale
 
     def count(self, x: float) -> int:
         """Eigenvalues of the scaled matrix below the scaled shift ``x``."""
@@ -682,9 +714,7 @@ def count_eigenvalues_below(
     return below
 
 
-def block_extremes(
-    blocks: StratifiedBlocks, s: float | None = None
-) -> SpectralReport:
+def block_extremes(blocks: StratifiedBlocks) -> SpectralReport:
     """``lambda2``, ``lambda_min`` and ``slem`` of the full matrix from the
     extreme eigenvalues of its blocks.
 
@@ -695,16 +725,8 @@ def block_extremes(
     ``lambda2`` is the largest of the center's second-highest eigenvalue
     and each arm block's highest, and ``lambda_min`` the smallest lowest
     one; an arm block counts only when its star has two branches or more.
-
-    Unseeded, that is six eigenvalues.  With the ``s`` of an optimum, its
-    slackness conditions seed them: the center's lowest at ``-s`` (``z1``
-    of the certificate), the center's second-highest and each arm's top
-    at ``+s`` (``z2``).  An arm is a principal submatrix of the center,
-    so by interlacing its lowest eigenvalue is at or above the center's;
-    it is read only if one count eight ulps above the center's lowest
-    finds it there or below, near enough that its search might return
-    the smaller value.  A wrong seed costs counts, and the report is
-    bitwise the unseeded one.
+    That is six eigenvalues.  An optimum reads its own two on its
+    skeleton instead (``SkeletonBlocks.report``).
     """
     center = blocks.center
     arms = [
@@ -712,22 +734,119 @@ def block_extremes(
         for arm, mult in zip((blocks.minus, blocks.plus), blocks.multiplicities[::2])
         if mult > 0
     ]
-    if s is None:
-        reads = [center.eigenvalues([0, center.size - 2])] + [
-            arm.eigenvalues([0, arm.size - 1]) for arm in arms
-        ]
-        lows, highs = np.array(reads).T.tolist()
-    else:
-        low, second = center.eigenvalues([0, center.size - 2], [-s, s]).tolist()
-        near = low + 8.0 * math.ulp(low)
-        lows = [low] + [
-            float(arm.eigenvalues([0])[0]) for arm in arms if arm.count_below(near)
-        ]
-        highs = [second] + [
-            float(arm.eigenvalues([arm.size - 1], [s])[0]) for arm in arms
-        ]
+    reads = [center.eigenvalues([0, center.size - 2])] + [
+        arm.eigenvalues([0, arm.size - 1]) for arm in arms
+    ]
+    lows, highs = np.array(reads).T.tolist()
     return SpectralReport(lambda2=max(highs), lambda_min=min(lows))
 
+
+class _Shapes(NamedTuple):
+    """Branch lengths and counts, one entry per lane of a batch (float
+    arrays) or of one shape (numbers); ``central_tridiagonal`` reads them as
+    it reads a ``TfsParams``."""
+
+    m1: np.ndarray
+    n1: np.ndarray
+    m2: np.ndarray
+    n2: np.ndarray
+
+
+def skeleton_rows(shapes, w_minus, w_plus) -> tuple[np.ndarray, np.ndarray]:
+    """The weight-dependent rows of central blocks whose interior orbits
+    all weigh 1/2, as at an optimum: ``central_tridiagonal`` on the four
+    orbits ``[w_int, w_-1, w_1, w_int]``, with ``w_int`` the arm's interior
+    weight (1/2, and 0 for an arm of one row, which has no interior orbit).
+
+    The five diagonal entries are the first arm's leaf, its row next to
+    the center, the center, the second arm's row next to the center and
+    its leaf; the four couplings join them in that order.  Each entry has
+    the bits of the same entry of the block written out, and the rows
+    between an arm's leaf and its row next to the center are a run of
+    diagonal 0 coupled by 1/2.  ``w_minus`` and ``w_plus`` are numbers for
+    one shape or arrays over the lanes of ``shapes``.
+    """
+    w = np.empty((4, *np.shape(w_minus)))
+    w[1], w[2] = w_minus, w_plus
+    # a bool, or an array of them, times 1/2
+    w[0], w[3] = 0.5 * (shapes.m1 > 1), 0.5 * (shapes.m2 > 1)
+    return central_tridiagonal(_Shapes(2, shapes.n1, shapes.m2, shapes.n2), w)
+
+
+class SkeletonBlocks:
+    """The three stratified blocks of the orbit weights of one shape whose
+    interior orbits all weigh 1/2 and whose boundary orbits weigh
+    ``w_minus_1`` and ``w_plus_1``, as at an optimum, counted in O(1) of
+    the branch lengths.
+
+    Each block is a ``_RunCount`` built from ``skeleton_rows``: the arms'
+    interiors are runs, so a count costs a few steps whatever ``m1`` and
+    ``m2``, and no array of their length is made.  The counts are those of
+    the blocks written out (``build_blocks``), bit for bit: the rows and
+    runs are the same.  ``count_below`` serves the optimum's self-check,
+    ``report`` its spectral report and the certificate's feasibility.
+    Requires ``n1, n2 >= 2``.
+    """
+
+    def __init__(self, params: TfsParams, w_minus_1: float, w_plus_1: float):
+        self.params, self.w_minus_1, self.w_plus_1 = params, w_minus_1, w_plus_1
+        diagonal, off = skeleton_rows(params, w_minus_1, w_plus_1)
+        self.diagonal, self.off = diagonal.tolist(), off.tolist()
+        d, b = self.diagonal, [abs(value) for value in self.off]
+        m1, m2 = params.m1, params.m2
+        interior1 = [(0.0, 0.5, m1 - 2)] if m1 > 2 else []
+        interior2 = [(0.0, 0.5, m2 - 2)] if m2 > 2 else []
+        # each arm block from its row 0: the first from its leaf, the
+        # second from its row next to the center
+        minus = [(d[0], 0.0, 1), *interior1, (d[1], b[0], 1)] if m1 > 1 else [
+            (d[1], 0.0, 1)
+        ]
+        plus = [(d[3], 0.0, 1), *interior2, (d[4], b[3], 1)] if m2 > 1 else [
+            (d[3], 0.0, 1)
+        ]
+        # the center first: its rows hold every entry, and so its refusal
+        # of a non-finite one comes before an arm's refusal of a large one
+        self.center = _RunCount(minus + [(d[2], b[1], 1), (d[3], b[2], 1)] + plus[1:])
+        self.minus, self.plus = _RunCount(minus), _RunCount(plus)
+        self._reads: dict[float, tuple[float, float]] = {}
+
+    def count_below(self, shifts: Iterable[float]) -> np.ndarray:
+        """Eigenvalues below each shift of the central block and of both
+        arm blocks together, one row ``[center, arms]`` per shift."""
+        return np.array([
+            [self.center.below(x), self.minus.below(x) + self.plus.below(x)]
+            for x in shifts
+        ])
+
+    def _extremes(self, s: float) -> tuple[float, float]:
+        # the center's lowest eigenvalue and the arms' top, kept
+        if s not in self._reads:
+            arms = (self.minus, self.plus)
+            self._reads[s] = (
+                self.center.read(0, -s),
+                max(arm.read(arm.size - 1, s) for arm in arms),
+            )
+        return self._reads[s]
+
+    def report(self, s: float) -> SpectralReport:
+        """``lambda2`` and ``lambda_min`` where an optimum's slackness
+        conditions put them, at ``s`` and ``-s``: the center's lowest
+        eigenvalue reads ``-s`` (``z1`` of the certificate) and each arm's
+        top ``s`` (``z2``), each by the two counts eight ulps either side of
+        its claim, and by bisection on the skeleton's count only where
+        those fail (``_RunCount.read``).  The arm blocks together are the
+        central block without its center row, so by Cauchy's interlacing
+        the center's second-highest eigenvalue is at most their top, and
+        each arm's lowest at least the center's: ``lambda2`` is the arms'
+        top and ``lambda_min`` the center's lowest.
+        """
+        lowest, arms_top = self._extremes(s)
+        return SpectralReport(lambda2=arms_top, lambda_min=lowest)
+
+    def arms_top(self, s: float) -> float:
+        """The arm blocks' highest eigenvalue, read at ``s`` as ``report``
+        reads it, and kept with it."""
+        return self._extremes(s)[1]
 
 def full_spectrum(entries: np.ndarray) -> SpectralReport:
     """``lambda2`` and ``lambda_min`` of an assembled matrix from its dense

@@ -32,7 +32,7 @@ from fusedstar.reference import (
     stratification_basis,
 )
 from fusedstar.simulation import convergence_factor_estimate, random_initial_state
-from fusedstar.spectral import build_blocks, full_spectrum
+from fusedstar.spectral import SkeletonBlocks, build_blocks, full_spectrum
 from fusedstar.topology import TfsParams
 from fusedstar.weighting import (
     OrbitWeights,
@@ -216,7 +216,7 @@ def test_criterion_4_certificate_suite():
     for params in [(2, 2, 2, 2), (3, 4, 4, 3), (10, 20, 20, 10)]:
         sol = optimal_weights(TfsParams(*params))
         cert = build_dual_certificate(sol)
-        res = verify_certificate(cert, sol.weights)
+        res = verify_certificate(cert, sol.skeleton)
         checks = [
             (res.slackness_center <= 1e-8, "slackness_center", res.slackness_center),
             (res.slackness_arms <= 1e-8, "slackness_arms", res.slackness_arms),
@@ -236,11 +236,8 @@ def test_criterion_4_certificate_suite():
             f"{params} {name} = {value:.3g}" for good, name, value in checks if not good
         )
         # suboptimality detection
-        shifted = {label: sol.weights[label] for label in sol.params.orbit_labels}
-        shifted[-1] += 0.01
-        perturbed = verify_certificate(
-            cert, OrbitWeights.from_labels(sol.params, shifted)
-        )
+        shifted = SkeletonBlocks(sol.params, sol.w_minus_1 + 0.01, sol.w_plus_1)
+        perturbed = verify_certificate(cert, shifted)
         worst = max(
             perturbed.slackness_center,
             perturbed.slackness_arms,

@@ -1,4 +1,11 @@
-"""Dual certificate construction and residual verification."""
+"""Dual certificate construction and residual verification.
+
+The product's certificate is closed-form (``fusedstar.certificate``); the
+tests of the vectors themselves, and of weights whose interior orbits are
+not all 1/2, run on the O(m) certificate that ``fusedstar.reference``
+writes out, the product's oracle (``tests/test_closed_certificate.py``
+holds the two to each other).
+"""
 
 import dataclasses
 import math
@@ -7,15 +14,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fusedstar.certificate import (
-    DualCertificate,
-    build_dual_certificate,
-    verify_certificate,
-    _recurrence_residual,
-)
+from fusedstar.certificate import build_dual_certificate, verify_certificate
 from fusedstar.optimizer import _char_values, optimal_weights
-from fusedstar.reference import alpha_vectors, stencil_gram_matrices
-from fusedstar.spectral import build_blocks, perron_vector
+from fusedstar.reference import (
+    _recurrence_residual,
+    alpha_vectors,
+    build_vector_certificate,
+    stencil_gram_matrices,
+    verify_vector_certificate,
+)
+from fusedstar.spectral import SkeletonBlocks, build_blocks, perron_vector
 from fusedstar.topology import TfsParams
 from fusedstar.weighting import OrbitWeights
 
@@ -102,7 +110,7 @@ def test_alpha_norms():
 def test_certificate_residuals_at_optimum(params):
     sol = optimal_weights(TfsParams(*params))
     cert = build_dual_certificate(sol)
-    res = verify_certificate(cert, sol.weights)
+    res = verify_certificate(cert, sol.skeleton)
     assert res.slackness_center <= 1e-8
     assert res.slackness_arms <= 1e-8
     assert res.perron_orthogonality <= 1e-8
@@ -119,7 +127,7 @@ def test_certificate_residuals_at_optimum(params):
 
 def test_certificate_norm_split():
     sol = optimal_weights(TfsParams(3, 4, 4, 3))
-    cert = build_dual_certificate(sol)
+    cert = build_vector_certificate(sol)
     s = sol.s
     assert float(cert.z1 @ cert.z1) == pytest.approx((1 - s) / 2, abs=1e-12)
     assert float(cert.z2 @ cert.z2) == pytest.approx((1 + s) / 2, abs=1e-12)
@@ -131,7 +139,7 @@ def test_certificate_z_expansion():
     for params in [(2, 3, 3, 2), (1, 3, 3, 2), (2, 3, 1, 2), (1, 2, 1, 2)]:
         p = TfsParams(*params)
         sol = optimal_weights(p)
-        cert = build_dual_certificate(sol)
+        cert = build_vector_certificate(sol)
         alpha, alpha_prime = alpha_vectors(p)
         z1 = sum(c * alpha[i] for c, i in zip(cert.coeffs, p.orbit_labels))
         z2 = sum(
@@ -158,16 +166,15 @@ def test_chain_ratios_are_reciprocal_at_optimum():
 
 def test_mirror_symmetric_chain():
     sol = optimal_weights(TfsParams(3, 4, 3, 4))
-    cert = build_dual_certificate(sol)
+    cert = build_vector_certificate(sol)
     assert abs(cert.coeffs[-1]) == pytest.approx(abs(cert.coeffs[0]), rel=1e-9)
 
 
 def test_perturbed_weights_fail_verification():
     sol = optimal_weights(TfsParams(3, 4, 4, 3))
     cert = build_dual_certificate(sol)
-    shifted = {label: sol.weights[label] for label in sol.params.orbit_labels}
-    shifted[-1] += 0.01
-    res = verify_certificate(cert, OrbitWeights.from_labels(sol.params, shifted))
+    shifted = SkeletonBlocks(sol.params, sol.w_minus_1 + 0.01, sol.w_plus_1)
+    res = verify_certificate(cert, shifted)
     worst = max(
         res.slackness_center,
         res.slackness_arms,
@@ -181,7 +188,7 @@ def test_perturbed_weights_fail_verification():
 
 def test_residual_report_dict():
     sol = optimal_weights(TfsParams(2, 2, 2, 2))
-    res = verify_certificate(build_dual_certificate(sol), sol.weights)
+    res = verify_certificate(build_dual_certificate(sol), sol.skeleton)
     d = res.as_dict()
     assert set(d) == {
         "slackness_center",
@@ -201,7 +208,9 @@ def test_residual_report_dict():
 
 def test_certificate_immutability():
     sol = optimal_weights(TfsParams(2, 2, 2, 2))
-    cert = build_dual_certificate(sol)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        build_dual_certificate(sol).t1 = 0.0
+    cert = build_vector_certificate(sol)
     with pytest.raises(ValueError):
         cert.coeffs[-1] = 0.0
     with pytest.raises(ValueError):
@@ -263,9 +272,9 @@ def dense_feasibility_residuals(cert, weights):
 @pytest.mark.parametrize("params", ORACLE_SHAPES)
 def test_feasibility_and_slackness_match_dense_matrices(params):
     sol = optimal_weights(TfsParams(*params))
-    cert = build_dual_certificate(sol)
+    cert = build_vector_certificate(sol)
     for index, weights in enumerate(oracle_weightings(sol, sum(params))):
-        res = verify_certificate(cert, weights)
+        res = verify_vector_certificate(cert, weights)
         dense = dense_feasibility_residuals(cert, weights)
         assert res.feasibility_min_eig == pytest.approx(
             dense["feasibility_min_eig"], rel=4 * np.finfo(float).eps, abs=1e-12
@@ -318,8 +327,8 @@ def loop_trace_mismatch(cert):
 def test_recurrence_and_trace_match_stencil_loops(params):
     p = TfsParams(*params)
     sol = optimal_weights(p)
-    cert = build_dual_certificate(sol)
-    assert verify_certificate(cert, sol.weights).trace_mismatch == (
+    cert = build_vector_certificate(sol)
+    assert verify_vector_certificate(cert, sol.weights).trace_mismatch == (
         pytest.approx(loop_trace_mismatch(cert), rel=1e-12, abs=1e-16)
     )
     for weights in oracle_weightings(sol, sum(params)):
@@ -338,7 +347,7 @@ def test_certificate_at_long_arms_runs_in_small_memory():
     tracemalloc.start()
     try:
         sol = optimal_weights(TfsParams(3000, 5, 3000, 7))
-        res = verify_certificate(build_dual_certificate(sol), sol.weights)
+        res = verify_vector_certificate(build_vector_certificate(sol), sol.weights)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -361,8 +370,9 @@ def test_certificate_memory_in_orbit_vectors():
     p = TfsParams(10**5, 3, 10**5, 4)
     sol = optimal_weights(p)
     vector = 8 * (p.m1 + p.m2)
-    cert, build_peak = traced_peak(lambda: build_dual_certificate(sol))
-    res, verify_peak = traced_peak(lambda: verify_certificate(cert, sol.weights))
+    weights = sol.weights
+    cert, build_peak = traced_peak(lambda: build_vector_certificate(sol))
+    res, verify_peak = traced_peak(lambda: verify_vector_certificate(cert, weights))
     assert res.passes()
     assert build_peak <= 8 * vector, build_peak / vector
     assert verify_peak <= 8 * vector, verify_peak / vector

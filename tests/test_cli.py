@@ -1091,15 +1091,16 @@ def test_simulate_sets_up_in_one_state_vector():
 @pytest.mark.parametrize(
     "argv",
     [
+        # solve writes 10**9 weights, compare writes Metropolis's out
         [command, "--m1", str(10**9), "--n1", "2", "--m2", "2", "--n2", "2"]
-        for command in ("solve", "compare", "verify")
+        for command in ("solve", "compare")
     ]
     # a 10**10-cell grid: 74.5 GiB of branch lengths
     + [["sweep", "custom", "--n1", "2", "--n2", "3",
         "--m1-max", "100000", "--m2-max", "100000"]]
     # 7.5e9 shapes: the grid's first array of them takes 55.9 GiB
     + [["sweep", "fig2", "--mbar-max", "100000"]],
-    ids=["solve", "compare", "verify", "sweep", "fig2"],
+    ids=["solve", "compare", "sweep", "fig2"],
 )
 def test_unallocatable_requests_report_a_typed_error(argv):
     code, out, err = run_cli_process(argv, preexec_fn=_cap_address_space)
@@ -1108,6 +1109,20 @@ def test_unallocatable_requests_report_a_typed_error(argv):
     assert len(err.splitlines()) == 1
     assert err.startswith("error: Unable to allocate ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("m1", [10**8, 10**9], ids=["1e8", "1e9"])
+def test_verify_at_long_arms_runs_in_bounded_memory(m1):
+    # the certificate is closed-form, so verify at 10**9 rows, which once
+    # ran out of memory, runs under the same cap and ends with a report;
+    # its gap is below eps, where s prints as 1.0 (ROADMAP item 12)
+    argv = ["verify", "--m1", str(m1), "--n1", "2", "--m2", "2", "--n2", "2"]
+    code, out, err = run_cli_process(argv, preexec_fn=_cap_address_space)
+    assert code in (0, 1)
+    assert err == ""
+    report = json.loads(out)
+    assert report["passes"] is (code == 0)
+    assert report["params"]["m1"] == m1
 
 
 def test_a_memory_error_without_a_message_reports_a_reason(capsys, monkeypatch):
@@ -1300,7 +1315,14 @@ MOVED_TO_REFERENCE = {
         "nodes", "edges", "strata",
     ],
     "topology.TfsParams": ["stratum_labels"],
-    "certificate": ["alpha_vectors", "stencil_gram_matrices"],
+    "certificate": [
+        "alpha_vectors", "stencil_gram_matrices", "_center_stencils", "_combine",
+        "_inner_products", "_chain", "_recurrence_residual",
+        "_proportionality_residual", "_trace_mismatch", "_dot", "_max_abs", "_norm",
+    ],
+    "certificate.DualCertificate": [
+        "sines", "coeffs", "coeffs_prime", "coeffs_hat", "coeffs_hat_prime",
+    ],
     "spectral": [
         "stratification_basis", "block_structure", "interlacing_check",
         "block_spectrum",
@@ -1316,7 +1338,10 @@ MOVED_TO_REFERENCE = {
 RENAMED_IN_REFERENCE = {"spectrum": "tridiagonal_spectrum"}
 # the reference class that holds what moved from a product class, where
 # the names did not move to the module itself
-REFERENCE_CLASS = {"spectral.SpectralReport": "BlockSpectrumReport"}
+REFERENCE_CLASS = {
+    "spectral.SpectralReport": "BlockSpectrumReport",
+    "certificate.DualCertificate": "VectorCertificate",
+}
 
 
 def holds(obj, name):

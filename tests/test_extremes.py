@@ -28,7 +28,7 @@ def log_uniform(low, high):
 
 def certified(params):
     sol = optimal_weights(params)
-    res = verify_certificate(build_dual_certificate(sol), sol.weights)
+    res = verify_certificate(build_dual_certificate(sol), sol.skeleton)
     return sol, res
 
 
@@ -56,17 +56,17 @@ def test_random_shapes_certify_or_raise_typed_error(m1, n1, m2, n2):
 
 # shapes whose certificate cancelled at small theta*, and one whose
 # boundary weight did
-@pytest.mark.parametrize(
-    "params",
-    [
-        (1, 10**12, 1, 2),
-        (10**5, 2, 1, 2),
-        (1, 10**18, 2, 10**18),
-        (2646, 257245, 1, 964),
-        (199, 2196315, 1, 9),
-        (2, 10**300, 2, 2),
-    ],
-)
+NAMED_SHAPES = [
+    (1, 10**12, 1, 2),
+    (10**5, 2, 1, 2),
+    (1, 10**18, 2, 10**18),
+    (2646, 257245, 1, 964),
+    (199, 2196315, 1, 9),
+    (2, 10**300, 2, 2),
+]
+
+
+@pytest.mark.parametrize("params", NAMED_SHAPES)
 def test_named_extreme_shapes_certify(params):
     _, res = certified(TfsParams(*params))
     assert res.passes(), res.as_dict()

@@ -17,6 +17,7 @@ from fusedstar.optimizer import (
     SelfCheckError,
     _Shapes,
     _batch_shapes,
+    _self_check_shifts,
     _skeleton_proves_slem,
     optimal_weights,
     optimal_weights_batch,
@@ -35,8 +36,10 @@ from fusedstar.spectral import (
     Tridiagonal,
     block_extremes,
     build_blocks,
+    count_central_below,
     count_eigenvalues_below,
     full_spectrum,
+    skeleton_rows,
 )
 from fusedstar.topology import InvalidParameterError, TfsParams
 from fusedstar.weighting import OrbitWeights, assemble_weight_matrix
@@ -449,8 +452,7 @@ def test_single_solve_takes_the_bisection_bits(name):
     for shape in SCALAR_SHAPES[name]:
         params = TfsParams(*map(int, shape))
         theta = optimizer._theta_star(params)
-        w = optimizer._weights_at(params, theta).values
-        lanes.append((theta, float(np.cos(theta)), w[params.m1 - 1], w[params.m1]))
+        lanes.append((theta, float(np.cos(theta)), *optimizer._boundary_pair(params, theta)))
     for field, lane_bits, expected in zip(
         ("theta_star", "s", "w_minus_1", "w_plus_1"), bits(lanes).T, bisection_bits(name)
     ):
@@ -792,8 +794,9 @@ def test_batch_broadcasts_and_is_read_only():
 @pytest.mark.parametrize("shift", [0.0, 1e-12, -1e-12, 1e-6, -1e-6, 1e-3, -1e-3])
 def test_inertia_check_agrees_with_computed_extremes(shift):
     # the self-check's counts, one count for both routes, accept exactly
-    # where block_extremes puts the SLEM within 1e-9 of s, at the optimum
-    # and with w_-1 moved off it
+    # where block_extremes puts both ends of the spectrum within 1e-9 of
+    # where the slackness conditions put them, lambda2 at s and lambda_min
+    # at -s, at the optimum and with w_-1 moved off it
     shapes = [
         (m1, n1, m2, n2)
         for n1 in (2, 3, 22)
@@ -812,10 +815,12 @@ def test_inertia_check_agrees_with_computed_extremes(shift):
         p = TfsParams(*shape)
         w = {label: 0.5 for label in p.orbit_labels}
         w[-1], w[1] = wm, wp
-        blocks = build_blocks(p, OrbitWeights.from_labels(p, w))
-        expected.append(abs(block_extremes(blocks).slem - s) <= 1e-9)
+        report = block_extremes(build_blocks(p, OrbitWeights.from_labels(p, w)))
+        expected.append(
+            abs(report.lambda2 - s) <= 1e-9 and abs(report.lambda_min + s) <= 1e-9
+        )
     assert accepted.tolist() == expected
-    if shift in (0.0, -1e-12):
+    if shift == 0.0:
         assert all(expected)
     if abs(shift) >= 1e-6:
         assert sum(expected) <= 1
@@ -849,8 +854,10 @@ def test_count_below_survives_a_zero_pivot():
 def test_inertia_check_locates_the_slem_of_any_weights():
     # with arbitrary boundary weights the SLEM comes from the top of an arm
     # block or the bottom of the spectrum (the central block's second
-    # eigenvalue interlaces below the arms' top); the self-check's counts
-    # must accept s at the computed SLEM and reject it 2e-9 to either side
+    # eigenvalue interlaces below the arms' top), and the other end lies
+    # elsewhere.  The counts locate the SLEM's end at s and reject it 2e-9
+    # to either side, and the self-check, which proves an optimum's two
+    # ends at s and -s, rejects every one of these weights
     rng = np.random.default_rng(3)
     shapes = [
         (int(rng.integers(1, 8)), int(rng.integers(2, 30)),
@@ -858,20 +865,31 @@ def test_inertia_check_locates_the_slem_of_any_weights():
         for _ in range(150)
     ]
     w_minus, w_plus = rng.uniform(0.01, 0.3, (2, len(shapes)))
-    slem, sources = [], set()
+    slem, at_top = [], []
     for shape, wm, wp in zip(shapes, w_minus, w_plus):
         p = TfsParams(*shape)
         w = {label: 0.5 for label in p.orbit_labels}
         w[-1], w[1] = wm, wp
         report = block_extremes(build_blocks(p, OrbitWeights.from_labels(p, w)))
         slem.append(report.slem)
-        sources.add("lowest" if report.slem == -report.lambda_min else "top")
-    assert sources == {"lowest", "top"}
-    cells = list(np.array(shapes).T)
-    for offset, accept in ((0.0, True), (2e-9, False), (-2e-9, False)):
+        at_top.append(report.slem != -report.lambda_min)
+    assert set(at_top) == {True, False}
+    lanes = _batch_shapes(list(np.array(shapes).T))
+    top = lanes.m1 + lanes.m2
+    for offset in (0.0, 2e-9, -2e-9):
         s = np.array(slem) + offset
-        checked = _skeleton_proves_slem(_batch_shapes(cells), s, w_minus, w_plus)
-        assert checked.tolist() == [accept] * len(shapes), offset
+        below = count_central_below(
+            *skeleton_rows(lanes, w_minus, w_plus),
+            np.stack([lanes.m1, lanes.m2]),
+            _self_check_shifts(s),
+        )
+        bounded = (below[0] == 0).all(axis=0) & (below[3] >= top).all(axis=0)
+        near_top = (below[2] < top).any(axis=0)
+        near_bottom = (below[1] > 0).any(axis=0)
+        located = bounded & np.where(at_top, near_top, near_bottom)
+        assert located.tolist() == [offset == 0.0] * len(shapes), offset
+        checked = _skeleton_proves_slem(lanes, s, w_minus, w_plus)
+        assert not checked.any(), offset
 
 
 def test_no_optimum_computes_an_eigenvalue(monkeypatch, capsys):

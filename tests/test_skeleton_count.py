@@ -12,9 +12,10 @@ one, two and three rows, runs shorter and longer than
 ``spectral._MIN_RUN``, shifts exactly at an entry of the blocks and at
 the edges of the interior run's band, ``w_-1`` moved off the optimum,
 random boundary and interior weights and shifts relative to the gap
-``1 - s``.  A single solve counts its blocks themselves with
-``Tridiagonal.count_below`` instead, and must reach the skeleton's
-verdict on the same sample and on the extreme shapes.
+``1 - s``.  A single solve counts the same skeleton rows with scalar run
+counts (``SkeletonBlocks``), and its counts must equal the counts of the
+blocks written out, ``Tridiagonal.count_below`` on ``build_blocks``, and
+reach the batch's verdict, on the same sample and on the extreme shapes.
 """
 
 import math
@@ -31,13 +32,15 @@ from fusedstar.optimizer import (
     _self_checked,
     _Shapes,
     _skeleton_proves_slem,
-    _skeleton_rows,
     optimal_weights,
 )
 from fusedstar.spectral import (
+    SkeletonBlocks,
+    build_blocks,
     central_tridiagonal,
     count_central_below,
     count_eigenvalues_below,
+    skeleton_rows,
 )
 from fusedstar.topology import TfsParams
 from fusedstar.weighting import OrbitWeights
@@ -92,8 +95,8 @@ def kahan_counts(params, w_minus, w_plus, x):
 @given(networks, moves, st.integers(0, 2**32 - 1))
 def test_skeleton_counts_equal_kahan_counts(params, move, seed):
     optimum = optimal_weights(params)
-    s, w = optimum.s, optimum.weights
-    w_minus, w_plus = w[-1] * move, w[1]
+    s = optimum.s
+    w_minus, w_plus = optimum.w_minus_1 * move, optimum.w_plus_1
     gap = 1.0 - s
     x = np.concatenate([
         _self_check_shifts(s),  # the verdict's four shifts come first
@@ -103,7 +106,7 @@ def test_skeleton_counts_equal_kahan_counts(params, move, seed):
     ])
     fields = (params.m1, params.n1, params.m2, params.n2)
     lane = _Shapes(*(np.asarray([v], dtype=float) for v in fields))
-    rows = _skeleton_rows(lane, np.array([w_minus]), np.array([w_plus]))
+    rows = skeleton_rows(lane, np.array([w_minus]), np.array([w_plus]))
     m = np.array([[params.m1], [params.m2]], dtype=float)
     counts = count_central_below(*rows, m, x[:, None])[..., 0]
     reference, scale = kahan_counts(params, w_minus, w_plus, x)
@@ -118,20 +121,37 @@ def test_skeleton_counts_equal_kahan_counts(params, move, seed):
     ), (params, move)
 
 
-def assert_scalar_verdict_is_the_skeletons(params, move):
-    """``_self_checked``, which counts the blocks of the weights, accepts
-    the optimum with ``w_-1`` times ``move`` exactly when
-    ``_skeleton_proves_slem`` does."""
-    optimum, m1 = optimal_weights(params), params.m1
-    w = optimum.weights.values.copy()
-    w[m1 - 1] *= move
-    fields = (m1, params.n1, params.m2, params.n2)
+def block_counts(params, w_minus, w_plus, shifts):
+    """The self-check's counts as a single solve made them on the blocks
+    written out: ``Tridiagonal.count_below`` of the central block and of
+    both arm blocks together, one row per shift."""
+    w = np.full(params.m1 + params.m2, 0.5)
+    w[params.m1 - 1], w[params.m1] = w_minus, w_plus
+    blocks = build_blocks(params, OrbitWeights(params, w))
+    return np.array([
+        blocks.center.count_below(shifts),
+        blocks.minus.count_below(shifts) + blocks.plus.count_below(shifts),
+    ]).T
+
+
+def assert_scalar_counts_are_the_blocks(params, move):
+    """``_self_checked``'s scalar skeleton counts, with ``w_-1`` times
+    ``move``, are the counts of the blocks written out, and it accepts
+    exactly when the batch's ``_skeleton_proves_slem`` does."""
+    optimum = optimal_weights(params)
+    w_minus, w_plus = optimum.w_minus_1 * move, optimum.w_plus_1
+    shifts = _self_check_shifts(optimum.s)
+    counts = SkeletonBlocks(params, w_minus, w_plus).count_below(shifts.tolist())
+    assert np.array_equal(counts, block_counts(params, w_minus, w_plus, shifts)), (
+        params, move
+    )
+    fields = (params.m1, params.n1, params.m2, params.n2)
     lane = _Shapes(*(np.asarray([v], dtype=float) for v in fields))
     skeleton = _skeleton_proves_slem(
-        lane, np.array([optimum.s]), w[m1 - 1 : m1], w[m1 : m1 + 1]
+        lane, np.array([optimum.s]), np.array([w_minus]), np.array([w_plus])
     )[0]
     try:
-        _self_checked(params, optimum.theta_star, OrbitWeights(params, w))
+        _self_checked(params, optimum.theta_star, w_minus, w_plus)
     except SelfCheckError:
         scalar = False
     else:
@@ -142,7 +162,7 @@ def assert_scalar_verdict_is_the_skeletons(params, move):
 @EXAMPLES
 @given(networks, moves)
 def test_scalar_self_check_reaches_the_skeletons_verdict(params, move):
-    assert_scalar_verdict_is_the_skeletons(params, move)
+    assert_scalar_counts_are_the_blocks(params, move)
 
 
 @pytest.mark.parametrize("move", [1.0, 0.0, 1.0 + 1e-6, 1.0 - 1e-6, 0.5, 1.5])
@@ -171,7 +191,7 @@ def test_scalar_self_check_reaches_the_skeletons_verdict(params, move):
 def test_scalar_self_check_reaches_the_skeletons_verdict_on_extreme_shapes(
     shape, move
 ):
-    assert_scalar_verdict_is_the_skeletons(TfsParams(*shape), move)
+    assert_scalar_counts_are_the_blocks(TfsParams(*shape), move)
 
 
 def written_out(diagonal, off, m1, m2):
@@ -233,7 +253,7 @@ def test_run_counts_equal_kahan_counts(lanes, seed):
 
 
 def test_four_orbit_rows_are_the_seven_row_skeletons():
-    # the five rows of _skeleton_rows are, bit for bit, the leaf, the row
+    # the five rows of skeleton_rows are, bit for bit, the leaf, the row
     # next to the center and the center of the skeleton with each arm
     # written in three rows (leaf, one interior row, row next to the
     # center), built by central_tridiagonal on six orbits
@@ -246,7 +266,7 @@ def test_four_orbit_rows_are_the_seven_row_skeletons():
         shapes = _Shapes(m1, n1, m2, n2)
         w_minus, w_plus = rng.uniform(0.0, 1.0, (2, lanes))
         w_minus[rng.random(lanes) < 0.1] = 0.0
-        diagonal, off = _skeleton_rows(shapes, w_minus, w_plus)
+        diagonal, off = skeleton_rows(shapes, w_minus, w_plus)
         interior = np.where(np.stack([m1, m2]) > 1.0, 0.5, 0.0)
         six = [interior[0], interior[0], w_minus, w_plus, interior[1], interior[1]]
         seven, seven_off = central_tridiagonal(shapes._replace(m1=3), np.stack(six))

@@ -7,6 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from fusedstar import spectral
 from fusedstar.optimizer import optimal_weights
 from fusedstar.reference import (
     block_spectrum,
@@ -16,6 +17,7 @@ from fusedstar.reference import (
     tridiagonal_spectrum,
 )
 from fusedstar.spectral import (
+    SkeletonBlocks,
     SpectralReport,
     SpectrumSizeError,
     StratifiedBlocks,
@@ -289,13 +291,21 @@ def seeded_shapes(count, seed):
         yield TfsParams(int(m1), int(n1), int(m2), int(n2))
 
 
-def fresh_report(p, ow, s=None):
+def fresh_report(p, ow):
     # blocks of their own, so that no memo carries values between reports
-    return block_extremes(build_blocks(p, OrbitWeights(p, ow.values)), s)
+    return block_extremes(build_blocks(p, OrbitWeights(p, ow.values)))
 
 
 def report_bits(report):
     return [getattr(report, name) for name in ("lambda2", "lambda_min", "slem")]
+
+
+def written_out(skeleton):
+    """The orbit weights that a ``SkeletonBlocks`` stands for."""
+    p = skeleton.params
+    w = np.full(p.m1 + p.m2, 0.5)
+    w[p.m1 - 1], w[p.m1] = skeleton.w_minus_1, skeleton.w_plus_1
+    return OrbitWeights(p, w)
 
 
 # Metropolis weights on a long arm, whose lowest eigenvalue the arm block
@@ -314,26 +324,28 @@ SMALL_SHAPES = [
 
 @pytest.mark.parametrize("seed", range(3))
 def test_a_wrong_seed_costs_counts_not_accuracy(seed):
+    # the skeleton's report reads +-s on two counts each and searches where
+    # they fail; a wrong claim, or weights moved off the optimum, cost a
+    # search on the skeleton's count, which finds what the blocks written
+    # out give, within the search's two ulps
     shapes = list(seeded_shapes(12, seed)) + NEAR_TIES + SMALL_SHAPES
     optima = [optimal_weights(p) for p in shapes]
     for p, optimum, other in zip(shapes, optima, optima[1:] + optima[:1]):
-        # every weight scaled, which moves each eigenvalue x by
-        # 1e-3 (1 - x): far more than 8 ulps, also where 1 - s ~ 1e-10 and
-        # a move of the boundary weights alone does not move the arms' tops
-        moved = OrbitWeights(p, optimum.weights.values * (1.0 - 1e-3))
-        weightings = [
-            (optimum.weights, other.s),
-            (moved, optimum.s),
-            (metropolis_orbit_weights(p), optimum.s),
-            (max_degree_orbit_weights(p), optimum.s),
-        ]
-        for ow, s in weightings:
-            assert report_bits(fresh_report(p, ow, s)) == report_bits(
-                fresh_report(p, ow)
-            ), (p, s)
-        # at the optimum the seeds stand, within 8 ulps of the search
+        # a relative move of 1e-3 of w_-1 moves both ends far more than 8
+        # ulps
+        moved = SkeletonBlocks(p, optimum.w_minus_1 * (1.0 - 1e-3), optimum.w_plus_1)
+        claims = [(SkeletonBlocks(p, optimum.w_minus_1, optimum.w_plus_1), other.s),
+                  (moved, optimum.s)]
+        for skeleton, s in claims:
+            report = skeleton.report(s)
+            written = fresh_report(p, written_out(skeleton))
+            for name in ("lambda2", "lambda_min"):
+                value = getattr(written, name)
+                gap = abs(getattr(report, name) - value)
+                assert gap <= 8 * math.ulp(max(1.0, abs(value))), (p, s, name)
+        # at the optimum the claims stand, within 8 ulps of the search
         searched = fresh_report(p, optimum.weights)
-        seeded = fresh_report(p, optimum.weights, optimum.s)
+        seeded = optimum.skeleton.report(optimum.s)
         for name in ("lambda2", "lambda_min"):
             gap = abs(getattr(seeded, name) - getattr(searched, name))
             assert gap <= 8 * math.ulp(optimum.s), (p, name)
@@ -344,12 +356,11 @@ def test_a_wrong_seed_costs_counts_not_accuracy(seed):
     ids=str,
 )
 def test_seeds_stand_on_a_dense_route_block(shape, monkeypatch):
-    # a central block of at most 64 rows: the seeds +-s pass the same
-    # counts as on a longer block, and no dense solve is made
+    # a central block of at most 64 rows: the optimum's report on its
+    # skeleton reads +-s on counts alone, with no dense solve or search
     p = TfsParams(*shape)
     optimum = optimal_weights(p)
-    blocks = build_blocks(p, OrbitWeights(p, optimum.weights.values))
-    assert blocks.center.size <= 64
+    assert p.m1 + p.m2 + 1 <= 64
     solved = []
     eigvalsh = np.linalg.eigvalsh
 
@@ -357,8 +368,12 @@ def test_seeds_stand_on_a_dense_route_block(shape, monkeypatch):
         solved.append(matrix.shape)
         return eigvalsh(matrix)
 
+    def refused(self, index, counted):
+        raise AssertionError("an eigenvalue was searched")
+
     monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
-    report = block_extremes(blocks, optimum.s)
+    monkeypatch.setattr(spectral._RunCount, "_search", refused)
+    report = optimum.skeleton.report(optimum.s)
     assert report.lambda2 == optimum.s
     assert report.lambda_min == -optimum.s
     assert solved == []
