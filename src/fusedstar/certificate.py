@@ -249,10 +249,8 @@ class _Rows:
         self.terms: list[float] = []
 
     def add(self, *terms: float) -> None:
-        value = 0.0
-        for term in terms:
-            value += term
-        self.values.append(value)
+        # sum adds left to right from 0, which adds nothing to a float
+        self.values.append(sum(terms))
         self.terms.append(sum(map(abs, terms)))
 
     def norm(self) -> float:
@@ -310,19 +308,13 @@ def _closed_form(
     lengths, counts = (params.m1, params.m2), (params.n1, params.n2)
     # each arm's entries at the two rows at either end, and its chain at
     # the two orbits at either end, each evaluated once
-    ends = [{row for row in (0, 1, m - 2, m - 1) if 0 <= row < m} for m in lengths]
-    z1_at = [{row: certificate.z1(arm, row) for row in rows} for arm, rows in enumerate(ends)]
-    z2_at = [{row: certificate.z2(arm, row) for row in rows} for arm, rows in enumerate(ends)]
+    rows = [{row for row in (0, 1, m - 2, m - 1) if 0 <= row < m} for m in lengths]
+    z1 = [{row: certificate.z1(arm, row) for row in ends} for arm, ends in enumerate(rows)]
+    z2 = [{row: certificate.z2(arm, row) for row in ends} for arm, ends in enumerate(rows)]
     sines = [
         {k: certificate.sine(arm, k) for k in {1, 2, m - 1, m} if 1 <= k <= m}
         for arm, m in enumerate(lengths)
     ]
-
-    def z1(arm: int, row: int) -> float:
-        return z1_at[arm][row]
-
-    def z2(arm: int, row: int) -> float:
-        return z2_at[arm][row]
 
     boundary = (weights.w_minus_1, weights.w_plus_1)
     d, off = weights.diagonal, weights.off
@@ -344,13 +336,13 @@ def _closed_form(
     # v . z1 telescopes: each arm's entries sum to its last -s chain entry
     # over -+sqrt(2) (times t1), and v is sqrt(n) / sqrt(N) on the arm
     norm_v = math.sqrt(params.n_nodes)
-    ends = [
+    sums = [
         _last_entry(params, arm, certificate.ratio, certificate.theta) / _SQRT2 * t1
         for arm in (0, 1)
     ]
-    perron_dot = ((zc - ends[0]) + ends[1]) / norm_v
+    perron_dot = ((zc - sums[0]) + sums[1]) / norm_v
     perron_error = (_TERM_ERROR + summation) * (
-        (abs(zc) + abs(ends[0]) + abs(ends[1])) / norm_v + norm_z1
+        (abs(zc) + abs(sums[0]) + abs(sums[1])) / norm_v + norm_z1
     )
 
     center, arms = _Rows(), _Rows()
@@ -358,20 +350,21 @@ def _closed_form(
         zip(lengths, leaf, adjacent, coupling)
     ):
         v = math.sqrt(counts[arm]) / norm_v
+        arm1, arm2 = z1[arm], z2[arm]
         for row in sorted({0, m - 1}):
             a = a_adjacent if row == m - 1 else a_leaf
-            inward1 = 0.5 * z1(arm, row - 1) if row else 0.0
-            inward2 = 0.5 * z2(arm, row - 1) if row else 0.0
+            inward1 = 0.5 * arm1[row - 1] if row else 0.0
+            inward2 = 0.5 * arm2[row - 1] if row else 0.0
             if row == m - 1:
                 outward1, outward2 = c_center * zc, 0.0
             else:
-                outward1, outward2 = 0.5 * z1(arm, row + 1), 0.5 * z2(arm, row + 1)
-            value1, value2 = z1(arm, row), z2(arm, row)
+                outward1, outward2 = 0.5 * arm1[row + 1], 0.5 * arm2[row + 1]
+            value1, value2 = arm1[row], arm2[row]
             center.add(a * value1, outward1, inward1, s * value1, -perron_dot * v)
             arms.add(s * value2, -a * value2, -outward2, -inward2)
     center.add(
-        d[2] * zc, coupling[0] * z1(0, params.m1 - 1),
-        coupling[1] * z1(1, params.m2 - 1), s * zc, -perron_dot / norm_v,
+        d[2] * zc, coupling[0] * z1[0][params.m1 - 1],
+        coupling[1] * z1[1][params.m2 - 1], s * zc, -perron_dot / norm_v,
     )
     interior_center = abs(perron_dot) + perron_error
     if inner:
@@ -385,27 +378,27 @@ def _closed_form(
     # boundary orbit; the -s system couples the arms' boundary orbits
     # through the center with strength sqrt(n1 n2), the +s system not at
     # all, and its boundary diagonal carries (n + 1) w, the other's w
-    def chain(arm: int, k: int, primed: bool) -> float:
-        sine = sines[arm][k]
-        if primed:
-            return sine * t2
-        return (sine if k % 2 else -sine) * t1
-
+    hatted = [
+        {k: (sine if k % 2 else -sine) * t1 for k, sine in arm.items()} for arm in sines
+    ]
+    primed_chains = [{k: sine * t2 for k, sine in arm.items()} for arm in sines]
     recurrences = []
-    for primed, base, cross in ((False, 1.0 + s, _cross(params)), (True, gap, 0.0)):
+    for primed, base, cross, chain in (
+        (False, 1.0 + s, _cross(params), hatted), (True, gap, 0.0, primed_chains)
+    ):
         orbits = _Rows()
         for arm, (m, n, w_b) in enumerate(zip(lengths, counts, boundary)):
             for k in sorted({1, m}):
                 w = w_b if k == m else 0.5
                 factor = (1.0 if primed else n + 1.0) if k == m else 2.0
-                terms = [(base - factor * w) * chain(arm, k, primed)]
+                terms = [(base - factor * w) * chain[arm][k]]
                 if k > 1:
-                    terms.append(w * chain(arm, k - 1, primed))
+                    terms.append(w * chain[arm][k - 1])
                 if k < m:
-                    terms.append(w * chain(arm, k + 1, primed))
+                    terms.append(w * chain[arm][k + 1])
                 else:
                     other = 1 - arm
-                    terms.append(cross * w * chain(other, lengths[other], primed))
+                    terms.append(cross * w * chain[other][lengths[other]])
                 orbits.add(*terms)
         # an interior orbit's terms are at most twice the largest value
         interior = 2.0 * _TERM_ERROR * largest * (t2 if primed else t1) if inner else 0.0
@@ -419,10 +412,10 @@ def _closed_form(
     for arm, (m, n) in enumerate(zip(lengths, counts)):
         scale = 1.0 / math.sqrt(n + 1.0)
         if arm == 0:
-            dot = -scale * z1(0, m - 1) + math.sqrt(n) * scale * zc
+            dot = -scale * z1[0][m - 1] + math.sqrt(n) * scale * zc
         else:
-            dot = -math.sqrt(n) * scale * zc + scale * z1(1, m - 1)
-        traces.add(dot * dot * (n + 1.0), -z2(arm, m - 1) ** 2)
+            dot = -math.sqrt(n) * scale * zc + scale * z1[1][m - 1]
+        traces.add(dot * dot * (n + 1.0), -z2[arm][m - 1] ** 2)
     # an interior orbit k has (t1 (1 + s) sin(k theta))^2 against (t2 gap
     # sin(k theta))^2, and its stencils read the rows k - 1 and k, where z1
     # grows towards the center and z2 falls
@@ -436,13 +429,13 @@ def _closed_form(
     for arm, m in enumerate(lengths):
         if m > 1:
             interior_trace = max(interior_trace, sines[arm][m - 1] ** 2 * abs(lhs - rhs))
-            reach = (abs(z1(arm, m - 1)) + abs(z1(arm, m - 2))) ** 2
-            reach += (2.0 * abs(z2(arm, 0))) ** 2
+            reach = (abs(z1[arm][m - 1]) + abs(z1[arm][m - 2])) ** 2
+            reach += (2.0 * abs(z2[arm][0])) ** 2
             interior_trace_error = max(interior_trace_error, _TERM_ERROR * reach)
     # the O(m) route's z2 stencil products, each off by twice an entry's
     # error, of at most 2 sqrt(2) |z2| in magnitude
     chain_error = 2.0 * _TERM_ERROR * largest * t2
-    z2_reach = 2.0 * _SQRT2 * max(abs(z2(arm, 0)) for arm in (0, 1))
+    z2_reach = 2.0 * _SQRT2 * max(abs(z2[arm][0]) for arm in (0, 1))
     trace_z2_error = 2.0 * z2_reach * chain_error + chain_error**2
 
     norm1 = (t1 * certificate.norm1) ** 2

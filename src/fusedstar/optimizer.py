@@ -23,18 +23,24 @@ each step one call of the stateless ``_relation`` at one angle a lane,
 with ``_char_values``'s float operations in its order.  The batch takes
 exactly the shapes that ``TfsParams`` takes, so both routes search the
 same domain, and on its bracket the boundary weights' denominator is at
-least ``sin(pi / (4m))`` (``_boundary_weights``).  Every optimum, on
-either route, is self-checked by eigenvalue counts at four shifts
-(``_counts_prove_slem``), never by computed eigenvalues, and the counts
-cost O(1) in the branch lengths.  A single solve counts the blocks that
-``build_blocks`` keeps on its weights, twelve pure-Python counts of
-``Tridiagonal.count_below`` whose blocks its report and certificate
-reuse.  A batch counts each optimum's blocks from five rows of
-``central_tridiagonal`` on four orbits (``_skeleton_rows``), each arm's
-interior taken as the optimum's constant run, in one
-``count_central_below`` call vectorised over a slice.
-The all-roots scan that cross-checks these searches,
-``solve_theta_roots``, lives in ``fusedstar.reference``.
+least ``sin(pi / (4m))`` (``_boundary_weights``).  A single solve's
+climb stops at the float under the bracket's top, as the batch's does.
+
+An optimum is four numbers, theta*, ``s``, the gap ``1 - s`` (taken as
+``2 sin^2(theta*/2)``, free of cancellation) and the two boundary
+weights, and both routes return them without an array of the branch
+lengths.  Every optimum, on either route, is self-checked by eigenvalue
+counts at four shifts (``_counts_prove_slem``), never by computed
+eigenvalues, on the skeleton of its blocks: ``central_tridiagonal`` on
+four orbits (``spectral.skeleton_rows``), each arm's interior taken as
+the optimum's constant run, so the counts cost O(1) in the branch
+lengths.  A single solve makes twelve pure-Python run counts
+(``spectral.SkeletonBlocks``), which its report and certificate reuse;
+a batch makes one ``count_central_below`` call vectorised over a slice.
+``OptimalSolution.weights`` writes the ``m1 + m2`` orbit weights out
+only for a consumer that needs them.  The all-roots scan that
+cross-checks these searches, ``solve_theta_roots``, lives in
+``fusedstar.reference``.
 """
 from __future__ import annotations
 
@@ -220,7 +226,8 @@ def optimal_weights(params: TfsParams) -> OptimalSolution:
     Interior orbits get weight 1/2; the two center-adjacent orbits follow
     from the smallest characteristic root theta*, the bits that bisection
     on ``(0, pi / (2 max(m1, m2))]`` gives, found by ``_theta_star`` in
-    at most nine evaluations (twelve at long unequal arms).  The result
+    at most nine evaluations (twelve at long unequal arms, and up to 35
+    where arms of more than 10^9 rows nearly match).  The result
     is self-checked: eigenvalue counts of its blocks, twelve counts of
     their skeleton (``SkeletonBlocks``), must prove ``s = cos(theta*)`` the
     spectral radius below 1 within 1e-9.  Time and memory are O(1) in the
@@ -477,7 +484,9 @@ def _theta_star(params: TfsParams) -> float:
     bisects the bracket left, which ends on bisection's adjacent floats.
     It takes 4 to 9 evaluations of the relation, and up to 12 at long
     unequal arms, where bisection takes 52 to 55, whatever ``n1`` and
-    ``n2``.
+    ``n2``.  Where arms of more than 10^9 rows nearly match, the root is
+    nearly double and Newton's method slows to halving the distance: 35
+    evaluations at most on a seeded sample up to 2^59, as in the batch.
 
     No point lies above the float under ``hi``, as in the batch.  The
     climb's guarantee holds in exact arithmetic only: past ``m = 2^53``

@@ -13,28 +13,30 @@ or a stack of shapes of one length, and the arm blocks are its leading
 ``m1`` and trailing ``m2`` rows.  ``block_extremes`` finds ``lambda2``
 and ``lambda_min`` from six eigenvalues: the lowest and second-highest of
 the central block, whose top is the consensus eigenvalue 1, and the lowest
-and highest of each arm block; at an optimum ``+-s`` seed them.  A
-``SpectralReport`` holds those two numbers, and its SLEM is derived from
-them.  ``Tridiagonal.eigenvalues`` finds eigenvalues by index, and one
-rule decides every guessed one, a seed or a dense solver's value: it
-stands when two run-compressed Sturm counts 8 ulps either side of it hold
-its index.  A missing eigenvalue comes, in a block of at most
-``_DENSE_ROWS`` rows, from ``np.linalg.eigvalsh`` on its dense form
-(through that rule where it is not accurate enough), and in a larger one
-from bisection on the count.  ``Tridiagonal.count_below`` is that count
-in pure Python; a single solve's self-check is twelve of them.
+and highest of each arm block.  A ``SpectralReport`` holds those two
+numbers, and its SLEM is derived from them.  ``Tridiagonal.eigenvalues``
+finds eigenvalues by index: in a block of at most ``_DENSE_ROWS`` rows
+from ``np.linalg.eigvalsh`` on its dense form, a value not accurate
+enough standing only when two run-compressed Sturm counts 8 ulps either
+side of it hold its index, and otherwise by bisection on the count.
 ``build_blocks`` builds the blocks of one ``OrbitWeights`` once and each
-block keeps the eigenvalues it has found, so one solve does this work
-once.  Every block has equal
-rows except at its leaves, the center and the center's neighbours, and
-along a run of equal rows the pivots of ``T - xI = LDL^T`` are the
-continuants ``beta^k sin(k phi + psi)`` (the characteristic polynomials
-the optimum is derived from), so the count costs O(1) in the branch
-length.  ``count_central_below`` is the same count for a stack of
-optimal central blocks, vectorised over the lanes: it reads each block's
-five weight-dependent rows from ``central_tridiagonal`` on four orbits
-and takes each arm's interior as the optimum's constant run, so the
-optimizer proves every optimum of a batch with one straight-line count.
+block keeps the eigenvalues it has found, so one report does this work
+once.  Every block has equal rows except at its leaves, the center and
+the center's neighbours, and along a run of equal rows the pivots of
+``T - xI = LDL^T`` are the continuants ``beta^k sin(k phi + psi)`` (the
+characteristic polynomials the optimum is derived from), so the count,
+``_RunCount``, costs O(1) in the branch length.  It is built from the
+block's runs, and so needs no array of its rows where they are known:
+``SkeletonBlocks`` counts the blocks of weights whose interior orbits are
+all 1/2, as an optimum's, from their skeleton, ``central_tridiagonal`` on
+four orbits (``skeleton_rows``), in O(1) time and memory in the branch
+lengths.  A single solve's self-check is twelve of its counts, and its
+report reads ``-s`` and ``s`` on two counts each, where the optimum's
+slackness conditions put ``lambda_min`` and ``lambda2``.
+``count_central_below`` is the same count for a stack of optimal central
+blocks, vectorised over the lanes: it reads each block's skeleton rows,
+so the optimizer proves every optimum of a batch with one straight-line
+count.
 ``count_eigenvalues_below`` counts row by row by LDL^T inertia over a
 stack of tridiagonals; it is the reference for both run counts.  At run
 time this module imports ``topology`` alone (``OrbitWeights`` is named
@@ -262,21 +264,24 @@ class _RunCount:
         self.scale = scale = 2.0 ** math.frexp(top)[1]
         # every entry is at most 1 in magnitude now, so ||T|| <= 3 and
         # LAPACK's pivmin, tiny * max(1, max b^2), is tiny
-        rows = [(runs[0][0] / scale, 0.0, 1)]
+        a, _, _ = runs[0]
+        rows = [(a / scale, 0.0, 1)]
+        steps = [(a / scale, 0.0, 0.0, 1)]
+        self.size = 1
         for a, b, length in runs[1:]:
             a, b = a / scale, b / scale
-            if rows[-1][:2] == (a, b) and len(rows) > 1:
-                length += rows.pop()[2]
+            self.size += length
+            if len(rows) > 1 and rows[-1][0] == a and rows[-1][1] == b:
+                # the run before is this one's start: its steps go
+                before = rows.pop()[2]
+                del steps[-(1 if before >= _MIN_RUN else before):]
+                length += before
             rows.append((a, b, length))
-        self.rows = rows
-        self.size = sum(length for *_, length in rows)
-        steps = []
-        for a, b, length in rows:
             if length >= _MIN_RUN:
                 steps.append((a, b * b, b, length))
             else:
                 steps += [(a, b * b, 0.0, 1)] * length
-        self.steps = steps
+        self.rows, self.steps = rows, steps
         # every count made through ``holds`` or ``below``, scaled, which
         # narrows a later search
         self.counted: list[tuple[float, int]] = []

@@ -153,7 +153,7 @@ def metropolis_orbit_weights(params: TfsParams) -> OrbitWeights:
 
 
 def _unit_report(params: TfsParams) -> SpectralReport:
-    """``block_extremes`` of the unit weights, unseeded: the extreme
+    """``block_extremes`` of the unit weights: the extreme
     eigenvalues of ``I - L`` for the graph Laplacian ``L``.  A center of
     so many branches that its diagonal entry ``1 - n1 - n2`` is 2^1023 or
     more in magnitude, or overflows float64, is refused as invalid input

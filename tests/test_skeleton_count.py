@@ -165,6 +165,22 @@ def test_scalar_self_check_reaches_the_skeletons_verdict(params, move):
     assert_scalar_counts_are_the_blocks(params, move)
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 9, 10, 11, 400])
+def test_a_boundary_row_equal_to_the_interior_joins_its_run(m):
+    # boundary weights of 1/2 make the rows next to the center equal to
+    # the interior's (diagonal 0, coupling 1/2): the skeleton's runs join
+    # as the blocks written out find them, and the counts agree
+    params = TfsParams(m, 3, m + 1, 4)
+    shifts = np.linspace(-1.5, 1.5, 41)
+    skeleton = SkeletonBlocks(params, 0.5, 0.5)
+    assert np.array_equal(
+        skeleton.count_below(shifts.tolist()), block_counts(params, 0.5, 0.5, shifts)
+    )
+    written = build_blocks(params, OrbitWeights(params, np.full(2 * m + 1, 0.5)))
+    for block in ("center", "minus", "plus"):
+        assert getattr(skeleton, block).steps == getattr(written, block)._runs.steps
+
+
 @pytest.mark.parametrize("move", [1.0, 0.0, 1.0 + 1e-6, 1.0 - 1e-6, 0.5, 1.5])
 @pytest.mark.parametrize(
     "shape",
