@@ -32,8 +32,8 @@ counts:
 The weights verified are the optimum's skeleton, or one with other
 boundary weights (``verify --perturb``): interior orbits of 1/2.  The
 O(m) construction, with every vector written out, is
-``fusedstar.reference.build_dual_certificate`` and
-``fusedstar.reference.verify_certificate``, the oracle that the closed
+``fusedstar.reference.build_vector_certificate`` and
+``fusedstar.reference.verify_vector_certificate``, the oracle that the closed
 forms are tested against, and the route for any other weights.
 """
 from __future__ import annotations
@@ -271,7 +271,7 @@ def _closed_form(
 ) -> tuple[CertificateResiduals, CertificateResiduals]:
     """The residuals of ``verify_certificate`` and, field by field, a bound
     on their distance from the O(m) evaluation's
-    (``reference.verify_certificate``).
+    (``reference.verify_vector_certificate``).
 
     Rows are counted from each arm's leaf, ``0 .. m - 1``, and orbits
     ``1 .. m``.  An interior row or orbit, whose weights are all 1/2,
@@ -308,9 +308,9 @@ def _closed_form(
     lengths, counts = (params.m1, params.m2), (params.n1, params.n2)
     # each arm's entries at the two rows at either end, and its chain at
     # the two orbits at either end, each evaluated once
-    rows = [{row for row in (0, 1, m - 2, m - 1) if 0 <= row < m} for m in lengths]
-    z1 = [{row: certificate.z1(arm, row) for row in ends} for arm, ends in enumerate(rows)]
-    z2 = [{row: certificate.z2(arm, row) for row in ends} for arm, ends in enumerate(rows)]
+    ends = [{row for row in (0, 1, m - 2, m - 1) if 0 <= row < m} for m in lengths]
+    z1 = [{row: certificate.z1(arm, row) for row in rows} for arm, rows in enumerate(ends)]
+    z2 = [{row: certificate.z2(arm, row) for row in rows} for arm, rows in enumerate(ends)]
     sines = [
         {k: certificate.sine(arm, k) for k in {1, 2, m - 1, m} if 1 <= k <= m}
         for arm, m in enumerate(lengths)
@@ -330,8 +330,8 @@ def _closed_form(
     chain_norm = t2 * math.hypot(*(
         last * math.sqrt(m) for last, m in zip(lasts, lengths)
     ))
-    # the arms with interior rows, between their leaf and boundary rows
-    inner = [arm for arm, m in enumerate(lengths) if m > 2]
+    # whether an arm has interior rows, between its leaf and boundary rows
+    inner = max(lengths) > 2
 
     # v . z1 telescopes: each arm's entries sum to its last -s chain entry
     # over -+sqrt(2) (times t1), and v is sqrt(n) / sqrt(N) on the arm
@@ -441,7 +441,8 @@ def _closed_form(
     norm1 = (t1 * certificate.norm1) ** 2
     norm2 = (t2 * certificate.norm2) ** 2
     norm_error = (_TERM_ERROR + summation) * (norm1 + norm2)
-    lowest, arms_top = weights.report(s).lambda_min, weights.arms_top(s)
+    # the center's lowest eigenvalue and the arms' top
+    report = weights.report(s)
     residuals = CertificateResiduals(
         slackness_center=math.hypot(center.norm(), interior_center),
         slackness_arms=math.hypot(arms.norm(), interior_arms),
@@ -449,7 +450,7 @@ def _closed_form(
         norm_sum_error=abs(norm1 + norm2 - 1.0),
         norm_split_error=abs(norm2 - norm1 - s),
         trace_mismatch=max(traces.largest(), interior_trace + interior_trace_error),
-        feasibility_min_eig=min(s + min(0.0, lowest), s - arms_top),
+        feasibility_min_eig=min(s + min(0.0, report.lambda_min), s - report.lambda2),
         recurrence=recurrences[0][0],
         recurrence_prime=recurrences[1][0],
         proportionality_rel=(1.0 - ratio) * (1.0 + ratio) + _TERM_ERROR,

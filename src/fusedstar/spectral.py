@@ -813,7 +813,7 @@ class SkeletonBlocks:
         # of a non-finite one comes before an arm's refusal of a large one
         self.center = _RunCount(minus + [(d[2], b[1], 1), (d[3], b[2], 1)] + plus[1:])
         self.minus, self.plus = _RunCount(minus), _RunCount(plus)
-        self._reads: dict[float, tuple[float, float]] = {}
+        self._reports: dict[float, SpectralReport] = {}
 
     def count_below(self, shifts: Iterable[float]) -> np.ndarray:
         """Eigenvalues below each shift of the central block and of both
@@ -822,16 +822,6 @@ class SkeletonBlocks:
             [self.center.below(x), self.minus.below(x) + self.plus.below(x)]
             for x in shifts
         ])
-
-    def _extremes(self, s: float) -> tuple[float, float]:
-        # the center's lowest eigenvalue and the arms' top, kept
-        if s not in self._reads:
-            arms = (self.minus, self.plus)
-            self._reads[s] = (
-                self.center.read(0, -s),
-                max(arm.read(arm.size - 1, s) for arm in arms),
-            )
-        return self._reads[s]
 
     def report(self, s: float) -> SpectralReport:
         """``lambda2`` and ``lambda_min`` where an optimum's slackness
@@ -843,15 +833,16 @@ class SkeletonBlocks:
         central block without its center row, so by Cauchy's interlacing
         the center's second-highest eigenvalue is at most their top, and
         each arm's lowest at least the center's: ``lambda2`` is the arms'
-        top and ``lambda_min`` the center's lowest.
+        top and ``lambda_min`` the center's lowest.  Kept by ``s``, so the
+        certificate's feasibility reads the same two.
         """
-        lowest, arms_top = self._extremes(s)
-        return SpectralReport(lambda2=arms_top, lambda_min=lowest)
+        if s not in self._reports:
+            self._reports[s] = SpectralReport(
+                lambda2=max(arm.read(arm.size - 1, s) for arm in (self.minus, self.plus)),
+                lambda_min=self.center.read(0, -s),
+            )
+        return self._reports[s]
 
-    def arms_top(self, s: float) -> float:
-        """The arm blocks' highest eigenvalue, read at ``s`` as ``report``
-        reads it, and kept with it."""
-        return self._extremes(s)[1]
 
 def full_spectrum(entries: np.ndarray) -> SpectralReport:
     """``lambda2`` and ``lambda_min`` of an assembled matrix from its dense

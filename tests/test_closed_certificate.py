@@ -87,8 +87,7 @@ def test_verify_reads_the_skeletons_reports():
     )]
     residuals = verify_certificate(build_dual_certificate(solution), solution.skeleton)
     assert residuals.feasibility_min_eig == min(
-        solution.s + min(0.0, report.lambda_min),
-        solution.s - solution.skeleton.arms_top(solution.s),
+        solution.s + min(0.0, report.lambda_min), solution.s - report.lambda2
     )
     assert counted == [len(block.counted) for block in (
         solution.skeleton.center, solution.skeleton.minus, solution.skeleton.plus
