@@ -99,9 +99,10 @@ def _params_from(args: argparse.Namespace) -> TfsParams:
     return TfsParams(m1=args.m1, n1=args.n1, m2=args.m2, n2=args.n2)
 
 
-def _fixed_scheme_weights(
+def _scheme_weights(
     params: TfsParams, scheme: str, args: argparse.Namespace
 ) -> OrbitWeights:
+    """The orbit weights of a scheme other than the optimum."""
     if scheme == "max-degree":
         convention = _CONVENTIONS[args.max_degree_convention]
         return max_degree_orbit_weights(params, convention)
@@ -110,16 +111,6 @@ def _fixed_scheme_weights(
     if scheme == "best-constant":
         return best_constant_orbit_weights(params)
     raise InvalidParameterError(f"unknown scheme {scheme!r}")
-
-
-def _scheme_weights(
-    params: TfsParams, scheme: str, args: argparse.Namespace
-) -> OrbitWeights:
-    """A scheme's orbit weights written out; the optimum's in O(m) memory,
-    as ``simulate`` needs them."""
-    if scheme == "optimal":
-        return optimal_weights(params).weights
-    return _fixed_scheme_weights(params, scheme, args)
 
 
 def _solve_payload(
@@ -132,12 +123,11 @@ def _solve_payload(
     (``block_extremes``).  The report's ``"weights"`` is an empty
     placeholder for ``cmd_solve`` to fill from ``_weights_json``.
     """
-    solution = None
     if args.scheme == "optimal":
         solution = optimal_weights(params)
         report = solution.skeleton.report(solution.s)
     else:
-        weights = _fixed_scheme_weights(params, args.scheme, args)
+        solution, weights = None, _scheme_weights(params, args.scheme, args)
         report = block_extremes(build_blocks(params, weights))
     payload = {
         "params": {
@@ -353,7 +343,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         raise InvalidParameterError(f"--seed must be >= 0, got {args.seed}")
     check_array_size("the node count", params.n_nodes)
     check_array_size("--steps + 1", args.steps + 1)
-    weights = _scheme_weights(params, args.scheme, args)
+    if args.scheme == "optimal":
+        weights = optimal_weights(params).weights
+    else:
+        weights = _scheme_weights(params, args.scheme, args)
     x0 = random_initial_state(params.n_nodes, args.seed)
     trajectory = stratified_iterate(params, weights, x0, args.steps)
     write_trajectory_csv(trajectory, _STDOUT)

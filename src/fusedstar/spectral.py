@@ -329,15 +329,16 @@ class _RunCount:
     def holds(self, index: int, value: float) -> bool:
         """Whether the counts eight ulps either side of the unscaled
         ``value`` hold ``index``: the rule by which a guessed eigenvalue
-        stands.  Those counts narrow no search of ``eigenvalues``, so a
-        wrong guess costs two counts."""
+        stands.  A wrong guess costs two counts; the search of
+        ``eigenvalues`` does not read them, and that of ``read`` starts
+        from them."""
         ulps = 8.0 * math.ulp(value)
         return self.below(value - ulps) <= index < self.below(value + ulps)
 
     def read(self, index: int, guess: float) -> float:
         """The eigenvalue at ``index``, unscaled: ``guess`` where it
-        ``holds``, else bisection from the narrowest interval that every
-        count kept gives, which is bitwise the value within two ulps."""
+        ``holds``, else bisection to two ulps from the narrowest interval
+        that the counts kept give."""
         if self.holds(index, guess):
             return guess
         return self._search(index, self.counted) * self.scale
