@@ -595,12 +595,15 @@ def test_root_search_evaluations_do_not_grow_with_branch_counts(
     assert count_angles(monkeypatch, shapes) <= bound
 
 
-def scalar_evaluations(monkeypatch, solve, shape):
+def scalar_evaluations(monkeypatch, solve, shape, limit=math.inf):
+    """``solve``'s ``_char_values`` calls at ``shape``; past ``limit`` the
+    search fails instead of running on."""
     calls = []
     evaluate = optimizer._char_values
 
     def counting(params, theta):
         calls.append(None)
+        assert len(calls) <= limit, "the search did not end"
         return evaluate(params, theta)
 
     with monkeypatch.context() as patch:
@@ -643,30 +646,15 @@ def test_single_solve_evaluations_do_not_grow_with_branch_counts(
 PAST_THE_BRACKET = (2**59, 2, 2**59 - 2, 3)
 
 
-def capped_scalar_evaluations(monkeypatch, shape, limit):
-    """``_theta_star`` at ``shape`` and its ``_char_values`` calls; past
-    ``limit`` the search fails instead of running on."""
-    calls = []
-    evaluate = optimizer._char_values
-
-    def counting(params, theta):
-        calls.append(None)
-        assert len(calls) <= limit, "the search did not end"
-        return evaluate(params, theta)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(optimizer, "_char_values", counting)
-        theta = optimizer._theta_star(TfsParams(*shape))
-    return theta, len(calls)
-
-
 def test_single_solve_ends_where_the_predicate_holds_on_the_whole_bracket(
     monkeypatch,
 ):
     # the bound is test_newton_search_stays_within_twice_bisection's
     bound = 2 * bisection_evaluations(PAST_THE_BRACKET)
-    theta, _ = capped_scalar_evaluations(monkeypatch, PAST_THE_BRACKET, bound)
+    search = optimizer._theta_star
+    assert scalar_evaluations(monkeypatch, search, PAST_THE_BRACKET, bound) <= bound
     params = TfsParams(*PAST_THE_BRACKET)
+    theta = search(params)
     assert theta.hex() == full_bracket_bisection(params).hex()
     assert theta == math.pi / (2 * params.m1)
     assert count_angles(monkeypatch, [PAST_THE_BRACKET], limit=bound) <= bound
@@ -685,9 +673,9 @@ def test_both_searches_end_at_lengths_up_to_2_to_the_59(monkeypatch):
     bounds = [2 * bisection_evaluations(shape) for shape in shapes]
     thetas = []
     for shape, bound in zip(shapes, bounds):
-        theta, _ = capped_scalar_evaluations(monkeypatch, shape, bound)
-        thetas.append(theta)
-        assert theta == full_bracket_bisection(TfsParams(*shape)), shape
+        assert scalar_evaluations(monkeypatch, optimizer._theta_star, shape, bound)
+        thetas.append(optimizer._theta_star(TfsParams(*shape)))
+        assert thetas[-1] == full_bracket_bisection(TfsParams(*shape)), shape
     batch = []
 
     def search(lanes):
