@@ -38,9 +38,9 @@ lengths.  A single solve makes twelve pure-Python run counts
 (``spectral.SkeletonBlocks``), which its report and certificate reuse;
 a batch makes one ``count_central_below`` call vectorised over a slice.
 ``OptimalSolution.weights`` writes the ``m1 + m2`` orbit weights out
-only for a consumer that needs them.  The all-roots scan that
-cross-checks these searches, ``solve_theta_roots``, lives in
-``fusedstar.reference``.
+only for a consumer that needs them.  The oracle that the tests hold
+theta* to, a bisection of the same relation in mpmath
+(``mp_theta_star``), lives in ``fusedstar.reference``.
 """
 from __future__ import annotations
 

@@ -5,22 +5,22 @@ The product is what the command line runs: ``topology``, ``weighting``,
 module holds the other ways to reach the same answers, which the tests
 compare against: the node and edge views of a network, the
 stochasticity report of a dense matrix, the full spectrum of the blocks,
-eigenvalues with multiplicities, and the change of basis behind them, the
-all-roots scan of the characteristic relation, the rank-one edge stencils
+eigenvalues with multiplicities, and the change of basis behind them,
+theta* and the boundary weights in mpmath, the rank-one edge stencils
 of the certificate and the certificate with its vectors written out, in
 O(m), and the per-node stencil and the matrix recurrence of the
 iteration.  They take a network as its ``TfsParams`` and a dense
 matrix as a plain array.
 It imports the product modules; no product module imports it, so the CLI
-never loads it.  Only the full-spectrum route, ``tridiagonal_spectrum``,
-needs scipy, and it loads it on first use.
+never loads it.  Importing it needs only numpy: the full-spectrum route,
+``tridiagonal_spectrum``, loads scipy on first use, and the mpmath
+oracle, ``mp_theta_star`` and ``mp_boundary_weight``, loads mpmath.
 """
 from __future__ import annotations
 
 import itertools
 import math
 import sys
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping
@@ -28,13 +28,7 @@ from typing import Callable, Iterable, Iterator, Mapping
 import numpy as np
 
 from .certificate import CertificateResiduals, _chain_ratio
-from .optimizer import (
-    OptimalSolution,
-    _boundary_pair,
-    _char_values,
-    _orbit_weights,
-    _require_two_branches,
-)
+from .optimizer import OptimalSolution
 from .simulation import Trajectory, _no_room
 from .spectral import (
     SpectralReport,
@@ -47,15 +41,14 @@ from .topology import InvalidParameterError, TfsParams, edge_table
 from .weighting import OrbitWeights
 
 __all__ = [
-    "BlockSpectrumReport", "InvalidNodeError", "NoRootsError", "NodeId",
-    "NotAnEdgeError", "PoleProximityError", "RootCountMismatchWarning",
-    "StochasticityReport", "ThetaRoots", "VectorCertificate", "alpha_vectors",
+    "BlockSpectrumReport", "InvalidNodeError", "NodeId", "NotAnEdgeError",
+    "StochasticityReport", "VectorCertificate", "alpha_vectors",
     "block_spectrum", "block_structure", "build_vector_certificate",
-    "canonical_nodes", "char_residual", "degrees",
+    "canonical_nodes", "degrees",
     "distributed_iterate", "distributed_rounds", "edge_orbit", "edges",
     "equivalent_star", "exact_count_below", "interlacing_check", "iterate",
-    "matrix_rounds", "node_index", "nodes", "solve_theta_roots",
-    "stencil_gram_matrices", "strata", "stratification_basis",
+    "matrix_rounds", "mp_boundary_weight", "mp_theta_star", "node_index",
+    "nodes", "stencil_gram_matrices", "strata", "stratification_basis",
     "stratum_labels", "tridiagonal_spectrum", "validate_stochastic",
     "verify_vector_certificate",
 ]
@@ -388,168 +381,54 @@ def exact_count_below(
     return below
 
 
-# -- optimizer: every root of the characteristic relation ---------------------
-class PoleProximityError(ValueError):
-    """Evaluation point too close to a pole of the characteristic relation."""
+# -- optimizer: theta* and the boundary weights in mpmath --------------------
+def mp_theta_star(params: TfsParams):
+    """theta*, the smallest root of the characteristic relation, as an
+    mpmath number at the working precision ``mpmath.mp.dps``.
 
-
-class NoRootsError(RuntimeError):
-    """The characteristic relation has no root on the scanned interval."""
-
-
-class RootCountMismatchWarning(RuntimeWarning):
-    """Number of characteristic roots differs from the spectral reference."""
-
-
-_EXCLUSION = 1e-9  # half-width of the pole exclusion zone, in theta
-# a bracket is a root when its midpoint lies within this distance (theta)
-# of a zero by the Newton step |f| / slope, the slope taken across the
-# bracket; an absolute residual bound would drop roots where f is steep
-_STEP_SPURIOUS = 1e-9
-_ROOT_TOL = 1e-12  # bracket width at which a root's bisection may stop
-_RESIDUAL_POLISH = 1e-11  # keep bisecting below _ROOT_TOL until this is met
-
-
-@dataclass(frozen=True)
-class ThetaRoots:
-    """All roots of the characteristic relation in (0, pi), ascending."""
-
-    roots: np.ndarray
-    residuals: np.ndarray
-
-    def __post_init__(self) -> None:
-        for name in ("roots", "residuals"):
-            arr = np.asarray(getattr(self, name), dtype=float).copy()
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-
-
-def _pole_distance(params: TfsParams, theta: float) -> float:
-    dist = theta  # cot(theta/2) is singular at 0
-    for m in (params.m1, params.m2):
-        nearest = round(theta * m / math.pi) * math.pi / m
-        dist = min(dist, abs(theta - nearest))
-    return dist
-
-
-def _pole_positions(params: TfsParams) -> np.ndarray:
-    """Interior singularities of the characteristic relation, sorted."""
-    poles = [k * math.pi / m for m in (params.m1, params.m2) for k in range(1, m)]
-    return np.unique(np.asarray(poles, dtype=float))
-
-
-def char_residual(params: TfsParams, theta: float) -> float:
-    """Value of the characteristic relation (zero exactly at its roots).
-
-    Raises PoleProximityError within 1e-9 of a singularity.
+    On ``(0, pi / (2 max(m1, m2))]`` each factor of the relation falls
+    from +inf to at least -1, so the relation crosses zero once there.
+    The bracket is halved downward until the relation is positive at its
+    lower end, then bisected to a relative width of ``10^(10 - dps)``.
+    mpmath is loaded on first use.
     """
-    if not 0.0 < theta < math.pi:
-        raise ValueError(f"theta must lie in (0, pi), got {theta}")
-    if _pole_distance(params, theta) < _EXCLUSION:
-        raise PoleProximityError(
-            f"theta = {theta} is within {_EXCLUSION} of a singularity"
+    import mpmath
+
+    def relation(theta):  # optimizer._char_values at the working precision
+        cot_half = mpmath.cot(theta / 2)
+        arm1 = 2 / mpmath.mpf(params.n1) * mpmath.cot(params.m1 * theta) * cot_half - 1
+        arm2 = 2 / mpmath.mpf(params.n2) * mpmath.cot(params.m2 * theta) * cot_half - 1
+        return arm1 * arm2 - 1
+
+    hi = mpmath.pi / (2 * max(params.m1, params.m2))
+    lo = hi / 2
+    while relation(lo) <= 0:
+        lo, hi = lo / 2, lo
+    width = mpmath.mpf(10) ** (10 - mpmath.mp.dps)
+    while hi - lo > lo * width:
+        mid = (lo + hi) / 2
+        if relation(mid) > 0:
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2
+
+
+def mp_boundary_weight(m: int, theta):
+    """The center-adjacent weight of an arm of length ``m`` at the angle
+    ``theta``, ``(1 - cos t) sin(m t) / (sin(m t) - sin((m - 1) t))``, in
+    mpmath at the working precision."""
+    import mpmath
+
+    # the difference form loses about twice the digits of theta; work with
+    # that many more
+    extra = 2 * max(0, -int(mpmath.floor(mpmath.log10(theta))))
+    with mpmath.workdps(mpmath.mp.dps + extra):
+        return (
+            (1 - mpmath.cos(theta))
+            * mpmath.sin(m * theta)
+            / (mpmath.sin(m * theta) - mpmath.sin((m - 1) * theta))
         )
-    return float(_char_values(params, theta))
-
-
-def _grid_roots(
-    f: Callable[[np.ndarray], np.ndarray],
-    n_grid: int,
-    poles: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Bracket sign changes of ``f`` on a uniform grid over (0, pi), bisect.
-
-    Grid points within the exclusion zone of a pole are discarded and
-    brackets that straddle a pole are rejected outright: a pole flips the
-    sign without a root.  Bisection continues past ``_ROOT_TOL`` while the
-    midpoint residual is still improvable, then spurious brackets are
-    dropped by their residual relative to the slope across them.
-    """
-    theta = np.linspace(0.0, math.pi, n_grid + 2)[1:-1]
-    if poles.size:
-        pos = np.searchsorted(poles, theta)
-        left = np.where(pos > 0, theta - poles[np.maximum(pos - 1, 0)], np.inf)
-        right = np.where(
-            pos < poles.size,
-            poles[np.minimum(pos, poles.size - 1)] - theta,
-            np.inf,
-        )
-        theta = theta[np.minimum(left, right) > _EXCLUSION]
-    values = f(theta)
-    finite = np.isfinite(values)
-    theta, values = theta[finite], values[finite]
-    exact = theta[values == 0.0]
-    sign = np.sign(values)
-    flip = sign[:-1] * sign[1:] < 0
-    lo, hi, flo = theta[:-1][flip], theta[1:][flip], values[:-1][flip]
-    if poles.size and lo.size:
-        straddles = np.searchsorted(poles, lo) != np.searchsorted(poles, hi)
-        lo, hi, flo = lo[~straddles], hi[~straddles], flo[~straddles]
-    for _ in range(200):
-        if lo.size == 0:
-            break
-        mid = 0.5 * (lo + hi)
-        fmid = f(mid)
-        go_left = np.sign(fmid) == np.sign(flo)
-        lo = np.where(go_left, mid, lo)
-        flo = np.where(go_left, fmid, flo)
-        hi = np.where(go_left, hi, mid)
-        width = hi - lo
-        floor = 4.0 * np.finfo(float).eps * np.maximum(np.abs(hi), 1.0)
-        done = width <= np.maximum(_ROOT_TOL, floor)
-        settled = (np.abs(fmid) <= _RESIDUAL_POLISH) | (width <= floor)
-        if np.all(done & settled):
-            break
-    roots = np.concatenate([0.5 * (lo + hi), exact])
-    residuals = np.abs(f(roots))
-    slopes = np.concatenate(
-        [np.abs(f(hi) - flo) / (hi - lo), np.full(exact.size, np.inf)]
-    )
-    genuine = residuals <= _STEP_SPURIOUS * slopes
-    roots, residuals = roots[genuine], residuals[genuine]
-    order = np.argsort(roots)
-    roots, residuals = roots[order], residuals[order]
-    if roots.size > 1:
-        distinct = np.concatenate([[True], np.diff(roots) > 1e-10])
-        roots, residuals = roots[distinct], residuals[distinct]
-    return roots, residuals
-
-
-def _cross_check_root_count(params: TfsParams, roots: np.ndarray) -> None:
-    # reference count: central-block eigenvalues strictly below 1 at the
-    # candidate optimum; a scan that missed theta* (at large branch counts
-    # theta* lies below its first grid point) takes a root past theta*'s
-    # bracket for it, where the count mostly disagrees
-    ow = _orbit_weights(params, *_boundary_pair(params, float(roots[0])))
-    below = build_blocks(params, ow).center.count_below(1.0 - 1e-9)
-    if below != roots.size:
-        warnings.warn(
-            f"found {roots.size} characteristic roots for {params} but the "
-            f"central block has {below} eigenvalues below 1",
-            RootCountMismatchWarning,
-            stacklevel=3,
-        )
-
-
-def solve_theta_roots(params: TfsParams) -> ThetaRoots:
-    """All roots of the characteristic relation on (0, pi).
-
-    Scans a uniform grid of max(10^4, 200 * (m1 + m2)) points with
-    pole exclusion, bisects each sign change and cross-checks the root
-    count against the central-block spectrum (mismatch is a warning).
-    Requires n1, n2 >= 2.  The optimum comes from
-    ``optimizer.optimal_weights``, which never calls it.
-    """
-    _require_two_branches(params)
-    roots, residuals = _grid_roots(
-        lambda th: _char_values(params, th),
-        max(10_000, 200 * (params.m1 + params.m2)),
-        _pole_positions(params),
-    )
-    if roots.size == 0:
-        raise NoRootsError(f"no characteristic roots found for {params}")
-    _cross_check_root_count(params, roots)
-    return ThetaRoots(roots=roots, residuals=residuals)
 
 
 def equivalent_star(params: TfsParams) -> tuple[int, Fraction]:
@@ -1001,9 +880,9 @@ def verify_vector_certificate(
     weight perturbation shows up in the slackness and recurrence
     residuals.  Every condition costs O(m1 + m2): both slackness products
     are tridiagonal, and both smallest feasibility eigenvalues follow
-    from extreme eigenvalues of the blocks that ``build_blocks`` keeps on
-    ``weights``.  This is the oracle of ``certificate.verify_certificate``,
-    and the route for weights whose interior orbits are not all 1/2.
+    from extreme eigenvalues of ``build_blocks``' blocks of ``weights``.
+    This is the oracle of ``certificate.verify_certificate``, and the
+    route for weights whose interior orbits are not all 1/2.
     """
     params = certificate.params
     w = weights.values_for(params)

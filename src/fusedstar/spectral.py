@@ -19,9 +19,7 @@ finds eigenvalues by index: in a block of at most ``_DENSE_ROWS`` rows
 from ``np.linalg.eigvalsh`` on its dense form, a value not accurate
 enough standing only when two run-compressed Sturm counts 8 ulps either
 side of it hold its index, and otherwise by bisection on the count.
-``build_blocks`` builds the blocks of one ``OrbitWeights`` once and each
-block keeps the eigenvalues it has found, so one report does this work
-once.  Every block has equal rows except at its leaves, the center and
+Every block has equal rows except at its leaves, the center and
 the center's neighbours, and along a run of equal rows the pivots of
 ``T - xI = LDL^T`` are the continuants ``beta^k sin(k phi + psi)`` (the
 characteristic polynomials the optimum is derived from), so the count,
@@ -146,10 +144,9 @@ class Tridiagonal:
     def eigenvalues(self, indices: Iterable[int]) -> np.ndarray:
         """Ascending eigenvalues at ``indices`` (0-based), as a new array.
 
-        Each eigenvalue is found once per block: what a read finds is kept
-        by index and read back on the next one, and the indices not yet
-        found are found together, by one dense solve or one bisection;
-        found together or one at a time, they are bitwise equal.
+        The distinct indices are found together, by one dense solve or one
+        bisection; a bisected eigenvalue has the same bits found together
+        or alone.
 
         A block of at most ``_DENSE_ROWS`` rows takes
         ``np.linalg.eigvalsh``'s values, accurate to a few ``eps ||T||``:
@@ -160,8 +157,8 @@ class Tridiagonal:
         larger block bisects.
         """
         indices = list(indices)
-        found = self._found
-        missing = [index for index in dict.fromkeys(indices) if index not in found]
+        found: dict[int, float] = {}
+        missing = list(dict.fromkeys(indices))
         near: list[float] = []
         if missing and self.size <= _DENSE_ROWS:
             dense = self.dense()
@@ -187,10 +184,6 @@ class Tridiagonal:
         if missing:
             found.update(zip(missing, self._runs.eigenvalues(missing, near)))
         return np.array([found[index] for index in indices], dtype=float)
-
-    @functools.cached_property
-    def _found(self) -> dict[int, float]:
-        return {}
 
     def count_below(self, shifts: float | np.ndarray) -> int | np.ndarray:
         """Number of eigenvalues below each shift, from the run-compressed
@@ -662,25 +655,18 @@ def build_blocks(params: TfsParams, ow: OrbitWeights) -> StratifiedBlocks:
     The central block comes from ``central_tridiagonal``; the arm blocks
     are its leading ``m1`` and trailing ``m2`` rows, the tridiagonal
     restrictions of the weight matrix to one branch.  Time and memory are
-    O(m1 + m2) on the first call for ``ow``.  The blocks are kept on
-    ``ow`` (its vector is read-only), so every later call, after checking
-    that ``ow`` belongs to ``params``, returns the same blocks, with the
-    counts and eigenvalues they have already found.
+    O(m1 + m2), after checking that ``ow`` belongs to ``params``.
     """
-    w = ow.values_for(params)
-    if ow._blocks is None:
-        diagonal, off = central_tridiagonal(params, w)
-        # read-only, so the three blocks share these two arrays uncopied
-        diagonal.flags.writeable = off.flags.writeable = False
-        m1 = ow.params.m1
-        blocks = StratifiedBlocks(
-            params=ow.params,
-            minus=Tridiagonal(diagonal[:m1], off[: m1 - 1]),
-            center=Tridiagonal(diagonal, off),
-            plus=Tridiagonal(diagonal[m1 + 1 :], off[m1 + 1 :]),
-        )
-        object.__setattr__(ow, "_blocks", blocks)
-    return ow._blocks
+    diagonal, off = central_tridiagonal(params, ow.values_for(params))
+    # read-only, so the three blocks share these two arrays uncopied
+    diagonal.flags.writeable = off.flags.writeable = False
+    m1 = params.m1
+    return StratifiedBlocks(
+        params=params,
+        minus=Tridiagonal(diagonal[:m1], off[: m1 - 1]),
+        center=Tridiagonal(diagonal, off),
+        plus=Tridiagonal(diagonal[m1 + 1 :], off[m1 + 1 :]),
+    )
 
 
 def count_eigenvalues_below(

@@ -8,19 +8,19 @@ entries carry the orbit weight of their edge, diagonals absorb the rest.
 Max-degree and best-constant put one weight ``alpha`` on every edge, so
 their matrix is ``I - alpha L`` for the graph Laplacian ``L``, an affine
 image of the unit weights' ``I - L``: ``_unit_report`` reads the unit
-weights' extreme eigenvalues from their stratified blocks, which
-``spectral`` builds and keeps on the weights, once.  Best-constant's weight
-comes from that report, and ``constant_weight_slems`` gives both schemes'
-SLEMs from it without building their own blocks.  ``spectral`` needs
-nothing from this module at run time.
+weights' extreme eigenvalues from their stratified blocks.
+Best-constant's weight comes from that report, and
+``constant_weight_slems`` gives both schemes' SLEMs from it without
+building their own blocks.  ``spectral`` needs nothing from this module
+at run time.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import SpectralReport, StratifiedBlocks, block_extremes, build_blocks
+from .spectral import SpectralReport, block_extremes, build_blocks
 from .topology import InvalidParameterError, TfsParams, edge_table
 
 
@@ -38,12 +38,6 @@ class OrbitWeights:
 
     params: TfsParams
     values: np.ndarray
-    # the stratified blocks of these weights: ``spectral.build_blocks``
-    # builds them on first use and keeps them here, which is safe because
-    # ``values`` is read-only and ``params`` frozen
-    _blocks: StratifiedBlocks | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self) -> None:
         values = np.array(self.values, dtype=float)

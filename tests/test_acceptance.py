@@ -12,23 +12,22 @@ beside the measured value.
 import itertools
 import math
 import time
-import warnings
 from dataclasses import dataclass
 
+import mpmath
 import numpy as np
 import pytest
 
 from fusedstar.certificate import build_dual_certificate, verify_certificate
 from fusedstar.optimizer import optimal_weights, solve_symmetric_star
 from fusedstar.reference import (
-    RootCountMismatchWarning,
     block_spectrum,
     block_structure,
     distributed_rounds,
     interlacing_check,
     iterate,
     matrix_rounds,
-    solve_theta_roots,
+    mp_theta_star,
     stratification_basis,
 )
 from fusedstar.simulation import convergence_factor_estimate, random_initial_state
@@ -100,8 +99,9 @@ def reference(table: str, params: tuple, column: str, published: float):
 
 def test_criterion_1_spectrum_endpoints():
     # the reference spectrum table at printed precision +- 1 final-digit
-    # unit: column 1 is cos(theta*) from the analytic root route, column 2
-    # the smallest eigenvalue of the optimal matrix from the block route
+    # unit: column 1 is cos(theta*) from the 50-digit root of the
+    # characteristic relation, column 2 the smallest eigenvalue of the
+    # optimal matrix from the block route
     cases = [
         ((3, 4, 4, 3), 0.9545, -0.9445, 1e-4),
         ((10, 20, 20, 10), 0.997739, -0.997739, 1e-6),
@@ -112,11 +112,10 @@ def test_criterion_1_spectrum_endpoints():
     details = []
     for params, published_cos, published_min, tol in cases:
         p = TfsParams(*params)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RootCountMismatchWarning)
-            roots = solve_theta_roots(p)
+        with mpmath.workdps(50):
+            theta_star = float(mp_theta_star(p))
         measured = {
-            "cos_theta_star": math.cos(float(roots.roots[0])),
+            "cos_theta_star": math.cos(theta_star),
             "lambda_min": block_spectrum(
                 build_blocks(p, optimal_weights(p).weights)
             ).lambda_min,
@@ -135,8 +134,8 @@ def test_criterion_1_spectrum_endpoints():
     report(1, "spectrum endpoints vs reference table", ok,
            f"runtime {elapsed:.2f}s; " + "; ".join(details))
     assert ok, (
-        "spectrum table mismatches (column 1 against cos of the smallest "
-        "characteristic root, column 2 against the block-spectrum smallest "
+        "spectrum table mismatches (column 1 against cos of the 50-digit "
+        "smallest characteristic root, column 2 against the block-spectrum smallest "
         "eigenvalue, corrected cells as listed in ERRATA): "
         + "; ".join(failures)
     )

@@ -1302,13 +1302,7 @@ def test_no_cli_path_imports_scipy():
 # what moved from each product module (or from a class in it) into
 # fusedstar.reference, and the name it has there when that differs
 MOVED_TO_REFERENCE = {
-    "optimizer": [
-        "solve_theta_roots", "_grid_roots", "_pole_positions", "_pole_distance",
-        "_cross_check_root_count", "char_residual", "ThetaRoots",
-        "PoleProximityError", "NoRootsError", "RootCountMismatchWarning",
-        "_EXCLUSION", "_STEP_SPURIOUS", "_ROOT_TOL", "_RESIDUAL_POLISH",
-        "equivalent_star",
-    ],
+    "optimizer": ["equivalent_star"],
     "topology": [
         "NodeId", "canonical_nodes", "node_index", "edge_orbit", "degrees",
         "_check_node", "_branch_count", "InvalidNodeError", "NotAnEdgeError",
@@ -1366,7 +1360,8 @@ def test_cli_never_loads_the_reference():
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
         "loaded = [m for m in sys.modules\n"
-        "          if m == 'fusedstar.reference' or m.split('.')[0] == 'scipy']\n"
+        "          if m == 'fusedstar.reference'\n"
+        "          or m.split('.')[0] in ('mpmath', 'scipy')]\n"
         "left = []\n"
         "for owner, names in json.loads(sys.argv[2]).items():\n"
         "    module, *path = owner.split('.')\n"
@@ -1396,10 +1391,21 @@ def test_cli_never_loads_the_reference():
             home = getattr(reference, REFERENCE_CLASS[owner])
         for name in names:
             assert holds(home, RENAMED_IN_REFERENCE.get(name, name)), name
+    # theta*'s mpmath oracle is in the reference too
+    for name in ("mp_theta_star", "mp_boundary_weight"):
+        assert holds(reference, name), name
 
     # a network is its TfsParams and a dense oracle a plain array: the
-    # wrappers that held them are gone from every module of the package
-    gone = {"TfsGraph", "build_topology", "WeightMatrix"}
+    # wrappers that held them are gone from every module of the package,
+    # and so is the grid scan of the characteristic relation, whose job
+    # the optimizer's bisection and the mpmath oracle do
+    gone = {
+        "TfsGraph", "build_topology", "WeightMatrix",
+        "solve_theta_roots", "_grid_roots", "_pole_positions", "_pole_distance",
+        "_cross_check_root_count", "char_residual", "ThetaRoots",
+        "PoleProximityError", "NoRootsError", "RootCountMismatchWarning",
+        "_EXCLUSION", "_STEP_SPURIOUS", "_ROOT_TOL", "_RESIDUAL_POLISH",
+    }
     modules = ["certificate", "cli", "optimizer", "reference", "simulation",
                "spectral", "topology", "weighting"]
     for module in [fusedstar, *(importlib.import_module(f"fusedstar.{m}") for m in modules)]:

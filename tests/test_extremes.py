@@ -1,8 +1,9 @@
 """Extreme network shapes: optimum, certificate and a high-precision oracle.
 
 Every valid shape must return a self-checked optimum whose certificate
-passes, or raise a typed error.  The oracle finds theta* and both
-boundary weights in mpmath, outside numpy and LAPACK.
+passes, or raise a typed error.  The oracle, ``reference.mp_theta_star``
+and ``reference.mp_boundary_weight``, finds theta* and both boundary
+weights in mpmath, outside numpy and LAPACK.
 """
 
 import json
@@ -15,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from fusedstar.certificate import build_dual_certificate, verify_certificate
 from fusedstar.cli import _sig10, main
 from fusedstar.optimizer import SelfCheckError, optimal_weights, optimal_weights_batch
+from fusedstar.reference import mp_boundary_weight, mp_theta_star
 from fusedstar.spectral import block_extremes, build_blocks
 from fusedstar.topology import TfsParams
 from fusedstar.weighting import metropolis_orbit_weights
@@ -70,45 +72,6 @@ NAMED_SHAPES = [
 def test_named_extreme_shapes_certify(params):
     _, res = certified(TfsParams(*params))
     assert res.passes(), res.as_dict()
-
-
-def mp_response(m, n, theta):
-    return 2 / mpmath.mpf(n) * mpmath.cot(m * theta) * mpmath.cot(theta / 2) - 1
-
-
-def mp_char(params, theta):
-    return (
-        mp_response(params.m1, params.n1, theta)
-        * mp_response(params.m2, params.n2, theta)
-        - 1
-    )
-
-
-def mp_theta_star(params):
-    """Smallest root by bisection on (0, pi / (2 max(m1, m2))]."""
-    hi = mpmath.pi / (2 * max(params.m1, params.m2))
-    lo = hi / 2
-    while mp_char(params, lo) <= 0:
-        lo, hi = lo / 2, lo
-    while hi - lo > lo * mpmath.mpf(10) ** (-40):
-        mid = (lo + hi) / 2
-        if mp_char(params, mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    return (lo + hi) / 2
-
-
-def mp_boundary_weight(m, theta):
-    # the difference form loses about twice the digits of theta; work with
-    # that many more
-    extra = 2 * max(0, -int(mpmath.floor(mpmath.log10(theta))))
-    with mpmath.workdps(mpmath.mp.dps + extra):
-        return (
-            (1 - mpmath.cos(theta))
-            * mpmath.sin(m * theta)
-            / (mpmath.sin(m * theta) - mpmath.sin((m - 1) * theta))
-        )
 
 
 def weight_tolerance(m, theta):

@@ -3,10 +3,12 @@
 import argparse
 import functools
 import math
+import random
 import tracemalloc
 import warnings
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -23,15 +25,7 @@ from fusedstar.optimizer import (
     optimal_weights_batch,
     solve_symmetric_star,
 )
-from fusedstar.reference import (
-    NoRootsError,
-    PoleProximityError,
-    RootCountMismatchWarning,
-    block_spectrum,
-    char_residual,
-    equivalent_star,
-    solve_theta_roots,
-)
+from fusedstar.reference import block_spectrum, equivalent_star, mp_theta_star
 from fusedstar.spectral import (
     Tridiagonal,
     block_extremes,
@@ -51,7 +45,6 @@ THETA_343 = 0.30280276095670755
 S_343 = 0.9545044654072468
 WM1_343 = 0.16361147830979006
 WP1_343 = 0.2886837942392352
-ROOTS_343 = [0.302803, 0.457494, 1.016169, 1.365969, 1.837120, 2.259665, 2.702325]
 
 
 def test_char_residual_formula():
@@ -60,31 +53,18 @@ def test_char_residual_formula():
     c1 = 2.0 / p.n1 / math.tan(p.m1 * theta) / math.tan(theta / 2)
     c2 = 2.0 / p.n2 / math.tan(p.m2 * theta) / math.tan(theta / 2)
     expected = (c1 - 1.0) * (c2 - 1.0) - 1.0
-    assert char_residual(p, theta) == pytest.approx(expected, rel=1e-14)
-
-
-def test_char_residual_domain():
-    p = TfsParams(2, 2, 2, 2)
-    with pytest.raises(ValueError):
-        char_residual(p, 0.0)
-    with pytest.raises(ValueError):
-        char_residual(p, math.pi)
-    # sin(m1 theta) vanishes at theta = pi/2 for m1 = 2
-    with pytest.raises(PoleProximityError):
-        char_residual(p, math.pi / 2)
-    with pytest.raises(PoleProximityError):
-        char_residual(p, math.pi / 2 + 1e-10)
+    assert optimizer._char_values(p, theta) == pytest.approx(expected, rel=1e-14)
 
 
 def test_char_residual_at_table_value():
-    assert abs(char_residual(P343, math.acos(0.9545))) <= 1e-3
+    assert abs(optimizer._char_values(P343, math.acos(0.9545))) <= 1e-3
 
 
 def test_char_residual_swap_symmetry():
     p = TfsParams(3, 4, 2, 5)
     for theta in (0.3, 0.9, 1.7, 2.4):
-        assert char_residual(p, theta) == pytest.approx(
-            char_residual(p.swap(), theta), rel=1e-13
+        assert optimizer._char_values(p, theta) == pytest.approx(
+            optimizer._char_values(p.swap(), theta), rel=1e-13
         )
 
 
@@ -109,37 +89,7 @@ def test_equal_arms_reduce_to_star_relation():
             else:
                 hi = mid
         root = 0.5 * (lo + hi)
-        assert abs(char_residual(p, root)) <= 1e-8
-
-
-def test_theta_roots_343():
-    roots = solve_theta_roots(P343)
-    assert len(roots.roots) == 7
-    assert np.allclose(roots.roots, ROOTS_343, atol=1e-5)
-    assert math.cos(roots.roots[0]) == pytest.approx(0.9545, abs=1e-4)
-    assert roots.residuals.max() <= 1e-10
-    assert np.all(np.diff(roots.roots) > 0)
-    assert roots.roots[0] > 0 and roots.roots[-1] < math.pi
-
-
-def test_theta_roots_medium_network():
-    roots = solve_theta_roots(TfsParams(10, 20, 20, 10))
-    assert math.cos(roots.roots[0]) == pytest.approx(0.997739, abs=1e-6)
-    assert roots.residuals.max() <= 1e-10
-
-
-def test_theta_roots_validation():
-    with pytest.raises(InvalidParameterError):
-        solve_theta_roots(TfsParams(2, 1, 2, 2))
-
-
-def test_root_count_mismatch_warns():
-    # genuine eigenvalue angles can sit inside excluded pole neighborhoods;
-    # the solver reports the discrepancy but still returns the good roots
-    with pytest.warns(RootCountMismatchWarning):
-        roots = solve_theta_roots(TfsParams(1, 2, 3, 2))
-    assert roots.roots.size >= 3
-    assert roots.residuals.max() <= 1e-10
+        assert abs(optimizer._char_values(p, root)) <= 1e-8
 
 
 def test_optimal_weights_343():
@@ -176,6 +126,22 @@ def test_mirror_symmetric_network():
     assert sol.weights[-1] == pytest.approx(sol.weights[1], rel=1e-13)
 
 
+def oracle_sample():
+    """300 seeded shapes: each branch length in 1..29, each branch count
+    log-uniform in [2, 10^9]."""
+    rng = random.Random(40)
+    shapes = []
+    for _ in range(300):
+        m1, m2 = rng.randint(1, 29), rng.randint(1, 29)
+        n1, n2 = (
+            round(math.exp(rng.uniform(math.log(2), math.log(1e9)))) for _ in range(2)
+        )
+        shapes.append((m1, n1, m2, n2))
+    return shapes
+
+
+# named shapes, then the seeded sample, in which 144 shapes have theta*
+# below 3.1e-4, down to 2.84e-5 at (1, 3, 10, 495021412)
 @pytest.mark.parametrize(
     "params",
     [
@@ -193,16 +159,16 @@ def test_mirror_symmetric_network():
         (1, 2, 1000, 2),
         (2000, 2, 1, 2),
         (1, 10**6, 1, 3),
+        *oracle_sample(),
     ],
+    ids=str,
 )
-def test_bisection_matches_smallest_scanned_root(params):
+def test_bisection_matches_the_oracle(params):
+    # 30 digits put the oracle's theta* within a relative 1e-20
     p = TfsParams(*params)
-    with warnings.catch_warnings():
-        # the reference scan may miss roots near poles; its smallest root
-        # sits below the first pole and is unaffected
-        warnings.simplefilter("ignore", RootCountMismatchWarning)
-        reference = solve_theta_roots(p).roots[0]
-    assert abs(optimal_weights(p).theta_star - reference) <= 1e-11
+    with mpmath.workdps(30):
+        root = float(mp_theta_star(p))
+    assert abs(optimal_weights(p).theta_star - root) <= 1e-11
 
 
 # shapes whose smallest root the grid scan used to drop (steep relation)

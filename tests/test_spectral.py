@@ -639,21 +639,6 @@ def test_interlacing_requires_two_branches():
         interlacing_check(blocks)
 
 
-def test_blocks_are_built_once_per_weight_vector():
-    p = TfsParams(4, 3, 5, 2)
-    ow = metropolis_orbit_weights(p)
-    blocks = build_blocks(p, ow)
-    assert build_blocks(TfsParams(4, 3, 5, 2), ow) is blocks
-    # equal weights in another object get their own blocks, equal to these
-    twin = OrbitWeights(p, ow.values)
-    twin_blocks = build_blocks(p, twin)
-    assert twin_blocks is not blocks
-    for name in ("minus", "center", "plus"):
-        mine, theirs = getattr(blocks, name), getattr(twin_blocks, name)
-        assert np.array_equal(mine.diagonal, theirs.diagonal)
-        assert np.array_equal(mine.off_diagonal, theirs.off_diagonal)
-
-
 @pytest.mark.parametrize("m", [5, 200])  # dense route, then bisection
 def test_returned_eigenvalues_do_not_share_the_memo(m):
     p = TfsParams(m, 3, m + 1, 4)
