@@ -1,9 +1,10 @@
 """Command-line reports for fused-star consensus networks.
 
-Subcommands: solve (single-instance JSON report, from the blocks of the
-scheme's own weights), compare (SLEM of all weighting schemes, from the
-blocks of three weightings: max-degree's and best-constant's rows come
-from the unit weights' report), verify (optimality certificate residuals), sweep
+Subcommands: solve (single-instance JSON report: the optimum's from its
+skeleton, another scheme's from the blocks of its own weights), compare
+(SLEM of all weighting schemes, from the blocks of three weightings:
+max-degree's and best-constant's rows come from the unit weights'
+report), verify (optimality certificate residuals), sweep
 (CSV grids over network shapes, each solved as one batch), simulate
 (consensus trajectory).
 JSON goes to stdout for single reports, RFC-4180 CSV for grids and

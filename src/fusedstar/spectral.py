@@ -11,14 +11,12 @@ for very large networks.  ``central_tridiagonal`` is the one formula for
 the entries: it writes the central block from orbit weights, for one shape
 or a stack of shapes of one length, and the arm blocks are its leading
 ``m1`` and trailing ``m2`` rows.  ``block_extremes`` finds ``lambda2``
-and ``lambda_min`` from six eigenvalues: the lowest and second-highest of
-the central block, whose top is the consensus eigenvalue 1, and the lowest
-and highest of each arm block.  A ``SpectralReport`` holds those two
-numbers, and its SLEM is derived from them.  ``Tridiagonal.eigenvalues``
-finds eigenvalues by index: in a block of at most ``_DENSE_ROWS`` rows
-from ``np.linalg.eigvalsh`` on its dense form, a value not accurate
-enough standing only when two run-compressed Sturm counts 8 ulps either
-side of it hold its index, and otherwise by bisection on the count.
+and ``lambda_min`` by interlacing: the center's lowest eigenvalue and the
+arm blocks' top, with the center's second-highest beside a star of one
+branch.  A ``SpectralReport`` holds those two numbers, and its SLEM is
+derived from them.  ``_RunCount.read`` reads every eigenvalue by index: a
+guess stands when two run-compressed Sturm counts 8 ulps either side of it
+hold its index, and otherwise bisection on the count finds it.
 Every block has equal rows except at its leaves, the center and
 the center's neighbours, and along a run of equal rows the pivots of
 ``T - xI = LDL^T`` are the continuants ``beta^k sin(k phi + psi)`` (the
@@ -142,47 +140,33 @@ class Tridiagonal:
         return y
 
     def eigenvalues(self, indices: Iterable[int]) -> np.ndarray:
-        """Ascending eigenvalues at ``indices`` (0-based), as a new array.
+        """Ascending eigenvalues at ``indices`` (0-based), as a new array,
+        each distinct index read once by ``_RunCount.read``.
 
-        The distinct indices are found together, by one dense solve or one
-        bisection; a bisected eigenvalue has the same bits found together
-        or alone.
-
-        A block of at most ``_DENSE_ROWS`` rows takes
-        ``np.linalg.eigvalsh``'s values, accurate to a few ``eps ||T||``:
-        as they are if none is below ``||T|| / 8``, else each through the
-        rule that a guessed eigenvalue stands if the counts eight ulps
-        either side of it hold its index (``_RunCount.holds``), a value
-        that fails it bracketing its search at ``8 n eps ||T||``.  A
-        larger block bisects.
+        A block of at most ``_DENSE_ROWS`` rows supplies guesses from
+        ``np.linalg.eigvalsh`` on its dense form, accurate to a few
+        ``eps ||T||``: a guess of at least ``||T|| / 8`` in magnitude
+        stands as it is, and ``read`` checks any other.  A larger block
+        reads without guesses, and so has the same bits read together or
+        alone.
         """
         indices = list(indices)
-        found: dict[int, float] = {}
-        missing = list(dict.fromkeys(indices))
-        near: list[float] = []
-        if missing and self.size <= _DENSE_ROWS:
+        wanted = list(dict.fromkeys(indices))
+        if wanted and self.size <= _DENSE_ROWS:
             dense = self.dense()
             if not np.isfinite(dense).all():
                 raise np.linalg.LinAlgError(_NON_FINITE)
             values = np.linalg.eigvalsh(dense)
-            wanted = values[missing].tolist()
             # a few ulps near ||T||, but not far below it, where the counts
-            # bisect to their relative accuracy (as for lambda_min at
+            # read to their relative accuracy (as lambda_min at
             # (1, 10^12, 1, 2) under Metropolis weights)
             floor = 0.125 * max(-values[0], values[-1])
-            if min(map(abs, wanted)) >= floor:
-                found.update(zip(missing, wanted))
-            else:
-                runs = self._runs
-                found.update(
-                    (index, value)
-                    for index, value in zip(missing, wanted)
-                    if runs.holds(index, value)
-                )
-                near = [v for i, v in zip(missing, wanted) if i not in found]
-            missing = [index for index in missing if index not in found]
-        if missing:
-            found.update(zip(missing, self._runs.eigenvalues(missing, near)))
+            found = {
+                index: guess if abs(guess) >= floor else self._runs.read(index, guess)
+                for index, guess in zip(wanted, values[wanted].tolist())
+            }
+        else:
+            found = {index: self._runs.read(index) for index in wanted}
         return np.array([found[index] for index in indices], dtype=float)
 
     def count_below(self, shifts: float | np.ndarray) -> int | np.ndarray:
@@ -275,7 +259,7 @@ class _RunCount:
             else:
                 steps += [(a, b * b, 0.0, 1)] * length
         self.rows, self.steps = rows, steps
-        # every count made through ``holds`` or ``below``, scaled, which
+        # every count made through ``below`` or a search, scaled, which
         # narrows a later search
         self.counted: list[tuple[float, int]] = []
 
@@ -322,19 +306,21 @@ class _RunCount:
     def holds(self, index: int, value: float) -> bool:
         """Whether the counts eight ulps either side of the unscaled
         ``value`` hold ``index``: the rule by which a guessed eigenvalue
-        stands.  A wrong guess costs two counts; the search of
-        ``eigenvalues`` does not read them, and that of ``read`` starts
-        from them."""
+        stands.  A wrong guess costs two counts, which start its search."""
         ulps = 8.0 * math.ulp(value)
         return self.below(value - ulps) <= index < self.below(value + ulps)
 
-    def read(self, index: int, guess: float) -> float:
+    def read(self, index: int, guess: float | None = None) -> float:
         """The eigenvalue at ``index``, unscaled: ``guess`` where it
-        ``holds``, else bisection to two ulps from the narrowest interval
-        that the counts kept give."""
-        if self.holds(index, guess):
+        ``holds``, else by dstebz's plain bisection, which holds it in
+        ``(low, high]``, the Gershgorin bounds narrowed by every count kept
+        so far, and halves that until it is two ulps wide.  While every
+        count kept is a search's, each is at a midpoint of one dyadic
+        subdivision of the Gershgorin interval, so a value read after
+        others or alone has the same bits."""
+        if guess is not None and self.holds(index, guess):
             return guess
-        return self._search(index, self.counted) * self.scale
+        return self._search(index) * self.scale
 
     def count(self, x: float) -> int:
         """Eigenvalues of the scaled matrix below the scaled shift ``x``."""
@@ -361,36 +347,11 @@ class _RunCount:
                 d = -d
         return below
 
-    def eigenvalues(self, indices: list[int], near: list[float] = ()) -> list[float]:
-        """Ascending eigenvalues at ``indices``, unscaled, by bisection.
-
-        ``near``, if given, holds one value per index within ``8 n eps
-        ||T||`` of its eigenvalue, as from LAPACK's dense solver: counts
-        that far either side of each start the search.
-
-        The search is dstebz's plain bisection.  It holds each eigenvalue
-        in an interval ``(low, high]``, from the Gershgorin bounds narrowed
-        by every count made so far, counts at its midpoint and keeps the
-        half whose counts still hold the index, until the interval is two
-        ulps wide.  Every count is kept, and the counts made for one index
-        narrow the start of the next.  Without ``near``, every count point
-        is then a midpoint of one dyadic subdivision of the Gershgorin
-        interval, so an eigenvalue found together with others or alone is
-        bitwise the same.
-        """
-        reach = 24 * self.size * _EPS  # 8 n eps ||T||
-        counted = [
-            (y, self.count(y))
-            for value in near
-            for y in (value / self.scale - reach, value / self.scale + reach)
-        ]
-        return [self._search(index, counted) * self.scale for index in indices]
-
-    def _search(self, index: int, counted: list[tuple[float, int]]) -> float:
+    def _search(self, index: int) -> float:
         # the narrowest interval (low, high] that the counts so far give
         # (the Gershgorin ends are not counted)
         low, high = self.gershgorin
-        for x, below in counted:
+        for x, below in self.counted:
             if below > index:
                 high = min(high, x)
             else:
@@ -400,7 +361,7 @@ class _RunCount:
             if not low < x < high:
                 break
             below = self.count(x)
-            counted.append((x, below))
+            self.counted.append((x, below))
             if below > index:
                 high = x
             else:
@@ -713,11 +674,13 @@ def block_extremes(blocks: StratifiedBlocks) -> SpectralReport:
     The central block's top is the consensus eigenvalue 1 (``C v = v`` for
     the Perron vector), and with nonnegative weights, as every scheme, the
     optimum and best-constant's unit weights have, nothing exceeds it: the
-    matrix is ``I - L`` for a positive semidefinite Laplacian ``L``.  So
-    ``lambda2`` is the largest of the center's second-highest eigenvalue
-    and each arm block's highest, and ``lambda_min`` the smallest lowest
-    one; an arm block counts only when its star has two branches or more.
-    That is six eigenvalues.  An optimum reads its own two on its
+    matrix is ``I - L`` for a positive semidefinite Laplacian ``L``.  The
+    arm blocks together are the central block without its center row, so
+    by Cauchy's interlacing ``lambda_min`` is the center's lowest
+    eigenvalue and ``lambda2`` the arm blocks' top, which is at least the
+    center's second-highest.  An arm block counts only when its star has
+    two branches or more; beside one that does not, the center's
+    second-highest is read too.  An optimum reads its own two on its
     skeleton instead (``SkeletonBlocks.report``).
     """
     center = blocks.center
@@ -726,11 +689,10 @@ def block_extremes(blocks: StratifiedBlocks) -> SpectralReport:
         for arm, mult in zip((blocks.minus, blocks.plus), blocks.multiplicities[::2])
         if mult > 0
     ]
-    reads = [center.eigenvalues([0, center.size - 2])] + [
-        arm.eigenvalues([0, arm.size - 1]) for arm in arms
-    ]
-    lows, highs = np.array(reads).T.tolist()
-    return SpectralReport(lambda2=max(highs), lambda_min=min(lows))
+    wanted = [0] if len(arms) == 2 else [0, center.size - 2]
+    lowest, *tops = center.eigenvalues(wanted).tolist()
+    tops += [arm.eigenvalues([arm.size - 1]).item() for arm in arms]
+    return SpectralReport(lambda2=max(tops), lambda_min=lowest)
 
 
 class _Shapes(NamedTuple):
@@ -812,15 +774,10 @@ class SkeletonBlocks:
 
     def report(self, s: float) -> SpectralReport:
         """``lambda2`` and ``lambda_min`` where an optimum's slackness
-        conditions put them, at ``s`` and ``-s``: the center's lowest
-        eigenvalue reads ``-s`` (``z1`` of the certificate) and each arm's
-        top ``s`` (``z2``), each by the two counts eight ulps either side of
-        its claim, and by bisection on the skeleton's count only where
-        those fail (``_RunCount.read``).  The arm blocks together are the
-        central block without its center row, so by Cauchy's interlacing
-        the center's second-highest eigenvalue is at most their top, and
-        each arm's lowest at least the center's: ``lambda2`` is the arms'
-        top and ``lambda_min`` the center's lowest.  Kept by ``s``, so the
+        conditions put them, by ``block_extremes``' rule: the center's
+        lowest eigenvalue at ``-s`` (``z1`` of the certificate) and the
+        arms' top at ``s`` (``z2``), each read on the skeleton's count with
+        its claim as the guess (``_RunCount.read``).  Kept by ``s``, so the
         certificate's feasibility reads the same two.
         """
         if s not in self._reports:

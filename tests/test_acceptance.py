@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import mpmath
 import numpy as np
-import pytest
 
 from fusedstar.certificate import build_dual_certificate, verify_certificate
 from fusedstar.optimizer import optimal_weights, solve_symmetric_star

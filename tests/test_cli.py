@@ -269,16 +269,20 @@ def run_counts(monkeypatch):
         ("verify", 3, 0),
         # the blocks of three weightings: the optimum's, Metropolis's and
         # the unit weights', whose report gives max-degree's and
-        # best-constant's rows; two eigenvalues of each of the six blocks
+        # best-constant's rows; one eigenvalue of each of the six blocks
         # of Metropolis and the unit weights
-        ("compare", 9, 12),
+        ("compare", 9, 6),
+        # Metropolis's own blocks: the center's lowest eigenvalue and
+        # each arm block's top
+        ("solve --scheme metropolis", 3, 3),
     ],
 )
 def test_each_solve_builds_each_block_and_finds_each_eigenvalue_once(
     capsys, run_counts, command, built, searched
 ):
     code, _, _ = run_cli(
-        capsys, command, "--m1", "450", "--n1", "5", "--m2", "400", "--n2", "3"
+        capsys, *command.split(),
+        "--m1", "450", "--n1", "5", "--m2", "400", "--n2", "3",
     )
     assert code == 0
     assert run_counts == {"built": built, "searched": searched}
@@ -291,9 +295,9 @@ def test_solve_never_searches_the_consensus_eigenvalue(capsys, monkeypatch):
     searched = []
     search = spectral._RunCount._search
 
-    def recorded_search(self, index, counted):
+    def recorded_search(self, index):
         searched.append((self.size, index))
-        return search(self, index, counted)
+        return search(self, index)
 
     monkeypatch.setattr(spectral._RunCount, "_search", recorded_search)
     code, _, _ = run_cli(

@@ -20,7 +20,6 @@ from fusedstar.spectral import (
     SkeletonBlocks,
     SpectralReport,
     SpectrumSizeError,
-    StratifiedBlocks,
     Tridiagonal,
     block_extremes,
     build_blocks,
@@ -368,7 +367,7 @@ def test_seeds_stand_on_a_dense_route_block(shape, monkeypatch):
         solved.append(matrix.shape)
         return eigvalsh(matrix)
 
-    def refused(self, index, counted):
+    def refused(self, index):
         raise AssertionError("an eigenvalue was searched")
 
     monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
