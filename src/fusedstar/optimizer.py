@@ -37,6 +37,10 @@ the optimum's constant run, so the counts cost O(1) in the branch
 lengths.  A single solve makes twelve pure-Python run counts
 (``spectral.SkeletonBlocks``), which its report and certificate reuse;
 a batch makes one ``count_central_below`` call vectorised over a slice.
+A batch converts and validates its shapes once, into one float array
+whose rows are ``m1, n1, m2, n2`` (``_batch_shapes``), and solves each
+slice, search to self-check, on row views of it, into one result buffer
+whose rows the ``BatchSolution`` views.
 ``OptimalSolution.weights`` writes the ``m1 + m2`` orbit weights out
 only for a consumer that needs them.  The oracle that the tests hold
 theta* to, a bisection of the same relation in mpmath
@@ -46,6 +50,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -71,6 +76,8 @@ _COT_SLOPE = 4.0 / math.pi**2
 _START_BELOW = 1.0 - 1e-6
 # the least valid m1, n1, m2, n2, as a column
 _LEAST = np.array([[1.0], [2.0], [1.0], [2.0]])
+# the self-check's offsets from s below and above
+_OFFSETS = np.array([-_SELF_CHECK, _SELF_CHECK])
 
 
 @dataclass(frozen=True)
@@ -110,9 +117,9 @@ def _char_values(params: TfsParams, theta: np.ndarray | float) -> np.ndarray:
     return arm1 * arm2 - 1.0
 
 
-def _boundary_weights(m: np.ndarray, theta: np.ndarray) -> np.ndarray:
+def _boundary_weights(m: np.ndarray, theta: np.ndarray, out=None) -> np.ndarray:
     """Center-adjacent orbit weights of arms of lengths ``m`` at roots
-    ``theta``.
+    ``theta``, written to ``out`` if given.
 
     ``(1 - cos t) sin(m t) / (sin(m t) - sin((m - 1) t))`` is read as the
     product ``sin(t/2) sin(m t) / cos((m - 1/2) t)``, free of cancellation
@@ -120,15 +127,18 @@ def _boundary_weights(m: np.ndarray, theta: np.ndarray) -> np.ndarray:
     ``(m - 1/2) t <= pi/2 - pi/(4m)``, so the denominator is at least
     ``sin(pi / (4m)) > 0`` and needs no guard.
     """
-    return np.sin(0.5 * theta) * np.sin(m * theta) / np.cos((m - 0.5) * theta)
+    weights = np.multiply(np.sin(0.5 * theta), np.sin(m * theta), out=out)
+    weights /= np.cos((m - 0.5) * theta)
+    return weights
 
 
-def _gap(theta):
+def _gap(theta, out=None):
     """``1 - cos(theta)`` as ``2 sin(theta/2)^2``, free of the cancellation
     of ``1 - s`` at small angles, for a float or an array of angles, with
-    the same float operations in the same order on either."""
+    the same float operations in the same order on either, written to
+    ``out`` if given."""
     half = np.sin(0.5 * theta)
-    return 2.0 * (half * half)
+    return np.multiply(2.0, half * half, out=out)
 
 
 def _require_two_branches(params: TfsParams) -> None:
@@ -178,9 +188,15 @@ def _first_sign_change(
             hi = mid
 
 
-def _self_check_shifts(s):
-    d = _SELF_CHECK
-    return np.array([-s - d, -s + d, s - d, s + d])
+def _self_check_shifts(s) -> np.ndarray:
+    """``-s - d``, ``-s + d``, ``s - d``, ``s + d`` for ``d = _SELF_CHECK``
+    on a new first axis, for a float or an array of ``s``: the last two
+    rows in one call, and the first two as their negations, which round
+    as ``-s - d`` and ``-s + d`` do."""
+    shifts = np.empty((4, *np.shape(s)))
+    np.add.outer(_OFFSETS, s, out=shifts[2:])
+    np.negative(shifts[:1:-1], out=shifts[:2])
+    return shifts
 
 
 def _counts_prove_slem(below: np.ndarray, top) -> np.ndarray:
@@ -195,11 +211,11 @@ def _counts_prove_slem(below: np.ndarray, top) -> np.ndarray:
     largest modulus after the Perron eigenvalue, is within ``d`` of ``s``,
     and both ends of the spectrum are where the optimum's slackness
     conditions put them, ``lambda_min`` within ``d`` of ``-s`` and
-    ``lambda2`` of ``s``.
+    ``lambda2`` of ``s``.  Each condition reads the larger count of the
+    two at a shift below 0 and the smaller at one above.
     """
-    bounded = (below[0] == 0).all(axis=0) & (below[3] >= top).all(axis=0)
-    attained = (below[1] > 0).any(axis=0) & (below[2] < top).any(axis=0)
-    return bounded & attained
+    most, least = below[:2].max(axis=1), below[2:].min(axis=1)
+    return (most[0] == 0) & (most[1] > 0) & (least[0] < top) & (least[1] >= top)
 
 
 def _self_check_error(params: TfsParams, s: float) -> SelfCheckError:
@@ -272,10 +288,19 @@ def _cells(arrays: list[np.ndarray]) -> list[np.ndarray]:
     return [cell.reshape(-1) for cell in np.broadcast_arrays(*arrays)]
 
 
-def _batch_shapes(arrays: list[np.ndarray]) -> _Shapes:
-    """The arrays' cells as floats, once every cell is a valid two-branch
-    shape.  Each array is converted once, at its own shape, so a constant
-    branch count stays one float under its lanes' views.
+class _ShapeRows(np.ndarray):
+    """Shapes as one float array whose first axis holds the rows ``m1,
+    n1, m2, n2``, which read by name as a ``_Shapes``'s fields do.  The
+    batch's functions compute on its plain view (``np.asarray``): a ufunc
+    on a subclass costs about twice what it costs on an ndarray."""
+
+    m1, n1, m2, n2 = (property(operator.itemgetter(row)) for row in range(4))
+
+
+def _batch_shapes(arrays: list[np.ndarray]) -> _ShapeRows:
+    """The arrays broadcast together and converted to floats in one array
+    of shape ``(4, *broadcast shape)``, once every cell is a valid
+    two-branch shape: the batch's shapes, which its slices view.
 
     Otherwise the first invalid cell, in input order, raises the error
     that ``TfsParams`` or ``optimal_weights`` raise for it.  A float sum
@@ -284,33 +309,37 @@ def _batch_shapes(arrays: list[np.ndarray]) -> _Shapes:
     wherever that sum reaches half the limit.
     """
     try:
-        shapes = _Shapes(*_cells([np.asarray(v, dtype=float) for v in arrays]))
+        fields = np.empty((4, *np.broadcast(*arrays).shape))
+        for row, cells in enumerate(arrays):
+            fields[row] = cells
     except (OverflowError, TypeError, ValueError):
         suspects = valid = None
     else:
-        fields = np.stack(shapes)
-        valid = np.isfinite(fields) & (fields == np.floor(fields)) & (fields >= _LEAST)
-        valid = valid.all(axis=0)
-        long = shapes.m1 + shapes.m2 >= 0.5 * MAX_ARRAY_ENTRIES
+        lanes = fields.reshape(4, -1)
+        valid = np.isfinite(lanes) & (lanes == np.floor(lanes)) & (lanes >= _LEAST)
+        long = lanes[0] + lanes[2] >= 0.5 * MAX_ARRAY_ENTRIES
         if valid.all() and not long.any():
-            return shapes
+            return fields.view(_ShapeRows)
+        valid = valid.all(axis=0)
         suspects = np.flatnonzero(~valid | long).tolist()
     cells = _cells(arrays)
     for index in range(cells[0].size) if suspects is None else suspects:
         _require_two_branches(TfsParams(*_cell(cells, index)))
     if valid is None or not valid.all():
         raise InvalidParameterError("branch lengths and counts must be integers")
-    return shapes
+    return fields.view(_ShapeRows)
 
 
-def _relation_rows(shapes: _Shapes) -> tuple[np.ndarray, np.ndarray]:
+def _relation_rows(shapes) -> tuple[np.ndarray, np.ndarray]:
     """Each lane's angle coefficients ``0.5, m1, m2`` and arm factors
     ``2/n1, 2/n2`` as rows of shape ``(1, lanes)``, which broadcast over
     the angles of a lane (``theta``'s first axis): ``_relation``'s
-    ``coef`` and ``two_n``."""
-    coef = np.stack([np.full(shapes.m1.size, 0.5), shapes.m1, shapes.m2])
-    two_n = 2.0 / np.stack([shapes.n1, shapes.n2])
-    return coef[:, None], two_n[:, None]
+    ``coef`` and ``two_n``, from the rows of a slice's shapes."""
+    rows = np.asarray(shapes, dtype=float)
+    coef = np.empty((3, 1, rows.shape[1]))
+    coef[0] = 0.5
+    coef[1:, 0] = rows[::2]
+    return coef, 2.0 / rows[1::2, None]
 
 
 def _relation(coef, two_n, theta, out=None) -> tuple[np.ndarray, np.ndarray]:
@@ -379,7 +408,7 @@ def _closed_form_root(m1, two_n1, m2, two_n2, xp):
     return xp.sqrt(2.0 / (xp.hypot(c1 - c2, d) + c1 + c2)) * 2.0**-32
 
 
-def _first_sign_changes(shapes: _Shapes) -> np.ndarray:
+def _first_sign_changes(shapes) -> np.ndarray:
     """``_theta_star`` on every lane at once: ``_first_sign_change`` of the
     relation on ``(0, pi / (2 max(m1, m2))]``, bit for bit.
 
@@ -405,27 +434,31 @@ def _first_sign_changes(shapes: _Shapes) -> np.ndarray:
     and ``n2``.  Its memory is a few rows of one angle a lane.
     """
     coef, two_n = _relation_rows(shapes)
-    hi = np.pi / (2.0 * np.maximum(shapes.m1, shapes.m2))
-    # each lane's lo, Newton's step there and the step at x
-    lo, step, x_step = np.zeros((3, hi.size))
+    m1, m2 = coef[1:, 0]
+    hi = np.pi / (2.0 * np.maximum(m1, m2))
+    # each lane's lo and Newton's step there, and the angle x it judges
+    # next and the step there, so that a judgement that holds moves both
+    # in one call
+    held, judged = np.zeros((2, 2, hi.size))
+    (lo, step), (x, x_step) = held, judged
     # the floats by which a walking lane walks down from hi (0 while it
     # climbs)
     walk = np.zeros(hi.size, dtype=np.int64)
-    start = _closed_form_root(shapes.m1, two_n[0, 0], shapes.m2, two_n[1, 0], np)
-    x = np.minimum(start, hi) * _START_BELOW
+    start = _closed_form_root(m1, two_n[0, 0], m2, two_n[1, 0], np)
+    np.multiply(np.minimum(start, hi), _START_BELOW, out=x)
     # far from theta* a step may come of a division by zero or an overflow
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         # non-negative floats order as their bit patterns, and adjacent
         # ones differ by one there
         x_bits, lo_bits, hi_bits = (v.view(np.int64) for v in (x, lo, hi))
+        angle, angle_step = x[None], x_step[None]
         while True:
-            holds = _relation(coef, two_n, x[None], out=x_step[None])[0][0] > 1.0
+            holds = _relation(coef, two_n, angle, out=angle_step)[0][0] > 1.0
             fails = ~holds
-            np.copyto(lo, x, where=holds)
-            np.copyto(step, x_step, where=holds)
+            np.copyto(held, judged, where=holds)
             np.copyto(hi, x, where=fails)
             width = hi_bits - lo_bits
-            if not (width > 1).any():
+            if width.max(initial=0) <= 1:
                 return 0.5 * (lo + hi)
             climbed = lo > 0.0
             # a walk starts at a lane's first failing point after one held;
@@ -433,7 +466,7 @@ def _first_sign_changes(shapes: _Shapes) -> np.ndarray:
             # its width keeps the doubling from overflowing
             walk += walk
             np.minimum(walk, width, out=walk)
-            np.maximum(walk, fails & climbed, out=walk)
+            np.maximum(walk, fails, out=walk, where=climbed)
             mid = lo + hi
             mid *= 0.5
             # Newton's point at least two floats above lo; a start that
@@ -441,9 +474,7 @@ def _first_sign_changes(shapes: _Shapes) -> np.ndarray:
             np.add(lo, step, out=x)
             np.fmax(x, (lo_bits + 2).view(float), out=x)
             np.copyto(x, mid, where=~climbed)
-            below_hi = (hi_bits - walk).view(float)
-            np.fmax(below_hi, mid, out=below_hi)
-            np.copyto(x, below_hi, where=walk > 0)
+            np.fmax((hi_bits - walk).view(float), mid, out=x, where=walk > 0)
             np.minimum(x_bits, hi_bits - 1, out=x_bits)
 
 
@@ -522,50 +553,52 @@ def _theta_star(params: TfsParams) -> float:
     return _first_sign_change(lambda theta: _char_values(params, theta), hi, lo)
 
 
-def _skeleton_proves_slem(
-    shapes: _Shapes, s: np.ndarray, w_minus, w_plus
-) -> np.ndarray:
+def _skeleton_proves_slem(shapes, s: np.ndarray, w_minus, w_plus) -> np.ndarray:
     """``_counts_prove_slem`` on the counts of each optimum's central block
     at all four shifts, in one ``count_central_below`` call on its
-    ``skeleton_rows``."""
+    ``skeleton_rows``, from the rows of a slice's shapes."""
+    rows = np.asarray(shapes, dtype=float)
+    m = rows[::2]
     below = count_central_below(
-        *skeleton_rows(shapes, w_minus, w_plus),
-        np.stack([shapes.m1, shapes.m2]),
-        _self_check_shifts(s),
+        *skeleton_rows(_Shapes(*rows), w_minus, w_plus), m, _self_check_shifts(s)
     )
-    return _counts_prove_slem(below, shapes.m1 + shapes.m2)
+    return _counts_prove_slem(below, m[0] + m[1])
 
 
 def optimal_weights_batch(m1, n1, m2, n2) -> BatchSolution:
     """``optimal_weights`` for many shapes at once, as arrays.
 
     ``m1, n1, m2, n2`` are integer arrays (or integers) that broadcast
-    together.  Once every shape is valid, each slice of
-    ``_ONE_CALL_LANES`` shapes is solved end to end, root search to
-    self-check, into one result buffer, whose rows the result views
-    read-only: memory is one slice's besides the buffer.  A slice's
-    search keeps bisection's predicate, bracket and stop rule, so theta*,
-    ``s`` and both boundary weights equal the scalar route's bit for
-    bit.  The self-check (``_skeleton_proves_slem``) makes the scalar
-    route's decision, ``_counts_prove_slem`` at the same shifts, on a
-    skeleton of each optimum's central block, in O(1) time and memory
-    per instance whatever its branch lengths.  An invalid shape, or one
-    that the scalar route would not return, raises that route's error
-    for the first such instance in input order: ``InvalidParameterError``
-    before any solving, as ``TfsParams`` raises it (for a length sum
-    past ``MAX_ARRAY_ENTRIES`` too), then ``SelfCheckError``.
+    together.  They are converted once, into one float array of rows
+    ``m1, n1, m2, n2`` (``_batch_shapes``), and once every shape is
+    valid, each slice of ``_ONE_CALL_LANES`` shapes is solved end to end,
+    root search to self-check, on row views of that array, into one
+    result buffer of rows theta*, ``s``, ``w_{-1}``, ``w_1`` and the gap,
+    which the result views read-only: memory is one slice's besides the
+    two arrays.  A slice's search keeps bisection's predicate, bracket
+    and stop rule, so theta*, ``s`` and both boundary weights equal the
+    scalar route's bit for bit.  The self-check
+    (``_skeleton_proves_slem``) makes the scalar route's decision,
+    ``_counts_prove_slem`` at the same shifts, on a skeleton of each
+    optimum's central block, in O(1) time and memory per instance
+    whatever its branch lengths.  An invalid shape, or one that the
+    scalar route would not return, raises that route's error for the
+    first such instance in input order: ``InvalidParameterError`` before
+    any solving, as ``TfsParams`` raises it (for a length sum past
+    ``MAX_ARRAY_ENTRIES`` too), then ``SelfCheckError``.
     """
     arrays = [np.asarray(v) for v in (m1, n1, m2, n2)]
     shapes = _batch_shapes(arrays)
-    results = np.empty((5, shapes.m1.size))
-    for start in range(0, shapes.m1.size, _ONE_CALL_LANES):
-        lanes = slice(start, start + _ONE_CALL_LANES)
-        chunk = _Shapes(*(field[lanes] for field in shapes))
-        theta, s, w_minus, w_plus, gap = results[:, lanes]
-        theta[:] = _first_sign_changes(chunk)
+    results = np.empty((5, *shapes.shape[1:]))
+    lanes, solved = shapes.reshape(4, -1), results.reshape(5, -1)
+    for start in range(0, lanes.shape[1], _ONE_CALL_LANES):
+        chunk = lanes[:, start : start + _ONE_CALL_LANES]
+        rows = solved[:, start : start + _ONE_CALL_LANES]
+        theta, s, w_minus, w_plus, gap = rows
+        theta[...] = _first_sign_changes(chunk)
         np.cos(theta, out=s)
-        results[2:4, lanes] = _boundary_weights(np.stack([chunk.m1, chunk.m2]), theta)
-        gap[:] = _gap(theta)
+        _boundary_weights(np.asarray(chunk[::2]), theta, out=rows[2:4])
+        _gap(theta, out=gap)
         failed = ~_skeleton_proves_slem(chunk, s, w_minus, w_plus)
         if failed.any():
             # the scalar route's error for the first failing lane, from
@@ -574,8 +607,7 @@ def optimal_weights_batch(m1, n1, m2, n2) -> BatchSolution:
             params = TfsParams(*_cell(_cells(arrays), start + lane))
             raise _self_check_error(params, float(s[lane]))
     results.flags.writeable = False
-    shape = np.broadcast_shapes(*(v.shape for v in arrays))
-    return BatchSolution(*(result.reshape(shape) for result in results))
+    return BatchSolution(*results)
 
 
 def solve_symmetric_star(m: int, n: int) -> OptimalSolution:

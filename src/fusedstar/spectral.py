@@ -414,23 +414,30 @@ def _run(g: float, u0: float, length: int) -> tuple[int, float, bool]:
 
 def _runs(g, u0, length):
     """``_run`` over arrays of runs, each on its side of the band."""
-    inside = np.abs(g) < 1.0
-    if inside.all():
+    magnitude = np.abs(g)
+    if magnitude.max(initial=0.0) < 1.0:
         return _band_runs(g, u0, length)
+    inside = magnitude < 1.0
     sides = _band_runs(g, u0, length), _off_band_runs(g, u0, length)
     return tuple(np.where(inside, band, off) for band, off in zip(*sides))
 
 
 def _band_runs(g, u0, length):
-    # _run inside the band, |g| < 1
+    # _run inside the band, |g| < 1, in place on each new array
     s = np.sqrt((1.0 - g) * (1.0 + g))
     phi = np.arctan2(s, g)
     theta = np.arctan2(s, u0 - g)
     theta += length * phi
-    k_end = np.floor((theta + phi) / np.pi)
-    last_negative = k_end > np.floor(theta / np.pi)
-    u = np.abs(g + s / np.tan(theta))
-    return k_end - (u0 < 0.0), u, last_negative
+    k_end = theta + phi
+    k_end /= np.pi
+    np.floor(k_end, out=k_end)
+    k_last = theta / np.pi
+    last_negative = k_end > np.floor(k_last, out=k_last)
+    u = np.tan(theta, out=theta)
+    np.divide(s, u, out=u)
+    u += g
+    k_end -= u0 < 0.0
+    return k_end, np.abs(u, out=u), last_negative
 
 
 def _off_band_runs(g, u0, length):
@@ -484,34 +491,41 @@ def count_central_below(diagonal, off, m, shifts) -> np.ndarray:
     interior = m - 2.0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # the leaves; a pivot of inf enters an arm without one
-        pivot = _floor_pivots(diagonal[::4] - x, pivmin)
-        leaf = m > 1.0
-        below = leaf & (pivot < 0.0)
-        pivot = np.where(leaf, pivot, np.inf)
+        pivot = diagonal[::4] - x
+        np.copyto(pivot, np.inf, where=m <= 1.0)
+        below = _floor_pivots(pivot, pivmin)
         # the interior run: a - x = -x, and beta = 1/2 makes g = a - x
         t = 0.0 - x
-        step = _floor_pivots(t - 0.25 / pivot, pivmin)
         negatives, u, last_negative = _runs(t, pivot / 0.5, interior)
-        u = np.maximum(0.5 * u, pivmin)
+        step = t - 0.25 / pivot
+        step_negative = _floor_pivots(step, pivmin)
         run, stepped = interior > 1.0, interior == 1.0
-        below = below + np.where(run, negatives, stepped & (step < 0.0))
-        pivot = np.where(
-            run, np.where(last_negative, -u, u), np.where(stepped, step, pivot)
-        )
+        below = below + np.where(run, negatives, stepped & step_negative)
+        u *= 0.5
+        np.maximum(u, pivmin, out=u)
+        np.negative(u, out=u, where=last_negative)
+        np.copyto(pivot, step, where=stepped)
+        np.copyto(pivot, u, where=run)
         # the rows next to the center, then the center's twisted pivot
         pivot = (diagonal[1:4:2] - x) - squares[::3] / pivot
-        pivot = _floor_pivots(pivot, pivmin)
-        below = below + (pivot < 0.0)
-        ratios = squares[1:3] / pivot
+        below += _floor_pivots(pivot, pivmin)
+        ratios = np.divide(squares[1:3], pivot, out=pivot)
         twisted = (diagonal[2] - shifts) - (ratios[..., 0, :] + ratios[..., 1, :])
-    arms = (below[..., 0, :] + below[..., 1, :]).astype(np.int64)
-    central = arms + (twisted < _TINY * squares.max(initial=1.0))
-    return np.stack([central, arms], axis=-2)
+    # the arms' counts add, and the center's pivot completes the central
+    # block's count
+    counts = np.empty(below.shape, dtype=np.int64)
+    arms = np.add(below[..., 0, :], below[..., 1, :], out=counts[..., 1, :], casting="unsafe")
+    np.add(arms, twisted < _TINY * squares.max(initial=1.0), out=counts[..., 0, :])
+    return counts
 
 
 def _floor_pivots(pivot: np.ndarray, pivmin: float) -> np.ndarray:
-    # LAPACK's floor: a pivot below pivmin in magnitude becomes -pivmin
-    return np.where(np.abs(pivot) < pivmin, -pivmin, pivot)
+    # LAPACK's floor, in place: a pivot below pivmin in magnitude becomes
+    # -pivmin.  The floored pivots that are negative are then exactly the
+    # pivots below pivmin, which are returned
+    negative = pivot < pivmin
+    np.fmin(pivot, -pivmin, out=pivot, where=negative)
+    return negative
 
 
 @dataclass(frozen=True)

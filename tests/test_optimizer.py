@@ -312,6 +312,30 @@ def test_batch_is_bitwise_equal_to_the_scalar_route():
         assert np.array_equal(bits(getattr(batch, field)), expected), field
 
 
+SWEEP_ARGVS = [
+    ["sweep", "custom", "--n1", str(n1), "--n2", str(n2)]
+    for n1 in BRANCH_COUNTS
+    for n2 in BRANCH_COUNTS
+] + [["sweep", "fig2"]]
+
+
+@pytest.mark.parametrize(
+    "argv", SWEEP_ARGVS, ids=[" ".join(argv[1:]) for argv in SWEEP_ARGVS]
+)
+def test_a_sweep_slice_as_the_cli_passes_it_has_the_scalar_bits(argv):
+    # the slice that cmd_sweep hands the batch: int64 lengths beside
+    # Python-int branch counts on a 10 x 10 grid, or fig2's int64 rows,
+    # one slice of 100 or 56 lanes
+    args = cli._parse_args(argv)
+    shapes = args.grid(args)[2]
+    batch = optimal_weights_batch(*shapes)
+    lanes = zip(*(cells.tolist() for cells in np.broadcast_arrays(*shapes)))
+    scalar = [optimal_weights(TfsParams(*shape)) for shape in lanes]
+    for field in ("theta_star", "s", "w_minus_1", "w_plus_1", "gap"):
+        expected = bits([getattr(sol, field) for sol in scalar])
+        assert np.array_equal(bits(getattr(batch, field)), expected), field
+
+
 def boundary_weight(m, theta):
     return float(optimizer._boundary_weights(np.float64(m), np.float64(theta)))
 
