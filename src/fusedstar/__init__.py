@@ -36,7 +36,6 @@ from .spectral import (
     SpectrumSizeError,
     StratifiedBlocks,
     Tridiagonal,
-    block_extremes,
     build_blocks,
     central_tridiagonal,
     count_central_below,
@@ -56,9 +55,13 @@ from .weighting import (
     OrbitWeights,
     assemble_weight_matrix,
     best_constant_orbit_weights,
+    best_constant_skeleton,
     constant_weight_slems,
     max_degree_orbit_weights,
+    max_degree_skeleton,
     metropolis_orbit_weights,
+    metropolis_skeleton,
+    skeleton_weights,
 )
 
 __version__ = "0.1.0"
@@ -83,7 +86,7 @@ __all__ = [
     "Tridiagonal",
     "assemble_weight_matrix",
     "best_constant_orbit_weights",
-    "block_extremes",
+    "best_constant_skeleton",
     "build_blocks",
     "build_dual_certificate",
     "central_tridiagonal",
@@ -95,12 +98,15 @@ __all__ = [
     "edge_table",
     "full_spectrum",
     "max_degree_orbit_weights",
+    "max_degree_skeleton",
     "metropolis_orbit_weights",
+    "metropolis_skeleton",
     "optimal_weights",
     "optimal_weights_batch",
     "perron_vector",
     "random_initial_state",
     "skeleton_rows",
+    "skeleton_weights",
     "solve_symmetric_star",
     "stratified_iterate",
     "verify_certificate",

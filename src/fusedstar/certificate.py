@@ -317,7 +317,7 @@ def _closed_form(
     ]
 
     boundary = (weights.w_minus_1, weights.w_plus_1)
-    d, off = weights.diagonal, weights.off
+    d, off = weights.rows
     # each arm's leaf and boundary diagonal and its coupling to the center
     leaf, adjacent, coupling = (d[0], d[4]), (d[1], d[3]), (off[1], off[2])
     zc = certificate.center * t1

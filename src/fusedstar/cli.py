@@ -1,10 +1,9 @@
 """Command-line reports for fused-star consensus networks.
 
-Subcommands: solve (single-instance JSON report: the optimum's from its
-skeleton, another scheme's from the blocks of its own weights), compare
-(SLEM of all weighting schemes, from the blocks of three weightings:
-max-degree's and best-constant's rows come from the unit weights'
-report), verify (optimality certificate residuals), sweep
+Subcommands: solve (single-instance JSON report, read on the scheme's
+skeleton), compare (SLEM of all weighting schemes, from the skeletons of
+three weightings: max-degree's and best-constant's rows come from the
+unit weights' report), verify (optimality certificate residuals), sweep
 (CSV grids over network shapes, each solved as one batch), simulate
 (consensus trajectory).
 JSON goes to stdout for single reports, RFC-4180 CSV for grids and
@@ -43,14 +42,15 @@ from .simulation import (
     stratified_iterate,
     write_trajectory_csv,
 )
-from .spectral import SkeletonBlocks, block_extremes, build_blocks
+from .spectral import SkeletonBlocks
 from .topology import InvalidParameterError, TfsParams, check_array_size
 from .weighting import (
     OrbitWeights,
-    best_constant_orbit_weights,
+    best_constant_skeleton,
     constant_weight_slems,
-    max_degree_orbit_weights,
-    metropolis_orbit_weights,
+    max_degree_skeleton,
+    metropolis_skeleton,
+    skeleton_weights,
 )
 
 SCHEMES = ("optimal", "max-degree", "metropolis", "best-constant")
@@ -100,17 +100,17 @@ def _params_from(args: argparse.Namespace) -> TfsParams:
     return TfsParams(m1=args.m1, n1=args.n1, m2=args.m2, n2=args.n2)
 
 
-def _scheme_weights(
+def _scheme_skeleton(
     params: TfsParams, scheme: str, args: argparse.Namespace
-) -> OrbitWeights:
-    """The orbit weights of a scheme other than the optimum."""
+) -> SkeletonBlocks:
+    """The skeleton of a scheme other than the optimum."""
     if scheme == "max-degree":
         convention = _CONVENTIONS[args.max_degree_convention]
-        return max_degree_orbit_weights(params, convention)
+        return max_degree_skeleton(params, convention)
     if scheme == "metropolis":
-        return metropolis_orbit_weights(params)
+        return metropolis_skeleton(params)
     if scheme == "best-constant":
-        return best_constant_orbit_weights(params)
+        return best_constant_skeleton(params)
     raise InvalidParameterError(f"unknown scheme {scheme!r}")
 
 
@@ -119,17 +119,19 @@ def _solve_payload(
 ) -> tuple[dict, OrbitWeights]:
     """The solve report without its weights, and the weights.
 
-    The optimum's report and certificate read its skeleton, in O(1) of
-    the branch lengths; another scheme's report reads its own blocks
-    (``block_extremes``).  The report's ``"weights"`` is an empty
-    placeholder for ``cmd_solve`` to fill from ``_weights_json``.
+    The report reads the scheme's skeleton, and the optimum's certificate
+    reads it too, in O(1) of the branch lengths: the optimum's at its
+    claims ``-s`` and ``s``, another scheme's without claims.  The
+    report's ``"weights"`` is an empty placeholder for ``cmd_solve`` to
+    fill from ``_weights_json``.
     """
     if args.scheme == "optimal":
         solution = optimal_weights(params)
-        report = solution.skeleton.report(solution.s)
+        skeleton, s = solution.skeleton, solution.s
     else:
-        solution, weights = None, _scheme_weights(params, args.scheme, args)
-        report = block_extremes(build_blocks(params, weights))
+        solution, s = None, None
+        skeleton = _scheme_skeleton(params, args.scheme, args)
+    report = skeleton.report(s)
     payload = {
         "params": {
             "m1": params.m1,
@@ -152,8 +154,8 @@ def _solve_payload(
             key: _sig10(value) for key, value in residuals.as_dict().items()
         }
         payload["certificate"]["passes"] = residuals.passes()
-        # the one O(m) step, after everything that the report needs
-        weights = solution.weights
+    # the one O(m) step, after everything that the report needs
+    weights = solution.weights if solution else skeleton_weights(skeleton)
     return payload, weights
 
 
@@ -220,19 +222,18 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    """The SLEM of each scheme, from the blocks of three weightings: the
-    optimum's skeleton, Metropolis's and the unit weights', read in that
-    order.  Max-degree and best-constant are ``I - alpha L``, whose SLEMs
-    ``constant_weight_slems`` gives from the unit weights' report.  Since
-    max-degree's own blocks never fail, a request that fails reports the
-    error a read of each scheme's own blocks in row order would meet
-    first.  ``solve --scheme`` reads those blocks, for ``lambda_min``."""
+    """The SLEM of each scheme, from the skeletons of three weightings:
+    the optimum's, Metropolis's and the unit weights', read in that order,
+    in O(1) of the branch lengths.  Max-degree and best-constant are
+    ``I - alpha L``, whose SLEMs ``constant_weight_slems`` gives from the
+    unit weights' report.  Since max-degree's own skeleton never fails, a
+    request that fails reports the error a read of each scheme's own
+    skeleton in row order would meet first.  ``solve --scheme`` reads
+    those skeletons, for ``lambda_min``."""
     params = _params_from(args)
     solution = optimal_weights(params)
     optimal = solution.skeleton.report(solution.s).slem
-    metropolis = block_extremes(
-        build_blocks(params, metropolis_orbit_weights(params))
-    ).slem
+    metropolis = metropolis_skeleton(params).report().slem
     max_degree, best_constant = constant_weight_slems(
         params, _CONVENTIONS[args.max_degree_convention]
     )
@@ -347,7 +348,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.scheme == "optimal":
         weights = optimal_weights(params).weights
     else:
-        weights = _scheme_weights(params, args.scheme, args)
+        weights = skeleton_weights(_scheme_skeleton(params, args.scheme, args))
     x0 = random_initial_state(params.n_nodes, args.seed)
     trajectory = stratified_iterate(params, weights, x0, args.steps)
     write_trajectory_csv(trajectory, _STDOUT)

@@ -60,7 +60,7 @@ from .spectral import (
     SkeletonBlocks, _frozen_floats, _Shapes, count_central_below, skeleton_rows
 )
 from .topology import MAX_ARRAY_ENTRIES, InvalidParameterError, TfsParams
-from .weighting import OrbitWeights
+from .weighting import OrbitWeights, skeleton_weights
 
 
 class SelfCheckError(RuntimeError):
@@ -103,7 +103,7 @@ class OptimalSolution:
 
     @functools.cached_property
     def weights(self) -> OrbitWeights:
-        return _orbit_weights(self.params, self.w_minus_1, self.w_plus_1)
+        return skeleton_weights(self.skeleton)
 
 
 def _char_values(params: TfsParams, theta: np.ndarray | float) -> np.ndarray:
@@ -155,14 +155,6 @@ def _boundary_pair(params: TfsParams, theta: float) -> tuple[float, float]:
     """``w_{-1}`` and ``w_1`` at the characteristic root ``theta``."""
     pair = _boundary_weights(np.array([params.m1, params.m2], dtype=float), theta)
     return tuple(pair.tolist())
-
-
-def _orbit_weights(params: TfsParams, w_minus: float, w_plus: float) -> OrbitWeights:
-    """The orbit weights with interior orbits of 1/2 and these boundary
-    weights, as one numpy vector."""
-    w = np.full(params.m1 + params.m2, 0.5)
-    w[params.m1 - 1], w[params.m1] = w_minus, w_plus
-    return OrbitWeights(params, w)
 
 
 def _first_sign_change(

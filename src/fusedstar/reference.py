@@ -6,6 +6,8 @@ module holds the other ways to reach the same answers, which the tests
 compare against: the node and edge views of a network, the
 stochasticity report of a dense matrix, the full spectrum of the blocks,
 eigenvalues with multiplicities, and the change of basis behind them,
+the extreme eigenvalues and counts of the blocks written out (the oracle
+of ``SkeletonBlocks``, which reads every report in the product),
 theta* and the boundary weights in mpmath, the rank-one edge stencils
 of the certificate and the certificate with its vectors written out, in
 O(m), and the per-node stencil and the matrix recurrence of the
@@ -18,6 +20,7 @@ oracle, ``mp_theta_star`` and ``mp_boundary_weight``, loads mpmath.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import sys
@@ -31,9 +34,12 @@ from .certificate import CertificateResiduals, _chain_ratio
 from .optimizer import OptimalSolution
 from .simulation import Trajectory, _no_room
 from .spectral import (
+    _DENSE_ROWS,
+    _NON_FINITE,
     SpectralReport,
     StratifiedBlocks,
     Tridiagonal,
+    _RunCount,
     build_blocks,
     perron_vector,
 )
@@ -41,10 +47,10 @@ from .topology import InvalidParameterError, TfsParams, edge_table
 from .weighting import OrbitWeights
 
 __all__ = [
-    "BlockSpectrumReport", "InvalidNodeError", "NodeId", "NotAnEdgeError",
-    "StochasticityReport", "VectorCertificate", "alpha_vectors",
-    "block_spectrum", "block_structure", "build_vector_certificate",
-    "canonical_nodes", "degrees",
+    "BlockSpectrumReport", "CountedTridiagonal", "InvalidNodeError", "NodeId",
+    "NotAnEdgeError", "StochasticityReport", "VectorCertificate",
+    "alpha_vectors", "block_extremes", "block_spectrum", "block_structure",
+    "build_vector_certificate", "canonical_nodes", "counted_blocks", "degrees",
     "distributed_iterate", "distributed_rounds", "edge_orbit", "edges",
     "equivalent_star", "exact_count_below", "interlacing_check", "iterate",
     "matrix_rounds", "mp_boundary_weight", "mp_theta_star", "node_index",
@@ -257,7 +263,7 @@ def block_spectrum(blocks: StratifiedBlocks) -> BlockSpectrumReport:
     """Spectrum of the full matrix from the blocks, multiplicities symbolic.
 
     Every block goes through the symmetric-tridiagonal eigensolver.
-    Eigenvalues are never replicated in memory.  ``spectral.block_extremes``
+    Eigenvalues are never replicated in memory.  ``block_extremes``
     gives the same ``lambda2``, ``lambda_min`` and ``slem`` from a few
     eigenvalues.
     """
@@ -267,6 +273,114 @@ def block_spectrum(blocks: StratifiedBlocks) -> BlockSpectrumReport:
         for block, mult in sized
         for value in tridiagonal_spectrum(block).tolist()
     ])
+
+
+class CountedTridiagonal(Tridiagonal):
+    """A ``Tridiagonal`` read by the run-compressed count of its own rows
+    written out: the oracle of ``SkeletonBlocks``' reads and counts."""
+
+    def eigenvalues(self, indices: Iterable[int]) -> np.ndarray:
+        """Ascending eigenvalues at ``indices`` (0-based), as a new array,
+        each distinct index read once by ``_RunCount.read``.
+
+        A block of at most ``_DENSE_ROWS`` rows supplies guesses from
+        ``np.linalg.eigvalsh`` on its dense form, accurate to a few
+        ``eps ||T||``: a guess of at least ``||T|| / 8`` in magnitude
+        stands as it is, and ``read`` checks any other.  A larger block
+        reads without guesses, and so has the same bits read together or
+        alone.
+        """
+        indices = list(indices)
+        wanted = list(dict.fromkeys(indices))
+        if wanted and self.size <= _DENSE_ROWS:
+            dense = self.dense()
+            if not np.isfinite(dense).all():
+                raise np.linalg.LinAlgError(_NON_FINITE)
+            values = np.linalg.eigvalsh(dense)
+            # a few ulps near ||T||, but not far below it, where the counts
+            # read to their relative accuracy (as lambda_min at
+            # (1, 10^12, 1, 2) under Metropolis weights)
+            floor = 0.125 * max(-values[0], values[-1])
+            found = {
+                index: guess if abs(guess) >= floor else self._runs.read(index, guess)
+                for index, guess in zip(wanted, values[wanted].tolist())
+            }
+        else:
+            found = {index: self._runs.read(index) for index in wanted}
+        return np.array([found[index] for index in indices], dtype=float)
+
+    def count_below(self, shifts: float | np.ndarray) -> int | np.ndarray:
+        """Number of eigenvalues below each shift, from the run-compressed
+        Sturm count: an int for one shift, an array for an array.
+
+        Each shift is one pure-Python count, O(runs and stepped rows) of
+        the block.  Away from rounding level at an eigenvalue it equals
+        ``count_eigenvalues_below`` on a stack of one, whose tie rule it
+        keeps on stepped rows and decoupled runs (an eigenvalue that meets
+        the shift exactly, as a zero pivot, counts as below).
+        """
+        x = np.asarray(shifts, dtype=float)
+        runs = self._runs
+        counts = np.array(
+            [runs.count(v / runs.scale) for v in x.ravel().tolist()],
+            dtype=np.int64,
+        ).reshape(x.shape)
+        return int(counts) if counts.ndim == 0 else counts
+
+    @functools.cached_property
+    def _runs(self) -> _RunCount:
+        return _run_count_of(self.diagonal, self.off_diagonal)
+
+
+def _run_count_of(diagonal: np.ndarray, off_diagonal: np.ndarray) -> _RunCount:
+    """The count of the tridiagonal with these two diagonals: rows 1..
+    start a new run where ``a_j`` or ``|b_{j-1}|`` changes, and only the
+    entries that start a run are read."""
+    top = max(
+        float(np.abs(diagonal).max()),
+        float(np.abs(off_diagonal).max(initial=0.0)),
+    )
+    if not math.isfinite(top):
+        raise np.linalg.LinAlgError(_NON_FINITE)
+    b = np.abs(off_diagonal)
+    changes = (diagonal[2:] != diagonal[1:-1]) | (b[1:] != b[:-1])
+    bounds = [1, *(np.flatnonzero(changes) + 2).tolist(), diagonal.size]
+    a, b = diagonal.item, b.item
+    return _RunCount([(a(0), 0.0, 1)] + [
+        (a(lo), b(lo - 1), hi - lo) for lo, hi in zip(bounds[:-1], bounds[1:])
+        if hi > lo
+    ])
+
+
+def counted_blocks(blocks: StratifiedBlocks) -> StratifiedBlocks:
+    """The same three blocks, each a ``CountedTridiagonal`` of its own on
+    the same arrays, uncopied."""
+    minus, center, plus = (
+        CountedTridiagonal(block.diagonal, block.off_diagonal)
+        for block in (blocks.minus, blocks.center, blocks.plus)
+    )
+    return StratifiedBlocks(blocks.params, minus, center, plus)
+
+
+def block_extremes(blocks: StratifiedBlocks) -> SpectralReport:
+    """``lambda2``, ``lambda_min`` and ``slem`` of the full matrix from the
+    extreme eigenvalues of its blocks written out, by the interlacing rule
+    of ``SkeletonBlocks.report`` without claims: the center's lowest
+    eigenvalue and the arm blocks' top, with the center's second-highest
+    beside a star of one branch.  Each block is read by
+    ``CountedTridiagonal.eigenvalues``, on counts of its own.
+    """
+    blocks = counted_blocks(blocks)
+    center = blocks.center
+    arms = [
+        arm
+        for arm, mult in zip((blocks.minus, blocks.plus), blocks.multiplicities[::2])
+        if mult > 0
+    ]
+    wanted = [0] if len(arms) == 2 else [0, center.size - 2]
+    lowest, *tops = center.eigenvalues(wanted).tolist()
+    tops += [arm.eigenvalues([arm.size - 1]).item() for arm in arms]
+    return SpectralReport(lambda2=max(tops), lambda_min=lowest)
 
 
 def block_structure(params: TfsParams) -> tuple[int, ...]:
@@ -886,7 +1000,7 @@ def verify_vector_certificate(
     """
     params = certificate.params
     w = weights.values_for(params)
-    blocks = build_blocks(params, weights)
+    blocks = counted_blocks(build_blocks(params, weights))
     s, z1, z2 = certificate.s, certificate.z1, certificate.z2
 
     # C v = v for every orbit weighting, so s I + C - v v^T has the

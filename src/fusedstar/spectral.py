@@ -10,34 +10,40 @@ quantity of the full matrix follows from small tridiagonal eigensolves, even
 for very large networks.  ``central_tridiagonal`` is the one formula for
 the entries: it writes the central block from orbit weights, for one shape
 or a stack of shapes of one length, and the arm blocks are its leading
-``m1`` and trailing ``m2`` rows.  ``block_extremes`` finds ``lambda2``
-and ``lambda_min`` by interlacing: the center's lowest eigenvalue and the
-arm blocks' top, with the center's second-highest beside a star of one
-branch.  A ``SpectralReport`` holds those two numbers, and its SLEM is
-derived from them.  ``_RunCount.read`` reads every eigenvalue by index: a
-guess stands when two run-compressed Sturm counts 8 ulps either side of it
-hold its index, and otherwise bisection on the count finds it.
+``m1`` and trailing ``m2`` rows.  ``build_blocks`` writes the three out,
+for the iteration (``simulation``).
+Every weighting the product reports, the optimum and every scheme, weighs
+all interior orbits of its arms alike, so its blocks are a skeleton:
+``central_tridiagonal`` on four orbits (``skeleton_rows``) and, in each
+arm, a run of equal interior rows.  ``SkeletonBlocks`` counts and reads
+its blocks from the skeleton, in O(1) time and memory in the branch
+lengths.  Its ``report`` finds ``lambda2`` and ``lambda_min`` by
+interlacing: the center's lowest eigenvalue and the arm blocks' top, with
+the center's second-highest beside a star of one branch.  A
+``SpectralReport`` holds those two numbers, and its SLEM is derived from
+them.  ``_RunCount.read`` reads every eigenvalue by index: a guess stands
+when two run-compressed Sturm counts either side of it hold its index, and
+otherwise bisection on the count finds it.
 Every block has equal rows except at its leaves, the center and
 the center's neighbours, and along a run of equal rows the pivots of
 ``T - xI = LDL^T`` are the continuants ``beta^k sin(k phi + psi)`` (the
 characteristic polynomials the optimum is derived from), so the count,
-``_RunCount``, costs O(1) in the branch length.  It is built from the
-block's runs, and so needs no array of its rows where they are known:
-``SkeletonBlocks`` counts the blocks of weights whose interior orbits are
-all 1/2, as an optimum's, from their skeleton, ``central_tridiagonal`` on
-four orbits (``skeleton_rows``), in O(1) time and memory in the branch
-lengths.  A single solve's self-check is twelve of its counts, and its
-report reads ``-s`` and ``s`` on two counts each, where the optimum's
-slackness conditions put ``lambda_min`` and ``lambda2``.
+``_RunCount``, costs O(1) in the branch length; it is built from the
+block's runs, and so needs no array of its rows.  A single solve's
+self-check is twelve of its counts, and its report reads ``-s`` and ``s``
+on two counts each, where the optimum's slackness conditions put
+``lambda_min`` and ``lambda2``.
 ``count_central_below`` is the same count for a stack of optimal central
 blocks, vectorised over the lanes: it reads each block's skeleton rows,
 so the optimizer proves every optimum of a batch with one straight-line
 count.
 ``count_eigenvalues_below`` counts row by row by LDL^T inertia over a
-stack of tridiagonals; it is the reference for both run counts.  At run
-time this module imports ``topology`` alone (``OrbitWeights`` is named
-only in an annotation), so ``weighting`` builds on it.  It does not
-need scipy: the full-spectrum reference that does,
+stack of tridiagonals; it is the reference for both run counts.  The
+blocks written out, read by the same rule, are the skeleton's oracle
+(``fusedstar.reference.block_extremes``).  At run time this module
+imports ``topology`` alone (``OrbitWeights`` is named only in an
+annotation), so ``weighting`` builds on it.  It does not need scipy: the
+full-spectrum reference that does,
 ``fusedstar.reference.tridiagonal_spectrum``, loads it on first use.
 """
 from __future__ import annotations
@@ -54,8 +60,9 @@ from .topology import TfsParams
 if TYPE_CHECKING:
     from .weighting import OrbitWeights
 
-# A block of at most this many rows takes its eigenvalues from a dense
-# ``np.linalg.eigvalsh``; a larger one bisects on run-compressed counts.
+# A block of at most this many rows, read without claims, takes its
+# guesses from a dense ``np.linalg.eigvalsh`` of its rows; a larger one
+# bisects on run-compressed counts.
 # The two routes cost the same near here: on a shared 2-vCPU Xeon
 # (2.1 GHz, 1 BLAS thread), the lowest and top two eigenvalues of an arm
 # block under optimal or Metropolis weights took 0.17 ms dense and 0.20 ms
@@ -139,72 +146,19 @@ class Tridiagonal:
         y[1:] += self.off_diagonal * x[:-1]
         return y
 
-    def eigenvalues(self, indices: Iterable[int]) -> np.ndarray:
-        """Ascending eigenvalues at ``indices`` (0-based), as a new array,
-        each distinct index read once by ``_RunCount.read``.
-
-        A block of at most ``_DENSE_ROWS`` rows supplies guesses from
-        ``np.linalg.eigvalsh`` on its dense form, accurate to a few
-        ``eps ||T||``: a guess of at least ``||T|| / 8`` in magnitude
-        stands as it is, and ``read`` checks any other.  A larger block
-        reads without guesses, and so has the same bits read together or
-        alone.
-        """
-        indices = list(indices)
-        wanted = list(dict.fromkeys(indices))
-        if wanted and self.size <= _DENSE_ROWS:
-            dense = self.dense()
-            if not np.isfinite(dense).all():
-                raise np.linalg.LinAlgError(_NON_FINITE)
-            values = np.linalg.eigvalsh(dense)
-            # a few ulps near ||T||, but not far below it, where the counts
-            # read to their relative accuracy (as lambda_min at
-            # (1, 10^12, 1, 2) under Metropolis weights)
-            floor = 0.125 * max(-values[0], values[-1])
-            found = {
-                index: guess if abs(guess) >= floor else self._runs.read(index, guess)
-                for index, guess in zip(wanted, values[wanted].tolist())
-            }
-        else:
-            found = {index: self._runs.read(index) for index in wanted}
-        return np.array([found[index] for index in indices], dtype=float)
-
-    def count_below(self, shifts: float | np.ndarray) -> int | np.ndarray:
-        """Number of eigenvalues below each shift, from the run-compressed
-        Sturm count: an int for one shift, an array for an array.
-
-        Each shift is one pure-Python count, O(runs and stepped rows) of
-        the block.  Away from rounding level at an eigenvalue it equals
-        ``count_eigenvalues_below`` on a stack of one, whose tie rule it
-        keeps on stepped rows and decoupled runs (an eigenvalue that meets
-        the shift exactly, as a zero pivot, counts as below).
-        """
-        x = np.asarray(shifts, dtype=float)
-        runs = self._runs
-        counts = np.array(
-            [runs.count(v / runs.scale) for v in x.ravel().tolist()],
-            dtype=np.int64,
-        ).reshape(x.shape)
-        return int(counts) if counts.ndim == 0 else counts
-
-    @functools.cached_property
-    def _runs(self) -> "_RunCount":
-        return _RunCount.of(self.diagonal, self.off_diagonal)
-
 
 class _RunCount:
     """Sturm count and plain bisection on it, as in LAPACK's dstebz, for
     one tridiagonal, with its runs of equal rows in closed form, at any
-    size; the bisection serves blocks of more than ``_DENSE_ROWS`` rows,
-    dense values that fail the counts and the skeleton's reads.
+    size; the bisection serves blocks of more than ``_DENSE_ROWS`` rows
+    and guesses that fail the counts (``SkeletonBlocks.report``).
 
     It is built from the block's rows as runs of equal rows, ``(a, |b|,
     length)`` in row order with ``b`` each row's coupling to the row
-    before (``of`` finds them in two arrays, and ``SkeletonBlocks`` writes
-    them from a skeleton).  The matrix is scaled by the power of two at or
-    above its largest entry, exactly, so that no squared coupling
-    overflows; a largest entry of 2^1023 or more has no such power, and
-    the block is refused.  Row ``j >= 1`` is the pair ``(a_j,
+    before, as ``SkeletonBlocks`` writes them from a skeleton.  The matrix
+    is scaled by the power of two at or above its largest entry, exactly,
+    so that no squared coupling overflows; a largest entry of 2^1023 or
+    more has no such power, and the block is refused.  Row ``j >= 1`` is the pair ``(a_j,
     b_{j-1}^2)``; a run is ``_MIN_RUN`` or more equal consecutive rows,
     and every other row, row 0 included, is one step of Kahan's
     recurrence ``d_j = (a_j - x) - b_{j-1}^2 / d_{j-1}`` with LAPACK's
@@ -230,8 +184,8 @@ class _RunCount:
 
     def __init__(self, runs: list[tuple[float, float, int]]):
         """``runs`` starts with row 0 alone; its coupling is not read.
-        Equal runs after it that follow each other are joined, as ``of``
-        finds them."""
+        Equal runs after it that follow each other are joined, so the rows
+        and steps are those of the block's maximal runs."""
         entries = [abs(a) for a, _, _ in runs] + [b for _, b, _ in runs[1:]]
         if not all(map(math.isfinite, entries)):
             raise np.linalg.LinAlgError(_NON_FINITE)
@@ -263,26 +217,6 @@ class _RunCount:
         # narrows a later search
         self.counted: list[tuple[float, int]] = []
 
-    @classmethod
-    def of(cls, diagonal: np.ndarray, off_diagonal: np.ndarray) -> "_RunCount":
-        """The count of the tridiagonal with these two diagonals: rows 1..
-        start a new run where ``a_j`` or ``|b_{j-1}|`` changes, and only the
-        entries that start a run are read."""
-        top = max(
-            float(np.abs(diagonal).max()),
-            float(np.abs(off_diagonal).max(initial=0.0)),
-        )
-        if not math.isfinite(top):
-            raise np.linalg.LinAlgError(_NON_FINITE)
-        b = np.abs(off_diagonal)
-        changes = (diagonal[2:] != diagonal[1:-1]) | (b[1:] != b[:-1])
-        bounds = [1, *(np.flatnonzero(changes) + 2).tolist(), diagonal.size]
-        a, b = diagonal.item, b.item
-        return cls([(a(0), 0.0, 1)] + [
-            (a(lo), b(lo - 1), hi - lo) for lo, hi in zip(bounds[:-1], bounds[1:])
-            if hi > lo
-        ])
-
     @functools.cached_property
     def gershgorin(self) -> tuple[float, float]:
         """Bounds on the scaled spectrum, widened as in dstebz: each row's
@@ -304,11 +238,14 @@ class _RunCount:
         return below
 
     def holds(self, index: int, value: float) -> bool:
-        """Whether the counts eight ulps either side of the unscaled
-        ``value`` hold ``index``: the rule by which a guessed eigenvalue
-        stands.  A wrong guess costs two counts, which start its search."""
-        ulps = 8.0 * math.ulp(value)
-        return self.below(value - ulps) <= index < self.below(value + ulps)
+        """Whether the counts either side of the unscaled ``value`` hold
+        ``index``: the rule by which a guessed eigenvalue stands.  They are
+        eight ulps away, or four ``pivmin`` where that is farther: within
+        about ``2^51 tiny`` of 0, where the counts resolve no finer than
+        ``pivmin``.  A wrong guess costs two counts, which start its
+        search."""
+        width = max(8.0 * math.ulp(value), 4.0 * _TINY * self.scale)
+        return self.below(value - width) <= index < self.below(value + width)
 
     def read(self, index: int, guess: float | None = None) -> float:
         """The eigenvalue at ``index``, unscaled: ``guess`` where it
@@ -681,34 +618,6 @@ def count_eigenvalues_below(
     return below
 
 
-def block_extremes(blocks: StratifiedBlocks) -> SpectralReport:
-    """``lambda2``, ``lambda_min`` and ``slem`` of the full matrix from the
-    extreme eigenvalues of its blocks.
-
-    The central block's top is the consensus eigenvalue 1 (``C v = v`` for
-    the Perron vector), and with nonnegative weights, as every scheme, the
-    optimum and best-constant's unit weights have, nothing exceeds it: the
-    matrix is ``I - L`` for a positive semidefinite Laplacian ``L``.  The
-    arm blocks together are the central block without its center row, so
-    by Cauchy's interlacing ``lambda_min`` is the center's lowest
-    eigenvalue and ``lambda2`` the arm blocks' top, which is at least the
-    center's second-highest.  An arm block counts only when its star has
-    two branches or more; beside one that does not, the center's
-    second-highest is read too.  An optimum reads its own two on its
-    skeleton instead (``SkeletonBlocks.report``).
-    """
-    center = blocks.center
-    arms = [
-        arm
-        for arm, mult in zip((blocks.minus, blocks.plus), blocks.multiplicities[::2])
-        if mult > 0
-    ]
-    wanted = [0] if len(arms) == 2 else [0, center.size - 2]
-    lowest, *tops = center.eigenvalues(wanted).tolist()
-    tops += [arm.eigenvalues([arm.size - 1]).item() for arm in arms]
-    return SpectralReport(lambda2=max(tops), lambda_min=lowest)
-
-
 class _Shapes(NamedTuple):
     """Branch lengths and counts, one entry per lane of a batch (float
     arrays) or of one shape (numbers); ``central_tridiagonal`` reads them as
@@ -720,86 +629,193 @@ class _Shapes(NamedTuple):
     n2: np.ndarray
 
 
-def skeleton_rows(shapes, w_minus, w_plus) -> tuple[np.ndarray, np.ndarray]:
+def skeleton_rows(
+    shapes, w_minus, w_plus, interior: float = 0.5
+) -> tuple[np.ndarray, np.ndarray]:
     """The weight-dependent rows of central blocks whose interior orbits
-    all weigh 1/2, as at an optimum: ``central_tridiagonal`` on the four
-    orbits ``[w_int, w_-1, w_1, w_int]``, with ``w_int`` the arm's interior
-    weight (1/2, and 0 for an arm of one row, which has no interior orbit).
+    all weigh ``interior``, 1/2 as at an optimum: ``central_tridiagonal`` on
+    the four orbits ``[w_int, w_-1, w_1, w_int]``, with ``w_int`` the arm's
+    interior weight (``interior``, and 0 for an arm of one row, which has
+    no interior orbit).
 
     The five diagonal entries are the first arm's leaf, its row next to
     the center, the center, the second arm's row next to the center and
     its leaf; the four couplings join them in that order.  Each entry has
     the bits of the same entry of the block written out, and the rows
     between an arm's leaf and its row next to the center are a run of
-    diagonal 0 coupled by 1/2.  ``w_minus`` and ``w_plus`` are numbers for
-    one shape or arrays over the lanes of ``shapes``.
+    diagonal ``(1 - interior) - interior`` coupled by ``interior``.
+    ``w_minus`` and ``w_plus`` are numbers for one shape or arrays over the
+    lanes of ``shapes``.
     """
     w = np.empty((4, *np.shape(w_minus)))
     w[1], w[2] = w_minus, w_plus
-    # a bool, or an array of them, times 1/2
-    w[0], w[3] = 0.5 * (shapes.m1 > 1), 0.5 * (shapes.m2 > 1)
+    # a bool, or an array of them, times the interior weight
+    w[0], w[3] = interior * (shapes.m1 > 1), interior * (shapes.m2 > 1)
     return central_tridiagonal(_Shapes(2, shapes.n1, shapes.m2, shapes.n2), w)
 
 
 class SkeletonBlocks:
     """The three stratified blocks of the orbit weights of one shape whose
-    interior orbits all weigh 1/2 and whose boundary orbits weigh
-    ``w_minus_1`` and ``w_plus_1``, as at an optimum, counted in O(1) of
-    the branch lengths.
+    interior orbits all weigh ``interior`` and whose boundary orbits weigh
+    ``w_minus_1`` and ``w_plus_1``, counted and read in O(1) of the branch
+    lengths.  An optimum and Metropolis's weights have ``interior = 1/2``,
+    max-degree's and best-constant's their one weight, the unit weights 1.
 
     Each block is a ``_RunCount`` built from ``skeleton_rows``: the arms'
     interiors are runs, so a count costs a few steps whatever ``m1`` and
     ``m2``, and no array of their length is made.  The counts are those of
     the blocks written out (``build_blocks``), bit for bit: the rows and
     runs are the same.  ``count_below`` serves the optimum's self-check,
-    ``report`` its spectral report and the certificate's feasibility.
-    Requires ``n1, n2 >= 2``.
+    ``report`` every spectral report and the certificate's feasibility.
     """
 
-    def __init__(self, params: TfsParams, w_minus_1: float, w_plus_1: float):
+    def __init__(
+        self, params: TfsParams, w_minus_1: float, w_plus_1: float,
+        interior: float = 0.5,
+    ):
         self.params, self.w_minus_1, self.w_plus_1 = params, w_minus_1, w_plus_1
-        diagonal, off = skeleton_rows(params, w_minus_1, w_plus_1)
-        self.diagonal, self.off = diagonal.tolist(), off.tolist()
-        d, b = self.diagonal, [abs(value) for value in self.off]
-        m1, m2 = params.m1, params.m2
-        interior1 = [(0.0, 0.5, m1 - 2)] if m1 > 2 else []
-        interior2 = [(0.0, 0.5, m2 - 2)] if m2 > 2 else []
-        # each arm block from its row 0: the first from its leaf, the
-        # second from its row next to the center
+        self.interior = interior
+        self._reports: dict[float | None, SpectralReport] = {}
+
+    # Nothing is computed before a count, a read or the certificate needs
+    # it, so a skeleton that stands only for its weights costs nothing.
+    # The blocks' counts are built together on first use, as a block
+    # written out builds its own: a report that takes every dense guess as
+    # it is builds none.  A block with an entry that is not finite, or of
+    # 2^1023 or more in magnitude, is refused there.
+    @functools.cached_property
+    def rows(self) -> tuple[list[float], list[float]]:
+        """``skeleton_rows``: the five diagonal entries and the four
+        couplings, as lists."""
+        diagonal, off = skeleton_rows(
+            self.params, self.w_minus_1, self.w_plus_1, self.interior
+        )
+        return diagonal.tolist(), off.tolist()
+
+    def _runs(self) -> dict[str, list[tuple[float, float, int]]]:
+        # each block as runs (a, b, length) from its row 0, with b the
+        # signed coupling to the row before: the first arm block from its
+        # leaf, the second from its row next to the center
+        (d, b), m1, m2 = self.rows, self.params.m1, self.params.m2
+        interior = self.interior
+        a = (1.0 - interior) - interior
+        interior1 = [(a, interior, m1 - 2)] if m1 > 2 else []
+        interior2 = [(a, interior, m2 - 2)] if m2 > 2 else []
         minus = [(d[0], 0.0, 1), *interior1, (d[1], b[0], 1)] if m1 > 1 else [
             (d[1], 0.0, 1)
         ]
         plus = [(d[3], 0.0, 1), *interior2, (d[4], b[3], 1)] if m2 > 1 else [
             (d[3], 0.0, 1)
         ]
+        center = minus + [(d[2], b[1], 1), (d[3], b[2], 1)] + plus[1:]
+        return {"center": center, "minus": minus, "plus": plus}
+
+    @functools.cached_property
+    def _counts(self) -> dict[str, _RunCount]:
         # the center first: its rows hold every entry, and so its refusal
         # of a non-finite one comes before an arm's refusal of a large one
-        self.center = _RunCount(minus + [(d[2], b[1], 1), (d[3], b[2], 1)] + plus[1:])
-        self.minus, self.plus = _RunCount(minus), _RunCount(plus)
-        self._reports: dict[float, SpectralReport] = {}
+        return {
+            block: _RunCount([(a, abs(b), length) for a, b, length in runs])
+            for block, runs in self._runs().items()
+        }
+
+    center = property(lambda self: self._counts["center"])
+    minus = property(lambda self: self._counts["minus"])
+    plus = property(lambda self: self._counts["plus"])
 
     def count_below(self, shifts: Iterable[float]) -> np.ndarray:
         """Eigenvalues below each shift of the central block and of both
         arm blocks together, one row ``[center, arms]`` per shift."""
-        return np.array([
-            [self.center.below(x), self.minus.below(x) + self.plus.below(x)]
-            for x in shifts
-        ])
+        center, minus, plus = self._counts.values()
+        return np.array(
+            [[center.below(x), minus.below(x) + plus.below(x)] for x in shifts]
+        )
 
-    def report(self, s: float) -> SpectralReport:
-        """``lambda2`` and ``lambda_min`` where an optimum's slackness
-        conditions put them, by ``block_extremes``' rule: the center's
-        lowest eigenvalue at ``-s`` (``z1`` of the certificate) and the
-        arms' top at ``s`` (``z2``), each read on the skeleton's count with
-        its claim as the guess (``_RunCount.read``).  Kept by ``s``, so the
-        certificate's feasibility reads the same two.
+    def report(self, s: float | None = None) -> SpectralReport:
+        """``lambda2`` and ``lambda_min`` by Cauchy's interlacing.
+
+        The central block's top is the consensus eigenvalue 1, and with
+        nonnegative weights, as every scheme and the optimum have, nothing
+        exceeds it: the matrix is ``I - L`` for a positive semidefinite
+        Laplacian ``L``.  The arm blocks together are the central block
+        without its center row, so ``lambda_min`` is the center's lowest
+        eigenvalue and ``lambda2`` the arm blocks' top, which is at least
+        the center's second-highest.  An arm block counts only when its
+        star has two branches or more; beside one that does not, the
+        center's second-highest is read too.
+
+        With ``s``, an optimum's claims are the guesses that
+        ``_RunCount.read`` checks: ``-s`` for the center's lowest (``z1``
+        of the certificate) and ``s`` for a top (``z2``).  Without it, a
+        block of at most ``_DENSE_ROWS`` rows takes its guesses from
+        ``np.linalg.eigvalsh`` of its rows written out: a guess of at least
+        ``||T|| / 8`` in magnitude stands as it is, and ``read`` checks any
+        other; a larger block is read without guesses.  Kept by ``s``, so
+        the certificate's feasibility reads the same two.
         """
         if s not in self._reports:
-            self._reports[s] = SpectralReport(
-                lambda2=max(arm.read(arm.size - 1, s) for arm in (self.minus, self.plus)),
-                lambda_min=self.center.read(0, -s),
-            )
+            p = self.params
+            arms = [
+                (block, m)
+                for block, m, n in (("minus", p.m1, p.n1), ("plus", p.m2, p.n2))
+                if n > 1
+            ]
+            wanted = [0] if len(arms) == 2 else [0, p.m1 + p.m2 - 1]
+            if s is None:
+                lowest, *tops = self._read("center", wanted)
+                tops += [self._read(block, [m - 1])[0] for block, m in arms]
+            else:
+                counts = self._counts
+                lowest, *tops = map(counts["center"].read, wanted, (-s, s))
+                tops += [counts[block].read(m - 1, s) for block, m in arms]
+            self._reports[s] = SpectralReport(lambda2=max(tops), lambda_min=lowest)
         return self._reports[s]
+
+    def _read(self, block: str, wanted: list[int]) -> list[float]:
+        # the eigenvalues of a block at the indices wanted, in that order,
+        # read without claims
+        m1, m2 = self.params.m1, self.params.m2
+        if {"center": m1 + m2 + 1, "minus": m1, "plus": m2}[block] > _DENSE_ROWS:
+            count = self._counts[block]
+            return [count.read(i) for i in wanted]
+        values = np.linalg.eigvalsh(self._dense[block])
+        # a few ulps near ||T||, but not far below it, where the counts
+        # read to their relative accuracy (as lambda_min at
+        # (1, 10^12, 1, 2) under Metropolis weights)
+        floor = 0.125 * max(-values[0], values[-1])
+        return [
+            guess if abs(guess) >= floor else self._counts[block].read(i, guess)
+            for i, guess in zip(wanted, values[wanted].tolist())
+        ]
+
+    @functools.cached_property
+    def _dense(self) -> dict[str, np.ndarray]:
+        # each block of at most _DENSE_ROWS rows written out, its rows the
+        # bits of build_blocks' rows; an arm block is a corner of the
+        # central block where that is written out too
+        m1, m2 = self.params.m1, self.params.m2
+        if m1 + m2 + 1 <= _DENSE_ROWS:
+            center = self._write("center")
+            return {
+                "center": center,
+                "minus": center[:m1, :m1],
+                "plus": center[m1 + 1 :, m1 + 1 :],
+            }
+        return {
+            block: self._write(block)
+            for block, m in (("minus", m1), ("plus", m2))
+            if m <= _DENSE_ROWS
+        }
+
+    def _write(self, block: str) -> np.ndarray:
+        diagonal, off = [], []
+        for a, b, length in self._runs()[block]:
+            diagonal += [a] * length
+            off += [b] * length
+        dense = Tridiagonal(diagonal, off[1:]).dense()
+        if not np.isfinite(dense).all():
+            raise np.linalg.LinAlgError(_NON_FINITE)
+        return dense
 
 
 def full_spectrum(entries: np.ndarray) -> SpectralReport:

@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import hashlib
 import importlib
 import io
 import json
@@ -18,14 +19,15 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import fusedstar
-from fusedstar import cli, optimizer, spectral
+from fusedstar import cli, optimizer, spectral, weighting
 from fusedstar.cli import _sig10, _weights_json, main
 from fusedstar.optimizer import (
     SelfCheckError,
     optimal_weights,
     solve_symmetric_star,
 )
-from fusedstar.spectral import block_extremes, build_blocks, full_spectrum
+from fusedstar.reference import block_extremes
+from fusedstar.spectral import build_blocks, full_spectrum
 from fusedstar.topology import TfsParams
 from fusedstar.weighting import (
     OrbitWeights,
@@ -267,12 +269,12 @@ def run_counts(monkeypatch):
         # certificate share; the seeds +-s stand, so nothing is searched
         ("solve", 3, 0),
         ("verify", 3, 0),
-        # the blocks of three weightings: the optimum's, Metropolis's and
-        # the unit weights', whose report gives max-degree's and
+        # the skeletons of three weightings: the optimum's, Metropolis's
+        # and the unit weights', whose report gives max-degree's and
         # best-constant's rows; one eigenvalue of each of the six blocks
         # of Metropolis and the unit weights
         ("compare", 9, 6),
-        # Metropolis's own blocks: the center's lowest eigenvalue and
+        # Metropolis's own skeleton: the center's lowest eigenvalue and
         # each arm block's top
         ("solve --scheme metropolis", 3, 3),
     ],
@@ -286,6 +288,49 @@ def test_each_solve_builds_each_block_and_finds_each_eigenvalue_once(
     )
     assert code == 0
     assert run_counts == {"built": built, "searched": searched}
+
+
+# compare's stdout, and the SHA-256 of each solve --scheme's, as the blocks
+# written out (build_blocks) gave them: below 64 rows each block's dense
+# guesses, above it bisection, and one-branch stars, where compare refuses
+SCHEME_OUTPUTS = {
+    (450, 5, 400, 3): (
+        "scheme,slem\r\noptimal,0.9999939419\r\nmax-degree,0.9999984803\r\n"
+        "metropolis,0.9999940013\r\nbest-constant,0.9999973405\r\n",
+        {"max-degree": "30bd1a7f567fdb8b", "metropolis": "99182735447ebdcd",
+         "best-constant": "a58ff822457943b3"},
+    ),
+    (3, 4, 4, 3): (
+        "scheme,slem\r\noptimal,0.9545044654\r\nmax-degree,0.9827693202\r\n"
+        "metropolis,0.9719487663\r\nbest-constant,0.9708913492\r\n",
+        {"max-degree": "a499b61c5e62a21c", "metropolis": "ba8fa130aa94274f",
+         "best-constant": "290e2278bb66b6bd"},
+    ),
+    (5, 1, 70, 3): (
+        None,
+        {"max-degree": "ac9e1f852561f2e7", "metropolis": "5a6fdfba2d3f09b9",
+         "best-constant": "42feee9918b78f2f"},
+    ),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(SCHEME_OUTPUTS), ids=str)
+def test_every_scheme_reports_without_writing_its_blocks(capsys, monkeypatch, shape):
+    # compare and solve --scheme read skeletons: with build_blocks refused
+    # wherever the commands could bind it, they print the same bytes
+    def refused(*args, **kwargs):
+        raise AssertionError("a block was written out")
+
+    for module in (cli, spectral, weighting):
+        monkeypatch.setattr(module, "build_blocks", refused, raising=False)
+    argv = [f"{name}={value}" for name, value in zip(_SHAPE, shape)]
+    compared, solved = SCHEME_OUTPUTS[shape]
+    if compared is not None:
+        assert run_cli(capsys, "compare", *argv) == (0, compared, "")
+    for scheme, digest in solved.items():
+        code, out, err = run_cli(capsys, "solve", *argv, "--scheme", scheme)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest, scheme
 
 
 def test_solve_never_searches_the_consensus_eigenvalue(capsys, monkeypatch):
@@ -358,9 +403,10 @@ def _compare_shapes():
 @pytest.mark.parametrize("shape", _compare_shapes(), ids=str)
 def test_compare_matches_solve_on_every_scheme(capsys, shape, convention):
     # each row is the .10g of solve's slem, which reads the scheme's own
-    # blocks; in-process, max-degree's and best-constant's closed forms
-    # keep constant_weight_slems' bound against those blocks (r = 8) and
-    # against the dense oracle (r = n) where it fits
+    # skeleton; in-process, max-degree's and best-constant's closed forms
+    # keep constant_weight_slems' bound against the scheme's blocks
+    # written out (r = 8) and against the dense oracle (r = n) where it
+    # fits
     params = TfsParams(*shape)
     argv = [f"{name}={value}" for name, value in zip(_SHAPE, shape)]
     argv.append(f"--max-degree-convention={convention}")
@@ -1095,16 +1141,15 @@ def test_simulate_sets_up_in_one_state_vector():
 @pytest.mark.parametrize(
     "argv",
     [
-        # solve writes 10**9 weights, compare writes Metropolis's out
-        [command, "--m1", str(10**9), "--n1", "2", "--m2", "2", "--n2", "2"]
-        for command in ("solve", "compare")
+        # solve writes 10**9 weights
+        ["solve", "--m1", str(10**9), "--n1", "2", "--m2", "2", "--n2", "2"]
     ]
     # a 10**10-cell grid: 74.5 GiB of branch lengths
     + [["sweep", "custom", "--n1", "2", "--n2", "3",
         "--m1-max", "100000", "--m2-max", "100000"]]
     # 7.5e9 shapes: the grid's first array of them takes 55.9 GiB
     + [["sweep", "fig2", "--mbar-max", "100000"]],
-    ids=["solve", "compare", "sweep", "fig2"],
+    ids=["solve", "sweep", "fig2"],
 )
 def test_unallocatable_requests_report_a_typed_error(argv):
     code, out, err = run_cli_process(argv, preexec_fn=_cap_address_space)
@@ -1113,6 +1158,18 @@ def test_unallocatable_requests_report_a_typed_error(argv):
     assert len(err.splitlines()) == 1
     assert err.startswith("error: Unable to allocate ")
     assert "Traceback" not in err
+
+
+def test_compare_at_long_arms_runs_in_bounded_memory():
+    # every row reads a skeleton, so compare at 10**9 rows needs no array
+    # of the arms' length and ends with its rows under the cap
+    argv = ["compare", "--m1", str(10**9), "--n1", "2", "--m2", "2", "--n2", "2"]
+    code, out, err = run_cli_process(argv, preexec_fn=_cap_address_space)
+    assert (code, err) == (0, "")
+    lines = out.split("\r\n")
+    assert len(lines) == 6 and lines[-1] == ""
+    assert lines[0] == "scheme,slem"
+    assert [line.split(",")[0] for line in lines[1:5]] == list(cli.SCHEMES)
 
 
 @pytest.mark.parametrize("m1", [10**8, 10**9], ids=["1e8", "1e9"])
@@ -1323,9 +1380,10 @@ MOVED_TO_REFERENCE = {
     ],
     "spectral": [
         "stratification_basis", "block_structure", "interlacing_check",
-        "block_spectrum",
+        "block_spectrum", "block_extremes",
     ],
-    "spectral.Tridiagonal": ["spectrum"],
+    "spectral.Tridiagonal": ["spectrum", "eigenvalues", "count_below", "_runs"],
+    "spectral._RunCount": ["of"],
     "spectral.SpectralReport": ["from_pairs", "eigenvalues"],
     "weighting": ["StochasticityReport", "validate_stochastic"],
     "simulation": [
@@ -1333,11 +1391,13 @@ MOVED_TO_REFERENCE = {
         "_rounds", "_summarise",
     ],
 }
-RENAMED_IN_REFERENCE = {"spectrum": "tridiagonal_spectrum"}
+# a renamed name is a function of the module itself
+RENAMED_IN_REFERENCE = {"spectrum": "tridiagonal_spectrum", "of": "_run_count_of"}
 # the reference class that holds what moved from a product class, where
 # the names did not move to the module itself
 REFERENCE_CLASS = {
     "spectral.SpectralReport": "BlockSpectrumReport",
+    "spectral.Tridiagonal": "CountedTridiagonal",
     "certificate.DualCertificate": "VectorCertificate",
 }
 
@@ -1394,7 +1454,10 @@ def test_cli_never_loads_the_reference():
         if owner in REFERENCE_CLASS:
             home = getattr(reference, REFERENCE_CLASS[owner])
         for name in names:
-            assert holds(home, RENAMED_IN_REFERENCE.get(name, name)), name
+            if name in RENAMED_IN_REFERENCE:
+                assert holds(reference, RENAMED_IN_REFERENCE[name]), name
+            else:
+                assert holds(home, name), name
     # theta*'s mpmath oracle is in the reference too
     for name in ("mp_theta_star", "mp_boundary_weight"):
         assert holds(reference, name), name

@@ -2,8 +2,8 @@
 
 ``reference.exact_count_below`` steps the pivots of ``T - xI`` in
 ``fractions``, so its count is the inertia of the matrix that the floats
-stand for.  ``Tridiagonal.count_below`` (run-compressed) and
-``count_eigenvalues_below`` (Kahan's, row by row) must give it at every
+stand for.  ``reference.CountedTridiagonal.count_below`` (run-compressed)
+and ``count_eigenvalues_below`` (Kahan's, row by row) must give it at every
 shift that the exact count itself proves at least ``delta`` away from
 every eigenvalue: where its counts at ``x - delta`` and ``x + delta`` are
 equal.  The blocks come from seeded shapes with arms of at most 40 rows
@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from fusedstar.optimizer import optimal_weights
-from fusedstar.reference import exact_count_below
+from fusedstar.reference import counted_blocks, exact_count_below
 from fusedstar.spectral import Tridiagonal, build_blocks, count_eigenvalues_below
 from fusedstar.topology import TfsParams
 from fusedstar.weighting import OrbitWeights, metropolis_orbit_weights
@@ -81,7 +81,7 @@ def test_sturm_counts_equal_the_exact_count(seed, weighting):
     rng = np.random.default_rng(seed)
     tested = skipped = 0
     for params in _shapes(1000 * seed + len(weighting), 16):
-        blocks = build_blocks(params, WEIGHTINGS[weighting](params, rng))
+        blocks = counted_blocks(build_blocks(params, WEIGHTINGS[weighting](params, rng)))
         for tri in (blocks.minus, blocks.center, blocks.plus):
             diagonal, couplings = _exact(tri)
             delta = Fraction(_delta(tri))

@@ -48,6 +48,8 @@ def test_the_reference_exports_its_own_names_and_the_package_none_of_them():
     }
     assert public - set(reference.__all__) == set()
     assert set(reference.__all__) & set(fusedstar.__all__) == set()
+    # the skeleton's oracle: blocks written out, read by their own counts
+    assert {"CountedTridiagonal", "block_extremes", "counted_blocks"} <= set(reference.__all__)
 
 
 PRODUCT = ["certificate", "cli", "optimizer", "simulation", "spectral",

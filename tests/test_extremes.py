@@ -16,8 +16,8 @@ from hypothesis import given, settings, strategies as st
 from fusedstar.certificate import build_dual_certificate, verify_certificate
 from fusedstar.cli import _sig10, main
 from fusedstar.optimizer import SelfCheckError, optimal_weights, optimal_weights_batch
-from fusedstar.reference import mp_boundary_weight, mp_theta_star
-from fusedstar.spectral import block_extremes, build_blocks
+from fusedstar.reference import block_extremes, mp_boundary_weight, mp_theta_star
+from fusedstar.spectral import build_blocks
 from fusedstar.topology import TfsParams
 from fusedstar.weighting import metropolis_orbit_weights
 

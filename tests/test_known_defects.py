@@ -90,7 +90,6 @@ def test_printed_weights_have_no_eigenvalue_at_or_below_minus_one(capsys):
     assert exact_count_below(diagonal, couplings, -1) == 0
 
 
-@known_defect(24)
 def test_max_degree_lambda_min_at_huge_branch_counts(capsys):
     code, out, _ = run(
         capsys, "solve", (2, 2**1022, 3, 2**1022), "--scheme", "max-degree"

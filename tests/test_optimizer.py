@@ -25,10 +25,14 @@ from fusedstar.optimizer import (
     optimal_weights_batch,
     solve_symmetric_star,
 )
-from fusedstar.reference import block_spectrum, equivalent_star, mp_theta_star
-from fusedstar.spectral import (
-    Tridiagonal,
+from fusedstar.reference import (
     block_extremes,
+    block_spectrum,
+    equivalent_star,
+    mp_theta_star,
+)
+from fusedstar.spectral import (
+    _RunCount,
     build_blocks,
     count_central_below,
     count_eigenvalues_below,
@@ -875,7 +879,7 @@ def test_no_optimum_computes_an_eigenvalue(monkeypatch, capsys):
     def refuse(*args, **kwargs):
         raise AssertionError("an eigenvalue was computed")
 
-    monkeypatch.setattr(Tridiagonal, "eigenvalues", refuse)
+    monkeypatch.setattr(_RunCount, "read", refuse)
     monkeypatch.setattr(reference, "tridiagonal_spectrum", refuse)
     monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
     for shape in [(3, 4, 4, 3), (800, 5, 790, 7)] + EXTREME_SHAPES:
@@ -1050,9 +1054,9 @@ def test_batch_memory_is_bounded_on_a_large_grid():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # 2.9 MB of results and the grid's 1.4 MB of float branch lengths
-    # beside one slice's root search and counts; each constant branch
-    # count is one float under its lanes' views
+    # the (4, shapes) shape array of 2.9 MB and the (5, shapes) result
+    # buffer of 3.6 MB, beside one slice's root search and counts: a peak
+    # of about 12.6 MiB
     assert peak < 13 * 2**20
     lanes = slice(0, optimizer._ONE_CALL_LANES)
     cells = np.broadcast_arrays(m1[lanes] + 1, 3, m2[lanes] + 1, 4)

@@ -17,11 +17,8 @@ from hypothesis import given, settings, strategies as st
 from fusedstar import spectral
 from fusedstar.cli import main
 from fusedstar.optimizer import optimal_weights
-from fusedstar.spectral import (
-    Tridiagonal,
-    build_blocks,
-    count_eigenvalues_below,
-)
+from fusedstar.reference import CountedTridiagonal, counted_blocks
+from fusedstar.spectral import build_blocks, count_eigenvalues_below
 from fusedstar.topology import TfsParams
 from fusedstar.weighting import (
     OrbitWeights,
@@ -58,7 +55,7 @@ networks = st.builds(
 
 
 def blocks(params, scheme):
-    b = build_blocks(params, SCHEMES[scheme](params))
+    b = counted_blocks(build_blocks(params, SCHEMES[scheme](params)))
     return b.minus, b.center, b.plus
 
 
@@ -105,7 +102,7 @@ def run_ends(tri):
     for *_, length in tri._runs.steps:
         rows += length
         if length > 1:
-            lead = Tridiagonal(tri.diagonal[:rows], tri.off_diagonal[: rows - 1])
+            lead = CountedTridiagonal(tri.diagonal[:rows], tri.off_diagonal[: rows - 1])
             for value in extremes(lead):
                 step = 1e-9 * max(1.0, abs(value))
                 shifts += [value - step, value + step]
@@ -147,7 +144,7 @@ def test_a_run_outside_its_band_changes_sign_where_kahan_does(above, eta, z):
     )
     shifts = x + np.array([-1e-9, 0.0, 1e-9])
     for margin in (1e-6, -1e-6):
-        tri = Tridiagonal(
+        tri = CountedTridiagonal(
             np.concatenate(
                 [[x + entering], np.zeros(100), [x + 0.25 / handed + margin]]
             ),
@@ -169,7 +166,7 @@ def test_decoupled_runs_count_like_kahan(params, scheme, padding, seed):
     rng = np.random.default_rng(seed)
     minus, center, plus = blocks(params, scheme)
     for tri in (minus, center, plus):
-        padded = Tridiagonal(
+        padded = CountedTridiagonal(
             np.concatenate([tri.diagonal, np.ones(padding)]),
             np.concatenate([tri.off_diagonal, np.zeros(padding)]),
         )
@@ -239,7 +236,7 @@ def test_bisected_eigenvalues_keep_the_search_contract(shape, scheme):
     from scipy.linalg import eigh_tridiagonal
 
     p = TfsParams(*shape)
-    b = build_blocks(p, BISECTED_SCHEMES[scheme](p))
+    b = counted_blocks(build_blocks(p, BISECTED_SCHEMES[scheme](p)))
     large = [tri for tri in (b.minus, b.center, b.plus) if tri.size > 64]
     assert large
     for tri in large:
@@ -261,7 +258,7 @@ def test_bisected_eigenvalues_keep_the_search_contract(shape, scheme):
         assert np.max(np.abs(values - expected)) <= 4.0 * eps * norm
 
         def fresh():
-            return Tridiagonal(tri.diagonal, tri.off_diagonal)
+            return CountedTridiagonal(tri.diagonal, tri.off_diagonal)
 
         alone = [fresh().eigenvalues([i])[0] for i in wanted]
         reverse = fresh().eigenvalues(wanted[::-1])[::-1]
@@ -281,7 +278,7 @@ def test_an_exact_eigenvalue_takes_few_counts(monkeypatch, capsys):
         return count(self, x)
 
     monkeypatch.setattr(spectral._RunCount, "count", counting)
-    tri = Tridiagonal(np.array([0.0, -1.0, -1.0, -1.0]), np.ones(3))
+    tri = CountedTridiagonal(np.array([0.0, -1.0, -1.0, -1.0]), np.ones(3))
     expected = np.linalg.eigvalsh(tri.dense())[[0, 2, 3]]
     assert np.max(np.abs(tri.eigenvalues([0, 2, 3]) - expected)) <= 1e-15
     assert len(counted) <= 200

@@ -14,11 +14,13 @@ the edges of the interior run's band, ``w_-1`` moved off the optimum,
 random boundary and interior weights and shifts relative to the gap
 ``1 - s``.  A single solve counts the same skeleton rows with scalar run
 counts (``SkeletonBlocks``), and its counts must equal the counts of the
-blocks written out, ``Tridiagonal.count_below`` on ``build_blocks``, and
+blocks written out, ``reference.CountedTridiagonal.count_below`` on
+``build_blocks``, and
 reach the batch's verdict, on the same sample and on the extreme shapes.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,6 +36,7 @@ from fusedstar.optimizer import (
     _skeleton_proves_slem,
     optimal_weights,
 )
+from fusedstar.reference import block_extremes, counted_blocks
 from fusedstar.spectral import (
     SkeletonBlocks,
     build_blocks,
@@ -43,7 +46,13 @@ from fusedstar.spectral import (
     skeleton_rows,
 )
 from fusedstar.topology import TfsParams
-from fusedstar.weighting import OrbitWeights
+from fusedstar.weighting import (
+    OrbitWeights,
+    best_constant_skeleton,
+    max_degree_skeleton,
+    metropolis_skeleton,
+    skeleton_weights,
+)
 
 EXAMPLES = settings(
     derandomize=True, database=None, deadline=None, max_examples=150
@@ -123,11 +132,11 @@ def test_skeleton_counts_equal_kahan_counts(params, move, seed):
 
 def block_counts(params, w_minus, w_plus, shifts):
     """The self-check's counts as a single solve made them on the blocks
-    written out: ``Tridiagonal.count_below`` of the central block and of
+    written out: ``CountedTridiagonal.count_below`` of the central block and of
     both arm blocks together, one row per shift."""
     w = np.full(params.m1 + params.m2, 0.5)
     w[params.m1 - 1], w[params.m1] = w_minus, w_plus
-    blocks = build_blocks(params, OrbitWeights(params, w))
+    blocks = counted_blocks(build_blocks(params, OrbitWeights(params, w)))
     return np.array([
         blocks.center.count_below(shifts),
         blocks.minus.count_below(shifts) + blocks.plus.count_below(shifts),
@@ -176,7 +185,9 @@ def test_a_boundary_row_equal_to_the_interior_joins_its_run(m):
     assert np.array_equal(
         skeleton.count_below(shifts.tolist()), block_counts(params, 0.5, 0.5, shifts)
     )
-    written = build_blocks(params, OrbitWeights(params, np.full(2 * m + 1, 0.5)))
+    written = counted_blocks(
+        build_blocks(params, OrbitWeights(params, np.full(2 * m + 1, 0.5)))
+    )
     for block in ("center", "minus", "plus"):
         assert getattr(skeleton, block).steps == getattr(written, block)._runs.steps
 
@@ -282,10 +293,78 @@ def test_four_orbit_rows_are_the_seven_row_skeletons():
         shapes = _Shapes(m1, n1, m2, n2)
         w_minus, w_plus = rng.uniform(0.0, 1.0, (2, lanes))
         w_minus[rng.random(lanes) < 0.1] = 0.0
-        diagonal, off = skeleton_rows(shapes, w_minus, w_plus)
-        interior = np.where(np.stack([m1, m2]) > 1.0, 0.5, 0.0)
+        # an optimum's interior weight, the unit weights' and any other
+        weight = [0.5, 1.0, rng.uniform(0.0, 1.0)][_ % 3]
+        diagonal, off = skeleton_rows(shapes, w_minus, w_plus, weight)
+        interior = np.where(np.stack([m1, m2]) > 1.0, weight, 0.0)
         six = [interior[0], interior[0], w_minus, w_plus, interior[1], interior[1]]
         seven, seven_off = central_tridiagonal(shapes._replace(m1=3), np.stack(six))
         rows = seven[[0, 2, 3, 4, 6]]
         assert np.array_equal(diagonal.view(np.int64), rows.view(np.int64))
         assert np.array_equal(off.view(np.int64), seven_off[1:5].view(np.int64))
+
+
+def scheme_skeletons(params):
+    """The skeleton of each scheme, of the unit weights, and, where both
+    stars have two branches or more, of the optimum: one of its own, whose
+    counts no self-check has made."""
+    skeletons = {
+        "max-degree": max_degree_skeleton(params),
+        "max-degree+1": max_degree_skeleton(params, "inv_dmax_plus_1"),
+        "metropolis": metropolis_skeleton(params),
+        "best-constant": best_constant_skeleton(params),
+        "unit": SkeletonBlocks(params, 1.0, 1.0, 1.0),
+    }
+    if min(params.n1, params.n2) > 1:
+        optimum = optimal_weights(params)
+        skeletons["optimal"] = SkeletonBlocks(
+            params, optimum.w_minus_1, optimum.w_plus_1
+        )
+    return skeletons
+
+
+def seeded_scheme_shapes(count, seed):
+    # log-uniform arms of 1 to 300 rows, so blocks on both sides of the
+    # dense guesses' 64 rows, and branch counts up to 10^12, one star in
+    # four of one branch
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        m1, m2 = np.exp(rng.uniform(0.0, math.log(300.0), 2)).round().astype(int)
+        n1, n2 = np.exp(rng.uniform(0.0, math.log(1e12), 2)).round().astype(int)
+        n1, n2 = (1 if rng.random() < 0.25 else int(n) for n in (n1, n2))
+        yield TfsParams(int(m1), n1, int(m2), n2)
+
+
+def test_every_scheme_reports_on_its_skeleton_as_on_its_blocks():
+    # each report read on a skeleton without claims is, bit for bit, the
+    # report of the blocks written out: the same runs, the same dense
+    # guesses below 64 rows and the same searches above
+    shapes = list(seeded_scheme_shapes(320, 48))
+    assert {min(p.n1, p.n2) for p in shapes} >= {1, 2}
+    sizes = {p.m1 + p.m2 + 1 > 64 for p in shapes} | {p.m1 > 64 for p in shapes}
+    assert sizes == {True, False}
+    for params in shapes:
+        for name, skeleton in scheme_skeletons(params).items():
+            blocks = build_blocks(params, skeleton_weights(skeleton))
+            report, expected = skeleton.report(), block_extremes(blocks)
+            assert [report.lambda2.hex(), report.lambda_min.hex()] == [
+                expected.lambda2.hex(), expected.lambda_min.hex()
+            ], (params, name)
+            written = counted_blocks(blocks)
+            for block in ("center", "minus", "plus"):
+                steps = getattr(written, block)._runs.steps
+                assert getattr(skeleton, block).steps == steps, (params, name)
+
+
+def test_every_scheme_reports_in_bounded_memory():
+    # no array of the arms' length: each report at 10^9 rows a side takes
+    # a few KiB (tracemalloc), as the optimum's
+    params = TfsParams(10**9, 3, 10**9, 4)
+    for name in ("max-degree", "metropolis", "best-constant", "unit", "optimal"):
+        tracemalloc.start()
+        try:
+            scheme_skeletons(params)[name].report()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, name

@@ -10,7 +10,10 @@ import pytest
 from fusedstar import spectral
 from fusedstar.optimizer import optimal_weights
 from fusedstar.reference import (
+    CountedTridiagonal,
+    block_extremes,
     block_spectrum,
+    counted_blocks,
     block_structure,
     interlacing_check,
     stratification_basis,
@@ -21,7 +24,6 @@ from fusedstar.spectral import (
     SpectralReport,
     SpectrumSizeError,
     Tridiagonal,
-    block_extremes,
     build_blocks,
     central_tridiagonal,
     count_eigenvalues_below,
@@ -35,6 +37,7 @@ from fusedstar.weighting import (
     best_constant_orbit_weights,
     max_degree_orbit_weights,
     metropolis_orbit_weights,
+    skeleton_weights,
 )
 
 # frozen optimum for (3,4,4,3); interior weights sit at 1/2
@@ -299,14 +302,6 @@ def report_bits(report):
     return [getattr(report, name) for name in ("lambda2", "lambda_min", "slem")]
 
 
-def written_out(skeleton):
-    """The orbit weights that a ``SkeletonBlocks`` stands for."""
-    p = skeleton.params
-    w = np.full(p.m1 + p.m2, 0.5)
-    w[p.m1 - 1], w[p.m1] = skeleton.w_minus_1, skeleton.w_plus_1
-    return OrbitWeights(p, w)
-
-
 # Metropolis weights on a long arm, whose lowest eigenvalue the arm block
 # shares with the central block to within an ulp
 NEAR_TIES = [TfsParams(75076, 96, 6, 4), TfsParams(517, 809119, 99322, 1848)]
@@ -337,7 +332,7 @@ def test_a_wrong_seed_costs_counts_not_accuracy(seed):
                   (moved, optimum.s)]
         for skeleton, s in claims:
             report = skeleton.report(s)
-            written = fresh_report(p, written_out(skeleton))
+            written = fresh_report(p, skeleton_weights(skeleton))
             for name in ("lambda2", "lambda_min"):
                 value = getattr(written, name)
                 gap = abs(getattr(report, name) - value)
@@ -382,7 +377,7 @@ def test_seeds_stand_on_a_dense_route_block(shape, monkeypatch):
 @pytest.mark.parametrize("size", [1, 2, 3, 4, 9, 60, 64, 65, 150])
 def test_tridiagonal_matches_dense(size):
     rng = np.random.default_rng(size)
-    tri = Tridiagonal(
+    tri = CountedTridiagonal(
         rng.uniform(-1, 1, size), rng.uniform(-0.5, 0.5, size - 1)
     )
     dense = tri.dense()
@@ -503,7 +498,7 @@ def test_count_below_counts_an_exact_tie_in_one_lane_and_a_stack():
     stacked = count_eigenvalues_below(diagonals, couplings, shifts)
     assert stacked.tolist() == expected
     for diagonal, off, x, count in EXACT_TIES:
-        assert Tridiagonal(diagonal, off).count_below(x) == count
+        assert CountedTridiagonal(diagonal, off).count_below(x) == count
 
 
 def test_count_below_of_a_long_central_block_equals_kahan_count():
@@ -511,7 +506,7 @@ def test_count_below_of_a_long_central_block_equals_kahan_count():
     # self-check shifts
     p = TfsParams(800, 5, 790, 7)
     sol = optimal_weights(p)
-    center = build_blocks(p, sol.weights).center
+    center = counted_blocks(build_blocks(p, sol.weights)).center
     s = sol.s
     shifts = np.array([1 - 1e-9, s - 1e-9, s + 1e-9, -s - 1e-9, -s + 1e-9])
     expected = count_eigenvalues_below(
@@ -641,7 +636,7 @@ def test_interlacing_requires_two_branches():
 @pytest.mark.parametrize("m", [5, 200])  # dense route, then bisection
 def test_returned_eigenvalues_do_not_share_the_memo(m):
     p = TfsParams(m, 3, m + 1, 4)
-    block = build_blocks(p, metropolis_orbit_weights(p)).center
+    block = counted_blocks(build_blocks(p, metropolis_orbit_weights(p))).center
     reads = (
         lambda: block.eigenvalues([0, block.size - 2]),
         lambda: block.eigenvalues([0, 1]),
