@@ -1,11 +1,14 @@
 """Fastest consensus averaging on two-fused-star networks.
 
-Give the network by its ``TfsParams``, pick or solve for edge weights,
-inspect the spectrum through its stratified blocks, certify optimality
-analytically, and run the consensus iteration.  These names are the
-product, what the command-line entry point ``fusedstar.cli`` runs.  The
-independent routes that the tests check the product against live in
-``fusedstar.reference``, which is not imported here.
+Give the network by its ``TfsParams``, pick a scheme's skeleton or solve
+for the optimum, read the spectrum from the skeleton of its stratified
+blocks, certify optimality analytically, and run the consensus iteration.
+These names are the product, what the command-line entry point
+``fusedstar.cli`` runs, besides the dense oracles and counts that tests
+and the benchmark still import from it.  The independent routes that the
+tests check the product against, the blocks written out and weights keyed
+by orbit label among them, live in ``fusedstar.reference``, which is not
+imported here.
 """
 from .certificate import (
     CertificateResiduals,
@@ -34,9 +37,7 @@ from .spectral import (
     SkeletonBlocks,
     SpectralReport,
     SpectrumSizeError,
-    StratifiedBlocks,
     Tridiagonal,
-    build_blocks,
     central_tridiagonal,
     count_central_below,
     count_eigenvalues_below,
@@ -54,12 +55,9 @@ from .weighting import (
     MissingOrbitWeightError,
     OrbitWeights,
     assemble_weight_matrix,
-    best_constant_orbit_weights,
     best_constant_skeleton,
     constant_weight_slems,
-    max_degree_orbit_weights,
     max_degree_skeleton,
-    metropolis_orbit_weights,
     metropolis_skeleton,
     skeleton_weights,
 )
@@ -79,15 +77,12 @@ __all__ = [
     "SkeletonBlocks",
     "SpectralReport",
     "SpectrumSizeError",
-    "StratifiedBlocks",
     "TfsParams",
     "Trajectory",
     "TrajectoryMemoryError",
     "Tridiagonal",
     "assemble_weight_matrix",
-    "best_constant_orbit_weights",
     "best_constant_skeleton",
-    "build_blocks",
     "build_dual_certificate",
     "central_tridiagonal",
     "check_array_size",
@@ -97,9 +92,7 @@ __all__ = [
     "count_eigenvalues_below",
     "edge_table",
     "full_spectrum",
-    "max_degree_orbit_weights",
     "max_degree_skeleton",
-    "metropolis_orbit_weights",
     "metropolis_skeleton",
     "optimal_weights",
     "optimal_weights_batch",

@@ -50,7 +50,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -280,19 +279,11 @@ def _cells(arrays: list[np.ndarray]) -> list[np.ndarray]:
     return [cell.reshape(-1) for cell in np.broadcast_arrays(*arrays)]
 
 
-class _ShapeRows(np.ndarray):
-    """Shapes as one float array whose first axis holds the rows ``m1,
-    n1, m2, n2``, which read by name as a ``_Shapes``'s fields do.  The
-    batch's functions compute on its plain view (``np.asarray``): a ufunc
-    on a subclass costs about twice what it costs on an ndarray."""
-
-    m1, n1, m2, n2 = (property(operator.itemgetter(row)) for row in range(4))
-
-
-def _batch_shapes(arrays: list[np.ndarray]) -> _ShapeRows:
-    """The arrays broadcast together and converted to floats in one array
-    of shape ``(4, *broadcast shape)``, once every cell is a valid
-    two-branch shape: the batch's shapes, which its slices view.
+def _batch_shapes(arrays: list[np.ndarray]) -> np.ndarray:
+    """The arrays broadcast together and converted to floats in one plain
+    array of shape ``(4, *broadcast shape)`` whose rows are ``m1, n1, m2,
+    n2``, once every cell is a valid two-branch shape: the batch's shapes,
+    which its slices view and read by row index.
 
     Otherwise the first invalid cell, in input order, raises the error
     that ``TfsParams`` or ``optimal_weights`` raise for it.  A float sum
@@ -311,7 +302,7 @@ def _batch_shapes(arrays: list[np.ndarray]) -> _ShapeRows:
         valid = np.isfinite(lanes) & (lanes == np.floor(lanes)) & (lanes >= _LEAST)
         long = lanes[0] + lanes[2] >= 0.5 * MAX_ARRAY_ENTRIES
         if valid.all() and not long.any():
-            return fields.view(_ShapeRows)
+            return fields
         valid = valid.all(axis=0)
         suspects = np.flatnonzero(~valid | long).tolist()
     cells = _cells(arrays)
@@ -319,7 +310,7 @@ def _batch_shapes(arrays: list[np.ndarray]) -> _ShapeRows:
         _require_two_branches(TfsParams(*_cell(cells, index)))
     if valid is None or not valid.all():
         raise InvalidParameterError("branch lengths and counts must be integers")
-    return fields.view(_ShapeRows)
+    return fields
 
 
 def _relation_rows(shapes) -> tuple[np.ndarray, np.ndarray]:
@@ -327,11 +318,10 @@ def _relation_rows(shapes) -> tuple[np.ndarray, np.ndarray]:
     ``2/n1, 2/n2`` as rows of shape ``(1, lanes)``, which broadcast over
     the angles of a lane (``theta``'s first axis): ``_relation``'s
     ``coef`` and ``two_n``, from the rows of a slice's shapes."""
-    rows = np.asarray(shapes, dtype=float)
-    coef = np.empty((3, 1, rows.shape[1]))
+    coef = np.empty((3, 1, shapes.shape[1]))
     coef[0] = 0.5
-    coef[1:, 0] = rows[::2]
-    return coef, 2.0 / rows[1::2, None]
+    coef[1:, 0] = shapes[::2]
+    return coef, 2.0 / shapes[1::2, None]
 
 
 def _relation(coef, two_n, theta, out=None) -> tuple[np.ndarray, np.ndarray]:
@@ -549,10 +539,9 @@ def _skeleton_proves_slem(shapes, s: np.ndarray, w_minus, w_plus) -> np.ndarray:
     """``_counts_prove_slem`` on the counts of each optimum's central block
     at all four shifts, in one ``count_central_below`` call on its
     ``skeleton_rows``, from the rows of a slice's shapes."""
-    rows = np.asarray(shapes, dtype=float)
-    m = rows[::2]
+    m = shapes[::2]
     below = count_central_below(
-        *skeleton_rows(_Shapes(*rows), w_minus, w_plus), m, _self_check_shifts(s)
+        *skeleton_rows(_Shapes(*shapes), w_minus, w_plus), m, _self_check_shifts(s)
     )
     return _counts_prove_slem(below, m[0] + m[1])
 
@@ -589,7 +578,7 @@ def optimal_weights_batch(m1, n1, m2, n2) -> BatchSolution:
         theta, s, w_minus, w_plus, gap = rows
         theta[...] = _first_sign_changes(chunk)
         np.cos(theta, out=s)
-        _boundary_weights(np.asarray(chunk[::2]), theta, out=rows[2:4])
+        _boundary_weights(chunk[::2], theta, out=rows[2:4])
         _gap(theta, out=gap)
         failed = ~_skeleton_proves_slem(chunk, s, w_minus, w_plus)
         if failed.any():

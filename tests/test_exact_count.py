@@ -19,10 +19,15 @@ import numpy as np
 import pytest
 
 from fusedstar.optimizer import optimal_weights
-from fusedstar.reference import counted_blocks, exact_count_below
-from fusedstar.spectral import Tridiagonal, build_blocks, count_eigenvalues_below
+from fusedstar.reference import (
+    build_blocks,
+    counted_blocks,
+    exact_count_below,
+    metropolis_orbit_weights,
+)
+from fusedstar.spectral import Tridiagonal, count_eigenvalues_below
 from fusedstar.topology import TfsParams
-from fusedstar.weighting import OrbitWeights, metropolis_orbit_weights
+from fusedstar.weighting import OrbitWeights
 
 # the separation a tested shift keeps from every eigenvalue, relative to
 # the block's largest entry (and at least absolute)

@@ -50,6 +50,13 @@ def test_the_reference_exports_its_own_names_and_the_package_none_of_them():
     assert set(reference.__all__) & set(fusedstar.__all__) == set()
     # the skeleton's oracle: blocks written out, read by their own counts
     assert {"CountedTridiagonal", "block_extremes", "counted_blocks"} <= set(reference.__all__)
+    # the blocks written out, and weights by label and by scheme, which no
+    # CLI command builds
+    assert {
+        "StratifiedBlocks", "build_blocks", "orbit_weights_from_labels",
+        "max_degree_orbit_weights", "metropolis_orbit_weights",
+        "best_constant_orbit_weights",
+    } <= set(reference.__all__)
 
 
 PRODUCT = ["certificate", "cli", "optimizer", "simulation", "spectral",

@@ -15,10 +15,12 @@ import numpy as np
 import pytest
 
 from fusedstar.cli import main
-from fusedstar.reference import exact_count_below
-from fusedstar.spectral import build_blocks
+from fusedstar.reference import (
+    build_blocks,
+    exact_count_below,
+    max_degree_orbit_weights,
+)
 from fusedstar.topology import TfsParams
-from fusedstar.weighting import max_degree_orbit_weights
 
 
 def known_defect(item):

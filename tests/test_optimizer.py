@@ -28,19 +28,20 @@ from fusedstar.optimizer import (
 from fusedstar.reference import (
     block_extremes,
     block_spectrum,
+    build_blocks,
     equivalent_star,
     mp_theta_star,
+    orbit_weights_from_labels,
 )
 from fusedstar.spectral import (
     _RunCount,
-    build_blocks,
     count_central_below,
     count_eigenvalues_below,
     full_spectrum,
     skeleton_rows,
 )
 from fusedstar.topology import InvalidParameterError, TfsParams
-from fusedstar.weighting import OrbitWeights, assemble_weight_matrix
+from fusedstar.weighting import assemble_weight_matrix
 
 P343 = TfsParams(3, 4, 4, 3)
 
@@ -226,7 +227,7 @@ def test_optimality_probe():
         trial = dict(base)
         trial[-1] = base[-1] + rng.uniform(-0.05, 0.05)
         trial[1] = base[1] + rng.uniform(-0.05, 0.05)
-        report = block_spectrum(build_blocks(p, OrbitWeights.from_labels(p, trial)))
+        report = block_spectrum(build_blocks(p, orbit_weights_from_labels(p, trial)))
         assert report.slem >= sol.s - 1e-10
 
 
@@ -555,7 +556,7 @@ def test_batch_takes_the_lengths_that_the_single_solve_takes(dtype):
     with pytest.raises(InvalidParameterError) as expected:
         TfsParams(*invalid)
     cells = list(np.array([(1, 2, 1, 2), valid], dtype=dtype).T)
-    assert _batch_shapes(cells).m2[1] == float(2**59 - 2)
+    assert _batch_shapes(cells)[2, 1] == float(2**59 - 2)
     cells = list(np.array([valid, invalid, (1, 1, 1, 2)], dtype=dtype).T)
     with pytest.raises(InvalidParameterError) as info:
         _batch_shapes(cells)
@@ -673,7 +674,7 @@ def test_both_searches_end_at_lengths_up_to_2_to_the_59(monkeypatch):
     batch = []
 
     def search(lanes):
-        lanes = _Shapes(*np.array(lanes, dtype=float).T)
+        lanes = np.array(lanes, dtype=float).T
         batch.append(optimizer._first_sign_changes(lanes))
 
     assert count_angles(monkeypatch, shapes, search, limit=min(bounds)) <= min(bounds)
@@ -797,7 +798,7 @@ def test_inertia_check_agrees_with_computed_extremes(shift):
         p = TfsParams(*shape)
         w = {label: 0.5 for label in p.orbit_labels}
         w[-1], w[1] = wm, wp
-        report = block_extremes(build_blocks(p, OrbitWeights.from_labels(p, w)))
+        report = block_extremes(build_blocks(p, orbit_weights_from_labels(p, w)))
         expected.append(
             abs(report.lambda2 - s) <= 1e-9 and abs(report.lambda_min + s) <= 1e-9
         )
@@ -852,17 +853,17 @@ def test_inertia_check_locates_the_slem_of_any_weights():
         p = TfsParams(*shape)
         w = {label: 0.5 for label in p.orbit_labels}
         w[-1], w[1] = wm, wp
-        report = block_extremes(build_blocks(p, OrbitWeights.from_labels(p, w)))
+        report = block_extremes(build_blocks(p, orbit_weights_from_labels(p, w)))
         slem.append(report.slem)
         at_top.append(report.slem != -report.lambda_min)
     assert set(at_top) == {True, False}
     lanes = _batch_shapes(list(np.array(shapes).T))
-    top = lanes.m1 + lanes.m2
+    top = lanes[0] + lanes[2]
     for offset in (0.0, 2e-9, -2e-9):
         s = np.array(slem) + offset
         below = count_central_below(
-            *skeleton_rows(lanes, w_minus, w_plus),
-            np.stack([lanes.m1, lanes.m2]),
+            *skeleton_rows(_Shapes(*lanes), w_minus, w_plus),
+            np.stack([lanes[0], lanes[2]]),
             _self_check_shifts(s),
         )
         bounded = (below[0] == 0).all(axis=0) & (below[3] >= top).all(axis=0)
@@ -941,7 +942,7 @@ def test_batch_reports_the_first_failing_shape_in_input_order(monkeypatch):
     # name the first failing shape in input order, here (5, 10), not the
     # first in order of m1 + m2, (6, 9)
     def reject_long(shapes, s, w_minus, w_plus):
-        return shapes.m1 + shapes.m2 < 15
+        return shapes[0] + shapes[2] < 15
 
     monkeypatch.setattr(optimizer, "_skeleton_proves_slem", reject_long)
     with pytest.raises(SelfCheckError, match=r"m1=5, n1=3, m2=10, n2=4"):
@@ -954,7 +955,7 @@ def test_a_failing_long_shape_is_reported_in_memory_free_of_its_length(
     # the error names the lane's own s, which has the scalar route's bits,
     # without a second solve of the shape on an O(m) weight vector
     def reject_long(shapes, s, w_minus, w_plus):
-        return shapes.m1 < 10**12
+        return shapes[0] < 10**12
 
     monkeypatch.setattr(optimizer, "_skeleton_proves_slem", reject_long)
     params = TfsParams(10**12, 2, 10**12, 2)
@@ -976,7 +977,7 @@ def test_a_failing_shape_past_the_first_slice_is_reported_in_input_order(
 ):
     # in slices of 7 shapes, (5, 10) is shape 49, in the eighth slice
     def reject_long(shapes, s, w_minus, w_plus):
-        return shapes.m1 + shapes.m2 < 15
+        return shapes[0] + shapes[2] < 15
 
     monkeypatch.setattr(optimizer, "_ONE_CALL_LANES", 7)
     monkeypatch.setattr(optimizer, "_skeleton_proves_slem", reject_long)

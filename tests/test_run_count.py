@@ -17,15 +17,17 @@ from hypothesis import given, settings, strategies as st
 from fusedstar import spectral
 from fusedstar.cli import main
 from fusedstar.optimizer import optimal_weights
-from fusedstar.reference import CountedTridiagonal, counted_blocks
-from fusedstar.spectral import build_blocks, count_eigenvalues_below
-from fusedstar.topology import TfsParams
-from fusedstar.weighting import (
-    OrbitWeights,
+from fusedstar.reference import (
+    CountedTridiagonal,
     best_constant_orbit_weights,
+    build_blocks,
+    counted_blocks,
     max_degree_orbit_weights,
     metropolis_orbit_weights,
 )
+from fusedstar.spectral import count_eigenvalues_below
+from fusedstar.topology import TfsParams
+from fusedstar.weighting import OrbitWeights
 
 SCHEMES = {
     "optimal": lambda p: optimal_weights(p).weights,

@@ -14,10 +14,13 @@ from hypothesis import given, settings, strategies as st
 from fusedstar import simulation
 from fusedstar.optimizer import optimal_weights
 from fusedstar.reference import (
+    build_blocks,
     distributed_iterate,
     distributed_rounds,
     iterate,
     matrix_rounds,
+    max_degree_orbit_weights,
+    orbit_weights_from_labels,
 )
 from fusedstar.simulation import (
     InsufficientSignalError,
@@ -27,18 +30,13 @@ from fusedstar.simulation import (
     stratified_iterate,
     write_trajectory_csv,
 )
-from fusedstar.spectral import build_blocks
 from fusedstar.topology import TfsParams, edge_table
-from fusedstar.weighting import (
-    OrbitWeights,
-    assemble_weight_matrix,
-    max_degree_orbit_weights,
-)
+from fusedstar.weighting import OrbitWeights, assemble_weight_matrix
 
 
 def random_weights(params, seed):
     rng = np.random.default_rng(seed)
-    return OrbitWeights.from_labels(
+    return orbit_weights_from_labels(
         params, {label: rng.uniform(0.05, 0.5) for label in params.orbit_labels}
     )
 
@@ -75,7 +73,7 @@ def bounded_random_weights(params, seed):
     hub = params.n1 + params.n2
     w[-1] = rng.uniform(0.05, 1.0) / hub
     w[1] = rng.uniform(0.05, 1.0) / hub
-    return OrbitWeights.from_labels(params, w)
+    return orbit_weights_from_labels(params, w)
 
 
 STENCIL_SHAPES = [
@@ -435,7 +433,7 @@ def test_iterated_trajectories_are_read_only_and_detached():
 
 
 def test_sum_conservation():
-    from fusedstar.weighting import metropolis_orbit_weights
+    from fusedstar.reference import metropolis_orbit_weights
 
     p = TfsParams(3, 2, 2, 4)
     wm = assemble_weight_matrix(p, metropolis_orbit_weights(p))

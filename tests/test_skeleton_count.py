@@ -36,10 +36,9 @@ from fusedstar.optimizer import (
     _skeleton_proves_slem,
     optimal_weights,
 )
-from fusedstar.reference import block_extremes, counted_blocks
+from fusedstar.reference import block_extremes, build_blocks, counted_blocks
 from fusedstar.spectral import (
     SkeletonBlocks,
-    build_blocks,
     central_tridiagonal,
     count_central_below,
     count_eigenvalues_below,
@@ -155,7 +154,7 @@ def assert_scalar_counts_are_the_blocks(params, move):
         params, move
     )
     fields = (params.m1, params.n1, params.m2, params.n2)
-    lane = _Shapes(*(np.asarray([v], dtype=float) for v in fields))
+    lane = np.array(fields, dtype=float)[:, None]
     skeleton = _skeleton_proves_slem(
         lane, np.array([optimum.s]), np.array([w_minus]), np.array([w_plus])
     )[0]

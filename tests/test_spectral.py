@@ -11,11 +11,16 @@ from fusedstar import spectral
 from fusedstar.optimizer import optimal_weights
 from fusedstar.reference import (
     CountedTridiagonal,
+    best_constant_orbit_weights,
     block_extremes,
     block_spectrum,
-    counted_blocks,
     block_structure,
+    build_blocks,
+    counted_blocks,
     interlacing_check,
+    max_degree_orbit_weights,
+    metropolis_orbit_weights,
+    orbit_weights_from_labels,
     stratification_basis,
     tridiagonal_spectrum,
 )
@@ -24,24 +29,16 @@ from fusedstar.spectral import (
     SpectralReport,
     SpectrumSizeError,
     Tridiagonal,
-    build_blocks,
     central_tridiagonal,
     count_eigenvalues_below,
     full_spectrum,
     perron_vector,
 )
 from fusedstar.topology import InvalidParameterError, TfsParams
-from fusedstar.weighting import (
-    OrbitWeights,
-    assemble_weight_matrix,
-    best_constant_orbit_weights,
-    max_degree_orbit_weights,
-    metropolis_orbit_weights,
-    skeleton_weights,
-)
+from fusedstar.weighting import OrbitWeights, assemble_weight_matrix, skeleton_weights
 
 # frozen optimum for (3,4,4,3); interior weights sit at 1/2
-OPT_343 = OrbitWeights.from_labels(
+OPT_343 = orbit_weights_from_labels(
     TfsParams(3, 4, 4, 3),
     {-3: 0.5, -2: 0.5, -1: 0.16361147830979006,
      1: 0.2886837942392352, 2: 0.5, 3: 0.5, 4: 0.5}
@@ -51,7 +48,7 @@ S_343 = 0.9545044654072468
 
 def random_weights(params, seed):
     rng = np.random.default_rng(seed)
-    return OrbitWeights.from_labels(
+    return orbit_weights_from_labels(
         params, {label: rng.uniform(0.05, 0.5) for label in params.orbit_labels}
     )
 
@@ -65,7 +62,7 @@ def weighted_multiset(report: SpectralReport) -> np.ndarray:
 
 def test_center_block_small_example():
     p = TfsParams(1, 2, 1, 2)
-    blocks = build_blocks(p, OrbitWeights.from_labels(p, {-1: 0.25, 1: 0.25}))
+    blocks = build_blocks(p, orbit_weights_from_labels(p, {-1: 0.25, 1: 0.25}))
     r = math.sqrt(2) / 4
     expected = np.array([[0.75, r, 0.0], [r, 0.0, r], [0.0, r, 0.75]])
     assert np.allclose(blocks.center.dense(), expected, atol=1e-15)
@@ -73,7 +70,7 @@ def test_center_block_small_example():
 
 def test_arm_block_entries():
     p = TfsParams(3, 2, 2, 3)
-    ow = OrbitWeights.from_labels(p, {-3: 0.1, -2: 0.2, -1: 0.3, 1: 0.4, 2: 0.45})
+    ow = orbit_weights_from_labels(p, {-3: 0.1, -2: 0.2, -1: 0.3, 1: 0.4, 2: 0.45})
     blocks = build_blocks(p, ow)
     minus = blocks.minus.dense()
     assert np.allclose(np.diag(minus), [1 - 0.1, 1 - 0.1 - 0.2, 1 - 0.2 - 0.3])
@@ -245,7 +242,7 @@ def test_block_extremes_match_block_spectrum(seed):
 def zero_leaf_weight(p, ow):
     w = {label: ow[label] for label in p.orbit_labels}
     w[-p.m1] = 0.0
-    return OrbitWeights.from_labels(p, w)
+    return orbit_weights_from_labels(p, w)
 
 
 # where block_extremes's direct rule (lambda2 from the center's
@@ -401,16 +398,16 @@ def test_tridiagonal_matches_dense(size):
 
 def test_central_tridiagonal_of_a_stack_is_that_of_each_shape():
     rng = np.random.default_rng(11)
-    shapes = [TfsParams(1, 2, 1, 3), TfsParams(4, 7, 1, 2),
-              TfsParams(1, 5, 6, 2), TfsParams(3, 10**12, 5, 9)]
+    shapes = [TfsParams(3, 2, 1, 3), TfsParams(3, 7, 4, 2),
+              TfsParams(3, 5, 6, 2), TfsParams(3, 10**12, 5, 9)]
     rows = max(p.m1 + p.m2 for p in shapes) + 1
     w = np.zeros((rows - 1, len(shapes)))
     for k, p in enumerate(shapes):
         w[: p.m1 + p.m2, k] = rng.uniform(-1.0, 1.0, p.m1 + p.m2)
-    # a stack's fields are arrays over its columns
-    stack = SimpleNamespace(**{
+    # a stack shares one m1; its other fields are arrays over its columns
+    stack = SimpleNamespace(m1=3, **{
         field: np.array([getattr(p, field) for p in shapes], dtype=float)
-        for field in ("m1", "n1", "m2", "n2")
+        for field in ("n1", "m2", "n2")
     })
     diagonal, off = central_tridiagonal(stack, w)
     for k, p in enumerate(shapes):
@@ -445,8 +442,8 @@ def padded_central_tridiagonal(params, w):
 
 
 def test_central_tridiagonal_keeps_the_padded_formulas_bits():
-    # one shape, a stack with a center row per lane and a stack with one,
-    # at weights from 1e-300 to 1e300 in magnitude, of either sign
+    # one shape and stacks that share one m1, drawn or 2 (as skeleton_rows
+    # passes), at weights from 1e-300 to 1e300 in magnitude, of either sign
     rng = np.random.default_rng(23)
 
     def assert_same_bits(params, w):
@@ -466,7 +463,7 @@ def test_central_tridiagonal_keeps_the_padded_formulas_bits():
         assert_same_bits(TfsParams(m1, n1, m2, n2), weights(m1 + m2))
     for _ in range(100):
         lanes, orbits = int(rng.integers(1, 30)), int(rng.integers(3, 30))
-        m1 = rng.integers(1, orbits, lanes).astype(float)
+        m1 = int(rng.integers(1, orbits))
         n1, n2 = np.round(np.exp(rng.uniform(0.7, 35.0, (2, lanes))))
         stack = SimpleNamespace(m1=m1, n1=n1, m2=orbits - m1, n2=n2)
         w = weights((orbits, lanes))
