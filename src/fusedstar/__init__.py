@@ -9,63 +9,49 @@ and the benchmark still import from it.  The independent routes that the
 tests check the product against, the blocks written out and weights keyed
 by orbit label among them, live in ``fusedstar.reference``, which is not
 imported here.
+The names load lazily (PEP 562): each is imported from its module on first
+use, so a request loads only the modules that it runs, and ``solve`` and
+``verify`` load no numpy.
 """
-from .certificate import (
-    CertificateResiduals,
-    DualCertificate,
-    build_dual_certificate,
-    verify_certificate,
-)
-from .optimizer import (
-    BatchSolution,
-    OptimalSolution,
-    SelfCheckError,
-    optimal_weights,
-    optimal_weights_batch,
-    solve_symmetric_star,
-)
-from .simulation import (
-    InsufficientSignalError,
-    Trajectory,
-    TrajectoryMemoryError,
-    convergence_factor_estimate,
-    random_initial_state,
-    stratified_iterate,
-    write_trajectory_csv,
-)
-from .spectral import (
-    SkeletonBlocks,
-    SpectralReport,
-    SpectrumSizeError,
-    Tridiagonal,
-    central_tridiagonal,
-    count_central_below,
-    count_eigenvalues_below,
-    full_spectrum,
-    perron_vector,
-    skeleton_rows,
-)
-from .topology import (
-    InvalidParameterError,
-    TfsParams,
-    check_array_size,
-    edge_table,
-)
-from .weighting import (
-    MissingOrbitWeightError,
-    OrbitWeights,
-    assemble_weight_matrix,
-    best_constant_skeleton,
-    constant_weight_slems,
-    max_degree_skeleton,
-    metropolis_skeleton,
-    skeleton_weights,
-)
+import importlib
+
+# the public names of each module, each imported on first use
+_MODULES = {
+    "certificate": [
+        "CertificateResiduals", "DualCertificate", "build_dual_certificate",
+        "verify_certificate",
+    ],
+    "optimizer": [
+        "BatchSolution", "OptimalSolution", "SelfCheckError", "optimal_weights",
+        "optimal_weights_batch", "solve_symmetric_star",
+    ],
+    "simulation": [
+        "InsufficientSignalError", "Trajectory", "TrajectoryMemoryError",
+        "convergence_factor_estimate", "random_initial_state",
+        "stratified_iterate", "write_trajectory_csv",
+    ],
+    "spectral": [
+        "BlockError", "SkeletonBlocks", "SpectralReport", "SpectrumSizeError",
+        "Tridiagonal", "central_tridiagonal", "count_central_below",
+        "count_eigenvalues_below", "full_spectrum", "perron_vector",
+        "skeleton_rows",
+    ],
+    "topology": [
+        "InvalidParameterError", "TfsParams", "check_array_size", "edge_table",
+    ],
+    "weighting": [
+        "MissingOrbitWeightError", "OrbitWeights", "assemble_weight_matrix",
+        "best_constant_skeleton", "constant_weight_slems", "max_degree_skeleton",
+        "metropolis_skeleton", "skeleton_weights",
+    ],
+}
+_HOME = {name: module for module, names in _MODULES.items() for name in names}
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BatchSolution",
+    "BlockError",
     "CertificateResiduals",
     "DualCertificate",
     "InsufficientSignalError",
@@ -105,3 +91,15 @@ __all__ = [
     "verify_certificate",
     "write_trajectory_csv",
 ]
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

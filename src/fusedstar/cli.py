@@ -19,6 +19,11 @@ list: argparse's usage errors give 2 and ``--help`` 0.  Each request is
 parsed by its command words' own parser (``solve``, ``sweep custom``), in
 one argparse walk; the top-level parser answers help, unknown commands
 and arguments that the command's parser leaves over.
+``solve`` writes its weights from the skeleton's runs of equal weights,
+at most four, into one piece of text whose length it knows in advance,
+and ``solve`` and ``verify`` load no numpy: the batch of ``sweep``, the
+iteration of ``simulate`` and the dense reads of small blocks import it
+on first use.
 """
 from __future__ import annotations
 
@@ -29,23 +34,13 @@ import json
 import math
 import os
 import sys
-
-import numpy as np
+from typing import Iterator
 
 from .certificate import build_dual_certificate, verify_certificate
 from .optimizer import SelfCheckError, optimal_weights, optimal_weights_batch
-from .simulation import (
-    InsufficientSignalError,
-    _format_rows,
-    convergence_factor_estimate,
-    random_initial_state,
-    stratified_iterate,
-    write_trajectory_csv,
-)
-from .spectral import SkeletonBlocks
+from .spectral import BlockError, SkeletonBlocks
 from .topology import InvalidParameterError, TfsParams, check_array_size
 from .weighting import (
-    OrbitWeights,
     best_constant_skeleton,
     constant_weight_slems,
     max_degree_skeleton,
@@ -72,16 +67,26 @@ class _Stdout:
     encoded, so the bytes are the same.  Any other stdout, buffered or a
     text stream with no raw buffer under it (``StringIO``, pytest's
     capture), takes the text as it is.
+
+    ASCII bytes (the weights of ``solve``) go, after the text before
+    them, to the stream under the text layer as they are, the bytes of
+    their text in any ASCII-compatible encoding; a stream with none under
+    it (``StringIO``) takes them decoded.
     """
 
-    def write(self, text: str) -> None:
+    def write(self, text: str | bytearray) -> None:
         stream = sys.stdout
         raw = getattr(stream, "buffer", None)
-        if not isinstance(raw, io.RawIOBase):
+        if isinstance(text, str) and not isinstance(raw, io.RawIOBase):
             stream.write(text)
             return
+        if raw is None:
+            stream.write(text.decode("ascii"))
+            return
         stream.flush()
-        data = memoryview(text.encode(stream.encoding, stream.errors))
+        if isinstance(text, str):
+            text = text.encode(stream.encoding, stream.errors)
+        data = memoryview(text)
         while data:
             data = data[raw.write(data) :]
 
@@ -116,8 +121,9 @@ def _scheme_skeleton(
 
 def _solve_payload(
     params: TfsParams, args: argparse.Namespace
-) -> tuple[dict, OrbitWeights]:
-    """The solve report without its weights, and the weights.
+) -> tuple[dict, SkeletonBlocks]:
+    """The solve report without its weights, and the skeleton whose
+    weights they are.
 
     The report reads the scheme's skeleton, and the optimum's certificate
     reads it too, in O(1) of the branch lengths: the optimum's at its
@@ -154,9 +160,7 @@ def _solve_payload(
             key: _sig10(value) for key, value in residuals.as_dict().items()
         }
         payload["certificate"]["passes"] = residuals.passes()
-    # the one O(m) step, after everything that the report needs
-    weights = solution.weights if solution else skeleton_weights(skeleton)
-    return payload, weights
+    return payload, skeleton
 
 
 # the labels below 100, and the last two digits of the larger ones
@@ -164,17 +168,17 @@ _SMALL_LABELS = tuple(str(d) for d in range(100))
 _LAST_DIGITS = tuple("%02d" % d for d in range(100))
 
 
-def _label_lines(first: int, stop: int, value: str) -> list[str]:
+def _label_lines(first: int, stop: int, value: str) -> Iterator[str]:
     """``    "<label>": <value>,\n`` for each label in ``range(first, stop)``,
     all on one side of 0, in blocks of the labels that differ only in
-    their last two digits.  A block is one ``str.join`` of those digits
-    behind its shared prefix, so Python runs once per hundred labels."""
+    their last two digits, one at a time.  A block is one ``str.join`` of
+    those digits behind its shared prefix, so Python runs once per
+    hundred labels."""
     sign, step = ("-", -1) if first < 0 else ("", 1)
     end = '": ' + value + ",\n"
     separator = end + '    "'
     # the labels' absolute values, in label order
     magnitudes = range(first * step, stop * step, step)
-    blocks = []
     while magnitudes:
         hundreds, digits = divmod(magnitudes[0], 100)
         count = 100 - digits if step == 1 else digits + 1
@@ -183,41 +187,109 @@ def _label_lines(first: int, stop: int, value: str) -> list[str]:
         prefix = sign + str(hundreds) if hundreds else sign
         table = _LAST_DIGITS if hundreds else _SMALL_LABELS
         ends = table[low : high + 1][::step]
-        blocks.append('    "' + prefix + (separator + prefix).join(ends) + end)
-    return blocks
+        yield '    "' + prefix + (separator + prefix).join(ends) + end
 
 
-def _weights_json(params: TfsParams, values: np.ndarray) -> str:
+def _digits_to(n: int) -> int:
+    """The number of digits of the integers 1 to ``n`` written out: each
+    has one for every power of ten at or below it."""
+    digits, power = 0, 1
+    while power <= n:
+        digits += n - power + 1
+        power *= 10
+    return digits
+
+
+_BINARY_UNITS = ("bytes", "KiB", "MiB", "GiB", "TiB", "PiB", "EiB")
+
+
+def _binary_size(size: int) -> str:
+    """``size`` bytes as numpy's allocation errors write a size: in the
+    largest binary unit up to EiB that leaves less than 1024 of it after
+    rounding, to three significant digits below 1000 of it."""
+    unit = max(size.bit_length() - 1, 1) // 10
+    amount = size / (1 << 10 * unit)
+    if round(amount) == 1024:
+        unit, amount = unit + 1, amount / 1024
+    if unit >= len(_BINARY_UNITS):
+        amount *= 1 << 10 * (unit - len(_BINARY_UNITS) + 1)
+        unit = len(_BINARY_UNITS) - 1
+    if unit == 0:
+        return f"{amount:.0f} bytes"
+    digits = "#.3g" if round(amount) < 1000 else "#.0f"
+    return f"{amount:{digits}} {_BINARY_UNITS[unit]}"
+
+
+def _orbit_runs(skeleton: SkeletonBlocks) -> list[tuple[float, int]]:
+    """The skeleton's orbit weights as runs ``(weight, length)`` in orbit
+    order: the first star's interior, ``w_{-1}``, ``w_1`` and the second
+    star's interior."""
+    p, interior = skeleton.params, skeleton.interior
+    return [
+        (interior, p.m1 - 1), (skeleton.w_minus_1, 1),
+        (skeleton.w_plus_1, 1), (interior, p.m2 - 1),
+    ]
+
+
+def _weights_json(
+    params: TfsParams, runs: list[tuple[float, int]]
+) -> bytearray:
     """The ``"weights"`` object as ``json.dumps(payload, indent=2)`` writes
-    ``{str(label): _sig10(weight)}`` one level deep, in orbit order.
+    ``{str(label): _sig10(weight)}`` one level deep, in orbit order, as
+    ASCII bytes, from the weights as runs ``(weight, length)`` in orbit
+    order.
 
-    Each run of equal weights formats its value once and writes its
-    labels by ``_label_lines``, so the cost in Python is per run and per
-    hundred labels.  Runs are of equal bits, which keeps ``-0.0`` and
-    ``0.0`` apart, and break where the labels skip 0.
+    Each run formats its value once and writes its labels by
+    ``_label_lines``, so the cost in Python is per run and per hundred
+    labels; a run breaks where the labels skip 0.  The text's length
+    follows from the runs: every line is ``    "<label>": <value>,\n``,
+    ten characters besides its label and value, and the labels' digits
+    are ``_digits_to`` each star's length.  The text is allocated in one
+    piece before any of it is written, so a report too large to hold
+    fails at once, with ``MemoryError``, and one that fits is held once.
     """
-    m1 = params.m1
-    bits = values.view(np.int64)
-    starts = sorted({0, m1, *(np.flatnonzero(bits[1:] != bits[:-1]) + 1).tolist()})
-    parts = ["{\n"]
-    for lo, hi in zip(starts, [*starts[1:], values.size]):
-        value = json.dumps(_sig10(values.item(lo)))
-        # the labels skip 0 between the stars
-        first = lo - m1 if lo < m1 else lo - m1 + 1
-        parts += _label_lines(first, first + hi - lo, value)
+    m1, m2 = params.m1, params.m2
+    # the braces' 2 + 4 characters, less the last line's comma and newline
+    size = 4 + 10 * (m1 + m2) + m1 + _digits_to(m1) + _digits_to(m2)
+    lines, start = [], 0
+    for weight, length in runs:
+        value = json.dumps(_sig10(weight))
+        size += length * len(value)
+        stop = start + length
+        for lo, hi in ((start, min(stop, m1)), (max(start, m1), stop)):
+            if lo < hi:
+                # the labels skip 0 between the stars
+                first = lo - m1 if lo < m1 else lo - m1 + 1
+                lines.append((first, first + hi - lo, value))
+        start = stop
+    try:
+        text = bytearray(size)
+    except (MemoryError, OverflowError):
+        raise MemoryError(
+            f"Unable to allocate {_binary_size(size)} for the weights of "
+            f"{m1 + m2} orbits"
+        ) from None
+    text[:2] = b"{\n"
+    end = 2
+    for first, stop, value in lines:
+        for block in _label_lines(first, stop, value):
+            data = block.encode()
+            text[end : end + len(data)] = data
+            end += len(data)
     # the last entry takes no comma
-    parts[-1] = parts[-1][:-2]
-    parts.append("\n  }")
-    return "".join(parts)
+    text[end - 2 :] = b"\n  }"
+    return text
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
     params = _params_from(args)
-    payload, weights = _solve_payload(params, args)
+    payload, skeleton = _solve_payload(params, args)
     # no key before "weights" can hold the placeholder text
-    _STDOUT.write(json.dumps(payload, indent=2).replace(
-        '"weights": {}', '"weights": ' + _weights_json(params, weights.values), 1
-    ) + "\n")
+    head, _, tail = json.dumps(payload, indent=2).partition('"weights": {}')
+    weights = _weights_json(params, _orbit_runs(skeleton))
+    _STDOUT.write(head + '"weights": ')
+    _STDOUT.write(weights)
+    _STDOUT.write(tail + "\n")
     return 0
 
 
@@ -279,6 +351,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # (m1, n1, m2, n2) as arrays that broadcast; cmd_sweep solves every shape
 # in one batch.  Each kind's parser names its grid builder and columns.
 def _fig2_sweep(args: argparse.Namespace) -> tuple:
+    import numpy as np
+
     lo, hi = args.mbar_min, args.mbar_max
     if lo < 1:
         raise InvalidParameterError(f"mean-length range [{lo}, {hi}] must start at 1")
@@ -308,6 +382,8 @@ def _fig2_sweep(args: argparse.Namespace) -> tuple:
 
 
 def _grid_sweep(args: argparse.Namespace) -> tuple:
+    import numpy as np
+
     if args.m1_max < 1 or args.m2_max < 1:
         raise InvalidParameterError("branch-length ranges must start at 1")
     check_array_size("--m1-max * --m2-max", args.m1_max * args.m2_max)
@@ -334,6 +410,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    from .simulation import (
+        InsufficientSignalError,
+        convergence_factor_estimate,
+        random_initial_state,
+        stratified_iterate,
+        write_trajectory_csv,
+    )
+
     params = _params_from(args)
     if args.steps < 0:
         raise InvalidParameterError(f"--steps must be >= 0, got {args.steps}")
@@ -364,6 +448,8 @@ def _write_csv(header: list[str], row_format: str, columns: list) -> None:
     # rows are computed before anything is written, so an input error
     # leaves stdout empty; no cell (digits, .10g floats, scheme names,
     # star or tfs) needs quoting, so these are csv.writer's excel bytes
+    from .simulation import _format_rows
+
     _STDOUT.write(",".join(header) + "\r\n" + _format_rows(row_format, columns))
 
 
@@ -505,11 +591,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:
-        # numpy's names the array it could not allocate, while Python's
-        # own (a list that cannot grow) may have no message
+        # numpy's names the array it could not allocate and the weight
+        # writer the report, while Python's own (a list that cannot grow)
+        # may have no message
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_NO_MEMORY
-    except (SelfCheckError, np.linalg.LinAlgError) as exc:
+    except (SelfCheckError, BlockError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -45,6 +45,9 @@ whose rows the ``BatchSolution`` views.
 only for a consumer that needs them.  The oracle that the tests hold
 theta* to, a bisection of the same relation in mpmath
 (``mp_theta_star``), lives in ``fusedstar.reference``.
+A single solve runs on Python floats and ``math``, whose sines and
+cosines have numpy's bits, and loads no numpy; the batch, whose every
+step is an array, imports it on first use.
 """
 from __future__ import annotations
 
@@ -52,8 +55,6 @@ import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
-
-import numpy as np
 
 from .spectral import (
     SkeletonBlocks, _frozen_floats, _Shapes, count_central_below, skeleton_rows
@@ -73,10 +74,6 @@ _ONE_CALL_LANES = 8192
 # root searches as a multiple of that start
 _COT_SLOPE = 4.0 / math.pi**2
 _START_BELOW = 1.0 - 1e-6
-# the least valid m1, n1, m2, n2, as a column
-_LEAST = np.array([[1.0], [2.0], [1.0], [2.0]])
-# the self-check's offsets from s below and above
-_OFFSETS = np.array([-_SELF_CHECK, _SELF_CHECK])
 
 
 @dataclass(frozen=True)
@@ -105,14 +102,21 @@ class OptimalSolution:
         return skeleton_weights(self.skeleton)
 
 
-def _char_values(params: TfsParams, theta: np.ndarray | float) -> np.ndarray:
-    # a float stays a numpy scalar throughout, which the scalar searches
-    # need fast; _relation repeats these operations for a batch
-    half = 0.5 * theta
-    cot_half = np.cos(half) / np.sin(half)
-    angle1, angle2 = params.m1 * theta, params.m2 * theta
-    arm1 = 2.0 / params.n1 * (np.cos(angle1) / np.sin(angle1)) * cot_half - 1.0
-    arm2 = 2.0 / params.n2 * (np.cos(angle2) / np.sin(angle2)) * cot_half - 1.0
+def _cot(angle: float) -> float:
+    """``cos / sin`` of ``angle`` with IEEE division's quiet result where
+    the sine is 0, which for a float it is only at an angle of +-0: the
+    infinity of that zero's sign."""
+    sin = math.sin(angle)
+    return math.cos(angle) / sin if sin else math.copysign(math.inf, sin)
+
+
+def _char_values(params: TfsParams, theta: float) -> float:
+    # on Python floats; _relation repeats these operations for a batch.  A
+    # product of an infinite arm factor and a zero one is nan, quietly,
+    # where a branch count near the float range puts theta* near 1e-154
+    cot_half = _cot(0.5 * theta)
+    arm1 = 2.0 / params.n1 * _cot(params.m1 * theta) * cot_half - 1.0
+    arm2 = 2.0 / params.n2 * _cot(params.m2 * theta) * cot_half - 1.0
     return arm1 * arm2 - 1.0
 
 
@@ -126,18 +130,20 @@ def _boundary_weights(m: np.ndarray, theta: np.ndarray, out=None) -> np.ndarray:
     ``(m - 1/2) t <= pi/2 - pi/(4m)``, so the denominator is at least
     ``sin(pi / (4m)) > 0`` and needs no guard.
     """
+    import numpy as np
+
     weights = np.multiply(np.sin(0.5 * theta), np.sin(m * theta), out=out)
     weights /= np.cos((m - 0.5) * theta)
     return weights
 
 
-def _gap(theta, out=None):
+def _gap(theta, xp):
     """``1 - cos(theta)`` as ``2 sin(theta/2)^2``, free of the cancellation
-    of ``1 - s`` at small angles, for a float or an array of angles, with
-    the same float operations in the same order on either, written to
-    ``out`` if given."""
-    half = np.sin(0.5 * theta)
-    return np.multiply(2.0, half * half, out=out)
+    of ``1 - s`` at small angles, for a float with ``xp = math`` or an
+    array of angles with ``xp = np``, with the same float operations in
+    the same order on either."""
+    half = xp.sin(0.5 * theta)
+    return 2.0 * (half * half)
 
 
 def _require_two_branches(params: TfsParams) -> None:
@@ -151,9 +157,14 @@ def _require_two_branches(params: TfsParams) -> None:
 
 
 def _boundary_pair(params: TfsParams, theta: float) -> tuple[float, float]:
-    """``w_{-1}`` and ``w_1`` at the characteristic root ``theta``."""
-    pair = _boundary_weights(np.array([params.m1, params.m2], dtype=float), theta)
-    return tuple(pair.tolist())
+    """``w_{-1}`` and ``w_1`` at the characteristic root ``theta``:
+    ``_boundary_weights``'s float operations, in its order, on Python
+    floats."""
+    sin_half = math.sin(0.5 * theta)
+    return tuple(
+        sin_half * math.sin(m * theta) / math.cos((m - 0.5) * theta)
+        for m in (params.m1, params.m2)
+    )
 
 
 def _first_sign_change(
@@ -179,18 +190,24 @@ def _first_sign_change(
             hi = mid
 
 
-def _self_check_shifts(s) -> np.ndarray:
-    """``-s - d``, ``-s + d``, ``s - d``, ``s + d`` for ``d = _SELF_CHECK``
-    on a new first axis, for a float or an array of ``s``: the last two
-    rows in one call, and the first two as their negations, which round
-    as ``-s - d`` and ``-s + d`` do."""
+def _self_check_shifts(s):
+    """``-s - d``, ``-s + d``, ``s - d``, ``s + d`` for ``d = _SELF_CHECK``:
+    a list for a float ``s``, and for an array of ``s`` an array with the
+    four on a new first axis, its last two rows in one call.  The first
+    two are the negations of the last two, which round as ``-s - d`` and
+    ``-s + d`` do."""
+    if isinstance(s, float):
+        low, high = s - _SELF_CHECK, s + _SELF_CHECK
+        return [-high, -low, low, high]
+    import numpy as np
+
     shifts = np.empty((4, *np.shape(s)))
-    np.add.outer(_OFFSETS, s, out=shifts[2:])
+    np.add.outer(np.array([-_SELF_CHECK, _SELF_CHECK]), s, out=shifts[2:])
     np.negative(shifts[:1:-1], out=shifts[:2])
     return shifts
 
 
-def _counts_prove_slem(below: np.ndarray, top) -> np.ndarray:
+def _counts_prove_slem(below, top):
     """Where eigenvalue counts prove ``|slem - s| <= d = _SELF_CHECK``.
 
     ``below`` counts the eigenvalues below the ``_self_check_shifts``
@@ -203,10 +220,16 @@ def _counts_prove_slem(below: np.ndarray, top) -> np.ndarray:
     and both ends of the spectrum are where the optimum's slackness
     conditions put them, ``lambda_min`` within ``d`` of ``-s`` and
     ``lambda2`` of ``s``.  Each condition reads the larger count of the
-    two at a shift below 0 and the smaller at one above.
+    two at a shift below 0 and the smaller at one above, written entry by
+    entry, so that ``below`` may be nested lists (a single solve's, and the
+    verdict a bool) or an array over lanes (a batch's, and the verdict an
+    array).
     """
-    most, least = below[:2].max(axis=1), below[2:].min(axis=1)
-    return (most[0] == 0) & (most[1] > 0) & (least[0] < top) & (least[1] >= top)
+    (c0, a0), (c1, a1), (c2, a2), (c3, a3) = below
+    return (
+        (c0 == 0) & (a0 == 0) & ((c1 > 0) | (a1 > 0))
+        & ((c2 < top) | (a2 < top)) & (c3 >= top) & (a3 >= top)
+    )
 
 
 def _self_check_error(params: TfsParams, s: float) -> SelfCheckError:
@@ -217,11 +240,11 @@ def _self_check_error(params: TfsParams, s: float) -> SelfCheckError:
 def _self_checked(
     params: TfsParams, theta_star: float, w_minus: float, w_plus: float
 ) -> OptimalSolution:
-    s = float(np.cos(theta_star))
+    s = math.cos(theta_star)
     solution = OptimalSolution(
-        params, theta_star, s, float(_gap(theta_star)), w_minus, w_plus
+        params, theta_star, s, _gap(theta_star, math), w_minus, w_plus
     )
-    below = solution.skeleton.count_below(_self_check_shifts(s).tolist())
+    below = solution.skeleton.count_below(_self_check_shifts(s))
     if not _counts_prove_slem(below, params.m1 + params.m2):
         raise _self_check_error(params, s)
     return solution
@@ -241,12 +264,7 @@ def optimal_weights(params: TfsParams) -> OptimalSolution:
     branch lengths and counts.  Requires n1, n2 >= 2.
     """
     _require_two_branches(params)
-    # with a branch count near the float range theta* is near 1e-154, where
-    # the other star's arm factor overflows to an infinity, and a product of
-    # it and a zero factor is nan: the predicate reads them as the batch's
-    # search does, under the same quiet error state
-    with np.errstate(over="ignore", invalid="ignore"):
-        theta_star = _theta_star(params)
+    theta_star = _theta_star(params)
     return _self_checked(params, theta_star, *_boundary_pair(params, theta_star))
 
 
@@ -276,6 +294,8 @@ def _cell(cells: list[np.ndarray], index: int) -> tuple:
 def _cells(arrays: list[np.ndarray]) -> list[np.ndarray]:
     # the arrays broadcast together and flattened; reshape leaves a
     # one-dimensional broadcast a view, where ravel copies it
+    import numpy as np
+
     return [cell.reshape(-1) for cell in np.broadcast_arrays(*arrays)]
 
 
@@ -291,6 +311,8 @@ def _batch_shapes(arrays: list[np.ndarray]) -> np.ndarray:
     MAX_ARRAY_ENTRIES``, so ``TfsParams`` judges the cells as given
     wherever that sum reaches half the limit.
     """
+    import numpy as np
+
     try:
         fields = np.empty((4, *np.broadcast(*arrays).shape))
         for row, cells in enumerate(arrays):
@@ -299,7 +321,9 @@ def _batch_shapes(arrays: list[np.ndarray]) -> np.ndarray:
         suspects = valid = None
     else:
         lanes = fields.reshape(4, -1)
-        valid = np.isfinite(lanes) & (lanes == np.floor(lanes)) & (lanes >= _LEAST)
+        # the least valid m1, n1, m2, n2, as a column
+        least = np.array([[1.0], [2.0], [1.0], [2.0]])
+        valid = np.isfinite(lanes) & (lanes == np.floor(lanes)) & (lanes >= least)
         long = lanes[0] + lanes[2] >= 0.5 * MAX_ARRAY_ENTRIES
         if valid.all() and not long.any():
             return fields
@@ -318,6 +342,8 @@ def _relation_rows(shapes) -> tuple[np.ndarray, np.ndarray]:
     ``2/n1, 2/n2`` as rows of shape ``(1, lanes)``, which broadcast over
     the angles of a lane (``theta``'s first axis): ``_relation``'s
     ``coef`` and ``two_n``, from the rows of a slice's shapes."""
+    import numpy as np
+
     coef = np.empty((3, 1, shapes.shape[1]))
     coef[0] = 0.5
     coef[1:, 0] = shapes[::2]
@@ -341,6 +367,8 @@ def _relation(coef, two_n, theta, out=None) -> tuple[np.ndarray, np.ndarray]:
     between calls; the step reuses the evaluation's arrays in place, and
     is written to ``out`` if given.
     """
+    import numpy as np
+
     angles = coef * theta
     cot = np.cos(angles)
     sin = np.sin(angles, out=angles)
@@ -415,6 +443,8 @@ def _first_sign_changes(shapes) -> np.ndarray:
     where bisection takes 52 to 55; the count does not grow with ``n1``
     and ``n2``.  Its memory is a few rows of one angle a lane.
     """
+    import numpy as np
+
     coef, two_n = _relation_rows(shapes)
     m1, m2 = coef[1:, 0]
     hi = np.pi / (2.0 * np.maximum(m1, m2))
@@ -568,6 +598,8 @@ def optimal_weights_batch(m1, n1, m2, n2) -> BatchSolution:
     any solving, as ``TfsParams`` raises it (for a length sum past
     ``MAX_ARRAY_ENTRIES`` too), then ``SelfCheckError``.
     """
+    import numpy as np
+
     arrays = [np.asarray(v) for v in (m1, n1, m2, n2)]
     shapes = _batch_shapes(arrays)
     results = np.empty((5, *shapes.shape[1:]))
@@ -579,7 +611,7 @@ def optimal_weights_batch(m1, n1, m2, n2) -> BatchSolution:
         theta[...] = _first_sign_changes(chunk)
         np.cos(theta, out=s)
         _boundary_weights(chunk[::2], theta, out=rows[2:4])
-        _gap(theta, out=gap)
+        gap[...] = _gap(theta, np)
         failed = ~_skeleton_proves_slem(chunk, s, w_minus, w_plus)
         if failed.any():
             # the scalar route's error for the first failing lane, from

@@ -38,6 +38,7 @@ from .simulation import Trajectory, _no_room
 from .spectral import (
     _DENSE_ROWS,
     _NON_FINITE,
+    BlockError,
     SpectralReport,
     Tridiagonal,
     _RunCount,
@@ -336,7 +337,7 @@ class CountedTridiagonal(Tridiagonal):
         if wanted and self.size <= _DENSE_ROWS:
             dense = self.dense()
             if not np.isfinite(dense).all():
-                raise np.linalg.LinAlgError(_NON_FINITE)
+                raise BlockError(_NON_FINITE)
             values = np.linalg.eigvalsh(dense)
             # a few ulps near ||T||, but not far below it, where the counts
             # read to their relative accuracy (as lambda_min at
@@ -389,7 +390,7 @@ def _run_count_of(diagonal: np.ndarray, off_diagonal: np.ndarray) -> _RunCount:
         float(np.abs(off_diagonal).max(initial=0.0)),
     )
     if not math.isfinite(top):
-        raise np.linalg.LinAlgError(_NON_FINITE)
+        raise BlockError(_NON_FINITE)
     b = np.abs(off_diagonal)
     changes = (diagonal[2:] != diagonal[1:-1]) | (b[1:] != b[:-1])
     bounds = [1, *(np.flatnonzero(changes) + 2).tolist(), diagonal.size]

@@ -37,6 +37,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .spectral import (
     _DENSE_ROWS,
+    BlockError,
     Tridiagonal,
     _frozen_floats,
     central_tridiagonal,
@@ -245,11 +246,11 @@ def _closed_form(
     """
     scale, profile, deviations = _split(params, x, average)
     dense = center.dense()
-    spectrum, q = np.linalg.eigh(dense)
+    spectrum, q = _eigh(dense)
     spectra, amplitudes = [spectrum], [q.T @ profile]
     gains = scale @ q
     for strata, spread in deviations:
-        spectrum, q = np.linalg.eigh(dense[strata, strata])
+        spectrum, q = _eigh(dense[strata, strata])
         spectra.append(spectrum)
         amplitudes.append(_arm_amplitudes(q, spread))
     del deviations, spread
@@ -273,6 +274,14 @@ def _closed_form(
 # sums at a time; a budget of its own, so that no other buffer's size
 # regroups the sums
 _PROJECTION_FLOATS = 8192
+
+
+def _eigh(dense: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # numpy's refusal of a block is the product's, with numpy's message
+    try:
+        return np.linalg.eigh(dense)
+    except np.linalg.LinAlgError as exc:
+        raise BlockError(*exc.args) from None
 
 
 def _arm_amplitudes(q: np.ndarray, spread: np.ndarray) -> np.ndarray:

@@ -41,18 +41,23 @@ count.
 stack of tridiagonals; it is the reference for both run counts.  The
 blocks written out, read by the same rule, are the skeleton's oracle
 (``fusedstar.reference.block_extremes``).  At run time this module
-imports ``topology`` alone, so ``weighting`` builds on it.  It does not need scipy: the
-full-spectrum reference that does,
+imports ``topology`` alone, so ``weighting`` builds on it.  A skeleton's
+rows and counts are Python floats, so a single solve's self-check and
+report load no numpy; numpy is imported, on first use, by the functions
+that compute arrays: the stacked rows and counts of a batch, the blocks
+written out, the dense reads of small blocks and the oracles.  It does
+not need scipy: the full-spectrum reference that does,
 ``fusedstar.reference.tridiagonal_spectrum``, loads it on first use.
+A block that no route can read, with an entry that is not finite or of
+2^1023 or more in magnitude, is refused with ``BlockError``.
 """
 from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
-
-import numpy as np
 
 from .topology import TfsParams
 
@@ -78,17 +83,25 @@ _PAST_RANGE = (
     "a block with an entry of 2^1023 or more in magnitude may have "
     "eigenvalues past the float range"
 )
-_TINY = float(np.finfo(float).tiny)
+_TINY = sys.float_info.min  # the smallest normal float
 # dstebz's convergence test: an interval is done once it is narrower than
 # two ulps of its larger end (or than pivmin)
-_EPS = float(np.finfo(float).eps)
+_EPS = sys.float_info.epsilon
 _RELATIVE_WIDTH = 2.0 * _EPS
+
+
+class BlockError(ValueError):
+    """A block that no eigenvalue route reads: an entry that is not
+    finite, or of 2^1023 or more in magnitude, or a block that numpy's
+    dense solve refuses (with numpy's message)."""
 
 
 def _frozen_floats(value) -> np.ndarray:
     """``value`` as a read-only float64 array: a read-only float64 array
     is kept as it is, anything else (a writeable array a caller may still
     change, a list) is copied and the copy made read-only."""
+    import numpy as np
+
     if (
         isinstance(value, np.ndarray)
         and value.dtype == np.float64
@@ -128,6 +141,8 @@ class Tridiagonal:
 
     def dense(self) -> np.ndarray:
         """The matrix as a dense array (O(size^2) memory)."""
+        import numpy as np
+
         n = self.size
         mat = np.zeros((n, n))
         mat.flat[:: n + 1] = self.diagonal
@@ -177,10 +192,10 @@ class _RunCount:
         and steps are those of the block's maximal runs."""
         entries = [abs(a) for a, _, _ in runs] + [b for _, b, _ in runs[1:]]
         if not all(map(math.isfinite, entries)):
-            raise np.linalg.LinAlgError(_NON_FINITE)
+            raise BlockError(_NON_FINITE)
         top = max(entries)
         if top >= 2.0**1023:
-            raise np.linalg.LinAlgError(_PAST_RANGE)
+            raise BlockError(_PAST_RANGE)
         self.scale = scale = 2.0 ** math.frexp(top)[1]
         # every entry is at most 1 in magnitude now, so ||T|| <= 3 and
         # LAPACK's pivmin, tiny * max(1, max b^2), is tiny
@@ -340,6 +355,8 @@ def _run(g: float, u0: float, length: int) -> tuple[int, float, bool]:
 
 def _runs(g, u0, length):
     """``_run`` over arrays of runs, each on its side of the band."""
+    import numpy as np
+
     magnitude = np.abs(g)
     if magnitude.max(initial=0.0) < 1.0:
         return _band_runs(g, u0, length)
@@ -350,6 +367,8 @@ def _runs(g, u0, length):
 
 def _band_runs(g, u0, length):
     # _run inside the band, |g| < 1, in place on each new array
+    import numpy as np
+
     s = np.sqrt((1.0 - g) * (1.0 + g))
     phi = np.arctan2(s, g)
     theta = np.arctan2(s, u0 - g)
@@ -368,6 +387,8 @@ def _band_runs(g, u0, length):
 
 def _off_band_runs(g, u0, length):
     # _run outside the band, |g| >= 1, mirrored where g < 0
+    import numpy as np
+
     mirrored = g < 0.0
     sign = np.where(mirrored, -1.0, 1.0)
     g, e = np.abs(g), sign * (u0 - g)
@@ -411,6 +432,8 @@ def count_central_below(diagonal, off, m, shifts) -> np.ndarray:
     with ``pivmin`` over the stack's arms and over its central blocks, and
     away from rounding level at an eigenvalue so are the counts.
     """
+    import numpy as np
+
     x = shifts[..., None, :]
     squares = off * off
     pivmin = _TINY * squares[::3].max(initial=1.0)
@@ -449,6 +472,8 @@ def _floor_pivots(pivot: np.ndarray, pivmin: float) -> np.ndarray:
     # LAPACK's floor, in place: a pivot below pivmin in magnitude becomes
     # -pivmin.  The floored pivots that are negative are then exactly the
     # pivots below pivmin, which are returned
+    import numpy as np
+
     negative = pivot < pivmin
     np.fmin(pivot, -pivmin, out=pivot, where=negative)
     return negative
@@ -474,6 +499,8 @@ def perron_vector(params: TfsParams) -> np.ndarray:
     Entries are sqrt(n1) on the first-star arm, 1 at the center and
     sqrt(n2) on the second-star arm, normalized by sqrt(n_nodes).
     """
+    import numpy as np
+
     m1 = params.m1
     norm = math.sqrt(params.n_nodes)
     v = np.empty(m1 + params.m2 + 1)
@@ -502,6 +529,8 @@ def central_tridiagonal(
     the other fields of ``params`` are numbers or arrays over the columns.
     Time and memory are O(rows) per shape.
     """
+    import numpy as np
+
     w = np.asarray(w, dtype=float)
     lanes = w.reshape(w.shape[0], -1)
     # (1 - w_{k-1}) - w_k, with no orbit beyond either end
@@ -540,6 +569,8 @@ def count_eigenvalues_below(
     the shift: an eigenvalue that meets a shift exactly, as a zero pivot,
     counts as below it.
     """
+    import numpy as np
+
     floor = max(1.0, float(np.max(couplings, initial=0.0)))
     pivmin = np.finfo(float).tiny * floor
     shape = np.broadcast_shapes(diagonals.shape[1:], shifts.shape)
@@ -586,13 +617,38 @@ def skeleton_rows(
     between an arm's leaf and its row next to the center are a run of
     diagonal ``(1 - interior) - interior`` coupled by ``interior``.
     ``w_minus`` and ``w_plus`` are numbers for one shape or arrays over the
-    lanes of ``shapes``.
+    lanes of ``shapes``.  One shape's rows, as lists, are
+    ``_shape_skeleton_rows``'s.
     """
+    import numpy as np
+
     w = np.empty((4, *np.shape(w_minus)))
     w[1], w[2] = w_minus, w_plus
     # a bool, or an array of them, times the interior weight
     w[0], w[3] = interior * (shapes.m1 > 1), interior * (shapes.m2 > 1)
     return central_tridiagonal(_Shapes(2, shapes.n1, shapes.m2, shapes.n2), w)
+
+
+def _shape_skeleton_rows(
+    params: TfsParams, w_minus: float, w_plus: float, interior: float
+) -> tuple[list[float], list[float]]:
+    """``skeleton_rows`` of one shape on Python floats, as lists: each
+    entry is ``central_tridiagonal``'s float operations on the four
+    orbits, in its order, so it has the bits of the stacked entry.  An
+    entry past the float range is infinite or nan, quietly, as there."""
+    # each value as the float64 that the stacked path stores it as
+    w_minus, w_plus, interior = float(w_minus), float(w_plus), float(interior)
+    n1, n2 = float(params.n1), float(params.n2)
+    w_int1, w_int2 = interior * (params.m1 > 1), interior * (params.m2 > 1)
+    diagonal = [
+        1.0 - w_int1,
+        (1.0 - w_int1) - w_minus,
+        1.0 - n1 * w_minus - n2 * w_plus,
+        (1.0 - w_plus) - w_int2,
+        1.0 - w_int2,
+    ]
+    off = [w_int1, math.sqrt(n1) * w_minus, math.sqrt(n2) * w_plus, w_int2]
+    return diagonal, off
 
 
 class SkeletonBlocks:
@@ -628,10 +684,9 @@ class SkeletonBlocks:
     def rows(self) -> tuple[list[float], list[float]]:
         """``skeleton_rows``: the five diagonal entries and the four
         couplings, as lists."""
-        diagonal, off = skeleton_rows(
+        return _shape_skeleton_rows(
             self.params, self.w_minus_1, self.w_plus_1, self.interior
         )
-        return diagonal.tolist(), off.tolist()
 
     def _runs(self) -> dict[str, list[tuple[float, float, int]]]:
         # each block as runs (a, b, length) from its row 0, with b the
@@ -664,13 +719,11 @@ class SkeletonBlocks:
     minus = property(lambda self: self._counts["minus"])
     plus = property(lambda self: self._counts["plus"])
 
-    def count_below(self, shifts: Iterable[float]) -> np.ndarray:
+    def count_below(self, shifts: Iterable[float]) -> list[list[int]]:
         """Eigenvalues below each shift of the central block and of both
         arm blocks together, one row ``[center, arms]`` per shift."""
         center, minus, plus = self._counts.values()
-        return np.array(
-            [[center.below(x), minus.below(x) + plus.below(x)] for x in shifts]
-        )
+        return [[center.below(x), minus.below(x) + plus.below(x)] for x in shifts]
 
     def report(self, s: float | None = None) -> SpectralReport:
         """``lambda2`` and ``lambda_min`` by Cauchy's interlacing.
@@ -719,7 +772,12 @@ class SkeletonBlocks:
         if {"center": m1 + m2 + 1, "minus": m1, "plus": m2}[block] > _DENSE_ROWS:
             count = self._counts[block]
             return [count.read(i) for i in wanted]
-        values = np.linalg.eigvalsh(self._dense[block])
+        import numpy as np
+
+        try:
+            values = np.linalg.eigvalsh(self._dense[block])
+        except np.linalg.LinAlgError as exc:
+            raise BlockError(*exc.args) from None
         # a few ulps near ||T||, but not far below it, where the counts
         # read to their relative accuracy (as lambda_min at
         # (1, 10^12, 1, 2) under Metropolis weights)
@@ -749,13 +807,15 @@ class SkeletonBlocks:
         }
 
     def _write(self, block: str) -> np.ndarray:
+        import numpy as np
+
         diagonal, off = [], []
         for a, b, length in self._runs()[block]:
             diagonal += [a] * length
             off += [b] * length
         dense = Tridiagonal(diagonal, off[1:]).dense()
         if not np.isfinite(dense).all():
-            raise np.linalg.LinAlgError(_NON_FINITE)
+            raise BlockError(_NON_FINITE)
         return dense
 
 
@@ -766,6 +826,8 @@ def full_spectrum(entries: np.ndarray) -> SpectralReport:
 
     Guarded by ``_FULL_SPECTRUM_ROWS``; prefer the block route for large networks.
     """
+    import numpy as np
+
     n, limit = len(entries), _FULL_SPECTRUM_ROWS
     if n > limit:
         raise SpectrumSizeError(

@@ -14,17 +14,19 @@ holds the edges between strata ``i`` and ``i + 1`` of the first star, orbit
 A network is its ``TfsParams``: everything numerical works from them and
 the index arithmetic of ``edge_table``.  The node labels ``(i, mu)`` and
 the node and edge lists built from them are in ``fusedstar.reference``.
+Only ``edge_table`` computes arrays, and it alone loads numpy.
 """
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
-
-import numpy as np
 
 
 # numpy refuses a float64 or int64 array of more entries than this, 2^60 - 1
-# on a 64-bit platform; a size past it is invalid input
-MAX_ARRAY_ENTRIES = np.iinfo(np.intp).max // 8
+# on a 64-bit platform (its index type is as wide as ``sys.maxsize``); a
+# size past it is invalid input
+MAX_ARRAY_ENTRIES = sys.maxsize // 8
 
 
 class InvalidParameterError(ValueError):
@@ -59,7 +61,7 @@ class TfsParams:
                     f"{name} is too large for floating-point arithmetic"
                 ) from None
             # inf and nan fail the first test, before int() could raise
-            if not np.isfinite(real) or int(value) != value or value < 1:
+            if not math.isfinite(real) or int(value) != value or value < 1:
                 raise InvalidParameterError(
                     f"{name} must be an integer >= 1, got {value!r}"
                 )
@@ -95,6 +97,8 @@ def edge_table(params: TfsParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     the center: node ``f`` of the first star leads one stratum up, node
     ``g`` of the second one stratum down.
     """
+    import numpy as np
+
     n1, n2, center = params.n1, params.n2, params.m1 * params.n1
     f = np.arange(center)
     g = np.arange(center + 1, params.n_nodes)

@@ -10,7 +10,7 @@ Each standard scheme weighs all of its interior orbits alike, so it is a
 the center, and max-degree and best-constant one weight ``alpha`` on
 every orbit.  Every report reads its scheme's skeleton, in O(1) of the
 branch lengths, and ``skeleton_weights`` writes the weights out, in
-O(m1 + m2), for the weight writer and the iteration.  Weights keyed by
+O(m1 + m2), for the iteration.  Weights keyed by
 orbit label (``orbit_weights_from_labels``) and each scheme's weights
 written out by name (``metropolis_orbit_weights`` and the others) are in
 ``fusedstar.reference``.
@@ -20,12 +20,12 @@ Laplacian ``L``, an affine image of the unit weights' ``I - L``:
 skeleton, whose interior weight is 1.  Best-constant's weight comes from
 that report, and ``constant_weight_slems`` gives both schemes' SLEMs from
 it.  ``spectral`` needs nothing from this module at run time.
+The schemes' skeletons are Python floats; the weights written out and the
+assembled matrix are arrays, whose functions import numpy on first use.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from .spectral import SkeletonBlocks, SpectralReport
 from .topology import InvalidParameterError, TfsParams, edge_table
@@ -47,6 +47,8 @@ class OrbitWeights:
     values: np.ndarray
 
     def __post_init__(self) -> None:
+        import numpy as np
+
         values = np.array(self.values, dtype=float)
         if values.shape != (self.params.m1 + self.params.m2,):
             raise MissingOrbitWeightError(
@@ -60,6 +62,8 @@ class OrbitWeights:
 
     @classmethod
     def constant(cls, params: TfsParams, value: float) -> "OrbitWeights":
+        import numpy as np
+
         return cls(params, np.full(params.m1 + params.m2, float(value)))
 
     def values_for(self, params: TfsParams) -> np.ndarray:
@@ -76,6 +80,8 @@ class OrbitWeights:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, OrbitWeights):
             return NotImplemented
+        import numpy as np
+
         return self.params == other.params and np.array_equal(self.values, other.values)
 
 
@@ -88,6 +94,8 @@ def assemble_weight_matrix(params: TfsParams, ow: OrbitWeights) -> np.ndarray:
     block route is checked against, so it is built from the edge table
     alone.
     """
+    import numpy as np
+
     w = ow.values_for(params)
     a, b, k = edge_table(params)
     n = params.n_nodes
@@ -102,6 +110,8 @@ def skeleton_weights(skeleton: SkeletonBlocks) -> OrbitWeights:
     """The orbit weights that ``skeleton`` stands for, written out: its
     interior weight on every orbit but the two at the center, which weigh
     its ``w_minus_1`` and ``w_plus_1``."""
+    import numpy as np
+
     p = skeleton.params
     w = np.full(p.m1 + p.m2, float(skeleton.interior))
     w[p.m1 - 1], w[p.m1] = skeleton.w_minus_1, skeleton.w_plus_1

@@ -12,6 +12,7 @@ import pathlib
 import random
 import subprocess
 import sys
+import time
 import warnings
 
 import numpy as np
@@ -183,6 +184,14 @@ def _runs(pieces):
     return [value for value, length in pieces for _ in range(length)]
 
 
+def equal_bits_runs(values):
+    """``values`` as the writer takes them: runs ``(value, length)`` of
+    equal bits, which keep ``-0.0`` and ``0.0`` apart, across the stars."""
+    bits = np.asarray(values, dtype=float).view(np.int64)
+    starts = [0, *(np.flatnonzero(bits[1:] != bits[:-1]) + 1).tolist(), len(values)]
+    return [(float(values[lo]), hi - lo) for lo, hi in zip(starts, starts[1:])]
+
+
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 _EDGE_VALUES = st.sampled_from(
     [0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e300, -1e300, 0.5,
@@ -206,7 +215,7 @@ def test_weights_writer_matches_the_stdlib_encoder(values, data):
     m1 = data.draw(st.integers(1, len(values) - 1)) if data else len(values) // 2
     params = TfsParams(m1, 2, len(values) - m1, 2)
     by_label = dict(zip(map(str, params.orbit_labels), map(_sig10, values)))
-    written = _weights_json(params, np.array(values))
+    written = _weights_json(params, equal_bits_runs(values)).decode()
     assert '{\n  "weights": ' + written + "\n}" == json.dumps(
         {"weights": by_label}, indent=2
     )
@@ -230,7 +239,7 @@ def test_weights_writer_runs_cross_hundreds(m1, m2, breaks):
     values = np.full(m1 + m2, 0.5)
     values[[0, m1 - 1, m1, *breaks]] = 0.25, 1 / 3, -0.0, *[0.1] * len(breaks)
     by_label = dict(zip(map(str, params.orbit_labels), map(_sig10, values)))
-    written = _weights_json(params, values)
+    written = _weights_json(params, equal_bits_runs(values)).decode()
     assert '{\n  "weights": ' + written + "\n}" == json.dumps(
         {"weights": by_label}, indent=2
     )
@@ -750,12 +759,13 @@ def test_a_size_past_numpy_array_limit_is_invalid_input(capsys, argv):
 
 
 def test_a_size_at_numpy_array_limit_is_a_memory_error(capsys):
-    # 2^60 - 1 rows, 2^60 - 2 orbit weights: numpy tries, and fails to allocate
+    # 2^60 - 1 rows, 2^60 - 2 orbit weights: a valid size, whose report of
+    # about 30 bytes a weight the writer tries, and fails, to allocate
     code, out, err = run_cli(
         capsys, "solve", "--m1", "1152921504606846972", "--n1", "2", "--m2", "2", "--n2", "2"
     )
     assert (code, out) == (cli.EXIT_NO_MEMORY, "")
-    assert err.startswith("error: Unable to allocate 8.00 EiB")
+    assert err.startswith("error: Unable to allocate 32.0 EiB")
 
 
 def test_huge_branch_count_within_float_range_certifies(capsys):
@@ -1429,6 +1439,68 @@ EVERY_SUBCOMMAND = [
     ["sweep", "fig2", "--mbar-max", "3"],
     ["simulate", *SMALL_SHAPE, "--steps", "20", "--tail", "10"],
 ]
+
+
+def test_solve_and_verify_load_no_numpy():
+    # the single solve, its report, certificate and weights, and verify,
+    # perturbed or not, run on Python floats: in one fresh interpreter
+    # nothing loads numpy
+    shape = ["--m1", "450", "--n1", "5", "--m2", "400", "--n2", "3"]
+    commands = [
+        ["solve", "--m1", "1", "--n1", "2", "--m2", "1", "--n2", "2"],
+        ["solve", *shape],
+        ["verify", *shape],
+        ["verify", *shape, "--perturb=1e-3"],
+    ]
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from fusedstar.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "print(json.dumps([codes, sorted(m for m in sys.modules\n"
+        "                                if m.split('.')[0] == 'numpy')]))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(commands)],
+        capture_output=True,
+        env=cli_env(),
+        check=True,
+    )
+    codes, loaded = json.loads(result.stdout)
+    assert codes == [0, 0, 0, 1]
+    assert loaded == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "custom", "--n1", "3", "--n2", "4", "--m1-max", "3", "--m2-max", "2"],
+        ["simulate", *SMALL_SHAPE, "--steps", "20", "--tail", "10"],
+        ["compare", *SMALL_SHAPE],
+        ["solve", *SMALL_SHAPE, "--scheme", "metropolis"],
+    ],
+    ids=["sweep", "simulate", "compare", "scheme"],
+)
+def test_a_fresh_interpreter_gives_the_in_process_bytes(capsys, argv):
+    # each command alone in a fresh interpreter loads what it runs on first
+    # use: a missed import would show as another exit code or other bytes
+    in_process = run_cli(capsys, *argv)
+    assert in_process[0] == 0
+    assert run_cli_process(argv) == in_process
+
+
+def test_an_unallocatable_report_fails_at_once(capsys):
+    # the weights of 10^15 orbits take about 2.6e16 bytes of text; the
+    # writer asks for them in one piece, before writing any, and is refused
+    # at once, with no cap on the process
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "solve", "--m1", str(10**15), "--n1", "2", "--m2", "2", "--n2", "2"
+    )
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (cli.EXIT_NO_MEMORY, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: Unable to allocate ")
 
 
 def test_cli_never_loads_the_reference():

@@ -148,7 +148,8 @@ def assert_scalar_counts_are_the_blocks(params, move):
     exactly when the batch's ``_skeleton_proves_slem`` does."""
     optimum = optimal_weights(params)
     w_minus, w_plus = optimum.w_minus_1 * move, optimum.w_plus_1
-    shifts = _self_check_shifts(optimum.s)
+    # a single solve's four shifts, a list
+    shifts = np.array(_self_check_shifts(optimum.s))
     counts = SkeletonBlocks(params, w_minus, w_plus).count_below(shifts.tolist())
     assert np.array_equal(counts, block_counts(params, w_minus, w_plus, shifts)), (
         params, move
@@ -301,6 +302,37 @@ def test_four_orbit_rows_are_the_seven_row_skeletons():
         rows = seven[[0, 2, 3, 4, 6]]
         assert np.array_equal(diagonal.view(np.int64), rows.view(np.int64))
         assert np.array_equal(off.view(np.int64), seven_off[1:5].view(np.int64))
+
+
+# weights of either sign and of any size, 0.0 and -0.0 among them
+_ANY_WEIGHT = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.5, 1.0, 5e-324, 1e308, -1e308]),
+    st.floats(allow_nan=False),
+)
+
+
+@EXAMPLES
+@given(
+    m1=st.one_of(st.sampled_from([1, 2, 3]), st.integers(1, 2**58)),
+    m2=st.one_of(st.sampled_from([1, 2, 3]), st.integers(1, 2**58)),
+    n1=st.one_of(log_uniform(1, 10**300), st.sampled_from([10**308, 17 * 10**307])),
+    n2=st.one_of(log_uniform(1, 10**300), st.sampled_from([10**308, 17 * 10**307])),
+    w_minus=_ANY_WEIGHT,
+    w_plus=_ANY_WEIGHT,
+    interior=st.one_of(st.sampled_from([0.5, 1.0, -0.0]), _ANY_WEIGHT),
+)
+def test_one_shape_rows_have_the_bits_of_the_stacked_rows(
+    m1, m2, n1, n2, w_minus, w_plus, interior
+):
+    # a skeleton's rows on Python floats are the stacked path's entries for
+    # a lane of one shape, bit for bit, infinities and nans included; n near
+    # the float range makes the center's entries overflow
+    params = TfsParams(m1, n1, m2, n2)
+    diagonal, off = spectral._shape_skeleton_rows(params, w_minus, w_plus, interior)
+    with np.errstate(over="ignore", invalid="ignore"):
+        stacked = skeleton_rows(params, w_minus, w_plus, interior)
+    for one, lanes in zip((diagonal, off), stacked):
+        assert np.array_equal(np.array(one).view(np.int64), lanes.view(np.int64))
 
 
 def scheme_skeletons(params):
