@@ -15,12 +15,16 @@ relation with ``cot x = 1/x - 4x/pi^2`` (``_closed_form_root``), within
 ``n2``.  Below theta* the relation is convex, so Newton's points from
 below stay below theta*.  Both routes climb with them to the first
 point past theta*, walk down a few floats and bisect the bracket left,
-in four to twelve evaluations where bisection takes 52 to 55:
-``optimal_weights`` on one shape (``_theta_star``, evaluating
-``_char_values``), and ``optimal_weights_batch`` on every lane of a
-slice of ``_ONE_CALL_LANES`` shapes at once (``_first_sign_changes``),
-each step one call of the stateless ``_relation`` at one angle a lane,
-with ``_char_values``'s float operations in its order.  The batch takes
+where bisection takes 52 to 55 evaluations: ``optimal_weights`` on one
+shape (``_theta_star``, evaluating ``_char_values``) in four to twelve,
+and ``optimal_weights_batch`` on every lane of a slice of
+``_ONE_CALL_LANES`` shapes at once (``_first_sign_changes``), whose
+first two climbs take Halley's step, in at most seven calls of the
+stateless ``_relation`` on the benchmark's sweep grids.  Each call
+judges one angle a lane, but the second, which judges Newton's point
+beside Halley's, with ``_char_values``'s float operations in its
+order, and takes Newton's step only where a lane may climb on.  The
+two routes judge different angles and end on the same floats.  The batch takes
 exactly the shapes that ``TfsParams`` takes, so both routes search the
 same domain, and on its bracket the boundary weights' denominator is at
 least ``sin(pi / (4m))`` (``_boundary_weights``).  A single solve's
@@ -52,6 +56,7 @@ step is an array, imports it on first use.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -137,13 +142,18 @@ def _boundary_weights(m: np.ndarray, theta: np.ndarray, out=None) -> np.ndarray:
     return weights
 
 
-def _gap(theta, xp):
+def _gap(theta, xp, out=None):
     """``1 - cos(theta)`` as ``2 sin(theta/2)^2``, free of the cancellation
     of ``1 - s`` at small angles, for a float with ``xp = math`` or an
-    array of angles with ``xp = np``, with the same float operations in
-    the same order on either."""
-    half = xp.sin(0.5 * theta)
-    return 2.0 * (half * half)
+    array of angles with ``xp = np``, written in place to ``out`` if
+    given, with the same float operations in the same order on either."""
+    if out is None:
+        half = xp.sin(0.5 * theta)
+        return 2.0 * (half * half)
+    half = xp.sin(0.5 * theta, out=out)
+    half *= half
+    half *= 2.0
+    return half
 
 
 def _require_two_branches(params: TfsParams) -> None:
@@ -202,7 +212,8 @@ def _self_check_shifts(s):
     import numpy as np
 
     shifts = np.empty((4, *np.shape(s)))
-    np.add.outer(np.array([-_SELF_CHECK, _SELF_CHECK]), s, out=shifts[2:])
+    np.subtract(s, _SELF_CHECK, out=shifts[2])
+    np.add(s, _SELF_CHECK, out=shifts[3])
     np.negative(shifts[:1:-1], out=shifts[:2])
     return shifts
 
@@ -220,16 +231,19 @@ def _counts_prove_slem(below, top):
     and both ends of the spectrum are where the optimum's slackness
     conditions put them, ``lambda_min`` within ``d`` of ``-s`` and
     ``lambda2`` of ``s``.  Each condition reads the larger count of the
-    two at a shift below 0 and the smaller at one above, written entry by
-    entry, so that ``below`` may be nested lists (a single solve's, and the
-    verdict a bool) or an array over lanes (a batch's, and the verdict an
-    array).
+    two at a shift below 0 and the smaller at one above.  ``below`` may be
+    nested lists (a single solve's, and the verdict a bool) or an array
+    over lanes (a batch's, and the verdict an array).
     """
-    (c0, a0), (c1, a1), (c2, a2), (c3, a3) = below
-    return (
-        (c0 == 0) & (a0 == 0) & ((c1 > 0) | (a1 > 0))
-        & ((c2 < top) | (a2 < top)) & (c3 >= top) & (a3 >= top)
-    )
+    if isinstance(below, list):
+        most = [max(pair) for pair in below[:2]]
+        least = [min(pair) for pair in below[2:]]
+    else:
+        import numpy as np
+
+        most = np.maximum(below[:2, 0], below[:2, 1])
+        least = np.minimum(below[2:, 0], below[2:, 1])
+    return (most[0] == 0) & (most[1] > 0) & (least[0] < top) & (least[1] >= top)
 
 
 def _self_check_error(params: TfsParams, s: float) -> SelfCheckError:
@@ -299,6 +313,17 @@ def _cells(arrays: list[np.ndarray]) -> list[np.ndarray]:
     return [cell.reshape(-1) for cell in np.broadcast_arrays(*arrays)]
 
 
+@functools.cache
+def _least_shape() -> np.ndarray:
+    """The least valid ``m1, n1, m2, n2``, as a read-only column, built on
+    first use, so that importing the module loads no numpy."""
+    import numpy as np
+
+    least = np.array([[1.0], [2.0], [1.0], [2.0]])
+    least.flags.writeable = False
+    return least
+
+
 def _batch_shapes(arrays: list[np.ndarray]) -> np.ndarray:
     """The arrays broadcast together and converted to floats in one plain
     array of shape ``(4, *broadcast shape)`` whose rows are ``m1, n1, m2,
@@ -321,14 +346,18 @@ def _batch_shapes(arrays: list[np.ndarray]) -> np.ndarray:
         suspects = valid = None
     else:
         lanes = fields.reshape(4, -1)
-        # the least valid m1, n1, m2, n2, as a column
-        least = np.array([[1.0], [2.0], [1.0], [2.0]])
-        valid = np.isfinite(lanes) & (lanes == np.floor(lanes)) & (lanes >= least)
-        long = lanes[0] + lanes[2] >= 0.5 * MAX_ARRAY_ENTRIES
-        if valid.all() and not long.any():
+        # whole numbers from the least valid ones on (nan is neither)
+        valid = np.floor(lanes) == lanes
+        valid &= lanes >= _least_shape()
+        sums = lanes[0] + lanes[2]
+        if (
+            np.count_nonzero(valid) == valid.size
+            and np.maximum.reduce(lanes, axis=None, initial=0.0) < math.inf
+            and np.maximum.reduce(sums, initial=0.0) < 0.5 * MAX_ARRAY_ENTRIES
+        ):
             return fields
-        valid = valid.all(axis=0)
-        suspects = np.flatnonzero(~valid | long).tolist()
+        valid = (valid & np.isfinite(lanes)).all(axis=0)
+        suspects = np.flatnonzero(~valid | (sums >= 0.5 * MAX_ARRAY_ENTRIES)).tolist()
     cells = _cells(arrays)
     for index in range(cells[0].size) if suspects is None else suspects:
         _require_two_branches(TfsParams(*_cell(cells, index)))
@@ -350,22 +379,27 @@ def _relation_rows(shapes) -> tuple[np.ndarray, np.ndarray]:
     return coef, 2.0 / shapes[1::2, None]
 
 
-def _relation(coef, two_n, theta, out=None) -> tuple[np.ndarray, np.ndarray]:
-    """``_char_values + 1`` of every lane at ``theta``, and Newton's step
-    ``-f / f'`` there for ``f = a1 a2 - 1``, from ``_relation_rows``.
+def _relation(coef, two_n, theta, out=None, order=1) -> tuple:
+    """``_char_values + 1`` of every lane at ``theta``, and the steps of
+    ``order`` towards the root of ``f = a1 a2 - 1`` there, from
+    ``_relation_rows``: none (``None``) for 0, Newton's ``-f / f'`` for 1,
+    and for 2 Newton's and Halley's ``-f / f' / (1 - f f'' / 2 f'^2)`` on
+    a new first axis.
 
     Each float operation of the product is ``_char_values``'s, in the
     same order, so the bits are its own; ``product > 1.0`` is then
     exactly its ``> 0.0``, since ``x - 1.0 > 0.0`` holds exactly when
     ``x > 1.0``.  An arm factor is ``a = g - 1`` with ``g = (2/n) cot(m t)
     cot(t/2)``, so ``-a' = e g`` with ``e = m / (sin cos)(m t) + 1 / sin
-    t``, the rows of ``coef / (sin cos)`` summed.  Then ``-f' = a1 a2 ((1
-    + 1/a1) e1 + (1 + 1/a2) e2)``, and the step ``(1 - 1/a1 a2)`` over
-    that sum overflows nowhere that ``a1 a2`` does not.  ``sin cos`` is
-    read as ``(cot sin) sin``, which stays normal at angles below 1e-154,
-    where ``sin**2`` underflows.  Nothing persists
-    between calls; the step reuses the evaluation's arrays in place, and
-    is written to ``out`` if given.
+    t``, the rows of ``coef / (sin cos) = coef (cot + tan)`` summed, which
+    stays finite at angles below 1e-154, where ``sin**2`` underflows.
+    Then ``-f' = a1 a2 (r1 e1 + r2 e2)`` with ``r = 1 + 1/a``, and the
+    step ``(1 - 1/a1 a2)`` over that sum overflows nowhere that ``a1 a2``
+    does not.  Each row's share of ``-e'`` is ``coef^2 cos(2 coef t) /
+    (sin cos)^2 = coef (cot - tan)`` times its rate, and ``f'' / a1 a2``
+    is ``r1 (e1^2 - e1') + r2 (e2^2 - e2') + 2 r1 e1 r2 e2``.  Nothing
+    persists between calls; the steps reuse the evaluation's arrays in
+    place, and are written to ``out`` if given.
     """
     import numpy as np
 
@@ -377,23 +411,59 @@ def _relation(coef, two_n, theta, out=None) -> tuple[np.ndarray, np.ndarray]:
     arm *= cot[0]
     arm -= 1.0
     product = arm[0] * arm[1]
-    rate = np.multiply(cot, sin, out=cot)
-    rate *= sin
-    np.divide(coef, rate, out=rate)
+    if not order:
+        return product, None
+    tan = np.reciprocal(cot, out=sin)
+    rate = np.add(cot, tan, out=cot)
+    rate *= coef
+    if order > 1:
+        # coef (cot - tan) as rate - 2 coef tan
+        curve = np.multiply(tan, coef, out=tan)
+        curve *= -2.0
+        curve += rate
+        curve *= rate
+        curve[1:] += curve[0]
     rate[1:] += rate[0]
     ratio = np.reciprocal(arm, out=arm)
     ratio += 1.0
-    rate[1:] *= ratio
-    slope = np.add(rate[1], rate[2], out=rate[0])
-    step = np.reciprocal(product, out=out)
-    np.subtract(1.0, step, out=step)
-    step /= slope
-    return product, step
+    if order > 1:
+        curve[1:] *= ratio
+    rise = np.multiply(rate[1:], ratio, out=ratio)
+    if order > 1:
+        rate[1:] *= rise
+        curve[1:] += rate[1:]
+        out = rate[1:] if out is None else out
+    slope = np.add(rise[0], rise[1], out=rate[0])
+    newton = np.reciprocal(product, out=out if order == 1 else out[0])
+    np.subtract(1.0, newton, out=newton)
+    newton /= slope
+    if order == 1:
+        return product, newton
+    # Halley's step is Newton's over 1 + (Newton's) (-f'' / 2 a1 a2) / slope
+    bend = np.add(curve[1], curve[2], out=curve[1])
+    bend *= -0.5
+    bend -= np.multiply(rise[0], rise[1], out=rise[0])
+    halley = np.multiply(newton, bend, out=out[1])
+    halley /= slope
+    halley += 1.0
+    np.divide(newton, halley, out=halley)
+    return product, out
 
 
-def _closed_form_root(m1, two_n1, m2, two_n2, xp):
-    """theta* from the relation with ``cot x = 1/x - 4x/pi^2``, from the
-    lengths ``m`` and arm factors ``2/n``: floats with ``xp = math``, or
+def _arm_terms(m, two_n):
+    """``n m / 4`` and ``c = n m/4 + 4 m^2/pi^2 + 1/12`` of arms of lengths
+    ``m`` and arm factors ``2/n``, scaled by ``2**-64``: floats, or arrays
+    with both arms of a slice on their first axis, for
+    ``_closed_form_root``.  A scale by an exact power of two rounds as the
+    unscaled term does."""
+    unit = 2.0**-64
+    quarter = m * (0.5 * unit) / two_n
+    return quarter, m * m * (unit * _COT_SLOPE) + quarter + unit / 12.0
+
+
+def _closed_form_root(quarter, c, xp):
+    """theta* from the relation with ``cot x = 1/x - 4x/pi^2``, from both
+    arms' ``_arm_terms``, indexed by arm: floats with ``xp = math``, or
     arrays that broadcast with ``xp = np``.
 
     That cotangent is exact as ``x -> 0`` and at ``pi/2``, and
@@ -408,86 +478,144 @@ def _closed_form_root(m1, two_n1, m2, two_n2, xp):
     Where the result lies above the bracket, each search starts from
     ``hi``.
     """
-    unit = 2.0**-64
-    quarter1, quarter2 = m1 * unit / two_n1 * 0.5, m2 * unit / two_n2 * 0.5
     # the split square root keeps n1 n2 ~ 1e600 finite, and so does hypot
-    d = xp.sqrt(quarter1) * xp.sqrt(quarter2)
+    d = xp.sqrt(quarter[0]) * xp.sqrt(quarter[1])
     d = d + d
-    c1 = m1 * m1 * unit * _COT_SLOPE + quarter1 + unit / 12.0
-    c2 = m2 * m2 * unit * _COT_SLOPE + quarter2 + unit / 12.0
-    return xp.sqrt(2.0 / (xp.hypot(c1 - c2, d) + c1 + c2)) * 2.0**-32
+    return xp.sqrt(2.0 / (xp.hypot(c[0] - c[1], d) + c[0] + c[1])) * 2.0**-32
 
 
 def _first_sign_changes(shapes) -> np.ndarray:
     """``_theta_star`` on every lane at once: ``_first_sign_change`` of the
     relation on ``(0, pi / (2 max(m1, m2))]``, bit for bit.
 
-    Each call of ``_relation`` judges one angle ``x`` a lane by the scalar
-    predicate ``product > 1.0``, and moves the lane's ``lo`` to ``x`` where
-    it holds and its ``hi`` to ``x`` where it fails.  A lane climbs as the
-    single solve does: from a millionth below ``_closed_form_root``, a
-    start that fails halved, then Newton's points from ``lo``, each at
-    least two floats above it.  From its first failing point after one
-    held a lane walks down from ``hi`` by 1, 2, 4, ... floats, and
-    bisects once the walk passes the midpoint.  Every point lies below
-    ``hi``, so the first ``hi``, where with ``m1 = m2`` both arm factors
-    are -1 and rounding may make the predicate hold, is never judged.  Since the predicate holds on an
-    initial segment of the bracket, each lane ends on the adjacent floats
-    where bisection ends, and the search returns bisection's last
-    midpoint ``0.5 * (lo + hi)`` once every lane has.
+    Each angle ``x`` that a ``_relation`` call judges is judged by the
+    scalar predicate ``product > 1.0``: a lane's ``lo`` moves to ``x``
+    where it holds and its ``hi`` to ``x`` where it fails.  Every lane
+    starts a millionth below ``_closed_form_root``.  While every point of
+    a call holds, every lane climbs: first to Newton's point, at least
+    one float up, judged beside Halley's, at least at Newton's, in one
+    call; then to Halley's point alone; then to Newton's points.
+    Halley's point lands closer, but it may pass theta*, and a lane that
+    passed it from far below would walk down from there, so where it
+    fails its judgement is dropped and the lane stays where it was.  Once
+    a point fails, a lane that has climbed climbs on with Newton's
+    points, one that has not is halved, and from its first failing point
+    after one held a lane walks down from ``hi`` by 1, 1, 1, 2, 4, ...
+    floats, and bisects once the walk passes the midpoint.  Every point
+    lies below ``hi``, so the first ``hi``, where with ``m1 = m2`` both
+    arm factors are -1 and rounding may make the predicate hold, is never
+    judged.  Since the predicate holds on an initial segment of the
+    bracket, each lane ends on the adjacent floats where bisection ends,
+    and the search returns bisection's last midpoint ``0.5 * (lo + hi)``
+    once every lane has.  The single solve (``_theta_star``) climbs by
+    Newton's points alone, at least two floats a step, and walks by 1, 2,
+    4, ... floats: it judges other angles, and ends on the same floats.
 
-    The batch takes as many evaluations as its slowest lane: 8 or 9 on
-    the benchmark's ``sweep`` grids, on ``sweep fig2``, on a log-uniform
-    sample up to ``m = 1e6`` and ``n = 1e15`` and on the slices of a 300
-    x 300 grid, and 10 to 12 at the longest unequal arms of that sample,
-    where bisection takes 52 to 55; the count does not grow with ``n1``
-    and ``n2``.  Its memory is a few rows of one angle a lane.
+    Only the first two calls take Halley's step, and no call takes a
+    step once no lane climbs or halves.  The batch makes as many calls
+    as its slowest lane: 5 to 7 on the benchmark's ``sweep`` grids and 6
+    on ``sweep fig2``, of one angle more, where bisection judges 52 to
+    55, and 10 at the longest unequal arms of a log-uniform sample up to
+    ``m = 1e6``; the count does not grow with ``n1`` and ``n2``.  Its
+    memory is a few rows of two angles a lane.
     """
     import numpy as np
 
     coef, two_n = _relation_rows(shapes)
-    m1, m2 = coef[1:, 0]
-    hi = np.pi / (2.0 * np.maximum(m1, m2))
-    # each lane's lo and Newton's step there, and the angle x it judges
-    # next and the step there, so that a judgement that holds moves both
-    # in one call
-    held, judged = np.zeros((2, 2, hi.size))
-    (lo, step), (x, x_step) = held, judged
-    # the floats by which a walking lane walks down from hi (0 while it
-    # climbs)
-    walk = np.zeros(hi.size, dtype=np.int64)
-    start = _closed_form_root(m1, two_n[0, 0], m2, two_n[1, 0], np)
-    np.multiply(np.minimum(start, hi), _START_BELOW, out=x)
+    m = coef[1:, 0]
+    hi = (0.5 * np.pi) / np.maximum(m[0], m[1])
+    x = np.minimum(_closed_form_root(*_arm_terms(m, two_n[:, 0]), np), hi)
+    x *= _START_BELOW
+    x = x[None]
+    # each lane's lo and Newton's step there
+    lo, step = np.zeros(hi.size), np.zeros(hi.size)
+    # non-negative floats order as their bit patterns, and adjacent ones
+    # differ by one there; the float under hi bounds every point
+    hi_bits = hi.view(np.int64)
+    top = hi_bits - 1
     # far from theta* a step may come of a division by zero or an overflow
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        # non-negative floats order as their bit patterns, and adjacent
-        # ones differ by one there
-        x_bits, lo_bits, hi_bits = (v.view(np.int64) for v in (x, lo, hi))
-        angle, angle_step = x[None], x_step[None]
+        # the climbs while every point of a call holds; x holds the points
+        # of a call, one row each
+        for climb in itertools.count():
+            product, steps = _relation(coef, two_n, x, order=2 if climb < 2 else 1)
+            holds = product > 1.0
+            if climb == 1:
+                # Halley's point where it holds; where it fails its judgement
+                # is dropped
+                np.copyto(x[0], x[1], where=holds[1])
+                np.copyto(steps[:, 0], steps[:, 1], where=holds[1])
+                holds[0] |= holds[1]
+            elif climb == 2:
+                # so too where it is judged alone: the lane stays at lo
+                dropped = ~holds[0]
+                np.copyto(x[0], lo, where=dropped)
+                np.copyto(steps[0], step, where=dropped)
+                holds[0] = True
+            x_step, bend = steps[:, 0] if climb < 2 else (steps[0], None)
+            x, holds = x[0], holds[0]
+            # count_nonzero costs a fraction of all() on a slice's rows
+            if np.count_nonzero(holds) < holds.size:
+                break
+            lo = x
+            np.copyto(step, x_step)
+            lo_bits = lo.view(np.int64)
+            if np.maximum.reduce(hi_bits - lo_bits, initial=0) <= 1:
+                return 0.5 * (lo + hi)
+            x = np.empty((2 if climb == 0 else 1, hi.size))
+            newton = np.add(lo, step, out=x[0])
+            np.fmax(newton, (lo_bits + 1).view(float), out=newton)
+            if climb < 2:
+                # Halley's point at least at Newton's: beside it on the first
+                # climb, and in its place on the second
+                np.fmax(lo + bend, newton, out=x[-1])
+            np.minimum(x.view(np.int64), top, out=x.view(np.int64))
+            # this call's arrays go before the next call makes its own
+            del product, steps, x_step, bend, newton
+        lo_bits, x_bits = lo.view(np.int64), x.view(np.int64)
+        # four times the floats by which a walking lane walks down from hi,
+        # as 1, 2, 4, 8, 16, ... for 1, 1, 1, 2, 4, ... (0 while it climbs or
+        # halves)
+        walk = np.zeros(hi.size, dtype=np.int64)
+        climbs = True
         while True:
-            holds = _relation(coef, two_n, angle, out=angle_step)[0][0] > 1.0
             fails = ~holds
-            np.copyto(held, judged, where=holds)
+            np.copyto(lo, x, where=holds)
+            if climbs:
+                np.copyto(step, x_step, where=holds)
             np.copyto(hi, x, where=fails)
             width = hi_bits - lo_bits
-            if width.max(initial=0) <= 1:
+            if np.maximum.reduce(width, initial=0) <= 1:
                 return 0.5 * (lo + hi)
-            climbed = lo > 0.0
+            # a lane that has not climbed is halved
+            halving = np.count_nonzero(lo) < lo.size
+            climbed = lo > 0.0 if halving else True
             # a walk starts at a lane's first failing point after one held;
-            # past half the bracket the midpoint takes over, and the cap at
-            # its width keeps the doubling from overflowing
-            walk += walk
+            # at twice the width its step is the midpoint's, which takes
+            # over, and the cap before the doubling keeps it from
+            # overflowing
             np.minimum(walk, width, out=walk)
+            walk += walk
             np.maximum(walk, fails, out=walk, where=climbed)
             mid = lo + hi
             mid *= 0.5
-            # Newton's point at least two floats above lo; a start that
-            # fails is halved
-            np.add(lo, step, out=x)
-            np.fmax(x, (lo_bits + 2).view(float), out=x)
-            np.copyto(x, mid, where=~climbed)
-            np.fmax((hi_bits - walk).view(float), mid, out=x, where=walk > 0)
+            # a step of 0 is one float, at the cap below
+            down = (hi_bits - (walk >> 2)).view(float)
+            climbs = np.count_nonzero(walk) < walk.size
+            if climbs:
+                # Newton's point at least one float above lo
+                np.add(lo, step, out=x)
+                np.fmax(x, (lo_bits + 1).view(float), out=x)
+                if halving:
+                    np.copyto(x, mid, where=~climbed)
+                np.fmax(down, mid, out=x, where=walk > 0)
+            else:
+                np.fmax(down, mid, out=x)
             np.minimum(x_bits, hi_bits - 1, out=x_bits)
+            product = _relation(
+                coef, two_n, x[None], out=x_step[None], order=int(climbs)
+            )[0]
+            holds = product[0] > 1.0
 
 
 def _newton_step(
@@ -543,7 +671,8 @@ def _theta_star(params: TfsParams) -> float:
     two_n1, two_n2 = 2.0 / params.n1, 2.0 / params.n2
     hi = math.pi / (2 * max(m1, m2))
     top = math.nextafter(hi, 0.0)
-    start = _closed_form_root(m1, two_n1, m2, two_n2, math)
+    quarter, c = zip(_arm_terms(m1, two_n1), _arm_terms(m2, two_n2))
+    start = _closed_form_root(quarter, c, math)
     lo = min(start, hi) * _START_BELOW
     while not _char_values(params, lo) > 0.0:
         lo *= 0.5
@@ -611,12 +740,12 @@ def optimal_weights_batch(m1, n1, m2, n2) -> BatchSolution:
         theta[...] = _first_sign_changes(chunk)
         np.cos(theta, out=s)
         _boundary_weights(chunk[::2], theta, out=rows[2:4])
-        gap[...] = _gap(theta, np)
-        failed = ~_skeleton_proves_slem(chunk, s, w_minus, w_plus)
-        if failed.any():
+        _gap(theta, np, out=gap)
+        proved = _skeleton_proves_slem(chunk, s, w_minus, w_plus)
+        if np.count_nonzero(proved) < proved.size:
             # the scalar route's error for the first failing lane, from
             # the lane's own s, which has that route's bits
-            lane = int(np.argmax(failed))
+            lane = int(np.argmin(proved))
             params = TfsParams(*_cell(_cells(arrays), start + lane))
             raise _self_check_error(params, float(s[lane]))
     results.flags.writeable = False

@@ -1298,12 +1298,15 @@ def test_every_argument_list_gets_a_documented_exit_code(argv):
 
 
 def _parse_outcome(parse, argv):
-    """The namespace ``parse`` gives ``argv``, or its ``SystemExit`` code,
-    with what it wrote to stdout and stderr."""
+    """The namespace ``parse`` gives ``argv``, each value as its ``repr``,
+    or its ``SystemExit`` code, with what it wrote to stdout and stderr.
+    The reprs compare ``--perturb nan`` equal to itself, where ``nan !=
+    nan``, and tell ``-0.0`` from ``0.0``, where ``-0.0 == 0.0``."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            result = ("namespace", vars(parse(argv)))
+            namespace = vars(parse(argv))
+            result = ("namespace", {key: repr(value) for key, value in namespace.items()})
         except SystemExit as exc:
             result = ("exit", exc.code)
     return result, out.getvalue(), err.getvalue()
@@ -1324,6 +1327,10 @@ _SMALL_SHAPE = ["--m1", "3", "--n1", "4", "--m2", "4", "--n2", "3"]
 @example(argv=["--m1", "1", "solve"])
 @example(argv=["verify", *_SMALL_SHAPE, "--perturb", "-1e-3"])
 @example(argv=["verify", *_SMALL_SHAPE, "--perturb=-1e-3"])
+@example(argv=["verify", *_SMALL_SHAPE, "--perturb", "nan"])
+@example(argv=["verify", *_SMALL_SHAPE, "--perturb=-0.0"])
+@example(argv=["verify", "--m1", "0", "--perturb", "nan", "--m2", "-1", "--n2", "-1",
+               "--n1", "-1"])
 @settings(max_examples=200, deadline=None)
 def test_the_command_word_route_parses_as_the_top_level_parser(argv):
     # main parses a request with its command words' own parser; the

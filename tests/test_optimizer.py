@@ -473,22 +473,27 @@ def test_the_predicate_changes_sign_once_around_theta_star(shapes):
         assert not holds[1].any()
 
 
-def count_angles(monkeypatch, shapes, search=solve_batch, limit=math.inf):
-    """The angles a lane that the batch's search judges: each ``_relation``
-    call judges as many as ``theta``'s first axis holds.  Past ``limit``
-    the search fails instead of running on."""
+def judged_angles(monkeypatch, shapes, search=solve_batch, limit=math.inf):
+    """The angles a lane that each ``_relation`` call of the batch's search
+    judges, one entry a call: as many as ``theta``'s first axis holds.
+    Past ``limit`` angles the search fails instead of running on."""
     angles = []
     evaluate = optimizer._relation
 
-    def counting(coef, two_n, theta, out=None):
+    def counting(coef, two_n, theta, *args, **kwargs):
         angles.append(np.shape(theta)[0])
         assert sum(angles) <= limit, "the search did not end"
-        return evaluate(coef, two_n, theta, out)
+        return evaluate(coef, two_n, theta, *args, **kwargs)
 
     with monkeypatch.context() as patch:
         patch.setattr(optimizer, "_relation", counting)
         search(shapes)
-    return sum(angles)
+    return angles
+
+
+def count_angles(monkeypatch, shapes, search=solve_batch, limit=math.inf):
+    """The angles a lane that the batch's search judges in all."""
+    return sum(judged_angles(monkeypatch, shapes, search, limit))
 
 
 def bisection_evaluations(shape):
@@ -516,6 +521,14 @@ def test_newton_search_pins_a_sweep_in_few_evaluations(monkeypatch):
     # the 10^4 log-uniform shapes in one slice
     monkeypatch.setattr(optimizer, "_ONE_CALL_LANES", 10**4)
     assert count_angles(monkeypatch, BATCH_SHAPES["log-uniform"]) <= 9
+
+
+def test_a_sweep_slice_takes_at_most_seven_calls(monkeypatch):
+    # each call costs a slice of 100 lanes about as much as one of a few,
+    # so the slice's slowest lane sets the time; bisection makes 52 to 55
+    slices = [grid(n1, n2) for n1 in BRANCH_COUNTS for n2 in BRANCH_COUNTS]
+    for shapes in slices + [fig2_shapes(8)]:
+        assert len(judged_angles(monkeypatch, shapes)) <= 7, shapes[0]
 
 
 @pytest.mark.parametrize("shape", EXTREME_SHAPES)
