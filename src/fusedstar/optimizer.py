@@ -56,7 +56,6 @@ step is an array, imports it on first use.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -537,7 +536,8 @@ def _first_sign_changes(shapes) -> np.ndarray:
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         # the climbs while every point of a call holds; x holds the points
         # of a call, one row each
-        for climb in itertools.count():
+        climb = 0
+        while True:
             product, steps = _relation(coef, two_n, x, order=2 if climb < 2 else 1)
             holds = product > 1.0
             if climb == 1:
@@ -572,6 +572,7 @@ def _first_sign_changes(shapes) -> np.ndarray:
             np.minimum(x.view(np.int64), top, out=x.view(np.int64))
             # this call's arrays go before the next call makes its own
             del product, steps, x_step, bend, newton
+            climb += 1
         lo_bits, x_bits = lo.view(np.int64), x.view(np.int64)
         # four times the floats by which a walking lane walks down from hi,
         # as 1, 2, 4, 8, 16, ... for 1, 1, 1, 2, 4, ... (0 while it climbs or
