@@ -406,10 +406,14 @@ def _relation(coef, two_n, theta, out=None, order=1) -> tuple:
     cot = np.cos(angles)
     sin = np.sin(angles, out=angles)
     cot /= sin
-    arm = two_n * cot[1:]
-    arm *= cot[0]
+    # the half angle's row and the arms' rows, later of the rates
+    half, arms = cot[0], cot[1:]
+    arm = two_n * arms
+    arm *= half
     arm -= 1.0
-    product = arm[0] * arm[1]
+    # rows by index, which costs a fraction of unpacking an array
+    arm1, arm2 = arm[0], arm[1]
+    product = arm1 * arm2
     if not order:
         return product, None
     tan = np.reciprocal(cot, out=sin)
@@ -422,17 +426,18 @@ def _relation(coef, two_n, theta, out=None, order=1) -> tuple:
         curve += rate
         curve *= rate
         curve[1:] += curve[0]
-    rate[1:] += rate[0]
+    arms += half
     ratio = np.reciprocal(arm, out=arm)
     ratio += 1.0
     if order > 1:
         curve[1:] *= ratio
-    rise = np.multiply(rate[1:], ratio, out=ratio)
+    rise = np.multiply(arms, ratio, out=ratio)
+    rise1, rise2 = rise[0], rise[1]
+    slope = np.add(rise1, rise2, out=half)
     if order > 1:
-        rate[1:] *= rise
-        curve[1:] += rate[1:]
-        out = rate[1:] if out is None else out
-    slope = np.add(rise[0], rise[1], out=rate[0])
+        arms *= rise
+        curve[1:] += arms
+        out = arms if out is None else out
     newton = np.reciprocal(product, out=out if order == 1 else out[0])
     np.subtract(1.0, newton, out=newton)
     newton /= slope
@@ -441,7 +446,7 @@ def _relation(coef, two_n, theta, out=None, order=1) -> tuple:
     # Halley's step is Newton's over 1 + (Newton's) (-f'' / 2 a1 a2) / slope
     bend = np.add(curve[1], curve[2], out=curve[1])
     bend *= -0.5
-    bend -= np.multiply(rise[0], rise[1], out=rise[0])
+    bend -= np.multiply(rise1, rise2, out=rise1)
     halley = np.multiply(newton, bend, out=out[1])
     halley /= slope
     halley += 1.0
@@ -529,9 +534,8 @@ def _first_sign_changes(shapes) -> np.ndarray:
     # each lane's lo and Newton's step there
     lo, step = np.zeros(hi.size), np.zeros(hi.size)
     # non-negative floats order as their bit patterns, and adjacent ones
-    # differ by one there; the float under hi bounds every point
+    # differ by one there
     hi_bits = hi.view(np.int64)
-    top = hi_bits - 1
     # far from theta* a step may come of a division by zero or an overflow
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         # the climbs while every point of a call holds; x holds the points
@@ -541,18 +545,21 @@ def _first_sign_changes(shapes) -> np.ndarray:
             product, steps = _relation(coef, two_n, x, order=2 if climb < 2 else 1)
             holds = product > 1.0
             if climb == 1:
-                # Halley's point where it holds; where it fails its judgement
-                # is dropped
+                # Halley's point where it holds; where it fails, it bounds
+                # the lane above, and Newton's point is judged as ever
+                np.copyto(hi, x[1], where=~holds[1])
                 np.copyto(x[0], x[1], where=holds[1])
                 np.copyto(steps[:, 0], steps[:, 1], where=holds[1])
                 holds[0] |= holds[1]
             elif climb == 2:
-                # so too where it is judged alone: the lane stays at lo
+                # where Halley's point, judged alone, fails, it bounds the
+                # lane above, and the lane stays at lo
                 dropped = ~holds[0]
+                np.copyto(hi, x[0], where=dropped)
                 np.copyto(x[0], lo, where=dropped)
                 np.copyto(steps[0], step, where=dropped)
                 holds[0] = True
-            x_step, bend = steps[:, 0] if climb < 2 else (steps[0], None)
+            x_step, bend = (steps[0, 0], steps[1, 0]) if climb < 2 else (steps[0], None)
             x, holds = x[0], holds[0]
             # count_nonzero costs a fraction of all() on a slice's rows
             if np.count_nonzero(holds) < holds.size:
@@ -569,7 +576,8 @@ def _first_sign_changes(shapes) -> np.ndarray:
                 # Halley's point at least at Newton's: beside it on the first
                 # climb, and in its place on the second
                 np.fmax(lo + bend, newton, out=x[-1])
-            np.minimum(x.view(np.int64), top, out=x.view(np.int64))
+            # the float under hi bounds every point
+            np.minimum(x.view(np.int64), hi_bits - 1, out=x.view(np.int64))
             # this call's arrays go before the next call makes its own
             del product, steps, x_step, bend, newton
             climb += 1
@@ -578,12 +586,10 @@ def _first_sign_changes(shapes) -> np.ndarray:
         # as 1, 2, 4, 8, 16, ... for 1, 1, 1, 2, 4, ... (0 while it climbs or
         # halves)
         walk = np.zeros(hi.size, dtype=np.int64)
-        climbs = True
+        order = 1
         while True:
             fails = ~holds
             np.copyto(lo, x, where=holds)
-            if climbs:
-                np.copyto(step, x_step, where=holds)
             np.copyto(hi, x, where=fails)
             width = hi_bits - lo_bits
             if np.maximum.reduce(width, initial=0) <= 1:
@@ -600,22 +606,29 @@ def _first_sign_changes(shapes) -> np.ndarray:
             np.maximum(walk, fails, out=walk, where=climbed)
             mid = lo + hi
             mid *= 0.5
-            # a step of 0 is one float, at the cap below
-            down = (hi_bits - (walk >> 2)).view(float)
-            climbs = np.count_nonzero(walk) < walk.size
-            if climbs:
-                # Newton's point at least one float above lo
+            if order:
+                # Newton's step at each lane's lo, and 0 where a lane failed,
+                # since it walks from now on
+                np.copyto(step, x_step, where=holds)
+                np.copyto(step, 0.0, where=fails)
+                # Newton's point at least one float above lo; the next call
+                # takes steps only where one lies more than four floats up,
+                # or where a lane is halved, as a lane climbs on from there
+                up = lo_bits + 1
                 np.add(lo, step, out=x)
-                np.fmax(x, (lo_bits + 1).view(float), out=x)
-                if halving:
-                    np.copyto(x, mid, where=~climbed)
-                np.fmax(down, mid, out=x, where=walk > 0)
+                np.fmax(x, up.view(float), out=x)
+                up += 3
+                order = int(halving or np.count_nonzero(x_bits > up) > 0)
             else:
-                np.fmax(down, mid, out=x)
+                # every lane's last step was a few floats at most, and it
+                # climbs by one float from here on
+                np.add(lo_bits, 1, out=x_bits)
+            if halving:
+                np.copyto(x, mid, where=~climbed)
+            # a step of 0 is one float, at the cap below
+            np.fmax((hi_bits - (walk >> 2)).view(float), mid, out=x, where=walk > 0)
             np.minimum(x_bits, hi_bits - 1, out=x_bits)
-            product = _relation(
-                coef, two_n, x[None], out=x_step[None], order=int(climbs)
-            )[0]
+            product = _relation(coef, two_n, x[None], out=x_step[None], order=order)[0]
             holds = product[0] > 1.0
 
 
@@ -701,7 +714,11 @@ def _skeleton_proves_slem(shapes, s: np.ndarray, w_minus, w_plus) -> np.ndarray:
     ``skeleton_rows``, from the rows of a slice's shapes."""
     m = shapes[::2]
     below = count_central_below(
-        *skeleton_rows(_Shapes(*shapes), w_minus, w_plus), m, _self_check_shifts(s)
+        *skeleton_rows(
+            _Shapes(shapes[0], shapes[1], shapes[2], shapes[3]), w_minus, w_plus
+        ),
+        m,
+        _self_check_shifts(s),
     )
     return _counts_prove_slem(below, m[0] + m[1])
 
@@ -737,7 +754,7 @@ def optimal_weights_batch(m1, n1, m2, n2) -> BatchSolution:
     for start in range(0, lanes.shape[1], _ONE_CALL_LANES):
         chunk = lanes[:, start : start + _ONE_CALL_LANES]
         rows = solved[:, start : start + _ONE_CALL_LANES]
-        theta, s, w_minus, w_plus, gap = rows
+        theta, s, w_minus, w_plus, gap = rows[0], rows[1], rows[2], rows[3], rows[4]
         theta[...] = _first_sign_changes(chunk)
         np.cos(theta, out=s)
         _boundary_weights(chunk[::2], theta, out=rows[2:4])
