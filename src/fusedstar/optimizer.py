@@ -23,8 +23,9 @@ first two climbs take Halley's step, in at most seven calls of the
 stateless ``_relation`` on the benchmark's sweep grids.  Each call
 judges one angle a lane, but the second, which judges Newton's point
 beside Halley's, with ``_char_values``'s float operations in its
-order, and takes Newton's step only where a lane may climb on.  The
-two routes judge different angles and end on the same floats.  The batch takes
+order, and takes Newton's step only where a lane may still climb by
+more than a few floats.  The two routes judge different angles and end
+on the same floats.  The batch takes
 exactly the shapes that ``TfsParams`` takes, so both routes search the
 same domain, and on its bracket the boundary weights' denominator is at
 least ``sin(pi / (4m))`` (``_boundary_weights``).  A single solve's
@@ -501,11 +502,11 @@ def _first_sign_changes(shapes) -> np.ndarray:
     call; then to Halley's point alone; then to Newton's points.
     Halley's point lands closer, but it may pass theta*, and a lane that
     passed it from far below would walk down from there, so where it
-    fails its judgement is dropped and the lane stays where it was.  Once
-    a point fails, a lane that has climbed climbs on with Newton's
-    points, one that has not is halved, and from its first failing point
-    after one held a lane walks down from ``hi`` by 1, 1, 1, 2, 4, ...
-    floats, and bisects once the walk passes the midpoint.  Every point
+    fails it only bounds the lane above, and the lane climbs on from
+    where it was.  Once any point fails, a lane that has climbed climbs
+    on with Newton's points, one that has not is halved, and from its
+    first failing Newton point a lane walks down from ``hi`` by 1, 1, 1,
+    2, 4, ... floats, and bisects once the walk passes the midpoint.  Every point
     lies below ``hi``, so the first ``hi``, where with ``m1 = m2`` both
     arm factors are -1 and rounding may make the predicate hold, is never
     judged.  Since the predicate holds on an initial segment of the
@@ -515,12 +516,14 @@ def _first_sign_changes(shapes) -> np.ndarray:
     Newton's points alone, at least two floats a step, and walks by 1, 2,
     4, ... floats: it judges other angles, and ends on the same floats.
 
-    Only the first two calls take Halley's step, and no call takes a
-    step once no lane climbs or halves.  The batch makes as many calls
-    as its slowest lane: 5 to 7 on the benchmark's ``sweep`` grids and 6
-    on ``sweep fig2``, of one angle more, where bisection judges 52 to
-    55, and 10 at the longest unequal arms of a log-uniform sample up to
-    ``m = 1e6``; the count does not grow with ``n1`` and ``n2``.  Its
+    Only the first two calls take Halley's step, and once a point has
+    failed, a call takes Newton's step only where a lane's Newton point
+    lies more than four floats up or a lane is halved; otherwise every
+    climbing lane climbs one float.  The batch makes as many calls as its
+    slowest lane: 5 to 7 on the benchmark's ``sweep`` grids (6 on most)
+    and 6 on ``sweep fig2``, of one angle more, where bisection judges 52
+    to 55, and 10 at the longest unequal arms of a log-uniform sample up
+    to ``m = 1e6``; the count does not grow with ``n1`` and ``n2``.  Its
     memory is a few rows of two angles a lane.
     """
     import numpy as np
