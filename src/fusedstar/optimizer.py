@@ -506,10 +506,10 @@ def _first_sign_changes(shapes) -> np.ndarray:
     where it was.  Once any point fails, a lane that has climbed climbs
     on with Newton's points, one that has not is halved, and from its
     first failing Newton point a lane walks down from ``hi`` by 1, 1, 1,
-    2, 4, ... floats, and bisects once the walk passes the midpoint.  Every point
-    lies below ``hi``, so the first ``hi``, where with ``m1 = m2`` both
-    arm factors are -1 and rounding may make the predicate hold, is never
-    judged.  Since the predicate holds on an initial segment of the
+    2, 4, ... floats, and bisects once the walk passes the midpoint.
+    Every point lies below ``hi``, so the first ``hi``, where with ``m1 =
+    m2`` both arm factors are -1 and rounding may make the predicate
+    hold, is never judged.  Since the predicate holds on an initial segment of the
     bracket, each lane ends on the adjacent floats where bisection ends,
     and the search returns bisection's last midpoint ``0.5 * (lo + hi)``
     once every lane has.  The single solve (``_theta_star``) climbs by

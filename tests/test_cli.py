@@ -1306,7 +1306,7 @@ def _parse_outcome(parse, argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             namespace = vars(parse(argv))
-            result = ("namespace", {key: repr(value) for key, value in namespace.items()})
+            result = ("namespace", {key: repr(v) for key, v in namespace.items()})
         except SystemExit as exc:
             result = ("exit", exc.code)
     return result, out.getvalue(), err.getvalue()
