@@ -236,8 +236,8 @@ def _counts_prove_slem(below, top):
     over lanes (a batch's, and the verdict an array).
     """
     if isinstance(below, list):
-        most = [max(pair) for pair in below[:2]]
-        least = [min(pair) for pair in below[2:]]
+        (c0, a0), (c1, a1), (c2, a2), (c3, a3) = below
+        most, least = (max(c0, a0), max(c1, a1)), (min(c2, a2), min(c3, a3))
     else:
         import numpy as np
 
@@ -688,8 +688,8 @@ def _theta_star(params: TfsParams) -> float:
     two_n1, two_n2 = 2.0 / params.n1, 2.0 / params.n2
     hi = math.pi / (2 * max(m1, m2))
     top = math.nextafter(hi, 0.0)
-    quarter, c = zip(_arm_terms(m1, two_n1), _arm_terms(m2, two_n2))
-    start = _closed_form_root(quarter, c, math)
+    (quarter1, c1), (quarter2, c2) = _arm_terms(m1, two_n1), _arm_terms(m2, two_n2)
+    start = _closed_form_root((quarter1, quarter2), (c1, c2), math)
     lo = min(start, hi) * _START_BELOW
     while not _char_values(params, lo) > 0.0:
         lo *= 0.5
