@@ -21,11 +21,10 @@ and ``optimal_weights_batch`` on every lane of a slice of
 ``_ONE_CALL_LANES`` shapes at once (``_first_sign_changes``), whose
 first two climbs take Halley's step, in at most seven calls of the
 stateless ``_relation`` on the benchmark's sweep grids.  Each call
-judges one angle a lane, but the second, which judges Newton's point
-beside Halley's, with ``_char_values``'s float operations in its
-order, and takes Newton's step only where a lane may still climb by
-more than a few floats.  The two routes judge different angles and end
-on the same floats.  The batch takes
+judges one angle a lane (the second two, Newton's point and Halley's),
+with ``_char_values``'s float operations in its order, and the last
+calls take no step.  The two routes judge different angles and end on
+the same floats.  The batch takes
 exactly the shapes that ``TfsParams`` takes, so both routes search the
 same domain, and on its bracket the boundary weights' denominator is at
 least ``sin(pi / (4m))`` (``_boundary_weights``).  A single solve's
@@ -212,8 +211,7 @@ def _self_check_shifts(s):
     import numpy as np
 
     shifts = np.empty((4, *np.shape(s)))
-    np.subtract(s, _SELF_CHECK, out=shifts[2])
-    np.add(s, _SELF_CHECK, out=shifts[3])
+    np.add.outer(np.array([-_SELF_CHECK, _SELF_CHECK]), s, out=shifts[2:])
     np.negative(shifts[:1:-1], out=shifts[:2])
     return shifts
 
@@ -346,18 +344,13 @@ def _batch_shapes(arrays: list[np.ndarray]) -> np.ndarray:
         suspects = valid = None
     else:
         lanes = fields.reshape(4, -1)
-        # whole numbers from the least valid ones on (nan is neither)
-        valid = np.floor(lanes) == lanes
+        valid = np.isfinite(lanes) & (lanes == np.floor(lanes))
         valid &= lanes >= _least_shape()
-        sums = lanes[0] + lanes[2]
-        if (
-            np.count_nonzero(valid) == valid.size
-            and np.maximum.reduce(lanes, axis=None, initial=0.0) < math.inf
-            and np.maximum.reduce(sums, initial=0.0) < 0.5 * MAX_ARRAY_ENTRIES
-        ):
+        long = lanes[0] + lanes[2] >= 0.5 * MAX_ARRAY_ENTRIES
+        if valid.all() and not long.any():
             return fields
-        valid = (valid & np.isfinite(lanes)).all(axis=0)
-        suspects = np.flatnonzero(~valid | (sums >= 0.5 * MAX_ARRAY_ENTRIES)).tolist()
+        valid = valid.all(axis=0)
+        suspects = np.flatnonzero(~valid | long).tolist()
     cells = _cells(arrays)
     for index in range(cells[0].size) if suspects is None else suspects:
         _require_two_branches(TfsParams(*_cell(cells, index)))
@@ -379,12 +372,12 @@ def _relation_rows(shapes) -> tuple[np.ndarray, np.ndarray]:
     return coef, 2.0 / shapes[1::2, None]
 
 
-def _relation(coef, two_n, theta, out=None, order=1) -> tuple:
-    """``_char_values + 1`` of every lane at ``theta``, and the steps of
-    ``order`` towards the root of ``f = a1 a2 - 1`` there, from
-    ``_relation_rows``: none (``None``) for 0, Newton's ``-f / f'`` for 1,
-    and for 2 Newton's and Halley's ``-f / f' / (1 - f f'' / 2 f'^2)`` on
-    a new first axis.
+def _relation(coef, two_n, theta, order=1) -> tuple:
+    """``_char_values + 1`` of every lane at ``theta``, from
+    ``_relation_rows``, and the steps of ``order`` towards the root of ``f
+    = a1 a2 - 1`` there: none (``None``) for 0, Newton's ``-f / f'`` for 1,
+    and for 2 Newton's and Halley's ``-f / f' / (1 - f f'' / 2 f'^2)`` on a
+    new first axis.
 
     Each float operation of the product is ``_char_values``'s, in the
     same order, so the bits are its own; ``product > 1.0`` is then
@@ -399,7 +392,7 @@ def _relation(coef, two_n, theta, out=None, order=1) -> tuple:
     (sin cos)^2 = coef (cot - tan)`` times its rate, and ``f'' / a1 a2``
     is ``r1 (e1^2 - e1') + r2 (e2^2 - e2') + 2 r1 e1 r2 e2``.  Nothing
     persists between calls; the steps reuse the evaluation's arrays in
-    place, and are written to ``out`` if given.
+    place.
     """
     import numpy as np
 
@@ -412,9 +405,7 @@ def _relation(coef, two_n, theta, out=None, order=1) -> tuple:
     arm = two_n * arms
     arm *= half
     arm -= 1.0
-    # rows by index, which costs a fraction of unpacking an array
-    arm1, arm2 = arm[0], arm[1]
-    product = arm1 * arm2
+    product = arm[0] * arm[1]
     if not order:
         return product, None
     tan = np.reciprocal(cot, out=sin)
@@ -433,13 +424,11 @@ def _relation(coef, two_n, theta, out=None, order=1) -> tuple:
     if order > 1:
         curve[1:] *= ratio
     rise = np.multiply(arms, ratio, out=ratio)
-    rise1, rise2 = rise[0], rise[1]
-    slope = np.add(rise1, rise2, out=half)
+    slope = np.add(rise[0], rise[1], out=half)
     if order > 1:
         arms *= rise
         curve[1:] += arms
-        out = arms if out is None else out
-    newton = np.reciprocal(product, out=out if order == 1 else out[0])
+    newton = np.reciprocal(product, out=arms[0] if order > 1 else None)
     np.subtract(1.0, newton, out=newton)
     newton /= slope
     if order == 1:
@@ -447,12 +436,12 @@ def _relation(coef, two_n, theta, out=None, order=1) -> tuple:
     # Halley's step is Newton's over 1 + (Newton's) (-f'' / 2 a1 a2) / slope
     bend = np.add(curve[1], curve[2], out=curve[1])
     bend *= -0.5
-    bend -= np.multiply(rise1, rise2, out=rise1)
-    halley = np.multiply(newton, bend, out=out[1])
-    halley /= slope
-    halley += 1.0
-    np.divide(newton, halley, out=halley)
-    return product, out
+    bend -= np.multiply(rise[0], rise[1], out=rise[0])
+    step = np.multiply(newton, bend, out=arms[1])
+    step /= slope
+    step += 1.0
+    np.divide(newton, step, out=step)
+    return product, arms
 
 
 def _arm_terms(m, two_n):
@@ -493,59 +482,62 @@ def _first_sign_changes(shapes) -> np.ndarray:
     """``_theta_star`` on every lane at once: ``_first_sign_change`` of the
     relation on ``(0, pi / (2 max(m1, m2))]``, bit for bit.
 
-    Each angle ``x`` that a ``_relation`` call judges is judged by the
-    scalar predicate ``product > 1.0``: a lane's ``lo`` moves to ``x``
-    where it holds and its ``hi`` to ``x`` where it fails.  Every lane
-    starts a millionth below ``_closed_form_root``.  While every point of
-    a call holds, every lane climbs: first to Newton's point, at least
-    one float up, judged beside Halley's, at least at Newton's, in one
-    call; then to Halley's point alone; then to Newton's points.
-    Halley's point lands closer, but it may pass theta*, and a lane that
-    passed it from far below would walk down from there, so where it
-    fails it only bounds the lane above, and the lane climbs on from
-    where it was.  Once any point fails, a lane that has climbed climbs
-    on with Newton's points, one that has not is halved, and from its
-    first failing Newton point a lane walks down from ``hi`` by 1, 1, 1,
-    2, 4, ... floats, and bisects once the walk passes the midpoint.
+    Each call of ``_relation`` judges each angle ``x`` of a lane by the
+    scalar predicate ``product > 1.0``, and moves the lane's ``lo`` to
+    ``x`` where it holds and its ``hi`` to ``x`` where it fails.  Every
+    lane starts a millionth below ``_closed_form_root``.  While every
+    point holds, every lane climbs: first to Newton's point, at least one
+    float up, judged beside Halley's point, at least at Newton's, in one
+    call; then to Halley's point alone; then to Newton's points.  Halley's
+    point lands closer, but it may pass theta*, and a lane that passed it
+    from far below would walk down from there, so where it fails it only
+    bounds the lane above, and the lane climbs on from where it was.
+    These climbs have a loop of their own, which skips the bookkeeping of
+    lanes that fail.  Once any point fails, a lane that has climbed
+    climbs on with Newton's points, one that has not is halved, and from
+    its first failing Newton point a lane walks down from ``hi``, a float
+    from each of its first three failing points and then 2, 4, ...
+    floats, and bisects once the walk passes the midpoint.  Newton's
+    steps from below only shrink, so once no lane's Newton point lies
+    more than a float above its ``lo`` and no lane is halved, every
+    climbing lane climbs a float a call and the calls left take no step.
     Every point lies below ``hi``, so the first ``hi``, where with ``m1 =
     m2`` both arm factors are -1 and rounding may make the predicate
-    hold, is never judged.  Since the predicate holds on an initial segment of the
-    bracket, each lane ends on the adjacent floats where bisection ends,
-    and the search returns bisection's last midpoint ``0.5 * (lo + hi)``
-    once every lane has.  The single solve (``_theta_star``) climbs by
-    Newton's points alone, at least two floats a step, and walks by 1, 2,
-    4, ... floats: it judges other angles, and ends on the same floats.
+    hold, is never judged.  Since the predicate holds on an initial
+    segment of the bracket, each lane ends on the adjacent floats where
+    bisection ends, and the search returns bisection's last midpoint
+    ``0.5 * (lo + hi)`` once every lane has.  The single solve
+    (``_theta_star``) climbs by Newton's points alone, at least two floats
+    a step, and walks by 1, 2, 4, ... floats: it judges other angles, and
+    ends on the same floats.
 
-    Only the first two calls take Halley's step, and once a point has
-    failed, a call takes Newton's step only where a lane's Newton point
-    lies more than four floats up or a lane is halved; otherwise every
-    climbing lane climbs one float.  The batch makes as many calls as its
-    slowest lane: 5 to 7 on the benchmark's ``sweep`` grids (6 on most)
-    and 6 on ``sweep fig2``, of one angle more, where bisection judges 52
-    to 55, and 10 at the longest unequal arms of a log-uniform sample up
-    to ``m = 1e6``; the count does not grow with ``n1`` and ``n2``.  Its
-    memory is a few rows of two angles a lane.
+    The batch makes as many calls as its slowest lane: 5 to 7 on the
+    benchmark's ``sweep`` grids (6 on most) and 6 on ``sweep fig2``, of
+    one angle more, where bisection judges 52 to 55, and 10 at the
+    longest unequal arms of a log-uniform sample up to ``m = 1e6``; the
+    count does not grow with ``n1`` and ``n2``.  Its memory is a few rows
+    of two angles a lane.
     """
     import numpy as np
 
     coef, two_n = _relation_rows(shapes)
     m = coef[1:, 0]
-    hi = (0.5 * np.pi) / np.maximum(m[0], m[1])
+    hi = np.pi / (2.0 * np.maximum(m[0], m[1]))
     x = np.minimum(_closed_form_root(*_arm_terms(m, two_n[:, 0]), np), hi)
     x *= _START_BELOW
     x = x[None]
     # each lane's lo and Newton's step there
-    lo, step = np.zeros(hi.size), np.zeros(hi.size)
+    lo, step = np.zeros((2, hi.size))
     # non-negative floats order as their bit patterns, and adjacent ones
     # differ by one there
     hi_bits = hi.view(np.int64)
     # far from theta* a step may come of a division by zero or an overflow
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        # the climbs while every point of a call holds; x holds the points
-        # of a call, one row each
+        # the climbs while every point holds: x holds a call's points, a
+        # row each
         climb = 0
         while True:
-            product, steps = _relation(coef, two_n, x, order=2 if climb < 2 else 1)
+            product, steps = _relation(coef, two_n, x, 2 if climb < 2 else 1)
             holds = product > 1.0
             if climb == 1:
                 # Halley's point where it holds; where it fails, it bounds
@@ -553,7 +545,6 @@ def _first_sign_changes(shapes) -> np.ndarray:
                 np.copyto(hi, x[1], where=~holds[1])
                 np.copyto(x[0], x[1], where=holds[1])
                 np.copyto(steps[:, 0], steps[:, 1], where=holds[1])
-                holds[0] |= holds[1]
             elif climb == 2:
                 # where Halley's point, judged alone, fails, it bounds the
                 # lane above, and the lane stays at lo
@@ -562,15 +553,18 @@ def _first_sign_changes(shapes) -> np.ndarray:
                 np.copyto(x[0], lo, where=dropped)
                 np.copyto(steps[0], step, where=dropped)
                 holds[0] = True
-            x_step, bend = (steps[0, 0], steps[1, 0]) if climb < 2 else (steps[0], None)
+            if climb < 2:
+                x_step, bend = steps[0, 0], steps[1, 0]
+            else:
+                x_step, bend = steps[0], None
             x, holds = x[0], holds[0]
-            # count_nonzero costs a fraction of all() on a slice's rows
+            # count_nonzero costs a third of all() on a slice's rows
             if np.count_nonzero(holds) < holds.size:
                 break
             lo = x
             np.copyto(step, x_step)
             lo_bits = lo.view(np.int64)
-            if np.maximum.reduce(hi_bits - lo_bits, initial=0) <= 1:
+            if (hi_bits - lo_bits).max(initial=0) <= 1:
                 return 0.5 * (lo + hi)
             x = np.empty((2 if climb == 0 else 1, hi.size))
             newton = np.add(lo, step, out=x[0])
@@ -585,54 +579,53 @@ def _first_sign_changes(shapes) -> np.ndarray:
             del product, steps, x_step, bend, newton
             climb += 1
         lo_bits, x_bits = lo.view(np.int64), x.view(np.int64)
-        # four times the floats by which a walking lane walks down from hi,
-        # as 1, 2, 4, 8, 16, ... for 1, 1, 1, 2, 4, ... (0 while it climbs or
-        # halves)
-        walk = np.zeros(hi.size, dtype=np.int64)
+        # each lane's failing points once it has climbed, and the floats by
+        # which it walks down from hi
+        failed, walk = np.zeros((2, hi.size), dtype=np.int64)
         order = 1
         while True:
             fails = ~holds
             np.copyto(lo, x, where=holds)
             np.copyto(hi, x, where=fails)
             width = hi_bits - lo_bits
-            if np.maximum.reduce(width, initial=0) <= 1:
+            if width.max(initial=0) <= 1:
                 return 0.5 * (lo + hi)
             # a lane that has not climbed is halved
             halving = np.count_nonzero(lo) < lo.size
             climbed = lo > 0.0 if halving else True
-            # a walk starts at a lane's first failing point after one held;
-            # at twice the width its step is the midpoint's, which takes
-            # over, and the cap before the doubling keeps it from
-            # overflowing
+            # a walk starts at a lane's first failing point after one held
+            # and doubles from its fourth; past half the bracket the
+            # midpoint takes over, and the cap at its width keeps the
+            # doubling from overflowing
+            np.add(failed, fails, out=failed, where=climbed)
+            walk += walk * (failed > 3)
             np.minimum(walk, width, out=walk)
-            walk += walk
             np.maximum(walk, fails, out=walk, where=climbed)
             mid = lo + hi
             mid *= 0.5
             if order:
-                # Newton's step at each lane's lo, and 0 where a lane failed,
-                # since it walks from now on
+                # Newton's step at each lane's lo, and 0 where a lane
+                # failed, since it walks from now on
                 np.copyto(step, x_step, where=holds)
                 np.copyto(step, 0.0, where=fails)
-                # Newton's point at least one float above lo; the next call
-                # takes steps only where one lies more than four floats up,
-                # or where a lane is halved, as a lane climbs on from there
+                # Newton's point at least one float above lo
                 up = lo_bits + 1
                 np.add(lo, step, out=x)
                 np.fmax(x, up.view(float), out=x)
-                up += 3
+                # once no lane's Newton point lies more than a float up and
+                # no lane is halved, every later step is under a float
                 order = int(halving or np.count_nonzero(x_bits > up) > 0)
             else:
-                # every lane's last step was a few floats at most, and it
-                # climbs by one float from here on
+                # every climbing lane climbs a float
                 np.add(lo_bits, 1, out=x_bits)
             if halving:
                 np.copyto(x, mid, where=~climbed)
-            # a step of 0 is one float, at the cap below
-            np.fmax((hi_bits - (walk >> 2)).view(float), mid, out=x, where=walk > 0)
+            np.fmax((hi_bits - walk).view(float), mid, out=x, where=walk > 0)
             np.minimum(x_bits, hi_bits - 1, out=x_bits)
-            product = _relation(coef, two_n, x[None], out=x_step[None], order=order)[0]
+            product, steps = _relation(coef, two_n, x[None], order)
             holds = product[0] > 1.0
+            if order:
+                x_step = steps[0]
 
 
 def _newton_step(
@@ -717,11 +710,7 @@ def _skeleton_proves_slem(shapes, s: np.ndarray, w_minus, w_plus) -> np.ndarray:
     ``skeleton_rows``, from the rows of a slice's shapes."""
     m = shapes[::2]
     below = count_central_below(
-        *skeleton_rows(
-            _Shapes(shapes[0], shapes[1], shapes[2], shapes[3]), w_minus, w_plus
-        ),
-        m,
-        _self_check_shifts(s),
+        *skeleton_rows(_Shapes(*shapes), w_minus, w_plus), m, _self_check_shifts(s)
     )
     return _counts_prove_slem(below, m[0] + m[1])
 
@@ -757,16 +746,16 @@ def optimal_weights_batch(m1, n1, m2, n2) -> BatchSolution:
     for start in range(0, lanes.shape[1], _ONE_CALL_LANES):
         chunk = lanes[:, start : start + _ONE_CALL_LANES]
         rows = solved[:, start : start + _ONE_CALL_LANES]
-        theta, s, w_minus, w_plus, gap = rows[0], rows[1], rows[2], rows[3], rows[4]
+        theta, s, w_minus, w_plus, gap = rows
         theta[...] = _first_sign_changes(chunk)
         np.cos(theta, out=s)
         _boundary_weights(chunk[::2], theta, out=rows[2:4])
         _gap(theta, np, out=gap)
-        proved = _skeleton_proves_slem(chunk, s, w_minus, w_plus)
-        if np.count_nonzero(proved) < proved.size:
+        failed = ~_skeleton_proves_slem(chunk, s, w_minus, w_plus)
+        if failed.any():
             # the scalar route's error for the first failing lane, from
             # the lane's own s, which has that route's bits
-            lane = int(np.argmin(proved))
+            lane = int(np.argmax(failed))
             params = TfsParams(*_cell(_cells(arrays), start + lane))
             raise _self_check_error(params, float(s[lane]))
     results.flags.writeable = False

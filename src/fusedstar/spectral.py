@@ -358,7 +358,7 @@ def _runs(g, u0, length):
     import numpy as np
 
     magnitude = np.abs(g)
-    if np.maximum.reduce(magnitude, axis=None, initial=0.0) < 1.0:
+    if magnitude.max(initial=0.0) < 1.0:
         return _band_runs(g, u0, length)
     inside = magnitude < 1.0
     sides = _band_runs(g, u0, length), _off_band_runs(g, u0, length)
@@ -436,7 +436,7 @@ def count_central_below(diagonal, off, m, shifts) -> np.ndarray:
 
     x = shifts[..., None, :]
     squares = off * off
-    pivmin = _TINY * np.maximum.reduce(squares[::3], axis=None, initial=1.0)
+    pivmin = _TINY * squares[::3].max(initial=1.0)
     interior = m - 2.0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # the leaves; a pivot of inf enters an arm without one
@@ -464,8 +464,7 @@ def count_central_below(diagonal, off, m, shifts) -> np.ndarray:
     # block's count
     counts = np.empty(below.shape, dtype=np.int64)
     arms = np.add(below[..., 0, :], below[..., 1, :], out=counts[..., 1, :], casting="unsafe")
-    tiny = _TINY * np.maximum.reduce(squares, axis=None, initial=1.0)
-    np.add(arms, twisted < tiny, out=counts[..., 0, :])
+    np.add(arms, twisted < _TINY * squares.max(initial=1.0), out=counts[..., 0, :])
     return counts
 
 

@@ -317,6 +317,16 @@ def test_batch_is_bitwise_equal_to_the_scalar_route():
         assert np.array_equal(bits(getattr(batch, field)), expected), field
 
 
+def test_starts_that_fail_are_halved_to_the_scalar_bits(monkeypatch):
+    # no sample's closed-form start fails the predicate; a start at the top
+    # of the bracket fails on every lane, and each route halves it, climbs
+    # from the first point that holds and ends on bisection's floats
+    monkeypatch.setattr(optimizer, "_closed_form_root", lambda quarter, c, xp: xp.inf)
+    shapes = grid(3, 4) + grid(12, 22) + LONG_UNEQUAL_ARMS
+    scalar = [optimal_weights(TfsParams(*shape)).theta_star for shape in shapes]
+    assert np.array_equal(bits(solve_batch(shapes).theta_star), bits(scalar))
+
+
 SWEEP_ARGVS = [
     ["sweep", "custom", "--n1", str(n1), "--n2", str(n2)]
     for n1 in BRANCH_COUNTS
